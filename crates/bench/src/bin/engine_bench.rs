@@ -24,7 +24,7 @@ use nyaya_ontologies::{
     generate_for_predicates, random_database, random_ucq, running_example, AboxConfig, FuzzConfig,
 };
 use nyaya_rewrite::{tgd_rewrite, RewriteOptions};
-use nyaya_sql::{execute_ucq_instrumented, reference, Database};
+use nyaya_sql::{execute_ucq_intra, reference, BuildCache, Database};
 
 /// One benchmark workload: a UCQ rewriting plus the database to run it on.
 struct Scenario {
@@ -61,10 +61,10 @@ fn measure(scenario: &Scenario, repeats: usize) -> Timings {
         reference::execute_ucq_reference(&scenario.db, &scenario.ucq)
     });
     let (indexed_ms, indexed) = best_of(repeats, || {
-        execute_ucq_instrumented(&scenario.db, &scenario.ucq, 1).0
+        execute_ucq_intra(&scenario.db, &scenario.ucq, 1, 1, &BuildCache::new(), 1.0).0
     });
     let (parallel_ms, parallel) = best_of(repeats, || {
-        execute_ucq_instrumented(&scenario.db, &scenario.ucq, 4).0
+        execute_ucq_intra(&scenario.db, &scenario.ucq, 4, 1, &BuildCache::new(), 1.0).0
     });
     if naive != indexed || naive != parallel {
         eprintln!(
@@ -155,7 +155,7 @@ fn differential_sweep(seeds: u64) -> (u64, u64) {
         let db = Database::from_facts(facts.iter().cloned());
         let instance = nyaya_chase::Instance::from_atoms(facts.iter().cloned());
         let ucq = random_ucq(&mut rng, &config);
-        let planned = execute_ucq_instrumented(&db, &ucq, 1).0;
+        let planned = execute_ucq_intra(&db, &ucq, 1, 1, &BuildCache::new(), 1.0).0;
         let oracle = nyaya_chase::answers_union(&instance, &ucq);
         let seed_engine = reference::execute_ucq_reference(&db, &ucq);
         if planned != oracle || planned != seed_engine {

@@ -26,7 +26,7 @@ use nyaya_core::select::{
 };
 use nyaya_core::{Atom, Term, UnionQuery};
 use nyaya_sql::{
-    execute_ucq_corrected, execute_ucq_greedy, execute_ucq_select, reference, BuildCache, Database,
+    execute_ucq_greedy, execute_ucq_intra, execute_ucq_select, reference, BuildCache, Database,
 };
 
 /// One benchmark cell: a query + select options over a database, with a
@@ -99,7 +99,7 @@ fn merge_vs_hash_cell(scale: usize, repeats: usize) -> Cell {
     let (slow_ms, slow) = best_of(repeats, || execute_ucq_greedy(&db, &ucq));
     let cache = BuildCache::new();
     let (fast_ms, (fast, metrics)) =
-        best_of(repeats, || execute_ucq_corrected(&db, &ucq, 1, &cache, 1.0));
+        best_of(repeats, || execute_ucq_intra(&db, &ucq, 1, 1, &cache, 1.0));
     if fast != slow {
         eprintln!("FATAL: merge-vs-hash engines disagree");
         std::process::exit(2);
@@ -156,7 +156,7 @@ fn full_materialize(
 ) -> (f64, Vec<Vec<Term>>) {
     best_of(repeats, || {
         let cache = BuildCache::new();
-        let (set, _) = execute_ucq_corrected(db, ucq, 1, &cache, 1.0);
+        let (set, _) = execute_ucq_intra(db, ucq, 1, 1, &cache, 1.0);
         apply_select(set, sel)
     })
 }
@@ -173,7 +173,7 @@ fn select_cell(
     let (slow_ms, slow) = full_materialize(db, ucq, sel, repeats);
     let cache = BuildCache::new();
     let (fast_ms, result) = best_of(repeats, || {
-        execute_ucq_select(db, ucq, sel, 1, &cache).expect("select options are valid")
+        execute_ucq_select(db, ucq, sel, 1, &cache, 1.0).expect("select options are valid")
     });
     let (fast, metrics) = result;
     if expect_counter(&metrics) == 0 {

@@ -42,7 +42,7 @@ use nyaya_ontologies::{
     BenchmarkId, FuzzConfig,
 };
 use nyaya_rewrite::{nr_datalog_rewrite, tgd_rewrite, ProgramStrategy, RewriteOptions};
-use nyaya_sql::{execute_program_shared, execute_ucq_shared, BuildCache, Database};
+use nyaya_sql::{execute_program_shared, execute_ucq_intra, BuildCache, Database};
 
 const BUDGET: usize = 200_000;
 
@@ -135,7 +135,7 @@ fn measure(
     let ucq = tgd_rewrite(q, tgds, &[], &opts).expect("cell TGDs are normalized");
     let ucq_rewrite_ms = ms(start);
     let start = Instant::now();
-    let (ucq_answers, _) = execute_ucq_shared(db, &ucq.ucq, 1, &BuildCache::new());
+    let (ucq_answers, _) = execute_ucq_intra(db, &ucq.ucq, 1, 1, &BuildCache::new(), 1.0);
     let ucq_exec_ms = ms(start);
 
     let start = Instant::now();

@@ -19,7 +19,7 @@
 //!   UCQ rewriting overwhelmingly share access patterns (same predicate,
 //!   same join-key positions, same constant filters). The hashed build
 //!   side for a pattern is constructed once and reused by every disjunct
-//!   — and by every worker thread of [`execute_ucq_parallel`] — the
+//!   — and by every worker thread of [`execute_ucq_intra`] — the
 //!   execution-side analogue of the paper's factorization.
 //! - **Cheap snapshots** ([`Database`] is copy-on-write): tables are held
 //!   behind [`Arc`]s, so cloning a database is O(#predicates), not
@@ -652,15 +652,6 @@ impl Database {
         }
     }
 
-    /// Adopt `pred`'s table from `other`, Arc-shared (zero row copies;
-    /// indexes carry over). No-op when `other` has no such table. The
-    /// shard module carves per-shard views with this.
-    pub(crate) fn adopt_table_from(&mut self, other: &Database, pred: Predicate) {
-        if let Some(table) = other.tables.get(&pred) {
-            self.tables.insert(pred, Arc::clone(table));
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.tables.values().map(|t| t.len()).sum()
     }
@@ -987,6 +978,54 @@ pub(crate) struct CacheTally {
 /// unit the intra-query parallel path hands to worker threads.
 pub(crate) const MORSEL: usize = 1024;
 
+/// The engine's one worker fan-out: fold contiguous chunks of `items` into
+/// per-worker accumulators on up to `workers` scoped threads, then
+/// concatenate the accumulators in item order. Returns the merged
+/// accumulator and the number of workers that actually ran.
+///
+/// The budget is clamped to the item count and then to the chunks
+/// ceil-division really produces (72 items over 10 workers chunk by 8,
+/// which leaves 9), so callers report the workers used, not requested.
+/// With one worker `fold` streams all of `items` into the single
+/// accumulator on the caller's thread — no spawn, no per-chunk result.
+/// A worker's panic is re-raised here with its original payload.
+pub(crate) fn fan_out<T, A, F>(items: &[T], workers: usize, fold: F) -> (A, usize)
+where
+    T: Sync,
+    A: Default + Extend<<A as IntoIterator>::Item> + IntoIterator + Send,
+    F: Fn(&mut A, &[T]) + Sync,
+{
+    let requested = workers.clamp(1, items.len().max(1));
+    let mut out = A::default();
+    if requested <= 1 {
+        fold(&mut out, items);
+        return (out, 1);
+    }
+    let chunk_size = items.len().div_ceil(requested);
+    let used = std::thread::scope(|scope| {
+        let fold = &fold;
+        let handles: Vec<_> = items
+            .chunks(chunk_size)
+            .map(|chunk| {
+                scope.spawn(move || {
+                    let mut local = A::default();
+                    fold(&mut local, chunk);
+                    local
+                })
+            })
+            .collect();
+        let used = handles.len();
+        for handle in handles {
+            match handle.join() {
+                Ok(local) => out.extend(local),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        used
+    });
+    (out, used)
+}
+
 /// Drive one join step's probe loop in [`MORSEL`]-row batches, optionally
 /// splitting the probe side across `intra` worker threads.
 ///
@@ -995,9 +1034,10 @@ pub(crate) const MORSEL: usize = 1024;
 /// concatenated in span order — so the produced tuple *set* is identical
 /// to a sequential run regardless of the split (the hash kernel even
 /// preserves tuple order exactly; the merge kernel re-sorts per batch).
-/// `tally` counts the *logical* morsel count — `len / MORSEL` rounded up,
-/// at least one — independent of the worker split, so the counter is
-/// host-stable.
+/// A probe side under two morsels never splits: spawn overhead would
+/// dominate. `tally` counts the *logical* morsel count — `len / MORSEL`
+/// rounded up, at least one — independent of the worker split, so the
+/// counter is host-stable.
 fn run_morsels<F>(
     tuples: &[Vec<Term>],
     intra: usize,
@@ -1011,35 +1051,13 @@ where
         tuples.len().div_ceil(MORSEL).max(1) as u64,
         Ordering::Relaxed,
     );
-    if intra <= 1 || tuples.len() < 2 * MORSEL {
-        let mut out = Vec::new();
-        for batch in tuples.chunks(MORSEL) {
-            probe(batch, &mut out);
+    let workers = if tuples.len() < 2 * MORSEL { 1 } else { intra };
+    fan_out(tuples, workers, |out: &mut Vec<Vec<Term>>, span| {
+        for batch in span.chunks(MORSEL) {
+            probe(batch, out);
         }
-        out
-    } else {
-        let span = tuples.len().div_ceil(intra);
-        std::thread::scope(|scope| {
-            let probe = &probe;
-            let handles: Vec<_> = tuples
-                .chunks(span)
-                .map(|sp| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        for batch in sp.chunks(MORSEL) {
-                            probe(batch, &mut out);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            let mut out = Vec::new();
-            for handle in handles {
-                out.extend(handle.join().expect("morsel worker panicked"));
-            }
-            out
-        })
-    }
+    })
+    .0
 }
 
 /// Per-atom table resolution for the join pipeline.
@@ -1112,22 +1130,13 @@ enum Slot {
 /// (parallel to `order`): a [`StepOp::Merge`] step joins through the
 /// sorted column index instead of a hashed build side. With `ops == None`
 /// every step hash-joins — the preserved greedy execution mode.
+///
+/// Each join step's probe side is split into contiguous spans across up
+/// to `intra` worker threads (only once it holds at least two
+/// [`MORSEL`]s — smaller intermediates stay sequential, where spawn
+/// overhead would dominate). The answer set is identical for every
+/// `intra`.
 pub(crate) fn execute_cq_ordered(
-    src: &DataSource<'_>,
-    q: &ConjunctiveQuery,
-    order: &[usize],
-    ops: Option<&[StepOp]>,
-    tally: &CacheTally,
-) -> BTreeSet<Vec<Term>> {
-    execute_cq_morsel(src, q, order, ops, tally, 1)
-}
-
-/// [`execute_cq_ordered`] with intra-query morsel parallelism: each join
-/// step's probe side is split into contiguous spans across up to `intra`
-/// worker threads (only once it holds at least two [`MORSEL`]s — smaller
-/// intermediates stay sequential, where spawn overhead would dominate).
-/// The answer set is identical for every `intra`.
-pub(crate) fn execute_cq_morsel(
     src: &DataSource<'_>,
     q: &ConjunctiveQuery,
     order: &[usize],
@@ -1316,40 +1325,17 @@ pub(crate) fn execute_cq_morsel(
 /// merge per join; set semantics make the result order-insensitive, so
 /// planning only changes intermediate sizes and per-step work.
 pub fn execute_cq(db: &Database, q: &ConjunctiveQuery) -> BTreeSet<Vec<Term>> {
-    execute_cq_with(db, q, &BuildCache::new())
-}
-
-/// [`execute_cq`] with a caller-supplied build cache — the entry point
-/// for executing many CQs that share access patterns.
-pub fn execute_cq_with(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    cache: &BuildCache,
-) -> BTreeSet<Vec<Term>> {
     let plan = plan_cq_cost_corrected(db, q, 1.0);
-    execute_cq_ordered(
-        &DataSource::Single { db, cache },
-        q,
-        &plan.order,
-        Some(&plan.ops),
-        &CacheTally::default(),
-    )
-}
-
-/// Execute a CQ with the preserved greedy planner's join order and
-/// hash-only operators — the pre-cost-model execution mode, kept as the
-/// differential oracle for `tests/planner_differential.rs`.
-pub fn execute_cq_greedy(db: &Database, q: &ConjunctiveQuery) -> BTreeSet<Vec<Term>> {
-    let order = join_order(db, q);
     execute_cq_ordered(
         &DataSource::Single {
             db,
             cache: &BuildCache::new(),
         },
         q,
-        &order,
-        None,
+        &plan.order,
+        Some(&plan.ops),
         &CacheTally::default(),
+        1,
     )
 }
 
@@ -1367,6 +1353,7 @@ pub fn execute_ucq_greedy(db: &Database, u: &UnionQuery) -> BTreeSet<Vec<Term>> 
             &order,
             None,
             &tally,
+            1,
         ));
     }
     out
@@ -1405,81 +1392,38 @@ pub struct ExecMetrics {
     /// Disjuncts whose filters could not use an index and were applied
     /// as a planned row-by-row post-filter over the disjunct's answers.
     pub filter_fallback_scans: u64,
-    /// Per-shard disjunct groups executed by the scatter-gather path
-    /// (0 when execution was unsharded).
-    pub shard_scatter_ops: u64,
     /// Wall-clock execution time.
     pub elapsed: Duration,
 }
 
-/// Execute a union of CQs (set semantics) with one shared build cache.
+/// Execute a union of CQs (set semantics) sequentially with one private
+/// build cache: [`execute_ucq_intra`] at its defaults.
 pub fn execute_ucq(db: &Database, u: &UnionQuery) -> BTreeSet<Vec<Term>> {
-    execute_ucq_instrumented(db, u, 1).0
+    execute_ucq_intra(db, u, 1, 1, &BuildCache::new(), 1.0).0
 }
 
-/// Execute a union of CQs across `threads` worker threads.
+/// Execute a union of CQs — the engine's one UCQ entry point.
 ///
-/// Section 2 observes that the CQs of a UCQ rewriting "are independent
-/// from each other, and thus they can be easily executed in parallel
-/// threads". Workers evaluate contiguous chunks of the union and share
-/// one [`BuildCache`], so a build side hashed by any worker is reused by
-/// all of them; results are merged under set semantics.
-pub fn execute_ucq_parallel(db: &Database, u: &UnionQuery, threads: usize) -> BTreeSet<Vec<Term>> {
-    execute_ucq_instrumented(db, u, threads).0
-}
-
-/// Execute a union with an explicit thread budget, returning counters.
-/// Uses a private [`BuildCache`] scoped to this one execution; serving
-/// workloads that re-execute over an unchanged database should pass a
-/// persistent cache to [`execute_ucq_shared`] instead.
-pub fn execute_ucq_instrumented(
-    db: &Database,
-    u: &UnionQuery,
-    threads: usize,
-) -> (BTreeSet<Vec<Term>>, ExecMetrics) {
-    execute_ucq_shared(db, u, threads, &BuildCache::new())
-}
-
-/// Execute a union against a caller-owned [`BuildCache`] that outlives
-/// the call — build sides hashed by any earlier execution over the same
-/// database state are reused here, and the ones this call constructs are
-/// left behind for the next.
-///
-/// The returned [`ExecMetrics`] report this call's own hit/miss counts,
-/// tallied per probe rather than diffed off the shared counters, so the
-/// attribution stays exact even when many executions share one cache
-/// concurrently.
-pub fn execute_ucq_shared(
-    db: &Database,
-    u: &UnionQuery,
-    threads: usize,
-    cache: &BuildCache,
-) -> (BTreeSet<Vec<Term>>, ExecMetrics) {
-    execute_ucq_corrected(db, u, threads, cache, 1.0)
-}
-
-/// [`execute_ucq_shared`] with a cardinality-feedback factor applied to
-/// the cost planner's join estimates (see
-/// [`plan_cq_cost_corrected`]).
-pub fn execute_ucq_corrected(
-    db: &Database,
-    u: &UnionQuery,
-    threads: usize,
-    cache: &BuildCache,
-    correction: f64,
-) -> (BTreeSet<Vec<Term>>, ExecMetrics) {
-    execute_ucq_intra(db, u, threads, 1, cache, correction)
-}
-
-/// [`execute_ucq_corrected`] with intra-query morsel parallelism.
-///
-/// `threads` is the *inter*-CQ budget (disjuncts fan out across workers,
-/// as before); `intra` is the *intra*-CQ budget — inside each disjunct's
-/// join pipeline, any step whose probe side holds at least two 1024-row morsels
+/// `threads` is the *inter*-CQ budget. Section 2 observes that the CQs of
+/// a UCQ rewriting "are independent from each other, and thus they can be
+/// easily executed in parallel threads": workers evaluate contiguous
+/// chunks of the union and results are merged under set semantics.
+/// `intra` is the *intra*-CQ budget — inside each disjunct's join
+/// pipeline, any step whose probe side holds at least two 1024-row morsels
 /// splits it across up to `intra` workers. The two compose: small unions
 /// over big data want `threads = 1, intra = N`, hundred-disjunct
 /// rewritings over modest data want the reverse. Answer sets are
 /// identical for every combination.
+///
+/// `cache` is caller-owned and outlives the call — build sides hashed by
+/// any earlier execution over the same database state are reused here,
+/// and the ones this call constructs are left behind for the next. The
+/// returned [`ExecMetrics`] report this call's own hit/miss counts,
+/// tallied per probe rather than diffed off the shared counters, so the
+/// attribution stays exact even when many executions share one cache
+/// concurrently. `correction` is the cardinality-feedback factor applied
+/// to the cost planner's join estimates (see [`plan_cq_cost_corrected`];
+/// 1.0 = none).
 pub fn execute_ucq_intra(
     db: &Database,
     u: &UnionQuery,
@@ -1491,55 +1435,20 @@ pub fn execute_ucq_intra(
     let start = Instant::now();
     let tally = CacheTally::default();
     let estimated = AtomicU64::new(0);
-    // Clamp to the union size, then to the number of workers chunking
-    // actually produces: ceil-division can leave fewer (non-empty) chunks
-    // than the requested budget, and the metrics must report the workers
-    // that really ran.
-    let requested = threads.clamp(1, u.cqs.len().max(1));
-    let chunk_size = u.cqs.len().div_ceil(requested.max(1)).max(1);
-    let threads = if requested <= 1 {
-        1
-    } else {
-        u.cqs.len().div_ceil(chunk_size)
-    };
-    let mut out = BTreeSet::new();
-    let run_cq = |q: &ConjunctiveQuery| {
-        let plan = plan_cq_cost_corrected(db, q, correction);
-        estimated.fetch_add(plan.result_estimate().round() as u64, Ordering::Relaxed);
-        execute_cq_morsel(
-            &DataSource::Single { db, cache },
-            q,
-            &plan.order,
-            Some(&plan.ops),
-            &tally,
-            intra.max(1),
-        )
-    };
-    if threads <= 1 {
-        for q in u.iter() {
-            out.extend(run_cq(q));
+    let (out, threads) = fan_out(&u.cqs, threads, |out: &mut BTreeSet<Vec<Term>>, chunk| {
+        for q in chunk {
+            let plan = plan_cq_cost_corrected(db, q, correction);
+            estimated.fetch_add(plan.result_estimate().round() as u64, Ordering::Relaxed);
+            out.extend(execute_cq_ordered(
+                &DataSource::Single { db, cache },
+                q,
+                &plan.order,
+                Some(&plan.ops),
+                &tally,
+                intra,
+            ));
         }
-    } else {
-        std::thread::scope(|scope| {
-            let run_cq = &run_cq;
-            let handles: Vec<_> = u
-                .cqs
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut local = BTreeSet::new();
-                        for q in chunk {
-                            local.extend(run_cq(q));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                out.extend(handle.join().expect("UCQ worker panicked"));
-            }
-        });
-    }
+    });
     let metrics = ExecMetrics {
         disjuncts: u.cqs.len(),
         threads,
@@ -1553,11 +1462,6 @@ pub fn execute_ucq_intra(
         ..ExecMetrics::default()
     };
     (out, metrics)
-}
-
-/// Does a Boolean (U)CQ hold over the database?
-pub fn execute_bcq(db: &Database, q: &ConjunctiveQuery) -> bool {
-    !execute_cq(db, q).is_empty()
 }
 
 // ---------------------------------------------------------------------
@@ -1620,19 +1524,8 @@ fn direct_access(q: &ConjunctiveQuery) -> Option<DirectAccess> {
 /// row-by-row post-filter, reported in
 /// [`ExecMetrics::filter_fallback_scans`] — the stat that closes the old
 /// silent-fallback gap. Errors on out-of-range column indices.
+/// `threads`, `cache` and `correction` are as for [`execute_ucq_intra`].
 pub fn execute_ucq_select(
-    db: &Database,
-    u: &UnionQuery,
-    sel: &SelectOptions,
-    threads: usize,
-    cache: &BuildCache,
-) -> Result<(Vec<Vec<Term>>, ExecMetrics), String> {
-    execute_ucq_select_corrected(db, u, sel, threads, cache, 1.0)
-}
-
-/// [`execute_ucq_select`] with a cardinality-feedback factor for the cost
-/// planner (see [`plan_cq_cost_corrected`]).
-pub fn execute_ucq_select_corrected(
     db: &Database,
     u: &UnionQuery,
     sel: &SelectOptions,
@@ -1647,7 +1540,7 @@ pub fn execute_ucq_select_corrected(
     sel.validate(head_arity)?;
     let start = Instant::now();
     if sel.is_plain() {
-        let (set, mut metrics) = execute_ucq_corrected(db, u, threads, cache, correction);
+        let (set, mut metrics) = execute_ucq_intra(db, u, threads, 1, cache, correction);
         let mut rows: Vec<Vec<Term>> = set.into_iter().collect();
         rows.sort_by(|a, b| canonical_cmp_rows(a, b));
         metrics.elapsed = start.elapsed();
@@ -1817,13 +1710,6 @@ pub fn execute_ucq_select_corrected(
     let tally = CacheTally::default();
     let estimated = AtomicU64::new(0);
     let fallback_scans = AtomicU64::new(0);
-    let requested = threads.clamp(1, u.cqs.len().max(1));
-    let chunk_size = u.cqs.len().div_ceil(requested.max(1)).max(1);
-    let threads_used = if requested <= 1 {
-        1
-    } else {
-        u.cqs.len().div_ceil(chunk_size)
-    };
     let run_cq = |q: &ConjunctiveQuery| -> BTreeSet<Vec<Term>> {
         let mut dynamic: Vec<&nyaya_core::select::ColumnFilter> = Vec::new();
         for f in &sel.filters {
@@ -1848,6 +1734,7 @@ pub fn execute_ucq_select_corrected(
             &plan.order,
             Some(&plan.ops),
             &tally,
+            1,
         );
         if dynamic.is_empty() {
             answers
@@ -1858,32 +1745,11 @@ pub fn execute_ucq_select_corrected(
                 .collect()
         }
     };
-    let mut set = BTreeSet::new();
-    if threads_used <= 1 {
-        for q in u.iter() {
+    let (set, threads_used) = fan_out(&u.cqs, threads, |set: &mut BTreeSet<Vec<Term>>, chunk| {
+        for q in chunk {
             set.extend(run_cq(q));
         }
-    } else {
-        std::thread::scope(|scope| {
-            let run_cq = &run_cq;
-            let handles: Vec<_> = u
-                .cqs
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut local = BTreeSet::new();
-                        for q in chunk {
-                            local.extend(run_cq(q));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                set.extend(handle.join().expect("UCQ worker panicked"));
-            }
-        });
-    }
+    });
     let rest = SelectOptions {
         filters: Vec::new(),
         ..sel.clone()
@@ -2065,6 +1931,33 @@ mod tests {
         assert_eq!(t.seen.get(&0x42), Some(&0));
     }
 
+    #[test]
+    fn fan_out_chunks_contiguously_and_reports_workers_used() {
+        let items: Vec<u32> = (0..72).collect();
+        let collect = |out: &mut Vec<u32>, chunk: &[u32]| out.extend(chunk);
+        for (workers, used) in [(0, 1), (1, 1), (3, 3), (10, 9), (500, 72)] {
+            let (out, ran): (Vec<u32>, usize) = fan_out(&items, workers, collect);
+            assert_eq!((out, ran), (items.clone(), used), "workers={workers}");
+        }
+        let (out, ran): (Vec<u32>, usize) = fan_out(&[], 4, collect);
+        assert_eq!((out, ran), (Vec::new(), 1));
+    }
+
+    /// A worker's panic reaches the caller with its original payload, not
+    /// a message made up at the join site.
+    #[test]
+    fn fan_out_re_raises_a_worker_panic_with_its_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            fan_out(&[1, 2], 2, |_: &mut Vec<u32>, chunk: &[u32]| {
+                if chunk == [2] {
+                    panic!("boom");
+                }
+            })
+        })
+        .expect_err("the worker's panic must propagate");
+        assert_eq!(caught.downcast_ref::<&str>(), Some(&"boom"));
+    }
+
     fn cq(head: &[&str], body: &[(&str, &[&str])]) -> ConjunctiveQuery {
         let head_terms = head
             .iter()
@@ -2154,13 +2047,14 @@ mod tests {
             &[("list_comp", &["A", "B"]), ("has_stock", &["B", "C"])],
         );
         assert!(execute_cq(&db, &q).is_empty());
-        assert!(!execute_bcq(
+        assert!(execute_cq(
             &db,
             &cq(
                 &[],
                 &[("list_comp", &["A", "B"]), ("has_stock", &["B", "C"])]
             )
-        ));
+        )
+        .is_empty());
     }
 
     #[test]
@@ -2213,7 +2107,7 @@ mod tests {
             cq(&["C"], &[("list_comp", &["C", "D"])]),
             cq(&["X"], &[("list_comp", &["X", "Y"])]),
         ]);
-        let (ans, metrics) = execute_ucq_instrumented(&db, &u, 1);
+        let (ans, metrics) = execute_ucq_intra(&db, &u, 1, 1, &BuildCache::new(), 1.0);
         assert_eq!(ans.len(), 2);
         assert_eq!(metrics.build_cache_misses, 1, "{metrics:?}");
         assert_eq!(metrics.build_cache_hits, 2, "{metrics:?}");
@@ -2231,11 +2125,18 @@ mod tests {
         ]);
         let seq = execute_ucq(&db, &u);
         for threads in [1, 2, 3, 8] {
-            assert_eq!(execute_ucq_parallel(&db, &u, threads), seq);
+            assert_eq!(
+                execute_ucq_intra(&db, &u, threads, 1, &BuildCache::new(), 1.0).0,
+                seq
+            );
         }
         // Degenerate cases: empty union, more threads than CQs.
         let empty = UnionQuery::default();
-        assert!(execute_ucq_parallel(&db, &empty, 4).is_empty());
+        assert!(
+            execute_ucq_intra(&db, &empty, 4, 1, &BuildCache::new(), 1.0)
+                .0
+                .is_empty()
+        );
     }
 
     #[test]
@@ -2359,7 +2260,7 @@ mod tests {
             cq(&["A"], &[("has_stock", &["A", "B"])]),
         ]);
         let cache = BuildCache::new();
-        execute_ucq_shared(&db, &u, 1, &cache);
+        execute_ucq_intra(&db, &u, 1, 1, &cache, 1.0);
         assert_eq!(cache.len(), 2);
 
         let touched: HashSet<Predicate> = [Predicate::new("list_comp", 2)].into();
@@ -2368,7 +2269,7 @@ mod tests {
         assert_eq!(next.len(), 1);
         // Re-running over the successor cache: has_stock hits, list_comp
         // rebuilds.
-        let (_, metrics) = execute_ucq_shared(&db, &u, 1, &next);
+        let (_, metrics) = execute_ucq_intra(&db, &u, 1, 1, &next, 1.0);
         assert_eq!(metrics.build_cache_hits, 1, "{metrics:?}");
         assert_eq!(metrics.build_cache_misses, 1, "{metrics:?}");
     }
@@ -2378,9 +2279,9 @@ mod tests {
         let db = sample_db();
         let u = UnionQuery::new(vec![cq(&["A"], &[("list_comp", &["A", "B"])])]);
         let cache = BuildCache::new();
-        let (_, first) = execute_ucq_shared(&db, &u, 1, &cache);
+        let (_, first) = execute_ucq_intra(&db, &u, 1, 1, &cache, 1.0);
         assert_eq!((first.build_cache_hits, first.build_cache_misses), (0, 1));
-        let (_, second) = execute_ucq_shared(&db, &u, 1, &cache);
+        let (_, second) = execute_ucq_intra(&db, &u, 1, 1, &cache, 1.0);
         assert_eq!(
             (second.build_cache_hits, second.build_cache_misses),
             (1, 0),
@@ -2393,7 +2294,7 @@ mod tests {
         let db = sample_db();
         let u = UnionQuery::new(vec![cq(&["A"], &[("list_comp", &["A", "B"])])]);
         let cache = BuildCache::new();
-        let (expected, _) = execute_ucq_shared(&db, &u, 1, &cache);
+        let (expected, _) = execute_ucq_intra(&db, &u, 1, 1, &cache, 1.0);
         // A reader that panics while holding the cache's write lock (the
         // worst case) poisons it; every later execution must recover.
         std::thread::scope(|s| {
@@ -2403,7 +2304,7 @@ mod tests {
             });
             assert!(handle.join().is_err());
         });
-        let (answers, metrics) = execute_ucq_shared(&db, &u, 1, &cache);
+        let (answers, metrics) = execute_ucq_intra(&db, &u, 1, 1, &cache, 1.0);
         assert_eq!(answers, expected);
         assert_eq!(metrics.build_cache_hits, 1, "the warm entry survived");
         assert_eq!(cache.len(), 1);

@@ -18,28 +18,24 @@ pub mod ivm;
 pub mod plan;
 pub mod program;
 pub mod segment;
-pub mod shard;
 pub mod translate;
 
 pub use catalog::{Catalog, TableSchema};
 pub use ddl::{create_tables, export_database, insert_statements};
 pub use engine::{
-    execute_bcq, execute_cq, execute_cq_greedy, execute_cq_with, execute_ucq,
-    execute_ucq_corrected, execute_ucq_greedy, execute_ucq_instrumented, execute_ucq_intra,
-    execute_ucq_parallel, execute_ucq_select, execute_ucq_select_corrected, execute_ucq_shared,
-    reference, BuildCache, Database, DbMemory, ExecMetrics, TableMemory,
+    execute_cq, execute_ucq, execute_ucq_greedy, execute_ucq_intra, execute_ucq_select, reference,
+    BuildCache, Database, DbMemory, ExecMetrics, TableMemory,
 };
 pub use ivm::{AnswerDelta, BaseDeltas, IvmMetrics, IvmProgram, IvmRule, MaterializedView};
 pub use plan::{
-    execute_cq_planned, execute_ucq_planned, explain_cq, join_order, plan_cq, plan_cq_cost,
-    plan_cq_cost_corrected, CostPlan, JoinPlan, StepOp,
+    explain_cq, join_order, plan_cq, plan_cq_cost, plan_cq_cost_corrected, CostPlan, JoinPlan,
+    StepOp,
 };
 pub use program::{
     execute_program, execute_program_select, execute_program_shared, program_to_sql,
     program_to_sql_select, program_to_sql_views, ProgramError, ProgramMetrics, ProgramSelectError,
 };
 pub use segment::{decode_batch, decode_database, encode_batch, encode_database, CodecError};
-pub use shard::{execute_ucq_sharded, home_shard, shard_of, shard_views, DEFAULT_SHARDS};
 pub use translate::{
     cq_to_sql, select_to_sql, sql_ident, sql_literal, ucq_to_sql, ucq_to_sql_select,
 };

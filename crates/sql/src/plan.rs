@@ -21,18 +21,19 @@
 //!   query) scales the join estimates, so a plan that mispredicted badly
 //!   is re-priced — and possibly re-shaped — on the next execution.
 //!
-//! Neither planner changes results — [`execute_cq`] is order-insensitive
-//! set semantics — only intermediate sizes and per-step operator work.
+//! Neither planner changes results — [`execute_cq`](crate::execute_cq) is
+//! order-insensitive set semantics — only intermediate sizes and per-step
+//! operator work.
 //!
 //! Statistics are read off the [`Database`]'s persistent per-column
 //! indexes in O(1) — planning a CQ never scans a table, so planning all
 //! few-hundred disjuncts of a UCQ rewriting is essentially free.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
-use nyaya_core::{ConjunctiveQuery, Predicate, Symbol, Term, UnionQuery};
+use nyaya_core::{ConjunctiveQuery, Predicate, Symbol, Term};
 
-use crate::engine::{execute_cq, Database};
+use crate::engine::Database;
 
 /// Per-table column statistics: row count and per-position distinct counts.
 #[derive(Clone, Debug)]
@@ -394,18 +395,6 @@ fn plan_cost_from_stats(
     }
 }
 
-/// Execute a CQ with the greedy join order. Since the engine now plans
-/// by default this is an alias for [`execute_cq`], kept for callers (and
-/// benchmarks) that name the planned path explicitly.
-pub fn execute_cq_planned(db: &Database, q: &ConjunctiveQuery) -> BTreeSet<Vec<Term>> {
-    execute_cq(db, q)
-}
-
-/// Execute a union of CQs, planning each member.
-pub fn execute_ucq_planned(db: &Database, u: &UnionQuery) -> BTreeSet<Vec<Term>> {
-    crate::engine::execute_ucq(db, u)
-}
-
 /// Human-readable plan (an `EXPLAIN` for the in-memory engine): the
 /// cost-based join order with the physical operator chosen per step.
 pub fn explain_cq(db: &Database, q: &ConjunctiveQuery) -> String {
@@ -437,7 +426,8 @@ pub fn explain_cq(db: &Database, q: &ConjunctiveQuery) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nyaya_core::Atom;
+    use crate::engine::execute_cq;
+    use nyaya_core::{Atom, UnionQuery};
 
     fn cq(head: &[&str], body: &[(&str, &[&str])]) -> ConjunctiveQuery {
         let conv = |a: &&str| {
@@ -492,7 +482,7 @@ mod tests {
             cq(&["X"], &[("small", &["X"]), ("big", &["X", "w1"])]),
         ] {
             assert_eq!(
-                execute_cq_planned(&db, &q),
+                execute_cq(&db, &q),
                 crate::engine::reference::execute_cq_reference(&db, &q),
                 "{q}"
             );
@@ -530,7 +520,7 @@ mod tests {
         assert_eq!(plan.order[0], 2, "{plan:?}");
         assert_eq!(plan.order[1], 0, "{plan:?}");
         assert_eq!(
-            execute_cq_planned(&db, &q),
+            execute_cq(&db, &q),
             crate::engine::reference::execute_cq_reference(&db, &q)
         );
     }
@@ -553,7 +543,7 @@ mod tests {
             cq(&["X"], &[("small", &["X"])]),
         ]);
         assert_eq!(
-            execute_ucq_planned(&db, &u),
+            crate::engine::execute_ucq(&db, &u),
             crate::engine::reference::execute_ucq_reference(&db, &u)
         );
     }
@@ -564,6 +554,6 @@ mod tests {
         let q = cq(&["X"], &[("big", &["X", "Y"]), ("small", &["X"])]);
         let plan = plan_cq(&db, &q);
         assert_eq!(plan.order.len(), 2);
-        assert!(execute_cq_planned(&db, &q).is_empty());
+        assert!(execute_cq(&db, &q).is_empty());
     }
 }

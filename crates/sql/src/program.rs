@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use nyaya_core::{Atom, ConjunctiveQuery, DatalogProgram, DatalogRule, Predicate, Term};
 
 use crate::catalog::Catalog;
-use crate::engine::{BuildCache, CacheTally, DataSource, Database};
+use crate::engine::{execute_cq_ordered, fan_out, BuildCache, CacheTally, DataSource, Database};
 use crate::plan::plan_cq_cost_with;
 use crate::translate::{cq_to_sql, sql_ident};
 
@@ -171,18 +171,16 @@ pub fn execute_program_shared(
     let overlay_cache = BuildCache::new();
     let tally = CacheTally::default();
     let mut overlay = Database::new();
-    let threads = threads.max(1);
 
     for level in &strata {
         // The overlay is frozen for the duration of one stratum: rules of
         // this level only read strictly lower levels (and the base), so
         // evaluating them concurrently against the same view is sound and
         // deterministic.
-        let rules: Vec<(usize, &DatalogRule)> = program
+        let rules: Vec<&DatalogRule> = program
             .rules
             .iter()
-            .enumerate()
-            .filter(|(_, r)| level.binary_search(&r.head.pred).is_ok())
+            .filter(|r| level.binary_search(&r.head.pred).is_ok())
             .collect();
         let src = DataSource::Layered {
             base,
@@ -206,39 +204,17 @@ pub fn execute_program_shared(
                 },
                 1.0,
             );
-            crate::engine::execute_cq_ordered(&src, &q, &plan.order, Some(&plan.ops), &tally)
+            execute_cq_ordered(&src, &q, &plan.order, Some(&plan.ops), &tally, 1)
         };
-        let workers = threads.min(rules.len()).max(1);
-        let results: Vec<(usize, Predicate, BTreeSet<Vec<Term>>)> = if workers <= 1 {
-            rules
-                .iter()
-                .map(|(i, rule)| (*i, rule.head.pred, run_rule(rule)))
-                .collect()
-        } else {
-            metrics.threads = metrics.threads.max(workers);
-            let chunk = rules.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let run_rule = &run_rule;
-                let handles: Vec<_> = rules
-                    .chunks(chunk)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            part.iter()
-                                .map(|(i, rule)| (*i, rule.head.pred, run_rule(rule)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("program worker panicked"))
-                    .collect()
-            })
-        };
-        // Merge in rule order (the spawn order above preserves it), so the
+        type Derived = Vec<(Predicate, BTreeSet<Vec<Term>>)>;
+        let (results, workers) = fan_out(&rules, threads, |results: &mut Derived, part| {
+            results.extend(part.iter().map(|rule| (rule.head.pred, run_rule(rule))));
+        });
+        metrics.threads = metrics.threads.max(workers);
+        // Merge in rule order (the fan-out preserves it), so the
         // overlay's row numbering — and therefore every downstream join —
         // is identical whether one worker materialized the stratum or many.
-        for (_, pred, rows) in results {
+        for (pred, rows) in results {
             for row in rows {
                 if overlay.insert(Atom::new(pred, row)) {
                     metrics.materialized_tuples += 1;
@@ -257,7 +233,7 @@ pub fn execute_program_shared(
         overlay_cache: &overlay_cache,
         intensional: &intensional,
     };
-    let answers = crate::engine::execute_cq_ordered(&src, &goal_q, &[0], None, &tally);
+    let answers = execute_cq_ordered(&src, &goal_q, &[0], None, &tally, 1);
     metrics.rows = answers.len();
     metrics.build_cache_hits = tally.hits.load(Ordering::Relaxed);
     metrics.build_cache_misses = tally.misses.load(Ordering::Relaxed);

@@ -15,9 +15,7 @@ use std::collections::BTreeSet;
 
 use nyaya_chase::certain_answers;
 use nyaya_core::Term;
-use nyaya_sql::{
-    execute_program_shared, execute_ucq_intra, execute_ucq_sharded, program_to_sql, ucq_to_sql,
-};
+use nyaya_sql::{execute_program_shared, execute_ucq_intra, program_to_sql, ucq_to_sql};
 
 use super::error::NyayaError;
 use super::update::Snapshot;
@@ -61,47 +59,45 @@ pub trait Executor {
     fn execute(&self, kb: &KnowledgeBase, query: &PreparedQuery) -> Result<Answers, NyayaError>;
 }
 
-/// Unions with at least this many disjuncts run on the engine's parallel
-/// path; smaller rewritings stay sequential, where thread spawn overhead
-/// would dominate.
+/// Unions with at least this many disjuncts (and programs with at least
+/// this many rules) run on the engine's parallel path; smaller ones stay
+/// sequential, where thread spawn overhead would dominate.
 pub const PARALLEL_THRESHOLD: usize = 32;
+
+/// The facade's one thread-routing policy: the engine's `(threads, intra)`
+/// budgets for a union of `width` disjuncts (or a program of `width`
+/// rules, which has no use for `intra`).
+///
+/// Wide unions always get at least two workers so the routing decision
+/// (and the `KbStats` counter built on it) is deterministic across hosts.
+/// On a single core the chunked workers cost a few percent over
+/// sequential; on multi-core hosts — the deployment target for
+/// hundred-disjunct rewritings — they win.
+///
+/// Narrow unions get the cores the other way: intra-query morsel
+/// parallelism splits each join step's probe side across workers once it
+/// holds at least two morsels, so a handful of disjuncts over millions of
+/// facts still saturates the machine. Tiny intermediates never spawn (the
+/// engine's 2-morsel floor), so point queries stay sequential.
+pub(crate) fn thread_budgets(width: usize) -> (usize, usize) {
+    let avail = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
+    if width >= PARALLEL_THRESHOLD {
+        (avail, 1)
+    } else {
+        (1, avail)
+    }
+}
 
 /// Evaluate the UCQ rewriting over the in-process relational engine —
 /// compile once, then pure database work (the paper's OBDA story without
 /// leaving the process).
 ///
-/// Large unions (≥ [`parallel_threshold`](Self::parallel_threshold)
-/// disjuncts) are routed through the engine's multi-threaded path: the
-/// disjuncts of a perfect rewriting are independent, and the workers
-/// share one build-side cache. Per-run timing and row counters land in
-/// [`KbStats`](super::KbStats).
-#[derive(Copy, Clone, Debug)]
-pub struct InMemoryExecutor {
-    parallel_threshold: usize,
-}
-
-impl Default for InMemoryExecutor {
-    fn default() -> Self {
-        InMemoryExecutor {
-            parallel_threshold: PARALLEL_THRESHOLD,
-        }
-    }
-}
-
-impl InMemoryExecutor {
-    /// Route unions with at least `threshold` disjuncts through the
-    /// parallel path. `usize::MAX` forces sequential execution.
-    pub fn with_parallel_threshold(threshold: usize) -> Self {
-        InMemoryExecutor {
-            parallel_threshold: threshold.max(1),
-        }
-    }
-
-    /// The current routing threshold.
-    pub fn parallel_threshold(&self) -> usize {
-        self.parallel_threshold
-    }
-}
+/// Large unions (at least `PARALLEL_THRESHOLD` disjuncts) are routed through
+/// the engine's multi-threaded path: the disjuncts of a perfect rewriting
+/// are independent, and the workers share one build-side cache. Per-run
+/// timing and row counters land in [`KbStats`](super::KbStats).
+#[derive(Copy, Clone, Debug, Default)]
+pub struct InMemoryExecutor;
 
 impl InMemoryExecutor {
     /// Run against a **pinned** snapshot: the execution reads that
@@ -125,11 +121,7 @@ impl InMemoryExecutor {
             if let Some(hit) = kb.cached_answer(query, snapshot, &program.touched) {
                 return Ok(hit);
             }
-            let threads = if program.program.num_rules() >= self.parallel_threshold {
-                std::thread::available_parallelism().map_or(2, |n| n.get().max(2))
-            } else {
-                1
-            };
+            let (threads, _) = thread_budgets(program.program.num_rules());
             let (tuples, metrics) = execute_program_shared(
                 snapshot.database(),
                 &program.program,
@@ -150,50 +142,18 @@ impl InMemoryExecutor {
         if let Some(hit) = kb.cached_answer(query, snapshot, &compiled.touched) {
             return Ok(hit);
         }
-        // Large unions always get at least two workers so the routing
-        // decision (and the KbStats counter built on it) is deterministic
-        // across hosts. On a single core the chunked workers cost a few
-        // percent over sequential; on multi-core hosts — the deployment
-        // target for hundred-disjunct rewritings — they win.
-        //
-        // Small unions get the cores the other way: intra-query morsel
-        // parallelism splits each join step's probe side across workers
-        // once it holds at least two morsels, so a handful of disjuncts
-        // over millions of facts still saturates the machine. Tiny
-        // intermediates never spawn (the engine's 2-morsel floor), so
-        // point queries stay sequential.
-        let avail = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
-        let (threads, intra) = if compiled.ucq.cqs.len() >= self.parallel_threshold {
-            (avail, 1)
-        } else {
-            (1, avail)
-        };
         // Cost-based planning with the query's learned cardinality
         // correction; the run's estimated-vs-actual counts feed the next
         // correction (re-planning when the estimate was badly off).
-        // Sharded knowledge bases route through the scatter-gather path:
-        // disjuncts grouped by home shard, per-group answer sets unioned
-        // — bit-identical to the single-shard execution.
-        let correction = kb.plan_correction(query);
-        let (tuples, metrics) = if kb.shards() > 1 {
-            execute_ucq_sharded(
-                snapshot.database(),
-                &compiled.ucq,
-                kb.shards(),
-                threads,
-                snapshot.build_cache(),
-                correction,
-            )
-        } else {
-            execute_ucq_intra(
-                snapshot.database(),
-                &compiled.ucq,
-                threads,
-                intra,
-                snapshot.build_cache(),
-                correction,
-            )
-        };
+        let (threads, intra) = thread_budgets(compiled.ucq.cqs.len());
+        let (tuples, metrics) = execute_ucq_intra(
+            snapshot.database(),
+            &compiled.ucq,
+            threads,
+            intra,
+            snapshot.build_cache(),
+            kb.plan_correction(query),
+        );
         kb.record_execution(&metrics);
         kb.record_feedback(query, &metrics);
         let answers = Answers {

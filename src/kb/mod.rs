@@ -372,9 +372,6 @@ pub struct KbStats {
     /// Answer-cache lookups that had to execute (no entry with a
     /// matching predicate-epoch fingerprint).
     pub cache_answer_misses: u64,
-    /// Per-shard disjunct groups executed by the scatter-gather path
-    /// (0 until the builder enables [`KnowledgeBaseBuilder::shards`]).
-    pub shard_scatter_ops: u64,
     /// Requests served through the network serving layer (`nyaya serve`).
     pub net_requests: u64,
     /// Approximate resident heap bytes of the current snapshot's fact
@@ -429,7 +426,7 @@ impl KbStats {
              \"aggregate_pushdowns\":{},\"filter_fallback_scans\":{},\
              \"plan_estimated_rows\":{},\"plan_actual_rows\":{},\"plan_replans\":{},\
              \"cache_answer_hits\":{},\"cache_answer_misses\":{},\
-             \"shard_scatter_ops\":{},\"net_requests\":{},\
+             \"net_requests\":{},\
              \"fact_bytes\":{},\"index_bytes\":{},\"tables\":[{}]}}",
             self.prepared,
             self.cache_hits,
@@ -480,7 +477,6 @@ impl KbStats {
             self.plan_replans,
             self.cache_answer_hits,
             self.cache_answer_misses,
-            self.shard_scatter_ops,
             self.net_requests,
             self.fact_bytes,
             self.index_bytes,
@@ -529,7 +525,6 @@ struct Counters {
     plan_replans: AtomicU64,
     cache_answer_hits: AtomicU64,
     cache_answer_misses: AtomicU64,
-    shard_scatter_ops: AtomicU64,
     net_requests: AtomicU64,
 }
 
@@ -555,7 +550,6 @@ pub struct KnowledgeBaseBuilder {
     durable_path: Option<PathBuf>,
     flush_interval: u64,
     answer_cache: bool,
-    shards: usize,
 }
 
 impl Default for KnowledgeBaseBuilder {
@@ -578,7 +572,6 @@ impl Default for KnowledgeBaseBuilder {
             durable_path: None,
             flush_interval: DEFAULT_FLUSH_INTERVAL,
             answer_cache: true,
-            shards: 1,
         }
     }
 }
@@ -770,16 +763,6 @@ impl KnowledgeBaseBuilder {
         self
     }
 
-    /// Partition the ABox into this many predicate-hash shards and route
-    /// UCQ execution through the scatter-gather path (disjuncts grouped
-    /// by home shard, per-group results unioned — bit-identical to
-    /// unsharded execution). Default 1 (unsharded); servers typically
-    /// pass their core count.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     fn merge_ontology(&mut self, other: Ontology) {
         self.ontology.tgds.extend(other.tgds);
         self.ontology.ncs.extend(other.ncs);
@@ -893,7 +876,6 @@ impl KnowledgeBaseBuilder {
             subscriptions: Mutex::new(Vec::new()),
             feedback: Mutex::new(HashMap::new()),
             answer_cache_enabled: self.answer_cache,
-            shards: self.shards,
             answer_cache: RwLock::new(HashMap::new()),
         })
     }
@@ -953,9 +935,6 @@ pub struct KnowledgeBase {
     feedback: Mutex<HashMap<(CanonicalKey, Algorithm), f64>>,
     /// Is the exact answer cache consulted by in-memory executions?
     answer_cache_enabled: bool,
-    /// Predicate-hash shard count for scatter-gather UCQ execution
-    /// (1 = unsharded).
-    shards: usize,
     /// The exact answer cache: per (canonical query, engine), a few
     /// recently produced answer sets, each tagged with the snapshot's
     /// per-predicate write epochs over the query's touched predicates.
@@ -1803,12 +1782,12 @@ impl KnowledgeBase {
         kind: ExecutorKind,
     ) -> Result<Answers, NyayaError> {
         match kind {
-            ExecutorKind::InMemory => self.execute_with(query, &InMemoryExecutor::default()),
+            ExecutorKind::InMemory => self.execute_with(query, &InMemoryExecutor),
             ExecutorKind::Sql => self.execute_with(query, &SqlExecutor),
             ExecutorKind::Chase => self.execute_with(query, &ChaseExecutor),
             ExecutorKind::Auto => {
                 if self.classification.fo_rewritable() {
-                    self.execute_with(query, &InMemoryExecutor::default())
+                    self.execute_with(query, &InMemoryExecutor)
                 } else {
                     self.execute_with(query, &ChaseExecutor)
                 }
@@ -1853,7 +1832,7 @@ impl KnowledgeBase {
             ExecutorKind::Sql => SqlExecutor.execute_at(self, query, snapshot),
             // `Auto` is resolved to a concrete backend at build time.
             ExecutorKind::InMemory | ExecutorKind::Auto => {
-                InMemoryExecutor::default().execute_at(self, query, snapshot)
+                InMemoryExecutor.execute_at(self, query, snapshot)
             }
         }
     }
@@ -1979,18 +1958,10 @@ impl KnowledgeBase {
             .fetch_add(metrics.aggregate_pushdowns, Ordering::Relaxed);
         c.filter_fallback_scans
             .fetch_add(metrics.filter_fallback_scans, Ordering::Relaxed);
-        c.shard_scatter_ops
-            .fetch_add(metrics.shard_scatter_ops, Ordering::Relaxed);
         c.plan_estimated_rows
             .fetch_add(metrics.estimated_rows, Ordering::Relaxed);
         c.plan_actual_rows
             .fetch_add(metrics.rows as u64, Ordering::Relaxed);
-    }
-
-    /// Predicate-hash shard count for scatter-gather UCQ execution
-    /// (1 = unsharded; see [`KnowledgeBaseBuilder::shards`]).
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Count one request served through the network serving layer.
@@ -2131,11 +2102,7 @@ impl KnowledgeBase {
         self.counters.executions.fetch_add(1, Ordering::Relaxed);
         let snapshot = self.snapshot();
         if let Some(program) = self.execution_plan(query)? {
-            let threads = if program.program.num_rules() >= executor::PARALLEL_THRESHOLD {
-                std::thread::available_parallelism().map_or(2, |n| n.get().max(2))
-            } else {
-                1
-            };
+            let (threads, _) = executor::thread_budgets(program.program.num_rules());
             let (rows, metrics) = nyaya_sql::execute_program_select(
                 snapshot.database(),
                 &program.program,
@@ -2153,13 +2120,9 @@ impl KnowledgeBase {
             return Ok(rows);
         }
         let compiled = self.rewriting(query)?;
-        let threads = if compiled.ucq.cqs.len() >= executor::PARALLEL_THRESHOLD {
-            std::thread::available_parallelism().map_or(2, |n| n.get().max(2))
-        } else {
-            1
-        };
+        let (threads, _) = executor::thread_budgets(compiled.ucq.cqs.len());
         let correction = self.plan_correction(query);
-        let (rows, metrics) = nyaya_sql::execute_ucq_select_corrected(
+        let (rows, metrics) = nyaya_sql::execute_ucq_select(
             snapshot.database(),
             &compiled.ucq,
             sel,
@@ -2291,7 +2254,6 @@ impl KnowledgeBase {
             plan_replans: self.counters.plan_replans.load(Ordering::Relaxed),
             cache_answer_hits: self.counters.cache_answer_hits.load(Ordering::Relaxed),
             cache_answer_misses: self.counters.cache_answer_misses.load(Ordering::Relaxed),
-            shard_scatter_ops: self.counters.shard_scatter_ops.load(Ordering::Relaxed),
             net_requests: self.counters.net_requests.load(Ordering::Relaxed),
             fact_bytes: memory.fact_bytes,
             index_bytes: memory.index_bytes,

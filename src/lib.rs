@@ -76,7 +76,7 @@
 //! | [`rewrite`] | TGD-rewrite / TGD-rewrite⋆, non-recursive Datalog rewriting, QuOnto & Requiem baselines, chase & back-chase |
 //! | [`parser`] | Datalog± text syntax + DL-Lite_R and OWL 2 QL front ends |
 //! | [`ontologies`] | the benchmark suite (V, S, U, A, P5 + X-variants) |
-//! | [`sql`] | UCQ → SQL, an in-memory executor with a cost-based join planner, predicate-hash sharding with scatter-gather, and bottom-up Datalog program evaluation |
+//! | [`sql`] | UCQ → SQL, an in-memory executor with a cost-based join planner, and bottom-up Datalog program evaluation |
 //! | [`serving`] | the network backend: [`KbBackend`] implements `nyaya-serve`'s `Backend` trait over a shared [`KnowledgeBase`] (prepared handles, pinned-epoch answers, batch applies) |
 
 #![warn(missing_docs)]

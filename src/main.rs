@@ -13,7 +13,7 @@
 //! nyaya compact  <program.dlp> --data-dir DIR
 //! nyaya history  <program.dlp> --data-dir DIR
 //! nyaya watch    <program.dlp> [--json] [--data-dir DIR]
-//! nyaya serve    <program.dlp> [--listen ADDR] [--net-workers N] [--shards N]
+//! nyaya serve    <program.dlp> [--listen ADDR] [--net-workers N]
 //!                              [--data-dir DIR] [--no-answer-cache]
 //! nyaya client   <request>     [--listen ADDR] [--at EPOCH] [--json]
 //! ```
@@ -80,8 +80,6 @@ options:
                   (default 127.0.0.1:7464)
   --net-workers N (serve) connection-scheduler worker threads
                   (default: available cores)
-  --shards N      partition the ABox into N predicate-hash shards and
-                  scatter-gather UCQ disjuncts across them (default 1)
   --no-answer-cache  disable the exact answer cache (on by default)
 
 result modifiers (answer; columns are 1-based head positions):
@@ -126,7 +124,6 @@ struct Options {
     explain: bool,
     listen: String,
     net_workers: usize,
-    shards: usize,
     answer_cache: bool,
 }
 
@@ -161,7 +158,6 @@ fn parse_options(rest: &[String]) -> Result<Options, String> {
         explain: false,
         listen: "127.0.0.1:7464".to_owned(),
         net_workers: 0,
-        shards: 1,
         answer_cache: true,
     };
     let mut it = rest.iter();
@@ -284,13 +280,6 @@ fn parse_options(rest: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|_| "--net-workers needs an integer".to_owned())?;
             }
-            "--shards" => {
-                options.shards = it
-                    .next()
-                    .ok_or_else(|| "--shards needs a value".to_owned())?
-                    .parse()
-                    .map_err(|_| "--shards needs an integer".to_owned())?;
-            }
             "--no-answer-cache" => options.answer_cache = false,
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -385,7 +374,6 @@ fn load_kb(path: &str, options: &Options) -> Result<KnowledgeBase, String> {
         builder = builder.flush_interval(n);
     }
     builder
-        .shards(options.shards)
         .answer_cache(options.answer_cache)
         .build()
         .map_err(|e| e.to_string())
@@ -850,7 +838,6 @@ fn install_shutdown_signals() {}
 fn cmd_serve(kb: KnowledgeBase, options: &Options) -> Result<(), String> {
     use nyaya::serve::ServerConfig;
 
-    let shards = kb.shards();
     let backend = std::sync::Arc::new(nyaya::KbBackend::new(std::sync::Arc::new(kb)));
     let mut config = ServerConfig::default();
     if options.net_workers > 0 {
@@ -860,7 +847,7 @@ fn cmd_serve(kb: KnowledgeBase, options: &Options) -> Result<(), String> {
     let server = nyaya::serve::serve(options.listen.as_str(), backend, config)
         .map_err(|e| format!("cannot listen on {}: {e}", options.listen))?;
     eprintln!(
-        "% serving on {} ({workers} worker(s), {shards} shard(s)); \
+        "% serving on {} ({workers} worker(s)); \
          SIGINT or `nyaya client shutdown` stops it",
         server.local_addr()
     );

@@ -1,7 +1,8 @@
 //! Regression tests pinning the reproduced Table 1 cells.
 //!
-//! The V and P5 NY columns and the S/U NY⋆ columns match the paper
-//! *exactly* (see EXPERIMENTS.md); these tests keep it that way. The
+//! The V and P5 NY columns and the S/U NY⋆ columns match the paper's
+//! Table 1 *exactly* (`bench/expected.json` pins the same NY⋆ cells for
+//! the end-to-end benchmark); these tests keep it that way. The
 //! heaviest cells (P5 q4/q5, S NY q3–q5) are exercised by the release-mode
 //! harness (`cargo run --release -p nyaya-bench --bin table1`) instead of
 //! debug-mode `cargo test`.

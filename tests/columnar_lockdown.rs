@@ -205,7 +205,7 @@ fn select_shaping_matches_the_pure_reference_semantics() {
         let oracle_rows =
             nyaya_core::select::apply_select(reference::execute_ucq_reference(&db, &ucq), &sel);
         for threads in [1, 3] {
-            let (rows, _) = execute_ucq_select(&db, &ucq, &sel, threads, &BuildCache::new())
+            let (rows, _) = execute_ucq_select(&db, &ucq, &sel, threads, &BuildCache::new(), 1.0)
                 .expect("valid select executes");
             assert_eq!(
                 rows, oracle_rows,

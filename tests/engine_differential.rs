@@ -18,7 +18,7 @@ use nyaya_chase::Instance;
 use nyaya_core::Term;
 use nyaya_ontologies::rng::Prng;
 use nyaya_ontologies::{random_database, random_ucq, FuzzConfig};
-use nyaya_sql::{execute_ucq, execute_ucq_instrumented, execute_ucq_parallel, reference, Database};
+use nyaya_sql::{execute_ucq, execute_ucq_intra, reference, BuildCache, Database};
 
 /// Seeds the harness sweeps. Keep ≥ 200 (acceptance criterion of the
 /// engine rework: zero mismatches across at least 200 random seeds).
@@ -61,7 +61,7 @@ fn parallel_union_path_matches_sequential_on_random_inputs() {
         let sequential = execute_ucq(&db, &ucq);
         for threads in [2, 4] {
             assert_eq!(
-                execute_ucq_parallel(&db, &ucq, threads),
+                execute_ucq_intra(&db, &ucq, threads, 1, &BuildCache::new(), 1.0).0,
                 sequential,
                 "seed {seed}: parallel ({threads} threads) disagrees with \
                  sequential on {ucq}"
@@ -124,7 +124,7 @@ fn shared_build_cache_collapses_repeated_patterns_across_disjuncts() {
     let cq = nyaya_ontologies::random_cq(&mut rng, &config, 1);
     let atoms = cq.body.len() as u64;
     let ucq = nyaya_core::UnionQuery::new(vec![cq; 40]);
-    let (_, metrics) = execute_ucq_instrumented(&db, &ucq, 1);
+    let (_, metrics) = execute_ucq_intra(&db, &ucq, 1, 1, &BuildCache::new(), 1.0);
     // Identical disjuncts produce identical access patterns: each pattern
     // is built exactly once and then served from the cache for all 39
     // remaining disjuncts (the pipeline may stop early on an empty
@@ -135,4 +135,64 @@ fn shared_build_cache_collapses_repeated_patterns_across_disjuncts() {
         metrics.build_cache_hits >= 39 * metrics.build_cache_misses,
         "{metrics:?}"
     );
+}
+
+/// Pins `execute_ucq_intra`'s worker fan-out (disjuncts across `threads`,
+/// probe spans across `intra`) on V-q3's 72-disjunct rewriting over a
+/// seeded ABox where every table a disjunct can scan first holds more than
+/// two morsels, so each disjunct's second join step is wide enough to
+/// split. The constants were recorded at the commit before the five
+/// hand-written fan-outs were folded into one helper.
+#[test]
+fn wide_union_over_multi_morsel_probe_sides_keeps_answers_and_metrics() {
+    use nyaya::KnowledgeBase;
+    use nyaya_ontologies::{generate_abox, load, AboxConfig, BenchmarkId};
+
+    let bench = load(BenchmarkId::V);
+    let kb = KnowledgeBase::builder()
+        .ontology(bench.raw.clone())
+        .build()
+        .unwrap();
+    let prepared = kb.prepare(&bench.queries[2].1).unwrap();
+    let ucq = kb.rewriting(&prepared).unwrap().ucq.clone();
+    assert_eq!(ucq.size(), 72);
+    let db = Database::from_facts(generate_abox(
+        &bench,
+        &AboxConfig {
+            individuals: 8_000,
+            facts: 300_000,
+            seed: 13,
+        },
+    ));
+    let smallest = ucq
+        .iter()
+        .flat_map(|q| q.body.iter())
+        .map(|a| db.table_len(a.pred))
+        .min()
+        .unwrap();
+    assert!(smallest > 2 * 1024, "probe sides must exceed two morsels");
+
+    // The greedy hash-only engine is the oracle here: the seed engine's
+    // textual atom order turns some of these disjuncts into cross products.
+    let oracle = nyaya_sql::execute_ucq_greedy(&db, &ucq);
+    assert_eq!(oracle.len(), 4504);
+    // 72 disjuncts over 10 requested workers chunk by 8, which leaves 9.
+    for (threads, used) in [(1, 1), (3, 3), (10, 9)] {
+        for intra in [1, 4] {
+            let (answers, m) =
+                execute_ucq_intra(&db, &ucq, threads, intra, &BuildCache::new(), 1.0);
+            let at = format!("threads={threads} intra={intra}: {m:?}");
+            assert_eq!(answers, oracle, "{at}");
+            assert_eq!(m.threads, used, "{at}");
+            assert_eq!(m.morsel_tasks, 413, "{at}");
+            assert_eq!(m.merge_joins, 72, "{at}");
+            assert_eq!(m.build_cache_hits + m.build_cache_misses, 144, "{at}");
+            if threads == 1 {
+                assert_eq!(m.build_cache_misses, 22, "{at}");
+            } else {
+                // Workers racing on one pattern may each construct it.
+                assert!(m.build_cache_misses >= 22, "{at}");
+            }
+        }
+    }
 }

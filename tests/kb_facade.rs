@@ -153,7 +153,7 @@ fn custom_executors_plug_in_through_the_trait() {
             query: &PreparedQuery,
         ) -> Result<Answers, NyayaError> {
             self.calls.fetch_add(1, Ordering::Relaxed);
-            let mut answers = InMemoryExecutor::default().execute(kb, query)?;
+            let mut answers = InMemoryExecutor.execute(kb, query)?;
             answers.backend = self.name();
             Ok(answers)
         }

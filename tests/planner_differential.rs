@@ -23,8 +23,8 @@ use nyaya_ontologies::fuzz::{random_select_ucq, random_ucq};
 use nyaya_ontologies::rng::Prng;
 use nyaya_ontologies::{random_database, FuzzConfig};
 use nyaya_sql::{
-    execute_ucq, execute_ucq_corrected, execute_ucq_greedy, execute_ucq_select, reference,
-    BuildCache, Database,
+    execute_ucq, execute_ucq_greedy, execute_ucq_intra, execute_ucq_select, reference, BuildCache,
+    Database,
 };
 
 /// Seeds each harness sweeps. The acceptance criterion for the planner
@@ -70,7 +70,7 @@ fn corrected_plans_stay_answer_identical_across_the_feedback_range() {
         let baseline = execute_ucq_greedy(&db, &ucq);
         for correction in [1.0 / 64.0, 0.25, 1.0, 4.0, 64.0] {
             let cache = BuildCache::new();
-            let (got, _) = execute_ucq_corrected(&db, &ucq, 1, &cache, correction);
+            let (got, _) = execute_ucq_intra(&db, &ucq, 1, 1, &cache, correction);
             assert_eq!(
                 got, baseline,
                 "seed {seed}: correction {correction} changed the answers on {ucq}"
@@ -91,7 +91,7 @@ fn modifier_execution_matches_reference_semantics() {
         let (ucq, sel) = random_select_ucq(&mut rng, &config);
 
         let cache = BuildCache::new();
-        let (got, metrics) = execute_ucq_select(&db, &ucq, &sel, 1, &cache)
+        let (got, metrics) = execute_ucq_select(&db, &ucq, &sel, 1, &cache, 1.0)
             .unwrap_or_else(|e| panic!("seed {seed}: fuzzer made invalid options: {e}"));
         let expected = apply_select(reference::execute_ucq_reference(&db, &ucq), &sel);
         assert_eq!(
@@ -202,7 +202,7 @@ fn unindexed_filter_fallback_is_planned_and_counted() {
         ..SelectOptions::default()
     };
     let cache = BuildCache::new();
-    let (rows, metrics) = execute_ucq_select(&db, &ucq, &sel, 1, &cache).unwrap();
+    let (rows, metrics) = execute_ucq_select(&db, &ucq, &sel, 1, &cache, 1.0).unwrap();
     let expected = apply_select(reference::execute_ucq_reference(&db, &ucq), &sel);
     assert_eq!(rows, expected);
     assert!(!rows.is_empty(), "filter must keep a1/a2/a3 rows");
