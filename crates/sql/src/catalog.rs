@@ -58,9 +58,9 @@ impl Catalog {
     }
 
     /// Register default schemas for every predicate that holds data in an
-    /// in-memory [`Database`](crate::engine::Database) — keeps SQL emission
+    /// in-memory [`Database`](crate::Database) — keeps SQL emission
     /// possible for rewritings over data-only predicates no TGD mentions.
-    pub fn register_from_database(&mut self, db: &crate::engine::Database) {
+    pub fn register_from_database(&mut self, db: &crate::Database) {
         let mut preds: Vec<Predicate> = db.predicates().collect();
         preds.sort_by_key(|p| (p.sym.index(), p.arity));
         self.register_defaults(preds);

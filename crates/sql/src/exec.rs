@@ -1,0 +1,754 @@
+//! An indexed in-memory relational engine for (unions of) conjunctive
+//! queries.
+//!
+//! This is the "underlying relational database" substrate of the OBDA
+//! architecture (Section 1): rewritings produced by `nyaya-rewrite` are
+//! executed here without any ontological reasoning — that is the whole
+//! point of FO-rewritability. Because perfect rewritings routinely blow up
+//! to hundreds of disjuncts, the engine is built around three ideas:
+//!
+//! - **Persistent indexes** ([`Database`]): every table keeps one hash
+//!   index per column, maintained incrementally on insert. Constant
+//!   filters probe an index instead of scanning, and the planner reads
+//!   row/distinct counts in O(1).
+//! - **Planned join orders** ([`execute_cq`] routes through
+//!   [`plan_cq`](crate::plan::plan_cq)): body atoms are evaluated
+//!   greedily by estimated output cardinality — constants and
+//!   already-bound variables first — instead of textual order.
+//! - **A shared build-side cache** ([`BuildCache`]): the disjuncts of a
+//!   UCQ rewriting overwhelmingly share access patterns (same predicate,
+//!   same join-key positions, same constant filters). The hashed build
+//!   side for a pattern is constructed once and reused by every disjunct
+//!   — and by every worker thread of [`execute_ucq_intra`] — the
+//!   execution-side analogue of the paper's factorization.
+//! - **Cheap snapshots** ([`Database`] is copy-on-write): tables are held
+//!   behind [`Arc`](std::sync::Arc)s, so cloning a database is O(#predicates), not
+//!   O(#facts). A writer clones, mutates its private copies of only the
+//!   touched tables ([`Database::insert`] / [`Database::remove`] maintain
+//!   the per-column indexes incrementally, including on retraction), and
+//!   publishes the clone — readers holding the old value never observe a
+//!   partial batch. [`BuildCache::carried_over`] transplants the build
+//!   sides of untouched predicates into the next snapshot's cache.
+//!
+//! The seed engine (textual order, no indexes, one fresh hash table per
+//! atom per disjunct) is preserved verbatim in [`crate::reference`] as the
+//! differential-testing oracle and benchmark baseline.
+
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
+use nyaya_core::{ConjunctiveQuery, Predicate, Symbol, Term, UnionQuery};
+
+use crate::build_cache::{BuildCache, PatternKey};
+use crate::plan::{join_order, plan_cq_cost_corrected, StepOp};
+use crate::table::{Database, Table};
+
+/// Per-call hit/miss counters for one (U)CQ execution. Distinct from the
+/// [`BuildCache`]'s own lifetime counters: when several executions share
+/// one persistent cache concurrently, each execution's tally counts only
+/// its own probes, so summing tallies never double-counts.
+#[derive(Default)]
+pub(crate) struct CacheTally {
+    pub(crate) hits: AtomicU64,
+    pub(crate) misses: AtomicU64,
+    /// Merge-join steps executed (no build side constructed).
+    pub(crate) merges: AtomicU64,
+    /// Probe morsels driven through the join kernels (see [`MORSEL`]).
+    pub(crate) morsels: AtomicU64,
+}
+
+/// Fixed probe-batch size of the join kernels, in rows.
+///
+/// Every join step drives its probe side through the kernel in morsels
+/// of this many intermediate tuples: the batch's key cells are resolved
+/// and probed together, which keeps the working set (key buffer, build
+/// side bucket walks, output run) cache-resident, and the batch is the
+/// unit the intra-query parallel path hands to worker threads.
+pub(crate) const MORSEL: usize = 1024;
+
+/// The engine's one worker fan-out: fold contiguous chunks of `items` into
+/// per-worker accumulators on up to `workers` scoped threads, then
+/// concatenate the accumulators in item order. Returns the merged
+/// accumulator and the number of workers that actually ran.
+///
+/// The budget is clamped to the item count and then to the chunks
+/// ceil-division really produces (72 items over 10 workers chunk by 8,
+/// which leaves 9), so callers report the workers used, not requested.
+/// With one worker `fold` streams all of `items` into the single
+/// accumulator on the caller's thread — no spawn, no per-chunk result.
+/// A worker's panic is re-raised here with its original payload.
+pub(crate) fn fan_out<T, A, F>(items: &[T], workers: usize, fold: F) -> (A, usize)
+where
+    T: Sync,
+    A: Default + Extend<<A as IntoIterator>::Item> + IntoIterator + Send,
+    F: Fn(&mut A, &[T]) + Sync,
+{
+    let requested = workers.clamp(1, items.len().max(1));
+    let mut out = A::default();
+    if requested <= 1 {
+        fold(&mut out, items);
+        return (out, 1);
+    }
+    let chunk_size = items.len().div_ceil(requested);
+    let used = std::thread::scope(|scope| {
+        let fold = &fold;
+        let handles: Vec<_> = items
+            .chunks(chunk_size)
+            .map(|chunk| {
+                scope.spawn(move || {
+                    let mut local = A::default();
+                    fold(&mut local, chunk);
+                    local
+                })
+            })
+            .collect();
+        let used = handles.len();
+        for handle in handles {
+            match handle.join() {
+                Ok(local) => out.extend(local),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        used
+    });
+    (out, used)
+}
+
+/// Drive one join step's probe loop in [`MORSEL`]-row batches, optionally
+/// splitting the probe side across `intra` worker threads.
+///
+/// The probe side is cut into `intra` contiguous spans (one per worker),
+/// each span is processed batch by batch, and span outputs are
+/// concatenated in span order — so the produced tuple *set* is identical
+/// to a sequential run regardless of the split (the hash kernel even
+/// preserves tuple order exactly; the merge kernel re-sorts per batch).
+/// A probe side under two morsels never splits: spawn overhead would
+/// dominate. `tally` counts the *logical* morsel count — `len / MORSEL`
+/// rounded up, at least one — independent of the worker split, so the
+/// counter is host-stable.
+fn run_morsels<F>(
+    tuples: &[Vec<Term>],
+    intra: usize,
+    tally: &CacheTally,
+    probe: F,
+) -> Vec<Vec<Term>>
+where
+    F: Fn(&[Vec<Term>], &mut Vec<Vec<Term>>) + Sync,
+{
+    tally.morsels.fetch_add(
+        tuples.len().div_ceil(MORSEL).max(1) as u64,
+        Ordering::Relaxed,
+    );
+    let workers = if tuples.len() < 2 * MORSEL { 1 } else { intra };
+    fan_out(tuples, workers, |out: &mut Vec<Vec<Term>>, span| {
+        for batch in span.chunks(MORSEL) {
+            probe(batch, out);
+        }
+    })
+    .0
+}
+
+/// Per-atom table resolution for the join pipeline.
+///
+/// Ordinary (U)CQ execution reads one database with one build cache.
+/// Program evaluation ([`crate::execute_program`]) instead *layers* the
+/// derived intensional tables (with their own per-run cache) over the
+/// pinned snapshot: atoms over intensional predicates resolve to the
+/// overlay — exclusively, matching [`DatalogProgram::expand`] semantics,
+/// where a defined predicate is exactly its rules — and every other atom
+/// reads the base. The base is never cloned or written.
+///
+/// [`DatalogProgram::expand`]: nyaya_core::DatalogProgram::expand
+pub(crate) enum DataSource<'a> {
+    /// One database, one cache: plain (U)CQ execution.
+    Single {
+        db: &'a Database,
+        cache: &'a BuildCache,
+    },
+    /// Derived intensional tables stacked over a read-only base.
+    Layered {
+        base: &'a Database,
+        base_cache: &'a BuildCache,
+        overlay: &'a Database,
+        overlay_cache: &'a BuildCache,
+        /// Predicates that resolve to the overlay (the program's defined
+        /// predicates — even when their derived table is still empty).
+        intensional: &'a HashSet<Predicate>,
+    },
+}
+
+impl<'a> DataSource<'a> {
+    pub(crate) fn resolve(&self, pred: Predicate) -> (&'a Database, &'a BuildCache) {
+        match self {
+            DataSource::Single { db, cache } => (db, cache),
+            DataSource::Layered {
+                base,
+                base_cache,
+                overlay,
+                overlay_cache,
+                intensional,
+            } => {
+                if intensional.contains(&pred) {
+                    (overlay, overlay_cache)
+                } else {
+                    (base, base_cache)
+                }
+            }
+        }
+    }
+}
+
+/// Classification of one atom argument slot during pipeline construction.
+pub(crate) enum Slot {
+    /// Variable already bound: join key (holds the intermediate-tuple
+    /// index it probes with).
+    Bound(usize),
+    /// First occurrence of a variable in this pipeline: extends tuples.
+    Fresh,
+    /// Non-variable term: equality filter, folded into the build.
+    Constant(Term),
+    /// Repeat of a fresh variable earlier in this atom (earlier column).
+    Repeat(usize),
+}
+
+/// Execute one CQ with atoms in `order`, resolving each atom's table and
+/// build cache through `src` (single database or layered program view).
+///
+/// `ops` optionally carries the cost planner's per-step operator choice
+/// (parallel to `order`): a [`StepOp::Merge`] step joins through the
+/// sorted column index instead of a hashed build side. With `ops == None`
+/// every step hash-joins — the preserved greedy execution mode.
+///
+/// Each join step's probe side is split into contiguous spans across up
+/// to `intra` worker threads (only once it holds at least two
+/// [`MORSEL`]s — smaller intermediates stay sequential, where spawn
+/// overhead would dominate). The answer set is identical for every
+/// `intra`.
+pub(crate) fn execute_cq_ordered(
+    src: &DataSource<'_>,
+    q: &ConjunctiveQuery,
+    order: &[usize],
+    ops: Option<&[StepOp]>,
+    tally: &CacheTally,
+    intra: usize,
+) -> BTreeSet<Vec<Term>> {
+    debug_assert_eq!(order.len(), q.body.len());
+    let mut var_index: HashMap<Symbol, usize> = HashMap::new();
+    let mut current: Vec<Vec<Term>> = vec![Vec::new()];
+
+    for (step, &atom_idx) in order.iter().enumerate() {
+        let atom = &q.body[atom_idx];
+        let (db, cache) = src.resolve(atom.pred);
+        if current.is_empty() {
+            return BTreeSet::new();
+        }
+
+        // Classify slots against the variables bound so far.
+        let mut slots: Vec<Slot> = Vec::with_capacity(atom.args.len());
+        let mut fresh_positions: HashMap<Symbol, usize> = HashMap::new();
+        for (j, t) in atom.args.iter().enumerate() {
+            match t {
+                Term::Var(v) => {
+                    if let Some(&idx) = var_index.get(v) {
+                        slots.push(Slot::Bound(idx));
+                    } else if let Some(&k) = fresh_positions.get(v) {
+                        slots.push(Slot::Repeat(k));
+                    } else {
+                        fresh_positions.insert(*v, j);
+                        slots.push(Slot::Fresh);
+                    }
+                }
+                other => slots.push(Slot::Constant(other.clone())),
+            }
+        }
+
+        // Derive the pattern identity and fetch/build its hashed side.
+        let mut key_cols: Vec<usize> = Vec::new();
+        let mut probe_indices: Vec<usize> = Vec::new();
+        let mut consts: Vec<(usize, Term)> = Vec::new();
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
+        for (j, s) in slots.iter().enumerate() {
+            match s {
+                Slot::Bound(idx) => {
+                    key_cols.push(j);
+                    probe_indices.push(*idx);
+                }
+                Slot::Constant(c) => consts.push((j, c.clone())),
+                Slot::Repeat(k) => repeats.push((j, *k)),
+                Slot::Fresh => {}
+            }
+        }
+        // A planner-chosen merge step is only honored when the executor's
+        // own slot classification confirms eligibility (single bound key,
+        // no constants, no repeats) — a mismatch falls back to hash.
+        let merge_col = match ops.and_then(|o| o.get(step)) {
+            Some(StepOp::Merge { key_col })
+                if key_cols == [*key_col] && consts.is_empty() && repeats.is_empty() =>
+            {
+                Some(*key_col)
+            }
+            _ => None,
+        };
+
+        let table = db.table(atom.pred);
+        let next: Vec<Vec<Term>>;
+        // Extend an intermediate tuple with row `id`'s fresh columns,
+        // decoding cells back to terms only at the pipeline boundary.
+        let extend = |table: &Table, tuple: &Vec<Term>, id: u32, next: &mut Vec<Vec<Term>>| {
+            let mut extended = tuple.clone();
+            for (j, s) in slots.iter().enumerate() {
+                if let Slot::Fresh = s {
+                    extended.push(table.term_at(id, j));
+                }
+            }
+            next.push(extended);
+        };
+        if let Some(key_col) = merge_col {
+            // Merge join: sort each probe morsel by its key value
+            // canonically and sweep the column's sorted distinct cell list
+            // in lockstep; each matching cell's posting list is exactly
+            // the joining rows. No build side is constructed or cached.
+            // The sweep compares raw u32 cells (cell order is canonical
+            // term order by construction).
+            tally.merges.fetch_add(1, Ordering::Relaxed);
+            if let Some(table) = table {
+                let probe_idx = probe_indices[0];
+                let sorted = table.sorted_cells(key_col);
+                next = run_morsels(&current, intra, tally, |batch, out| {
+                    let mut probe_order: Vec<usize> = (0..batch.len()).collect();
+                    probe_order
+                        .sort_by(|&a, &b| batch[a][probe_idx].canonical_cmp(&batch[b][probe_idx]));
+                    let mut si = 0usize;
+                    for &ti in &probe_order {
+                        // A probe value the table has never stored has no
+                        // cell and therefore no posting list: skip without
+                        // moving the sweep cursor (term order and cell
+                        // order agree, so the cursor stays monotone for
+                        // later probes in this batch).
+                        let Some(vc) = table.cell_of(&batch[ti][probe_idx]) else {
+                            continue;
+                        };
+                        while si < sorted.len()
+                            && table.cmp_own_cells(sorted[si], vc) == std::cmp::Ordering::Less
+                        {
+                            si += 1;
+                        }
+                        if si < sorted.len() && sorted[si] == vc {
+                            for &id in table.posting_cells(key_col, vc) {
+                                extend(table, &batch[ti], id, out);
+                            }
+                        }
+                    }
+                });
+            } else {
+                next = Vec::new();
+            }
+        } else {
+            let pattern = PatternKey::make(atom.pred, key_cols, consts, repeats);
+            let (build, was_hit) = cache.get_or_build(db, &pattern);
+            if was_hit {
+                tally.hits.fetch_add(1, Ordering::Relaxed);
+            } else {
+                tally.misses.fetch_add(1, Ordering::Relaxed);
+            }
+            if let Some(table) = table {
+                next = run_morsels(&current, intra, tally, |batch, out| {
+                    let mut key_buf: Vec<u32> = Vec::with_capacity(probe_indices.len());
+                    'tuples: for tuple in batch {
+                        key_buf.clear();
+                        for &idx in &probe_indices {
+                            match table.cell_of(&tuple[idx]) {
+                                Some(c) => key_buf.push(c),
+                                // A probe value absent from the table
+                                // joins with nothing.
+                                None => continue 'tuples,
+                            }
+                        }
+                        for &id in build.group_cells(&key_buf) {
+                            extend(table, tuple, id, out);
+                        }
+                    }
+                });
+            } else {
+                next = Vec::new();
+            }
+        }
+        // Register fresh variables in first-position order (matches the
+        // push order above).
+        let mut fresh_sorted: Vec<(usize, Symbol)> =
+            fresh_positions.iter().map(|(v, j)| (*j, *v)).collect();
+        fresh_sorted.sort_unstable();
+        for (_, v) in fresh_sorted {
+            let idx = var_index.len();
+            var_index.insert(v, idx);
+        }
+        current = next;
+    }
+
+    // Project the head.
+    let mut out = BTreeSet::new();
+    for tuple in current {
+        let projected: Vec<Term> = q
+            .head
+            .iter()
+            .map(|t| match t {
+                Term::Var(v) => tuple[var_index[v]].clone(),
+                other => other.clone(),
+            })
+            .collect();
+        out.insert(projected);
+    }
+    out
+}
+
+/// Execute a CQ with a cost-planned join order and per-step operators.
+///
+/// Atoms are ordered and priced by the cost-based planner
+/// ([`plan_cq_cost`](crate::plan::plan_cq_cost)), which picks hash or
+/// merge per join; set semantics make the result order-insensitive, so
+/// planning only changes intermediate sizes and per-step work.
+pub fn execute_cq(db: &Database, q: &ConjunctiveQuery) -> BTreeSet<Vec<Term>> {
+    let plan = plan_cq_cost_corrected(db, q, 1.0);
+    execute_cq_ordered(
+        &DataSource::Single {
+            db,
+            cache: &BuildCache::new(),
+        },
+        q,
+        &plan.order,
+        Some(&plan.ops),
+        &CacheTally::default(),
+        1,
+    )
+}
+
+/// Execute a union with the preserved greedy planner (hash joins only,
+/// one private build cache) — the differential oracle execution mode.
+pub fn execute_ucq_greedy(db: &Database, u: &UnionQuery) -> BTreeSet<Vec<Term>> {
+    let cache = BuildCache::new();
+    let tally = CacheTally::default();
+    let mut out = BTreeSet::new();
+    for q in u.iter() {
+        let order = join_order(db, q);
+        out.extend(execute_cq_ordered(
+            &DataSource::Single { db, cache: &cache },
+            q,
+            &order,
+            None,
+            &tally,
+            1,
+        ));
+    }
+    out
+}
+
+/// Counters from one (U)CQ execution.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ExecMetrics {
+    /// Disjuncts evaluated.
+    pub disjuncts: usize,
+    /// Worker threads actually used (1 = sequential).
+    pub threads: usize,
+    /// Answer tuples produced (after union-level dedup).
+    pub rows: usize,
+    /// Build sides served from the shared cache.
+    pub build_cache_hits: u64,
+    /// Build sides constructed.
+    pub build_cache_misses: u64,
+    /// Merge-join steps executed through the sorted index.
+    pub merge_joins: u64,
+    /// Probe morsels (1024-row batches) the join kernels drove
+    /// across all join steps. Counts logical batches of each step's probe
+    /// side, independent of the intra-query worker split, so the value is
+    /// host-stable.
+    pub morsel_tasks: u64,
+    /// The cost planner's summed result-cardinality estimate across
+    /// disjuncts (rounded) — compared against `rows` by the knowledge
+    /// base's cardinality-feedback loop.
+    pub estimated_rows: u64,
+    /// Range filters answered by a sorted-index scan.
+    pub range_index_scans: u64,
+    /// ORDER BY / LIMIT queries answered by a top-k early-exit walk.
+    pub topk_early_exits: u64,
+    /// Aggregates answered in O(1) off the index (COUNT / MIN / MAX).
+    pub aggregate_pushdowns: u64,
+    /// Disjuncts whose filters could not use an index and were applied
+    /// as a planned row-by-row post-filter over the disjunct's answers.
+    pub filter_fallback_scans: u64,
+    /// Wall-clock execution time.
+    pub elapsed: Duration,
+}
+
+/// Execute a union of CQs (set semantics) sequentially with one private
+/// build cache: [`execute_ucq_intra`] at its defaults.
+pub fn execute_ucq(db: &Database, u: &UnionQuery) -> BTreeSet<Vec<Term>> {
+    execute_ucq_intra(db, u, 1, 1, &BuildCache::new(), 1.0).0
+}
+
+/// Execute a union of CQs — the engine's one UCQ entry point.
+///
+/// `threads` is the *inter*-CQ budget. Section 2 observes that the CQs of
+/// a UCQ rewriting "are independent from each other, and thus they can be
+/// easily executed in parallel threads": workers evaluate contiguous
+/// chunks of the union and results are merged under set semantics.
+/// `intra` is the *intra*-CQ budget — inside each disjunct's join
+/// pipeline, any step whose probe side holds at least two 1024-row morsels
+/// splits it across up to `intra` workers. The two compose: small unions
+/// over big data want `threads = 1, intra = N`, hundred-disjunct
+/// rewritings over modest data want the reverse. Answer sets are
+/// identical for every combination.
+///
+/// `cache` is caller-owned and outlives the call — build sides hashed by
+/// any earlier execution over the same database state are reused here,
+/// and the ones this call constructs are left behind for the next. The
+/// returned [`ExecMetrics`] report this call's own hit/miss counts,
+/// tallied per probe rather than diffed off the shared counters, so the
+/// attribution stays exact even when many executions share one cache
+/// concurrently. `correction` is the cardinality-feedback factor applied
+/// to the cost planner's join estimates (see [`plan_cq_cost_corrected`];
+/// 1.0 = none).
+pub fn execute_ucq_intra(
+    db: &Database,
+    u: &UnionQuery,
+    threads: usize,
+    intra: usize,
+    cache: &BuildCache,
+    correction: f64,
+) -> (BTreeSet<Vec<Term>>, ExecMetrics) {
+    let start = Instant::now();
+    let tally = CacheTally::default();
+    let estimated = AtomicU64::new(0);
+    let (out, threads) = fan_out(&u.cqs, threads, |out: &mut BTreeSet<Vec<Term>>, chunk| {
+        for q in chunk {
+            let plan = plan_cq_cost_corrected(db, q, correction);
+            estimated.fetch_add(plan.result_estimate().round() as u64, Ordering::Relaxed);
+            out.extend(execute_cq_ordered(
+                &DataSource::Single { db, cache },
+                q,
+                &plan.order,
+                Some(&plan.ops),
+                &tally,
+                intra,
+            ));
+        }
+    });
+    let metrics = ExecMetrics {
+        disjuncts: u.cqs.len(),
+        threads,
+        rows: out.len(),
+        build_cache_hits: tally.hits.load(Ordering::Relaxed),
+        build_cache_misses: tally.misses.load(Ordering::Relaxed),
+        merge_joins: tally.merges.load(Ordering::Relaxed),
+        morsel_tasks: tally.morsels.load(Ordering::Relaxed),
+        estimated_rows: estimated.load(Ordering::Relaxed),
+        elapsed: start.elapsed(),
+        ..ExecMetrics::default()
+    };
+    (out, metrics)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reference;
+    use crate::test_support::{cq, sample_db};
+    use nyaya_core::Atom;
+
+    #[test]
+    fn fan_out_chunks_contiguously_and_reports_workers_used() {
+        let items: Vec<u32> = (0..72).collect();
+        let collect = |out: &mut Vec<u32>, chunk: &[u32]| out.extend(chunk);
+        for (workers, used) in [(0, 1), (1, 1), (3, 3), (10, 9), (500, 72)] {
+            let (out, ran): (Vec<u32>, usize) = fan_out(&items, workers, collect);
+            assert_eq!((out, ran), (items.clone(), used), "workers={workers}");
+        }
+        let (out, ran): (Vec<u32>, usize) = fan_out(&[], 4, collect);
+        assert_eq!((out, ran), (Vec::new(), 1));
+    }
+
+    /// A worker's panic reaches the caller with its original payload, not
+    /// a message made up at the join site.
+    #[test]
+    fn fan_out_re_raises_a_worker_panic_with_its_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            fan_out(&[1, 2], 2, |_: &mut Vec<u32>, chunk: &[u32]| {
+                if chunk == [2] {
+                    panic!("boom");
+                }
+            })
+        })
+        .expect_err("the worker's panic must propagate");
+        assert_eq!(caught.downcast_ref::<&str>(), Some(&"boom"));
+    }
+
+    #[test]
+    fn single_table_scan() {
+        let db = sample_db();
+        let q = cq(&["A"], &[("list_comp", &["A", "B"])]);
+        let ans = execute_cq(&db, &q);
+        assert_eq!(ans.len(), 2);
+    }
+
+    #[test]
+    fn hash_join_on_shared_variable() {
+        let db = sample_db();
+        // q(A,B) ← list_comp(A,C), stock_portf(B,A,D)
+        let q = cq(
+            &["A", "B"],
+            &[
+                ("list_comp", &["A", "C"]),
+                ("stock_portf", &["B", "A", "D"]),
+            ],
+        );
+        let ans = execute_cq(&db, &q);
+        assert_eq!(ans.len(), 2);
+        assert!(ans.contains(&vec![Term::constant("ibm_s"), Term::constant("fund1")]));
+    }
+
+    #[test]
+    fn constant_filters() {
+        let db = sample_db();
+        let q = cq(&["A"], &[("list_comp", &["A", "nasdaq"])]);
+        let ans = execute_cq(&db, &q);
+        assert_eq!(ans.len(), 1);
+    }
+
+    #[test]
+    fn repeated_variable_within_atom() {
+        let mut db = Database::new();
+        db.insert(Atom::make("t", ["a", "a"]));
+        db.insert(Atom::make("t", ["a", "b"]));
+        let q = cq(&["A"], &[("t", &["A", "A"])]);
+        assert_eq!(execute_cq(&db, &q).len(), 1);
+    }
+
+    #[test]
+    fn empty_result_on_failed_join() {
+        let db = sample_db();
+        let q = cq(
+            &["A"],
+            &[("list_comp", &["A", "B"]), ("has_stock", &["B", "C"])],
+        );
+        assert!(execute_cq(&db, &q).is_empty());
+        assert!(execute_cq(
+            &db,
+            &cq(
+                &[],
+                &[("list_comp", &["A", "B"]), ("has_stock", &["B", "C"])]
+            )
+        )
+        .is_empty());
+    }
+
+    #[test]
+    fn union_accumulates_and_dedups() {
+        let db = sample_db();
+        let u = UnionQuery::new(vec![
+            cq(&["A"], &[("list_comp", &["A", "B"])]),
+            cq(&["A"], &[("stock_portf", &["C", "A", "D"])]),
+            cq(&["A"], &[("list_comp", &["A", "nasdaq"])]), // subset of first
+        ]);
+        let ans = execute_ucq(&db, &u);
+        assert_eq!(ans.len(), 2); // ibm_s, sap_s
+    }
+
+    #[test]
+    fn parallel_execution_matches_sequential() {
+        let db = sample_db();
+        let u = UnionQuery::new(vec![
+            cq(&["A"], &[("list_comp", &["A", "B"])]),
+            cq(&["A"], &[("stock_portf", &["C", "A", "D"])]),
+            cq(&["A"], &[("has_stock", &["A", "B"])]),
+        ]);
+        let seq = execute_ucq(&db, &u);
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(
+                execute_ucq_intra(&db, &u, threads, 1, &BuildCache::new(), 1.0).0,
+                seq
+            );
+        }
+        // Degenerate cases: empty union, more threads than CQs.
+        let empty = UnionQuery::default();
+        assert!(
+            execute_ucq_intra(&db, &empty, 4, 1, &BuildCache::new(), 1.0)
+                .0
+                .is_empty()
+        );
+    }
+
+    #[test]
+    fn planned_engine_agrees_with_reference_engine() {
+        let db = sample_db();
+        for q in [
+            cq(&["A"], &[("list_comp", &["A", "B"])]),
+            cq(
+                &["A", "B"],
+                &[
+                    ("list_comp", &["A", "C"]),
+                    ("stock_portf", &["B", "A", "D"]),
+                ],
+            ),
+            cq(&["A"], &[("list_comp", &["A", "nasdaq"])]),
+            cq(
+                &["A"],
+                &[("list_comp", &["A", "B"]), ("has_stock", &["B", "C"])],
+            ),
+        ] {
+            assert_eq!(
+                execute_cq(&db, &q),
+                reference::execute_cq_reference(&db, &q),
+                "{q}"
+            );
+        }
+    }
+
+    #[test]
+    fn retraction_renumbers_the_swapped_row_everywhere() {
+        // Three rows; removing the first swap-moves the last into id 0.
+        let mut db = Database::new();
+        db.insert(Atom::make("t", ["a", "x"]));
+        db.insert(Atom::make("t", ["b", "x"]));
+        db.insert(Atom::make("t", ["c", "x"]));
+        assert!(db.remove(&Atom::make("t", ["a", "x"])));
+        let t = Predicate::new("t", 2);
+        // Every posting must point at a live row holding the right value.
+        for val in ["b", "c"] {
+            let posting = db.posting(t, 0, &Term::constant(val));
+            assert_eq!(posting.len(), 1, "{val}");
+            assert_eq!(db.row(t, posting[0])[0], Term::constant(val));
+        }
+        assert_eq!(db.posting(t, 1, &Term::constant("x")).len(), 2);
+        // Queries over the repaired indexes agree with a rebuild.
+        let q = cq(&["A"], &[("t", &["A", "x"])]);
+        let rebuilt = Database::from_facts(db.facts());
+        assert_eq!(execute_cq(&db, &q), execute_cq(&rebuilt, &q));
+        // Re-inserting the retracted fact round-trips.
+        assert!(db.insert(Atom::make("t", ["a", "x"])));
+        assert_eq!(db.table_len(t), 3);
+        assert!(!db.insert(Atom::make("t", ["a", "x"])), "now a duplicate");
+    }
+
+    #[test]
+    fn matches_homomorphism_semantics() {
+        // Cross-check the join pipeline against the naive homomorphism
+        // evaluator from nyaya-chase on a triangle query.
+        let facts = [
+            Atom::make("e", ["a", "b"]),
+            Atom::make("e", ["b", "c"]),
+            Atom::make("e", ["c", "a"]),
+            Atom::make("e", ["b", "a"]),
+        ];
+        let db = Database::from_facts(facts.clone());
+        let q = cq(
+            &["X"],
+            &[("e", &["X", "Y"]), ("e", &["Y", "Z"]), ("e", &["Z", "X"])],
+        );
+        let ans = execute_cq(&db, &q);
+        let instance = nyaya_chase::Instance::from_atoms(facts);
+        let oracle = nyaya_chase::answers(&instance, &q);
+        let oracle_set: BTreeSet<Vec<Term>> = oracle.into_iter().collect();
+        assert_eq!(ans, oracle_set);
+        assert!(!ans.is_empty());
+    }
+}

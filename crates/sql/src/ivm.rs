@@ -37,7 +37,8 @@ use std::sync::Arc;
 
 use nyaya_core::{Atom, Predicate, Symbol, Term};
 
-use crate::engine::{Build, BuildCache, Database, PatternKey, Table};
+use crate::build_cache::{Build, BuildCache, PatternKey};
+use crate::table::{Database, Table};
 
 /// One seminaive delta rule, mirrored from the compiler's output:
 /// `head :- body`, reacting to changes of `body[delta_idx]`'s relation,
@@ -588,7 +589,6 @@ fn eval_delta_rule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Database;
 
     fn program() -> IvmProgram {
         // goal: q(X,Y).

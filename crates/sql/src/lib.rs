@@ -6,26 +6,30 @@
 //!
 //! - [`translate`]: UCQ → SQL text (`SELECT`/`WHERE`/`UNION`) against a
 //!   [`catalog::Catalog`] of table schemas;
-//! - [`engine`]: an indexed in-memory relational engine (persistent
+//! - [`exec`]: an indexed in-memory relational engine (persistent
 //!   per-column hash indexes, planned join orders, a cross-disjunct
 //!   build-side cache and a parallel union path) so the whole OBDA stack
 //!   runs end-to-end without an external database.
 
+pub mod build_cache;
 pub mod catalog;
 pub mod ddl;
-pub mod engine;
+pub mod exec;
 pub mod ivm;
 pub mod plan;
 pub mod program;
+pub mod reference;
 pub mod segment;
+pub mod select;
+pub mod table;
+#[cfg(test)]
+mod test_support;
 pub mod translate;
 
+pub use build_cache::BuildCache;
 pub use catalog::{Catalog, TableSchema};
 pub use ddl::{create_tables, export_database, insert_statements};
-pub use engine::{
-    execute_cq, execute_ucq, execute_ucq_greedy, execute_ucq_intra, execute_ucq_select, reference,
-    BuildCache, Database, DbMemory, ExecMetrics, TableMemory,
-};
+pub use exec::{execute_cq, execute_ucq, execute_ucq_greedy, execute_ucq_intra, ExecMetrics};
 pub use ivm::{AnswerDelta, BaseDeltas, IvmMetrics, IvmProgram, IvmRule, MaterializedView};
 pub use plan::{
     explain_cq, join_order, plan_cq, plan_cq_cost, plan_cq_cost_corrected, CostPlan, JoinPlan,
@@ -36,6 +40,8 @@ pub use program::{
     program_to_sql_select, program_to_sql_views, ProgramError, ProgramMetrics, ProgramSelectError,
 };
 pub use segment::{decode_batch, decode_database, encode_batch, encode_database, CodecError};
+pub use select::execute_ucq_select;
+pub use table::{Database, DbMemory, TableMemory};
 pub use translate::{
     cq_to_sql, select_to_sql, sql_ident, sql_literal, ucq_to_sql, ucq_to_sql_select,
 };

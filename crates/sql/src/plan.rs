@@ -33,7 +33,7 @@ use std::collections::{HashMap, HashSet};
 
 use nyaya_core::{ConjunctiveQuery, Predicate, Symbol, Term};
 
-use crate::engine::Database;
+use crate::table::Database;
 
 /// Per-table column statistics: row count and per-position distinct counts.
 #[derive(Clone, Debug)]
@@ -162,7 +162,7 @@ fn plan_from_stats(q: &ConjunctiveQuery, stats: HashMap<Predicate, TableStats>) 
 
 /// The greedy join order for one CQ — the preserved oracle planner's
 /// order, executed by
-/// [`execute_ucq_greedy`](crate::engine::execute_ucq_greedy).
+/// [`execute_ucq_greedy`](crate::execute_ucq_greedy).
 pub fn join_order(db: &Database, q: &ConjunctiveQuery) -> Vec<usize> {
     plan_cq(db, q).order
 }
@@ -179,7 +179,7 @@ pub enum StepOp {
     /// selective posting list, otherwise the table is enumerated.
     Scan,
     /// Hash join: the atom's filtered rows are hashed by the join-key
-    /// columns (a [`BuildCache`](crate::engine::BuildCache)-shared build
+    /// columns (a [`BuildCache`](crate::BuildCache)-shared build
     /// side) and probed per intermediate tuple.
     Hash,
     /// Merge join over the sorted column index: intermediate tuples are
@@ -426,7 +426,7 @@ pub fn explain_cq(db: &Database, q: &ConjunctiveQuery) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::execute_cq;
+    use crate::{execute_cq, execute_ucq, reference};
     use nyaya_core::{Atom, UnionQuery};
 
     fn cq(head: &[&str], body: &[(&str, &[&str])]) -> ConjunctiveQuery {
@@ -483,7 +483,7 @@ mod tests {
         ] {
             assert_eq!(
                 execute_cq(&db, &q),
-                crate::engine::reference::execute_cq_reference(&db, &q),
+                reference::execute_cq_reference(&db, &q),
                 "{q}"
             );
         }
@@ -521,7 +521,7 @@ mod tests {
         assert_eq!(plan.order[1], 0, "{plan:?}");
         assert_eq!(
             execute_cq(&db, &q),
-            crate::engine::reference::execute_cq_reference(&db, &q)
+            reference::execute_cq_reference(&db, &q)
         );
     }
 
@@ -543,8 +543,8 @@ mod tests {
             cq(&["X"], &[("small", &["X"])]),
         ]);
         assert_eq!(
-            crate::engine::execute_ucq(&db, &u),
-            crate::engine::reference::execute_ucq_reference(&db, &u)
+            execute_ucq(&db, &u),
+            reference::execute_ucq_reference(&db, &u)
         );
     }
 

@@ -28,9 +28,11 @@ use std::time::{Duration, Instant};
 
 use nyaya_core::{Atom, ConjunctiveQuery, DatalogProgram, DatalogRule, Predicate, Term};
 
+use crate::build_cache::BuildCache;
 use crate::catalog::Catalog;
-use crate::engine::{execute_cq_ordered, fan_out, BuildCache, CacheTally, DataSource, Database};
+use crate::exec::{execute_cq_ordered, fan_out, CacheTally, DataSource};
 use crate::plan::plan_cq_cost_with;
+use crate::table::Database;
 use crate::translate::{cq_to_sql, sql_ident};
 
 /// Why a Datalog program could not be evaluated or translated.
@@ -245,7 +247,7 @@ pub fn execute_program_shared(
 
 /// Evaluate a program and shape its goal answers with [`SelectOptions`](nyaya_core::select::SelectOptions)
 /// (filters, ORDER BY / LIMIT, aggregates) — the program-executor
-/// counterpart of [`execute_ucq_select`](crate::engine::execute_ucq_select).
+/// counterpart of [`execute_ucq_select`](crate::execute_ucq_select).
 /// The shaping follows the reference semantics
 /// ([`nyaya_core::apply_select`]) over the materialized goal answers;
 /// modifier columns refer to goal-head positions, which rewriting into a
@@ -460,7 +462,7 @@ pub fn program_to_sql_views(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::execute_ucq;
+    use crate::execute_ucq;
 
     fn atom(p: &str, args: &[&str]) -> Atom {
         let terms: Vec<Term> = args

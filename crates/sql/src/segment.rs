@@ -46,7 +46,7 @@ use std::fmt;
 
 use nyaya_core::{Atom, Predicate, Term};
 
-use crate::engine::Database;
+use crate::table::Database;
 
 const VERSION: u32 = 3;
 /// Oldest payload version both decoders still accept.
