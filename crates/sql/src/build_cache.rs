@@ -71,6 +71,7 @@ impl Build {
     /// Row ids grouped under the cell tuple `key` (empty slice when the
     /// group is absent). `key.len()` must match the pattern's key-column
     /// count.
+    #[inline]
     pub(crate) fn group_cells(&self, key: &[u32]) -> &[u32] {
         match &self.groups {
             BuildGroups::Single(m) => m.get(&key[0]).map_or(&[], Vec::as_slice),

@@ -13,6 +13,7 @@ pub(crate) const EXOTIC_BIT: u32 = 1 << 31;
 /// The cell encoding of a constant: its global interner index. The top
 /// bit is reserved for [`EXOTIC_BIT`], capping the symbol space at 2^31
 /// names — hit that and we want a loud failure, not silent aliasing.
+#[inline]
 fn const_cell(sym: Symbol) -> u32 {
     let ix = sym.index();
     assert!(ix & EXOTIC_BIT == 0, "symbol interner exceeded 2^31 names");
@@ -109,6 +110,10 @@ impl Table {
 
     /// The term a cell encodes. Free for constants (`Term::Const` wraps
     /// the `Copy` symbol); exotic cells clone their side-table entry.
+    // `#[inline]` here and on the accessors below: the join kernels call
+    // them once per probed tuple from another module (another codegen
+    // unit), and `lubm_join` slows by a few percent when they stay calls.
+    #[inline]
     pub(crate) fn term_of(&self, cell: u32) -> Term {
         if cell & EXOTIC_BIT == 0 {
             Term::Const(Symbol::from_index(cell))
@@ -121,6 +126,7 @@ impl Table {
     /// non-constant this table has never stored — no row can match it.
     /// Constants always encode (possibly to a cell absent from every
     /// column, which probes as empty).
+    #[inline]
     pub(crate) fn cell_of(&self, t: &Term) -> Option<u32> {
         match t {
             Term::Const(s) => Some(const_cell(*s)),
@@ -150,10 +156,12 @@ impl Table {
         }
     }
 
+    #[inline]
     pub(crate) fn cell_at(&self, id: u32, col: usize) -> u32 {
         self.cols[col][id as usize]
     }
 
+    #[inline]
     pub(crate) fn term_at(&self, id: u32, col: usize) -> Term {
         self.term_of(self.cell_at(id, col))
     }
@@ -175,6 +183,7 @@ impl Table {
     }
 
     /// Posting list for a cell in one column (row ids).
+    #[inline]
     pub(crate) fn posting_cells(&self, col: usize, cell: u32) -> &[u32] {
         self.columns
             .get(col)
@@ -189,6 +198,7 @@ impl Table {
     }
 
     /// Compare two of this table's cells in canonical term order.
+    #[inline]
     pub(crate) fn cmp_own_cells(&self, a: u32, b: u32) -> std::cmp::Ordering {
         cmp_cells(&self.exotic, a, b)
     }
