@@ -25,6 +25,7 @@ fn const_cell(sym: Symbol) -> u32 {
 /// non-constant (null or function term — there is no third kind in a
 /// ground row) strictly after every constant. Distinct cells never
 /// compare `Equal`, so any sort under this order is deterministic.
+#[inline]
 fn cmp_cells(exotic: &[Term], a: u32, b: u32) -> std::cmp::Ordering {
     use std::cmp::Ordering;
     if a == b {
