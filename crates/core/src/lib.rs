@@ -43,7 +43,9 @@ pub mod unify;
 
 pub use affected::{affected_positions, is_weakly_guarded};
 pub use atom::{Atom, Position, Predicate};
-pub use canonical::{canonical_key, canonicalize, canonicalize_keyed, CanonicalKey};
+pub use canonical::{
+    canonical_form, canonical_key, canonical_order, canonicalize, canonicalize_keyed, CanonicalKey,
+};
 pub use classes::{classify, Classification};
 pub use components::{connected_components, split_boolean_query};
 pub use datalog::{DatalogProgram, DatalogRule};

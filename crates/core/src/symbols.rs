@@ -84,6 +84,15 @@ pub fn intern(name: &str) -> Symbol {
     sym
 }
 
+/// Number of distinct names interned so far. The table is append-only, so
+/// the difference between two readings is what the code in between
+/// interned — the request path must not grow it per query.
+pub fn len() -> usize {
+    // See `intern` for why recovery is sound here.
+    let guard = interner().lock().unwrap_or_else(PoisonError::into_inner);
+    guard.names.len()
+}
+
 /// Resolve a symbol back to its string.
 pub fn resolve(sym: Symbol) -> String {
     // See `intern` for why recovery is sound here.

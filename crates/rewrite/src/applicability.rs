@@ -7,8 +7,147 @@
 //! Dropping the condition loses soundness (Example 3): a constant or a join
 //! variable can never be matched by the labeled null that `σ` invents in the
 //! chase.
+//!
+//! What depends only on Σ is computed once, in `CompiledSigma`: each
+//! TGD's existential position, the TGDs indexed by head predicate, and a
+//! copy of each TGD over reserved variable names, so that no renaming-apart
+//! happens per query.
 
-use nyaya_core::{mgu_set, Atom, ConjunctiveQuery, Substitution, Term, Tgd};
+use std::collections::HashMap;
+
+use nyaya_core::{
+    mgu_set, symbols, Atom, ConjunctiveQuery, Predicate, Substitution, Symbol, Term, Tgd,
+};
+
+use crate::error::RewriteError;
+
+/// One TGD of a [`CompiledSigma`].
+pub(crate) struct CompiledTgd {
+    /// The TGD with its variables renamed to `_T0, _T1, …`. The parser
+    /// rejects `_`-names and the worklist hands every engine queries in
+    /// canonical form (`V0, V1, …`), so the copy shares no variable with
+    /// any query it is resolved against. TGDs share the names among
+    /// themselves: a step involves one TGD.
+    pub tgd: Tgd,
+    /// `π_σ`, `None` for a full TGD.
+    pub existential: Option<usize>,
+}
+
+/// A set of normal TGDs prepared for the rewriting step. Built once per Σ
+/// (inside [`EliminationContext`](crate::EliminationContext) when there is
+/// one), never per query.
+pub(crate) struct CompiledSigma {
+    rules: Vec<CompiledTgd>,
+    by_head: HashMap<Predicate, Vec<usize>>,
+}
+
+impl CompiledSigma {
+    /// Compile `tgds`, or name the first one that is not in Lemma 1/2
+    /// normal form.
+    pub(crate) fn new(algorithm: &'static str, tgds: &[Tgd]) -> Result<Self, RewriteError> {
+        let mut rules = Vec::with_capacity(tgds.len());
+        let mut by_head: HashMap<Predicate, Vec<usize>> = HashMap::new();
+        for (index, tgd) in tgds.iter().enumerate() {
+            if !tgd.is_normal() {
+                return Err(RewriteError::NotNormalized {
+                    algorithm,
+                    tgd: tgd.to_string(),
+                });
+            }
+            by_head.entry(tgd.head_atom().pred).or_default().push(index);
+            rules.push(CompiledTgd {
+                existential: tgd.existential_position(),
+                tgd: with_reserved_names(tgd),
+            });
+        }
+        Ok(CompiledSigma { rules, by_head })
+    }
+
+    /// The compiled TGDs, in the order of Σ.
+    pub(crate) fn rules(&self) -> &[CompiledTgd] {
+        &self.rules
+    }
+
+    /// Indices (ascending) of the TGDs whose head predicate is `pred`.
+    pub(crate) fn with_head(&self, pred: Predicate) -> &[usize] {
+        self.by_head.get(&pred).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// `tgd` with its `n` variables renamed to `_T0 … _T{n-1}`, simultaneously.
+/// The names are interned once per process; a later Σ finds them.
+fn with_reserved_names(tgd: &Tgd) -> Tgd {
+    let from = tgd.all_vars();
+    let to: Vec<Symbol> = (0..from.len())
+        .map(|i| symbols::intern(&format!("_T{i}")))
+        .collect();
+    fn rename(t: &Term, from: &[Symbol], to: &[Symbol]) -> Term {
+        match t {
+            Term::Var(v) => {
+                let at = from
+                    .iter()
+                    .position(|w| w == v)
+                    .expect("a variable of the TGD");
+                Term::Var(to[at])
+            }
+            Term::Func(f, args) => {
+                Term::Func(*f, args.iter().map(|a| rename(a, from, to)).collect())
+            }
+            Term::Const(_) | Term::Null(_) => t.clone(),
+        }
+    }
+    let atoms = |atoms: &[Atom]| -> Vec<Atom> {
+        atoms
+            .iter()
+            .map(|a| Atom {
+                pred: a.pred,
+                args: a.args.iter().map(|t| rename(t, &from, &to)).collect(),
+            })
+            .collect()
+    };
+    Tgd {
+        label: tgd.label,
+        body: atoms(&tgd.body),
+        head: atoms(&tgd.head),
+    }
+}
+
+/// The variables occurring more than once in `q` (head occurrences count),
+/// sorted — computed once per query, then probed with
+/// [`is_shared_in`] wherever Definition 1 or 5 asks "shared in q".
+pub(crate) fn shared_variables(q: &ConjunctiveQuery) -> Vec<Symbol> {
+    let mut occ = Vec::new();
+    for t in &q.head {
+        t.collect_vars(&mut occ);
+    }
+    for a in &q.body {
+        a.collect_vars(&mut occ);
+    }
+    occ.sort_unstable();
+    let mut shared: Vec<Symbol> = Vec::new();
+    for w in occ.windows(2) {
+        if w[0] == w[1] && shared.last() != Some(&w[0]) {
+            shared.push(w[0]);
+        }
+    }
+    shared
+}
+
+#[inline]
+pub(crate) fn is_shared_in(shared: &[Symbol], v: Symbol) -> bool {
+    shared.binary_search(&v).is_ok()
+}
+
+/// Condition (ii) of Definition 1 for one atom: does it carry a constant
+/// (or null, or function term) or a shared variable at `π_σ`? Then no set
+/// containing it admits σ.
+pub(crate) fn blocks_existential(atom: &Atom, pi: Option<usize>, shared: &[Symbol]) -> bool {
+    match pi.map(|pi| &atom.args[pi]) {
+        None => false,
+        Some(Term::Var(v)) => is_shared_in(shared, *v),
+        Some(Term::Const(_) | Term::Null(_) | Term::Func(..)) => true,
+    }
+}
 
 /// Check Definition 1 for the atom set `A` (indices into `body(q)`).
 ///
@@ -25,27 +164,20 @@ pub fn is_applicable(tgd: &Tgd, a_set: &[usize], q: &ConjunctiveQuery) -> bool {
     }
 
     // Condition (ii): constants / shared variables may not sit at π_σ.
-    if let Some(pi) = tgd.existential_position() {
-        for &i in a_set {
-            match &q.body[i].args[pi] {
-                Term::Const(_) | Term::Null(_) | Term::Func(..) => return false,
-                Term::Var(v) => {
-                    if q.is_shared(*v) {
-                        return false;
-                    }
-                }
-            }
-        }
+    let pi = tgd.existential_position();
+    let shared = shared_variables(q);
+    if a_set
+        .iter()
+        .any(|&i| blocks_existential(&q.body[i], pi, &shared))
+    {
+        return false;
     }
 
     // Condition (i): A ∪ {head(σ)} unifies.
-    let mut atoms: Vec<&Atom> = a_set.iter().map(|&i| &q.body[i]).collect();
-    atoms.push(head);
-    mgu_set(&atoms).is_some()
+    rewrite_mgu(tgd, a_set, q).is_some()
 }
 
-/// The MGU `γ_{A ∪ {head(σ)}}` used by the rewriting step. Callers must have
-/// established applicability first.
+/// The MGU `γ_{A ∪ {head(σ)}}` used by the rewriting step.
 pub fn rewrite_mgu(tgd: &Tgd, a_set: &[usize], q: &ConjunctiveQuery) -> Option<Substitution> {
     let mut atoms: Vec<&Atom> = a_set.iter().map(|&i| &q.body[i]).collect();
     atoms.push(tgd.head_atom());
@@ -53,7 +185,9 @@ pub fn rewrite_mgu(tgd: &Tgd, a_set: &[usize], q: &ConjunctiveQuery) -> Option<S
 }
 
 /// Apply the rewriting step of Algorithm 1:
-/// `q' = γ_{A ∪ {head(σ)}}( q[A / body(σ)] )`.
+/// `q' = γ_{A ∪ {head(σ)}}( q[A / body(σ)] )`, or `None` when
+/// `A ∪ {head(σ)}` does not unify (condition (i)). Callers must have
+/// established condition (ii) first.
 ///
 /// Replaces the atoms of `A` by `body(σ)` and applies the MGU to the whole
 /// query (head included — non-Boolean CQs propagate bindings into the

@@ -18,8 +18,12 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::sync::{PoisonError, RwLock};
 
 use nyaya_core::{Atom, ConjunctiveQuery, Position, Predicate, Symbol, Term, Tgd};
+
+use crate::applicability::{is_shared_in, shared_variables, CompiledSigma};
+use crate::error::RewriteError;
 
 /// Maximum predicate arity supported by the bitset chain search.
 pub const MAX_ARITY: usize = 8;
@@ -141,12 +145,59 @@ struct TgdInfo {
     eq_head: EqType,
 }
 
-/// Precomputed elimination context for a fixed set of *linear, normal*
-/// TGDs. Building it costs O(|Σ|); each [`covers`](Self::covers) query is a
-/// BFS over (TGD, relation) states.
+/// What the chain search reads of a pair `(a, b)`: the question
+/// "does `a` cover `b`" has one answer per value of this.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct CoverKey {
+    a: Predicate,
+    /// The equality type of `a`, per position: the first position holding
+    /// the same non-constant term, or the constant's tag (see
+    /// [`EliminationContext::constant_tag`]).
+    pattern: [u32; MAX_ARITY],
+    b: Predicate,
+    /// Per shared term of `b`: its positions in `a` and in `b`; `(0, 0)`
+    /// past the last one.
+    targets: [(u8, u8); MAX_ARITY],
+}
+
+/// Tag of every constant that no TGD body mentions. The chain search only
+/// asks whether a TGD body's constants occur in `a`, so all of them behave
+/// alike — and a stream of point queries over never-seen constants maps to
+/// the keys it mapped to before.
+const OTHER_CONSTANT: u32 = u32::MAX;
+const CONSTANT_TAGS: u32 = MAX_ARITY as u32;
+
+/// One body atom of the query under elimination, with what
+/// [`EliminationContext::covers_prepared`] needs of it computed once.
+struct Prepared<'a> {
+    atom: &'a Atom,
+    /// TGDs whose body predicate is the atom's; `None`: it covers nothing.
+    starts: Option<&'a [usize]>,
+    /// Does some TGD derive the atom's predicate? If not, nothing covers it.
+    derivable: bool,
+    pattern: [u32; MAX_ARITY],
+    /// The shared terms of the atom (constants, plus variables shared in
+    /// the query) with their positions in it.
+    targets: Vec<(&'a Term, u8)>,
+}
+
+/// Everything the rewriter derives from a fixed set of *linear, normal*
+/// TGDs Σ alone, built once per Σ and shared by every compile (and every
+/// thread) that rewrites against it: the Section 6 chain-search tables with
+/// a memo of their answers, and the compiled TGDs the rewriting step runs
+/// on. Building it costs O(|Σ|); a [`covers`](Self::covers) query the
+/// memo has not seen is a BFS over (TGD, relation) states.
 pub struct EliminationContext {
     infos: Vec<TgdInfo>,
     by_body_pred: HashMap<Predicate, Vec<usize>>,
+    head_preds: HashSet<Predicate>,
+    /// The constants of the TGD bodies, sorted.
+    body_constants: Vec<Symbol>,
+    /// Answers of the chain search. The keys are made of Σ's predicates,
+    /// position patterns and Σ's constants, so Σ bounds the map however
+    /// many queries go through it. Hits take the shared lock only.
+    memo: RwLock<HashMap<CoverKey, bool>>,
+    sigma: Result<CompiledSigma, RewriteError>,
 }
 
 impl EliminationContext {
@@ -156,6 +207,8 @@ impl EliminationContext {
     pub fn new(tgds: &[Tgd]) -> Self {
         let mut infos = Vec::with_capacity(tgds.len());
         let mut by_body_pred: HashMap<Predicate, Vec<usize>> = HashMap::new();
+        let mut head_preds = HashSet::new();
+        let mut body_constants = Vec::new();
         for (idx, tgd) in tgds.iter().enumerate() {
             assert!(
                 tgd.is_linear(),
@@ -178,51 +231,139 @@ impl EliminationContext {
                 }
             }
             by_body_pred.entry(body.pred).or_default().push(idx);
+            head_preds.insert(head.pred);
+            let eq_body = EqType::of(body);
+            body_constants.extend(eq_body.consts.iter().map(|&(_, c)| c));
             infos.push(TgdInfo {
                 head_pred: head.pred,
                 step,
-                eq_body: EqType::of(body),
+                eq_body,
                 eq_head: EqType::of(head),
             });
         }
+        body_constants.sort_unstable();
+        body_constants.dedup();
         EliminationContext {
             infos,
             by_body_pred,
+            head_preds,
+            body_constants,
+            memo: RwLock::new(HashMap::new()),
+            sigma: CompiledSigma::new("tgd_rewrite", tgds),
+        }
+    }
+
+    /// Σ compiled for the rewriting step, or the `NotNormalized` error
+    /// `tgd_rewrite` reports for it.
+    pub(crate) fn sigma(&self) -> Result<&CompiledSigma, RewriteError> {
+        self.sigma.as_ref().map_err(Clone::clone)
+    }
+
+    fn constant_tag(&self, c: Symbol) -> u32 {
+        match self.body_constants.binary_search(&c) {
+            Ok(at) => CONSTANT_TAGS + at as u32,
+            Err(_) => OTHER_CONSTANT,
+        }
+    }
+
+    /// View the body of `q` for coverage tests against each other.
+    fn prepare<'a>(&'a self, q: &'a ConjunctiveQuery) -> Vec<Prepared<'a>> {
+        let shared = shared_variables(q);
+        q.body
+            .iter()
+            .map(|atom| self.prepare_atom(atom, &shared))
+            .collect()
+    }
+
+    fn prepare_atom<'a>(&'a self, atom: &'a Atom, shared: &[Symbol]) -> Prepared<'a> {
+        let starts = self.by_body_pred.get(&atom.pred).map(Vec::as_slice);
+        let derivable = self.head_preds.contains(&atom.pred);
+        let mut pattern = [0u32; MAX_ARITY];
+        let mut targets = Vec::new();
+        // Predicates of Σ respect MAX_ARITY; an atom over any other
+        // predicate neither covers nor is covered.
+        if starts.is_some() || derivable {
+            for (i, t) in atom.args.iter().enumerate() {
+                let first = atom.args[..i].iter().position(|u| u == t);
+                pattern[i] = match t {
+                    Term::Const(c) => self.constant_tag(*c),
+                    _ => first.unwrap_or(i) as u32,
+                };
+                let relevant = match t {
+                    Term::Var(v) => is_shared_in(shared, *v),
+                    Term::Const(_) | Term::Null(_) | Term::Func(..) => true,
+                };
+                if relevant && first.is_none() {
+                    targets.push((t, position_mask(atom, t)));
+                }
+            }
+        }
+        Prepared {
+            atom,
+            starts,
+            derivable,
+            pattern,
+            targets,
         }
     }
 
     /// Does `a` cover `b` w.r.t. `q` and Σ (`a ≺_Σ^q b`, Definition 5)?
     pub fn covers(&self, a: &Atom, b: &Atom, q: &ConjunctiveQuery) -> bool {
-        if a == b {
+        let shared = shared_variables(q);
+        self.covers_prepared(
+            &self.prepare_atom(a, &shared),
+            &self.prepare_atom(b, &shared),
+        )
+    }
+
+    fn covers_prepared(&self, a: &Prepared<'_>, b: &Prepared<'_>) -> bool {
+        if a.atom == b.atom || !b.derivable {
             return false;
         }
+        let Some(starts) = a.starts else {
+            return false;
+        };
         // Shared terms of b: constants, plus variables shared in q.
-        let mut targets: Vec<(u8, u8)> = Vec::new(); // (positions in a, positions in b)
-        let mut seen: HashSet<&Term> = HashSet::new();
-        for t in &b.args {
-            if !seen.insert(t) {
-                continue;
-            }
-            let relevant = match t {
-                Term::Const(_) => true,
-                Term::Var(v) => q.is_shared(*v),
-                Term::Null(_) | Term::Func(..) => true,
-            };
-            if !relevant {
-                continue;
-            }
-            let pos_b = position_mask(b, t);
-            let pos_a = position_mask(a, t);
+        let mut key = CoverKey {
+            a: a.atom.pred,
+            pattern: a.pattern,
+            b: b.atom.pred,
+            targets: [(0, 0); MAX_ARITY],
+        };
+        for (slot, (t, pos_b)) in key.targets.iter_mut().zip(&b.targets) {
+            let pos_a = position_mask(a.atom, t);
             if pos_a == 0 {
                 return false; // condition (i): t must occur in a
             }
-            targets.push((pos_a, pos_b));
+            *slot = (pos_a, *pos_b);
         }
+        // Advisory memo state, valid after every insert: recover.
+        if let Some(&known) = self
+            .memo
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
+            return known;
+        }
+        let found = self.chain_exists(starts, a.atom, b.atom.pred, &key.targets[..b.targets.len()]);
+        self.memo
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, found);
+        found
+    }
 
-        // Chain search: BFS over (TGD, relation ⊆ pos(a) × pos(head)).
-        let Some(starts) = self.by_body_pred.get(&a.pred) else {
-            return false;
-        };
+    /// Chain search: BFS over (TGD, relation ⊆ pos(a) × pos(head)) from the
+    /// TGDs `starts` that `a` can fire, for a chain ending in `b_pred` that
+    /// routes every target.
+    fn chain_exists(
+        &self,
+        starts: &[usize],
+        a: &Atom,
+        b_pred: Predicate,
+        targets: &[(u8, u8)],
+    ) -> bool {
         let eq_a = EqType::of(a);
         let mut queue: Vec<(usize, [u8; MAX_ARITY])> = Vec::new();
         let mut visited: HashSet<(usize, [u8; MAX_ARITY])> = HashSet::new();
@@ -236,7 +377,7 @@ impl EliminationContext {
         }
         while let Some((j, rel)) = queue.pop() {
             let info = &self.infos[j];
-            if info.head_pred == b.pred && accepts(&rel, &targets) {
+            if info.head_pred == b_pred && accepts(&rel, targets) {
                 return true;
             }
             if let Some(nexts) = self.by_body_pred.get(&info.head_pred) {
@@ -261,8 +402,9 @@ impl EliminationContext {
 
     /// The cover set `cover(a, q, Σ)` as indices into `body(q)`.
     pub fn cover_set(&self, target: usize, q: &ConjunctiveQuery) -> Vec<usize> {
-        (0..q.body.len())
-            .filter(|&i| i != target && self.covers(&q.body[i], &q.body[target], q))
+        let view = self.prepare(q);
+        (0..view.len())
+            .filter(|&i| i != target && self.covers_prepared(&view[i], &view[target]))
             .collect()
     }
 
@@ -270,18 +412,26 @@ impl EliminationContext {
     /// (a permutation of body-atom indices). Returns the indices eliminated.
     pub fn eliminate_indices(&self, q: &ConjunctiveQuery, strategy: &[usize]) -> Vec<usize> {
         debug_assert_eq!(strategy.len(), q.body.len());
-        let mut cover: Vec<HashSet<usize>> = (0..q.body.len())
-            .map(|i| self.cover_set(i, q).into_iter().collect())
-            .collect();
-        let mut eliminated: Vec<usize> = Vec::new();
-        for &i in strategy {
-            if !cover[i].is_empty() {
+        self.eliminated(q, strategy.iter().copied())
+    }
+
+    /// An atom is eliminated when its turn comes iff an atom still standing
+    /// covers it: the cover sets are those of the *original* query, minus
+    /// the atoms eliminated so far.
+    fn eliminated(
+        &self,
+        q: &ConjunctiveQuery,
+        strategy: impl Iterator<Item = usize>,
+    ) -> Vec<usize> {
+        let view = self.prepare(q);
+        let mut gone = vec![false; view.len()];
+        let mut eliminated = Vec::new();
+        for i in strategy {
+            if (0..view.len())
+                .any(|k| k != i && !gone[k] && self.covers_prepared(&view[k], &view[i]))
+            {
+                gone[i] = true;
                 eliminated.push(i);
-                for (j, c) in cover.iter_mut().enumerate() {
-                    if j != i && !eliminated.contains(&j) {
-                        c.remove(&i);
-                    }
-                }
             }
         }
         eliminated
@@ -296,27 +446,27 @@ impl EliminationContext {
     /// unshared one and enable further coverage; see
     /// [`eliminate_fixpoint`](Self::eliminate_fixpoint).
     pub fn eliminate(&self, q: &ConjunctiveQuery) -> ConjunctiveQuery {
+        let mut out = q.clone();
+        self.eliminate_in_place(&mut out);
+        out
+    }
+
+    /// [`eliminate`](Self::eliminate) on an owned query; returns how many
+    /// atoms were dropped.
+    pub(crate) fn eliminate_in_place(&self, q: &mut ConjunctiveQuery) -> usize {
         if q.body.len() <= 1 {
-            return q.clone();
+            return 0;
         }
-        let strategy: Vec<usize> = (0..q.body.len()).collect();
-        let eliminated = self.eliminate_indices(q, &strategy);
-        if eliminated.is_empty() {
-            return q.clone();
+        let eliminated = self.eliminated(q, 0..q.body.len());
+        if !eliminated.is_empty() {
+            let mut index = 0;
+            q.body.retain(|_| {
+                index += 1;
+                !eliminated.contains(&(index - 1))
+            });
+            debug_assert!(!q.body.is_empty(), "elimination emptied a query body");
         }
-        let body: Vec<Atom> = q
-            .body
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !eliminated.contains(i))
-            .map(|(_, a)| a.clone())
-            .collect();
-        debug_assert!(!body.is_empty(), "elimination emptied a query body");
-        ConjunctiveQuery {
-            head_pred: q.head_pred,
-            head: q.head.clone(),
-            body,
-        }
+        eliminated.len()
     }
 
     /// Iterate [`eliminate`](Self::eliminate) to a fixpoint.
@@ -330,13 +480,8 @@ impl EliminationContext {
     /// every round.
     pub fn eliminate_fixpoint(&self, q: &ConjunctiveQuery) -> ConjunctiveQuery {
         let mut current = q.clone();
-        loop {
-            let next = self.eliminate(&current);
-            if next.body.len() == current.body.len() {
-                return current;
-            }
-            current = next;
-        }
+        while self.eliminate_in_place(&mut current) > 0 {}
+        current
     }
 }
 
@@ -652,5 +797,65 @@ mod tests {
             ],
         );
         assert!(!ctx.covers(&q2.body[0], &q2.body[1], &q2));
+    }
+
+    #[test]
+    fn coverage_memo_is_bounded_by_sigma_not_by_the_queries() {
+        // advisor(X,Y) → Student(X): Student(S) is covered by
+        // advisor(S, c) whatever the constant. 10 000 point queries that
+        // differ only in a constant Σ does not mention are one memo key.
+        let tgds = vec![
+            tgd(("advisor", &["X", "Y"]), ("Student", &["X"])),
+            tgd(("Student", &["X"]), ("Person", &["X"])),
+        ];
+        let ctx = EliminationContext::new(&tgds);
+        let point = |i: usize| {
+            let c = format!("fac{i}");
+            cq(
+                &["S"],
+                &[("Student", &["S"]), ("advisor", &["S", c.as_str()])],
+            )
+        };
+        let memo_len = || ctx.memo.read().unwrap().len();
+        assert_eq!(ctx.eliminate(&point(0)).body.len(), 1);
+        let after_first = memo_len();
+        assert!(after_first > 0, "the chain search ran and was recorded");
+        for i in 1..10_000 {
+            let e = ctx.eliminate(&point(i));
+            assert_eq!(e.body.len(), 1);
+            assert_eq!(e.body[0].pred, Predicate::new("advisor", 2));
+        }
+        assert_eq!(memo_len(), after_first);
+    }
+
+    #[test]
+    fn memo_keeps_the_constants_sigma_mentions_apart() {
+        // σ2 of Example 6 fires on r(_,_,c) only: r(A,B,c) covers s(A,B,B),
+        // r(A,B,d) does not — in either order of asking.
+        for order in [["c", "d"], ["d", "c"]] {
+            let ctx = EliminationContext::new(&example6());
+            for constant in order {
+                let q = cq(
+                    &["A", "B"],
+                    &[("r", &["A", "B", constant]), ("s", &["A", "B", "B"])],
+                );
+                assert_eq!(
+                    ctx.covers(&q.body[0], &q.body[1], &q),
+                    constant == "c",
+                    "r(A,B,{constant}) asked in order {order:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn atoms_outside_sigma_may_exceed_max_arity() {
+        // Only Σ's predicates are held to MAX_ARITY; a wider atom over some
+        // other predicate neither covers nor is covered (its position masks
+        // are never built).
+        let ctx = EliminationContext::new(&example6());
+        let wide: Vec<&str> = vec!["A"; MAX_ARITY + 2];
+        let q = cq(&["A"], &[("p", &["A", "A"]), ("wide", &wide)]);
+        assert_eq!(ctx.eliminate(&q).body.len(), 2);
     }
 }

@@ -26,10 +26,12 @@ use nyaya_core::{
     exists_homomorphism, ConjunctiveQuery, NegativeConstraint, Predicate, Tgd, UnionQuery,
 };
 
-use crate::applicability::{apply_rewrite_step, is_applicable};
+use crate::applicability::{
+    apply_rewrite_step, blocks_existential, shared_variables, CompiledSigma,
+};
 use crate::elimination::EliminationContext;
 use crate::error::{ensure_normalized, RewriteError};
-use crate::factorize::factorize_all;
+use crate::factorize::factorize_group;
 use crate::worklist::{self, Expand, Products};
 
 /// Options controlling a rewriting run.
@@ -163,10 +165,13 @@ pub fn tgd_rewrite(
 
 /// [`tgd_rewrite`] with a caller-supplied [`EliminationContext`].
 ///
-/// Building the context costs a pass over Σ; a long-lived knowledge base
-/// compiles it once and reuses it for every query. `elim_ctx` is only
-/// consulted when `options.elimination` is set, and it must have been built
-/// from the same `tgds` that are passed here.
+/// The context holds everything the rewriter derives from Σ alone (the
+/// compiled TGDs the rewriting step runs on, the coverage tables of query
+/// elimination); building it costs a pass over Σ, so a long-lived knowledge
+/// base builds it once and reuses it for every query — with a context, no
+/// call looks at `tgds` again. It must have been built from the same `tgds`
+/// that are passed here. Elimination itself is applied only when
+/// `options.elimination` is set.
 pub fn tgd_rewrite_with(
     q: &ConjunctiveQuery,
     tgds: &[Tgd],
@@ -174,21 +179,25 @@ pub fn tgd_rewrite_with(
     options: &RewriteOptions,
     elim_ctx: Option<&EliminationContext>,
 ) -> Result<Rewriting, RewriteError> {
-    ensure_normalized("tgd_rewrite", tgds)?;
     let owned_ctx;
-    let elim_ctx: Option<&EliminationContext> = if options.elimination {
-        match elim_ctx {
-            Some(ctx) => Some(ctx),
-            None => {
-                owned_ctx = EliminationContext::new(tgds);
-                Some(&owned_ctx)
-            }
+    let owned_sigma;
+    let (sigma, elim_ctx) = match elim_ctx {
+        Some(ctx) => (ctx.sigma()?, options.elimination.then_some(ctx)),
+        None if options.elimination => {
+            // The context asserts what it needs; a caller's mistake about
+            // normal form stays a typed error.
+            ensure_normalized("tgd_rewrite", tgds)?;
+            owned_ctx = EliminationContext::new(tgds);
+            (owned_ctx.sigma()?, Some(&owned_ctx))
         }
-    } else {
-        None
+        // Sticky and other non-linear sets: the rewriting step's half only.
+        None => {
+            owned_sigma = CompiledSigma::new("tgd_rewrite", tgds)?;
+            (&owned_sigma, None)
+        }
     };
     let expander = NyExpander {
-        tgds,
+        sigma,
         ncs,
         nc_pruning: options.nc_pruning,
         elim_ctx,
@@ -200,7 +209,7 @@ pub fn tgd_rewrite_with(
 /// plus the subset rewriting step (label 1), with Section 6 elimination and
 /// Section 5.1 NC pruning applied to every product on admission.
 struct NyExpander<'a> {
-    tgds: &'a [Tgd],
+    sigma: &'a CompiledSigma,
     ncs: &'a [NegativeConstraint],
     nc_pruning: bool,
     elim_ctx: Option<&'a EliminationContext>,
@@ -209,18 +218,12 @@ struct NyExpander<'a> {
 impl Expand for NyExpander<'_> {
     fn prepare(
         &self,
-        query: ConjunctiveQuery,
+        mut query: ConjunctiveQuery,
         stats: &mut RewriteStats,
     ) -> Option<ConjunctiveQuery> {
-        let query = match self.elim_ctx {
-            Some(ctx) => {
-                let before = query.body.len();
-                let out = ctx.eliminate(&query);
-                stats.atoms_eliminated += before - out.body.len();
-                out
-            }
-            None => query,
-        };
+        if let Some(ctx) = self.elim_ctx {
+            stats.atoms_eliminated += ctx.eliminate_in_place(&mut query);
+        }
         if self.nc_pruning
             && self
                 .ncs
@@ -239,23 +242,37 @@ impl Expand for NyExpander<'_> {
         out: &mut Products,
         stats: &mut RewriteStats,
     ) -> Result<(), RewriteError> {
+        let shared = shared_variables(query);
+        // Body atoms by predicate: only a TGD whose head predicate occurs
+        // can factorize or rewrite anything, and only within that group.
+        let mut groups: Vec<(Predicate, Vec<usize>)> = Vec::new();
+        for (i, atom) in query.body.iter().enumerate() {
+            match groups.iter_mut().find(|(pred, _)| *pred == atom.pred) {
+                Some((_, group)) => group.push(i),
+                None => groups.push((atom.pred, vec![i])),
+            }
+        }
+        // (TGD, its group), in the order of Σ.
+        let mut steps: Vec<(usize, usize)> = Vec::new();
+        for (g, (pred, _)) in groups.iter().enumerate() {
+            steps.extend(self.sigma.with_head(*pred).iter().map(|&t| (t, g)));
+        }
+        steps.sort_unstable();
+        let rules = self.sigma.rules();
+
         // --- factorization step (label 0) ---
-        for tgd in self.tgds {
-            for product in factorize_all(query, tgd) {
-                stats.factorization_products += 1;
-                out.push(product, false);
+        for &(t, g) in &steps {
+            if let Some(pi) = rules[t].existential {
+                factorize_group(query, &groups[g].1, pi, &shared, |product| {
+                    stats.factorization_products += 1;
+                    out.push(product, false);
+                });
             }
         }
 
         // --- rewriting step (label 1) ---
-        for tgd in self.tgds {
-            let head_pred = tgd.head_atom().pred;
-            let group: Vec<usize> = (0..query.body.len())
-                .filter(|&i| query.body[i].pred == head_pred)
-                .collect();
-            if group.is_empty() {
-                continue;
-            }
+        for &(t, g) in &steps {
+            let (rule, (head_pred, group)) = (&rules[t], &groups[g]);
             if group.len() > MAX_SUBSET_ATOMS {
                 return Err(RewriteError::AtomGroupTooLarge {
                     predicate: head_pred.to_string(),
@@ -263,22 +280,24 @@ impl Expand for NyExpander<'_> {
                     limit: MAX_SUBSET_ATOMS,
                 });
             }
-            let renamed = tgd.rename_apart();
             // Every non-empty subset of same-predicate atoms (Algorithm 1
             // ranges over all A ⊆ body(q); other subsets cannot unify with
-            // the head).
-            let limit: u64 = 1 << group.len();
+            // the head) — minus the subsets containing an atom that fails
+            // condition (ii) of Definition 1 on its own.
+            let eligible: Vec<usize> = group
+                .iter()
+                .copied()
+                .filter(|&i| !blocks_existential(&query.body[i], rule.existential, &shared))
+                .collect();
+            let limit: u64 = 1 << eligible.len();
             for mask in 1..limit {
-                let a_set: Vec<usize> = group
+                let a_set: Vec<usize> = eligible
                     .iter()
                     .enumerate()
                     .filter(|(bit, _)| mask & (1 << bit) != 0)
                     .map(|(_, &i)| i)
                     .collect();
-                if !is_applicable(&renamed, &a_set, query) {
-                    continue;
-                }
-                if let Some(product) = apply_rewrite_step(&renamed, &a_set, query) {
+                if let Some(product) = apply_rewrite_step(&rule.tgd, &a_set, query) {
                     stats.rewriting_products += 1;
                     out.push(product, true);
                 }

@@ -9,7 +9,9 @@
 //! the exhaustive factorization of QuOnto-style rewriters, queries produced
 //! here are *excluded* from the final rewriting (label 0 in Algorithm 1).
 
-use nyaya_core::{mgu_set, Atom, ConjunctiveQuery, Tgd};
+use nyaya_core::{mgu_set, Atom, ConjunctiveQuery, Symbol, Tgd};
+
+use crate::applicability::{is_shared_in, shared_variables};
 
 /// All factorizations of `q` w.r.t. `tgd` (one candidate per eligible
 /// variable `V`). Queries are returned fully factorized (`γ_S` applied).
@@ -19,9 +21,43 @@ pub fn factorize_all(q: &ConjunctiveQuery, tgd: &Tgd) -> Vec<ConjunctiveQuery> {
         return Vec::new(); // factorization needs an existential variable
     };
     let head_pred = tgd.head_atom().pred;
-
+    let group: Vec<usize> = (0..q.body.len())
+        .filter(|&i| q.body[i].pred == head_pred)
+        .collect();
     let mut out = Vec::new();
-    for v in q.variables() {
+    factorize_group(q, &group, pi, &shared_variables(q), |product| {
+        out.push(product)
+    });
+    out
+}
+
+/// The factorizations of `q` w.r.t. a TGD with existential position `pi`
+/// whose head predicate is that of the body atoms `group` (all of them, in
+/// body order); `shared` is [`shared_variables`]`(q)`.
+///
+/// An eligible `V` sits at `π_σ` of at least two atoms of the group, so
+/// only the (shared) variables found there are tried — in the order the
+/// query first mentions them, one product each.
+pub(crate) fn factorize_group(
+    q: &ConjunctiveQuery,
+    group: &[usize],
+    pi: usize,
+    shared: &[Symbol],
+    mut emit: impl FnMut(ConjunctiveQuery),
+) {
+    if group.len() < 2 {
+        return;
+    }
+    let head_pred = q.body[group[0]].pred;
+    let mut tried: Vec<Symbol> = Vec::new();
+    for &i in group {
+        let Some(v) = q.body[i].args[pi].as_var() else {
+            continue;
+        };
+        if tried.contains(&v) || !is_shared_in(shared, v) {
+            continue;
+        }
+        tried.push(v);
         let Some(s_set) = factorizable_set(q, v, head_pred, pi) else {
             continue;
         };
@@ -29,9 +65,8 @@ pub fn factorize_all(q: &ConjunctiveQuery, tgd: &Tgd) -> Vec<ConjunctiveQuery> {
         let Some(gamma) = mgu_set(&atoms) else {
             continue; // S must unify
         };
-        out.push(q.apply(&gamma));
+        emit(q.apply(&gamma));
     }
-    out
 }
 
 /// The candidate set `S` for variable `v`: all body atoms containing `v`.
@@ -43,7 +78,7 @@ pub fn factorize_all(q: &ConjunctiveQuery, tgd: &Tgd) -> Vec<ConjunctiveQuery> {
 ///   the set of atoms containing `v`) and not in the head of `q`.
 fn factorizable_set(
     q: &ConjunctiveQuery,
-    v: nyaya_core::Symbol,
+    v: Symbol,
     head_pred: nyaya_core::Predicate,
     pi: usize,
 ) -> Option<Vec<usize>> {

@@ -17,9 +17,11 @@
 
 use nyaya_core::{mgu_pair, ConjunctiveQuery, Tgd};
 
-use crate::applicability::{apply_rewrite_step, is_applicable};
+use crate::applicability::{
+    apply_rewrite_step, blocks_existential, shared_variables, CompiledSigma,
+};
 use crate::engine::{RewriteOptions, RewriteStats, Rewriting};
-use crate::error::{ensure_normalized, RewriteError};
+use crate::error::RewriteError;
 use crate::worklist::{self, Expand, Products};
 
 /// Compute a QuOnto-style perfect rewriting. `tgds` must be normalized.
@@ -34,17 +36,17 @@ pub fn quonto_rewrite(
     tgds: &[Tgd],
     options: &RewriteOptions,
 ) -> Result<Rewriting, RewriteError> {
-    ensure_normalized("quonto_rewrite", tgds)?;
-    worklist::run(q.clone(), &QuontoExpander { tgds }, options)
+    let sigma = CompiledSigma::new("quonto_rewrite", tgds)?;
+    worklist::run(q.clone(), &QuontoExpander { sigma }, options)
 }
 
 /// The PerfectRef expansion: atom-at-a-time rewriting plus the exhaustive
 /// reduce step, every product labeled for the final union.
-struct QuontoExpander<'a> {
-    tgds: &'a [Tgd],
+struct QuontoExpander {
+    sigma: CompiledSigma,
 }
 
-impl Expand for QuontoExpander<'_> {
+impl Expand for QuontoExpander {
     fn expand(
         &self,
         query: &ConjunctiveQuery,
@@ -52,17 +54,14 @@ impl Expand for QuontoExpander<'_> {
         stats: &mut RewriteStats,
     ) -> Result<(), RewriteError> {
         // Atom-at-a-time rewriting step.
-        for tgd in self.tgds {
-            let head_pred = tgd.head_atom().pred;
-            let renamed = tgd.rename_apart();
-            for i in 0..query.body.len() {
-                if query.body[i].pred != head_pred {
+        let shared = shared_variables(query);
+        for rule in self.sigma.rules() {
+            let head_pred = rule.tgd.head_atom().pred;
+            for (i, atom) in query.body.iter().enumerate() {
+                if atom.pred != head_pred || blocks_existential(atom, rule.existential, &shared) {
                     continue;
                 }
-                if !is_applicable(&renamed, &[i], query) {
-                    continue;
-                }
-                if let Some(product) = apply_rewrite_step(&renamed, &[i], query) {
+                if let Some(product) = apply_rewrite_step(&rule.tgd, &[i], query) {
                     stats.rewriting_products += 1;
                     out.push(product, true);
                 }

@@ -11,7 +11,12 @@
 //! entries to emit — and the core supplies everything else:
 //!
 //! - the **canonical-key table** (dedup modulo α-renaming), sharded by
-//!   [`QuerySignature`] so parallel workers rarely contend;
+//!   [`QuerySignature`] so parallel workers rarely contend. One ordering
+//!   search per product yields its key; only a genuinely new query pays
+//!   for its **canonical form**, which is what the table stores and what
+//!   the frontier hands to [`Expand::expand`] — so every explored query
+//!   uses the names `V0, V1, …` and nothing else, whichever representative
+//!   of its class was generated first;
 //! - the **budget**: at most `max_queries` distinct queries are admitted,
 //!   enforced at admission so an exact-budget fixpoint completes cleanly
 //!   and [`RewriteStats::budget_exhausted`] is set only when a genuinely
@@ -23,14 +28,15 @@
 //!   table. No work is duplicated across rounds and no dependencies beyond
 //!   the standard library are involved;
 //! - **determinism**: the closure of the seed under expansion is a set,
-//!   independent of exploration order, and the final union is sorted by
-//!   canonical key — so for every run that completes within budget the
-//!   output and the stats (wall-clock aside) are bit-identical whether one
-//!   worker explored the frontier or sixteen did. (When the budget *is*
-//!   exhausted the admitted subset is order-dependent, but the
-//!   `budget_exhausted` flag itself is still deterministic: it is set iff
-//!   the closure exceeds the budget, and callers such as the
-//!   `KnowledgeBase` facade treat exhaustion as an error.)
+//!   independent of exploration order, and the final union is the stored
+//!   canonical forms sorted by canonical key — so for every run that
+//!   completes within budget the output and the stats (wall-clock aside)
+//!   are bit-identical whether one worker explored the frontier or sixteen
+//!   did. (When the budget *is* exhausted the admitted subset is
+//!   order-dependent, but the `budget_exhausted` flag itself is still
+//!   deterministic: it is set iff the closure exceeds the budget, and
+//!   callers such as the `KnowledgeBase` facade treat exhaustion as an
+//!   error.)
 //! - **stats**: per-step counters, dedup hits, frontier rounds and
 //!   wall-clock, merged across workers into one [`RewriteStats`].
 
@@ -40,7 +46,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use nyaya_core::{
-    canonical_key, canonicalize_keyed, CanonicalKey, ConjunctiveQuery, QuerySignature, UnionQuery,
+    canonical_form, canonical_order, CanonicalKey, ConjunctiveQuery, QuerySignature, UnionQuery,
 };
 
 use crate::engine::{RewriteOptions, RewriteStats, Rewriting};
@@ -83,7 +89,9 @@ pub trait Expand: Sync {
         Some(query)
     }
 
-    /// Generate the successor queries of `query` into `out`.
+    /// Generate the successor queries of `query` into `out`. `query` is in
+    /// canonical form: its variables are `V0, V1, …`, so rules renamed to
+    /// any other name space are apart from it.
     fn expand(
         &self,
         query: &ConjunctiveQuery,
@@ -139,7 +147,7 @@ impl Table {
 
     fn admit(&self, query: ConjunctiveQuery, in_output: bool) -> Admitted {
         let shard = QuerySignature::of(&query).shard(SHARDS);
-        let key = canonical_key(&query);
+        let (order, key) = canonical_order(&query);
         let mut map = self.shards[shard].lock().expect("worklist shard poisoned");
         if let Some(entry) = map.get_mut(&key) {
             // ⟨q,0⟩ and ⟨q,1⟩ may coexist in Algorithm 1; the final union
@@ -162,6 +170,7 @@ impl Table {
             self.exhausted.store(true, Ordering::Relaxed);
             return Admitted::Refused;
         }
+        let query = canonical_form(&query, &order);
         map.insert(
             key,
             Entry {
@@ -271,7 +280,10 @@ pub fn run<E: Expand>(
                         .collect();
                     handles
                         .into_iter()
-                        .map(|h| h.join().expect("worklist worker panicked"))
+                        .map(|h| match h.join() {
+                            Ok(result) => result,
+                            Err(payload) => std::panic::resume_unwind(payload),
+                        })
                         .collect()
                 });
             let mut next = Vec::new();
@@ -287,27 +299,20 @@ pub fn run<E: Expand>(
     stats.budget_exhausted = table.exhausted.load(Ordering::Relaxed);
 
     // Deterministic assembly: output-labeled entries, engine emit filter,
-    // hidden predicates dropped, canonical variable names, sorted by
-    // canonical key — identical for every exploration order.
+    // hidden predicates dropped, sorted by canonical key — identical for
+    // every exploration order. The entries already are canonical forms.
+    let hidden = |q: &ConjunctiveQuery| {
+        q.body
+            .iter()
+            .any(|a| options.hidden_predicates.contains(&a.pred))
+    };
     let mut keyed: Vec<(CanonicalKey, ConjunctiveQuery)> = Vec::new();
-    for shard in &table.shards {
-        let map = shard.lock().expect("worklist shard poisoned");
-        for entry in map.values() {
-            if !entry.in_output || !expander.emit(&entry.query) {
-                continue;
+    for shard in table.shards {
+        let map = shard.into_inner().expect("worklist shard poisoned");
+        for (key, entry) in map {
+            if entry.in_output && expander.emit(&entry.query) && !hidden(&entry.query) {
+                keyed.push((key, entry.query));
             }
-            if entry
-                .query
-                .body
-                .iter()
-                .any(|a| options.hidden_predicates.contains(&a.pred))
-            {
-                continue;
-            }
-            // One ordering search yields both the canonical form and the
-            // (renaming-invariant) sort key.
-            let (cq, key) = canonicalize_keyed(&entry.query);
-            keyed.push((key, cq));
         }
     }
     keyed.sort_by(|a, b| a.0.cmp(&b.0));
@@ -325,4 +330,47 @@ pub fn run<E: Expand>(
 
 fn elapsed_micros(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nyaya_core::Atom;
+
+    /// Fans the one-atom seed out into enough two-atom products for a
+    /// parallel round, then panics on the first of them.
+    struct Boom;
+
+    impl Expand for Boom {
+        fn expand(
+            &self,
+            query: &ConjunctiveQuery,
+            out: &mut Products,
+            _stats: &mut RewriteStats,
+        ) -> Result<(), RewriteError> {
+            if query.body.len() > 1 {
+                panic!("boom");
+            }
+            for name in ["r1", "r2", "r3", "r4"] {
+                let mut product = query.clone();
+                product.body.push(Atom::make(name, ["X"]));
+                out.push(product, true);
+            }
+            Ok(())
+        }
+    }
+
+    /// A worker's panic reaches the caller with its original payload, not
+    /// a message made up at the join site.
+    #[test]
+    fn run_re_raises_a_worker_panic_with_its_payload() {
+        let seed = ConjunctiveQuery::boolean(vec![Atom::make("p", ["X"])]);
+        let options = RewriteOptions {
+            parallel_workers: 2,
+            ..RewriteOptions::default()
+        };
+        let caught = std::panic::catch_unwind(|| run(seed, &Boom, &options).map(|r| r.ucq.size()))
+            .expect_err("the worker's panic must propagate");
+        assert_eq!(caught.downcast_ref::<&str>(), Some(&"boom"));
+    }
 }

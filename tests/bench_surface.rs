@@ -3,14 +3,23 @@
 //! `bench/` is a package of its own that `cargo test` never builds, yet it
 //! compiles against this crate's public API and may not be edited by the
 //! changes it judges. This test pins everything `bench/src` imports from
-//! the execution layer (`grep -rn "nyaya::" bench/src`): each function is
+//! the execution and rewriting layers (`grep -rn "nyaya::" bench/src`):
+//! each function is
 //! coerced to the exact `fn` type the benchmark calls it with, and each
 //! counter it reads is read here with the type it does arithmetic on — so
 //! an API change that would break the benchmark's build fails here first.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
-use nyaya::core::{ConjunctiveQuery, DatalogProgram, Term, UnionQuery};
+use nyaya::core::{
+    canonical_key, classify, normalize, CanonicalKey, Classification, ConjunctiveQuery,
+    DatalogProgram, NegativeConstraint, Normalization, Predicate, Term, Tgd, UnionQuery,
+};
+use nyaya::rewrite::{
+    estimate_dnf_bound, interaction_clusters, minimize_union_with_stats, nr_datalog_rewrite_with,
+    tgd_rewrite_with, EliminationContext, ProgramRewriting, RewriteError, RewriteOptions,
+    RewriteStats, Rewriting, SubsumptionStats,
+};
 use nyaya::sql::reference::execute_ucq_reference;
 use nyaya::sql::{
     execute_program, execute_program_shared, execute_ucq, execute_ucq_intra, plan_cq_cost,
@@ -39,6 +48,82 @@ fn functions_the_benchmark_calls_keep_their_signatures() {
     let _: fn(&Database, &ConjunctiveQuery) -> CostPlan = plan_cq_cost;
     let _: fn(&Database, &ConjunctiveQuery, f64) -> CostPlan = plan_cq_cost_corrected;
     let _: fn(&KnowledgeBase, &PreparedQuery) -> f64 = KnowledgeBase::plan_correction;
+}
+
+#[allow(clippy::type_complexity)]
+#[test]
+fn rewriting_functions_the_benchmark_calls_keep_their_signatures() {
+    let _: fn(
+        &ConjunctiveQuery,
+        &[Tgd],
+        &[NegativeConstraint],
+        &RewriteOptions,
+        Option<&EliminationContext>,
+    ) -> Result<Rewriting, RewriteError> = tgd_rewrite_with;
+    let _: fn(
+        &ConjunctiveQuery,
+        &[Tgd],
+        &[NegativeConstraint],
+        &RewriteOptions,
+        Option<&EliminationContext>,
+    ) -> Result<ProgramRewriting, RewriteError> = nr_datalog_rewrite_with;
+    let _: fn(&UnionQuery) -> (UnionQuery, SubsumptionStats) = minimize_union_with_stats;
+    let _: fn(&ConjunctiveQuery, &[Tgd]) -> usize = estimate_dnf_bound;
+    let _: fn(&ConjunctiveQuery, &[Tgd]) -> Vec<Vec<usize>> = interaction_clusters;
+    let _: fn(&[Tgd]) -> EliminationContext = EliminationContext::new;
+    let _: fn(&EliminationContext, &ConjunctiveQuery) -> ConjunctiveQuery =
+        EliminationContext::eliminate;
+    let _: fn(&ConjunctiveQuery) -> CanonicalKey = canonical_key;
+    let _: fn(&[Tgd]) -> Classification = classify;
+    let _: fn(&[Tgd]) -> Normalization = normalize;
+}
+
+#[test]
+fn rewriting_options_and_counters_the_benchmark_uses_keep_their_names_and_types() {
+    // `Compiled::build` and `Compiled::options` of bench/src/common.rs.
+    let kb = KnowledgeBase::from_program_text("sigma1: manager(X) -> employee(X).").unwrap();
+    let raw = &kb.ontology().tgds;
+    let classification = classify(raw);
+    let normalization = normalize(raw);
+    let _: &HashSet<Predicate> = &normalization.aux_predicates;
+    let elimination: Option<EliminationContext> = classification
+        .linear
+        .then(|| EliminationContext::new(&normalization.tgds));
+    let options = RewriteOptions {
+        elimination: elimination.is_some(),
+        nc_pruning: false,
+        hidden_predicates: normalization.aux_predicates.clone(),
+        ..RewriteOptions::default()
+    };
+    let query = nyaya::parser::parse_query("q(A) :- employee(A).").unwrap();
+    let elim = elimination.as_ref();
+    let rewriting = tgd_rewrite_with(&query, &normalization.tgds, &[], &options, elim).unwrap();
+    assert_eq!(rewriting.ucq.size(), 2);
+    let RewriteStats {
+        explored,
+        dedup_hits,
+        factorization_products,
+        rewriting_products,
+        atoms_eliminated,
+        program_rules,
+        ..
+    } = rewriting.stats;
+    let _: [usize; 6] = [
+        explored,
+        dedup_hits,
+        factorization_products,
+        rewriting_products,
+        atoms_eliminated,
+        program_rules,
+    ];
+
+    let out = nr_datalog_rewrite_with(&query, &normalization.tgds, &[], &options, elim).unwrap();
+    let _: usize = out.estimated_dnf;
+    let _: &DatalogProgram = &out.program;
+    let _: usize = out.stats.program_rules;
+
+    let (_, stats) = minimize_union_with_stats(&rewriting.ucq);
+    let _: [usize; 2] = [stats.hom_checks, stats.skipped_by_signature];
 }
 
 #[test]

@@ -450,3 +450,29 @@ fn memory_accounting_moves_with_inserts_and_retracts() {
     assert!(json.contains("\"tables\":[{\"predicate\":"), "{json}");
     assert!(json.contains("\"morsel_tasks\":"), "{json}");
 }
+
+/// A query written with canonical-looking variable names used to be
+/// canonicalized through a chasing substitution (`V2 → V1 → V0`), which
+/// merged its variables: the stored rewriting was wrong, the cache key was
+/// right, so the isomorphic query asked afterwards was served the same
+/// wrong answer from the rewrite cache.
+#[test]
+fn canonical_looking_variable_names_do_not_change_the_answer() {
+    const PROGRAM: &str = "p(a, b). r(b, c). p(d, e). p(f, f). r(f, g).";
+    let v_named = "q(V1) :- p(V1, V2), r(V2, X).";
+    let plain = "q(A) :- p(A, B), r(B, C).";
+    let expected: std::collections::BTreeSet<Vec<Term>> =
+        [vec![Term::constant("a")], vec![Term::constant("f")]].into();
+    for order in [[v_named, plain], [plain, v_named]] {
+        let kb = KnowledgeBase::from_program_text(PROGRAM).unwrap();
+        for text in order {
+            let answers = kb.answer_text(text).unwrap();
+            assert_eq!(answers.tuples, expected, "{text} (asked in {order:?})");
+        }
+        assert_eq!(kb.stats().cache_misses, 1, "the two are one cache slot");
+    }
+    // The 2-cycle V1 → V0, V0 → V1 tripped a debug assertion.
+    let kb = KnowledgeBase::from_program_text(PROGRAM).unwrap();
+    let answers = kb.answer_text("q(V1) :- p(V1, V0).").unwrap();
+    assert_eq!(answers.tuples.len(), 3);
+}

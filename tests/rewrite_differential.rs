@@ -187,3 +187,84 @@ fn parallel_rewriting_is_bit_identical_on_the_benchmark_suites() {
         }
     }
 }
+
+/// The search space of TGD-rewrite⋆ is prescribed by Algorithm 1: an
+/// optimisation of the rewriter may change the time per product, never the
+/// products. `(size, explored, factorization_products, rewriting_products,
+/// dedup_hits, atoms_eliminated, frontier_rounds)` per cell, NY⋆ with the
+/// normalization auxiliaries hidden, recorded at commit ca88dcf (before the
+/// per-Σ compile of ISSUE 15) where this test passes unchanged.
+#[test]
+fn search_space_is_pinned_by_count() {
+    use nyaya::ontologies::{load, BenchmarkId};
+    type Row = (usize, usize, usize, usize, usize, usize, usize);
+    // (suite, query, heavy, counts); heavy cells cost minutes unoptimized
+    // and run in release only (CI's build-test job runs this file there).
+    let table: [(BenchmarkId, &str, bool, Row); 10] = [
+        (BenchmarkId::V, "q4", false, (185, 185, 0, 328, 144, 0, 4)),
+        (BenchmarkId::S, "q5", false, (8, 8, 0, 12, 5, 4, 4)),
+        (BenchmarkId::U, "q3", false, (4, 16, 0, 28, 13, 2, 5)),
+        (BenchmarkId::U, "q5", false, (10, 18, 0, 27, 10, 2, 5)),
+        (
+            BenchmarkId::A,
+            "q2",
+            false,
+            (214, 3_478, 24, 9_492, 6_039, 28, 7),
+        ),
+        (
+            BenchmarkId::A,
+            "q3",
+            true,
+            (48, 31_104, 0, 106_176, 75_073, 1_392, 7),
+        ),
+        (
+            BenchmarkId::A,
+            "q4",
+            false,
+            (579, 9_003, 168, 24_560, 15_726, 415, 8),
+        ),
+        (BenchmarkId::P5, "q3", false, (13, 444, 23, 928, 508, 78, 6)),
+        (
+            BenchmarkId::P5,
+            "q4",
+            false,
+            (15, 2_841, 133, 8_009, 5_302, 582, 7),
+        ),
+        (
+            BenchmarkId::P5,
+            "q5",
+            true,
+            (16, 19_347, 842, 69_766, 51_262, 4_490, 8),
+        ),
+    ];
+    let mut loaded: Vec<nyaya::ontologies::Benchmark> = Vec::new();
+    for (id, name, heavy, expected) in table {
+        if heavy && cfg!(debug_assertions) {
+            continue;
+        }
+        if loaded.last().map(|b| b.id) != Some(id) {
+            loaded.push(load(id));
+        }
+        let bench = loaded.last().expect("just loaded");
+        let (_, query) = bench
+            .queries
+            .iter()
+            .find(|(q, _)| q == name)
+            .expect("Table 2 query");
+        let mut options = RewriteOptions::nyaya_star();
+        options.hidden_predicates = bench.hidden_predicates.clone();
+        let out = tgd_rewrite(query, &bench.normalized, &[], &options).unwrap();
+        let s = &out.stats;
+        assert!(!s.budget_exhausted, "{id} {name}: budget exhausted");
+        let got: Row = (
+            out.ucq.size(),
+            s.explored,
+            s.factorization_products,
+            s.rewriting_products,
+            s.dedup_hits,
+            s.atoms_eliminated,
+            s.frontier_rounds,
+        );
+        assert_eq!(got, expected, "{id} {name}: the search space moved");
+    }
+}
