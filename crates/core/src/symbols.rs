@@ -5,6 +5,14 @@
 //! referred to by a compact [`Symbol`] (a `u32`). Interning happens at
 //! program-construction time; the hot rewriting loops only ever compare and
 //! hash `u32`s.
+//!
+//! Only [`intern`] (and [`len`]) take the interner's lock, which guards
+//! the name → symbol map. Everything that *reads* a symbol — resolving,
+//! displaying, comparing by name or value — goes through
+//! [`Symbol::as_str`], which takes no lock and allocates nothing: names
+//! are leaked once into an append-only table whose slots never move.
+//! Leaking keeps nothing alive that was freed before — the interner has
+//! always been append-only and process-lived.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -35,7 +43,22 @@ impl Symbol {
         Symbol(index)
     }
 
-    /// The interned string for this symbol.
+    /// The interned string for this symbol, borrowed for the life of the
+    /// process: two `Acquire` loads, no lock, no allocation.
+    ///
+    /// # Panics
+    /// On an index [`intern`] never handed out (see [`Symbol::from_index`]).
+    #[inline]
+    pub fn as_str(self) -> &'static str {
+        let (segment, offset) = slot_of(self.0);
+        NAMES
+            .get(segment)
+            .and_then(OnceLock::get)
+            .and_then(|slots| slots[offset].get().copied())
+            .unwrap_or_else(|| panic!("symbol index {} was never interned", self.0))
+    }
+
+    /// The interned string for this symbol, as an owned copy.
     pub fn name(self) -> String {
         resolve(self)
     }
@@ -43,45 +66,76 @@ impl Symbol {
 
 impl fmt::Debug for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", resolve(*self))
+        f.write_str(self.as_str())
     }
 }
 
 impl fmt::Display for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", resolve(*self))
+        f.write_str(self.as_str())
     }
 }
 
-struct Interner {
-    names: Vec<String>,
-    index: HashMap<String, Symbol>,
+/// Slots in segment 0 of [`NAMES`]; segment `k` holds `FIRST_SEGMENT << k`.
+const FIRST_SEGMENT: u64 = 256;
+
+/// Segment count: together they hold every index below 2³² − 256, well
+/// past the 2³¹ names a table cell can encode.
+const SEGMENTS: usize = 24;
+
+/// The names, by symbol index: an append-only table cut into segments of
+/// doubling size so that growing it never moves a slot a reader may be
+/// looking at. [`intern`] allocates a segment on first use and fills each
+/// slot once, under the interner's lock; readers only `get`.
+static NAMES: [OnceLock<Box<[OnceLock<&'static str>]>>; SEGMENTS] =
+    [const { OnceLock::new() }; SEGMENTS];
+
+/// Where a symbol index lives in [`NAMES`]: (segment, offset within it).
+/// The last 256 indices map one past the final segment.
+#[inline]
+fn slot_of(index: u32) -> (usize, usize) {
+    let n = u64::from(index) + FIRST_SEGMENT;
+    let segment = n.ilog2() - FIRST_SEGMENT.ilog2();
+    (segment as usize, (n - (FIRST_SEGMENT << segment)) as usize)
 }
 
-fn interner() -> &'static Mutex<Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            names: Vec::with_capacity(256),
-            index: HashMap::with_capacity(256),
-        })
-    })
+/// Name → symbol. The map's size is the next index to hand out.
+fn interner() -> &'static Mutex<HashMap<&'static str, Symbol>> {
+    static INTERNER: OnceLock<Mutex<HashMap<&'static str, Symbol>>> = OnceLock::new();
+    INTERNER.get_or_init(|| Mutex::new(HashMap::with_capacity(256)))
 }
 
 /// Intern `name`, returning its symbol. Idempotent.
 pub fn intern(name: &str) -> Symbol {
     // The interner is process-global and append-only; the only panics
     // possible inside the critical section are allocation failures,
-    // which abort. A poisoned lock therefore guards intact state —
-    // recover rather than wedging every later parse in the process.
+    // which abort, and overflow, which fires before anything is written.
+    // A poisoned lock therefore guards intact state — recover rather
+    // than wedging every later parse in the process.
     let mut guard = interner().lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(&sym) = guard.index.get(name) {
+    if let Some(&sym) = guard.get(name) {
         return sym;
     }
-    let sym = Symbol(u32::try_from(guard.names.len()).expect("interner overflow"));
-    guard.names.push(name.to_owned());
-    guard.index.insert(name.to_owned(), sym);
-    sym
+    let index = u32::try_from(guard.len()).expect("interner overflow");
+    let (segment, offset) = slot_of(index);
+    let slots = NAMES
+        .get(segment)
+        .expect("interner overflow")
+        .get_or_init(|| {
+            (0..FIRST_SEGMENT << segment)
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+    // The one copy of the name: the table slot and the map key share it.
+    let name: &'static str = Box::leak(Box::from(name));
+    // Filled before the lock is released, so whoever learns of the symbol
+    // — from this call or from a later `intern` of the same name — can
+    // read it.
+    slots[offset]
+        .set(name)
+        .expect("the lock serialises writers and each index is handed out once");
+    guard.insert(name, Symbol(index));
+    Symbol(index)
 }
 
 /// Number of distinct names interned so far. The table is append-only, so
@@ -90,18 +144,16 @@ pub fn intern(name: &str) -> Symbol {
 pub fn len() -> usize {
     // See `intern` for why recovery is sound here.
     let guard = interner().lock().unwrap_or_else(PoisonError::into_inner);
-    guard.names.len()
+    guard.len()
 }
 
-/// Resolve a symbol back to its string.
+/// Resolve a symbol back to its string (an owned copy of
+/// [`Symbol::as_str`]).
 pub fn resolve(sym: Symbol) -> String {
-    // See `intern` for why recovery is sound here.
-    let guard = interner().lock().unwrap_or_else(PoisonError::into_inner);
-    guard.names[sym.0 as usize].clone()
+    sym.as_str().to_owned()
 }
 
-/// Compare two symbols by their interned *names* under a single lock
-/// acquisition, without cloning either string.
+/// Compare two symbols by their interned *names*.
 ///
 /// The derived `Ord` on [`Symbol`] compares interner indices, which are
 /// assigned in first-intern order and therefore differ between process
@@ -112,8 +164,16 @@ pub fn cmp_names(a: Symbol, b: Symbol) -> std::cmp::Ordering {
     if a == b {
         return std::cmp::Ordering::Equal;
     }
-    let guard = interner().lock().unwrap_or_else(PoisonError::into_inner);
-    guard.names[a.0 as usize].cmp(&guard.names[b.0 as usize])
+    a.as_str().cmp(b.as_str())
+}
+
+/// The sort key behind [`cmp_values`]: (not an integer, the integer, the
+/// name). Tuple order on it puts integers first, in numeric order, ties
+/// between spellings of one number and all other names in byte order.
+fn value_key(sym: Symbol) -> (bool, i128, &'static str) {
+    let name = sym.as_str();
+    let parsed = name.parse::<i128>();
+    (parsed.is_err(), parsed.unwrap_or(0), name)
 }
 
 /// Value order for constants: names that parse as integers compare
@@ -123,48 +183,23 @@ pub fn cmp_names(a: Symbol, b: Symbol) -> std::cmp::Ordering {
 /// `"1"`) break on the exact name, keeping this a strict total order
 /// where `Equal` implies the same symbol.
 pub fn cmp_values(a: Symbol, b: Symbol) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
     if a == b {
-        return Ordering::Equal;
+        return std::cmp::Ordering::Equal;
     }
-    let guard = interner().lock().unwrap_or_else(PoisonError::into_inner);
-    let (sa, sb) = (&guard.names[a.0 as usize], &guard.names[b.0 as usize]);
-    match (sa.parse::<i128>(), sb.parse::<i128>()) {
-        (Ok(x), Ok(y)) => x.cmp(&y).then_with(|| sa.cmp(sb)),
-        (Ok(_), Err(_)) => Ordering::Less,
-        (Err(_), Ok(_)) => Ordering::Greater,
-        (Err(_), Err(_)) => sa.cmp(sb),
-    }
+    value_key(a).cmp(&value_key(b))
 }
 
-/// Sort a slice of symbols into [`cmp_values`] order under a **single**
-/// lock acquisition.
+/// Sort a slice of symbols into [`cmp_values`] order.
 ///
-/// Sorting n symbols through `cmp_values` directly takes O(n log n) lock
-/// round-trips on the global interner; bulk index rebuilds over columnar
-/// tables sort whole columns at once, so this precomputes each symbol's
-/// `(parsed integer, name)` sort key with the lock held once and sorts on
-/// the keys. The order produced is identical to `cmp_values` (numeric
-/// ties break on the exact name, so `Equal` implies the same symbol).
+/// Sorting n symbols through `cmp_values` directly parses both names on
+/// each of its O(n log n) comparisons; bulk index rebuilds over columnar
+/// tables sort whole columns at once, so this computes each symbol's key
+/// once and sorts on the keys.
 pub fn sort_by_value(syms: &mut [Symbol]) {
-    let guard = interner().lock().unwrap_or_else(PoisonError::into_inner);
-    let mut keyed: Vec<(Option<i128>, &str, Symbol)> = syms
-        .iter()
-        .map(|&s| {
-            let name = guard.names[s.0 as usize].as_str();
-            (name.parse::<i128>().ok(), name, s)
-        })
-        .collect();
-    keyed.sort_unstable_by(|(xa, na, _), (xb, nb, _)| {
-        use std::cmp::Ordering;
-        match (xa, xb) {
-            (Some(x), Some(y)) => x.cmp(y).then_with(|| na.cmp(nb)),
-            (Some(_), None) => Ordering::Less,
-            (None, Some(_)) => Ordering::Greater,
-            (None, None) => na.cmp(nb),
-        }
-    });
-    for (slot, (_, _, s)) in syms.iter_mut().zip(keyed) {
+    let mut keyed: Vec<_> = syms.iter().map(|&s| (value_key(s), s)).collect();
+    // Distinct symbols never share a key, so an unstable sort is exact.
+    keyed.sort_unstable();
+    for (slot, (_, s)) in syms.iter_mut().zip(keyed) {
         *slot = s;
     }
 }
@@ -224,5 +259,69 @@ mod tests {
         let s = intern("fin_idx");
         assert_eq!(format!("{s}"), "fin_idx");
         assert_eq!(format!("{s:?}"), "fin_idx");
+    }
+
+    #[test]
+    fn slots_tile_the_segments_without_gaps() {
+        assert_eq!(slot_of(0), (0, 0));
+        assert_eq!(slot_of(255), (0, 255));
+        assert_eq!(slot_of(256), (1, 0));
+        assert_eq!(slot_of(767), (1, 511));
+        assert_eq!(slot_of(768), (2, 0));
+        // The last index the table holds, and the first it does not.
+        assert_eq!(slot_of(u32::MAX - 256), (SEGMENTS - 1, (1 << 31) - 1));
+        assert_eq!(slot_of(u32::MAX - 255), (SEGMENTS, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "never interned")]
+    fn an_index_never_handed_out_panics() {
+        Symbol::from_index(u32::MAX).as_str();
+    }
+
+    /// Nothing that reads a symbol may wait for the interner's lock: with
+    /// the lock held here, every read on another thread still completes.
+    #[test]
+    fn reads_complete_while_the_interner_lock_is_held() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let syms: Vec<Symbol> = ["lf_10", "9", "lf_apple", "-3", "10"]
+            .iter()
+            .map(|s| intern(s))
+            .collect();
+        let (tx, rx) = mpsc::channel();
+        let guard = interner().lock().unwrap_or_else(PoisonError::into_inner);
+        let reader = std::thread::spawn(move || {
+            let mut sorted = syms.clone();
+            sort_by_value(&mut sorted);
+            let report = (
+                syms[0].as_str(),
+                format!("{}", syms[2]),
+                format!("{:?}", syms[2]),
+                cmp_names(syms[0], syms[2]),
+                cmp_values(syms[1], syms[4]),
+                sorted.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
+            );
+            // The receiver only goes away once it has given up waiting.
+            let _ = tx.send(report);
+        });
+        let report = rx.recv_timeout(Duration::from_secs(5));
+        // Release before joining: a reader that does block must get to
+        // finish, so the failure is the assertion below and not a hang.
+        drop(guard);
+        reader.join().expect("reader thread panicked");
+        let report = report.expect("a symbol read waited for the interner's lock");
+        assert_eq!(
+            report,
+            (
+                "lf_10",
+                "lf_apple".to_owned(),
+                "lf_apple".to_owned(),
+                std::cmp::Ordering::Less,
+                std::cmp::Ordering::Less,
+                vec!["-3", "9", "10", "lf_10", "lf_apple"],
+            )
+        );
     }
 }

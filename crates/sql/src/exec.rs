@@ -52,7 +52,7 @@ use crate::table::{Database, Table};
 pub(crate) struct CacheTally {
     pub(crate) hits: AtomicU64,
     pub(crate) misses: AtomicU64,
-    /// Merge-join steps executed (no build side constructed).
+    /// [`StepOp::Merge`] steps executed (no build side constructed).
     pub(crate) merges: AtomicU64,
     /// Probe morsels driven through the join kernels (see [`MORSEL`]).
     pub(crate) morsels: AtomicU64,
@@ -121,8 +121,8 @@ where
 /// The probe side is cut into `intra` contiguous spans (one per worker),
 /// each span is processed batch by batch, and span outputs are
 /// concatenated in span order — so the produced tuple *set* is identical
-/// to a sequential run regardless of the split (the hash kernel even
-/// preserves tuple order exactly; the merge kernel re-sorts per batch).
+/// to a sequential run regardless of the split (both kernels emit in
+/// probe order, so even the tuple order is preserved exactly).
 /// A probe side under two morsels never splits: spawn overhead would
 /// dominate. `tally` counts the *logical* morsel count — `len / MORSEL`
 /// rounded up, at least one — independent of the worker split, so the
@@ -216,9 +216,10 @@ pub(crate) enum Slot {
 /// build cache through `src` (single database or layered program view).
 ///
 /// `ops` optionally carries the cost planner's per-step operator choice
-/// (parallel to `order`): a [`StepOp::Merge`] step joins through the
-/// sorted column index instead of a hashed build side. With `ops == None`
-/// every step hash-joins — the preserved greedy execution mode.
+/// (parallel to `order`): a [`StepOp::Merge`] step probes the key
+/// column's posting index instead of a hashed build side. With
+/// `ops == None` every step hash-joins — the preserved greedy execution
+/// mode.
 ///
 /// Each join step's probe side is split into contiguous spans across up
 /// to `intra` worker threads (only once it holds at least two
@@ -305,39 +306,23 @@ pub(crate) fn execute_cq_ordered(
             next.push(extended);
         };
         if let Some(key_col) = merge_col {
-            // Merge join: sort each probe morsel by its key value
-            // canonically and sweep the column's sorted distinct cell list
-            // in lockstep; each matching cell's posting list is exactly
-            // the joining rows. No build side is constructed or cached.
-            // The sweep compares raw u32 cells (cell order is canonical
-            // term order by construction).
+            // "Merge" step (the planner's name): an index nested-loop join
+            // over the key column's posting index, which every table
+            // maintains — each probe value's posting list is exactly the
+            // joining rows. No build side is constructed or cached, and
+            // nothing is sorted.
             tally.merges.fetch_add(1, Ordering::Relaxed);
             if let Some(table) = table {
                 let probe_idx = probe_indices[0];
-                let sorted = table.sorted_cells(key_col);
                 next = run_morsels(&current, intra, tally, |batch, out| {
-                    let mut probe_order: Vec<usize> = (0..batch.len()).collect();
-                    probe_order
-                        .sort_by(|&a, &b| batch[a][probe_idx].canonical_cmp(&batch[b][probe_idx]));
-                    let mut si = 0usize;
-                    for &ti in &probe_order {
-                        // A probe value the table has never stored has no
-                        // cell and therefore no posting list: skip without
-                        // moving the sweep cursor (term order and cell
-                        // order agree, so the cursor stays monotone for
-                        // later probes in this batch).
-                        let Some(vc) = table.cell_of(&batch[ti][probe_idx]) else {
+                    for tuple in batch {
+                        // A probe value absent from the table joins with
+                        // nothing.
+                        let Some(cell) = table.cell_of(&tuple[probe_idx]) else {
                             continue;
                         };
-                        while si < sorted.len()
-                            && table.cmp_own_cells(sorted[si], vc) == std::cmp::Ordering::Less
-                        {
-                            si += 1;
-                        }
-                        if si < sorted.len() && sorted[si] == vc {
-                            for &id in table.posting_cells(key_col, vc) {
-                                extend(table, &batch[ti], id, out);
-                            }
+                        for &id in table.posting_cells(key_col, cell) {
+                            extend(table, tuple, id, out);
                         }
                     }
                 });
@@ -456,7 +441,8 @@ pub struct ExecMetrics {
     pub build_cache_hits: u64,
     /// Build sides constructed.
     pub build_cache_misses: u64,
-    /// Merge-join steps executed through the sorted index.
+    /// [`StepOp::Merge`] steps executed: joins probed through a column's
+    /// posting index, with no build side fetched or constructed.
     pub merge_joins: u64,
     /// Probe morsels (1024-row batches) the join kernels drove
     /// across all join steps. Counts logical batches of each step's probe

@@ -13,9 +13,10 @@
 //!   answer-identical to it on 300 seeds).
 //! - The **cost-based** planner ([`plan_cq_cost`]): the same greedy
 //!   skeleton, but every candidate step is priced per physical operator —
-//!   a hash join pays for building the table-sized hash side, a merge join
-//!   over the sorted column index pays only for its probes and the sorted
-//!   walk — and the cheaper operator is recorded in the plan
+//!   a hash join pays for building the table-sized hash side, a "merge"
+//!   join (an index nested-loop join over the key column's posting index,
+//!   which every table already maintains) pays only for its probes — and
+//!   the cheaper operator is recorded in the plan
 //!   ([`StepOp`]). A runtime cardinality-feedback factor (learned by the
 //!   `KnowledgeBase` from estimated-vs-actual row counts per prepared
 //!   query) scales the join estimates, so a plan that mispredicted badly
@@ -182,12 +183,13 @@ pub enum StepOp {
     /// columns (a [`BuildCache`](crate::BuildCache)-shared build
     /// side) and probed per intermediate tuple.
     Hash,
-    /// Merge join over the sorted column index: intermediate tuples are
-    /// sorted by their join-key value canonically and matched against the
-    /// column's sorted distinct-value list in one lockstep pass, seeking
-    /// each matching value's posting list. No build side is constructed.
+    /// Index nested-loop join over the key column's posting index (the
+    /// name is historical — nothing is sorted or merged): each
+    /// intermediate tuple's join-key value is looked up in the index the
+    /// table maintains per column, and its posting list is exactly the
+    /// joining rows. No build side is constructed.
     Merge {
-        /// The atom column joined through the sorted index.
+        /// The atom column whose posting index is probed.
         key_col: usize,
     },
 }
@@ -224,11 +226,11 @@ impl CostPlan {
     }
 }
 
-/// Is `atom` joinable through the sorted column index given the variables
-/// bound so far? Eligibility: exactly one argument is a bound variable
-/// (the join key) and every other argument is a distinct fresh variable —
-/// no constants, no repeats — so the key column's posting lists are
-/// exactly the matching rows. Returns the key column.
+/// Is `atom` joinable through one column's posting index given the
+/// variables bound so far? Eligibility: exactly one argument is a bound
+/// variable (the join key) and every other argument is a distinct fresh
+/// variable — no constants, no repeats — so the key column's posting
+/// lists are exactly the matching rows. Returns the key column.
 fn merge_key_col(atom: &nyaya_core::Atom, bound: &HashSet<Symbol>) -> Option<usize> {
     let mut key = None;
     let mut seen: HashSet<Symbol> = HashSet::new();
@@ -250,8 +252,9 @@ fn merge_key_col(atom: &nyaya_core::Atom, bound: &HashSet<Symbol>) -> Option<usi
 /// Price one candidate step: estimated output cardinality, the chosen
 /// operator, and the operator's work. A hash join pays for scanning the
 /// table into a build side plus one probe per intermediate tuple; a merge
-/// join pays for its probes and at most one sorted-index walk; a scan
-/// pays for the rows it reads.
+/// join pays for its probes, plus a `min(distinct, card)` term for a walk
+/// of the sorted index that the executor no longer makes; a scan pays for
+/// the rows it reads.
 fn price_step(
     atom: &nyaya_core::Atom,
     stats: &TableStats,
@@ -265,14 +268,14 @@ fn price_step(
     // leading scan's cardinality is exact (it is read off the index).
     let est = if joins_bound { raw * correction } else { raw };
     // The columnar kernels price operator *work* (rows scanned into a
-    // build side, probes, sorted-index sweeps) at half a unit per row:
-    // builds scan flat u32 columns, probes hash short integer keys, and
-    // sweeps compare raw cells — about half the per-row cost of the old
-    // term-materializing row engine. Output materialization (`est`) still
-    // decodes cells back to terms, so it stays at full price. The
-    // discount applies to every operator alike, which preserves the
-    // hash-vs-merge choice while letting cheap-work/large-output steps
-    // trade off honestly against expensive-work/small-output ones.
+    // build side, probes) at half a unit per row: builds scan flat u32
+    // columns and probes hash short integer keys — about half the per-row
+    // cost of the old term-materializing row engine. Output
+    // materialization (`est`) still decodes cells back to terms, so it
+    // stays at full price. The discount applies to every operator alike,
+    // which preserves the hash-vs-merge choice while letting
+    // cheap-work/large-output steps trade off honestly against
+    // expensive-work/small-output ones.
     const COLUMNAR_WORK_DISCOUNT: f64 = 0.5;
     if !joins_bound {
         return (
@@ -284,6 +287,12 @@ fn price_step(
     let hash_cost = COLUMNAR_WORK_DISCOUNT * (stats.rows as f64 + card) + est;
     match merge_key_col(atom, bound) {
         Some(key_col) => {
+            // The `min(distinct, card)` term priced the merge step's walk
+            // of the sorted distinct-value list, which is gone: the step
+            // is `card` posting-index probes and nothing else, so this
+            // over-prices it by at most `0.5 * card`. Kept as is so that no
+            // plan moves with the kernel; re-pricing belongs to the
+            // planner's per-step-feedback change (ROADMAP item 1(a)).
             let merge_cost =
                 COLUMNAR_WORK_DISCOUNT * (card + (stats.distinct[key_col] as f64).min(card)) + est;
             if merge_cost < hash_cost {

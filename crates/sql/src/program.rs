@@ -102,8 +102,9 @@ pub struct ProgramMetrics {
     pub build_cache_hits: u64,
     /// Build sides constructed.
     pub build_cache_misses: u64,
-    /// Merge-join steps executed through the sorted indexes (base tables
-    /// and overlay tables both maintain them).
+    /// [`StepOp::Merge`](crate::StepOp::Merge) steps executed — probes of a
+    /// column's posting index (base tables and overlay tables both
+    /// maintain one).
     pub merge_joins: u64,
     /// Probe morsels the join kernels drove (see
     /// [`ExecMetrics::morsel_tasks`](crate::ExecMetrics::morsel_tasks)).

@@ -25,6 +25,17 @@ fn const_cell(sym: Symbol) -> u32 {
 /// non-constant (null or function term — there is no third kind in a
 /// ground row) strictly after every constant. Distinct cells never
 /// compare `Equal`, so any sort under this order is deterministic.
+///
+/// **Cell order is not canonical order.** A constant's cell is its
+/// interner index, so comparing two cells as integers gives
+/// first-intern order: it differs between process runs and says nothing
+/// about names or values — which is why this function reads both names
+/// (lock-free, [`Symbol::as_str`]) instead of comparing `a` with `b`.
+/// What integer order on constant cells *does* equal is the derived `Ord`
+/// of `Term::Const`, the order a `BTreeSet<Vec<Term>>` of answers sorts
+/// by. Only the sorted index and its readers (`select.rs`, `segment.rs`)
+/// need canonical order; the join kernels compare cells for equality
+/// alone.
 #[inline]
 fn cmp_cells(exotic: &[Term], a: u32, b: u32) -> std::cmp::Ordering {
     use std::cmp::Ordering;
@@ -77,13 +88,16 @@ pub(crate) struct Table {
     /// `seen`: `(row_hash, row_id)` pairs, scanned linearly (a 64-bit
     /// collision among even 10M rows is a handful of entries).
     spill: Vec<(u64, u32)>,
-    /// `columns[j][cell]` = ids of rows whose `j`-th cell is `cell`.
+    /// `columns[j][cell]` = ids of rows whose `j`-th cell is `cell`: the
+    /// posting index that constant filters and the planner's "merge" join
+    /// steps probe.
     columns: Vec<HashMap<u32, Vec<u32>>>,
     /// `sorted[j]` = the distinct cells of column `j` in canonical term
     /// order ([`cmp_cells`] — name-based, so the order is identical
     /// across process runs and segment reloads). Each entry has a posting
     /// list in `columns[j]`; together they form the sorted index that
-    /// answers range filters, ORDER BY / top-k, MIN/MAX, and merge joins.
+    /// answers range filters, ORDER BY / top-k and MIN/MAX, and that
+    /// segments are written through. No join reads it.
     sorted: Vec<Vec<u32>>,
 }
 
@@ -196,12 +210,6 @@ impl Table {
     /// The distinct cells of a column in canonical term order.
     pub(crate) fn sorted_cells(&self, col: usize) -> &[u32] {
         self.sorted.get(col).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Compare two of this table's cells in canonical term order.
-    #[inline]
-    pub(crate) fn cmp_own_cells(&self, a: u32, b: u32) -> std::cmp::Ordering {
-        cmp_cells(&self.exotic, a, b)
     }
 
     /// Deterministic 64-bit hash of a row's cells (SipHash with fixed

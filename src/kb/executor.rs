@@ -76,9 +76,16 @@ pub const PARALLEL_THRESHOLD: usize = 32;
 ///
 /// Narrow unions get the cores the other way: intra-query morsel
 /// parallelism splits each join step's probe side across workers once it
-/// holds at least two morsels, so a handful of disjuncts over millions of
-/// facts still saturates the machine. Tiny intermediates never spawn (the
-/// engine's 2-morsel floor), so point queries stay sequential.
+/// holds at least two morsels. On the 2-core bench host that split has
+/// lost to `(1, 1)` on warm re-executed joins in every measurement made —
+/// `lubm_join` `ops_per_s` 30.3 routed against 35.6 forced sequential, 10
+/// of 10 alternating pairs after PR 17 (3× before it, for a reason that
+/// had nothing to do with threads) — and won on `lubm_rw`'s invalidated
+/// read (`alt_ms` 125 against 150 ms, 10 of 10). It stays until something
+/// the code can observe separates the two; the tables and what was tried
+/// are in docs/ARCHITECTURE.md, "Morsel-driven join kernels". Tiny
+/// intermediates never spawn (the engine's 2-morsel floor), so point
+/// queries stay sequential.
 pub(crate) fn thread_budgets(width: usize) -> (usize, usize) {
     let avail = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
     if width >= PARALLEL_THRESHOLD {

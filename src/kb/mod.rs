@@ -337,8 +337,10 @@ pub struct KbStats {
     /// Wall-clock microseconds spent propagating deltas through standing
     /// queries inside [`KnowledgeBase::apply`].
     pub ivm_micros: u64,
-    /// Merge joins executed by the in-memory engine (only cost-based
-    /// plans pick them; the preserved greedy planner is hash-only).
+    /// Join steps the in-memory engine ran as the planner's `merge`
+    /// operator — an index nested-loop join over a column's posting index,
+    /// with no build side and no sort (only cost-based plans pick it; the
+    /// preserved greedy planner is hash-only).
     pub merge_joins: u64,
     /// Probe morsels (fixed-size probe batches) the engine's join
     /// kernels drove across all executions. Counts logical batches,

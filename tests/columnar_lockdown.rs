@@ -26,7 +26,7 @@ use nyaya_ontologies::{
 };
 use nyaya_sql::{
     decode_database, encode_database, execute_ucq, execute_ucq_greedy, execute_ucq_intra,
-    execute_ucq_select, reference, BuildCache, Database,
+    execute_ucq_select, plan_cq_cost, reference, BuildCache, Database, StepOp,
 };
 
 const SEEDS: u64 = 300;
@@ -114,6 +114,73 @@ fn intra_query_split_really_engages_and_stays_bit_identical() {
         reference::execute_ucq_reference(&db, &ucq),
         "columnar vs row oracle on the wide join"
     );
+}
+
+/// What a `merge` step (a probe of the key column's posting index) must
+/// do whatever drives it: join repeated keys with every one of their rows,
+/// and drop probe values the table does not hold — constants absent from
+/// the column, and a labeled null and a function term the table never
+/// stored — on a probe side long enough to split.
+#[test]
+fn merge_step_probes_the_posting_index_with_present_absent_and_exotic_keys() {
+    let keys = 1_000u32;
+    let mut facts: Vec<Atom> = Vec::new();
+    // 4 000 rows, every key four times.
+    for i in 0..4 * keys {
+        facts.push(Atom::make(
+            "big",
+            [format!("k{}", i % keys).as_str(), format!("v{i}").as_str()],
+        ));
+    }
+    // 2 502 probe values (three morsels): every second one is in `big`.
+    let probe = nyaya_core::Predicate::new("probe", 1);
+    let mut probes: Vec<Term> = (0..2_500u32)
+        .map(|i| match i % 2 {
+            0 => Term::constant(&format!("k{}", (i / 2) % keys)),
+            _ => Term::constant(&format!("absent{i}")),
+        })
+        .collect();
+    probes.insert(700, Term::Null(7));
+    probes.insert(
+        1_900,
+        Term::Func(
+            nyaya_core::symbols::intern("f"),
+            [Term::constant("k1")].into(),
+        ),
+    );
+    let probe_rows = probes.len();
+    facts.extend(probes.into_iter().map(|t| Atom::new(probe, vec![t])));
+    let db = Database::from_facts(facts);
+
+    let q = nyaya_parser::parse_query("q(X, V) :- probe(X), big(X, V).").unwrap();
+    let plan = plan_cq_cost(&db, &q);
+    assert_eq!(
+        (plan.order.as_slice(), plan.ops.as_slice()),
+        (
+            &[0, 1][..],
+            &[StepOp::Scan, StepOp::Merge { key_col: 0 }][..]
+        ),
+        "the second step must be the merge step this test is about"
+    );
+
+    let oracle = reference::execute_cq_reference(&db, &q);
+    assert_eq!(oracle.len(), 4 * keys as usize, "every key, all four rows");
+    let ucq = UnionQuery::new(vec![q]);
+    let run = |intra| execute_ucq_intra(&db, &ucq, 1, intra, &BuildCache::new(), 1.0);
+    let (sequential, seq_metrics) = run(1);
+    let (split, split_metrics) = run(3);
+    for (answers, m) in [(&sequential, &seq_metrics), (&split, &split_metrics)] {
+        assert_eq!(answers, &oracle);
+        assert_eq!(m.merge_joins, 1, "{m:?}");
+        // The scan of `probe` is the only step that fetches a build side.
+        assert_eq!((m.build_cache_misses, m.build_cache_hits), (1, 0), "{m:?}");
+    }
+    // One morsel for the scan's seed tuple, three for the probe side.
+    assert_eq!(
+        seq_metrics.morsel_tasks,
+        1 + probe_rows.div_ceil(1024) as u64
+    );
+    assert_eq!(split_metrics.morsel_tasks, seq_metrics.morsel_tasks);
 }
 
 #[test]
