@@ -7,7 +7,8 @@
 //! cargo run --release -p nyaya-bench --bin programs [-- --ontology V[,S,…]]
 //! ```
 
-use nyaya_ontologies::{load, load_all, Benchmark, BenchmarkId};
+use nyaya_bench::benchmarks_from_args;
+use nyaya_ontologies::Benchmark;
 use nyaya_rewrite::{nr_datalog_rewrite, tgd_rewrite, ProgramStrategy, RewriteOptions};
 
 fn options(bench: &Benchmark, star: bool) -> RewriteOptions {
@@ -21,22 +22,7 @@ fn options(bench: &Benchmark, star: bool) -> RewriteOptions {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let benches = match args.as_slice() {
-        [] => load_all(),
-        [flag, list] if flag == "--ontology" => list
-            .split(',')
-            .map(|s| {
-                let id = BenchmarkId::parse(s)
-                    .unwrap_or_else(|| panic!("unknown ontology `{s}` (try V,S,U,A,P5,UX,AX,P5X)"));
-                load(id)
-            })
-            .collect(),
-        _ => {
-            eprintln!("usage: programs [--ontology V,S,U,A,P5,UX,AX,P5X]");
-            std::process::exit(2);
-        }
-    };
+    let benches = benchmarks_from_args();
 
     println!(
         "{:<4} {:<4} | {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9} | {:>8}",

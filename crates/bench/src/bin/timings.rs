@@ -5,26 +5,10 @@
 //! cargo run --release -p nyaya-bench --bin timings [-- --ontology V,S,…]
 //! ```
 
-use nyaya_bench::{format_timings, measure_benchmark};
-use nyaya_ontologies::{load, load_all, BenchmarkId};
+use nyaya_bench::{benchmarks_from_args, format_timings, measure_benchmark};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let benches = match args.as_slice() {
-        [] => load_all(),
-        [flag, list] if flag == "--ontology" => list
-            .split(',')
-            .map(|s| {
-                let id = BenchmarkId::parse(s)
-                    .unwrap_or_else(|| panic!("unknown ontology `{s}` (try V,S,U,A,P5,UX,AX,P5X)"));
-                load(id)
-            })
-            .collect(),
-        _ => {
-            eprintln!("usage: timings [--ontology V,S,U,A,P5,UX,AX,P5X]");
-            std::process::exit(2);
-        }
-    };
+    let benches = benchmarks_from_args();
     let mut rows = Vec::new();
     for bench in &benches {
         eprintln!("timing {} …", bench.id);

@@ -2,220 +2,38 @@
 //!
 //! Harness reproducing the paper's evaluation: the Table 1 comparison
 //! (size / length / width of the perfect rewriting for QO, RQ, NY, NY⋆)
-//! and wall-clock timing series — plus the shared [`taxonomy`] workload
-//! used by the execution (`engine_bench`) and serving (`serving_bench`)
-//! benchmarks.
+//! and wall-clock timing series. Performance of the system as a whole is
+//! measured by `bench/` (see `BENCHMARK.json`), not here.
 
 use std::time::{Duration, Instant};
 
-/// The wide-taxonomy workload shared by `engine_bench` and
-/// `serving_bench`: `classes` subclasses under `top`, queried through a
-/// binary join — `q(X,Y) :- top(X), edge(X,Y), top(Y)` rewrites into a
-/// union whose size is quadratic in the class count (181 disjuncts for
-/// 12 classes), with every disjunct probing the same `edge` table. This
-/// is the shape that dominates large UCQ rewritings.
-pub mod taxonomy {
-    use nyaya_core::{Atom, ConjunctiveQuery, Predicate, Term, Tgd};
-    use nyaya_ontologies::rng::Prng;
-
-    /// `c0(X) → top(X)`, …, `c{classes-1}(X) → top(X)`.
-    pub fn tgds(classes: usize) -> Vec<Tgd> {
-        let top = Predicate::new("top", 1);
-        (0..classes)
-            .map(|i| {
-                Tgd::new(
-                    vec![Atom::new(
-                        Predicate::new(&format!("c{i}"), 1),
-                        vec![Term::var("X")],
-                    )],
-                    vec![Atom::new(top, vec![Term::var("X")])],
-                )
-            })
-            .collect()
-    }
-
-    /// `q(X, Y) :- top(X), edge(X, Y), top(Y)`.
-    pub fn query() -> ConjunctiveQuery {
-        let top = Predicate::new("top", 1);
-        let edge = Predicate::new("edge", 2);
-        ConjunctiveQuery::new(
-            vec![Term::var("X"), Term::var("Y")],
-            vec![
-                Atom::new(top, vec![Term::var("X")]),
-                Atom::new(edge, vec![Term::var("X"), Term::var("Y")]),
-                Atom::new(top, vec![Term::var("Y")]),
-            ],
-        )
-    }
-
-    /// A seeded ABox: `edges` random edges over `individuals`, every
-    /// individual in ~2 classes, ~10% asserted `top` directly.
-    pub fn facts(classes: usize, individuals: usize, edges: usize, seed: u64) -> Vec<Atom> {
-        let top = Predicate::new("top", 1);
-        let edge = Predicate::new("edge", 2);
-        let mut rng = Prng::seed_from_u64(seed);
-        let ind = |i: usize| Term::constant(&format!("ind{i}"));
-        let mut facts = Vec::new();
-        for _ in 0..edges {
-            facts.push(Atom::new(
-                edge,
-                vec![
-                    ind(rng.gen_range(0..individuals)),
-                    ind(rng.gen_range(0..individuals)),
-                ],
-            ));
-        }
-        for i in 0..individuals {
-            for _ in 0..2 {
-                let c = Predicate::new(&format!("c{}", rng.gen_range(0..classes)), 1);
-                facts.push(Atom::new(c, vec![ind(i)]));
-            }
-            if rng.gen_bool(0.1) {
-                facts.push(Atom::new(top, vec![ind(i)]));
-            }
-        }
-        facts
-    }
-}
-
 use nyaya_core::UnionQuery;
-use nyaya_ontologies::Benchmark;
+use nyaya_ontologies::{load, load_all, Benchmark, BenchmarkId};
 use nyaya_rewrite::{quonto_rewrite, requiem_rewrite, tgd_rewrite, RewriteOptions};
 
-/// Extract the number following `"key":` in `obj` — enough JSON parsing
-/// for the benchmark reports' own output format (the workspace is
-/// dependency-free). Shared by the `engine_bench` and `rewrite_bench`
-/// baseline gates so both parse reports identically.
-pub fn json_number(obj: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\":");
-    let start = obj.find(&tag)? + tag.len();
-    let rest = &obj[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Slice the report entry whose `"name"` starts with `name_prefix`: from
-/// its tag up to the next entry's tag (or the end of the report). Pass a
-/// full name for exact entries, a prefix for names that embed run-specific
-/// suffixes (e.g. `taxonomy-181`).
-pub fn baseline_entry<'a>(report: &'a str, name_prefix: &str) -> Option<&'a str> {
-    let tag = format!("\"name\":\"{name_prefix}");
-    let start = report.find(&tag)?;
-    let body = &report[start + tag.len()..];
-    let end = body.find("\"name\":").unwrap_or(body.len());
-    Some(&report[start..start + tag.len() + end])
-}
-
-/// The shared `--check` gate behind every benchmark bin's CI mode.
-///
-/// All bins gate on *ratios* (speedups, size ratios) rather than absolute
-/// wall-clock: both sides of each ratio run in the same process on the
-/// same machine, so the number is comparable across developer laptops and
-/// CI runner generations where milliseconds are not. The common rule is
-/// **a cell fails when it lost more than half its baselined advantage**
-/// (`new < base / 2`); bins layer their own policies on top — a fixed
-/// floor for cells at timer resolution ([`RatioGate::check_floor`]), or
-/// informational-only reporting for cells whose baseline slow side is
-/// under a jitter threshold ([`RatioGate::info`], with
-/// [`RatioGate::baseline_value`] to read the threshold input).
-///
-/// Missing baseline entries or keys are reported and skipped, never
-/// failed: a regenerated baseline with new cells must not break old
-/// gates, and vice versa.
-pub struct RatioGate {
-    baseline: String,
-    failed: bool,
-}
-
-impl RatioGate {
-    /// Read the committed baseline report.
-    pub fn load(path: &str) -> Self {
-        RatioGate {
-            baseline: std::fs::read_to_string(path).expect("read baseline"),
-            failed: false,
-        }
-    }
-
-    /// The baseline's value for `key` in the entry matching `name` (a
-    /// full name, or a prefix for names embedding run-specific suffixes).
-    pub fn baseline_value(&self, name: &str, key: &str) -> Option<f64> {
-        json_number(baseline_entry(&self.baseline, name)?, key)
-    }
-
-    /// Whether the baseline has an entry matching `name` — for bins that
-    /// want one skip line per entry rather than one per key.
-    pub fn has_entry(&self, name: &str) -> bool {
-        baseline_entry(&self.baseline, name).is_some()
-    }
-
-    /// The shared rule: fail if `new_value` is under half the baseline's
-    /// value for the same cell and key. A missing baseline entry prints
-    /// the standard skip line; a missing key is silently skipped.
-    pub fn check(&mut self, name: &str, key: &str, new_value: f64) {
-        let Some(entry) = baseline_entry(&self.baseline, name) else {
-            self.skip(name);
-            return;
-        };
-        let Some(base) = json_number(entry, key) else {
-            return;
-        };
-        if new_value < base / 2.0 {
-            eprintln!(
-                "REGRESSION: {name} {key} {new_value:.2}x vs baseline {base:.2}x \
-                 (lost more than half the advantage)"
-            );
-            self.failed = true;
-        } else {
-            eprintln!("check ok: {name} {key} {new_value:.2}x vs baseline {base:.2}x");
-        }
-    }
-
-    /// Gate against a fixed floor instead of the baseline's magnitude —
-    /// for cells whose fast side sits at timer resolution, where the
-    /// ratio's magnitude is noise (it scales with whatever the slow side
-    /// cost on that host).
-    pub fn check_floor(&mut self, name: &str, key: &str, new_value: f64, floor: f64) {
-        if baseline_entry(&self.baseline, name).is_none() {
-            self.skip(name);
-            return;
-        }
-        if new_value < floor {
-            eprintln!("REGRESSION: {name} {key} {new_value:.2}x fell under the {floor}x floor");
-            self.failed = true;
-        } else {
-            eprintln!(
-                "check ok: {name} {key} {new_value:.2}x (>= {floor}x floor; \
-                 magnitude informational)"
-            );
-        }
-    }
-
-    /// Report a cell without gating it — the baseline measured it under
-    /// `threshold_ms`, where the ratio is dominated by timer jitter.
-    pub fn info(&self, name: &str, key: &str, new_value: f64, threshold_ms: f64) {
-        let base = self.baseline_value(name, key).unwrap_or(0.0);
-        eprintln!(
-            "check info: {name} {key} {new_value:.2}x (baseline {base:.2}x; \
-             under the {threshold_ms} ms gate threshold)"
-        );
-    }
-
-    /// Print the standard skip line for a cell with no baseline entry.
-    pub fn skip(&self, name: &str) {
-        eprintln!("check: no baseline cell \"{name}\" — skipping");
-    }
-
-    /// Whether any [`RatioGate::check`]/[`RatioGate::check_floor`] failed.
-    pub fn failed(&self) -> bool {
-        self.failed
-    }
-
-    /// Exit 1 if any check failed — call last in the bin's `--check` arm.
-    pub fn finish(self) {
-        if self.failed {
-            std::process::exit(1);
+/// The suites a harness bin should measure, from its command line: all
+/// eight without arguments, or the comma-separated `--ontology` list.
+/// Anything else prints the usage line and exits 2.
+pub fn benchmarks_from_args() -> Vec<Benchmark> {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    let args: Vec<String> = args.collect();
+    match args.as_slice() {
+        [] => load_all(),
+        [flag, list] if flag == "--ontology" => list
+            .split(',')
+            .map(|s| {
+                let id = BenchmarkId::parse(s)
+                    .unwrap_or_else(|| panic!("unknown ontology `{s}` (try V,S,U,A,P5,UX,AX,P5X)"));
+                load(id)
+            })
+            .collect(),
+        _ => {
+            let bin = std::path::Path::new(&bin)
+                .file_stem()
+                .map_or("nyaya-bench".into(), |s| s.to_string_lossy());
+            eprintln!("usage: {bin} [--ontology V,S,U,A,P5,UX,AX,P5X]");
+            std::process::exit(2);
         }
     }
 }
@@ -440,44 +258,5 @@ mod tests {
     fn algorithm_labels_are_stable() {
         let labels: Vec<&str> = Algorithm::ALL.iter().map(|a| a.label()).collect();
         assert_eq!(labels, vec!["QO", "RQ", "NY", "NY*"]);
-    }
-
-    fn gate_over(baseline: &str) -> RatioGate {
-        RatioGate {
-            baseline: baseline.to_owned(),
-            failed: false,
-        }
-    }
-
-    #[test]
-    fn ratio_gate_fails_only_under_half_the_baseline() {
-        let baseline = r#"[{"name":"cell-a","speedup":8.0},{"name":"cell-b","speedup":2.0}]"#;
-
-        // Exactly half is still passing; just under half fails.
-        let mut gate = gate_over(baseline);
-        gate.check("cell-a", "speedup", 4.0);
-        assert!(!gate.failed());
-        gate.check("cell-a", "speedup", 3.9);
-        assert!(gate.failed());
-
-        // Missing entries and missing keys skip without failing.
-        let mut gate = gate_over(baseline);
-        gate.check("no-such-cell", "speedup", 0.1);
-        gate.check("cell-b", "no_such_key", 0.1);
-        assert!(!gate.failed());
-        assert!(gate.has_entry("cell-b"));
-        assert!(!gate.has_entry("no-such-cell"));
-        assert_eq!(gate.baseline_value("cell-b", "speedup"), Some(2.0));
-    }
-
-    #[test]
-    fn ratio_gate_floor_ignores_the_baseline_magnitude() {
-        let baseline = r#"[{"name":"tiny","speedup":40.0}]"#;
-        let mut gate = gate_over(baseline);
-        // 3x would fail the half-of-40x rule but clears the fixed 2x floor.
-        gate.check_floor("tiny", "speedup", 3.0, 2.0);
-        assert!(!gate.failed());
-        gate.check_floor("tiny", "speedup", 1.9, 2.0);
-        assert!(gate.failed());
     }
 }

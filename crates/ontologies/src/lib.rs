@@ -21,7 +21,6 @@ pub mod rng;
 pub mod running_example;
 pub mod stockexchange;
 pub mod suite;
-pub mod typed_data;
 pub mod university;
 pub mod vicodi;
 
@@ -31,4 +30,3 @@ pub use fuzz::{
 };
 pub use lubm::{fact_count as lubm_fact_count, lubm_abox, LubmConfig};
 pub use suite::{load, load_all, Benchmark, BenchmarkId};
-pub use typed_data::{path5_abox, stockexchange_abox, university_abox, TypedConfig};

@@ -99,8 +99,8 @@ pub fn minimize_union_with_stats(u: &UnionQuery) -> (UnionQuery, SubsumptionStat
 }
 
 /// The pre-index subsumption pass: every ordered pair pays a homomorphism
-/// check. Kept as the differential oracle for the indexed pass and as the
-/// "seed path" baseline of `rewrite_bench` — not for production use.
+/// check. Kept as the differential oracle for the indexed pass — not for
+/// production use.
 pub fn minimize_union_reference(u: &UnionQuery) -> UnionQuery {
     let (keep, _) = survivors(u, false);
     apply_mask(u, &keep)

@@ -400,6 +400,12 @@ fn compaction_seals_history_and_bounds_replay() {
         let flush = kb.compact().expect("compact");
         assert_eq!(flush.epoch, 10);
         assert_eq!(flush.sealed_records, 10);
+    }
+    {
+        // Straight after a compaction the segment is the whole state.
+        let kb = durable_builder(&dir).build().expect("recover");
+        assert_eq!(kb.stats().recovery_replayed, 0);
+        assert_eq!(kb.epoch(), 10);
         for i in 10..14 {
             kb.apply(UpdateBatch::new().insert(person(&format!("p{i}"))))
                 .expect("apply");

@@ -1,6 +1,6 @@
 //! Cross-engine differential tests for the rewriting compiler.
 //!
-//! Two properties pin the PR 4 worklist refactor:
+//! Three properties pin the PR 4 worklist refactor:
 //!
 //! 1. **Engine agreement** — NY, NY⋆, QuOnto and Requiem are all sound and
 //!    complete on normalized linear TGDs, so after Σ-free minimization
@@ -11,15 +11,19 @@
 //!    every run that completes within budget: same UCQ text, same stats
 //!    (wall-clock aside). Checked across 200 fuzz seeds for all three
 //!    engines and across the full 8-ontology benchmark suite (q1–q3 per
-//!    suite in debug; the release-mode `rewrite_bench` harness covers
-//!    every cell, q5 included).
+//!    suite in debug, every cell in release).
+//! 3. **Indexed subsumption** — the signature-indexed `minimize_union`
+//!    prints exactly what the unindexed reference pass prints, on the
+//!    large redundant QuOnto unions of the suite (release only).
 
 use nyaya::core::UnionQuery;
 use nyaya::ontologies::rng::Prng;
-use nyaya::ontologies::{load_all, random_cq, random_linear_tgds, FuzzConfig};
+use nyaya::ontologies::{
+    load, load_all, random_cq, random_linear_tgds, Benchmark, BenchmarkId, FuzzConfig,
+};
 use nyaya::rewrite::{
-    fully_minimize_union, quonto_rewrite, requiem_rewrite, tgd_rewrite, RewriteOptions,
-    RewriteStats, Rewriting,
+    fully_minimize_union, minimize_union_reference, minimize_union_with_stats, quonto_rewrite,
+    requiem_rewrite, tgd_rewrite, RewriteOptions, RewriteStats, Rewriting,
 };
 
 const BUDGET: usize = 30_000;
@@ -31,6 +35,13 @@ fn opts(star: bool, workers: usize) -> RewriteOptions {
         parallel_workers: workers,
         ..Default::default()
     }
+}
+
+/// Name a release-only cell on the process's stderr — libtest captures the
+/// print macros, not the stream — so a passing run shows what it covered.
+fn ran(cell: std::fmt::Arguments) {
+    use std::io::Write as _;
+    let _ = writeln!(std::io::stderr(), "{cell}");
 }
 
 /// `a ⊇ b`: every disjunct of `b` is contained in some disjunct of `a`
@@ -149,24 +160,36 @@ fn parallel_rewriting_is_bit_identical_across_200_fuzz_seeds() {
     }
 }
 
+/// Options for NY⋆ (`star`) or a baseline engine over one suite cell: the
+/// normalization auxiliaries hidden, and the Table 1 harness's budget, which
+/// no suite cell exhausts under NY⋆ (AX-q5 comes closest: 103 944 CQs).
+fn suite_opts(bench: &Benchmark, star: bool, workers: usize) -> RewriteOptions {
+    let mut options = if star {
+        RewriteOptions::nyaya_star()
+    } else {
+        RewriteOptions::nyaya()
+    };
+    options.max_queries = 120_000;
+    options.hidden_predicates = bench.hidden_predicates.clone();
+    options.parallel_workers = workers;
+    options
+}
+
 #[test]
 fn parallel_rewriting_is_bit_identical_on_the_benchmark_suites() {
     for bench in load_all() {
-        // Per-suite query caps keep debug-mode runtime sane (A/AX q3 alone
-        // cost minutes unoptimized); the release-mode rewrite_bench drives
-        // every cell (q4/q5 included) and self-checks the same way.
+        // Unoptimized, A/AX q3 alone cost minutes: debug builds stop short.
         let queries = match bench.id {
-            nyaya::ontologies::BenchmarkId::A | nyaya::ontologies::BenchmarkId::AX => 2,
+            _ if !cfg!(debug_assertions) => bench.queries.len(),
+            BenchmarkId::A | BenchmarkId::AX => 2,
             _ => 3,
         };
-        for (name, query) in bench.queries.iter().take(queries) {
-            let mut seq_opts = RewriteOptions::nyaya_star();
-            seq_opts.max_queries = 120_000;
-            seq_opts.hidden_predicates = bench.hidden_predicates.clone();
-            let mut par_opts = seq_opts.clone();
-            par_opts.parallel_workers = 4;
-            let seq = tgd_rewrite(query, &bench.normalized, &[], &seq_opts).unwrap();
-            let par = tgd_rewrite(query, &bench.normalized, &[], &par_opts).unwrap();
+        for (idx, (name, query)) in bench.queries.iter().enumerate().take(queries) {
+            let rewrite = |workers| {
+                let options = suite_opts(&bench, true, workers);
+                tgd_rewrite(query, &bench.normalized, &[], &options).unwrap()
+            };
+            let (seq, par) = (rewrite(1), rewrite(4));
             assert!(
                 !seq.stats.budget_exhausted,
                 "{} {name}: unexpected budget exhaustion",
@@ -184,7 +207,48 @@ fn parallel_rewriting_is_bit_identical_on_the_benchmark_suites() {
                 "{} {name}: parallel stats differ from sequential",
                 bench.id
             );
+            if idx == 4 {
+                ran(format_args!(
+                    "{}-{name}: {} CQs, parallel = sequential",
+                    bench.id,
+                    seq.ucq.size()
+                ));
+            }
         }
+    }
+}
+
+/// The signature index may only skip homomorphism checks that would have
+/// failed: on the QuOnto rewritings (large and redundant — 150, 2 120 and
+/// 538 CQs) it must keep exactly the disjuncts the unindexed pass keeps, in
+/// the same order, and must actually skip some.
+#[test]
+fn indexed_subsumption_matches_the_reference_pass_on_quonto_unions() {
+    if cfg!(debug_assertions) {
+        return; // the unindexed pass is quadratic in the union: release only
+    }
+    for (id, idx, size) in [
+        (BenchmarkId::V, 4, 150),
+        (BenchmarkId::U, 4, 2_120),
+        (BenchmarkId::P5X, 2, 538),
+    ] {
+        let bench = load(id);
+        let (name, query) = &bench.queries[idx];
+        let qo = quonto_rewrite(query, &bench.normalized, &suite_opts(&bench, false, 1)).unwrap();
+        assert!(!qo.stats.budget_exhausted, "{id} {name}");
+        assert_eq!(qo.ucq.size(), size, "{id} {name}: QuOnto union size");
+        let (indexed, stats) = minimize_union_with_stats(&qo.ucq);
+        assert_eq!(
+            indexed.to_string(),
+            minimize_union_reference(&qo.ucq).to_string(),
+            "{id} {name}: indexed subsumption disagrees with the reference pass"
+        );
+        assert!(stats.skipped_by_signature > 0, "{id} {name}: {stats:?}");
+        ran(format_args!(
+            "{id}-{name} QuOnto union: {size} -> {} CQs, {} checks skipped",
+            indexed.size(),
+            stats.skipped_by_signature
+        ));
     }
 }
 
@@ -196,7 +260,6 @@ fn parallel_rewriting_is_bit_identical_on_the_benchmark_suites() {
 /// per-Σ compile of ISSUE 15) where this test passes unchanged.
 #[test]
 fn search_space_is_pinned_by_count() {
-    use nyaya::ontologies::{load, BenchmarkId};
     type Row = (usize, usize, usize, usize, usize, usize, usize);
     // (suite, query, heavy, counts); heavy cells cost minutes unoptimized
     // and run in release only (CI's build-test job runs this file there).
@@ -237,7 +300,7 @@ fn search_space_is_pinned_by_count() {
             (16, 19_347, 842, 69_766, 51_262, 4_490, 8),
         ),
     ];
-    let mut loaded: Vec<nyaya::ontologies::Benchmark> = Vec::new();
+    let mut loaded: Vec<Benchmark> = Vec::new();
     for (id, name, heavy, expected) in table {
         if heavy && cfg!(debug_assertions) {
             continue;

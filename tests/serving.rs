@@ -1,11 +1,11 @@
 //! End-to-end tests of the network serving layer: the prepared-statement
 //! handshake, pinned-epoch answers, batch applies, error paths, the
-//! connection scheduler under more connections than workers, and
-//! graceful shutdown with a ledger flush.
+//! connection scheduler under more connections than workers, readers
+//! racing a writer on the wire, and graceful shutdown with a ledger flush.
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use nyaya::serve::{serve, Client, ClientError, Server, ServerConfig};
@@ -19,8 +19,8 @@ const ONTOLOGY: &str = "
 ";
 
 /// Serve `kb` on an ephemeral port with `workers` scheduler threads.
-fn spawn(kb: KnowledgeBase, workers: usize) -> (Server, String) {
-    let backend = Arc::new(KbBackend::new(Arc::new(kb)));
+fn spawn(kb: impl Into<Arc<KnowledgeBase>>, workers: usize) -> (Server, String) {
+    let backend = Arc::new(KbBackend::new(kb.into()));
     let config = ServerConfig {
         workers,
         ..ServerConfig::default()
@@ -131,6 +131,89 @@ fn few_workers_schedule_many_concurrent_connections() {
         thread.join().expect("client thread");
     }
     assert_eq!(done.load(Ordering::SeqCst), 8);
+
+    shut_down(server);
+}
+
+#[test]
+fn readers_racing_a_wire_writer_see_consistent_monotone_epochs() {
+    const QUERY: &str = "q(A) :- person(A).";
+    let kb = Arc::new(KnowledgeBase::from_program_text(ONTOLOGY).unwrap());
+    let (server, addr) = spawn(Arc::clone(&kb), 2);
+
+    // Two connections re-ask one prepared handle while a third applies 20
+    // batches, each of which invalidates the cached answer. The writer pins
+    // the snapshot every batch published (it is the only writer, so the
+    // live snapshot after `apply` returns is that epoch's).
+    let writing = AtomicBool::new(true);
+    let (seen, snapshots) = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = Client::connect(&addr).expect("connect");
+                    let handle = client.prepare(QUERY).expect("prepare");
+                    let mut seen: Vec<(u64, Vec<Vec<String>>)> = Vec::new();
+                    let mut after_writer = 0;
+                    while after_writer < 2 {
+                        if !writing.load(Ordering::SeqCst) {
+                            after_writer += 1;
+                        }
+                        let answer = client.answer(handle, None).expect("answer");
+                        if let Some((last, _)) = seen.last() {
+                            assert!(answer.epoch >= *last, "epoch went backwards");
+                        }
+                        seen.push((answer.epoch, answer.tuples));
+                    }
+                    seen
+                })
+            })
+            .collect();
+        let mut writer = Client::connect(&addr).expect("connect");
+        let mut snapshots = vec![kb.snapshot()];
+        for i in 0..20 {
+            let applied = writer
+                .apply(&[], &[format!("manager(m{i})")])
+                .expect("apply");
+            snapshots.push(kb.snapshot());
+            assert_eq!(snapshots[applied.epoch as usize].epoch(), applied.epoch);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        writing.store(false, Ordering::SeqCst);
+        let seen: Vec<_> = readers
+            .into_iter()
+            .map(|reader| reader.join().expect("reader"))
+            .collect();
+        (seen, snapshots)
+    });
+
+    // Before anything runs in-process: the server counted every frame (one
+    // PREPARE and the ANSWERs per reader, 20 APPLYs, this STATS) and the
+    // re-asks within an epoch were cache hits.
+    let frames = seen.iter().map(|s| 1 + s.len()).sum::<usize>() + 20 + 1;
+    let stats = Client::connect(&addr)
+        .expect("connect")
+        .stats()
+        .expect("stats");
+    assert!(
+        stats.contains(&format!("\"net_requests\":{frames},")),
+        "{frames} frames sent: {stats}"
+    );
+    assert!(!stats.contains("\"cache_answer_hits\":0,"), "{stats}");
+
+    // Every answer is the in-process answer on the snapshot it names.
+    let prepared = kb.prepare_text(QUERY).unwrap();
+    for (epoch, tuples) in seen.iter().flatten() {
+        let expected = kb
+            .execute_at(&prepared, &snapshots[*epoch as usize])
+            .unwrap();
+        let expected: Vec<Vec<String>> = expected
+            .tuples
+            .iter()
+            .map(|tuple| tuple.iter().map(ToString::to_string).collect())
+            .collect();
+        assert_eq!(tuples, &expected, "epoch {epoch}");
+    }
+    assert_eq!(seen[0].last().unwrap().1.len(), 22);
 
     shut_down(server);
 }
