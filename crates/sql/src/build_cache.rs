@@ -117,7 +117,8 @@ impl Build {
             }
         };
         // Drive the scan from the most selective constant's posting list
-        // when there is one; otherwise enumerate the flat columns.
+        // when there is one (it holds live rows only); otherwise enumerate
+        // the live row ids.
         let driver = consts
             .iter()
             .min_by_key(|(col, cell)| table.posting_cells(*col, *cell).len());
@@ -128,7 +129,7 @@ impl Build {
                 }
             }
             None => {
-                for id in 0..table.len() as u32 {
+                for id in table.live_ids() {
                     insert(id);
                 }
             }

@@ -311,6 +311,12 @@ impl MaterializedView {
                     continue;
                 }
                 let support = self.counts.entry(pred).or_default();
+                // Tuples entering the view are written in one bulk insert
+                // after the loop: a seed's whole relation then builds its
+                // table's base directly, a maintenance pass's handful goes
+                // through the delta. (A pass changes each tuple at most
+                // once, so the order against the removals is immaterial.)
+                let mut entering: Vec<Atom> = Vec::new();
                 for (tuple, d) in changes {
                     let old_support = support.get(&tuple).copied().unwrap_or(0);
                     let new_support = old_support + d;
@@ -331,7 +337,7 @@ impl MaterializedView {
                     let sign = if is_in { 1 } else { -1 };
                     let atom = Atom::new(pred, tuple.clone());
                     if is_in {
-                        self.view.insert(atom);
+                        entering.push(atom);
                     } else {
                         self.view.remove(&atom);
                     }
@@ -346,6 +352,7 @@ impl MaterializedView {
                     }
                     *deltas.entry(pred).or_default().entry(tuple).or_insert(0) += sign;
                 }
+                self.view.insert_all(entering);
             }
         }
 

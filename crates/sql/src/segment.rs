@@ -106,7 +106,8 @@ pub fn encode_database(db: &Database) -> Vec<u8> {
         // Rows as dictionary-index tuples, sorted lexicographically —
         // identical to canonical row order (per-column rank order *is*
         // canonical value order), but a pure u32 sort.
-        let mut rows: Vec<Vec<u32>> = (0..table.len() as u32)
+        let mut rows: Vec<Vec<u32>> = table
+            .live_ids()
             .map(|id| {
                 (0..pred.arity)
                     .map(|col| ranks[col][&table.cell_at(id, col)])

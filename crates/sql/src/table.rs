@@ -1,14 +1,61 @@
 //! Columnar fact storage: per-table cell columns with their per-column
 //! indexes, and the copy-on-write [`Database`] of tables.
+//!
+//! # Table layout: base + delta
+//!
+//! A table is an immutable, [`Arc`]-shared **base** plus a small
+//! **delta** owned by the one snapshot that wrote it:
+//!
+//! - the base (built by the bulk-load path and by a fold, never mutated
+//!   afterwards) holds the flat cell columns and, per column, one hash map
+//!   from cell to a `(start, len)` span of one flat row-id array, plus the
+//!   column's distinct cells in canonical order. No `Vec` per cell, no
+//!   per-row dedup map: whether a row is present is answered by scanning
+//!   the shortest posting list among its cells;
+//! - the delta holds the rows appended since the base was built, the set
+//!   of dead row ids, and — for every cell a write *touched* — that cell's
+//!   complete live posting list, copied from the base on first touch. A
+//!   probe therefore still returns one contiguous `&[u32]` that never
+//!   contains a dead row, and no join kernel tests for one; only the
+//!   id-range scans (`Table::live_ids`) skip the dead set.
+//!
+//! A write through a [`Database`] clone copies the delta, never the base
+//! (`O(delta)`, not `O(table)`); a delta that outgrows its base is folded
+//! into a new base (`FOLD_DIVISOR`). Row ids are stable between folds.
+//! Copy-on-touch has one cost to know about: touching a cell copies its
+//! whole posting list into the delta, so a write into a cell shared by a
+//! large part of the table (a low-cardinality column) costs that posting,
+//! not the batch.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use nyaya_core::{Atom, Predicate, Symbol, Term};
 
 /// Tag bit marking a cell as an index into its table's exotic
 /// side-table rather than a global [`Symbol`] interner index.
 pub(crate) const EXOTIC_BIT: u32 = 1 << 31;
+
+/// A delta is folded into a new base once it holds more rows (appended
+/// plus dead) than `1 / FOLD_DIVISOR` of the base — checked where a write
+/// is about to *copy* the delta because an older snapshot still shares the
+/// table. It balances the two O(n) costs left on the write path, both
+/// measured on a 200 000-row binary table written one row in, one row out
+/// per batch (`fold_rule_costs` below, release, the 2-core bench host):
+/// copying a delta costs 60–130 ns per delta row, on every batch; a fold
+/// costs ≈ 370 ns per base row (75 ms), once per `n / FOLD_DIVISOR`
+/// delta rows. At 64 the copy is at most 0.25 ms (3 125 rows; 0.14 ms on
+/// average) and the fold comes every ~1 560 batches, 0.05 ms amortised; at
+/// 8 the copy alone averages 1.1 ms (3.3 ms measured at 25 000 rows); at
+/// 1 024 a 75 ms fold lands every ~100 batches, 0.75 ms amortised. The
+/// sum is flat between 64 and 128; 64 halves how often an apply stalls.
+///
+/// A table no other snapshot shares pays no copy, so it waits until the
+/// delta has outgrown the base itself: doubling keeps a loop of single
+/// inserts O(1) amortised per row and bounds the dead rows a churning
+/// table carries.
+const FOLD_DIVISOR: usize = 64;
 
 /// The cell encoding of a constant: its global interner index. The top
 /// bit is reserved for [`EXOTIC_BIT`], capping the symbol space at 2^31
@@ -54,73 +101,351 @@ fn cmp_cells(exotic: &[Term], a: u32, b: u32) -> std::cmp::Ordering {
     }
 }
 
-/// One relation, stored **columnar**: each column is a flat `Vec<u32>`
-/// of cells (one allocation per column, not per row), plus a hash index
-/// and a sorted distinct-cell list per column, and a row-hash dedup set.
+/// Sort distinct cells into canonical order. Constants sort by value with
+/// each key computed once ([`nyaya_core::symbols::sort_by_value`]),
+/// exotics by canonical term order after them.
+fn sort_cells(exotic: &[Term], cells: Vec<u32>) -> Vec<u32> {
+    let (consts, mut exotics): (Vec<u32>, Vec<u32>) =
+        cells.into_iter().partition(|c| c & EXOTIC_BIT == 0);
+    let mut consts: Vec<Symbol> = consts.into_iter().map(Symbol::from_index).collect();
+    nyaya_core::symbols::sort_by_value(&mut consts);
+    exotics.sort_unstable_by(|&a, &b| cmp_cells(exotic, a, b));
+    consts
+        .into_iter()
+        .map(Symbol::index)
+        .chain(exotics)
+        .collect()
+}
+
+/// Merge two disjoint canonically sorted cell lists into one.
+fn merge_cells(exotic: &[Term], a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if cmp_cells(exotic, a[i], b[j]).is_lt() {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// Heap bytes of a hash map's bucket array: one `(K, V)` slot plus one
+/// control byte per bucket, for the power-of-two bucket count the map
+/// allocated to offer `capacity` (it fills at most 7/8 of its buckets).
+fn hash_bytes<K, V>(capacity: usize) -> usize {
+    if capacity == 0 {
+        return 0;
+    }
+    (capacity * 8 / 7).next_power_of_two() * (std::mem::size_of::<(K, V)>() + 1)
+}
+
+/// Rare non-constant ground terms (labeled nulls and function terms from
+/// chase instances), interned per table. Entries are append-only: a
+/// retracted exotic term keeps its slot (bounded by the distinct exotic
+/// terms ever inserted, which chase instances keep small by
+/// construction). Shared between snapshots behind an [`Arc`]; interning a
+/// *new* term into a shared side-table copies it — the one write cost
+/// that is O(exotic terms of the table) rather than O(batch).
+#[derive(Clone, Default)]
+struct Exotics {
+    terms: Vec<Term>,
+    /// Term → tagged cell.
+    ids: HashMap<Term, u32>,
+}
+
+impl Exotics {
+    /// The cell encoding a term for insertion, interning non-constants.
+    fn cell_for_insert(this: &mut Arc<Exotics>, t: &Term) -> u32 {
+        match t {
+            Term::Const(s) => const_cell(*s),
+            other => {
+                if let Some(&cell) = this.ids.get(other) {
+                    return cell;
+                }
+                let k = u32::try_from(this.terms.len()).expect("exotic side-table overflow");
+                assert!(
+                    k & EXOTIC_BIT == 0,
+                    "exotic side-table exceeded 2^31 entries"
+                );
+                let cell = k | EXOTIC_BIT;
+                let own = Arc::make_mut(this);
+                own.terms.push(other.clone());
+                own.ids.insert(other.clone(), cell);
+                cell
+            }
+        }
+    }
+}
+
+/// One column's posting index in the base: every row id of the column,
+/// grouped by cell in one flat array.
+struct ColumnIndex {
+    /// `cell → (start, len)` into `rows`.
+    spans: HashMap<u32, (u32, u32)>,
+    /// Row ids grouped by cell, ascending within a group.
+    rows: Vec<u32>,
+    /// The distinct cells in canonical term order ([`cmp_cells`] —
+    /// name-based, so the order is identical across process runs and
+    /// segment reloads).
+    sorted: Vec<u32>,
+}
+
+impl ColumnIndex {
+    /// Group a column's row ids by cell: one counting pass, offsets by a
+    /// running sum in first-seen order, one fill pass. Returns the index
+    /// with `sorted` still empty, and the distinct cells as first seen.
+    fn group(col: &[u32]) -> (ColumnIndex, Vec<u32>) {
+        let mut spans: HashMap<u32, (u32, u32)> = HashMap::new();
+        let mut first_seen: Vec<u32> = Vec::new();
+        for &c in col {
+            match spans.entry(c) {
+                Entry::Occupied(e) => e.into_mut().1 += 1,
+                Entry::Vacant(e) => {
+                    e.insert((0, 1));
+                    first_seen.push(c);
+                }
+            }
+        }
+        spans.shrink_to_fit();
+        let mut start = 0u32;
+        for c in &first_seen {
+            let span = spans.get_mut(c).expect("counted above");
+            // `len` restarts at zero: the fill pass below uses it as its
+            // cursor and so counts it back up.
+            let count = span.1;
+            *span = (start, 0);
+            start += count;
+        }
+        let mut rows = vec![0u32; col.len()];
+        for (id, c) in col.iter().enumerate() {
+            let span = spans.get_mut(c).expect("counted above");
+            rows[(span.0 + span.1) as usize] = id as u32;
+            span.1 += 1;
+        }
+        (
+            ColumnIndex {
+                spans,
+                rows,
+                sorted: Vec::new(),
+            },
+            first_seen,
+        )
+    }
+
+    #[inline]
+    fn posting(&self, cell: u32) -> &[u32] {
+        match self.spans.get(&cell) {
+            Some(&(start, len)) => &self.rows[start as usize..(start + len) as usize],
+            None => &[],
+        }
+    }
+}
+
+/// The immutable half of a table, shared by every snapshot since the
+/// bulk load or fold that built it.
+struct Base {
+    /// Column-major cells: `cols[j][id]` is row `id`'s `j`-th argument.
+    cols: Vec<Vec<u32>>,
+    /// Row count (also covers zero-arity tables, which have no columns).
+    n_rows: u32,
+    /// `index[j]` = column `j`'s posting index and sorted distinct cells.
+    index: Vec<ColumnIndex>,
+}
+
+impl Base {
+    /// Index `cols`. `prior` is the table the rows came from, if any: its
+    /// sorted lists are merged with the newly seen cells, so a fold never
+    /// re-sorts what was sorted.
+    fn build(cols: Vec<Vec<u32>>, n_rows: u32, exotic: &[Term], prior: Option<&Table>) -> Base {
+        let index = cols
+            .iter()
+            .enumerate()
+            .map(|(j, col)| {
+                let (mut ix, first_seen) = ColumnIndex::group(col);
+                let fresh: Vec<u32> = first_seen
+                    .into_iter()
+                    .filter(|&c| prior.is_none_or(|t| t.posting_cells(j, c).is_empty()))
+                    .collect();
+                let known = prior.map_or(&[][..], |t| t.sorted_cells(j));
+                ix.sorted = merge_cells(exotic, known, &sort_cells(exotic, fresh));
+                ix
+            })
+            .collect();
+        Base {
+            cols,
+            n_rows,
+            index,
+        }
+    }
+}
+
+/// A column's merged sorted list, materialised on first read. A clone
+/// starts empty: clones happen on the write path, which must stay
+/// O(delta), and the write they precede usually invalidates the list.
+#[derive(Default)]
+struct LazySorted(OnceLock<Vec<u32>>);
+
+impl Clone for LazySorted {
+    fn clone(&self) -> Self {
+        LazySorted::default()
+    }
+}
+
+/// What one snapshot wrote on top of a base it shares with others.
+#[derive(Clone)]
+struct Delta {
+    /// Appended rows: row `base.n_rows + k` is `cols[j][k]`.
+    cols: Vec<Vec<u32>>,
+    /// Appended row count (dead ones included).
+    n_rows: u32,
+    /// Ids of removed rows, base or appended.
+    dead: HashSet<u32>,
+    /// `touched[j][cell]` = the complete live posting list of a cell some
+    /// write touched; it shadows the base's span. Empty for a base cell
+    /// whose last row died.
+    touched: Vec<HashMap<u32, Vec<u32>>>,
+    /// Exact distinct-cell count per column.
+    distinct: Vec<usize>,
+    /// `Some` once column `j`'s distinct-cell *set* differs from the
+    /// base's; the merged list is built on first read, never on a write.
+    sorted: Vec<Option<LazySorted>>,
+}
+
+impl Delta {
+    fn empty(base: &Base) -> Delta {
+        let arity = base.cols.len();
+        Delta {
+            cols: vec![Vec::new(); arity],
+            n_rows: 0,
+            dead: HashSet::new(),
+            touched: vec![HashMap::new(); arity],
+            distinct: base.index.iter().map(|ix| ix.spans.len()).collect(),
+            sorted: vec![None; arity],
+        }
+    }
+}
+
+/// One relation, stored **columnar** as base + delta (see the module
+/// docs).
 ///
 /// A *cell* packs one ground term into 32 bits. The ground-fact common
 /// case — ABox rows are all constants — stores the constant's global
 /// [`Symbol`] index directly, so cell equality is term equality across
 /// tables and a join probe is a `u32` compare. The rare non-constant
 /// ground terms (labeled nulls and function terms from chase instances)
-/// set [`EXOTIC_BIT`] and index the table-local `exotic` side-table.
-#[derive(Clone, Default)]
+/// set [`EXOTIC_BIT`] and index the table's [`Exotics`] side-table.
+#[derive(Clone)]
 pub(crate) struct Table {
-    /// Column-major cells: `cols[j][id]` is row `id`'s `j`-th argument.
+    base: Arc<Base>,
+    delta: Delta,
+    exotic: Arc<Exotics>,
+}
+
+/// Load-time-only exact duplicate guard over staged rows. Rows of up to
+/// two cells (every LUBM table) pack into one integer key; wider rows are
+/// kept whole.
+enum RowSet {
+    Packed(HashSet<u64>),
+    Wide(HashSet<Vec<u32>>),
+}
+
+impl RowSet {
+    fn new(arity: usize) -> RowSet {
+        if arity <= 2 {
+            RowSet::Packed(HashSet::new())
+        } else {
+            RowSet::Wide(HashSet::new())
+        }
+    }
+
+    fn insert(&mut self, cells: &[u32]) -> bool {
+        match self {
+            RowSet::Packed(set) => {
+                set.insert(cells.iter().fold(0u64, |key, &c| key << 32 | u64::from(c)))
+            }
+            RowSet::Wide(set) => set.insert(cells.to_vec()),
+        }
+    }
+}
+
+/// Rows staged by the bulk-load path for one predicate: encoded to cells
+/// and deduplicated as they stream in, indexed once at the end.
+struct Staged {
+    exotic: Arc<Exotics>,
     cols: Vec<Vec<u32>>,
-    /// Row count (also covers zero-arity tables, which have no columns).
-    n_rows: u32,
-    /// Rare non-constant ground terms, interned per table. Entries are
-    /// append-only: a retracted exotic term keeps its slot (bounded by
-    /// the distinct exotic terms ever inserted, which chase instances
-    /// keep small by construction).
-    exotic: Vec<Term>,
-    /// Term → tagged cell for the exotic side-table.
-    exotic_ids: HashMap<Term, u32>,
-    /// Exact-duplicate guard and row-id lookup, keyed by a 64-bit row
-    /// hash instead of a cloned row (the old `HashMap<Vec<Term>, u32>`
-    /// duplicated every fact a second time — gigabytes at 10M rows).
-    /// Candidates are verified against the columns, so a hash collision
-    /// can never merge two distinct facts; the rare second row sharing
-    /// a hash lives in `spill`.
-    seen: HashMap<u64, u32>,
-    /// Overflow for rows whose hash collides with an occupant of
-    /// `seen`: `(row_hash, row_id)` pairs, scanned linearly (a 64-bit
-    /// collision among even 10M rows is a handful of entries).
-    spill: Vec<(u64, u32)>,
-    /// `columns[j][cell]` = ids of rows whose `j`-th cell is `cell`: the
-    /// posting index that constant filters and the planner's "merge" join
-    /// steps probe.
-    columns: Vec<HashMap<u32, Vec<u32>>>,
-    /// `sorted[j]` = the distinct cells of column `j` in canonical term
-    /// order ([`cmp_cells`] — name-based, so the order is identical
-    /// across process runs and segment reloads). Each entry has a posting
-    /// list in `columns[j]`; together they form the sorted index that
-    /// answers range filters, ORDER BY / top-k and MIN/MAX, and that
-    /// segments are written through. No join reads it.
-    sorted: Vec<Vec<u32>>,
+    n_rows: usize,
+    /// Dropped with the stage: what must not persist per snapshot is a
+    /// second O(rows) map.
+    seen: RowSet,
+    /// Reused cell buffer of the row being staged.
+    row: Vec<u32>,
+}
+
+impl Staged {
+    fn new(arity: usize, prior: Option<&Table>) -> Staged {
+        Staged {
+            exotic: prior.map_or_else(Arc::default, |t| Arc::clone(&t.exotic)),
+            cols: vec![Vec::new(); arity],
+            n_rows: 0,
+            seen: RowSet::new(arity),
+            row: Vec::with_capacity(arity),
+        }
+    }
+
+    /// Stage a row unless `prior` or the stage already holds it.
+    fn push(&mut self, args: &[Term], prior: Option<&Table>) {
+        self.row.clear();
+        for t in args {
+            self.row.push(Exotics::cell_for_insert(&mut self.exotic, t));
+        }
+        if prior.is_some_and(|t| t.find(&self.row).is_some()) || !self.seen.insert(&self.row) {
+            return;
+        }
+        for (col, &c) in self.cols.iter_mut().zip(&self.row) {
+            col.push(c);
+        }
+        self.n_rows += 1;
+    }
 }
 
 impl Table {
     fn with_arity(arity: usize) -> Self {
+        let base = Base::build(vec![Vec::new(); arity], 0, &[], None);
         Table {
-            cols: vec![Vec::new(); arity],
-            n_rows: 0,
-            exotic: Vec::new(),
-            exotic_ids: HashMap::new(),
-            seen: HashMap::new(),
-            spill: Vec::new(),
-            columns: vec![HashMap::new(); arity],
-            sorted: vec![Vec::new(); arity],
+            delta: Delta::empty(&base),
+            base: Arc::new(base),
+            exotic: Arc::default(),
         }
     }
 
     pub(crate) fn arity(&self) -> usize {
-        self.cols.len()
+        self.base.cols.len()
     }
 
+    /// Live rows.
     pub(crate) fn len(&self) -> usize {
-        self.n_rows as usize
+        (self.base.n_rows + self.delta.n_rows) as usize - self.delta.dead.len()
+    }
+
+    /// The ids of the live rows, ascending — what every id-range scan
+    /// iterates instead of `0..len()`: ids are stable between folds, so
+    /// removed rows leave holes. The dead ids are sorted once per scan
+    /// and the live ids are the ranges between them: nothing is hashed
+    /// per row, and a table without dead rows scans as one range.
+    pub(crate) fn live_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut dead: Vec<u32> = self.delta.dead.iter().copied().collect();
+        dead.sort_unstable();
+        let end = self.base.n_rows + self.delta.n_rows;
+        (0..=dead.len()).flat_map(move |gap| {
+            let from = gap.checked_sub(1).map_or(0, |before| dead[before] + 1);
+            from..dead.get(gap).copied().unwrap_or(end)
+        })
     }
 
     /// The term a cell encodes. Free for constants (`Term::Const` wraps
@@ -133,7 +458,7 @@ impl Table {
         if cell & EXOTIC_BIT == 0 {
             Term::Const(Symbol::from_index(cell))
         } else {
-            self.exotic[(cell & !EXOTIC_BIT) as usize].clone()
+            self.exotic.terms[(cell & !EXOTIC_BIT) as usize].clone()
         }
     }
 
@@ -145,35 +470,16 @@ impl Table {
     pub(crate) fn cell_of(&self, t: &Term) -> Option<u32> {
         match t {
             Term::Const(s) => Some(const_cell(*s)),
-            other => self.exotic_ids.get(other).copied(),
-        }
-    }
-
-    /// The cell encoding a term for insertion, interning non-constants
-    /// into the exotic side-table.
-    fn cell_for_insert(&mut self, t: &Term) -> u32 {
-        match t {
-            Term::Const(s) => const_cell(*s),
-            other => {
-                if let Some(&cell) = self.exotic_ids.get(other) {
-                    return cell;
-                }
-                let k = u32::try_from(self.exotic.len()).expect("exotic side-table overflow");
-                assert!(
-                    k & EXOTIC_BIT == 0,
-                    "exotic side-table exceeded 2^31 entries"
-                );
-                let cell = k | EXOTIC_BIT;
-                self.exotic.push(other.clone());
-                self.exotic_ids.insert(other.clone(), cell);
-                cell
-            }
+            other => self.exotic.ids.get(other).copied(),
         }
     }
 
     #[inline]
     pub(crate) fn cell_at(&self, id: u32, col: usize) -> u32 {
-        self.cols[col][id as usize]
+        match id.checked_sub(self.base.n_rows) {
+            None => self.base.cols[col][id as usize],
+            Some(k) => self.delta.cols[col][k as usize],
+        }
     }
 
     #[inline]
@@ -186,262 +492,267 @@ impl Table {
         (0..self.arity()).map(|j| self.term_at(id, j)).collect()
     }
 
-    fn row_cells(&self, id: u32) -> Vec<u32> {
-        self.cols.iter().map(|c| c[id as usize]).collect()
+    /// Posting list for a cell in one column: the ids of the live rows
+    /// carrying it, as one contiguous slice — the delta's list when a
+    /// write touched the cell, the base's span otherwise.
+    #[inline]
+    pub(crate) fn posting_cells(&self, col: usize, cell: u32) -> &[u32] {
+        let Some(index) = self.base.index.get(col) else {
+            return &[];
+        };
+        let touched = &self.delta.touched[col];
+        if !touched.is_empty() {
+            if let Some(posting) = touched.get(&cell) {
+                return posting;
+            }
+        }
+        index.posting(cell)
+    }
+
+    /// The distinct cells of a column in canonical term order: the base's
+    /// list while no write added or emptied a distinct cell of the column,
+    /// otherwise a merged list materialised by the first reader. Together
+    /// with the postings this is the sorted index that answers range
+    /// filters, ORDER BY / top-k and MIN/MAX, and that segments are
+    /// written through. No join reads it.
+    pub(crate) fn sorted_cells(&self, col: usize) -> &[u32] {
+        let Some(index) = self.base.index.get(col) else {
+            return &[];
+        };
+        let Some(lazy) = &self.delta.sorted[col] else {
+            return &index.sorted;
+        };
+        lazy.0.get_or_init(|| {
+            let touched = &self.delta.touched[col];
+            let kept: Vec<u32> = index
+                .sorted
+                .iter()
+                .copied()
+                .filter(|c| touched.get(c).is_none_or(|p| !p.is_empty()))
+                .collect();
+            let added: Vec<u32> = touched
+                .iter()
+                .filter(|(c, p)| !p.is_empty() && !index.spans.contains_key(c))
+                .map(|(&c, _)| c)
+                .collect();
+            let exotic = &self.exotic.terms;
+            merge_cells(exotic, &kept, &sort_cells(exotic, added))
+        })
     }
 
     fn cells_eq(&self, id: u32, cells: &[u32]) -> bool {
-        self.cols
+        cells
             .iter()
-            .zip(cells)
-            .all(|(c, &x)| c[id as usize] == x)
+            .enumerate()
+            .all(|(j, &c)| self.cell_at(id, j) == c)
     }
 
-    /// Posting list for a cell in one column (row ids).
-    #[inline]
-    pub(crate) fn posting_cells(&self, col: usize, cell: u32) -> &[u32] {
-        self.columns
-            .get(col)
-            .and_then(|ix| ix.get(&cell))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// The distinct cells of a column in canonical term order.
-    pub(crate) fn sorted_cells(&self, col: usize) -> &[u32] {
-        self.sorted.get(col).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Deterministic 64-bit hash of a row's cells (SipHash with fixed
-    /// keys — stable within a process; never persisted).
-    fn hash_cells(cells: &[u32]) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        cells.hash(&mut h);
-        h.finish()
-    }
-
-    /// The id of the row whose cells equal `cells`, if present: probe
-    /// `seen` by hash, then verify the candidate against the columns
-    /// (and the spill list on collision).
-    fn find_hashed(&self, h: u64, cells: &[u32]) -> Option<u32> {
-        if let Some(&id) = self.seen.get(&h) {
-            if self.cells_eq(id, cells) {
-                return Some(id);
-            }
-        }
-        self.spill
+    /// The id of the live row whose cells equal `cells`, if present: scan
+    /// the shortest posting list among its cells, comparing columns.
+    fn find(&self, cells: &[u32]) -> Option<u32> {
+        let Some(shortest) = cells
             .iter()
-            .find(|&&(sh, id)| sh == h && self.cells_eq(id, cells))
-            .map(|&(_, id)| id)
+            .enumerate()
+            .map(|(j, &c)| self.posting_cells(j, c))
+            .min_by_key(|p| p.len())
+        else {
+            // Zero arity: the one possible row, if it is there.
+            return self.live_ids().next();
+        };
+        shortest
+            .iter()
+            .copied()
+            .find(|&id| self.cells_eq(id, cells))
     }
 
-    /// Register `id` under hash `h`; a second row with the same hash
-    /// goes to the spill list.
-    fn seen_insert(&mut self, h: u64, id: u32) {
-        match self.seen.entry(h) {
-            std::collections::hash_map::Entry::Occupied(_) => self.spill.push((h, id)),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(id);
-            }
-        }
-    }
-
-    /// Unregister `(h, id)`, promoting a spilled collision into the
-    /// primary map so lookups keep their one-probe fast path.
-    fn seen_remove(&mut self, h: u64, id: u32) {
-        if self.seen.get(&h) == Some(&id) {
-            self.seen.remove(&h);
-            if let Some(pos) = self.spill.iter().position(|&(sh, _)| sh == h) {
-                let (_, promoted) = self.spill.swap_remove(pos);
-                self.seen.insert(h, promoted);
-            }
-        } else {
-            let pos = self
-                .spill
-                .iter()
-                .position(|&(sh, sid)| sh == h && sid == id)
-                .expect("row is registered in the dedup set");
-            self.spill.swap_remove(pos);
-        }
-    }
-
-    /// Re-point the dedup entry for hash `h` from row `old` to `new`
-    /// (swap-remove renumbering).
-    fn seen_reid(&mut self, h: u64, old: u32, new: u32) {
-        if self.seen.get(&h) == Some(&old) {
-            self.seen.insert(h, new);
-            return;
-        }
-        for entry in &mut self.spill {
-            if entry.0 == h && entry.1 == old {
-                entry.1 = new;
-                return;
-            }
-        }
-        panic!("moved row is registered in the dedup set");
+    fn cells_of(&self, args: &[Term]) -> Option<Vec<u32>> {
+        args.iter().map(|t| self.cell_of(t)).collect()
     }
 
     fn contains(&self, args: &[Term]) -> bool {
-        let Some(cells) = args
-            .iter()
-            .map(|t| self.cell_of(t))
-            .collect::<Option<Vec<u32>>>()
-        else {
-            return false;
-        };
-        self.find_hashed(Self::hash_cells(&cells), &cells).is_some()
+        self.cells_of(args).is_some_and(|c| self.find(&c).is_some())
     }
 
-    /// Append a deduplicated row. `splice_sorted` keeps the sorted
-    /// distinct-cell lists exact incrementally; the bulk-load path
-    /// passes `false` and rebuilds them once in [`rebuild_sorted`] —
-    /// O(n log n) total instead of O(n²) splicing — producing the
-    /// identical structure (the sorted list is a function of the
-    /// distinct-cell set).
-    ///
-    /// [`rebuild_sorted`]: Self::rebuild_sorted
-    fn insert_cells(&mut self, cells: Vec<u32>, splice_sorted: bool) -> bool {
-        let h = Self::hash_cells(&cells);
-        if self.find_hashed(h, &cells).is_some() {
-            return false;
+    /// The delta's posting list for `cell`, copied from the base on first
+    /// touch.
+    fn touch(&mut self, col: usize, cell: u32) -> &mut Vec<u32> {
+        let base = &self.base.index[col];
+        self.delta.touched[col]
+            .entry(cell)
+            .or_insert_with(|| base.posting(cell).to_vec())
+    }
+
+    /// Column `col` gained or lost a distinct cell: its merged sorted
+    /// list, if any reader built one, is stale.
+    fn distinct_changed(&mut self, col: usize, gained: bool) {
+        if gained {
+            self.delta.distinct[col] += 1;
+        } else {
+            self.delta.distinct[col] -= 1;
         }
-        let id = self.n_rows;
+        self.delta.sorted[col] = Some(LazySorted::default());
+    }
+
+    /// Append a row the caller knows to be absent.
+    fn append(&mut self, cells: &[u32]) {
+        let id = self.base.n_rows + self.delta.n_rows;
         assert!(id != u32::MAX, "table exceeds u32 rows");
         for (j, &c) in cells.iter().enumerate() {
-            if let Some(posting) = self.columns[j].get_mut(&c) {
-                posting.push(id);
-            } else {
-                self.columns[j].insert(c, vec![id]);
-                if splice_sorted {
-                    // First occurrence of this cell in the column: splice
-                    // it into the sorted list at its canonical position.
-                    let pos =
-                        self.sorted[j].partition_point(|&x| cmp_cells(&self.exotic, x, c).is_lt());
-                    self.sorted[j].insert(pos, c);
-                }
+            let posting = self.touch(j, c);
+            let first = posting.is_empty();
+            posting.push(id);
+            if first {
+                self.distinct_changed(j, true);
             }
-            self.cols[j].push(c);
+            self.delta.cols[j].push(c);
         }
-        self.seen_insert(h, id);
-        self.n_rows += 1;
-        true
+        self.delta.n_rows += 1;
     }
 
-    fn insert(&mut self, args: &[Term]) -> bool {
-        let cells: Vec<u32> = args.iter().map(|t| self.cell_for_insert(t)).collect();
-        self.insert_cells(cells, true)
-    }
-
-    fn insert_deferred(&mut self, args: &[Term]) -> bool {
-        let cells: Vec<u32> = args.iter().map(|t| self.cell_for_insert(t)).collect();
-        self.insert_cells(cells, false)
-    }
-
-    /// Rebuild every column's sorted distinct-cell list from the posting
-    /// keys — the bulk-load finalize step. Constants sort by value under
-    /// a single interner lock ([`nyaya_core::symbols::sort_by_value`]),
-    /// exotics by canonical term order after them; the result is
-    /// bit-identical to incremental splicing because distinct cells
-    /// never tie under [`cmp_cells`].
-    fn rebuild_sorted(&mut self) {
-        for j in 0..self.cols.len() {
-            let mut consts: Vec<Symbol> = Vec::new();
-            let mut exotics: Vec<u32> = Vec::new();
-            for &c in self.columns[j].keys() {
-                if c & EXOTIC_BIT == 0 {
-                    consts.push(Symbol::from_index(c));
-                } else {
-                    exotics.push(c);
-                }
-            }
-            nyaya_core::symbols::sort_by_value(&mut consts);
-            exotics.sort_unstable_by(|&a, &b| cmp_cells(&self.exotic, a, b));
-            self.sorted[j] = consts
-                .into_iter()
-                .map(Symbol::index)
-                .chain(exotics)
-                .collect();
-        }
-    }
-
-    /// Remove one row, keeping every index exact: the removed id is
-    /// unlinked from its posting lists (empty lists are dropped so
-    /// distinct counts stay truthful, and the cell leaves the sorted
-    /// list), and the swap-removed last row is re-pointed at its new id
-    /// everywhere it is indexed.
-    fn remove(&mut self, args: &[Term]) -> bool {
-        let Some(cells) = args
+    /// Encode and append a row the caller knows to be absent.
+    fn insert(&mut self, args: &[Term]) {
+        let cells: Vec<u32> = args
             .iter()
-            .map(|t| self.cell_of(t))
-            .collect::<Option<Vec<u32>>>()
-        else {
+            .map(|t| Exotics::cell_for_insert(&mut self.exotic, t))
+            .collect();
+        self.append(&cells);
+    }
+
+    /// Remove one row, keeping every index exact: its id joins the dead
+    /// set and leaves the posting list of each of its cells, so no probe
+    /// sees it again. A cell whose last row died leaves the distinct
+    /// count and the sorted list.
+    fn remove(&mut self, args: &[Term]) -> bool {
+        let Some(cells) = self.cells_of(args) else {
             return false;
         };
-        let h = Self::hash_cells(&cells);
-        let Some(id) = self.find_hashed(h, &cells) else {
+        let Some(id) = self.find(&cells) else {
             return false;
         };
-        self.seen_remove(h, id);
-        let last = self.n_rows - 1;
+        self.delta.dead.insert(id);
         for (j, &c) in cells.iter().enumerate() {
-            if let Some(posting) = self.columns[j].get_mut(&c) {
-                posting.retain(|&x| x != id);
-                if posting.is_empty() {
-                    self.columns[j].remove(&c);
-                    let pos =
-                        self.sorted[j].partition_point(|&x| cmp_cells(&self.exotic, x, c).is_lt());
-                    debug_assert!(self.sorted[j][pos] == c, "sorted list tracks the index");
-                    self.sorted[j].remove(pos);
+            let posting = self.touch(j, c);
+            let at = posting
+                .iter()
+                .position(|&x| x == id)
+                .expect("a live row is in the posting list of each of its cells");
+            posting.remove(at);
+            if posting.is_empty() {
+                // Only a base cell needs an (empty) entry to shadow.
+                if !self.base.index[j].spans.contains_key(&c) {
+                    self.delta.touched[j].remove(&c);
                 }
+                self.distinct_changed(j, false);
             }
         }
-        if id != last {
-            let moved = self.row_cells(last);
-            for (j, &c) in moved.iter().enumerate() {
-                if let Some(posting) = self.columns[j].get_mut(&c) {
-                    for x in posting.iter_mut() {
-                        if *x == last {
-                            *x = id;
-                        }
-                    }
-                }
-            }
-            let moved_hash = Self::hash_cells(&moved);
-            self.seen_reid(moved_hash, last, id);
-        }
-        for col in &mut self.cols {
-            col.swap_remove(id as usize);
-        }
-        self.n_rows -= 1;
         true
     }
 
-    /// Approximate heap bytes of the fact payload: the flat columns plus
-    /// the exotic side-table. Analytic (capacity-based), not measured.
+    /// Rows in the delta, appended plus dead: what a copy-on-write clone
+    /// of this table copies, up to a constant.
+    fn delta_weight(&self) -> usize {
+        self.delta.n_rows as usize + self.delta.dead.len()
+    }
+
+    /// Would the delta, grown by `extra` rows, have outgrown its base?
+    /// See [`FOLD_DIVISOR`] for the two limits.
+    fn outgrown(&self, extra: usize, shared: bool) -> bool {
+        let base_rows = self.base.n_rows as usize;
+        let limit = if shared {
+            base_rows / FOLD_DIVISOR
+        } else {
+            base_rows
+        };
+        self.delta_weight() + extra > limit
+    }
+
+    /// A new table of `prior`'s live rows followed by the staged ones,
+    /// all in one freshly indexed base (first-insertion order kept, row
+    /// ids renumbered densely).
+    fn rebuilt(prior: Option<&Table>, staged: Staged) -> Table {
+        let n_rows = u32::try_from(prior.map_or(0, Table::len) + staged.n_rows)
+            .ok()
+            .filter(|&n| n != u32::MAX)
+            .expect("table exceeds u32 rows");
+        let cols: Vec<Vec<u32>> = staged
+            .cols
+            .into_iter()
+            .enumerate()
+            .map(|(j, mut new)| match prior {
+                None => {
+                    new.shrink_to_fit();
+                    new
+                }
+                Some(t) => {
+                    let mut col = Vec::with_capacity(n_rows as usize);
+                    col.extend(t.live_ids().map(|id| t.cell_at(id, j)));
+                    col.append(&mut new);
+                    col
+                }
+            })
+            .collect();
+        let base = Base::build(cols, n_rows, &staged.exotic.terms, prior);
+        Table {
+            delta: Delta::empty(&base),
+            base: Arc::new(base),
+            exotic: staged.exotic,
+        }
+    }
+
+    /// This table with its delta folded into a new base.
+    fn folded(&self) -> Table {
+        Table::rebuilt(Some(self), Staged::new(self.arity(), Some(self)))
+    }
+
+    /// Approximate heap bytes of the fact payload: the flat columns of
+    /// base and delta plus the exotic side-table. Analytic
+    /// (capacity-based), not measured.
     fn fact_bytes(&self) -> u64 {
-        let cols: usize = self.cols.iter().map(|c| c.capacity() * 4).sum();
-        let exotic = self.exotic.capacity() * std::mem::size_of::<Term>();
+        let cols: usize = self
+            .base
+            .cols
+            .iter()
+            .chain(&self.delta.cols)
+            .map(|c| c.capacity() * 4)
+            .sum();
+        let exotic = self.exotic.terms.capacity() * std::mem::size_of::<Term>();
         (cols + exotic) as u64
     }
 
-    /// Approximate heap bytes of the indexes: per-column postings,
-    /// sorted distinct lists, and the dedup set. Analytic, with hash-map
-    /// entries costed at key + value + one control byte.
+    /// Approximate heap bytes of the indexes, every allocation at its
+    /// capacity: per column the base's span map, flat row-id array and
+    /// sorted list; in the delta the dead set, every touched posting and
+    /// a merged sorted list where one was materialised; the exotic
+    /// term-to-cell map. Analytic (see [`hash_bytes`]).
     fn index_bytes(&self) -> u64 {
-        let vec_header = std::mem::size_of::<Vec<u32>>();
-        let postings: usize = self
-            .columns
+        let base: usize = self
+            .base
+            .index
+            .iter()
+            .map(|ix| {
+                hash_bytes::<u32, (u32, u32)>(ix.spans.capacity())
+                    + (ix.rows.capacity() + ix.sorted.capacity()) * 4
+            })
+            .sum();
+        let touched: usize = self
+            .delta
+            .touched
             .iter()
             .map(|m| {
-                m.capacity() * (4 + vec_header + 1)
+                hash_bytes::<u32, Vec<u32>>(m.capacity())
                     + m.values().map(|p| p.capacity() * 4).sum::<usize>()
             })
             .sum();
-        let sorted: usize = self.sorted.iter().map(|s| s.capacity() * 4).sum();
-        let seen = self.seen.capacity() * (8 + 4 + 1);
-        let spill = self.spill.capacity() * std::mem::size_of::<(u64, u32)>();
-        (postings + sorted + seen + spill) as u64
+        let merged: usize = self
+            .delta
+            .sorted
+            .iter()
+            .filter_map(|lazy| lazy.as_ref()?.0.get())
+            .map(|s| s.capacity() * 4)
+            .sum();
+        let dead = hash_bytes::<u32, ()>(self.delta.dead.capacity());
+        let exotic = hash_bytes::<Term, u32>(self.exotic.ids.capacity());
+        (base + touched + merged + dead + exotic) as u64
     }
 }
 
@@ -450,13 +761,17 @@ impl Table {
 /// Tables live behind [`Arc`]s, so `Database` is **copy-on-write**:
 /// cloning is O(#predicates) and shares every table with the original;
 /// the first [`insert`](Self::insert) or [`remove`](Self::remove) into a
-/// shared table makes that one table private to the writer. This is the
-/// snapshot primitive of the incremental knowledge base — a writer clones
-/// the current database, applies a batch, and publishes the clone while
-/// readers keep the old value.
+/// shared table gives the writer a private copy of that table's *delta*
+/// — the base, which is nearly all of the table, stays shared (see the
+/// [module docs](self)). This is the snapshot primitive of the
+/// incremental knowledge base — a writer clones the current database,
+/// applies a batch, and publishes the clone while readers keep the old
+/// value.
 #[derive(Clone, Default)]
 pub struct Database {
     tables: HashMap<Predicate, Arc<Table>>,
+    /// Folds so far, carried along the copy-on-write clones.
+    folds: u64,
 }
 
 impl Database {
@@ -472,37 +787,74 @@ impl Database {
         db
     }
 
-    /// Bulk-insert many facts, returning how many were new. End state is
-    /// bit-identical to inserting one at a time, but the sorted
-    /// distinct-cell lists are built once per touched table at the end
-    /// instead of spliced per insert — the difference between O(n log n)
-    /// and O(n²) when loading millions of facts.
+    /// Bulk-insert many facts, returning how many were new. The end
+    /// state holds the same facts, postings and sorted lists as inserting
+    /// one at a time, but rows are staged as cells and each touched table
+    /// is indexed once: a new table, or one the batch would make outgrow
+    /// its base anyway, gets a base built directly (counting sort per
+    /// column — no per-row index upkeep); a batch small against its table
+    /// goes through the delta like single inserts.
     pub fn insert_all(&mut self, facts: impl IntoIterator<Item = Atom>) -> usize {
-        let mut touched: HashSet<Predicate> = HashSet::new();
-        let mut added = 0usize;
+        let mut staged: HashMap<Predicate, Staged> = HashMap::new();
         for fact in facts {
             assert!(fact.is_ground(), "facts must be ground, got {fact}");
-            // Duplicate probe first: a no-op insert must not copy a
-            // table that is COW-shared with other snapshots.
-            if let Some(table) = self.tables.get(&fact.pred) {
-                if table.contains(&fact.args) {
-                    continue;
-                }
-            }
-            let table = self
-                .tables
+            let prior = self.tables.get(&fact.pred).map(Arc::as_ref);
+            staged
                 .entry(fact.pred)
-                .or_insert_with(|| Arc::new(Table::with_arity(fact.pred.arity)));
-            if Arc::make_mut(table).insert_deferred(&fact.args) {
-                touched.insert(fact.pred);
-                added += 1;
-            }
+                .or_insert_with(|| Staged::new(fact.pred.arity, prior))
+                .push(&fact.args, prior);
         }
-        for pred in touched {
-            let table = self.tables.get_mut(&pred).expect("touched table exists");
-            Arc::make_mut(table).rebuild_sorted();
+        let mut added = 0usize;
+        for (pred, stage) in staged {
+            // Nothing new: a no-op insert must not copy a table that is
+            // COW-shared with other snapshots.
+            if stage.n_rows == 0 {
+                continue;
+            }
+            added += stage.n_rows;
+            let small = self
+                .tables
+                .get(&pred)
+                .is_some_and(|t| !t.outgrown(stage.n_rows, Arc::strong_count(t) > 1));
+            if small {
+                let table = self.table_mut(pred);
+                table.exotic = stage.exotic;
+                let mut cells = vec![0u32; pred.arity];
+                for k in 0..stage.n_rows {
+                    for (cell, col) in cells.iter_mut().zip(&stage.cols) {
+                        *cell = col[k];
+                    }
+                    table.append(&cells);
+                }
+            } else {
+                let prior = self.tables.get(&pred).map(Arc::as_ref);
+                let folds = u64::from(prior.is_some());
+                let table = Table::rebuilt(prior, stage);
+                self.tables.insert(pred, Arc::new(table));
+                self.folds += folds;
+            }
         }
         added
+    }
+
+    /// The table behind `pred`, private to this database and ready for
+    /// one more write: created if absent, folded if its delta has
+    /// outgrown its base, its delta copied if an older snapshot still
+    /// shares it.
+    fn table_mut(&mut self, pred: Predicate) -> &mut Table {
+        let slot = self
+            .tables
+            .entry(pred)
+            .or_insert_with(|| Arc::new(Table::with_arity(pred.arity)));
+        if slot.outgrown(0, Arc::strong_count(slot) > 1) {
+            // A fold renumbers row ids. That is safe: the only holders of
+            // row ids are hashed build sides, `BuildCache::carried_over`
+            // evicts every build over a written predicate, and a cache
+            // never outlives the `Database` of its snapshot.
+            *slot = Arc::new(slot.folded());
+            self.folds += 1;
+        }
+        Arc::make_mut(slot)
     }
 
     /// Insert a fact, maintaining the per-column indexes incrementally.
@@ -516,11 +868,8 @@ impl Database {
                 return false;
             }
         }
-        let table = self
-            .tables
-            .entry(fact.pred)
-            .or_insert_with(|| Arc::new(Table::with_arity(fact.pred.arity)));
-        Arc::make_mut(table).insert(&fact.args)
+        self.table_mut(fact.pred).insert(&fact.args);
+        true
     }
 
     /// Retract a fact, maintaining the per-column indexes incrementally
@@ -529,18 +878,18 @@ impl Database {
     /// [`predicates`](Self::predicates) keeps its "has at least one
     /// fact" contract.
     pub fn remove(&mut self, fact: &Atom) -> bool {
-        let Some(table) = self.tables.get_mut(&fact.pred) else {
+        let Some(table) = self.tables.get(&fact.pred) else {
             return false;
         };
         // Same COW guard as insert: missing facts must not force a copy.
         if !table.contains(&fact.args) {
             return false;
         }
-        let removed = Arc::make_mut(table).remove(&fact.args);
-        if table.len() == 0 {
+        if table.len() == 1 {
             self.tables.remove(&fact.pred);
+            return true;
         }
-        removed
+        self.table_mut(fact.pred).remove(&fact.args)
     }
 
     /// The columnar table behind a predicate (crate-internal cell-level
@@ -561,9 +910,10 @@ impl Database {
     /// Iterate a table's rows in row-id order, each materialized as
     /// terms from the flat columns.
     pub fn iter_rows(&self, pred: Predicate) -> impl Iterator<Item = Vec<Term>> + '_ {
-        let table = self.tables.get(&pred).map(Arc::as_ref);
-        (0..table.map_or(0, Table::len) as u32)
-            .map(move |id| table.expect("non-empty range implies table").row_terms(id))
+        self.tables
+            .get(&pred)
+            .into_iter()
+            .flat_map(|t| t.live_ids().map(move |id| t.row_terms(id)))
     }
 
     /// All rows of a table, materialized (the oracle engines and tests
@@ -591,12 +941,12 @@ impl Database {
             .unwrap_or_default()
     }
 
-    /// Number of distinct values in a column — O(1), read off the index.
+    /// Number of distinct values in a column — O(1) and exact after any
+    /// sequence of writes.
     pub fn distinct(&self, pred: Predicate, col: usize) -> usize {
         self.tables
             .get(&pred)
-            .and_then(|t| t.columns.get(col))
-            .map(HashMap::len)
+            .and_then(|t| t.delta.distinct.get(col).copied())
             .unwrap_or(0)
     }
 
@@ -615,7 +965,7 @@ impl Database {
     pub fn facts(&self) -> impl Iterator<Item = Atom> + '_ {
         self.tables
             .iter()
-            .flat_map(|(p, t)| (0..t.len() as u32).map(move |id| Atom::new(*p, t.row_terms(id))))
+            .flat_map(|(p, t)| t.live_ids().map(move |id| Atom::new(*p, t.row_terms(id))))
     }
 
     /// Does the database contain this exact fact?
@@ -634,6 +984,24 @@ impl Database {
         }
     }
 
+    /// Is this predicate's *base* physically shared with `other`'s —
+    /// true for an untouched table and for one written since without a
+    /// fold? Diagnostic for snapshot tests: a small write must copy the
+    /// delta only.
+    pub fn shares_base(&self, other: &Database, pred: Predicate) -> bool {
+        match (self.tables.get(&pred), other.tables.get(&pred)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(&a.base, &b.base),
+            _ => false,
+        }
+    }
+
+    /// How many times a write to this database or one of the clones it
+    /// descends from folded a table's delta into a new base — the one
+    /// O(table) write left.
+    pub fn table_folds(&self) -> u64 {
+        self.folds
+    }
+
     pub fn len(&self) -> usize {
         self.tables.values().map(|t| t.len()).sum()
     }
@@ -644,8 +1012,10 @@ impl Database {
 
     /// Analytic heap-byte accounting for the whole database, split into
     /// fact payload (flat columns + exotic side-tables) and index
-    /// structures (postings, sorted lists, dedup sets). Tables are
-    /// reported sorted by name for stable output.
+    /// structures (postings, sorted lists, the deltas' dead sets and
+    /// touched postings). Each table's base is counted once, however many
+    /// other snapshots share it. Tables are reported sorted by name for
+    /// stable output.
     pub fn memory_stats(&self) -> DbMemory {
         let mut tables: Vec<TableMemory> = self
             .tables
@@ -656,6 +1026,8 @@ impl Database {
                 rows: t.len(),
                 fact_bytes: t.fact_bytes(),
                 index_bytes: t.index_bytes(),
+                delta_rows: t.delta.n_rows as usize,
+                dead_rows: t.delta.dead.len(),
             })
             .collect();
         tables.sort_by(|a, b| {
@@ -684,6 +1056,12 @@ pub struct TableMemory {
     pub fact_bytes: u64,
     /// Approximate heap bytes of the index structures.
     pub index_bytes: u64,
+    /// Rows appended to the table's delta since its base was built (dead
+    /// ones included).
+    pub delta_rows: usize,
+    /// Removed rows still occupying a row id, in base or delta; a fold
+    /// drops them.
+    pub dead_rows: usize,
 }
 
 /// Database-wide memory accounting (see [`Database::memory_stats`]).
@@ -700,47 +1078,86 @@ pub struct DbMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::encode_database;
     use crate::test_support::sample_db;
+    use std::collections::BTreeSet;
 
-    /// The dedup set must stay exact even when distinct rows share a
-    /// 64-bit hash: candidates are verified against the stored rows and
-    /// collisions spill. Forced here by registering three rows under one
-    /// artificial hash — a real SipHash collision is not constructible
-    /// in a test.
-    #[test]
-    fn dedup_spill_survives_hash_collisions() {
-        let mut t = Table::with_arity(1);
-        assert!(t.insert(&[Term::constant("a")]));
-        assert!(t.insert(&[Term::constant("b")]));
-        assert!(t.insert(&[Term::constant("c")]));
-        let ca = t.cell_of(&Term::constant("a")).unwrap();
-        let cb = t.cell_of(&Term::constant("b")).unwrap();
-        let cc = t.cell_of(&Term::constant("c")).unwrap();
-        let cd = t.cell_of(&Term::constant("d")).unwrap();
-        t.seen.clear();
-        t.spill.clear();
-        for id in 0..3 {
-            t.seen_insert(0x42, id);
+    fn p2() -> Predicate {
+        Predicate::new("p", 2)
+    }
+
+    fn fact(a: &str, b: &str) -> Atom {
+        Atom::make("p", [a, b])
+    }
+
+    /// Fold `pred`'s table in place, whatever the fold rule says.
+    fn force_fold(db: &mut Database, pred: Predicate) {
+        let folded = db.tables[&pred].folded();
+        db.tables.insert(pred, Arc::new(folded));
+    }
+
+    /// Every index of `db` agrees with a from-scratch rebuild of its
+    /// live facts, down to the segment bytes.
+    fn assert_equals_rebuild(db: &Database) {
+        let rebuilt = Database::from_facts(db.facts());
+        assert_eq!(encode_database(db), encode_database(&rebuilt));
+        for pred in rebuilt.predicates() {
+            assert_eq!(db.table_len(pred), rebuilt.table_len(pred));
+            let rows = |d: &Database| d.rows_vec(pred).into_iter().collect::<BTreeSet<_>>();
+            assert_eq!(rows(db), rows(&rebuilt));
+            for col in 0..pred.arity {
+                assert_eq!(db.distinct(pred, col), rebuilt.distinct(pred, col));
+                let sorted = db.sorted_values(pred, col);
+                assert_eq!(sorted, rebuilt.sorted_values(pred, col));
+                for value in &sorted {
+                    let carriers = |d: &Database| {
+                        d.posting(pred, col, value)
+                            .iter()
+                            .map(|&id| d.row(pred, id))
+                            .collect::<BTreeSet<_>>()
+                    };
+                    assert_eq!(carriers(db), carriers(&rebuilt), "{pred:?} {col} {value}");
+                }
+            }
         }
-        assert_eq!(t.seen.len(), 1, "one primary occupant per hash");
-        assert_eq!(t.spill.len(), 2, "collisions spill");
-        assert_eq!(t.find_hashed(0x42, &[ca]), Some(0));
-        assert_eq!(t.find_hashed(0x42, &[cb]), Some(1));
-        assert_eq!(t.find_hashed(0x42, &[cc]), Some(2));
-        assert_eq!(t.find_hashed(0x42, &[cd]), None);
-        // Removing the primary occupant promotes a spilled entry so the
-        // fast path stays populated.
-        t.seen_remove(0x42, 0);
-        assert_eq!(t.seen.get(&0x42), Some(&1));
-        assert_eq!(t.spill.len(), 1);
-        assert_eq!(t.find_hashed(0x42, &[cc]), Some(2));
-        // Removing a spilled entry leaves the primary untouched.
-        t.seen_remove(0x42, 2);
-        assert!(t.spill.is_empty());
-        assert_eq!(t.find_hashed(0x42, &[cb]), Some(1));
-        // Swap-remove renumbering rewrites whichever slot holds the id.
-        t.seen_reid(0x42, 1, 0);
-        assert_eq!(t.seen.get(&0x42), Some(&0));
+    }
+
+    /// Membership has no row-hash map behind it: it scans the shortest
+    /// posting list among the row's cells and compares columns, so rows
+    /// that agree on all but one column must be told apart.
+    #[test]
+    fn membership_scans_the_shortest_posting() {
+        let mut db = Database::new();
+        // Column 0 is one long posting, column 1 all distinct — and the
+        // other way round for the `x*` rows.
+        for i in 0..50 {
+            db.insert(fact("hub", &format!("leaf{i}")));
+            db.insert(fact(&format!("x{i}"), "sink"));
+        }
+        assert!(db.contains(&fact("hub", "leaf7")));
+        assert!(db.contains(&fact("x7", "sink")));
+        assert!(
+            !db.contains(&fact("hub", "sink")),
+            "both cells exist, the row does not"
+        );
+        assert!(!db.contains(&fact("x7", "leaf7")));
+        assert!(!db.contains(&fact("hub", "nowhere")));
+        assert!(!db.insert(fact("hub", "leaf7")));
+        assert!(db.insert(fact("hub", "sink")));
+        assert_eq!(db.len(), 101);
+        // Same through the bulk path, wide rows included.
+        let wide = |a: &str, b: &str, c: &str| Atom::make("w", [a, b, c]);
+        let bulk = Database::from_facts([
+            wide("a", "b", "c"),
+            wide("a", "b", "d"),
+            wide("a", "b", "c"),
+            Atom::make("z", [] as [&str; 0]),
+            Atom::make("z", [] as [&str; 0]),
+        ]);
+        assert_eq!(bulk.len(), 3);
+        assert!(bulk.contains(&wide("a", "b", "d")));
+        assert!(!bulk.contains(&wide("a", "c", "c")));
+        assert!(bulk.contains(&Atom::make("z", [] as [&str; 0])));
     }
 
     #[test]
@@ -785,7 +1202,7 @@ mod tests {
             db.posting(lc, 1, &Term::constant("nasdaq")).is_empty(),
             "posting list for the retracted value is dropped"
         );
-        // The surviving row is still reachable through its (renumbered) id.
+        // The surviving row is still reachable through its id.
         let posting = db.posting(lc, 0, &Term::constant("sap_s"));
         assert_eq!(posting.len(), 1);
         assert_eq!(db.row(lc, posting[0])[1], Term::constant("dax"));
@@ -801,6 +1218,18 @@ mod tests {
         assert!(db.remove(&Atom::make("p", ["a"])));
         assert_eq!(db.predicates().count(), 0);
         assert!(db.is_empty());
+        // Emptying a bulk-loaded table row by row drops it too, and the
+        // old snapshot keeps every row.
+        let old = Database::from_facts([fact("a", "b"), fact("c", "d")]);
+        let mut db = old.clone();
+        assert!(db.remove(&fact("a", "b")));
+        assert_eq!(db.table_len(p2()), 1);
+        assert!(db.remove(&fact("c", "d")));
+        assert_eq!(db.predicates().count(), 0);
+        assert_eq!(db.distinct(p2(), 0), 0);
+        assert_eq!(old.table_len(p2()), 2);
+        assert!(db.insert(fact("c", "d")), "a dropped table starts over");
+        assert_eq!(db.rows_vec(p2()), vec![fact("c", "d").args]);
     }
 
     #[test]
@@ -819,7 +1248,229 @@ mod tests {
         let mut noop = db.clone();
         assert!(!noop.insert(Atom::make("list_comp", ["ibm_s", "nasdaq"])));
         assert!(!noop.remove(&Atom::make("list_comp", ["ibm_s", "zzz"])));
+        assert_eq!(
+            noop.insert_all([Atom::make("list_comp", ["sap_s", "dax"])]),
+            0
+        );
         assert!(noop.shares_table(&db, lc));
+    }
+
+    /// A small write to a shared table copies the delta and nothing else:
+    /// the base stays shared, and the old snapshot reads what it read.
+    #[test]
+    fn a_write_shares_the_base_and_leaves_the_old_snapshot_alone() {
+        let old =
+            Database::from_facts((0..200).map(|i| fact(&format!("s{i}"), &format!("c{}", i % 10))));
+        let c3 = Term::constant("c3");
+        let posting_before = old.posting(p2(), 1, &c3).to_vec();
+        let sorted_before = old.sorted_values(p2(), 0);
+        let row_before = old.row(p2(), 13);
+
+        let mut new = old.clone();
+        assert!(new.insert(fact("s_new", "c3")));
+        assert!(new.remove(&fact("s13", "c3")));
+        assert!(new.shares_base(&old, p2()), "only the delta was copied");
+        assert!(!new.shares_table(&old, p2()));
+        assert_eq!(new.table_folds(), 0);
+
+        assert_eq!(old.posting(p2(), 1, &c3), posting_before);
+        assert_eq!(old.sorted_values(p2(), 0), sorted_before);
+        assert_eq!(old.row(p2(), 13), row_before);
+        assert_eq!((old.distinct(p2(), 0), old.distinct(p2(), 1)), (200, 10));
+        assert_eq!(old.table_len(p2()), 200);
+        assert!(old.contains(&fact("s13", "c3")) && !old.contains(&fact("s_new", "c3")));
+
+        assert_eq!(new.posting(p2(), 1, &c3).len(), posting_before.len());
+        assert!(
+            !new.posting(p2(), 1, &c3).contains(&13),
+            "no probe sees a dead row"
+        );
+        assert_eq!(new.distinct(p2(), 0), 200, "one student left, one came");
+        assert_eq!(new.table_len(p2()), 200);
+        let memory = new.memory_stats();
+        assert_eq!(
+            (memory.tables[0].delta_rows, memory.tables[0].dead_rows),
+            (1, 1)
+        );
+        assert_equals_rebuild(&new);
+    }
+
+    #[test]
+    fn scans_skip_dead_rows() {
+        let mut db = Database::from_facts((0..6).map(|i| fact(&format!("a{i}"), "b")));
+        assert!(db.remove(&fact("a1", "b")));
+        assert!(db.insert(fact("a6", "b")));
+        assert!(db.remove(&fact("a4", "b")));
+        let names: Vec<String> = db.iter_rows(p2()).map(|r| r[0].to_string()).collect();
+        assert_eq!(
+            names,
+            ["a0", "a2", "a3", "a5", "a6"],
+            "row-id order, holes skipped"
+        );
+        assert_eq!(db.facts().count(), 5);
+        assert_eq!(db.rows_vec(p2()).len(), db.table_len(p2()));
+        let table = db.table(p2()).unwrap();
+        assert_eq!(table.live_ids().collect::<Vec<_>>(), [0, 2, 3, 5, 6]);
+        assert_equals_rebuild(&db);
+    }
+
+    #[test]
+    fn delta_edge_cases_match_a_rebuild() {
+        let mut db = Database::from_facts([fact("a", "x"), fact("b", "x"), fact("c", "y")]);
+        // Re-inserting a removed row gives it a new id.
+        assert!(db.remove(&fact("a", "x")));
+        assert!(!db.contains(&fact("a", "x")));
+        assert!(db.insert(fact("a", "x")));
+        assert!(!db.insert(fact("a", "x")));
+        assert_eq!(db.posting(p2(), 0, &Term::constant("a")), &[3]);
+        assert_equals_rebuild(&db);
+        // Removing a row that only ever lived in the delta.
+        assert!(db.insert(fact("d", "z")));
+        assert_eq!(db.distinct(p2(), 1), 3);
+        assert!(db.remove(&fact("d", "z")));
+        assert_eq!(db.distinct(p2(), 1), 2, "z came and went");
+        assert!(db.posting(p2(), 1, &Term::constant("z")).is_empty());
+        assert_equals_rebuild(&db);
+        // Emptying a base cell, reading the merged sorted list, and
+        // re-adding the cell.
+        assert!(db.remove(&fact("c", "y")));
+        assert_eq!(db.sorted_values(p2(), 1), vec![Term::constant("x")]);
+        assert_eq!(db.distinct(p2(), 1), 1);
+        assert!(db.insert(fact("e", "y")));
+        assert_eq!(
+            db.sorted_values(p2(), 1),
+            vec![Term::constant("x"), Term::constant("y")]
+        );
+        assert_eq!(db.distinct(p2(), 1), 2);
+        assert_equals_rebuild(&db);
+        // Exotic terms order after every constant, in base and delta.
+        assert!(db.insert(Atom::new(p2(), vec![Term::Null(7), Term::constant("x")])));
+        assert_eq!(db.sorted_values(p2(), 0).last(), Some(&Term::Null(7)));
+        assert_equals_rebuild(&db);
+    }
+
+    /// Whatever state the delta is in, folding it yields exactly the
+    /// table a bulk load of the live facts builds.
+    #[test]
+    fn a_fold_equals_a_rebuild_of_the_live_facts() {
+        let mut db =
+            Database::from_facts((0..40).map(|i| fact(&format!("s{i}"), &format!("c{}", i % 4))));
+        let snapshot = db.clone();
+        for i in (0..40).step_by(3) {
+            assert!(db.remove(&fact(&format!("s{i}"), &format!("c{}", i % 4))));
+        }
+        for i in 40..50 {
+            assert!(db.insert(fact(&format!("s{i}"), "c9")));
+        }
+        assert!(db.insert(Atom::new(p2(), vec![Term::Null(1), Term::constant("c9")])));
+        assert_equals_rebuild(&db);
+        let unfolded = encode_database(&db);
+        force_fold(&mut db, p2());
+        let memory = db.memory_stats();
+        assert_eq!(
+            (memory.tables[0].delta_rows, memory.tables[0].dead_rows),
+            (0, 0)
+        );
+        assert_eq!(
+            encode_database(&db),
+            unfolded,
+            "written-then-folded = written-not-folded"
+        );
+        assert_equals_rebuild(&db);
+        assert_eq!(
+            db.table(p2()).unwrap().live_ids().collect::<Vec<_>>(),
+            (0..db.table_len(p2()) as u32).collect::<Vec<_>>(),
+            "a fold renumbers row ids densely"
+        );
+        assert_eq!(snapshot.table_len(p2()), 40, "the pinned base is untouched");
+    }
+
+    /// The fold rule: a table an older snapshot shares folds once its
+    /// delta passes 1/FOLD_DIVISOR of the base, an unshared one when the
+    /// delta passes the base; both count in `table_folds`.
+    #[test]
+    fn deltas_fold_when_they_outgrow_their_base() {
+        let n = 10 * FOLD_DIVISOR;
+        let mut db = Database::from_facts((0..n).map(|i| fact(&format!("s{i}"), "c")));
+        let mut pinned = Vec::new();
+        for i in 0..=10 {
+            pinned.push(db.clone());
+            assert!(db.insert(fact(&format!("new{i}"), "c")));
+            assert_eq!(db.table_folds(), 0, "{i} delta rows copied, base of {n}");
+        }
+        pinned.push(db.clone());
+        assert!(db.insert(fact("new11", "c")));
+        assert_eq!(
+            db.table_folds(),
+            1,
+            "eleven rows are past n/64: folded, not copied"
+        );
+        assert!(!db.shares_base(&pinned[11], p2()));
+        assert_equals_rebuild(&db);
+        for (i, old) in pinned.iter().enumerate() {
+            assert_eq!(
+                old.table_len(p2()),
+                n + i,
+                "pinned snapshots keep their rows"
+            );
+        }
+        // Unshared: no copy to avoid, so the delta may grow to the base.
+        drop(pinned);
+        let base_rows = db.table_len(p2()) - 1;
+        for i in 0..base_rows {
+            assert!(db.insert(fact(&format!("more{i}"), "c")));
+        }
+        assert_eq!(db.table_folds(), 1);
+        assert!(db.insert(fact("last", "c")));
+        assert_eq!(db.table_folds(), 2);
+        // A bulk insert the table would outgrow rebuilds it in one pass.
+        let shared = db.clone();
+        let added = db.insert_all((0..n).map(|i| fact(&format!("bulk{i}"), "d")));
+        assert_eq!((added, db.table_folds()), (n, 3));
+        assert_eq!(db.memory_stats().tables[0].delta_rows, 0);
+        assert_eq!(db.insert_all([fact("one", "d"), fact("bulk0", "d")]), 1);
+        assert_eq!(
+            db.memory_stats().tables[0].delta_rows,
+            1,
+            "a small batch goes to the delta"
+        );
+        assert!(!shared.contains(&fact("bulk0", "d")));
+        assert_equals_rebuild(&db);
+    }
+
+    /// The two costs [`FOLD_DIVISOR`] balances, measured:
+    /// `cargo test --release -p nyaya-sql fold_rule_costs -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn fold_rule_costs() {
+        use std::time::Instant;
+        let n = 200_000usize;
+        let row = |i: usize| fact(&format!("s{i}"), &format!("c{}", i % (n / 10)));
+        let mut db = Database::from_facts((0..n).map(row));
+        let mut next = n;
+        for delta_rows in [100usize, 1_000, 3_000, 10_000, 25_000] {
+            while db.tables[&p2()].delta_weight() < delta_rows {
+                // Two rows per batch, one in and one out, like `lubm_rw`.
+                db.insert(row(next));
+                db.remove(&row(next - n));
+                next += 1;
+            }
+            let started = Instant::now();
+            let copies: Vec<Table> = (0..20).map(|_| Table::clone(&db.tables[&p2()])).collect();
+            let copy = started.elapsed() / 20;
+            drop(copies);
+            let started = Instant::now();
+            let folded = db.tables[&p2()].folded();
+            let fold = started.elapsed();
+            println!(
+                "delta {delta_rows:>6} rows: copy {:>9.1} us ({:>5.1} ns/delta row), \
+                 fold {:>6.1} ms ({:>5.1} ns/base row)",
+                copy.as_secs_f64() * 1e6,
+                copy.as_secs_f64() * 1e9 / delta_rows as f64,
+                fold.as_secs_f64() * 1e3,
+                fold.as_secs_f64() * 1e9 / folded.len() as f64,
+            );
+        }
     }
 
     #[test]

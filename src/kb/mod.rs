@@ -380,8 +380,15 @@ pub struct KbStats {
     /// payload (flat columns plus exotic side-tables).
     pub fact_bytes: u64,
     /// Approximate resident heap bytes of the current snapshot's index
-    /// structures (postings, sorted lists, dedup sets).
+    /// structures (postings, sorted lists, the deltas' dead sets and
+    /// touched postings).
     pub index_bytes: u64,
+    /// Times a write folded a table's delta into a new base, over the
+    /// lifetime of the current snapshot's database — the one O(table)
+    /// write left; an `apply` that folds is the slow one. Per table,
+    /// [`tables`](Self::tables) says how far each delta has grown
+    /// (`delta_rows`, `dead_rows`).
+    pub table_folds: u64,
     /// Per-table memory breakdown of the current snapshot, sorted by
     /// predicate name then arity.
     pub tables: Vec<nyaya_sql::TableMemory>,
@@ -398,12 +405,15 @@ impl KbStats {
             .map(|t| {
                 format!(
                     "{{\"predicate\":\"{}\",\"arity\":{},\"rows\":{},\
-                     \"fact_bytes\":{},\"index_bytes\":{}}}",
+                     \"fact_bytes\":{},\"index_bytes\":{},\
+                     \"delta_rows\":{},\"dead_rows\":{}}}",
                     t.predicate.replace('\\', "\\\\").replace('"', "\\\""),
                     t.arity,
                     t.rows,
                     t.fact_bytes,
                     t.index_bytes,
+                    t.delta_rows,
+                    t.dead_rows,
                 )
             })
             .collect::<Vec<_>>()
@@ -429,7 +439,7 @@ impl KbStats {
              \"plan_estimated_rows\":{},\"plan_actual_rows\":{},\"plan_replans\":{},\
              \"cache_answer_hits\":{},\"cache_answer_misses\":{},\
              \"net_requests\":{},\
-             \"fact_bytes\":{},\"index_bytes\":{},\"tables\":[{}]}}",
+             \"fact_bytes\":{},\"index_bytes\":{},\"table_folds\":{},\"tables\":[{}]}}",
             self.prepared,
             self.cache_hits,
             self.cache_misses,
@@ -482,6 +492,7 @@ impl KbStats {
             self.net_requests,
             self.fact_bytes,
             self.index_bytes,
+            self.table_folds,
             tables,
         )
     }
@@ -1048,10 +1059,15 @@ impl KnowledgeBase {
 
     /// Apply a batch of ABox insertions and retractions atomically.
     ///
-    /// The successor snapshot is built off to the side — the engine's
-    /// per-column indexes are maintained incrementally on the
-    /// copy-on-write tables, never rebuilt — and published with a bumped
-    /// epoch. In-flight readers keep the epoch they pinned; new reads
+    /// The successor snapshot is built off to the side and published
+    /// with a bumped epoch. A write costs O(batch): every table is an
+    /// immutable base shared with the previous snapshot plus a small
+    /// delta, and a written table copies its delta only (rows appended,
+    /// rows dead, the posting lists of the cells the batch touched);
+    /// untouched tables are shared whole. The exception is the rare
+    /// apply that finds a delta grown past 1/64 of its base and folds it
+    /// into a new base — O(table), counted in [`KbStats::table_folds`].
+    /// In-flight readers keep the epoch they pinned; new reads
     /// observe either all of this batch or none of it. Compiled
     /// rewritings (TBox-only) are untouched; the engine's build-side
     /// cache drops exactly the patterns over predicates this batch
@@ -1096,7 +1112,8 @@ impl KnowledgeBase {
         }
         let track = !standing.is_empty();
         let current = self.snapshot();
-        let mut database = current.database().clone(); // COW: O(#predicates)
+        // COW: O(#predicates) here, then O(delta) per written table.
+        let mut database = current.database().clone();
         let mut touched: HashSet<Predicate> = HashSet::new();
         // Net per-fact deltas for view maintenance: retractions are
         // applied before insertions (the batch's documented order), so a
@@ -2259,6 +2276,7 @@ impl KnowledgeBase {
             net_requests: self.counters.net_requests.load(Ordering::Relaxed),
             fact_bytes: memory.fact_bytes,
             index_bytes: memory.index_bytes,
+            table_folds: snapshot.database().table_folds(),
             tables: memory.tables,
             ..KbStats::default()
         };

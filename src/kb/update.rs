@@ -14,11 +14,14 @@
 //!   In-flight readers keep the snapshot they started with; new readers
 //!   see the new epoch. Nothing blocks on anything.
 //!
-//! Snapshots are cheap: the underlying tables are copy-on-write
-//! ([`Database`] clones share untouched tables), and the build-side cache
-//! of the previous epoch is carried over for every predicate the batch
-//! did not touch. Rewritings — which depend on the TBox only — are never
-//! invalidated by data updates.
+//! Snapshots are cheap: [`Database`] clones share untouched tables whole,
+//! and a written table is an immutable base — flat columns and posting
+//! arrays, shared by every snapshot since its bulk load or last fold —
+//! plus a small delta that the writing snapshot alone owns, so an apply
+//! copies what earlier batches changed, not the table. The build-side
+//! cache of the previous epoch is carried over for every predicate the
+//! batch did not touch. Rewritings — which depend on the TBox only — are
+//! never invalidated by data updates.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;

@@ -319,3 +319,264 @@ fn retraction_repairs_postings_and_distinct_counts() {
     assert_eq!(via_chase.tuples, via_engine.tuples);
     assert_eq!(via_engine.tuples.len(), 2); // b, c
 }
+
+// ---- base + delta storage: O(batch) writes, folds, pinned bases --------
+
+/// Rows of the big `edge` table the storage suites write into: large
+/// enough in release that 200 small batches stay far below the fold
+/// threshold (1/64 of the base); a 2 000-row cell keeps debug runs short.
+fn big_rows() -> usize {
+    if cfg!(debug_assertions) {
+        2_000
+    } else {
+        200_000
+    }
+}
+
+fn edge(a: usize, b: usize) -> Atom {
+    Atom::make("edge", [format!("n{a}").as_str(), format!("n{b}").as_str()])
+}
+
+/// The taxonomy over a `rows`-row `edge` table; the first 40 individuals
+/// are spread over the six classes, so the query has answers among them.
+fn big_kb(rows: usize) -> (KnowledgeBase, BTreeSet<Atom>) {
+    let mut facts: BTreeSet<Atom> = (0..rows)
+        .map(|k| edge(k, (k * 7 + 1) % (rows / 4)))
+        .collect();
+    for i in 0..40 {
+        facts.insert(Atom::make(
+            &format!("c{}", i % 6),
+            [format!("n{i}").as_str()],
+        ));
+    }
+    let kb = KnowledgeBase::builder()
+        .program_text(TAXONOMY)
+        .unwrap()
+        .facts(facts.iter().cloned())
+        .build()
+        .unwrap();
+    (kb, facts)
+}
+
+/// A batch of `writes` operations on `edge` alone: inserts (a third of
+/// them between class members, so answers move) and retractions of live
+/// edges.
+fn edge_batch(rng: &mut Prng, live: &BTreeSet<Atom>, rows: usize, writes: usize) -> UpdateBatch {
+    let live_edges: Vec<&Atom> = live.iter().filter(|f| f.pred.arity == 2).collect();
+    let mut batch = UpdateBatch::new();
+    for _ in 0..writes {
+        batch = match rng.gen_range(0..3) {
+            0 => batch.insert(edge(rng.gen_range(0..40), rng.gen_range(0..40))),
+            1 => batch.insert(edge(rng.gen_range(0..rows), rng.gen_range(0..rows))),
+            _ => batch.retract(live_edges[rng.gen_range(0..live_edges.len())].clone()),
+        };
+    }
+    batch
+}
+
+/// Answers, row counts, distinct counts and sorted lists equal a
+/// from-scratch rebuild; so do the rows behind the posting lists of every
+/// value the batch wrote and of a fixed sample of the rest.
+fn assert_matches_rebuild(
+    kb: &KnowledgeBase,
+    prepared: &PreparedQuery,
+    model: &BTreeSet<Atom>,
+    batch: &UpdateBatch,
+    context: &str,
+) {
+    let snapshot = kb.snapshot();
+    let db = snapshot.database();
+    let rebuilt = Database::from_facts(model.iter().cloned());
+    let ucq = &kb.rewriting(prepared).unwrap().ucq;
+    assert_eq!(
+        kb.execute(prepared).unwrap().tuples,
+        execute_ucq(&rebuilt, ucq),
+        "{context}"
+    );
+    assert_eq!(db.len(), model.len(), "{context}");
+    for pred in rebuilt.predicates() {
+        assert_eq!(db.table_len(pred), rebuilt.table_len(pred), "{context}");
+        for col in 0..pred.arity {
+            let sorted = db.sorted_values(pred, col);
+            assert_eq!(
+                sorted,
+                rebuilt.sorted_values(pred, col),
+                "{context}: {pred:?} {col}"
+            );
+            assert_eq!(
+                db.distinct(pred, col),
+                sorted.len(),
+                "{context}: {pred:?} {col}"
+            );
+            let written = batch
+                .inserts()
+                .iter()
+                .chain(batch.retracts())
+                .filter(|f| f.pred == pred)
+                .map(|f| &f.args[col]);
+            for value in sorted.iter().step_by(97).chain(written) {
+                let carriers = |d: &Database| {
+                    d.posting(pred, col, value)
+                        .iter()
+                        .map(|&id| d.row(pred, id))
+                        .collect::<BTreeSet<_>>()
+                };
+                assert_eq!(
+                    carriers(db),
+                    carriers(&rebuilt),
+                    "{context}: {pred:?} {col} {value}"
+                );
+            }
+        }
+    }
+}
+
+fn batches_match_rebuilds(seed: u64, batches: usize, writes: usize) -> u64 {
+    let rows = big_rows();
+    let mut rng = Prng::seed_from_u64(seed);
+    let (kb, mut model) = big_kb(rows);
+    let prepared = kb.prepare(&kb.queries()[0].clone()).unwrap();
+    for round in 0..batches {
+        let batch = edge_batch(&mut rng, &model, rows, writes);
+        apply_to_model(&mut model, &batch);
+        kb.apply(batch.clone()).unwrap();
+        assert_matches_rebuild(&kb, &prepared, &model, &batch, &format!("round {round}"));
+    }
+    kb.stats().table_folds
+}
+
+/// Small batches against a large base: every write lands in the delta,
+/// nothing ever folds, and every epoch still equals a rebuild.
+#[test]
+fn small_batches_on_a_large_table_match_rebuilds_without_folding() {
+    // 200 batches of 6 writes are 1 200 delta rows against 3 125 allowed;
+    // the debug cell's 2 000 rows allow 31.
+    let batches = if cfg!(debug_assertions) { 5 } else { 200 };
+    assert_eq!(batches_match_rebuilds(0xDE17A, batches, 6), 0);
+}
+
+/// Enough writes to outgrow the base several times over: the same
+/// contract holds across every fold.
+#[test]
+fn heavy_batches_fold_the_table_several_times_and_match_rebuilds() {
+    // 100 writes a batch in release (20 000 in all, a fold every ~32
+    // batches), 1 in debug (a fold every ~32 too).
+    let folds = batches_match_rebuilds(0xF01D, 200, big_rows() / 2_000);
+    assert!((3..=20).contains(&folds), "{folds} folds");
+}
+
+/// Everything a reader can see through a pinned snapshot of `edge`.
+fn reader_view(
+    kb: &KnowledgeBase,
+    prepared: &PreparedQuery,
+    pinned: &Snapshot,
+) -> impl PartialEq + std::fmt::Debug {
+    let db = pinned.database();
+    let e = Predicate::new("edge", 2);
+    let postings: Vec<Vec<Vec<u32>>> = (0..2)
+        .map(|col| {
+            db.sorted_values(e, col)
+                .iter()
+                .map(|v| db.posting(e, col, v).to_vec())
+                .collect()
+        })
+        .collect();
+    (
+        kb.execute_at(prepared, pinned).unwrap().tuples,
+        postings,
+        db.rows_vec(e),
+        (db.distinct(e, 0), db.distinct(e, 1), db.table_len(e)),
+    )
+}
+
+/// A reader pinned to one epoch keeps the base it pinned: while the
+/// writer folds the table twice, the pinned snapshot re-reads the same
+/// answers, the same posting lists (row ids included) and the same rows.
+#[test]
+fn a_pinned_reader_rereads_identical_postings_while_the_table_folds_twice() {
+    let rows = big_rows();
+    let mut rng = Prng::seed_from_u64(0x9177ED);
+    let (kb, mut model) = big_kb(rows);
+    let prepared = kb.prepare(&kb.queries()[0].clone()).unwrap();
+    // Pin an epoch that already carries a delta, not the pristine load.
+    let batch = edge_batch(&mut rng, &model, rows, 6);
+    apply_to_model(&mut model, &batch);
+    kb.apply(batch).unwrap();
+    let pinned = kb.snapshot();
+    let before = reader_view(&kb, &prepared, &pinned);
+
+    let e = Predicate::new("edge", 2);
+    let mut applied = 0;
+    while kb.stats().table_folds < 2 {
+        let batch = edge_batch(&mut rng, &model, rows, rows / 100);
+        apply_to_model(&mut model, &batch);
+        kb.apply(batch).unwrap();
+        applied += 1;
+        assert!(applied < 50, "the writer should have folded twice by now");
+        if applied % 2 == 0 {
+            assert!(
+                before == reader_view(&kb, &prepared, &pinned),
+                "after {applied} batches"
+            );
+        }
+    }
+    assert!(before == reader_view(&kb, &prepared, &pinned));
+    let current = kb.snapshot();
+    assert!(!current.database().shares_base(pinned.database(), e));
+    assert_eq!(current.facts(), model.iter().cloned().collect::<Vec<_>>());
+}
+
+/// O(batch) as a count, not a time: one six-fact batch copies three
+/// deltas and no base, and leaves every other table shared whole.
+#[test]
+fn a_six_fact_batch_shares_every_base_with_the_previous_snapshot() {
+    let (kb, _) = big_kb(big_rows());
+    let before = kb.snapshot();
+    let written = [
+        Predicate::new("edge", 2),
+        Predicate::new("c0", 1),
+        Predicate::new("c1", 1),
+    ];
+    kb.apply(
+        UpdateBatch::new()
+            .insert(edge(1, 2))
+            .insert(edge(3, 4))
+            .insert(Atom::make("c0", ["n1"]))
+            .insert(Atom::make("c1", ["n2"]))
+            .retract(edge(0, 1))
+            .retract(Atom::make("c1", ["n1"])),
+    )
+    .unwrap();
+    let after = kb.snapshot();
+    let (old, new) = (before.database(), after.database());
+    for pred in old.predicates() {
+        if written.contains(&pred) {
+            assert!(
+                new.shares_base(old, pred),
+                "{pred:?}: a write copied a base"
+            );
+            assert!(!new.shares_table(old, pred), "{pred:?}");
+        } else {
+            assert!(
+                new.shares_table(old, pred),
+                "{pred:?}: untouched yet copied"
+            );
+        }
+    }
+    let stats = kb.stats();
+    assert_eq!(stats.table_folds, 0);
+    let delta: usize = stats
+        .tables
+        .iter()
+        .map(|t| t.delta_rows + t.dead_rows)
+        .sum();
+    assert_eq!(delta, 6, "{:?}", stats.tables);
+    assert!(
+        stats.to_json().contains("\"table_folds\":0,"),
+        "{}",
+        stats.to_json()
+    );
+    assert!(stats
+        .to_json()
+        .contains("\"delta_rows\":2,\"dead_rows\":1}"));
+}
