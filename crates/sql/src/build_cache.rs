@@ -24,8 +24,8 @@ pub struct PatternKey {
 }
 
 impl PatternKey {
-    /// Construct a pattern identity (the join pipeline and the IVM delta
-    /// joins each classify an atom's slots and name the result here).
+    /// Construct a pattern identity from an atom's classified columns
+    /// (`join.rs` compiles every step, and so names every pattern).
     pub(crate) fn make(
         pred: Predicate,
         key_cols: Vec<usize>,

@@ -1,38 +1,49 @@
-//! An indexed in-memory relational engine for (unions of) conjunctive
-//! queries.
+//! The (U)CQ executor of the in-memory relational engine.
 //!
 //! This is the "underlying relational database" substrate of the OBDA
 //! architecture (Section 1): rewritings produced by `nyaya-rewrite` are
 //! executed here without any ontological reasoning — that is the whole
 //! point of FO-rewritability. Because perfect rewritings routinely blow up
-//! to hundreds of disjuncts, the engine is built around three ideas:
+//! to hundreds of disjuncts, the engine is built around these ideas:
 //!
-//! - **Persistent indexes** ([`Database`]): every table keeps one hash
-//!   index per column, maintained incrementally on insert. Constant
-//!   filters probe an index instead of scanning, and the planner reads
-//!   row/distinct counts in O(1).
-//! - **Planned join orders** ([`execute_cq`] routes through
-//!   [`plan_cq`](crate::plan::plan_cq)): body atoms are evaluated
-//!   greedily by estimated output cardinality — constants and
-//!   already-bound variables first — instead of textual order.
+//! - **Indexed columnar tables** ([`Database`]): a table is an immutable
+//!   shared base (flat cell columns and, per column, a posting index from
+//!   cell to row ids plus the sorted distinct cells) under a small
+//!   per-snapshot delta whose touched posting lists shadow the base's.
+//!   A posting lookup returns the live rows of a cell as one slice, and
+//!   the planner reads row and distinct counts in O(1).
+//! - **Cost-planned join orders** ([`execute_ucq_intra`] and
+//!   [`execute_cq`] route through
+//!   [`plan_cq_cost_corrected`]): body atoms
+//!   are ordered by priced operator work, and each join step is given the
+//!   cheaper of two access paths — a hashed build side, or the key
+//!   column's posting index ([`StepOp::Merge`]). The greedy
+//!   cardinality-only planner survives as the planner's oracle
+//!   ([`execute_ucq_greedy`]).
+//! - **One join step** (`join.rs`): every step of every pipeline — a
+//!   disjunct here, a rule body in [`crate::program`], a delta rule in
+//!   [`crate::ivm`] — is the same compiled step: an atom classified
+//!   against the variables bound so far, a table, an access path, and one
+//!   probe loop that extends intermediate tuples with matching rows. This
+//!   module is the driver that compiles steps lazily in plan order and
+//!   feeds them morsels.
 //! - **A shared build-side cache** ([`BuildCache`]): the disjuncts of a
 //!   UCQ rewriting overwhelmingly share access patterns (same predicate,
 //!   same join-key positions, same constant filters). The hashed build
 //!   side for a pattern is constructed once and reused by every disjunct
 //!   — and by every worker thread of [`execute_ucq_intra`] — the
 //!   execution-side analogue of the paper's factorization.
-//! - **Cheap snapshots** ([`Database`] is copy-on-write): tables are held
-//!   behind [`Arc`](std::sync::Arc)s, so cloning a database is O(#predicates), not
-//!   O(#facts). A writer clones, mutates its private copies of only the
-//!   touched tables ([`Database::insert`] / [`Database::remove`] maintain
-//!   the per-column indexes incrementally, including on retraction), and
-//!   publishes the clone — readers holding the old value never observe a
-//!   partial batch. [`BuildCache::carried_over`] transplants the build
-//!   sides of untouched predicates into the next snapshot's cache.
+//! - **Cheap snapshots** ([`Database`] is copy-on-write): cloning a
+//!   database is O(#predicates); a writer clones, and its
+//!   [`Database::insert`] / [`Database::remove`] copy only the deltas of
+//!   the tables they touch, so readers holding the old value never
+//!   observe a partial batch. [`BuildCache::carried_over`] transplants
+//!   the build sides of untouched predicates into the next snapshot's
+//!   cache.
 //!
 //! The seed engine (textual order, no indexes, one fresh hash table per
 //! atom per disjunct) is preserved verbatim in [`crate::reference`] as the
-//! differential-testing oracle and benchmark baseline.
+//! differential-testing oracle.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,9 +51,10 @@ use std::time::{Duration, Instant};
 
 use nyaya_core::{ConjunctiveQuery, Predicate, Symbol, Term, UnionQuery};
 
-use crate::build_cache::{BuildCache, PatternKey};
+use crate::build_cache::BuildCache;
+use crate::join::{AtomShape, Projection, Step};
 use crate::plan::{join_order, plan_cq_cost_corrected, StepOp};
-use crate::table::{Database, Table};
+use crate::table::Database;
 
 /// Per-call hit/miss counters for one (U)CQ execution. Distinct from the
 /// [`BuildCache`]'s own lifetime counters: when several executions share
@@ -54,13 +66,13 @@ pub(crate) struct CacheTally {
     pub(crate) misses: AtomicU64,
     /// [`StepOp::Merge`] steps executed (no build side constructed).
     pub(crate) merges: AtomicU64,
-    /// Probe morsels driven through the join kernels (see [`MORSEL`]).
+    /// Probe morsels driven through the join step (see [`MORSEL`]).
     pub(crate) morsels: AtomicU64,
 }
 
-/// Fixed probe-batch size of the join kernels, in rows.
+/// Fixed probe-batch size of the join step, in rows.
 ///
-/// Every join step drives its probe side through the kernel in morsels
+/// Every join step drives its probe side through `join.rs` in morsels
 /// of this many intermediate tuples: the batch's key cells are resolved
 /// and probed together, which keeps the working set (key buffer, build
 /// side bucket walks, output run) cache-resident, and the batch is the
@@ -121,8 +133,8 @@ where
 /// The probe side is cut into `intra` contiguous spans (one per worker),
 /// each span is processed batch by batch, and span outputs are
 /// concatenated in span order — so the produced tuple *set* is identical
-/// to a sequential run regardless of the split (both kernels emit in
-/// probe order, so even the tuple order is preserved exactly).
+/// to a sequential run regardless of the split (a step emits in probe
+/// order, so even the tuple order is preserved exactly).
 /// A probe side under two morsels never splits: spawn overhead would
 /// dominate. `tally` counts the *logical* morsel count — `len / MORSEL`
 /// rounded up, at least one — independent of the worker split, so the
@@ -157,7 +169,9 @@ where
 /// pinned snapshot: atoms over intensional predicates resolve to the
 /// overlay — exclusively, matching [`DatalogProgram::expand`] semantics,
 /// where a defined predicate is exactly its rules — and every other atom
-/// reads the base. The base is never cloned or written.
+/// reads the base. The base is never cloned or written. View maintenance
+/// ([`crate::ivm`]) holds two layered sources, the state before an update
+/// and the state after it, each a snapshot under its view.
 ///
 /// [`DatalogProgram::expand`]: nyaya_core::DatalogProgram::expand
 pub(crate) enum DataSource<'a> {
@@ -199,19 +213,6 @@ impl<'a> DataSource<'a> {
     }
 }
 
-/// Classification of one atom argument slot during pipeline construction.
-pub(crate) enum Slot {
-    /// Variable already bound: join key (holds the intermediate-tuple
-    /// index it probes with).
-    Bound(usize),
-    /// First occurrence of a variable in this pipeline: extends tuples.
-    Fresh,
-    /// Non-variable term: equality filter, folded into the build.
-    Constant(Term),
-    /// Repeat of a fresh variable earlier in this atom (earlier column).
-    Repeat(usize),
-}
-
 /// Execute one CQ with atoms in `order`, resolving each atom's table and
 /// build cache through `src` (single database or layered program view).
 ///
@@ -244,145 +245,39 @@ pub(crate) fn execute_cq_ordered(
         if current.is_empty() {
             return BTreeSet::new();
         }
-
-        // Classify slots against the variables bound so far.
-        let mut slots: Vec<Slot> = Vec::with_capacity(atom.args.len());
-        let mut fresh_positions: HashMap<Symbol, usize> = HashMap::new();
-        for (j, t) in atom.args.iter().enumerate() {
-            match t {
-                Term::Var(v) => {
-                    if let Some(&idx) = var_index.get(v) {
-                        slots.push(Slot::Bound(idx));
-                    } else if let Some(&k) = fresh_positions.get(v) {
-                        slots.push(Slot::Repeat(k));
-                    } else {
-                        fresh_positions.insert(*v, j);
-                        slots.push(Slot::Fresh);
-                    }
-                }
-                other => slots.push(Slot::Constant(other.clone())),
-            }
+        let shape = AtomShape::of(atom, |v| var_index.get(&v).copied());
+        shape.bind_fresh(atom, &mut var_index);
+        // A planner-chosen merge step is only honored when the shape
+        // confirms that key column's postings are exactly the joining
+        // rows — a mismatch falls back to hash.
+        let merge = matches!(
+            ops.and_then(|o| o.get(step)),
+            Some(StepOp::Merge { key_col }) if shape.posting_col() == Some(*key_col)
+        );
+        let (compiled, was_hit) = Step::compile(db, cache, atom, shape, merge);
+        match was_hit {
+            None => &tally.merges,
+            Some(true) => &tally.hits,
+            Some(false) => &tally.misses,
         }
-
-        // Derive the pattern identity and fetch/build its hashed side.
-        let mut key_cols: Vec<usize> = Vec::new();
-        let mut probe_indices: Vec<usize> = Vec::new();
-        let mut consts: Vec<(usize, Term)> = Vec::new();
-        let mut repeats: Vec<(usize, usize)> = Vec::new();
-        for (j, s) in slots.iter().enumerate() {
-            match s {
-                Slot::Bound(idx) => {
-                    key_cols.push(j);
-                    probe_indices.push(*idx);
-                }
-                Slot::Constant(c) => consts.push((j, c.clone())),
-                Slot::Repeat(k) => repeats.push((j, *k)),
-                Slot::Fresh => {}
-            }
-        }
-        // A planner-chosen merge step is only honored when the executor's
-        // own slot classification confirms eligibility (single bound key,
-        // no constants, no repeats) — a mismatch falls back to hash.
-        let merge_col = match ops.and_then(|o| o.get(step)) {
-            Some(StepOp::Merge { key_col })
-                if key_cols == [*key_col] && consts.is_empty() && repeats.is_empty() =>
-            {
-                Some(*key_col)
-            }
-            _ => None,
-        };
-
-        let table = db.table(atom.pred);
-        let next: Vec<Vec<Term>>;
-        // Extend an intermediate tuple with row `id`'s fresh columns,
-        // decoding cells back to terms only at the pipeline boundary.
-        let extend = |table: &Table, tuple: &Vec<Term>, id: u32, next: &mut Vec<Vec<Term>>| {
-            let mut extended = tuple.clone();
-            for (j, s) in slots.iter().enumerate() {
-                if let Slot::Fresh = s {
-                    extended.push(table.term_at(id, j));
-                }
-            }
-            next.push(extended);
-        };
-        if let Some(key_col) = merge_col {
-            // "Merge" step (the planner's name): an index nested-loop join
-            // over the key column's posting index, which every table
-            // maintains — each probe value's posting list is exactly the
-            // joining rows. No build side is constructed or cached, and
-            // nothing is sorted.
-            tally.merges.fetch_add(1, Ordering::Relaxed);
-            if let Some(table) = table {
-                let probe_idx = probe_indices[0];
-                next = run_morsels(&current, intra, tally, |batch, out| {
-                    for tuple in batch {
-                        // A probe value absent from the table joins with
-                        // nothing.
-                        let Some(cell) = table.cell_of(&tuple[probe_idx]) else {
-                            continue;
-                        };
-                        for &id in table.posting_cells(key_col, cell) {
-                            extend(table, tuple, id, out);
-                        }
-                    }
-                });
-            } else {
-                next = Vec::new();
-            }
+        .fetch_add(1, Ordering::Relaxed);
+        current = if compiled.is_empty() {
+            Vec::new()
         } else {
-            let pattern = PatternKey::make(atom.pred, key_cols, consts, repeats);
-            let (build, was_hit) = cache.get_or_build(db, &pattern);
-            if was_hit {
-                tally.hits.fetch_add(1, Ordering::Relaxed);
-            } else {
-                tally.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Some(table) = table {
-                next = run_morsels(&current, intra, tally, |batch, out| {
-                    let mut key_buf: Vec<u32> = Vec::with_capacity(probe_indices.len());
-                    'tuples: for tuple in batch {
-                        key_buf.clear();
-                        for &idx in &probe_indices {
-                            match table.cell_of(&tuple[idx]) {
-                                Some(c) => key_buf.push(c),
-                                // A probe value absent from the table
-                                // joins with nothing.
-                                None => continue 'tuples,
-                            }
-                        }
-                        for &id in build.group_cells(&key_buf) {
-                            extend(table, tuple, id, out);
-                        }
-                    }
-                });
-            } else {
-                next = Vec::new();
-            }
-        }
-        // Register fresh variables in first-position order (matches the
-        // push order above).
-        let mut fresh_sorted: Vec<(usize, Symbol)> =
-            fresh_positions.iter().map(|(v, j)| (*j, *v)).collect();
-        fresh_sorted.sort_unstable();
-        for (_, v) in fresh_sorted {
-            let idx = var_index.len();
-            var_index.insert(v, idx);
-        }
-        current = next;
+            run_morsels(&current, intra, tally, |batch, out| {
+                compiled.probe(batch, out)
+            })
+        };
     }
 
-    // Project the head.
+    // Project the head (an unsafe head only fails on an actual answer).
+    if current.is_empty() {
+        return BTreeSet::new();
+    }
+    let head = Projection::new(&q.head, &var_index);
     let mut out = BTreeSet::new();
     for tuple in current {
-        let projected: Vec<Term> = q
-            .head
-            .iter()
-            .map(|t| match t {
-                Term::Var(v) => tuple[var_index[v]].clone(),
-                other => other.clone(),
-            })
-            .collect();
-        out.insert(projected);
+        out.insert(head.of(&tuple));
     }
     out
 }
@@ -444,7 +339,7 @@ pub struct ExecMetrics {
     /// [`StepOp::Merge`] steps executed: joins probed through a column's
     /// posting index, with no build side fetched or constructed.
     pub merge_joins: u64,
-    /// Probe morsels (1024-row batches) the join kernels drove
+    /// Probe morsels (1024-row batches) the join steps drove
     /// across all join steps. Counts logical batches of each step's probe
     /// side, independent of the intra-query worker split, so the value is
     /// host-stable.

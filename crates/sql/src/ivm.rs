@@ -21,8 +21,12 @@
 //! The initial materialization is the same code path run against an
 //! empty "old" state with every base fact as a +1 delta
 //! ([`MaterializedView::seed`]), so seeding and maintenance cannot
-//! disagree. Base-atom probes reuse the snapshots' persistent
-//! [`BuildCache`]s; intensional probes use per-propagation caches over
+//! disagree. A delta rule's joins are the executor's: each body atom is
+//! compiled into the shared join step of `join.rs` once per pass, in a
+//! static bound-first order, and probed once per changed tuple; this
+//! module only chooses the order, the side (old or new) each atom reads
+//! and the signs. Base-atom steps reuse the snapshots' persistent
+//! [`BuildCache`]s; intensional steps use per-propagation caches over
 //! the view overlay (lower strata are final before higher strata read
 //! them, so those builds stay valid within a pass).
 //!
@@ -33,12 +37,13 @@
 //! cannot depend back on it.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
 
 use nyaya_core::{Atom, Predicate, Symbol, Term};
 
-use crate::build_cache::{Build, BuildCache, PatternKey};
-use crate::table::{Database, Table};
+use crate::build_cache::BuildCache;
+use crate::exec::DataSource;
+use crate::join::{AtomShape, Projection, Step};
+use crate::table::Database;
 
 /// One seminaive delta rule, mirrored from the compiler's output:
 /// `head :- body`, reacting to changes of `body[delta_idx]`'s relation,
@@ -113,63 +118,6 @@ pub struct MaterializedView {
     answers: BTreeSet<Vec<Term>>,
     /// Metrics accumulated over the view's lifetime.
     metrics: IvmMetrics,
-}
-
-/// Where one pipeline atom reads from during a delta join.
-struct Sources<'a> {
-    old_db: &'a Database,
-    old_cache: &'a BuildCache,
-    new_db: &'a Database,
-    new_cache: &'a BuildCache,
-    old_view: &'a Database,
-    old_view_cache: &'a BuildCache,
-    new_view: &'a Database,
-    new_view_cache: &'a BuildCache,
-    intensional: &'a HashSet<Predicate>,
-}
-
-impl<'a> Sources<'a> {
-    fn resolve(&self, pred: Predicate, new_side: bool) -> (&'a Database, &'a BuildCache) {
-        match (self.intensional.contains(&pred), new_side) {
-            (true, true) => (self.new_view, self.new_view_cache),
-            (true, false) => (self.old_view, self.old_view_cache),
-            (false, true) => (self.new_db, self.new_cache),
-            (false, false) => (self.old_db, self.old_cache),
-        }
-    }
-}
-
-/// Slot classification for one pipeline atom (same roles as the engine's
-/// private `Slot`, rebuilt here because delta joins classify against the
-/// delta atom's binding rather than a query prefix).
-enum DeltaSlot {
-    /// Variable already bound: probes with the valuation index it holds.
-    Bound(usize),
-    /// First occurrence: extends the valuation.
-    Fresh,
-    /// Repeat of a fresh variable earlier in this atom — enforced by the
-    /// build's filter, inert during extension.
-    Repeat,
-    /// Constant: folded into the build's filter.
-    Constant,
-}
-
-/// One precompiled pipeline step of a delta rule: the build side is
-/// fetched once per propagation and probed per delta tuple.
-struct AtomStep<'a> {
-    /// The atom's columnar table (`None` when the predicate has no facts
-    /// on this side — the build is then empty and the step matches
-    /// nothing).
-    table: Option<&'a Table>,
-    build: Arc<Build>,
-    slots: Vec<DeltaSlot>,
-    probe_indices: Vec<usize>,
-}
-
-/// How one head (or goal) argument projects out of a valuation.
-enum Proj {
-    Var(usize),
-    Const(Term),
 }
 
 impl MaterializedView {
@@ -264,12 +212,28 @@ impl MaterializedView {
 
         let mut diff = AnswerDelta::default();
         let goal_pred = self.program.goal.pred;
-        let goal_proj = goal_filter(&self.program.goal);
+        // With nothing bound, the goal atom's shape is the filter its
+        // relation's tuples must pass to be answers.
+        let goal_shape = AtomShape::of(&self.program.goal, |_| None);
 
         for level in 0..self.program.levels {
             // Evaluate every delta rule of this level against the deltas
             // accumulated so far (base + strata below this one).
             let mut head_acc: HashMap<Predicate, HashMap<Vec<Term>, i64>> = HashMap::new();
+            let old_src = DataSource::Layered {
+                base: old.0,
+                base_cache: old.1,
+                overlay: &old_view,
+                overlay_cache: &old_view_cache,
+                intensional: &self.program.intensional,
+            };
+            let new_src = DataSource::Layered {
+                base: new.0,
+                base_cache: new.1,
+                overlay: &self.view,
+                overlay_cache: &new_view_cache,
+                intensional: &self.program.intensional,
+            };
             for rule in self.program.rules.iter().filter(|r| r.level == level) {
                 let dpred = rule.body[rule.delta_idx].pred;
                 let Some(dmap) = deltas.get(&dpred) else {
@@ -278,20 +242,9 @@ impl MaterializedView {
                 if dmap.is_empty() {
                     continue;
                 }
-                let sources = Sources {
-                    old_db: old.0,
-                    old_cache: old.1,
-                    new_db: new.0,
-                    new_cache: new.1,
-                    old_view: &old_view,
-                    old_view_cache: &old_view_cache,
-                    new_view: &self.view,
-                    new_view_cache: &new_view_cache,
-                    intensional: &self.program.intensional,
-                };
                 let acc = head_acc.entry(rule.head.pred).or_default();
                 self.metrics.rules_fired += 1;
-                self.metrics.derivations += eval_delta_rule(rule, dmap, &sources, acc);
+                self.metrics.derivations += eval_delta_rule(rule, dmap, &old_src, &new_src, acc);
             }
 
             // Commit this level's support changes (sorted for
@@ -341,7 +294,7 @@ impl MaterializedView {
                     } else {
                         self.view.remove(&atom);
                     }
-                    if pred == goal_pred && goal_proj.matches(&tuple) {
+                    if pred == goal_pred && goal_shape.admits(&tuple) {
                         if is_in {
                             self.answers.insert(tuple.clone());
                             diff.added.push(tuple.clone());
@@ -362,66 +315,25 @@ impl MaterializedView {
     }
 }
 
-/// The goal atom's tuple filter: constant and repeated-variable
-/// positions a goal-relation tuple must satisfy to be an answer.
-struct GoalFilter {
-    consts: Vec<(usize, Term)>,
-    repeats: Vec<(usize, usize)>,
-}
-
-impl GoalFilter {
-    fn matches(&self, tuple: &[Term]) -> bool {
-        self.consts.iter().all(|(j, t)| &tuple[*j] == t)
-            && self.repeats.iter().all(|(j, k)| tuple[*j] == tuple[*k])
-    }
-}
-
-fn goal_filter(goal: &Atom) -> GoalFilter {
-    let mut first: HashMap<Symbol, usize> = HashMap::new();
-    let mut consts = Vec::new();
-    let mut repeats = Vec::new();
-    for (j, t) in goal.args.iter().enumerate() {
-        match t {
-            Term::Var(v) => match first.get(v) {
-                Some(&k) => repeats.push((j, k)),
-                None => {
-                    first.insert(*v, j);
-                }
-            },
-            other => consts.push((j, other.clone())),
-        }
-    }
-    GoalFilter { consts, repeats }
-}
-
 /// Evaluate one delta rule over its delta relation's changed tuples,
 /// adding each valuation's signed contribution to `acc` (keyed by head
-/// tuple). Returns the number of derivation events.
+/// tuple). Atoms left of the delta atom read `new`, atoms right of it
+/// `old`. Returns the number of derivation events.
 fn eval_delta_rule(
     rule: &IvmRule,
     dmap: &HashMap<Vec<Term>, i64>,
-    sources: &Sources<'_>,
+    old: &DataSource<'_>,
+    new: &DataSource<'_>,
     acc: &mut HashMap<Vec<Term>, i64>,
 ) -> u64 {
     let datom = &rule.body[rule.delta_idx];
 
-    // Bind the delta atom: first variable occurrences become valuation
-    // slots; constants and repeats become per-tuple checks.
+    // Bind the delta atom: with nothing bound before it, its fresh
+    // columns become the valuation and its constants and repeats are
+    // per-tuple checks.
     let mut var_index: HashMap<Symbol, usize> = HashMap::new();
-    let mut bind_slots: Vec<DeltaSlot> = Vec::with_capacity(datom.args.len());
-    for t in &datom.args {
-        match t {
-            Term::Var(v) => {
-                if let Some(&i) = var_index.get(v) {
-                    bind_slots.push(DeltaSlot::Bound(i));
-                } else {
-                    var_index.insert(*v, var_index.len());
-                    bind_slots.push(DeltaSlot::Fresh);
-                }
-            }
-            _ => bind_slots.push(DeltaSlot::Constant),
-        }
-    }
+    let dshape = AtomShape::of(datom, |_| None);
+    dshape.bind_fresh(datom, &mut var_index);
 
     // Order the remaining atoms greedily by bound-argument count — the
     // same "bound first" heuristic as the CQ planner, reduced to what is
@@ -457,136 +369,42 @@ fn eval_delta_rule(
         remaining.remove(pos);
     }
 
-    // Precompile each pipeline step: classify slots against the evolving
-    // variable index, derive the pattern, and fetch its build side once.
-    let mut steps: Vec<AtomStep<'_>> = Vec::with_capacity(order.len());
-    for &j in &order {
-        let atom = &rule.body[j];
-        let new_side = j < rule.delta_idx;
-        let (db, cache) = sources.resolve(atom.pred, new_side);
-        let mut slots: Vec<DeltaSlot> = Vec::with_capacity(atom.args.len());
-        let mut fresh_positions: HashMap<Symbol, usize> = HashMap::new();
-        let mut key_cols: Vec<usize> = Vec::new();
-        let mut probe_indices: Vec<usize> = Vec::new();
-        let mut consts: Vec<(usize, Term)> = Vec::new();
-        let mut repeats: Vec<(usize, usize)> = Vec::new();
-        for (col, t) in atom.args.iter().enumerate() {
-            match t {
-                Term::Var(v) => {
-                    if let Some(&idx) = var_index.get(v) {
-                        slots.push(DeltaSlot::Bound(idx));
-                        key_cols.push(col);
-                        probe_indices.push(idx);
-                    } else if let Some(&k) = fresh_positions.get(v) {
-                        slots.push(DeltaSlot::Repeat);
-                        repeats.push((col, k));
-                    } else {
-                        fresh_positions.insert(*v, col);
-                        slots.push(DeltaSlot::Fresh);
-                    }
-                }
-                other => {
-                    slots.push(DeltaSlot::Constant);
-                    consts.push((col, other.clone()));
-                }
-            }
-        }
-        let mut fresh_sorted: Vec<(usize, Symbol)> =
-            fresh_positions.iter().map(|(v, c)| (*c, *v)).collect();
-        fresh_sorted.sort_unstable();
-        for (_, v) in fresh_sorted {
-            let idx = var_index.len();
-            var_index.insert(v, idx);
-        }
-        let pattern = PatternKey::make(atom.pred, key_cols, consts, repeats);
-        let (build, _) = cache.get_or_build(db, &pattern);
-        steps.push(AtomStep {
-            table: db.table(atom.pred),
-            build,
-            slots,
-            probe_indices,
-        });
-    }
-
-    // Head projection out of a complete valuation.
-    let head_proj: Vec<Proj> = rule
-        .head
-        .args
+    // Compile every step once per pass; each is probed per delta tuple.
+    // Every step fetches a build side: which shapes should probe the
+    // posting index here (`true`) is ROADMAP's first open item.
+    let steps: Vec<Step<'_>> = order
         .iter()
-        .map(|t| match t {
-            Term::Var(v) => Proj::Var(var_index[v]),
-            other => Proj::Const(other.clone()),
+        .map(|&j| {
+            let atom = &rule.body[j];
+            let src = if j < rule.delta_idx { new } else { old };
+            let (db, cache) = src.resolve(atom.pred);
+            let shape = AtomShape::of(atom, |v| var_index.get(&v).copied());
+            shape.bind_fresh(atom, &mut var_index);
+            Step::compile(db, cache, atom, shape, false).0
         })
         .collect();
+    let head = Projection::new(&rule.head.args, &var_index);
 
     // Drive every changed tuple of the delta relation through the steps,
     // counting valuations (no dedup — multiplicity is the point).
     let mut events = 0u64;
     let mut dtuples: Vec<(&Vec<Term>, i64)> = dmap.iter().map(|(t, s)| (t, *s)).collect();
     dtuples.sort();
-    'tuples: for (tuple, sign) in dtuples {
-        if sign == 0 {
+    for (tuple, sign) in dtuples {
+        if sign == 0 || !dshape.admits(tuple) {
             continue;
         }
-        let mut binding: Vec<Term> = Vec::with_capacity(var_index.len());
-        for (j, slot) in bind_slots.iter().enumerate() {
-            match slot {
-                DeltaSlot::Fresh => binding.push(tuple[j].clone()),
-                DeltaSlot::Bound(i) => {
-                    if binding[*i] != tuple[j] {
-                        continue 'tuples;
-                    }
-                }
-                DeltaSlot::Constant => {
-                    if datom.args[j] != tuple[j] {
-                        continue 'tuples;
-                    }
-                }
-                DeltaSlot::Repeat => unreachable!("delta binding uses Bound for repeats"),
-            }
-        }
-
-        let mut current: Vec<Vec<Term>> = vec![binding];
+        let mut current: Vec<Vec<Term>> = vec![dshape.fresh(tuple)];
         for step in &steps {
             if current.is_empty() {
                 break;
             }
             let mut next: Vec<Vec<Term>> = Vec::new();
-            if let Some(table) = step.table {
-                let mut key_buf: Vec<u32> = Vec::with_capacity(step.probe_indices.len());
-                'vals: for val in &current {
-                    key_buf.clear();
-                    for &idx in &step.probe_indices {
-                        match table.cell_of(&val[idx]) {
-                            Some(c) => key_buf.push(c),
-                            // A probe value the table never stored joins
-                            // with nothing.
-                            None => continue 'vals,
-                        }
-                    }
-                    for &id in step.build.group_cells(&key_buf) {
-                        let mut extended = val.clone();
-                        for (col, slot) in step.slots.iter().enumerate() {
-                            if let DeltaSlot::Fresh = slot {
-                                extended.push(table.term_at(id, col));
-                            }
-                        }
-                        next.push(extended);
-                    }
-                }
-            }
+            step.probe(&current, &mut next);
             current = next;
         }
-
-        for val in current {
-            let head_tuple: Vec<Term> = head_proj
-                .iter()
-                .map(|p| match p {
-                    Proj::Var(i) => val[*i].clone(),
-                    Proj::Const(t) => t.clone(),
-                })
-                .collect();
-            *acc.entry(head_tuple).or_insert(0) += sign;
+        for val in &current {
+            *acc.entry(head.of(val)).or_insert(0) += sign;
             events += 1;
         }
     }

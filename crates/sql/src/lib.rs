@@ -16,6 +16,7 @@ pub mod catalog;
 pub mod ddl;
 pub mod exec;
 pub mod ivm;
+mod join;
 pub mod plan;
 pub mod program;
 pub mod reference;

@@ -34,6 +34,7 @@ use std::collections::{HashMap, HashSet};
 
 use nyaya_core::{ConjunctiveQuery, Predicate, Symbol, Term};
 
+use crate::join::AtomShape;
 use crate::table::Database;
 
 /// Per-table column statistics: row count and per-position distinct counts.
@@ -226,29 +227,6 @@ impl CostPlan {
     }
 }
 
-/// Is `atom` joinable through one column's posting index given the
-/// variables bound so far? Eligibility: exactly one argument is a bound
-/// variable (the join key) and every other argument is a distinct fresh
-/// variable — no constants, no repeats — so the key column's posting
-/// lists are exactly the matching rows. Returns the key column.
-fn merge_key_col(atom: &nyaya_core::Atom, bound: &HashSet<Symbol>) -> Option<usize> {
-    let mut key = None;
-    let mut seen: HashSet<Symbol> = HashSet::new();
-    for (j, t) in atom.args.iter().enumerate() {
-        let Term::Var(v) = t else { return None };
-        if !seen.insert(*v) {
-            return None;
-        }
-        if bound.contains(v) {
-            if key.is_some() {
-                return None;
-            }
-            key = Some(j);
-        }
-    }
-    key
-}
-
 /// Price one candidate step: estimated output cardinality, the chosen
 /// operator, and the operator's work. A hash join pays for scanning the
 /// table into a build side plus one probe per intermediate tuple; a merge
@@ -285,7 +263,9 @@ fn price_step(
         );
     }
     let hash_cost = COLUMNAR_WORK_DISCOUNT * (stats.rows as f64 + card) + est;
-    match merge_key_col(atom, bound) {
+    // Eligible for the posting index: the executor's own classification,
+    // asked with the planner's bound set (the valuation index is unused).
+    match AtomShape::of(atom, |v| bound.contains(&v).then_some(0)).posting_col() {
         Some(key_col) => {
             // The `min(distinct, card)` term priced the merge step's walk
             // of the sorted distinct-value list, which is gone: the step

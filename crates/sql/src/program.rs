@@ -106,7 +106,7 @@ pub struct ProgramMetrics {
     /// column's posting index (base tables and overlay tables both
     /// maintain one).
     pub merge_joins: u64,
-    /// Probe morsels the join kernels drove (see
+    /// Probe morsels the join steps drove (see
     /// [`ExecMetrics::morsel_tasks`](crate::ExecMetrics::morsel_tasks)).
     pub morsel_tasks: u64,
     /// Wall-clock execution time.

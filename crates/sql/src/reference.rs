@@ -8,8 +8,22 @@ use std::collections::{BTreeSet, HashMap};
 
 use nyaya_core::{ConjunctiveQuery, Symbol, Term, UnionQuery};
 
-use crate::exec::Slot;
 use crate::table::Database;
+
+/// The oracle's own classification of one atom argument — deliberately
+/// not the engine's ([`crate::join`]), so the kernel can change shape
+/// without touching the code that checks it.
+enum Slot {
+    /// Variable already bound: join key (holds the intermediate-tuple
+    /// index it probes with).
+    Bound(usize),
+    /// First occurrence of a variable in this pipeline: extends tuples.
+    Fresh,
+    /// Non-variable term: equality filter.
+    Constant(Term),
+    /// Repeat of a fresh variable earlier in this atom (earlier column).
+    Repeat(usize),
+}
 
 /// Seed-semantics CQ evaluation (left-to-right hash-join pipeline).
 pub fn execute_cq_reference(db: &Database, q: &ConjunctiveQuery) -> BTreeSet<Vec<Term>> {

@@ -609,7 +609,8 @@ impl Table {
         self.delta.n_rows += 1;
     }
 
-    /// Encode and append a row the caller knows to be absent.
+    /// Encode and append a row the caller knows to be absent, interning
+    /// the non-constants this table has not stored before.
     fn insert(&mut self, args: &[Term]) {
         let cells: Vec<u32> = args
             .iter()
@@ -618,17 +619,11 @@ impl Table {
         self.append(&cells);
     }
 
-    /// Remove one row, keeping every index exact: its id joins the dead
-    /// set and leaves the posting list of each of its cells, so no probe
-    /// sees it again. A cell whose last row died leaves the distinct
-    /// count and the sorted list.
-    fn remove(&mut self, args: &[Term]) -> bool {
-        let Some(cells) = self.cells_of(args) else {
-            return false;
-        };
-        let Some(id) = self.find(&cells) else {
-            return false;
-        };
+    /// Remove live row `id`, whose cells are `cells`, keeping every index
+    /// exact: its id joins the dead set and leaves the posting list of
+    /// each of its cells, so no probe sees it again. A cell whose last
+    /// row died leaves the distinct count and the sorted list.
+    fn remove_row(&mut self, id: u32, cells: &[u32]) {
         self.delta.dead.insert(id);
         for (j, &c) in cells.iter().enumerate() {
             let posting = self.touch(j, c);
@@ -645,7 +640,6 @@ impl Table {
                 self.distinct_changed(j, false);
             }
         }
-        true
     }
 
     /// Rows in the delta, appended plus dead: what a copy-on-write clone
@@ -817,7 +811,7 @@ impl Database {
                 .get(&pred)
                 .is_some_and(|t| !t.outgrown(stage.n_rows, Arc::strong_count(t) > 1));
             if small {
-                let table = self.table_mut(pred);
+                let (table, _) = self.table_mut(pred);
                 table.exotic = stage.exotic;
                 let mut cells = vec![0u32; pred.arity];
                 for k in 0..stage.n_rows {
@@ -840,13 +834,15 @@ impl Database {
     /// The table behind `pred`, private to this database and ready for
     /// one more write: created if absent, folded if its delta has
     /// outgrown its base, its delta copied if an older snapshot still
-    /// shares it.
-    fn table_mut(&mut self, pred: Predicate) -> &mut Table {
+    /// shares it. The flag says whether it was folded, which renumbers
+    /// its rows (cells stay valid).
+    fn table_mut(&mut self, pred: Predicate) -> (&mut Table, bool) {
         let slot = self
             .tables
             .entry(pred)
             .or_insert_with(|| Arc::new(Table::with_arity(pred.arity)));
-        if slot.outgrown(0, Arc::strong_count(slot) > 1) {
+        let fold = slot.outgrown(0, Arc::strong_count(slot) > 1);
+        if fold {
             // A fold renumbers row ids. That is safe: the only holders of
             // row ids are hashed build sides, `BuildCache::carried_over`
             // evicts every build over a written predicate, and a cache
@@ -854,21 +850,30 @@ impl Database {
             *slot = Arc::new(slot.folded());
             self.folds += 1;
         }
-        Arc::make_mut(slot)
+        (Arc::make_mut(slot), fold)
     }
 
     /// Insert a fact, maintaining the per-column indexes incrementally.
     /// Returns `true` if the fact was new. Panics on non-ground atoms.
     pub fn insert(&mut self, fact: Atom) -> bool {
         assert!(fact.is_ground(), "facts must be ground, got {fact}");
-        // Duplicate probe first: a no-op insert must not copy a table
-        // that is COW-shared with other snapshots.
+        // Encode once, read-only. `None`: there is no table yet, or an
+        // argument is a non-constant it has never stored — the row is new
+        // either way and the write interns what it must.
+        let mut cells = None;
         if let Some(table) = self.tables.get(&fact.pred) {
-            if table.contains(&fact.args) {
+            cells = table.cells_of(&fact.args);
+            // Duplicate probe first: a no-op insert must not copy a table
+            // that is COW-shared with other snapshots.
+            if cells.as_ref().is_some_and(|c| table.find(c).is_some()) {
                 return false;
             }
         }
-        self.table_mut(fact.pred).insert(&fact.args);
+        let (table, _) = self.table_mut(fact.pred);
+        match cells {
+            Some(cells) => table.append(&cells),
+            None => table.insert(&fact.args),
+        }
         true
     }
 
@@ -878,22 +883,33 @@ impl Database {
     /// [`predicates`](Self::predicates) keeps its "has at least one
     /// fact" contract.
     pub fn remove(&mut self, fact: &Atom) -> bool {
+        // Same COW guard as insert: a missing fact must not force a copy.
+        // The one encoding and lookup made here are handed to the write.
         let Some(table) = self.tables.get(&fact.pred) else {
             return false;
         };
-        // Same COW guard as insert: missing facts must not force a copy.
-        if !table.contains(&fact.args) {
+        let Some(cells) = table.cells_of(&fact.args) else {
             return false;
-        }
+        };
+        let Some(id) = table.find(&cells) else {
+            return false;
+        };
         if table.len() == 1 {
             self.tables.remove(&fact.pred);
             return true;
         }
-        self.table_mut(fact.pred).remove(&fact.args)
+        let (table, folded) = self.table_mut(fact.pred);
+        let id = if folded {
+            table.find(&cells).expect("a fold keeps every live row")
+        } else {
+            id
+        };
+        table.remove_row(id, &cells);
+        true
     }
 
     /// The columnar table behind a predicate (crate-internal cell-level
-    /// access for the join kernels, IVM probes, and the segment codec).
+    /// access for the join step, the build cache and the segment codec).
     pub(crate) fn table(&self, pred: Predicate) -> Option<&Table> {
         self.tables.get(&pred).map(Arc::as_ref)
     }
@@ -1435,6 +1451,24 @@ mod tests {
             "a small batch goes to the delta"
         );
         assert!(!shared.contains(&fact("bulk0", "d")));
+        assert_equals_rebuild(&db);
+    }
+
+    /// `remove` finds its row before it asks for a writable table; the
+    /// fold that request can trigger renumbers the rows.
+    #[test]
+    fn a_remove_that_folds_still_removes_its_own_row() {
+        let n = 10 * FOLD_DIVISOR;
+        let mut db = Database::from_facts((0..n).map(|i| fact(&format!("s{i}"), "c")));
+        let mut pinned = Vec::new();
+        for i in 0..=11 {
+            pinned.push(db.clone());
+            assert!(db.remove(&fact(&format!("s{i}"), "c")));
+        }
+        assert_eq!(db.table_folds(), 1, "the twelfth dead row is past n/64");
+        assert_eq!(db.table_len(p2()), n - 12);
+        assert!(!db.contains(&fact("s11", "c")));
+        assert!(db.contains(&fact("s12", "c")) && db.contains(&fact("s23", "c")));
         assert_equals_rebuild(&db);
     }
 

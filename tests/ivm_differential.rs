@@ -254,3 +254,87 @@ fn subscribe_from_past_epoch_requires_durability() {
     let sub = kb.subscribe_from(&query, 1).expect("subscribe at current");
     assert_eq!(sub.poll().len(), 1);
 }
+
+/// A second ontology and query for the join shapes the taxonomy above
+/// never puts into a delta rule's body. `W` is existential in `m1` and
+/// every atom it occurs in can reach that position, so the four atoms
+/// stay one interaction cluster and are rewritten together: their rules
+/// keep a constant in a non-delta atom (`link(W, hub)`, and `owns(hub, W)`
+/// once `m3` resolves it), a variable repeated inside one atom and bound
+/// by nothing before it (`tri(V, V, W)`) and a two-column join key
+/// (`pair(X, W)` against `owns(X, W)`); `flag(Z)` shares no variable
+/// with anything, so the goal rule joins it as a Cartesian step.
+fn shapes_ontology_text(rng: &mut Prng) -> String {
+    let mut text = String::from(
+        "m1: maker(X) -> owns(X, W).\n\
+         m2: owns(X, W) -> pair(Y, W).\n\
+         m3: owns(X, W) -> link(W, X).\n\
+         m4: owns(X, W) -> tri(X, Y, W).\n",
+    );
+    // A seeded initial ABox: the seed diff already joins every shape.
+    for _ in 0..30 {
+        text.push_str(&format!("{}.\n", shapes_fact(rng)));
+    }
+    text.push_str("q(X, Z) :- owns(X, W), pair(X, W), link(W, hub), tri(V, V, W), flag(Z).\n");
+    text
+}
+
+/// A fact over three individuals, one of them the query's constant: few,
+/// so that the five-atom body is satisfied often enough for the diffs to
+/// carry tuples.
+fn shapes_fact(rng: &mut Prng) -> Atom {
+    let mut ind = || ["ind0", "ind1", "hub"][rng.gen_range(0..3)];
+    let (a, b, c) = (ind(), ind(), ind());
+    match rng.gen_range(0..7) {
+        0 => Atom::make("maker", [a]),
+        1 => Atom::make("owns", [a, b]),
+        2 => Atom::make("pair", [a, b]),
+        3 => Atom::make("link", [a, b]),
+        // Half of the triples carry the repeat the query asks for.
+        4 => Atom::make("tri", [a, a, c]),
+        5 => Atom::make("tri", [a, b, c]),
+        _ => Atom::make("flag", [a]),
+    }
+}
+
+#[test]
+fn constants_repeats_wide_keys_and_cartesian_steps_replay_to_full_reexecution() {
+    let mut changed_tuples = 0usize;
+    for seed in 0..100u64 {
+        let mut rng = Prng::seed_from_u64(seed ^ 0x5AFE);
+        let kb = KnowledgeBase::from_program_text(&shapes_ontology_text(&mut rng)).expect("build");
+        let query = kb.prepare(&kb.queries()[0].clone()).expect("prepare");
+        let sub = kb.subscribe(&query).expect("subscribe");
+        let context = format!("seed {seed}");
+
+        let mut replayed = BTreeSet::new();
+        let initial = single_diff(&sub, 0, &context);
+        replay_diff(&mut replayed, &initial, &context);
+        assert_eq!(replayed, answers_of(&kb, &query), "{context}: seed diff");
+        changed_tuples += initial.added.len();
+
+        for batch_no in 0..12usize {
+            let insert_p = if batch_no % 3 == 2 { 0.25 } else { 0.6 };
+            let mut batch = UpdateBatch::new();
+            for _ in 0..rng.gen_range(1..5) {
+                let fact = shapes_fact(&mut rng);
+                batch = if rng.gen_bool(insert_p) {
+                    batch.insert(fact)
+                } else {
+                    batch.retract(fact)
+                };
+            }
+            let epoch = kb.apply(batch).expect("apply").epoch;
+            let context = format!("seed {seed}, batch {batch_no}");
+            let diff = single_diff(&sub, epoch, &context);
+            replay_diff(&mut replayed, &diff, &context);
+            assert_eq!(replayed, answers_of(&kb, &query), "{context}");
+            assert_eq!(sub.current(), replayed, "{context}: view answers");
+            changed_tuples += diff.added.len() + diff.removed.len();
+        }
+    }
+    assert!(
+        changed_tuples > 300,
+        "the fixture must move answers, not replay empty diffs: {changed_tuples}"
+    );
+}
