@@ -27,6 +27,7 @@
 //! large part of the table (a low-cardinality column) costs that posting,
 //! not the batch.
 
+use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -855,7 +856,10 @@ impl Database {
 
     /// Insert a fact, maintaining the per-column indexes incrementally.
     /// Returns `true` if the fact was new. Panics on non-ground atoms.
-    pub fn insert(&mut self, fact: Atom) -> bool {
+    /// The row is encoded from the fact, so a borrowed one is never
+    /// cloned.
+    pub fn insert(&mut self, fact: impl Borrow<Atom>) -> bool {
+        let fact = fact.borrow();
         assert!(fact.is_ground(), "facts must be ground, got {fact}");
         // Encode once, read-only. `None`: there is no table yet, or an
         // argument is a non-constant it has never stored — the row is new

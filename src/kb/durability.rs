@@ -35,7 +35,7 @@ use nyaya_sql::segment::{decode_batch, decode_database, encode_batch, encode_dat
 use nyaya_sql::{BuildCache, Catalog, Database};
 
 use super::error::NyayaError;
-use super::update::{Snapshot, UpdateBatch};
+use super::update::{replay, Snapshot, UpdateBatch};
 
 /// How many materialized historical snapshots to keep around.
 const MATERIALIZED_CACHE_CAP: usize = 16;
@@ -155,12 +155,7 @@ impl Durability {
         for record in &state.tail {
             debug_assert!(record.epoch > seg_epoch);
             let (retracts, inserts) = decode_batch(&record.payload)?;
-            for fact in &retracts {
-                database.remove(fact);
-            }
-            for fact in inserts {
-                database.insert(fact);
-            }
+            replay(&mut database, &retracts, &inserts, |_, _| {});
             replayed += 1;
         }
         counters
@@ -277,17 +272,9 @@ impl Durability {
             std::collections::HashMap::new();
         for record in &records {
             let (retracts, inserts) = decode_batch(&record.payload)?;
-            for fact in &retracts {
-                if database.remove(fact) {
-                    pred_epochs.insert(fact.pred, record.epoch);
-                }
-            }
-            for fact in inserts {
-                let pred = fact.pred;
-                if database.insert(fact) {
-                    pred_epochs.insert(pred, record.epoch);
-                }
-            }
+            replay(&mut database, &retracts, &inserts, |fact, _| {
+                pred_epochs.insert(fact.pred, record.epoch);
+            });
         }
         // The current catalog is a superset of every historical one
         // (registrations only accumulate), so it is safe for SQL over

@@ -12,10 +12,14 @@
 //!   the Section 6 [`EliminationContext`], which is derived from Σ alone
 //!   and shared by every subsequent rewriting;
 //! - [`KnowledgeBase::prepare`] turns a CQ into a [`PreparedQuery`]; its
-//!   perfect rewriting is computed on first execution and memoized by the
-//!   query's canonical key (α-equivalent queries share one cache slot), so
-//!   repeated queries never rewrite twice — [`KbStats`] exposes the
-//!   hit/miss counters;
+//!   perfect rewriting is computed on first execution and memoized in the
+//!   one cache entry of the query's shape (canonical key and engine, so
+//!   α-equivalent queries share it), beside everything else learned about
+//!   that shape: its program, the [`Strategy::Auto`] choice, the plan
+//!   correction and the last few answer sets. Repeated queries never
+//!   rewrite twice — [`KbStats`] exposes the hit/miss counters. A handle
+//!   keeps its entry inline after first use; one guard makes a handle
+//!   executed on a *different* knowledge base use that base's entry;
 //! - execution goes through a pluggable [`Executor`]: the in-process
 //!   relational engine, SQL-text emission for an external DBMS, or
 //!   chase-based certain answers for ontologies outside the FO-rewritable
@@ -48,6 +52,7 @@
 //! assert_eq!(kb.stats().cache_misses, 1);
 //! ```
 
+mod cache;
 mod durability;
 mod error;
 mod executor;
@@ -76,8 +81,10 @@ use nyaya_sql::{
     ProgramMetrics,
 };
 
+use cache::QueryEntry;
 use durability::Durability;
 use subscribe::SubscriptionInner;
+use update::replay;
 
 pub use error::NyayaError;
 pub use executor::{Answers, ChaseExecutor, Executor, ExecutorKind, InMemoryExecutor, SqlExecutor};
@@ -146,20 +153,18 @@ pub const DEFAULT_FLUSH_INTERVAL: u64 = 64;
 /// on its next execution.
 pub const REPLAN_RATIO: f64 = 8.0;
 
-/// Learned correction factors are clamped to `[1/64, 64]` so one absurd
-/// estimate cannot wedge a query into a pathological plan forever.
-const MAX_CORRECTION: f64 = 64.0;
-
 /// A query compiled against a [`KnowledgeBase`].
 ///
 /// Holds the original CQ, the engine that will compile it, and its
-/// canonical cache key. The rewriting itself is produced lazily by the
-/// first executor that needs it and memoized both in the knowledge base's
-/// cache (shared across handles) and inline in this handle (so re-executing
-/// the same handle doesn't even take the cache lock). The inline slot is
-/// stamped with the identity of the knowledge base that prepared the
-/// handle: executing it against a *different* knowledge base bypasses the
-/// slot and compiles under that base's own ontology instead of silently
+/// canonical cache key. Everything compiled or learned for it — rewriting,
+/// program, [`Strategy::Auto`] choice, plan correction, cached answers —
+/// lives in the knowledge base's one cache entry for the query's shape,
+/// produced lazily by the first executor that needs it and shared by every
+/// α-equivalent handle. The handle keeps a reference to that entry inline,
+/// so re-executing it takes no cache lock. The slot belongs to the
+/// knowledge base that prepared the handle: executing it against a
+/// *different* knowledge base goes through that base's own entry (compiled
+/// under its own ontology) and never touches the slot, instead of silently
 /// serving a rewriting from the wrong Σ.
 pub struct PreparedQuery {
     query: ConjunctiveQuery,
@@ -167,21 +172,20 @@ pub struct PreparedQuery {
     key: CanonicalKey,
     /// Identity of the [`KnowledgeBase`] whose `prepare` produced this.
     kb_id: u64,
-    compiled: OnceLock<Arc<CompiledRewriting>>,
-    /// The program-target twin of `compiled`, filled by
-    /// [`KnowledgeBase::program`] or the [`Strategy`] machinery.
-    compiled_program: OnceLock<Arc<CompiledProgram>>,
-    /// Memoized [`Strategy::Auto`] decision (`true` = program target);
-    /// like the inline slots, only consulted by the owning base.
-    program_choice: OnceLock<bool>,
+    /// That base's entry for this query's shape, filled on first use.
+    entry: OnceLock<Arc<QueryEntry>>,
 }
 
 impl std::fmt::Debug for PreparedQuery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let compiled = self
+            .entry
+            .get()
+            .is_some_and(|e| e.rewriting.get().is_some());
         f.debug_struct("PreparedQuery")
             .field("query", &self.query.to_string())
             .field("algorithm", &self.algorithm)
-            .field("compiled", &self.compiled.get().is_some())
+            .field("compiled", &compiled)
             .finish()
     }
 }
@@ -882,14 +886,11 @@ impl KnowledgeBaseBuilder {
             program_threshold: self.program_threshold,
             default_algorithm: algorithm,
             executor,
-            cache: RwLock::new(HashMap::new()),
-            program_cache: RwLock::new(HashMap::new()),
+            entries: RwLock::new(HashMap::new()),
             counters: Counters::default(),
             durability,
             subscriptions: Mutex::new(Vec::new()),
-            feedback: Mutex::new(HashMap::new()),
             answer_cache_enabled: self.answer_cache,
-            answer_cache: RwLock::new(HashMap::new()),
         })
     }
 }
@@ -928,11 +929,10 @@ pub struct KnowledgeBase {
     program_threshold: usize,
     default_algorithm: Algorithm,
     executor: ExecutorKind,
-    cache: RwLock<HashMap<(CanonicalKey, Algorithm), Arc<CompiledRewriting>>>,
-    /// The program-target twin of `cache`: compiled non-recursive Datalog
-    /// programs, keyed like rewritings. TBox-only, so data writes never
-    /// touch it.
-    program_cache: RwLock<HashMap<(CanonicalKey, Algorithm), Arc<CompiledProgram>>>,
+    /// One entry per query shape — (canonical query, engine) — holding
+    /// everything compiled or learned for it (see [`PreparedQuery`]).
+    /// Reached only through [`entry`](Self::entry).
+    entries: RwLock<HashMap<(CanonicalKey, Algorithm), Arc<QueryEntry>>>,
     counters: Counters,
     /// The durable-ledger layer, present iff the builder set
     /// [`durable`](KnowledgeBaseBuilder::durable).
@@ -942,38 +942,15 @@ pub struct KnowledgeBase {
     /// into every registered view. Weak, so dropping a [`Subscription`]
     /// unregisters it (dead entries are pruned on each sweep).
     subscriptions: Mutex<Vec<Weak<SubscriptionInner>>>,
-    /// Cardinality-feedback state: learned per-query correction factors,
-    /// keyed like the rewriting cache. Consulted at plan time; updated
-    /// after executions whose estimate missed by ≥ [`REPLAN_RATIO`].
-    feedback: Mutex<HashMap<(CanonicalKey, Algorithm), f64>>,
-    /// Is the exact answer cache consulted by in-memory executions?
+    /// Is the exact answer cache consulted by in-memory executions? An
+    /// entry's stored answer is served only on an exact match of the
+    /// snapshot's per-predicate write epochs — provably the same answer,
+    /// never stale (see [`Snapshot::pred_epoch`]). Data writes need no
+    /// invalidation sweep: a write bumps the touched predicates' epochs,
+    /// so stale answers simply stop matching (and rotate out of the
+    /// entry's small ring).
     answer_cache_enabled: bool,
-    /// The exact answer cache: per (canonical query, engine), a few
-    /// recently produced answer sets, each tagged with the snapshot's
-    /// per-predicate write epochs over the query's touched predicates.
-    /// An entry is served only on an exact epoch-fingerprint match —
-    /// provably the same answer, never stale (see
-    /// [`Snapshot::pred_epoch`]). Data writes need no invalidation
-    /// sweep: a write bumps the touched predicates' epochs, so stale
-    /// entries simply stop matching (and rotate out of the small
-    /// per-query ring).
-    answer_cache: RwLock<HashMap<(CanonicalKey, Algorithm), VecDeque<CachedAnswer>>>,
 }
-
-/// One memoized answer set in the exact answer cache.
-struct CachedAnswer {
-    /// The snapshot's write epochs over the query's touched predicates
-    /// (parallel to the compiled artifact's sorted `touched` list).
-    fingerprint: Vec<u64>,
-    /// [`Answers::backend`] of the execution that produced this.
-    backend: &'static str,
-    tuples: Arc<std::collections::BTreeSet<Vec<nyaya_core::Term>>>,
-}
-
-/// Cached answer sets kept per (canonical query, engine): enough for a
-/// few distinct epochs to stay warm under `execute_at_epoch` time travel
-/// without letting historical sweeps grow the cache unboundedly.
-const ANSWER_CACHE_PER_QUERY: usize = 4;
 
 impl std::fmt::Debug for KnowledgeBase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -1115,37 +1092,26 @@ impl KnowledgeBase {
         // COW: O(#predicates) here, then O(delta) per written table.
         let mut database = current.database().clone();
         let mut touched: HashSet<Predicate> = HashSet::new();
-        // Net per-fact deltas for view maintenance: retractions are
-        // applied before insertions (the batch's documented order), so a
-        // fact both retracted and re-inserted nets to zero and is never
-        // propagated.
+        // Net per-fact deltas for view maintenance: a fact both retracted
+        // and re-inserted nets to zero and is never propagated.
         let mut net = BaseDeltas::new();
-        let mut retracted = 0usize;
-        for fact in &batch.retracts {
-            if database.remove(fact) {
-                retracted += 1;
+        let (mut retracted, mut inserted) = (0usize, 0usize);
+        replay(
+            &mut database,
+            &batch.retracts,
+            &batch.inserts,
+            |fact, sign| {
                 touched.insert(fact.pred);
-                if track {
-                    *net.entry(fact.pred)
-                        .or_default()
-                        .entry(fact.args.clone())
-                        .or_insert(0) -= 1;
+                if sign < 0 {
+                    retracted += 1;
+                } else {
+                    inserted += 1;
                 }
-            }
-        }
-        let mut inserted = 0usize;
-        for fact in &batch.inserts {
-            if database.insert(fact.clone()) {
-                inserted += 1;
-                touched.insert(fact.pred);
                 if track {
-                    *net.entry(fact.pred)
-                        .or_default()
-                        .entry(fact.args.clone())
-                        .or_insert(0) += 1;
+                    add_net(&mut net, fact, sign);
                 }
-            }
-        }
+            },
+        );
         // A batch may introduce predicates no TGD, query or earlier fact
         // mentioned — they still need tables for SQL emission.
         let mut catalog = current.catalog().clone();
@@ -1423,20 +1389,9 @@ impl KnowledgeBase {
             {
                 let old = state.clone(); // COW
                 let mut net = BaseDeltas::new();
-                for fact in &retracts {
-                    if state.remove(fact) {
-                        *net.entry(fact.pred)
-                            .or_default()
-                            .entry(fact.args.clone())
-                            .or_insert(0) -= 1;
-                    }
-                }
-                for fact in inserts {
-                    let (pred, args) = (fact.pred, fact.args.clone());
-                    if state.insert(fact) {
-                        *net.entry(pred).or_default().entry(args).or_insert(0) += 1;
-                    }
-                }
+                replay(&mut state, &retracts, &inserts, |fact, sign| {
+                    add_net(&mut net, fact, sign);
+                });
                 let delta = view.propagate(
                     (&old, &BuildCache::new()),
                     (&state, &BuildCache::new()),
@@ -1509,9 +1464,7 @@ impl KnowledgeBase {
             query: query.clone(),
             algorithm,
             kb_id: self.id,
-            compiled: OnceLock::new(),
-            compiled_program: OnceLock::new(),
-            program_choice: OnceLock::new(),
+            entry: OnceLock::new(),
         })
     }
 
@@ -1525,44 +1478,45 @@ impl KnowledgeBase {
     /// then served from the cache (keyed by canonical query and engine, so
     /// α-equivalent queries prepared separately share one compile).
     pub fn rewriting(&self, query: &PreparedQuery) -> Result<Arc<CompiledRewriting>, NyayaError> {
-        // The inline slot belongs to the knowledge base that prepared the
-        // handle. A handle executed against a different base must not read
-        // or fill it — its rewriting was compiled under another Σ.
-        let own_handle = query.kb_id == self.id;
-        if own_handle {
-            if let Some(compiled) = query.compiled.get() {
-                // This very handle was executed before: no lock, no lookup.
-                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(compiled));
-            }
-        }
-        let cache_key = (query.key.clone(), query.algorithm);
-        // The rewriting cache is advisory (a memo of pure compiles):
-        // poisoning cannot leave a half-written entry visible, so both
-        // sides recover rather than panicking every later prepare.
-        if let Some(compiled) = self
-            .cache
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&cache_key)
-        {
+        let entry = self.entry(query);
+        if let Some(compiled) = entry.rewriting.get() {
             self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let compiled = Arc::clone(compiled);
-            if own_handle {
-                let _ = query.compiled.set(Arc::clone(&compiled));
-            }
-            return Ok(compiled);
+            return Ok(Arc::clone(compiled));
         }
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = Arc::new(self.compile(&query.query, query.algorithm)?);
-        self.cache
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(cache_key, Arc::clone(&compiled));
-        if own_handle {
-            let _ = query.compiled.set(Arc::clone(&compiled));
+        let compiled = self.compile(&query.query, query.algorithm)?;
+        // Racing misses both compile; the first to store wins for both.
+        Ok(Arc::clone(
+            entry.rewriting.get_or_init(|| Arc::new(compiled)),
+        ))
+    }
+
+    /// The cache entry of `query`'s shape on this knowledge base — the one
+    /// place a handle's owner is checked. A handle this base prepared
+    /// fills its inline slot on first use and reuses it after; a handle
+    /// prepared elsewhere goes through this base's map every time and
+    /// never touches the slot, which holds what another Σ compiled.
+    fn entry(&self, query: &PreparedQuery) -> Arc<QueryEntry> {
+        let shared = || {
+            // The map only memoizes: poisoning cannot leave a torn entry
+            // visible, so both sides recover.
+            let key = (query.key.clone(), query.algorithm);
+            if let Some(entry) = self
+                .entries
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get(&key)
+            {
+                return Arc::clone(entry);
+            }
+            let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
+            Arc::clone(entries.entry(key).or_default())
+        };
+        if query.kb_id == self.id {
+            Arc::clone(query.entry.get_or_init(shared))
+        } else {
+            shared()
         }
-        Ok(compiled)
     }
 
     /// The [`RewriteOptions`] this knowledge base compiles with: shared
@@ -1635,29 +1589,12 @@ impl KnowledgeBase {
 
     /// Rewrite a prepared query into a non-recursive Datalog program
     /// (Sections 2 and 8) — compiled on first use, then served from the
-    /// program cache (the [`CompiledRewriting`] machinery's twin: keyed by
-    /// canonical query and engine, memoized inline in the handle, TBox-only
-    /// so every data write leaves it intact).
+    /// query shape's cache entry beside its [`CompiledRewriting`]
+    /// (TBox-only, so every data write leaves it intact).
     pub fn program(&self, query: &PreparedQuery) -> Result<Arc<CompiledProgram>, NyayaError> {
-        let own_handle = query.kb_id == self.id;
-        if own_handle {
-            if let Some(compiled) = query.compiled_program.get() {
-                return Ok(Arc::clone(compiled));
-            }
-        }
-        let cache_key = (query.key.clone(), query.algorithm);
-        // Advisory memo state, like the rewriting cache: recover.
-        if let Some(compiled) = self
-            .program_cache
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&cache_key)
-        {
-            let compiled = Arc::clone(compiled);
-            if own_handle {
-                let _ = query.compiled_program.set(Arc::clone(&compiled));
-            }
-            return Ok(compiled);
+        let entry = self.entry(query);
+        if let Some(compiled) = entry.program.get() {
+            return Ok(Arc::clone(compiled));
         }
         let options = self.rewrite_options(query.algorithm);
         let out = nr_datalog_rewrite_with(
@@ -1682,22 +1619,15 @@ impl KnowledgeBase {
         }
         let mut touched: Vec<Predicate> = out.program.base_predicates().into_iter().collect();
         touched.sort_unstable();
-        let compiled = Arc::new(CompiledProgram {
+        let compiled = CompiledProgram {
             program: out.program,
             strategy: out.strategy,
             estimated_dnf: out.estimated_dnf,
             stats: out.stats,
             opt: out.opt,
             touched,
-        });
-        self.program_cache
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(cache_key, Arc::clone(&compiled));
-        if own_handle {
-            let _ = query.compiled_program.set(Arc::clone(&compiled));
-        }
-        Ok(compiled)
+        };
+        Ok(Arc::clone(entry.program.get_or_init(|| Arc::new(compiled))))
     }
 
     /// The execution form this query runs as under the knowledge base's
@@ -1707,35 +1637,29 @@ impl KnowledgeBase {
     /// decomposition to exploit), then the program is compiled (its cost
     /// is the *sum* of the cluster rewritings, never more than the UCQ
     /// compile it replaces) and selected iff its estimated DNF reaches
-    /// the program threshold. The decision is memoized per handle.
+    /// the program threshold. The decision is memoized per query shape.
     pub fn execution_plan(
         &self,
         query: &PreparedQuery,
     ) -> Result<Option<Arc<CompiledProgram>>, NyayaError> {
-        match self.strategy {
-            Strategy::Ucq => Ok(None),
-            Strategy::Program => self.program(query).map(Some),
+        let uses_program = match self.strategy {
+            Strategy::Ucq => false,
+            Strategy::Program => true,
             Strategy::Auto => {
-                let own_handle = query.kb_id == self.id;
-                if own_handle {
-                    if let Some(&choice) = query.program_choice.get() {
-                        return if choice {
-                            self.program(query).map(Some)
-                        } else {
-                            Ok(None)
-                        };
+                let entry = self.entry(query);
+                match entry.uses_program.get() {
+                    Some(&choice) => choice,
+                    None => {
+                        let choice = self.auto_prefers_program(query)?;
+                        *entry.uses_program.get_or_init(|| choice)
                     }
                 }
-                let choice = self.auto_prefers_program(query)?;
-                if own_handle {
-                    let _ = query.program_choice.set(choice);
-                }
-                if choice {
-                    self.program(query).map(Some)
-                } else {
-                    Ok(None)
-                }
             }
+        };
+        if uses_program {
+            self.program(query).map(Some)
+        } else {
+            Ok(None)
         }
     }
 
@@ -1906,19 +1830,38 @@ impl KnowledgeBase {
         );
         c.program_tuples
             .fetch_add(metrics.materialized_tuples as u64, Ordering::Relaxed);
-        c.rows_returned
-            .fetch_add(metrics.rows as u64, Ordering::Relaxed);
-        if metrics.threads > 1 {
+        self.record_join_work(
+            metrics.rows,
+            metrics.threads,
+            metrics.build_cache_hits,
+            metrics.build_cache_misses,
+            metrics.merge_joins,
+            metrics.morsel_tasks,
+        );
+    }
+
+    /// The counters every in-memory run reports alike, whether it
+    /// evaluated a UCQ or a program: rows, the parallel route, build
+    /// sides served and built, merge joins and probe morsels.
+    fn record_join_work(
+        &self,
+        rows: usize,
+        threads: usize,
+        build_hits: u64,
+        build_misses: u64,
+        merges: u64,
+        morsels: u64,
+    ) {
+        let c = &self.counters;
+        c.rows_returned.fetch_add(rows as u64, Ordering::Relaxed);
+        if threads > 1 {
             c.parallel_executions.fetch_add(1, Ordering::Relaxed);
         }
-        c.build_cache_hits
-            .fetch_add(metrics.build_cache_hits, Ordering::Relaxed);
+        c.build_cache_hits.fetch_add(build_hits, Ordering::Relaxed);
         c.build_cache_misses
-            .fetch_add(metrics.build_cache_misses, Ordering::Relaxed);
-        c.merge_joins
-            .fetch_add(metrics.merge_joins, Ordering::Relaxed);
-        c.morsel_tasks
-            .fetch_add(metrics.morsel_tasks, Ordering::Relaxed);
+            .fetch_add(build_misses, Ordering::Relaxed);
+        c.merge_joins.fetch_add(merges, Ordering::Relaxed);
+        c.morsel_tasks.fetch_add(morsels, Ordering::Relaxed);
     }
 
     /// Materialize `chase(D, Σ)` over the *raw* (as-authored) TGDs with
@@ -1956,19 +1899,14 @@ impl KnowledgeBase {
             u64::try_from(metrics.elapsed.as_micros()).unwrap_or(u64::MAX),
             Ordering::Relaxed,
         );
-        c.rows_returned
-            .fetch_add(metrics.rows as u64, Ordering::Relaxed);
-        if metrics.threads > 1 {
-            c.parallel_executions.fetch_add(1, Ordering::Relaxed);
-        }
-        c.build_cache_hits
-            .fetch_add(metrics.build_cache_hits, Ordering::Relaxed);
-        c.build_cache_misses
-            .fetch_add(metrics.build_cache_misses, Ordering::Relaxed);
-        c.merge_joins
-            .fetch_add(metrics.merge_joins, Ordering::Relaxed);
-        c.morsel_tasks
-            .fetch_add(metrics.morsel_tasks, Ordering::Relaxed);
+        self.record_join_work(
+            metrics.rows,
+            metrics.threads,
+            metrics.build_cache_hits,
+            metrics.build_cache_misses,
+            metrics.merge_joins,
+            metrics.morsel_tasks,
+        );
         c.range_index_scans
             .fetch_add(metrics.range_index_scans, Ordering::Relaxed);
         c.topk_early_exits
@@ -2003,44 +1941,18 @@ impl KnowledgeBase {
         if !self.answer_cache_enabled {
             return None;
         }
-        let fingerprint = snapshot.fingerprint(touched);
-        let key = (query.key.clone(), query.algorithm);
-        // Advisory memo state (immutable Arc'd entries): recover from
-        // poisoning like the rewriting cache.
-        let cache = self
-            .answer_cache
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        let hit = cache
-            .get(&key)
-            .and_then(|ring| ring.iter().find(|e| e.fingerprint == fingerprint))
-            .map(|e| Answers {
-                backend: e.backend,
-                tuples: (*e.tuples).clone(),
-                sql: None,
-                complete: true,
-            });
-        drop(cache);
-        match hit {
-            Some(answers) => {
-                self.counters
-                    .cache_answer_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                Some(answers)
-            }
-            None => {
-                self.counters
-                    .cache_answer_misses
-                    .fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let hit = self.entry(query).answer(&snapshot.fingerprint(touched));
+        let counter = match hit {
+            Some(_) => &self.counters.cache_answer_hits,
+            None => &self.counters.cache_answer_misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
     /// Store one freshly executed answer set in the exact answer cache,
-    /// tagged with the snapshot's epoch fingerprint over `touched`. Each
-    /// query keeps a small ring ([`ANSWER_CACHE_PER_QUERY`]); duplicate
-    /// fingerprints are not stored twice.
+    /// tagged with the snapshot's epoch fingerprint over `touched`, in the
+    /// small ring of the query shape's entry.
     pub(crate) fn store_answer(
         &self,
         query: &PreparedQuery,
@@ -2048,59 +1960,25 @@ impl KnowledgeBase {
         touched: &[Predicate],
         answers: &Answers,
     ) {
-        if !self.answer_cache_enabled {
-            return;
+        if self.answer_cache_enabled {
+            self.entry(query)
+                .store(snapshot.fingerprint(touched), answers);
         }
-        let fingerprint = snapshot.fingerprint(touched);
-        let key = (query.key.clone(), query.algorithm);
-        let mut cache = self
-            .answer_cache
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        let ring = cache.entry(key).or_default();
-        if ring.iter().any(|e| e.fingerprint == fingerprint) {
-            return;
-        }
-        if ring.len() >= ANSWER_CACHE_PER_QUERY {
-            ring.pop_front();
-        }
-        ring.push_back(CachedAnswer {
-            fingerprint,
-            backend: answers.backend,
-            tuples: Arc::new(answers.tuples.clone()),
-        });
     }
 
     /// The learned cardinality-correction factor for this query: `1.0`
     /// until an execution misses its estimate by ≥ [`REPLAN_RATIO`], the
     /// multiplier applied to join estimates on every re-plan afterwards.
     pub fn plan_correction(&self, query: &PreparedQuery) -> f64 {
-        *self
-            .feedback
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&(query.key.clone(), query.algorithm))
-            .unwrap_or(&1.0)
+        self.entry(query).correction()
     }
 
     /// Feed one execution's estimated-vs-actual row counts back into the
-    /// planner. Within [`REPLAN_RATIO`] the estimate was good enough and
-    /// nothing changes; outside it the stored correction factor absorbs
-    /// the observed ratio (clamped to ±64×) and `plan_replans` ticks.
+    /// planner: a miss by ≥ [`REPLAN_RATIO`] updates the query's
+    /// correction and ticks `plan_replans`.
     pub(crate) fn record_feedback(&self, query: &PreparedQuery, metrics: &nyaya_sql::ExecMetrics) {
-        let estimated = (metrics.estimated_rows.max(1)) as f64;
-        let actual = (metrics.rows.max(1)) as f64;
-        let ratio = actual / estimated;
-        if (1.0 / REPLAN_RATIO..=REPLAN_RATIO).contains(&ratio) {
-            return;
-        }
-        let mut feedback = self.feedback.lock().unwrap_or_else(PoisonError::into_inner);
-        let entry = feedback
-            .entry((query.key.clone(), query.algorithm))
-            .or_insert(1.0);
-        let updated = (*entry * ratio).clamp(1.0 / MAX_CORRECTION, MAX_CORRECTION);
-        if (updated - *entry).abs() > f64::EPSILON {
-            *entry = updated;
+        let ratio = metrics.rows.max(1) as f64 / metrics.estimated_rows.max(1) as f64;
+        if self.entry(query).learn(ratio) {
             self.counters.plan_replans.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -2222,10 +2100,12 @@ impl KnowledgeBase {
             cache_misses: self.counters.cache_misses.load(Ordering::Relaxed),
             executions: self.counters.executions.load(Ordering::Relaxed),
             cached_rewritings: self
-                .cache
+                .entries
                 .read()
                 .unwrap_or_else(PoisonError::into_inner)
-                .len(),
+                .values()
+                .filter(|entry| entry.rewriting.get().is_some())
+                .count(),
             exec_micros: self.counters.exec_micros.load(Ordering::Relaxed),
             rows_returned: self.counters.rows_returned.load(Ordering::Relaxed),
             parallel_executions: self.counters.parallel_executions.load(Ordering::Relaxed),
@@ -2293,6 +2173,14 @@ impl KnowledgeBase {
         }
         stats
     }
+}
+
+/// Count one effective write into a view-maintenance delta.
+fn add_net(net: &mut BaseDeltas, fact: &Atom, sign: i64) {
+    *net.entry(fact.pred)
+        .or_default()
+        .entry(fact.args.clone())
+        .or_insert(0) += sign;
 }
 
 #[cfg(test)]
@@ -2764,19 +2652,20 @@ mod tests {
         let kb = KnowledgeBase::from_program_text(PROGRAM).unwrap();
         let q = kb.prepare_text("q(A, B) :- stock_portf(B, A, D).").unwrap();
         kb.execute(&q).unwrap(); // warm the rewriting cache
-        let kb = &kb;
+        let (kb, prepared) = (&kb, &q);
         std::thread::scope(|s| {
-            for what in ["cache", "program cache", "state"] {
+            for what in ["entries", "answer ring", "state"] {
                 let handle = s.spawn(move || {
                     // Deliberately panic while holding each advisory lock.
                     match what {
-                        "cache" => {
-                            let _guard = kb.cache.write().unwrap();
-                            panic!("poisoning the rewriting cache");
+                        "entries" => {
+                            let _guard = kb.entries.write().unwrap();
+                            panic!("poisoning the entry map");
                         }
-                        "program cache" => {
-                            let _guard = kb.program_cache.write().unwrap();
-                            panic!("poisoning the program cache");
+                        "answer ring" => {
+                            let entry = kb.entry(prepared);
+                            let _guard = entry.answers.write().unwrap();
+                            panic!("poisoning the query's answer ring");
                         }
                         _ => {
                             let _guard = kb.state.write().unwrap();

@@ -114,6 +114,30 @@ impl UpdateBatch {
     }
 }
 
+/// Write one batch into `database` in the order [`UpdateBatch`]
+/// documents — every retraction, then every insertion — and report each
+/// write that changed the data to `changed`: `-1` for a retracted fact
+/// that was present, `+1` for an inserted fact that was absent. Every
+/// path that writes a batch goes through here: `apply`, crash recovery,
+/// time travel and a subscription's catch-up.
+pub(crate) fn replay(
+    database: &mut Database,
+    retracts: &[Atom],
+    inserts: &[Atom],
+    mut changed: impl FnMut(&Atom, i64),
+) {
+    for fact in retracts {
+        if database.remove(fact) {
+            changed(fact, -1);
+        }
+    }
+    for fact in inserts {
+        if database.insert(fact) {
+            changed(fact, 1);
+        }
+    }
+}
+
 /// What one [`KnowledgeBase::apply`](crate::KnowledgeBase::apply) did.
 ///
 /// The `inserted`/`retracted` counters count *effective* operations in

@@ -26,7 +26,10 @@ use nyaya::sql::{
     plan_cq_cost_corrected, BuildCache, CostPlan, Database, DbMemory, ExecMetrics, ProgramError,
     ProgramMetrics,
 };
-use nyaya::{KbStats, KnowledgeBase, PreparedQuery};
+use nyaya::{
+    CompiledProgram, CompiledRewriting, KbStats, KnowledgeBase, KnowledgeBaseBuilder, NyayaError,
+    PreparedQuery, Strategy,
+};
 
 type Tuples = BTreeSet<Vec<Term>>;
 
@@ -48,6 +51,39 @@ fn functions_the_benchmark_calls_keep_their_signatures() {
     let _: fn(&Database, &ConjunctiveQuery) -> CostPlan = plan_cq_cost;
     let _: fn(&Database, &ConjunctiveQuery, f64) -> CostPlan = plan_cq_cost_corrected;
     let _: fn(&KnowledgeBase, &PreparedQuery) -> f64 = KnowledgeBase::plan_correction;
+}
+
+#[allow(clippy::type_complexity)]
+#[test]
+fn facade_methods_the_benchmark_calls_keep_their_signatures() {
+    use std::sync::Arc;
+    let _: fn(&KnowledgeBase, &PreparedQuery) -> Result<Arc<CompiledRewriting>, NyayaError> =
+        KnowledgeBase::rewriting;
+    let _: fn(&KnowledgeBase, &PreparedQuery) -> Result<Option<Arc<CompiledProgram>>, NyayaError> =
+        KnowledgeBase::execution_plan;
+    let _: fn(&KnowledgeBase, &str) -> Result<PreparedQuery, NyayaError> =
+        KnowledgeBase::prepare_text;
+    let _: fn(KnowledgeBaseBuilder, bool) -> KnowledgeBaseBuilder =
+        KnowledgeBaseBuilder::answer_cache;
+}
+
+#[test]
+fn compiled_fields_the_benchmark_reads_keep_their_names_and_types() {
+    // `check.rs`, `lubm_join.rs`, `lubm_rw.rs` and `verify.rs` read the
+    // compiled artifacts the facade hands out.
+    let kb = KnowledgeBase::builder()
+        .program_text("sigma1: manager(X) -> employee(X).\nq(A) :- employee(A), manager(A).\n")
+        .unwrap()
+        .strategy(Strategy::Program)
+        .answer_cache(false)
+        .build()
+        .unwrap();
+    let prepared = kb.prepare_text("q(A) :- employee(A), manager(A).").unwrap();
+    let _: &UnionQuery = &kb.rewriting(&prepared).unwrap().ucq;
+    let program = kb.execution_plan(&prepared).unwrap().unwrap();
+    let _: &DatalogProgram = &program.program;
+    let _: usize = program.estimated_dnf;
+    let _: &RewriteStats = &program.stats;
 }
 
 #[allow(clippy::type_complexity)]

@@ -307,6 +307,99 @@ fn prepared_query_executed_on_another_kb_uses_that_kbs_ontology() {
     assert_eq!(kb1.execute(&prepared).unwrap().tuples.len(), 2);
 }
 
+/// The query of the cross-base cases below. Three interaction clusters,
+/// and a join the planner's uniform estimate gets ≥ 8x wrong: 50 of r's
+/// 100 rows share the key `hub`.
+const SKEWED_QUERY: &str = "q(X, Y) :- p(X), r(X, Y), u(Y).";
+
+/// A knowledge base over the skewed data; only `with_sigma2` derives u
+/// from su, which adds the answer (x0, z0) and grows the program.
+fn skewed_kb(with_sigma2: bool, strategy: Strategy, program_threshold: usize) -> KnowledgeBase {
+    let mut facts = vec![
+        Atom::make("p", ["hub"]),
+        Atom::make("sp", ["x0"]),
+        Atom::make("su", ["z0"]),
+    ];
+    for i in 0..50 {
+        let (x, y, z) = (format!("x{i}"), format!("y{i}"), format!("z{i}"));
+        facts.push(Atom::make("r", ["hub", y.as_str()]));
+        facts.push(Atom::make("r", [x.as_str(), z.as_str()]));
+        facts.push(Atom::make("u", [y.as_str()]));
+    }
+    let sigma = if with_sigma2 {
+        "sigma1: sp(X) -> p(X). sigma2: su(X) -> u(X)."
+    } else {
+        "sigma1: sp(X) -> p(X)."
+    };
+    KnowledgeBase::builder()
+        .program_text(sigma)
+        .unwrap()
+        .facts(facts)
+        .strategy(strategy)
+        .program_threshold(program_threshold)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn handle_on_another_kb_gets_that_kbs_program_choice_answers_and_correction() {
+    for strategy in [Strategy::Program, Strategy::Auto] {
+        // kb1 always runs the program (threshold 1); under Auto, kb2's
+        // default threshold keeps the query on the flat UCQ.
+        let kb1 = skewed_kb(true, strategy, 1);
+        let kb2 = skewed_kb(false, strategy, nyaya::DEFAULT_PROGRAM_THRESHOLD);
+        let handle = kb1.prepare_text(SKEWED_QUERY).unwrap();
+        let on_kb1 = kb1.execute(&handle).unwrap();
+        assert_eq!((on_kb1.backend, on_kb1.tuples.len()), ("program", 51));
+
+        let on_kb2 = kb2.execute(&handle).unwrap();
+        assert_eq!(on_kb2.tuples.len(), 50, "{strategy:?}: kb1's Σ leaked");
+        let own = kb2.prepare_text(SKEWED_QUERY).unwrap();
+        let (flat, expected_backend) = match strategy {
+            Strategy::Auto => (true, "in-memory"),
+            _ => (false, "program"),
+        };
+        assert_eq!(on_kb2.backend, expected_backend, "{strategy:?}");
+        assert_eq!(kb2.execution_plan(&handle).unwrap().is_none(), flat);
+        assert!(std::sync::Arc::ptr_eq(
+            &kb2.program(&handle).unwrap(),
+            &kb2.program(&own).unwrap()
+        ));
+        assert_ne!(
+            kb2.program(&handle).unwrap().program.num_rules(),
+            kb1.program(&handle).unwrap().program.num_rules(),
+            "{strategy:?}: kb2 must compile under its own Σ"
+        );
+        assert_eq!(kb2.plan_correction(&handle), kb2.plan_correction(&own));
+        assert_eq!(kb2.plan_correction(&handle) > 1.0, flat, "{strategy:?}");
+        assert_eq!(kb1.plan_correction(&handle), 1.0, "{strategy:?}");
+
+        // Through the same handle, kb1 still serves kb1's answers.
+        let again = kb1.execute(&handle).unwrap();
+        assert_eq!(again.backend, "program");
+        assert_eq!(again.tuples, on_kb1.tuples, "{strategy:?}");
+    }
+}
+
+#[test]
+fn alpha_equivalent_handles_share_correction_and_program() {
+    let kb = skewed_kb(false, Strategy::Ucq, nyaya::DEFAULT_PROGRAM_THRESHOLD);
+    let first = kb.prepare_text(SKEWED_QUERY).unwrap();
+    let second = kb.prepare_text("q(A, B) :- p(A), r(A, B), u(B).").unwrap();
+    kb.execute(&first).unwrap();
+    let learned = kb.plan_correction(&first);
+    assert!(learned > 1.0, "the skewed join must teach a correction");
+    assert_eq!(kb.plan_correction(&second), learned);
+
+    let kb = skewed_kb(true, Strategy::Auto, 1);
+    let first = kb.prepare_text(SKEWED_QUERY).unwrap();
+    let second = kb.prepare_text("q(A, B) :- p(A), r(A, B), u(B).").unwrap();
+    assert!(kb.execution_plan(&first).unwrap().is_some());
+    assert_eq!(kb.stats().program_compiles, 1);
+    assert!(kb.execution_plan(&second).unwrap().is_some());
+    assert_eq!(kb.stats().program_compiles, 1, "the second handle compiled");
+}
+
 #[test]
 fn parallel_and_minimized_compiles_answer_identically_and_report_stats() {
     // The compile-time knobs must never change answers: same program,
