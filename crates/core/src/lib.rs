@@ -48,7 +48,7 @@ pub use canonical::{
 };
 pub use classes::{classify, Classification};
 pub use components::{connected_components, split_boolean_query};
-pub use datalog::{DatalogProgram, DatalogRule};
+pub use datalog::{DatalogProgram, DatalogRule, DeltaProgram, DeltaRule};
 pub use homomorphism::{exists_homomorphism, find_homomorphism, HomSearch};
 pub use minimize::{is_minimal, minimize_cq, minimize_union_bodies};
 pub use normalize::{normalize, Normalization};

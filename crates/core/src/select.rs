@@ -48,17 +48,6 @@ impl FilterOp {
             FilterOp::Ne => ord != Ordering::Equal,
         }
     }
-
-    /// The operator's surface syntax (`<`, `<=`, `>`, `>=`, `!=`).
-    pub fn symbol(self) -> &'static str {
-        match self {
-            FilterOp::Lt => "<",
-            FilterOp::Le => "<=",
-            FilterOp::Gt => ">",
-            FilterOp::Ge => ">=",
-            FilterOp::Ne => "!=",
-        }
-    }
 }
 
 /// A comparison filter on one head column: `column <op> value`.

@@ -22,64 +22,14 @@
 //! higher strata read them.
 //!
 //! The compiler lives here, next to [`crate::program_opt`], because delta
-//! programs are derived from the same rewriting output; evaluation lives
-//! in the `nyaya-sql` engine, which owns the indexes.
+//! programs are derived from the same rewriting output; the
+//! [`DeltaProgram`] type lives in `nyaya-core` beside [`DatalogProgram`],
+//! and evaluation in the `nyaya-sql` engine, which owns the indexes.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
-use nyaya_core::{Atom, DatalogProgram, Predicate};
-
-/// One seminaive delta rule: the original rule `head :- body` specialized
-/// to react to changes of `body[delta_idx]`'s relation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeltaRule {
-    /// The head atom of the originating rule.
-    pub head: Atom,
-    /// The full body of the originating rule, in its original order.
-    pub body: Vec<Atom>,
-    /// Which body atom is the delta atom. Atoms at positions `< delta_idx`
-    /// are evaluated against the post-update state, atoms at positions
-    /// `> delta_idx` against the pre-update state.
-    pub delta_idx: usize,
-    /// Stratum level of the head predicate (see
-    /// [`DatalogProgram::strata`]); delta rules must be propagated in
-    /// ascending level order.
-    pub level: usize,
-}
-
-/// A compiled delta program: every rule of the source program expanded
-/// into one [`DeltaRule`] per body atom, plus the stratification metadata
-/// a propagation pass needs.
-#[derive(Clone, Debug)]
-pub struct DeltaProgram {
-    /// The source program's goal atom (may contain constants or repeated
-    /// variables; answers are goal-relation tuples matching it).
-    pub goal: Atom,
-    /// Number of stratum levels; every rule's `level` is `< levels`.
-    pub levels: usize,
-    /// All delta rules, in source-rule order then body-position order.
-    pub rules: Vec<DeltaRule>,
-    /// Predicates defined by the source program (head predicates).
-    pub intensional: HashSet<Predicate>,
-    /// Base (extensional) predicates read by some rule body — the only
-    /// predicates whose external deltas can move the view.
-    pub base: HashSet<Predicate>,
-}
-
-impl DeltaProgram {
-    /// Number of delta rules.
-    pub fn num_rules(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Does an update touching exactly `preds` affect this view at all?
-    /// (Mirrors the TBox-only invalidation rule for prepared rewritings:
-    /// subscriptions survive updates to unrelated predicates untouched.)
-    pub fn reads_any(&self, preds: &HashSet<Predicate>) -> bool {
-        preds.iter().any(|p| self.base.contains(p))
-    }
-}
+use nyaya_core::{DatalogProgram, DeltaProgram, DeltaRule, Predicate};
 
 /// Why a program cannot be compiled into delta rules.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -168,7 +118,9 @@ pub fn compile_delta_program(program: &DatalogProgram) -> Result<DeltaProgram, D
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nyaya_core::DatalogRule;
+    use std::collections::HashSet;
+
+    use nyaya_core::{Atom, DatalogRule};
 
     fn rule(head: Atom, body: Vec<Atom>) -> DatalogRule {
         DatalogRule { head, body }

@@ -35,7 +35,7 @@ pub mod worklist;
 
 pub use applicability::{apply_rewrite_step, is_applicable};
 pub use cnb::{chase_and_backchase, CnbConfig};
-pub use delta::{compile_delta_program, DeltaError, DeltaProgram, DeltaRule};
+pub use delta::{compile_delta_program, DeltaError};
 pub use elimination::{DependencyGraph, EliminationContext, EqType};
 pub use engine::{
     tgd_rewrite, tgd_rewrite_star, tgd_rewrite_with, RewriteOptions, RewriteStats, Rewriting,

@@ -31,49 +31,17 @@
 //! them, so those builds stay valid within a pass).
 //!
 //! The delta-rule *compiler* lives in `nyaya-rewrite` (next to the
-//! program optimizer); this module only evaluates. The mirrored rule
-//! types below keep the crate layering acyclic — `nyaya-rewrite`
-//! dev-depends on this crate for its differential tests, so this crate
-//! cannot depend back on it.
+//! program optimizer), and the [`DeltaProgram`] it emits in `nyaya-core`,
+//! which both crates depend on; this module only evaluates.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use nyaya_core::{Atom, Predicate, Symbol, Term};
+use nyaya_core::{Atom, DeltaProgram, DeltaRule, Predicate, Symbol, Term};
 
 use crate::build_cache::BuildCache;
 use crate::exec::DataSource;
 use crate::join::{AtomShape, Projection, Step};
 use crate::table::Database;
-
-/// One seminaive delta rule, mirrored from the compiler's output:
-/// `head :- body`, reacting to changes of `body[delta_idx]`'s relation,
-/// evaluated at stratum `level`.
-#[derive(Clone, Debug)]
-pub struct IvmRule {
-    /// Head atom of the originating rule.
-    pub head: Atom,
-    /// Full body in original order.
-    pub body: Vec<Atom>,
-    /// Index of the delta atom within `body`.
-    pub delta_idx: usize,
-    /// Stratum level of the head predicate.
-    pub level: usize,
-}
-
-/// A delta program in evaluation form.
-#[derive(Clone, Debug)]
-pub struct IvmProgram {
-    /// The goal atom; answers are goal-relation tuples matching it.
-    pub goal: Atom,
-    /// Number of stratum levels.
-    pub levels: usize,
-    /// All delta rules, tagged with levels.
-    pub rules: Vec<IvmRule>,
-    /// Predicates defined by the program (resolved against the view).
-    pub intensional: HashSet<Predicate>,
-    /// Base predicates read by some rule body.
-    pub base: HashSet<Predicate>,
-}
 
 /// Signed set-level deltas of base facts, per predicate: `+1` for a fact
 /// absent before and present after the update, `-1` for the reverse.
@@ -109,7 +77,7 @@ pub struct IvmMetrics {
 
 /// A support-counted materialization of one delta program.
 pub struct MaterializedView {
-    program: IvmProgram,
+    program: DeltaProgram,
     /// Per-tuple derivation counts for every intensional predicate.
     counts: HashMap<Predicate, HashMap<Vec<Term>, i64>>,
     /// Indexed set-level view: exactly the tuples with positive support.
@@ -123,7 +91,7 @@ pub struct MaterializedView {
 impl MaterializedView {
     /// An empty view of `program`; call [`seed`](Self::seed) to
     /// materialize it against a database.
-    pub fn new(program: IvmProgram) -> Self {
+    pub fn new(program: DeltaProgram) -> Self {
         MaterializedView {
             program,
             counts: HashMap::new(),
@@ -134,7 +102,7 @@ impl MaterializedView {
     }
 
     /// The compiled program this view maintains.
-    pub fn program(&self) -> &IvmProgram {
+    pub fn program(&self) -> &DeltaProgram {
         &self.program
     }
 
@@ -320,7 +288,7 @@ impl MaterializedView {
 /// tuple). Atoms left of the delta atom read `new`, atoms right of it
 /// `old`. Returns the number of derivation events.
 fn eval_delta_rule(
-    rule: &IvmRule,
+    rule: &DeltaRule,
     dmap: &HashMap<Vec<Term>, i64>,
     old: &DataSource<'_>,
     new: &DataSource<'_>,
@@ -415,7 +383,7 @@ fn eval_delta_rule(
 mod tests {
     use super::*;
 
-    fn program() -> IvmProgram {
+    fn program() -> DeltaProgram {
         // goal: q(X,Y).
         //   q(X,Y) :- top(X), edge(X,Y), top(Y).   (level 1)
         //   top(X) :- c1(X).  top(X) :- c2(X).     (level 0)
@@ -433,7 +401,7 @@ mod tests {
         let mut rules = Vec::new();
         for (head, body, level) in [q_rule, t1, t2] {
             for delta_idx in 0..body.len() {
-                rules.push(IvmRule {
+                rules.push(DeltaRule {
                     head: head.clone(),
                     body: body.clone(),
                     delta_idx,
@@ -449,7 +417,7 @@ mod tests {
             Predicate::new("edge", 2),
         ]
         .into();
-        IvmProgram {
+        DeltaProgram {
             goal: Atom::make("q", ["X", "Y"]),
             levels: 2,
             rules,

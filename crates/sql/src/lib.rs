@@ -31,18 +31,16 @@ pub use build_cache::BuildCache;
 pub use catalog::{Catalog, TableSchema};
 pub use ddl::{create_tables, export_database, insert_statements};
 pub use exec::{execute_cq, execute_ucq, execute_ucq_greedy, execute_ucq_intra, ExecMetrics};
-pub use ivm::{AnswerDelta, BaseDeltas, IvmMetrics, IvmProgram, IvmRule, MaterializedView};
+pub use ivm::{AnswerDelta, BaseDeltas, IvmMetrics, MaterializedView};
 pub use plan::{
     explain_cq, join_order, plan_cq, plan_cq_cost, plan_cq_cost_corrected, CostPlan, JoinPlan,
     StepOp,
 };
 pub use program::{
-    execute_program, execute_program_select, execute_program_shared, program_to_sql,
-    program_to_sql_select, program_to_sql_views, ProgramError, ProgramMetrics, ProgramSelectError,
+    execute_program, execute_program_shared, program_to_sql, program_to_sql_views, ProgramError,
+    ProgramMetrics,
 };
 pub use segment::{decode_batch, decode_database, encode_batch, encode_database, CodecError};
 pub use select::execute_ucq_select;
 pub use table::{Database, DbMemory, TableMemory};
-pub use translate::{
-    cq_to_sql, select_to_sql, sql_ident, sql_literal, ucq_to_sql, ucq_to_sql_select,
-};
+pub use translate::{cq_to_sql, sql_ident, sql_literal, ucq_to_sql};

@@ -246,56 +246,6 @@ pub fn execute_program_shared(
     Ok((answers, metrics))
 }
 
-/// Evaluate a program and shape its goal answers with [`SelectOptions`](nyaya_core::select::SelectOptions)
-/// (filters, ORDER BY / LIMIT, aggregates) — the program-executor
-/// counterpart of [`execute_ucq_select`](crate::execute_ucq_select).
-/// The shaping follows the reference semantics
-/// ([`nyaya_core::apply_select`]) over the materialized goal answers;
-/// modifier columns refer to goal-head positions, which rewriting into a
-/// program preserves. Invalid column indices are a typed
-/// [`ProgramSelectError::InvalidSelect`].
-#[allow(clippy::type_complexity)]
-pub fn execute_program_select(
-    base: &Database,
-    program: &DatalogProgram,
-    sel: &nyaya_core::SelectOptions,
-    threads: usize,
-    base_cache: &BuildCache,
-) -> Result<(Vec<Vec<Term>>, ProgramMetrics), ProgramSelectError> {
-    let head_arity = program.goal.args.len();
-    sel.validate(head_arity)
-        .map_err(ProgramSelectError::InvalidSelect)?;
-    let (answers, mut metrics) = execute_program_shared(base, program, threads, base_cache)
-        .map_err(ProgramSelectError::Program)?;
-    let rows = nyaya_core::apply_select(answers, sel);
-    metrics.rows = rows.len();
-    Ok((rows, metrics))
-}
-
-/// Why a shaped program execution failed: either the select options are
-/// invalid for the goal arity, or the program itself could not run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ProgramSelectError {
-    /// The [`SelectOptions`](nyaya_core::SelectOptions) reference columns
-    /// outside the goal head.
-    InvalidSelect(String),
-    /// Program evaluation failed.
-    Program(ProgramError),
-}
-
-impl fmt::Display for ProgramSelectError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProgramSelectError::InvalidSelect(detail) => {
-                write!(f, "invalid select options: {detail}")
-            }
-            ProgramSelectError::Program(e) => e.fmt(f),
-        }
-    }
-}
-
-impl Error for ProgramSelectError {}
-
 /// Pre-flight for SQL emission: reject rules with terms SQL cannot
 /// express, and name the first unregistered base predicate.
 fn check_translatable(
@@ -372,49 +322,13 @@ fn predicate_union(
 /// order), with the goal rules as the final `SELECT` joining them — the
 /// program-shaped alternative to unfolding into the flat UCQ `UNION` text.
 pub fn program_to_sql(program: &DatalogProgram, catalog: &Catalog) -> Result<String, ProgramError> {
-    let (ctes, goal_select) = program_sql_parts(program, catalog)?;
-    if ctes.is_empty() {
-        return Ok(goal_select);
-    }
-    Ok(format!("WITH {}\n{goal_select}", ctes.join(",\n")))
-}
-
-/// Translate a program plus result modifiers into SQL: the `WITH` prologue
-/// stays first (SQL requires it at statement start) and only the goal
-/// union is wrapped by [`select_to_sql`](crate::translate::select_to_sql),
-/// so filters, `ORDER BY`/`LIMIT` and aggregates apply to the goal answers
-/// exactly as [`execute_program_select`] computes them.
-pub fn program_to_sql_select(
-    program: &DatalogProgram,
-    catalog: &Catalog,
-    sel: &nyaya_core::SelectOptions,
-) -> Result<String, ProgramSelectError> {
-    sel.validate(program.goal.args.len())
-        .map_err(ProgramSelectError::InvalidSelect)?;
-    let (ctes, goal_select) =
-        program_sql_parts(program, catalog).map_err(ProgramSelectError::Program)?;
-    let wrapped = crate::translate::select_to_sql(&goal_select, sel);
-    if ctes.is_empty() {
-        return Ok(wrapped);
-    }
-    Ok(format!("WITH {}\n{wrapped}", ctes.join(",\n")))
-}
-
-/// Shared translation core: the CTE definitions (one per non-goal
-/// intensional predicate, dependency order) and the goal union. Both are
-/// statement *fragments* like [`cq_to_sql`] output — no trailing
-/// semicolon, so callers embed or terminate them uniformly.
-fn program_sql_parts(
-    program: &DatalogProgram,
-    catalog: &Catalog,
-) -> Result<(Vec<String>, String), ProgramError> {
     let _ = validated_strata(program)?;
     let order = program
         .stratum_order()
         .expect("validated_strata checked acyclicity");
     let intensional = program.defined_predicates();
     if !intensional.contains(&program.goal.pred) {
-        return Ok((Vec::new(), "SELECT NULL WHERE 1 = 0".to_owned()));
+        return Ok("SELECT NULL WHERE 1 = 0".to_owned());
     }
     check_translatable(program, catalog, &intensional)?;
     let cat = extended_catalog(catalog, &order);
@@ -426,7 +340,10 @@ fn program_sql_parts(
         ctes.push(format!("{name}({}) AS (\n{body}\n)", columns.join(", ")));
     }
     let goal_select = predicate_union(program, program.goal.pred, &cat)?;
-    Ok((ctes, goal_select))
+    if ctes.is_empty() {
+        return Ok(goal_select);
+    }
+    Ok(format!("WITH {}\n{goal_select}", ctes.join(",\n")))
 }
 
 /// Translate a non-recursive Datalog program into SQL `CREATE VIEW`

@@ -4,9 +4,7 @@
 
 use std::collections::HashMap;
 
-use nyaya_core::{
-    AggFunc, ConjunctiveQuery, FilterOp, SelectOptions, SortDir, Symbol, Term, UnionQuery,
-};
+use nyaya_core::{ConjunctiveQuery, Symbol, Term, UnionQuery};
 
 use crate::catalog::Catalog;
 
@@ -194,93 +192,10 @@ pub fn ucq_to_sql(u: &UnionQuery, catalog: &Catalog) -> Option<String> {
     Some(blocks?.join("\nUNION\n"))
 }
 
-/// Wrap a query block whose output columns are named `a1..aN` in an outer
-/// `SELECT` applying [`SelectOptions`]: comparison filters (`WHERE`),
-/// aggregation (`COUNT`/`MIN`/`MAX` with `GROUP BY`), `ORDER BY` (by
-/// output-column ordinal, matching the engine's post-aggregation column
-/// indexing) and `LIMIT`. Plain options return `inner` unchanged.
-pub fn select_to_sql(inner: &str, sel: &SelectOptions) -> String {
-    if sel.is_plain() {
-        return inner.to_owned();
-    }
-    let projection = match &sel.aggregate {
-        None => "*".to_owned(),
-        Some(agg) => {
-            let mut cols: Vec<String> =
-                agg.group_by.iter().map(|c| format!("a{}", c + 1)).collect();
-            cols.push(match agg.func {
-                AggFunc::Count => "COUNT(*) AS agg".to_owned(),
-                AggFunc::Min(c) => format!("MIN(a{}) AS agg", c + 1),
-                AggFunc::Max(c) => format!("MAX(a{}) AS agg", c + 1),
-            });
-            cols.join(", ")
-        }
-    };
-    let mut sql = format!("SELECT {projection}\nFROM (\n{inner}\n) AS q");
-    if !sel.filters.is_empty() {
-        let conds: Vec<String> = sel
-            .filters
-            .iter()
-            .map(|f| {
-                // `<>` is the standard SQL spelling of our `!=`.
-                let op = match f.op {
-                    FilterOp::Ne => "<>",
-                    other => other.symbol(),
-                };
-                format!(
-                    "a{} {op} {}",
-                    f.column + 1,
-                    sql_literal(&f.value.to_string())
-                )
-            })
-            .collect();
-        sql.push_str("\nWHERE ");
-        sql.push_str(&conds.join("\n  AND "));
-    }
-    if let Some(agg) = &sel.aggregate {
-        if !agg.group_by.is_empty() {
-            let keys: Vec<String> = agg.group_by.iter().map(|c| format!("a{}", c + 1)).collect();
-            sql.push_str("\nGROUP BY ");
-            sql.push_str(&keys.join(", "));
-        }
-    }
-    if !sel.order_by.is_empty() {
-        let keys: Vec<String> = sel
-            .order_by
-            .iter()
-            .map(|(c, dir)| {
-                let dir = match dir {
-                    SortDir::Asc => "ASC",
-                    SortDir::Desc => "DESC",
-                };
-                format!("{} {dir}", c + 1)
-            })
-            .collect();
-        sql.push_str("\nORDER BY ");
-        sql.push_str(&keys.join(", "));
-    }
-    if let Some(n) = sel.limit {
-        sql.push_str(&format!("\nLIMIT {n}"));
-    }
-    sql
-}
-
-/// Translate a UCQ plus result modifiers into SQL: the union from
-/// [`ucq_to_sql`] wrapped by [`select_to_sql`]. Returns `None` if some
-/// predicate is missing from the catalog or the options do not fit the
-/// query's head arity.
-pub fn ucq_to_sql_select(u: &UnionQuery, catalog: &Catalog, sel: &SelectOptions) -> Option<String> {
-    if let Some(q) = u.iter().next() {
-        sel.validate(q.head.len()).ok()?;
-    }
-    let inner = ucq_to_sql(u, catalog)?;
-    Some(select_to_sql(&inner, sel))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nyaya_core::{Aggregate, Atom, ColumnFilter, Predicate};
+    use nyaya_core::{Atom, Predicate};
 
     fn cq(head: &[&str], body: &[(&str, &[&str])]) -> ConjunctiveQuery {
         let head_terms = head
@@ -438,72 +353,6 @@ mod tests {
         let sql = cq_to_sql(&q, &catalog).unwrap();
         assert!(sql.contains("FROM \"drop table; x\" AS r0"), "{sql}");
         assert!(sql.contains("r0.\"se\"\"lect\" AS a1"), "{sql}");
-    }
-
-    #[test]
-    fn select_modifiers_wrap_the_union() {
-        let catalog = Catalog::stock_exchange();
-        let u = UnionQuery::new(vec![cq(&["A", "B"], &[("list_comp", &["A", "B"])])]);
-        let sel = SelectOptions {
-            filters: vec![ColumnFilter {
-                column: 0,
-                op: FilterOp::Ge,
-                value: Term::constant("m"),
-            }],
-            order_by: vec![(1, SortDir::Desc), (0, SortDir::Asc)],
-            limit: Some(5),
-            aggregate: None,
-        };
-        let sql = ucq_to_sql_select(&u, &catalog, &sel).unwrap();
-        assert!(sql.starts_with("SELECT *\nFROM (\n"), "{sql}");
-        assert!(sql.contains("WHERE a1 >= 'm'"), "{sql}");
-        assert!(sql.contains("ORDER BY 2 DESC, 1 ASC"), "{sql}");
-        assert!(sql.ends_with("LIMIT 5"), "{sql}");
-    }
-
-    #[test]
-    fn aggregates_become_group_by() {
-        let catalog = Catalog::stock_exchange();
-        let u = UnionQuery::new(vec![cq(&["A", "B"], &[("list_comp", &["A", "B"])])]);
-        let sel = SelectOptions {
-            aggregate: Some(Aggregate {
-                group_by: vec![1],
-                func: AggFunc::Count,
-            }),
-            ..SelectOptions::default()
-        };
-        let sql = ucq_to_sql_select(&u, &catalog, &sel).unwrap();
-        assert!(sql.starts_with("SELECT a2, COUNT(*) AS agg"), "{sql}");
-        assert!(sql.contains("GROUP BY a2"), "{sql}");
-        // != is emitted in its standard SQL spelling.
-        let sel = SelectOptions {
-            filters: vec![ColumnFilter {
-                column: 1,
-                op: FilterOp::Ne,
-                value: Term::constant("nyse"),
-            }],
-            aggregate: Some(Aggregate {
-                group_by: vec![],
-                func: AggFunc::Min(0),
-            }),
-            ..SelectOptions::default()
-        };
-        let sql = ucq_to_sql_select(&u, &catalog, &sel).unwrap();
-        assert!(sql.starts_with("SELECT MIN(a1) AS agg"), "{sql}");
-        assert!(sql.contains("WHERE a2 <> 'nyse'"), "{sql}");
-        // Options that do not fit the head arity are rejected.
-        let bad = SelectOptions {
-            filters: vec![ColumnFilter {
-                column: 7,
-                op: FilterOp::Lt,
-                value: Term::constant("x"),
-            }],
-            ..SelectOptions::default()
-        };
-        assert!(ucq_to_sql_select(&u, &catalog, &bad).is_none());
-        // Plain options pass the union through untouched.
-        let plain = ucq_to_sql_select(&u, &catalog, &SelectOptions::default()).unwrap();
-        assert_eq!(plain, ucq_to_sql(&u, &catalog).unwrap());
     }
 
     #[test]

@@ -1,31 +1,37 @@
-//! Pluggable execution backends.
+//! Execution: one path per prepared query.
 //!
 //! The paper's pipeline ends with "submit the rewriting as a standard SQL
 //! query to the DBMS holding D" — but which engine holds D varies: the
 //! in-process relational engine, an external DBMS that only wants SQL text,
 //! or (for ontologies outside the FO-rewritable classes, where no finite
-//! UCQ rewriting exists) the chase. Each of those is an [`Executor`]; the
-//! knowledge base picks one from its [`Classification`] and callers can
-//! override per call via [`KnowledgeBase::execute_with`].
+//! UCQ rewriting exists) the chase. [`ExecutorKind`] names those backends;
+//! the knowledge base picks one from its [`Classification`] at build time,
+//! and callers can override it per call with
+//! [`KnowledgeBase::execute_on`].
 //!
-//! [`Classification`]: nyaya_core::Classification
-//! [`KnowledgeBase::execute_with`]: crate::KnowledgeBase::execute_with
+//! Every `execute*`, `answer*` and `sql` entry point ends in one private
+//! `run`, which matches on the backend once. The rewriting backends then
+//! match on one `Target` — the flat UCQ or the non-recursive Datalog
+//! program, chosen per query by the knowledge base's
+//! [`Strategy`](super::Strategy) in one place.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use nyaya_chase::certain_answers;
-use nyaya_core::Term;
+use nyaya_core::{Classification, Predicate, Term};
 use nyaya_sql::{execute_program_shared, execute_ucq_intra, program_to_sql, ucq_to_sql};
 
 use super::error::NyayaError;
 use super::update::Snapshot;
-use super::{KnowledgeBase, PreparedQuery};
+use super::{CompiledProgram, CompiledRewriting, KnowledgeBase, PreparedQuery};
 
 /// Which backend a [`KnowledgeBase`] routes execution to.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ExecutorKind {
-    /// Pick from the ontology's classification at build time:
-    /// FO-rewritable ⇒ [`InMemoryExecutor`], otherwise [`ChaseExecutor`].
+    /// Pick from the ontology's classification: FO-rewritable ⇒
+    /// [`InMemory`](Self::InMemory), otherwise [`Chase`](Self::Chase).
     Auto,
     /// Evaluate the UCQ rewriting on the in-process relational engine.
     InMemory,
@@ -36,27 +42,31 @@ pub enum ExecutorKind {
     Chase,
 }
 
+impl ExecutorKind {
+    /// This kind with `Auto` made concrete for an ontology of
+    /// `classification` (the one place `Auto` is resolved).
+    pub(super) fn resolve(self, classification: &Classification) -> ExecutorKind {
+        match self {
+            ExecutorKind::Auto if classification.fo_rewritable() => ExecutorKind::InMemory,
+            ExecutorKind::Auto => ExecutorKind::Chase,
+            kind => kind,
+        }
+    }
+}
+
 /// The result of executing a prepared query on some backend.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Answers {
-    /// Name of the backend that produced this result.
+    /// Name of the backend that produced this result: `in-memory`,
+    /// `program`, `sql` or `chase`.
     pub backend: &'static str,
     /// Answer tuples (empty for the SQL-emission backend).
     pub tuples: BTreeSet<Vec<Term>>,
-    /// The SQL a DBMS should run — populated by [`SqlExecutor`].
+    /// The SQL a DBMS should run — populated by [`ExecutorKind::Sql`].
     pub sql: Option<String>,
     /// False when the backend could not guarantee completeness (chase
     /// truncated by its budget) or delegates the actual work (SQL text).
     pub complete: bool,
-}
-
-/// An execution backend for prepared queries.
-pub trait Executor {
-    /// Stable backend name, also recorded in [`Answers::backend`].
-    fn name(&self) -> &'static str;
-
-    /// Execute `query` against `kb`'s data.
-    fn execute(&self, kb: &KnowledgeBase, query: &PreparedQuery) -> Result<Answers, NyayaError>;
 }
 
 /// Unions with at least this many disjuncts (and programs with at least
@@ -86,7 +96,7 @@ pub const PARALLEL_THRESHOLD: usize = 32;
 /// are in docs/ARCHITECTURE.md, "Morsel-driven join kernels". Tiny
 /// intermediates never spawn (the engine's 2-morsel floor), so point
 /// queries stay sequential.
-pub(crate) fn thread_budgets(width: usize) -> (usize, usize) {
+pub(super) fn thread_budgets(width: usize) -> (usize, usize) {
     let avail = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
     if width >= PARALLEL_THRESHOLD {
         (avail, 1)
@@ -95,192 +105,143 @@ pub(crate) fn thread_budgets(width: usize) -> (usize, usize) {
     }
 }
 
-/// Evaluate the UCQ rewriting over the in-process relational engine —
-/// compile once, then pure database work (the paper's OBDA story without
-/// leaving the process).
-///
-/// Large unions (at least `PARALLEL_THRESHOLD` disjuncts) are routed through
-/// the engine's multi-threaded path: the disjuncts of a perfect rewriting
-/// are independent, and the workers share one build-side cache. Per-run
-/// timing and row counters land in [`KbStats`](super::KbStats).
-#[derive(Copy, Clone, Debug, Default)]
-pub struct InMemoryExecutor;
+/// The compiled form a prepared query executes as (Sections 2 and 8).
+pub(super) enum Target {
+    /// The flat perfect UCQ rewriting.
+    Ucq(Arc<CompiledRewriting>),
+    /// The non-recursive Datalog program hiding the UCQ's DNF.
+    Program(Arc<CompiledProgram>),
+}
 
-impl InMemoryExecutor {
-    /// Run against a **pinned** snapshot: the execution reads that
-    /// epoch's tables and shares that epoch's persistent build cache
-    /// (patterns hashed by earlier executions over the same snapshot are
-    /// reused; patterns built here are left behind for later ones).
-    pub fn execute_at(
+impl Target {
+    /// Every predicate the compiled form reads, sorted — the answer
+    /// cache fingerprints snapshots over exactly this set.
+    fn touched(&self) -> &[Predicate] {
+        match self {
+            Target::Ucq(compiled) => &compiled.touched,
+            Target::Program(program) => &program.touched,
+        }
+    }
+}
+
+impl KnowledgeBase {
+    /// The [`Target`] `query` runs as under this knowledge base's
+    /// [`Strategy`](super::Strategy), compiled (or served from its cache
+    /// entry) on the way.
+    pub(super) fn target(&self, query: &PreparedQuery) -> Result<Target, NyayaError> {
+        Ok(match self.execution_plan(query)? {
+            Some(program) => Target::Program(program),
+            None => Target::Ucq(self.rewriting(query)?),
+        })
+    }
+
+    /// Execute `query` over `snapshot` on backend `kind`: the one
+    /// execution path, and the one place executions are counted.
+    pub(super) fn run(
         &self,
-        kb: &KnowledgeBase,
         query: &PreparedQuery,
         snapshot: &Snapshot,
+        kind: ExecutorKind,
     ) -> Result<Answers, NyayaError> {
-        // The knowledge base's Strategy may route this query to the
-        // non-recursive Datalog target: materialize each intensional
-        // predicate once (strata in parallel past the same threshold)
-        // instead of evaluating the DNF's disjuncts.
-        if let Some(program) = kb.execution_plan(query)? {
-            // Exact answer cache: a fingerprint match over the program's
-            // extensional predicates proves the cached answer equals
-            // what this execution would produce.
-            if let Some(hit) = kb.cached_answer(query, snapshot, &program.touched) {
-                return Ok(hit);
+        self.counters.executions.fetch_add(1, Ordering::Relaxed);
+        match kind {
+            // Certain answers via the chase (Section 3.3) over the
+            // snapshot's instance, skipping rewriting entirely. Incomplete
+            // (a lower bound) if the chase budget truncated the search.
+            ExecutorKind::Chase => {
+                let result = certain_answers(
+                    snapshot.instance(),
+                    self.normalized_tgds(),
+                    query.query(),
+                    self.chase_config,
+                );
+                Ok(Answers {
+                    backend: "chase",
+                    tuples: result.answers,
+                    sql: None,
+                    complete: result.saturated,
+                })
             }
-            let (threads, _) = thread_budgets(program.program.num_rules());
-            let (tuples, metrics) = execute_program_shared(
-                snapshot.database(),
-                &program.program,
-                threads,
-                snapshot.build_cache(),
-            )?;
-            kb.record_program_execution(&metrics);
-            let answers = Answers {
-                backend: "program",
-                tuples,
-                sql: None,
-                complete: true,
-            };
-            kb.store_answer(query, snapshot, &program.touched, &answers);
-            return Ok(answers);
+            // SQL text against the snapshot's catalog (updates register
+            // new tables): a program ships as one `WITH`-CTE per
+            // intensional predicate, a UCQ as the flat `UNION`.
+            ExecutorKind::Sql => {
+                let catalog = snapshot.catalog();
+                let sql = match self.target(query)? {
+                    Target::Program(program) => program_to_sql(&program.program, catalog)?,
+                    Target::Ucq(compiled) => {
+                        ucq_to_sql(&compiled.ucq, catalog).ok_or_else(|| {
+                            // Name the first predicate the catalog is
+                            // missing — the error is actionable only if
+                            // it says which table to register.
+                            let predicate = compiled
+                                .ucq
+                                .iter()
+                                .flat_map(|cq| cq.body.iter())
+                                .find(|a| catalog.table(a.pred).is_none())
+                                .map(|a| a.pred.to_string())
+                                .unwrap_or_else(|| "<unknown>".to_owned());
+                            NyayaError::UnregisteredPredicate { predicate }
+                        })?
+                    }
+                };
+                Ok(Answers {
+                    backend: "sql",
+                    tuples: BTreeSet::new(),
+                    sql: Some(sql),
+                    complete: false,
+                })
+            }
+            // The in-process engine, reading the snapshot's tables and
+            // sharing its persistent build cache. `Auto` never arrives
+            // here unresolved.
+            ExecutorKind::InMemory | ExecutorKind::Auto => {
+                let target = self.target(query)?;
+                if let Some(hit) = self.cached_answer(query, snapshot, target.touched()) {
+                    return Ok(hit);
+                }
+                let (backend, tuples) = match &target {
+                    // Materialize each intensional predicate once (strata
+                    // in parallel past the threshold) instead of
+                    // evaluating the DNF's disjuncts.
+                    Target::Program(program) => {
+                        let (threads, _) = thread_budgets(program.program.num_rules());
+                        let (tuples, metrics) = execute_program_shared(
+                            snapshot.database(),
+                            &program.program,
+                            threads,
+                            snapshot.build_cache(),
+                        )?;
+                        self.record_program_execution(&metrics);
+                        ("program", tuples)
+                    }
+                    // Cost-based planning with the shape's learned
+                    // cardinality correction; the run's estimated-vs-actual
+                    // counts feed the next correction.
+                    Target::Ucq(compiled) => {
+                        let (threads, intra) = thread_budgets(compiled.ucq.cqs.len());
+                        let (tuples, metrics) = execute_ucq_intra(
+                            snapshot.database(),
+                            &compiled.ucq,
+                            threads,
+                            intra,
+                            snapshot.build_cache(),
+                            self.plan_correction(query),
+                        );
+                        self.record_execution(&metrics);
+                        self.record_feedback(query, &metrics);
+                        ("in-memory", tuples)
+                    }
+                };
+                let answers = Answers {
+                    backend,
+                    tuples,
+                    sql: None,
+                    complete: true,
+                };
+                self.store_answer(query, snapshot, target.touched(), &answers);
+                Ok(answers)
+            }
         }
-        let compiled = kb.rewriting(query)?;
-        if let Some(hit) = kb.cached_answer(query, snapshot, &compiled.touched) {
-            return Ok(hit);
-        }
-        // Cost-based planning with the query's learned cardinality
-        // correction; the run's estimated-vs-actual counts feed the next
-        // correction (re-planning when the estimate was badly off).
-        let (threads, intra) = thread_budgets(compiled.ucq.cqs.len());
-        let (tuples, metrics) = execute_ucq_intra(
-            snapshot.database(),
-            &compiled.ucq,
-            threads,
-            intra,
-            snapshot.build_cache(),
-            kb.plan_correction(query),
-        );
-        kb.record_execution(&metrics);
-        kb.record_feedback(query, &metrics);
-        let answers = Answers {
-            backend: self.name(),
-            tuples,
-            sql: None,
-            complete: true,
-        };
-        kb.store_answer(query, snapshot, &compiled.touched, &answers);
-        Ok(answers)
-    }
-}
-
-impl Executor for InMemoryExecutor {
-    fn name(&self) -> &'static str {
-        "in-memory"
-    }
-
-    fn execute(&self, kb: &KnowledgeBase, query: &PreparedQuery) -> Result<Answers, NyayaError> {
-        self.execute_at(kb, query, &kb.snapshot())
-    }
-}
-
-/// Translate the UCQ rewriting to SQL text against the knowledge base's
-/// catalog. Produces no tuples — the returned [`Answers::sql`] is meant for
-/// the DBMS that actually holds the data.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct SqlExecutor;
-
-impl SqlExecutor {
-    /// Emit SQL against a pinned snapshot's catalog (catalogs grow when
-    /// updates introduce new predicates, so emission is epoch-dependent).
-    pub fn execute_at(
-        &self,
-        kb: &KnowledgeBase,
-        query: &PreparedQuery,
-        snapshot: &Snapshot,
-    ) -> Result<Answers, NyayaError> {
-        // Under the program strategy, ship the program shape: one
-        // `WITH`-CTE per intensional predicate and a goal SELECT joining
-        // them, instead of unfolding into the flat UCQ text.
-        if let Some(program) = kb.execution_plan(query)? {
-            let sql = program_to_sql(&program.program, snapshot.catalog())?;
-            return Ok(Answers {
-                backend: self.name(),
-                tuples: BTreeSet::new(),
-                sql: Some(sql),
-                complete: false,
-            });
-        }
-        let compiled = kb.rewriting(query)?;
-        let sql = ucq_to_sql(&compiled.ucq, snapshot.catalog()).ok_or_else(|| {
-            // Name the first predicate the catalog is missing — the error
-            // is actionable only if it says which table to register.
-            let predicate = compiled
-                .ucq
-                .iter()
-                .flat_map(|cq| cq.body.iter())
-                .find(|a| snapshot.catalog().table(a.pred).is_none())
-                .map(|a| a.pred.to_string())
-                .unwrap_or_else(|| "<unknown>".to_owned());
-            NyayaError::UnregisteredPredicate { predicate }
-        })?;
-        Ok(Answers {
-            backend: self.name(),
-            tuples: BTreeSet::new(),
-            sql: Some(sql),
-            complete: false,
-        })
-    }
-}
-
-impl Executor for SqlExecutor {
-    fn name(&self) -> &'static str {
-        "sql"
-    }
-
-    fn execute(&self, kb: &KnowledgeBase, query: &PreparedQuery) -> Result<Answers, NyayaError> {
-        self.execute_at(kb, query, &kb.snapshot())
-    }
-}
-
-/// Certain answers via the chase (Section 3.3). Skips rewriting entirely:
-/// this is the sound fallback when the ontology is outside every
-/// FO-rewritable class and a finite UCQ rewriting is not guaranteed to
-/// exist. [`Answers::complete`] is false if the chase budget truncated the
-/// search (answers are then a lower bound).
-#[derive(Copy, Clone, Debug, Default)]
-pub struct ChaseExecutor;
-
-impl ChaseExecutor {
-    /// Chase a pinned snapshot's instance (derived lazily from its
-    /// database and memoized on the snapshot).
-    pub fn execute_at(
-        &self,
-        kb: &KnowledgeBase,
-        query: &PreparedQuery,
-        snapshot: &Snapshot,
-    ) -> Result<Answers, NyayaError> {
-        let result = certain_answers(
-            snapshot.instance(),
-            kb.normalized_tgds(),
-            query.query(),
-            kb.chase_config(),
-        );
-        Ok(Answers {
-            backend: self.name(),
-            tuples: result.answers,
-            sql: None,
-            complete: result.saturated,
-        })
-    }
-}
-
-impl Executor for ChaseExecutor {
-    fn name(&self) -> &'static str {
-        "chase"
-    }
-
-    fn execute(&self, kb: &KnowledgeBase, query: &PreparedQuery) -> Result<Answers, NyayaError> {
-        self.execute_at(kb, query, &kb.snapshot())
     }
 }

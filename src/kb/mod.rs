@@ -20,11 +20,13 @@
 //!   rewrite twice — [`KbStats`] exposes the hit/miss counters. A handle
 //!   keeps its entry inline after first use; one guard makes a handle
 //!   executed on a *different* knowledge base use that base's entry;
-//! - execution goes through a pluggable [`Executor`]: the in-process
-//!   relational engine, SQL-text emission for an external DBMS, or
-//!   chase-based certain answers for ontologies outside the FO-rewritable
-//!   classes. The default backend is picked from [`classify`] and can
-//!   be overridden;
+//! - every execution takes one path: the backend named by an
+//!   [`ExecutorKind`] — the in-process relational engine, SQL-text
+//!   emission for an external DBMS, or chase-based certain answers for
+//!   ontologies outside the FO-rewritable classes — over the compiled
+//!   form [`Strategy`] picks (the flat UCQ or the program). The default
+//!   backend is picked from [`classify`] and can be overridden per call
+//!   with [`KnowledgeBase::execute_on`];
 //! - the ABox evolves **without recompiling anything**:
 //!   [`KnowledgeBase::apply`] inserts/retracts facts in atomic
 //!   [`UpdateBatch`]es, maintaining the engine's per-column indexes
@@ -65,10 +67,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, Weak};
 
 use nyaya_chase::{check_consistency, ChaseConfig, Consistency};
-use nyaya_core::DatalogProgram;
 use nyaya_core::{
-    canonical_key, classify, normalize, Atom, CanonicalKey, Classification, ConjunctiveQuery,
-    Normalization, Ontology, Predicate, Tgd,
+    apply_select, canonical_key, classify, normalize, Atom, CanonicalKey, Classification,
+    ConjunctiveQuery, DatalogProgram, DeltaProgram, Normalization, Ontology, Predicate,
+    SelectOptions, Term, Tgd,
 };
 use nyaya_parser::{parse_dl_lite, parse_owl_ql, parse_program, parse_query};
 use nyaya_rewrite::{
@@ -77,17 +79,18 @@ use nyaya_rewrite::{
     ProgramOptStats, ProgramStrategy, RewriteOptions, RewriteStats,
 };
 use nyaya_sql::{
-    BaseDeltas, BuildCache, Catalog, Database, IvmProgram, IvmRule, MaterializedView,
-    ProgramMetrics,
+    execute_program_shared, execute_ucq_select, BaseDeltas, BuildCache, Catalog, Database,
+    ExecMetrics, MaterializedView, ProgramMetrics,
 };
 
 use cache::QueryEntry;
 use durability::Durability;
+use executor::{thread_budgets, Target};
 use subscribe::SubscriptionInner;
 use update::replay;
 
 pub use error::NyayaError;
-pub use executor::{Answers, ChaseExecutor, Executor, ExecutorKind, InMemoryExecutor, SqlExecutor};
+pub use executor::{Answers, ExecutorKind};
 pub use nyaya_ledger::{LedgerHistory, SealedWalInfo, SegmentFlush, SegmentInfo};
 pub use subscribe::{AnswerDiff, Subscription};
 pub use update::{ApplyOutcome, Snapshot, UpdateBatch};
@@ -807,16 +810,7 @@ impl KnowledgeBaseBuilder {
         } else {
             normalization.aux_predicates.clone()
         };
-        let executor = match self.executor {
-            ExecutorKind::Auto => {
-                if classification.fo_rewritable() {
-                    ExecutorKind::InMemory
-                } else {
-                    ExecutorKind::Chase
-                }
-            }
-            manual => manual,
-        };
+        let executor = self.executor.resolve(&classification);
         let mut catalog = self.catalog.unwrap_or_default();
         catalog.register_defaults(
             self.ontology
@@ -1255,7 +1249,7 @@ impl KnowledgeBase {
         epoch: u64,
     ) -> Result<Answers, NyayaError> {
         let snapshot = self.snapshot_at(epoch)?;
-        self.execute_at(query, &snapshot)
+        self.run(query, &snapshot, self.executor)
     }
 
     /// Synchronously flush an index segment for the current epoch,
@@ -1324,32 +1318,16 @@ impl KnowledgeBase {
         self.subscribe_seeded(program, Some(epoch))
     }
 
-    /// Compile a prepared query's Datalog program into the engine-side
-    /// delta program a materialized view evaluates.
-    fn ivm_program(&self, query: &PreparedQuery) -> Result<IvmProgram, NyayaError> {
+    /// Compile a prepared query's Datalog program into the delta program
+    /// a materialized view evaluates.
+    fn ivm_program(&self, query: &PreparedQuery) -> Result<DeltaProgram, NyayaError> {
         let compiled = self.program(query)?;
-        let delta = compile_delta_program(&compiled.program).map_err(|e| match e {
+        compile_delta_program(&compiled.program).map_err(|e| match e {
             DeltaError::Recursive => NyayaError::RecursiveProgram,
             // Both are rules delta propagation cannot react to.
             DeltaError::UnsafeRule { head } | DeltaError::EmptyBody { head } => {
                 NyayaError::UnsafeRule { rule: head }
             }
-        })?;
-        Ok(IvmProgram {
-            goal: delta.goal,
-            levels: delta.levels,
-            rules: delta
-                .rules
-                .into_iter()
-                .map(|r| IvmRule {
-                    head: r.head,
-                    body: r.body,
-                    delta_idx: r.delta_idx,
-                    level: r.level,
-                })
-                .collect(),
-            intensional: delta.intensional,
-            base: delta.base,
         })
     }
 
@@ -1359,7 +1337,7 @@ impl KnowledgeBase {
     /// replay and the registration.
     fn subscribe_seeded(
         &self,
-        program: IvmProgram,
+        program: DeltaProgram,
         from: Option<u64>,
     ) -> Result<Subscription, NyayaError> {
         let _writer = self
@@ -1715,37 +1693,18 @@ impl KnowledgeBase {
 
     /// Execute on the backend chosen at build time.
     pub fn execute(&self, query: &PreparedQuery) -> Result<Answers, NyayaError> {
-        self.execute_on(query, self.executor)
+        self.run(query, &self.snapshot(), self.executor)
     }
 
-    /// Execute on a specific built-in backend.
+    /// Execute on a specific backend (`Auto` resolved from this
+    /// knowledge base's classification).
     pub fn execute_on(
         &self,
         query: &PreparedQuery,
         kind: ExecutorKind,
     ) -> Result<Answers, NyayaError> {
-        match kind {
-            ExecutorKind::InMemory => self.execute_with(query, &InMemoryExecutor),
-            ExecutorKind::Sql => self.execute_with(query, &SqlExecutor),
-            ExecutorKind::Chase => self.execute_with(query, &ChaseExecutor),
-            ExecutorKind::Auto => {
-                if self.classification.fo_rewritable() {
-                    self.execute_with(query, &InMemoryExecutor)
-                } else {
-                    self.execute_with(query, &ChaseExecutor)
-                }
-            }
-        }
-    }
-
-    /// Execute on a caller-supplied backend (the extension point).
-    pub fn execute_with(
-        &self,
-        query: &PreparedQuery,
-        executor: &dyn Executor,
-    ) -> Result<Answers, NyayaError> {
-        self.counters.executions.fetch_add(1, Ordering::Relaxed);
-        executor.execute(self, query)
+        let kind = kind.resolve(&self.classification);
+        self.run(query, &self.snapshot(), kind)
     }
 
     /// Execute against a **pinned** snapshot instead of the currently
@@ -1769,32 +1728,22 @@ impl KnowledgeBase {
                 epoch: snapshot.epoch(),
             });
         }
-        self.counters.executions.fetch_add(1, Ordering::Relaxed);
-        match self.executor {
-            ExecutorKind::Chase => ChaseExecutor.execute_at(self, query, snapshot),
-            ExecutorKind::Sql => SqlExecutor.execute_at(self, query, snapshot),
-            // `Auto` is resolved to a concrete backend at build time.
-            ExecutorKind::InMemory | ExecutorKind::Auto => {
-                InMemoryExecutor.execute_at(self, query, snapshot)
-            }
-        }
+        self.run(query, snapshot, self.executor)
     }
 
     /// Prepare + execute in one call (still hits the rewriting cache).
     pub fn answer(&self, query: &ConjunctiveQuery) -> Result<Answers, NyayaError> {
-        let prepared = self.prepare(query)?;
-        self.execute(&prepared)
+        self.execute(&self.prepare(query)?)
     }
 
     /// Parse + prepare + execute in one call.
     pub fn answer_text(&self, source: &str) -> Result<Answers, NyayaError> {
-        let prepared = self.prepare_text(source)?;
-        self.execute(&prepared)
+        self.execute(&self.prepare_text(source)?)
     }
 
     /// The SQL an external DBMS should run for this query.
     pub fn sql(&self, query: &PreparedQuery) -> Result<String, NyayaError> {
-        self.execute_with(query, &SqlExecutor)
+        self.run(query, &self.snapshot(), ExecutorKind::Sql)
             .map(|answers| answers.sql.expect("sql backend always sets sql"))
     }
 
@@ -1806,22 +1755,19 @@ impl KnowledgeBase {
     pub fn execute_program(
         &self,
         program: &DatalogProgram,
-    ) -> Result<std::collections::BTreeSet<Vec<nyaya_core::Term>>, NyayaError> {
+    ) -> Result<std::collections::BTreeSet<Vec<Term>>, NyayaError> {
         let snapshot = self.snapshot();
-        let (tuples, metrics) = nyaya_sql::execute_program_shared(
-            snapshot.database(),
-            program,
-            1,
-            snapshot.build_cache(),
-        )?;
+        let (tuples, metrics) =
+            execute_program_shared(snapshot.database(), program, 1, snapshot.build_cache())?;
         self.record_program_execution(&metrics);
         Ok(tuples)
     }
 
-    /// Record one bottom-up program run in the lifetime counters (also
-    /// called by [`InMemoryExecutor`] when [`Strategy`] routes an
-    /// execution to the program target).
-    pub(crate) fn record_program_execution(&self, metrics: &ProgramMetrics) {
+    /// Record one bottom-up program run — an
+    /// [`execute_program`](Self::execute_program) call, or an execution
+    /// [`Strategy`] routed to the program target — in the lifetime
+    /// counters.
+    fn record_program_execution(&self, metrics: &ProgramMetrics) {
         let c = &self.counters;
         c.program_executions.fetch_add(1, Ordering::Relaxed);
         c.program_micros.fetch_add(
@@ -1889,11 +1835,8 @@ impl KnowledgeBase {
         }
     }
 
-    /// Record one in-memory engine run in the lifetime counters (called
-    /// by [`InMemoryExecutor`] with the engine's [`ExecMetrics`]).
-    ///
-    /// [`ExecMetrics`]: nyaya_sql::ExecMetrics
-    pub(crate) fn record_execution(&self, metrics: &nyaya_sql::ExecMetrics) {
+    /// Record one in-memory UCQ run in the lifetime counters.
+    fn record_execution(&self, metrics: &ExecMetrics) {
         let c = &self.counters;
         c.exec_micros.fetch_add(
             u64::try_from(metrics.elapsed.as_micros()).unwrap_or(u64::MAX),
@@ -1932,7 +1875,7 @@ impl KnowledgeBase {
     /// touched tables are bit-identical to when that answer was
     /// computed, so the answer itself is too. Counts a hit or a miss;
     /// `None` (without counting) when the cache is disabled.
-    pub(crate) fn cached_answer(
+    fn cached_answer(
         &self,
         query: &PreparedQuery,
         snapshot: &Snapshot,
@@ -1953,7 +1896,7 @@ impl KnowledgeBase {
     /// Store one freshly executed answer set in the exact answer cache,
     /// tagged with the snapshot's epoch fingerprint over `touched`, in the
     /// small ring of the query shape's entry.
-    pub(crate) fn store_answer(
+    fn store_answer(
         &self,
         query: &PreparedQuery,
         snapshot: &Snapshot,
@@ -1976,7 +1919,7 @@ impl KnowledgeBase {
     /// Feed one execution's estimated-vs-actual row counts back into the
     /// planner: a miss by ≥ [`REPLAN_RATIO`] updates the query's
     /// correction and ticks `plan_replans`.
-    pub(crate) fn record_feedback(&self, query: &PreparedQuery, metrics: &nyaya_sql::ExecMetrics) {
+    fn record_feedback(&self, query: &PreparedQuery, metrics: &ExecMetrics) {
         let ratio = metrics.rows.max(1) as f64 / metrics.estimated_rows.max(1) as f64;
         if self.entry(query).learn(ratio) {
             self.counters.plan_replans.fetch_add(1, Ordering::Relaxed);
@@ -1994,43 +1937,52 @@ impl KnowledgeBase {
     pub fn execute_select(
         &self,
         query: &PreparedQuery,
-        sel: &nyaya_core::SelectOptions,
-    ) -> Result<Vec<Vec<nyaya_core::Term>>, NyayaError> {
+        sel: &SelectOptions,
+    ) -> Result<Vec<Vec<Term>>, NyayaError> {
+        // Counted here, not in `run`: ordered rows are not an `Answers`.
         self.counters.executions.fetch_add(1, Ordering::Relaxed);
         let snapshot = self.snapshot();
-        if let Some(program) = self.execution_plan(query)? {
-            let (threads, _) = executor::thread_budgets(program.program.num_rules());
-            let (rows, metrics) = nyaya_sql::execute_program_select(
-                snapshot.database(),
-                &program.program,
-                sel,
-                threads,
-                snapshot.build_cache(),
-            )
-            .map_err(|e| match e {
-                nyaya_sql::ProgramSelectError::InvalidSelect(detail) => {
-                    NyayaError::InvalidSelect { detail }
+        let invalid = |detail| NyayaError::InvalidSelect { detail };
+        match self.target(query)? {
+            // Modifier columns are goal-head positions, which rewriting
+            // into a program preserves: shape the materialized goal
+            // answers by the reference semantics.
+            Target::Program(program) => {
+                sel.validate(program.program.goal.args.len())
+                    .map_err(invalid)?;
+                let (threads, _) = thread_budgets(program.program.num_rules());
+                let (answers, mut metrics) = execute_program_shared(
+                    snapshot.database(),
+                    &program.program,
+                    threads,
+                    snapshot.build_cache(),
+                )?;
+                let rows = apply_select(answers, sel);
+                metrics.rows = rows.len();
+                self.record_program_execution(&metrics);
+                Ok(rows)
+            }
+            Target::Ucq(compiled) => {
+                let (threads, _) = thread_budgets(compiled.ucq.cqs.len());
+                let (rows, metrics) = execute_ucq_select(
+                    snapshot.database(),
+                    &compiled.ucq,
+                    sel,
+                    threads,
+                    snapshot.build_cache(),
+                    self.plan_correction(query),
+                )
+                .map_err(invalid)?;
+                self.record_execution(&metrics);
+                // Shaped rows (after COUNT, LIMIT, filters, or off an
+                // index fast path with no estimate) say nothing about the
+                // join's cardinality: only a plain run teaches the planner.
+                if sel.is_plain() {
+                    self.record_feedback(query, &metrics);
                 }
-                nyaya_sql::ProgramSelectError::Program(err) => err.into(),
-            })?;
-            self.record_program_execution(&metrics);
-            return Ok(rows);
+                Ok(rows)
+            }
         }
-        let compiled = self.rewriting(query)?;
-        let (threads, _) = executor::thread_budgets(compiled.ucq.cqs.len());
-        let correction = self.plan_correction(query);
-        let (rows, metrics) = nyaya_sql::execute_ucq_select(
-            snapshot.database(),
-            &compiled.ucq,
-            sel,
-            threads,
-            snapshot.build_cache(),
-            correction,
-        )
-        .map_err(|detail| NyayaError::InvalidSelect { detail })?;
-        self.record_execution(&metrics);
-        self.record_feedback(query, &metrics);
-        Ok(rows)
     }
 
     /// Human-readable execution plan — the CLI's `--explain` surface:
@@ -2040,42 +1992,43 @@ impl KnowledgeBase {
     pub fn explain(
         &self,
         query: &PreparedQuery,
-        sel: &nyaya_core::SelectOptions,
+        sel: &SelectOptions,
     ) -> Result<String, NyayaError> {
         let snapshot = self.snapshot();
         let mut out = String::new();
-        if let Some(program) = self.execution_plan(query)? {
-            out.push_str(&format!(
+        match self.target(query)? {
+            Target::Program(program) => out.push_str(&format!(
                 "strategy: program ({} rules, {} strata)\n",
                 program.program.num_rules(),
                 program.stats.program_strata,
-            ));
-        } else {
-            let compiled = self.rewriting(query)?;
-            let correction = self.plan_correction(query);
-            out.push_str(&format!(
-                "strategy: ucq ({} disjuncts)\n",
-                compiled.ucq.cqs.len()
-            ));
-            if (correction - 1.0).abs() > f64::EPSILON {
-                out.push_str(&format!("feedback correction: {correction:.3}\n"));
-            }
-            let (mut scans, mut hashes, mut merges) = (0usize, 0usize, 0usize);
-            for cq in compiled.ucq.iter() {
-                let plan = nyaya_sql::plan_cq_cost_corrected(snapshot.database(), cq, correction);
-                for op in &plan.ops {
-                    match op {
-                        nyaya_sql::StepOp::Scan => scans += 1,
-                        nyaya_sql::StepOp::Hash => hashes += 1,
-                        nyaya_sql::StepOp::Merge { .. } => merges += 1,
+            )),
+            Target::Ucq(compiled) => {
+                let correction = self.plan_correction(query);
+                out.push_str(&format!(
+                    "strategy: ucq ({} disjuncts)\n",
+                    compiled.ucq.cqs.len()
+                ));
+                if (correction - 1.0).abs() > f64::EPSILON {
+                    out.push_str(&format!("feedback correction: {correction:.3}\n"));
+                }
+                let (mut scans, mut hashes, mut merges) = (0usize, 0usize, 0usize);
+                for cq in compiled.ucq.iter() {
+                    let plan =
+                        nyaya_sql::plan_cq_cost_corrected(snapshot.database(), cq, correction);
+                    for op in &plan.ops {
+                        match op {
+                            nyaya_sql::StepOp::Scan => scans += 1,
+                            nyaya_sql::StepOp::Hash => hashes += 1,
+                            nyaya_sql::StepOp::Merge { .. } => merges += 1,
+                        }
                     }
                 }
-            }
-            out.push_str(&format!(
-                "operators: scan {scans}, hash {hashes}, merge {merges}\n"
-            ));
-            if let Some(first) = compiled.ucq.iter().next() {
-                out.push_str(&nyaya_sql::explain_cq(snapshot.database(), first));
+                out.push_str(&format!(
+                    "operators: scan {scans}, hash {hashes}, merge {merges}\n"
+                ));
+                if let Some(first) = compiled.ucq.iter().next() {
+                    out.push_str(&nyaya_sql::explain_cq(snapshot.database(), first));
+                }
             }
         }
         if !sel.is_plain() {

@@ -10,7 +10,7 @@
 //! The paper's pipeline is *compile once, execute many*, and
 //! [`KnowledgeBase`] is that pipeline as a value: the builder normalizes
 //! and classifies the ontology once, prepared queries are rewritten once
-//! and memoized, and execution is a pluggable backend.
+//! and memoized, and execution runs them on the backend of your choice.
 //!
 //! ```
 //! use nyaya::{ExecutorKind, KnowledgeBase};
@@ -70,7 +70,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`kb`] | **the facade**: [`KnowledgeBase`], builders, prepared queries with a rewriting cache, pluggable [`Executor`]s, batched [`UpdateBatch`] writes with epoch-stamped [`Snapshot`]s, [`NyayaError`] |
+//! | [`kb`] | **the facade**: [`KnowledgeBase`], builders, prepared queries with a rewriting cache, one execution path over the backend an [`ExecutorKind`] names, batched [`UpdateBatch`] writes with epoch-stamped [`Snapshot`]s, [`NyayaError`] |
 //! | [`core`] | terms, atoms, queries, TGDs, unification, canonical forms, containment & core minimization, non-recursive Datalog programs, Datalog± classes, normalization |
 //! | [`chase`] | the TGD chase (restricted / oblivious / Skolem), certain answers, consistency (NCs/KDs) |
 //! | [`rewrite`] | TGD-rewrite / TGD-rewrite⋆, non-recursive Datalog rewriting, QuOnto & Requiem baselines, chase & back-chase |
@@ -94,10 +94,9 @@ pub use nyaya_serve as serve;
 pub use nyaya_sql as sql;
 
 pub use kb::{
-    Algorithm, AnswerDiff, Answers, ApplyOutcome, ChaseExecutor, CompiledProgram,
-    CompiledRewriting, Executor, ExecutorKind, InMemoryExecutor, KbStats, KnowledgeBase,
-    KnowledgeBaseBuilder, LedgerHistory, NyayaError, PreparedQuery, SealedWalInfo, SegmentFlush,
-    SegmentInfo, Snapshot, SqlExecutor, Strategy, Subscription, UpdateBatch,
+    Algorithm, AnswerDiff, Answers, ApplyOutcome, CompiledProgram, CompiledRewriting, ExecutorKind,
+    KbStats, KnowledgeBase, KnowledgeBaseBuilder, LedgerHistory, NyayaError, PreparedQuery,
+    SealedWalInfo, SegmentFlush, SegmentInfo, Snapshot, Strategy, Subscription, UpdateBatch,
     DEFAULT_FLUSH_INTERVAL, DEFAULT_PROGRAM_THRESHOLD, REPLAN_RATIO,
 };
 pub use serving::KbBackend;
@@ -105,9 +104,9 @@ pub use serving::KbBackend;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use crate::kb::{
-        Algorithm, AnswerDiff, Answers, ApplyOutcome, Executor, ExecutorKind, KbStats,
-        KnowledgeBase, KnowledgeBaseBuilder, LedgerHistory, NyayaError, PreparedQuery,
-        SegmentFlush, Snapshot, Strategy, Subscription, UpdateBatch,
+        Algorithm, AnswerDiff, Answers, ApplyOutcome, ExecutorKind, KbStats, KnowledgeBase,
+        KnowledgeBaseBuilder, LedgerHistory, NyayaError, PreparedQuery, SegmentFlush, Snapshot,
+        Strategy, Subscription, UpdateBatch,
     };
     pub use nyaya_chase::{certain_answers, chase, ChaseConfig, Instance};
     pub use nyaya_core::{

@@ -2,13 +2,10 @@
 //!
 //! Pins the satellite guarantees of the facade: the prepared-query cache
 //! really skips rewriting work, the chase fallback is auto-selected for
-//! non-FO-rewritable ontologies, backends agree on answers, and custom
-//! executors plug in through the `Executor` trait.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! non-FO-rewritable ontologies, backends agree on answers, and every
+//! entry point counts one execution on the backend it names.
 
 use nyaya::prelude::*;
-use nyaya::{Answers, InMemoryExecutor};
 
 const LINEAR_PROGRAM: &str = "
     sigma5: stock_portf(X, Y, Z) -> has_stock(Y, X).
@@ -135,39 +132,6 @@ fn backends_agree_on_the_round_trip() {
     assert_eq!(fast.tuples, oracle.tuples, "Theorem 10: backends agree");
     let sql = kb.execute_on(&prepared, ExecutorKind::Sql).unwrap();
     assert!(sql.sql.unwrap().contains("UNION"));
-}
-
-#[test]
-fn custom_executors_plug_in_through_the_trait() {
-    /// A tracing wrapper around the in-memory backend.
-    struct Traced<'a> {
-        calls: &'a AtomicUsize,
-    }
-    impl Executor for Traced<'_> {
-        fn name(&self) -> &'static str {
-            "traced"
-        }
-        fn execute(
-            &self,
-            kb: &KnowledgeBase,
-            query: &PreparedQuery,
-        ) -> Result<Answers, NyayaError> {
-            self.calls.fetch_add(1, Ordering::Relaxed);
-            let mut answers = InMemoryExecutor.execute(kb, query)?;
-            answers.backend = self.name();
-            Ok(answers)
-        }
-    }
-
-    let kb = KnowledgeBase::from_program_text(LINEAR_PROGRAM).unwrap();
-    let prepared = kb.prepare(&kb.queries()[0].clone()).unwrap();
-    let calls = AtomicUsize::new(0);
-    let traced = Traced { calls: &calls };
-    let answers = kb.execute_with(&prepared, &traced).unwrap();
-    assert_eq!(answers.backend, "traced");
-    assert_eq!(answers.tuples.len(), 2);
-    assert_eq!(calls.load(Ordering::Relaxed), 1);
-    assert_eq!(kb.stats().executions, 1, "custom executors are counted too");
 }
 
 #[test]
@@ -568,4 +532,123 @@ fn canonical_looking_variable_names_do_not_change_the_answer() {
     let kb = KnowledgeBase::from_program_text(PROGRAM).unwrap();
     let answers = kb.answer_text("q(V1) :- p(V1, V0).").unwrap();
     assert_eq!(answers.tuples.len(), 3);
+}
+
+/// Two interaction clusters with two alternatives each, so the same query
+/// runs as a UCQ or as a program depending on the strategy alone.
+const DECOMPOSABLE: &str = "
+    sigma1: sp(X) -> p(X).
+    sigma2: su(X) -> u(X).
+    p(a). u(b). sp(c). su(d). t(a, b). t(c, d). t(a, d).
+    q(A) :- p(A), t(A, B), u(B).
+";
+
+#[test]
+fn every_entry_point_counts_one_execution_on_its_backend() {
+    for (strategy, in_memory) in [(Strategy::Ucq, "in-memory"), (Strategy::Program, "program")] {
+        let kb = KnowledgeBase::builder()
+            .program_text(DECOMPOSABLE)
+            .unwrap()
+            .strategy(strategy)
+            .build()
+            .unwrap();
+        let q = kb.prepare(&kb.queries()[0].clone()).unwrap();
+        // A flat-UCQ execution reads the rewriting cache once; the chase
+        // and the program target never do.
+        let rewrites = u64::from(strategy == Strategy::Ucq);
+        let mut last = kb.stats();
+        // One entry point just ran: exactly one execution, on `backend`,
+        // with these answer-cache (hits, misses) and rewriting lookups.
+        let mut ran = |name: &str, backend: &str, expected: &str, answers, rewritings| {
+            let now = kb.stats();
+            let what = format!("{strategy:?} {name}");
+            assert_eq!(backend, expected, "{what}");
+            assert_eq!(now.executions, last.executions + 1, "{what}");
+            assert_eq!(
+                (
+                    now.cache_answer_hits - last.cache_answer_hits,
+                    now.cache_answer_misses - last.cache_answer_misses
+                ),
+                answers,
+                "{what}: answer cache"
+            );
+            assert_eq!(
+                now.cache_hits + now.cache_misses - last.cache_hits - last.cache_misses,
+                rewritings,
+                "{what}: rewriting cache"
+            );
+            last = now;
+        };
+
+        let first = kb.execute(&q).unwrap();
+        ran("execute", first.backend, in_memory, (0, 1), rewrites);
+        assert_eq!(first.tuples.len(), 2);
+        let a = kb.execute_on(&q, ExecutorKind::InMemory).unwrap();
+        ran("on InMemory", a.backend, in_memory, (1, 0), rewrites);
+        assert_eq!(a.tuples, first.tuples);
+        let a = kb.execute_at(&q, &kb.snapshot()).unwrap();
+        ran("execute_at", a.backend, in_memory, (1, 0), rewrites);
+        let a = kb.execute_at_epoch(&q, kb.epoch()).unwrap();
+        ran("execute_at_epoch", a.backend, in_memory, (1, 0), rewrites);
+        let sql = kb.sql(&q).unwrap();
+        ran("sql", "sql", "sql", (0, 0), rewrites);
+        let a = kb.execute_on(&q, ExecutorKind::Sql).unwrap();
+        ran("on Sql", a.backend, "sql", (0, 0), rewrites);
+        assert_eq!(a.sql.as_deref(), Some(sql.as_str()));
+        assert!(a.tuples.is_empty() && !a.complete);
+        let a = kb.execute_on(&q, ExecutorKind::Chase).unwrap();
+        ran("on Chase", a.backend, "chase", (0, 0), 0);
+        assert_eq!(a.tuples, first.tuples, "{strategy:?}: backends agree");
+    }
+
+    // `Auto` resolves per call from the classification: the chase here.
+    let kb = KnowledgeBase::from_program_text(TRANSITIVE_PROGRAM).unwrap();
+    let q = kb.prepare(&kb.queries()[0].clone()).unwrap();
+    let a = kb.execute_on(&q, ExecutorKind::Auto).unwrap();
+    assert_eq!((a.backend, a.tuples.len()), ("chase", 6));
+    assert_eq!(kb.stats().executions, 1);
+    assert_eq!(kb.stats().cache_misses, 0);
+}
+
+#[test]
+fn result_modifiers_do_not_teach_the_planner_a_correction() {
+    use nyaya::core::{AggFunc, Aggregate, SelectOptions, SortDir};
+
+    let mut facts = Vec::new();
+    for i in 0..200 {
+        let (x, y) = (format!("x{i}"), format!("y{i}"));
+        facts.push(Atom::make("r", [x.as_str(), y.as_str()]));
+        facts.push(Atom::make("s", [y.as_str()]));
+    }
+    let kb = KnowledgeBase::builder()
+        .facts(facts)
+        .strategy(Strategy::Ucq)
+        .build()
+        .unwrap();
+    let count = SelectOptions {
+        aggregate: Some(Aggregate {
+            group_by: vec![],
+            func: AggFunc::Count,
+        }),
+        ..SelectOptions::default()
+    };
+    let top = SelectOptions {
+        order_by: vec![(0, SortDir::Asc)],
+        limit: Some(20),
+        ..SelectOptions::default()
+    };
+    for (text, alpha, sel, rows) in [
+        ("q(X) :- r(X, Y), s(Y).", "q(A) :- r(A, B), s(B).", count, 1),
+        ("q(X, Y) :- r(X, Y).", "q(A, B) :- r(A, B).", top, 20),
+    ] {
+        let q = kb.prepare_text(text).unwrap();
+        assert_eq!(kb.execute_select(&q, &sel).unwrap().len(), rows, "{text}");
+        // One shaped row, or 20 off the sorted index with no estimate at
+        // all, says nothing about the join's cardinality.
+        assert_eq!(kb.plan_correction(&q), 1.0, "{text}");
+        let fresh = kb.prepare_text(alpha).unwrap();
+        let plan = kb.explain(&fresh, &SelectOptions::default()).unwrap();
+        assert!(!plan.contains("feedback correction"), "{text}: {plan}");
+    }
+    assert_eq!(kb.stats().plan_replans, 0);
 }
