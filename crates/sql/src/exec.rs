@@ -12,14 +12,14 @@
 //!   per-snapshot delta whose touched posting lists shadow the base's.
 //!   A posting lookup returns the live rows of a cell as one slice, and
 //!   the planner reads row and distinct counts in O(1).
-//! - **Cost-planned join orders** ([`execute_ucq_intra`] and
-//!   [`execute_cq`] route through
-//!   [`plan_cq_cost_corrected`]): body atoms
-//!   are ordered by priced operator work, and each join step is given the
-//!   cheaper of two access paths — a hashed build side, or the key
-//!   column's posting index ([`StepOp::Merge`]). The greedy
-//!   cardinality-only planner survives as the planner's oracle
-//!   ([`execute_ucq_greedy`]).
+//! - **One planner, one per-disjunct driver** (`run_planned`): every
+//!   CQ the engine runs — a disjunct of [`execute_ucq_intra`], a disjunct
+//!   of [`execute_ucq_select`](crate::execute_ucq_select)'s general path, a
+//!   rule body in [`crate::program`] — is planned by the cost planner
+//!   ([`crate::plan`]) against the tables its `DataSource` resolves,
+//!   counted, and run. Body atoms are ordered by priced operator work, and
+//!   each join step is given the cheaper of two access paths — a hashed
+//!   build side, or the key column's posting index ([`StepOp::Merge`]).
 //! - **One join step** (`join.rs`): every step of every pipeline — a
 //!   disjunct here, a rule body in [`crate::program`], a delta rule in
 //!   [`crate::ivm`] — is the same compiled step: an atom classified
@@ -53,10 +53,10 @@ use nyaya_core::{ConjunctiveQuery, Predicate, Symbol, Term, UnionQuery};
 
 use crate::build_cache::BuildCache;
 use crate::join::{AtomShape, Projection, Step};
-use crate::plan::{join_order, plan_cq_cost_corrected, StepOp};
+use crate::plan::{plan_over, StepOp};
 use crate::table::Database;
 
-/// Per-call hit/miss counters for one (U)CQ execution. Distinct from the
+/// Per-call counters for one (U)CQ execution. Distinct from the
 /// [`BuildCache`]'s own lifetime counters: when several executions share
 /// one persistent cache concurrently, each execution's tally counts only
 /// its own probes, so summing tallies never double-counts.
@@ -68,6 +68,22 @@ pub(crate) struct CacheTally {
     pub(crate) merges: AtomicU64,
     /// Probe morsels driven through the join step (see [`MORSEL`]).
     pub(crate) morsels: AtomicU64,
+    /// The planner's result estimates, rounded per CQ and summed.
+    pub(crate) estimated: AtomicU64,
+}
+
+impl CacheTally {
+    /// The tally's counters as the matching [`ExecMetrics`] fields.
+    pub(crate) fn exec_metrics(&self) -> ExecMetrics {
+        ExecMetrics {
+            build_cache_hits: self.hits.load(Ordering::Relaxed),
+            build_cache_misses: self.misses.load(Ordering::Relaxed),
+            merge_joins: self.merges.load(Ordering::Relaxed),
+            morsel_tasks: self.morsels.load(Ordering::Relaxed),
+            estimated_rows: self.estimated.load(Ordering::Relaxed),
+            ..ExecMetrics::default()
+        }
+    }
 }
 
 /// Fixed probe-batch size of the join step, in rows.
@@ -216,11 +232,11 @@ impl<'a> DataSource<'a> {
 /// Execute one CQ with atoms in `order`, resolving each atom's table and
 /// build cache through `src` (single database or layered program view).
 ///
-/// `ops` optionally carries the cost planner's per-step operator choice
-/// (parallel to `order`): a [`StepOp::Merge`] step probes the key
-/// column's posting index instead of a hashed build side. With
-/// `ops == None` every step hash-joins — the preserved greedy execution
-/// mode.
+/// `ops` is the planner's per-step operator choice, parallel to `order`: a
+/// [`StepOp::Merge`] step probes the key column's posting index instead of
+/// a hashed build side, provided the step's shape confirms that column;
+/// every other step reads a build side ([`StepOp::Scan`] and
+/// [`StepOp::Hash`] differ only in the planner's pricing).
 ///
 /// Each join step's probe side is split into contiguous spans across up
 /// to `intra` worker threads (only once it holds at least two
@@ -231,7 +247,7 @@ pub(crate) fn execute_cq_ordered(
     src: &DataSource<'_>,
     q: &ConjunctiveQuery,
     order: &[usize],
-    ops: Option<&[StepOp]>,
+    ops: &[StepOp],
     tally: &CacheTally,
     intra: usize,
 ) -> BTreeSet<Vec<Term>> {
@@ -251,7 +267,7 @@ pub(crate) fn execute_cq_ordered(
         // confirms that key column's postings are exactly the joining
         // rows — a mismatch falls back to hash.
         let merge = matches!(
-            ops.and_then(|o| o.get(step)),
+            ops.get(step),
             Some(StepOp::Merge { key_col }) if shape.posting_col() == Some(*key_col)
         );
         let (compiled, was_hit) = Step::compile(db, cache, atom, shape, merge);
@@ -282,45 +298,21 @@ pub(crate) fn execute_cq_ordered(
     out
 }
 
-/// Execute a CQ with a cost-planned join order and per-step operators.
-///
-/// Atoms are ordered and priced by the cost-based planner
-/// ([`plan_cq_cost`](crate::plan::plan_cq_cost)), which picks hash or
-/// merge per join; set semantics make the result order-insensitive, so
-/// planning only changes intermediate sizes and per-step work.
-pub fn execute_cq(db: &Database, q: &ConjunctiveQuery) -> BTreeSet<Vec<Term>> {
-    let plan = plan_cq_cost_corrected(db, q, 1.0);
-    execute_cq_ordered(
-        &DataSource::Single {
-            db,
-            cache: &BuildCache::new(),
-        },
-        q,
-        &plan.order,
-        Some(&plan.ops),
-        &CacheTally::default(),
-        1,
-    )
-}
-
-/// Execute a union with the preserved greedy planner (hash joins only,
-/// one private build cache) — the differential oracle execution mode.
-pub fn execute_ucq_greedy(db: &Database, u: &UnionQuery) -> BTreeSet<Vec<Term>> {
-    let cache = BuildCache::new();
-    let tally = CacheTally::default();
-    let mut out = BTreeSet::new();
-    for q in u.iter() {
-        let order = join_order(db, q);
-        out.extend(execute_cq_ordered(
-            &DataSource::Single { db, cache: &cache },
-            q,
-            &order,
-            None,
-            &tally,
-            1,
-        ));
-    }
-    out
+/// Plan `q` against `src`, add the plan's rounded result estimate to
+/// `tally`, and run it: the one per-CQ driver behind UCQ execution,
+/// shaped execution's general path and program rule bodies.
+pub(crate) fn run_planned(
+    src: &DataSource<'_>,
+    q: &ConjunctiveQuery,
+    correction: f64,
+    tally: &CacheTally,
+    intra: usize,
+) -> BTreeSet<Vec<Term>> {
+    let plan = plan_over(src, q, correction);
+    tally
+        .estimated
+        .fetch_add(plan.result_estimate().round() as u64, Ordering::Relaxed);
+    execute_cq_ordered(src, q, &plan.order, &plan.ops, tally, intra)
 }
 
 /// Counters from one (U)CQ execution.
@@ -387,8 +379,8 @@ pub fn execute_ucq(db: &Database, u: &UnionQuery) -> BTreeSet<Vec<Term>> {
 /// tallied per probe rather than diffed off the shared counters, so the
 /// attribution stays exact even when many executions share one cache
 /// concurrently. `correction` is the cardinality-feedback factor applied
-/// to the cost planner's join estimates (see [`plan_cq_cost_corrected`];
-/// 1.0 = none).
+/// to the cost planner's join estimates (see
+/// [`plan_cq_cost_corrected`](crate::plan_cq_cost_corrected); 1.0 = none).
 pub fn execute_ucq_intra(
     db: &Database,
     u: &UnionQuery,
@@ -399,32 +391,18 @@ pub fn execute_ucq_intra(
 ) -> (BTreeSet<Vec<Term>>, ExecMetrics) {
     let start = Instant::now();
     let tally = CacheTally::default();
-    let estimated = AtomicU64::new(0);
+    let src = DataSource::Single { db, cache };
     let (out, threads) = fan_out(&u.cqs, threads, |out: &mut BTreeSet<Vec<Term>>, chunk| {
         for q in chunk {
-            let plan = plan_cq_cost_corrected(db, q, correction);
-            estimated.fetch_add(plan.result_estimate().round() as u64, Ordering::Relaxed);
-            out.extend(execute_cq_ordered(
-                &DataSource::Single { db, cache },
-                q,
-                &plan.order,
-                Some(&plan.ops),
-                &tally,
-                intra,
-            ));
+            out.extend(run_planned(&src, q, correction, &tally, intra));
         }
     });
     let metrics = ExecMetrics {
         disjuncts: u.cqs.len(),
         threads,
         rows: out.len(),
-        build_cache_hits: tally.hits.load(Ordering::Relaxed),
-        build_cache_misses: tally.misses.load(Ordering::Relaxed),
-        merge_joins: tally.merges.load(Ordering::Relaxed),
-        morsel_tasks: tally.morsels.load(Ordering::Relaxed),
-        estimated_rows: estimated.load(Ordering::Relaxed),
         elapsed: start.elapsed(),
-        ..ExecMetrics::default()
+        ..tally.exec_metrics()
     };
     (out, metrics)
 }
@@ -433,7 +411,7 @@ pub fn execute_ucq_intra(
 mod tests {
     use super::*;
     use crate::reference;
-    use crate::test_support::{cq, sample_db};
+    use crate::test_support::{cq, execute_one, sample_db};
     use nyaya_core::Atom;
 
     #[test]
@@ -467,7 +445,7 @@ mod tests {
     fn single_table_scan() {
         let db = sample_db();
         let q = cq(&["A"], &[("list_comp", &["A", "B"])]);
-        let ans = execute_cq(&db, &q);
+        let ans = execute_one(&db, &q);
         assert_eq!(ans.len(), 2);
     }
 
@@ -482,7 +460,7 @@ mod tests {
                 ("stock_portf", &["B", "A", "D"]),
             ],
         );
-        let ans = execute_cq(&db, &q);
+        let ans = execute_one(&db, &q);
         assert_eq!(ans.len(), 2);
         assert!(ans.contains(&vec![Term::constant("ibm_s"), Term::constant("fund1")]));
     }
@@ -491,7 +469,7 @@ mod tests {
     fn constant_filters() {
         let db = sample_db();
         let q = cq(&["A"], &[("list_comp", &["A", "nasdaq"])]);
-        let ans = execute_cq(&db, &q);
+        let ans = execute_one(&db, &q);
         assert_eq!(ans.len(), 1);
     }
 
@@ -501,7 +479,7 @@ mod tests {
         db.insert(Atom::make("t", ["a", "a"]));
         db.insert(Atom::make("t", ["a", "b"]));
         let q = cq(&["A"], &[("t", &["A", "A"])]);
-        assert_eq!(execute_cq(&db, &q).len(), 1);
+        assert_eq!(execute_one(&db, &q).len(), 1);
     }
 
     #[test]
@@ -511,8 +489,8 @@ mod tests {
             &["A"],
             &[("list_comp", &["A", "B"]), ("has_stock", &["B", "C"])],
         );
-        assert!(execute_cq(&db, &q).is_empty());
-        assert!(execute_cq(
+        assert!(execute_one(&db, &q).is_empty());
+        assert!(execute_one(
             &db,
             &cq(
                 &[],
@@ -577,7 +555,7 @@ mod tests {
             ),
         ] {
             assert_eq!(
-                execute_cq(&db, &q),
+                execute_one(&db, &q),
                 reference::execute_cq_reference(&db, &q),
                 "{q}"
             );
@@ -603,7 +581,7 @@ mod tests {
         // Queries over the repaired indexes agree with a rebuild.
         let q = cq(&["A"], &[("t", &["A", "x"])]);
         let rebuilt = Database::from_facts(db.facts());
-        assert_eq!(execute_cq(&db, &q), execute_cq(&rebuilt, &q));
+        assert_eq!(execute_one(&db, &q), execute_one(&rebuilt, &q));
         // Re-inserting the retracted fact round-trips.
         assert!(db.insert(Atom::make("t", ["a", "x"])));
         assert_eq!(db.table_len(t), 3);
@@ -625,7 +603,7 @@ mod tests {
             &["X"],
             &[("e", &["X", "Y"]), ("e", &["Y", "Z"]), ("e", &["Z", "X"])],
         );
-        let ans = execute_cq(&db, &q);
+        let ans = execute_one(&db, &q);
         let instance = nyaya_chase::Instance::from_atoms(facts);
         let oracle = nyaya_chase::answers(&instance, &q);
         let oracle_set: BTreeSet<Vec<Term>> = oracle.into_iter().collect();

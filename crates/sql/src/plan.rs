@@ -1,39 +1,37 @@
-//! A cost-based join planner for conjunctive queries.
+//! The cost-based join planner for conjunctive queries.
 //!
 //! Section 1 motivates FO-rewritability precisely because the produced SQL
 //! "is evaluated and optimized in the usual way" by the DBMS. Our
 //! in-memory engine joins body atoms left to right, so atom order *is* the
-//! physical plan. Two planners live here:
+//! physical plan, and one planner chooses it for every CQ the engine runs:
+//! a UCQ disjunct, a shaped (`SelectOptions`) disjunct, and a program rule
+//! body.
 //!
-//! - The original **greedy** cardinality-only planner ([`plan_cq`] /
-//!   [`join_order`]): pick, at every step, the atom with the smallest
-//!   estimated output cardinality given the variables already bound. It is
-//!   preserved verbatim as the differential-testing oracle
-//!   (`tests/planner_differential.rs` proves the cost-based plans
-//!   answer-identical to it on 300 seeds).
-//! - The **cost-based** planner ([`plan_cq_cost`]): the same greedy
-//!   skeleton, but every candidate step is priced per physical operator —
-//!   a hash join pays for building the table-sized hash side, a "merge"
-//!   join (an index nested-loop join over the key column's posting index,
-//!   which every table already maintains) pays only for its probes — and
-//!   the cheaper operator is recorded in the plan
-//!   ([`StepOp`]). A runtime cardinality-feedback factor (learned by the
-//!   `KnowledgeBase` from estimated-vs-actual row counts per prepared
-//!   query) scales the join estimates, so a plan that mispredicted badly
-//!   is re-priced — and possibly re-shaped — on the next execution.
+//! The planner is greedy: at every step it takes the connected atom whose
+//! step is cheapest, priced per physical operator — a hash join pays for
+//! building the table-sized hash side, a "merge" join (an index
+//! nested-loop join over the key column's posting index, which every table
+//! already maintains) pays only for its probes — and records the cheaper
+//! operator in the plan ([`StepOp`]). A runtime cardinality-feedback factor
+//! (learned by the `KnowledgeBase` from estimated-vs-actual row counts per
+//! prepared query) scales the join estimates, so a plan that mispredicted
+//! badly is re-priced — and possibly re-shaped — on the next execution.
 //!
-//! Neither planner changes results — [`execute_cq`](crate::execute_cq) is
-//! order-insensitive set semantics — only intermediate sizes and per-step
-//! operator work.
+//! Planning never changes results — execution is order-insensitive set
+//! semantics — only intermediate sizes and per-step operator work.
 //!
-//! Statistics are read off the [`Database`]'s persistent per-column
-//! indexes in O(1) — planning a CQ never scans a table, so planning all
-//! few-hundred disjuncts of a UCQ rewriting is essentially free.
+//! Statistics (rows and per-column distinct counts) are read in O(1) off
+//! the persistent indexes of whichever table a `DataSource` resolves the
+//! atom to — the snapshot for a UCQ, the derived overlay for a program's
+//! intensional predicate. Planning a CQ never scans a table, so planning
+//! all few-hundred disjuncts of a UCQ rewriting is essentially free.
 
 use std::collections::{HashMap, HashSet};
 
 use nyaya_core::{ConjunctiveQuery, Predicate, Symbol, Term};
 
+use crate::build_cache::BuildCache;
+use crate::exec::DataSource;
 use crate::join::AtomShape;
 use crate::table::Database;
 
@@ -44,48 +42,22 @@ struct TableStats {
     distinct: Vec<usize>,
 }
 
-/// Collected statistics for every predicate used by a query — O(1) per
-/// column, served by the database's persistent indexes.
-fn collect_stats(
-    db: &Database,
-    preds: impl IntoIterator<Item = Predicate>,
-) -> HashMap<Predicate, TableStats> {
-    collect_stats_with(preds, |pred| {
-        (
-            db.table_len(pred),
-            (0..pred.arity)
-                .map(|j| db.distinct(pred, j).max(1))
-                .collect(),
-        )
-    })
-}
-
-/// [`collect_stats`] with caller-resolved statistics — program evaluation
-/// reads an atom's (rows, per-column distinct) off the derived overlay for
-/// intensional predicates and off the base snapshot for everything else.
-fn collect_stats_with(
-    preds: impl IntoIterator<Item = Predicate>,
-    mut stat_of: impl FnMut(Predicate) -> (usize, Vec<usize>),
-) -> HashMap<Predicate, TableStats> {
+/// Statistics for every predicate of `q`'s body, read off the table `src`
+/// resolves it to — O(1) per column, served by that table's indexes.
+fn collect_stats(src: &DataSource<'_>, q: &ConjunctiveQuery) -> HashMap<Predicate, TableStats> {
     let mut stats = HashMap::new();
-    for pred in preds {
+    for pred in q.body.iter().map(|a| a.pred) {
         stats.entry(pred).or_insert_with(|| {
-            let (rows, distinct) = stat_of(pred);
-            TableStats { rows, distinct }
+            let (db, _) = src.resolve(pred);
+            TableStats {
+                rows: db.table_len(pred),
+                distinct: (0..pred.arity)
+                    .map(|j| db.distinct(pred, j).max(1))
+                    .collect(),
+            }
         });
     }
     stats
-}
-
-/// A join order for one CQ, with the planner's cost estimates.
-#[derive(Clone, Debug)]
-pub struct JoinPlan {
-    /// Permutation of body-atom indices, in execution order.
-    pub order: Vec<usize>,
-    /// Estimated intermediate cardinality after each step.
-    pub estimates: Vec<f64>,
-    /// Sum of the intermediate cardinalities — the planner's objective.
-    pub cost: f64,
 }
 
 /// Estimated result size of joining `atom` into an intermediate of size
@@ -116,63 +88,6 @@ fn step_estimate(
     card * rows.max(0.0)
 }
 
-/// Plan a CQ greedily against the database statistics.
-pub fn plan_cq(db: &Database, q: &ConjunctiveQuery) -> JoinPlan {
-    plan_from_stats(q, collect_stats(db, q.body.iter().map(|a| a.pred)))
-}
-
-fn plan_from_stats(q: &ConjunctiveQuery, stats: HashMap<Predicate, TableStats>) -> JoinPlan {
-    let n = q.body.len();
-    let mut remaining: Vec<usize> = (0..n).collect();
-    let mut bound: HashSet<Symbol> = HashSet::new();
-    let mut order = Vec::with_capacity(n);
-    let mut estimates = Vec::with_capacity(n);
-    let mut card = 1.0f64;
-    let mut cost = 0.0f64;
-    while !remaining.is_empty() {
-        // Prefer atoms connected to the bound variables (avoid Cartesian
-        // products), then the smallest estimate, then input order.
-        let (pos, _) = remaining
-            .iter()
-            .enumerate()
-            .min_by(|(_, &i), (_, &j)| {
-                let disconnected = |k: usize| {
-                    !bound.is_empty() && !q.body[k].variables().iter().any(|v| bound.contains(v))
-                };
-                let (ci, cj) = (disconnected(i), disconnected(j));
-                let ei = step_estimate(&q.body[i], &stats[&q.body[i].pred], &bound, card);
-                let ej = step_estimate(&q.body[j], &stats[&q.body[j].pred], &bound, card);
-                ci.cmp(&cj).then(ei.total_cmp(&ej)).then(i.cmp(&j))
-            })
-            .map(|(pos, &i)| (pos, i))
-            .expect("remaining is non-empty");
-        let i = remaining.remove(pos);
-        card = step_estimate(&q.body[i], &stats[&q.body[i].pred], &bound, card);
-        cost += card;
-        order.push(i);
-        estimates.push(card);
-        for v in q.body[i].variables() {
-            bound.insert(v);
-        }
-    }
-    JoinPlan {
-        order,
-        estimates,
-        cost,
-    }
-}
-
-/// The greedy join order for one CQ — the preserved oracle planner's
-/// order, executed by
-/// [`execute_ucq_greedy`](crate::execute_ucq_greedy).
-pub fn join_order(db: &Database, q: &ConjunctiveQuery) -> Vec<usize> {
-    plan_cq(db, q).order
-}
-
-// ---------------------------------------------------------------------
-// The cost-based planner: operator pricing over the same greedy skeleton
-// ---------------------------------------------------------------------
-
 /// The physical operator chosen for one join step of a [`CostPlan`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum StepOp {
@@ -181,7 +96,7 @@ pub enum StepOp {
     /// selective posting list, otherwise the table is enumerated.
     Scan,
     /// Hash join: the atom's filtered rows are hashed by the join-key
-    /// columns (a [`BuildCache`](crate::BuildCache)-shared build
+    /// columns (a [`BuildCache`]-shared build
     /// side) and probed per intermediate tuple.
     Hash,
     /// Index nested-loop join over the key column's posting index (the
@@ -207,7 +122,7 @@ impl StepOp {
 }
 
 /// A join order with per-step physical operators and the planner's cost
-/// estimates — the cost-based counterpart of [`JoinPlan`].
+/// estimates.
 #[derive(Clone, Debug)]
 pub struct CostPlan {
     /// Permutation of body-atom indices, in execution order.
@@ -295,32 +210,20 @@ pub fn plan_cq_cost(db: &Database, q: &ConjunctiveQuery) -> CostPlan {
 /// estimated-vs-actual row counts of earlier executions), which can flip
 /// operator choices and join order on re-planning.
 pub fn plan_cq_cost_corrected(db: &Database, q: &ConjunctiveQuery, correction: f64) -> CostPlan {
-    plan_cost_from_stats(
+    plan_over(
+        &DataSource::Single {
+            db,
+            cache: &BuildCache::new(),
+        },
         q,
-        collect_stats(db, q.body.iter().map(|a| a.pred)),
         correction,
     )
 }
 
-/// Cost-based planning with caller-resolved per-predicate statistics (the
-/// layered entry used by program evaluation over overlay tables).
-pub(crate) fn plan_cq_cost_with(
-    q: &ConjunctiveQuery,
-    stat_of: impl FnMut(Predicate) -> (usize, Vec<usize>),
-    correction: f64,
-) -> CostPlan {
-    plan_cost_from_stats(
-        q,
-        collect_stats_with(q.body.iter().map(|a| a.pred), stat_of),
-        correction,
-    )
-}
-
-fn plan_cost_from_stats(
-    q: &ConjunctiveQuery,
-    stats: HashMap<Predicate, TableStats>,
-    correction: f64,
-) -> CostPlan {
+/// Plan a CQ against the tables `src` resolves its atoms to, with join
+/// estimates scaled by `correction` — the planner behind every entry.
+pub(crate) fn plan_over(src: &DataSource<'_>, q: &ConjunctiveQuery, correction: f64) -> CostPlan {
+    let stats = collect_stats(src, q);
     let n = q.body.len();
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut bound: HashSet<Symbol> = HashSet::new();
@@ -330,10 +233,8 @@ fn plan_cost_from_stats(
     let mut card = 1.0f64;
     let mut cost = 0.0f64;
     while !remaining.is_empty() {
-        // Same greedy skeleton as `plan_from_stats`, but candidates are
-        // compared by priced operator work instead of raw cardinality:
-        // connected atoms first, then the cheapest priced step, then
-        // input order.
+        // Connected atoms first, then the cheapest priced step, then the
+        // smallest estimate, then input order.
         let (pos, _) = remaining
             .iter()
             .enumerate()
@@ -415,27 +316,9 @@ pub fn explain_cq(db: &Database, q: &ConjunctiveQuery) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{execute_cq, execute_ucq, reference};
+    use crate::test_support::{cq, execute_one};
+    use crate::{execute_ucq, reference};
     use nyaya_core::{Atom, UnionQuery};
-
-    fn cq(head: &[&str], body: &[(&str, &[&str])]) -> ConjunctiveQuery {
-        let conv = |a: &&str| {
-            if a.chars().next().unwrap().is_uppercase() {
-                Term::var(a)
-            } else {
-                Term::constant(a)
-            }
-        };
-        ConjunctiveQuery::new(
-            head.iter().map(conv).collect(),
-            body.iter()
-                .map(|(p, args)| {
-                    let terms: Vec<Term> = args.iter().map(conv).collect();
-                    Atom::new(Predicate::new(p, terms.len()), terms)
-                })
-                .collect(),
-        )
-    }
 
     /// big(X,Y): 1000 rows; small(X): 2 rows; the planner must start small.
     fn skewed_db() -> Database {
@@ -458,7 +341,7 @@ mod tests {
     fn planner_starts_with_the_selective_atom() {
         let db = skewed_db();
         let q = cq(&["X"], &[("big", &["X", "Y"]), ("small", &["X"])]);
-        let plan = plan_cq(&db, &q);
+        let plan = plan_cq_cost(&db, &q);
         assert_eq!(plan.order[0], 1, "small/1 first: {plan:?}");
     }
 
@@ -471,7 +354,7 @@ mod tests {
             cq(&["X"], &[("small", &["X"]), ("big", &["X", "w1"])]),
         ] {
             assert_eq!(
-                execute_cq(&db, &q),
+                execute_one(&db, &q),
                 reference::execute_cq_reference(&db, &q),
                 "{q}"
             );
@@ -485,8 +368,8 @@ mod tests {
         // far below the 1000-row scan.
         let filtered = cq(&["X"], &[("big", &["X", "w1"])]);
         let scan = cq(&["X"], &[("big", &["X", "Y"])]);
-        let pf = plan_cq(&db, &filtered);
-        let ps = plan_cq(&db, &scan);
+        let pf = plan_cq_cost(&db, &filtered);
+        let ps = plan_cq_cost(&db, &scan);
         assert!(pf.cost < ps.cost);
     }
 
@@ -505,13 +388,46 @@ mod tests {
             &["X", "Z"],
             &[("big", &["X", "Y"]), ("other", &["Z"]), ("small", &["X"])],
         );
-        let plan = plan_cq(&db, &q);
+        let plan = plan_cq_cost(&db, &q);
         assert_eq!(plan.order[0], 2, "{plan:?}");
         assert_eq!(plan.order[1], 0, "{plan:?}");
         assert_eq!(
-            execute_cq(&db, &q),
+            execute_one(&db, &q),
             reference::execute_cq_reference(&db, &q)
         );
+    }
+
+    /// Over a layered source, an intensional predicate's statistics come
+    /// from the overlay: the base's large stray table of the same name is
+    /// shadowed for planning exactly as it is for execution.
+    #[test]
+    fn layered_planning_reads_intensional_statistics_from_the_overlay() {
+        let mut base = Database::new();
+        for i in 0..1000 {
+            base.insert(Atom::make("d", [format!("v{i}").as_str()]));
+        }
+        for i in 0..100 {
+            base.insert(Atom::make(
+                "e",
+                [format!("v{i}").as_str(), format!("w{i}").as_str()],
+            ));
+        }
+        let overlay = Database::from_facts([Atom::make("d", ["v1"]), Atom::make("d", ["v2"])]);
+        let q = cq(&["X"], &[("e", &["X", "Y"]), ("d", &["X"])]);
+        // Read off the base alone, the stray 1000-row d/1 goes last.
+        assert_eq!(plan_cq_cost(&base, &q).order, vec![0, 1]);
+        let (base_cache, overlay_cache) = (BuildCache::new(), BuildCache::new());
+        let intensional = HashSet::from([Predicate::new("d", 1)]);
+        let src = DataSource::Layered {
+            base: &base,
+            base_cache: &base_cache,
+            overlay: &overlay,
+            overlay_cache: &overlay_cache,
+            intensional: &intensional,
+        };
+        let plan = plan_over(&src, &q, 1.0);
+        assert_eq!(plan.order[0], 1, "the 2-row overlay d/1 first: {plan:?}");
+        assert_eq!(plan.estimates[0], 2.0, "{plan:?}");
     }
 
     #[test]
@@ -541,8 +457,8 @@ mod tests {
     fn empty_tables_plan_cheaply() {
         let db = Database::new();
         let q = cq(&["X"], &[("big", &["X", "Y"]), ("small", &["X"])]);
-        let plan = plan_cq(&db, &q);
+        let plan = plan_cq_cost(&db, &q);
         assert_eq!(plan.order.len(), 2);
-        assert!(execute_cq(&db, &q).is_empty());
+        assert!(execute_one(&db, &q).is_empty());
     }
 }

@@ -8,7 +8,9 @@
 //!
 //! - intensional predicates are materialized **stratum by stratum**
 //!   ([`DatalogProgram::strata`]), the rules of one stratum across worker
-//!   threads, each rule through the planned, indexed join pipeline;
+//!   threads, each rule body planned and run by the executor's one per-CQ
+//!   driver (`exec::run_planned`) — the same cost planner as a UCQ
+//!   disjunct, reading an intensional atom's statistics off the overlay;
 //! - derived tuples live in an **overlay database layered over the base**
 //!   (the engine's layered `DataSource`) — the pinned snapshot is never
 //!   cloned or written, and base-atom build sides are served from (and
@@ -30,8 +32,8 @@ use nyaya_core::{Atom, ConjunctiveQuery, DatalogProgram, DatalogRule, Predicate,
 
 use crate::build_cache::BuildCache;
 use crate::catalog::Catalog;
-use crate::exec::{execute_cq_ordered, fan_out, CacheTally, DataSource};
-use crate::plan::plan_cq_cost_with;
+use crate::exec::{execute_cq_ordered, fan_out, run_planned, CacheTally, DataSource};
+use crate::plan::StepOp;
 use crate::table::Database;
 use crate::translate::{cq_to_sql, sql_ident};
 
@@ -102,7 +104,7 @@ pub struct ProgramMetrics {
     pub build_cache_hits: u64,
     /// Build sides constructed.
     pub build_cache_misses: u64,
-    /// [`StepOp::Merge`](crate::StepOp::Merge) steps executed — probes of a
+    /// [`StepOp::Merge`] steps executed — probes of a
     /// column's posting index (base tables and overlay tables both
     /// maintain one).
     pub merge_joins: u64,
@@ -194,20 +196,7 @@ pub fn execute_program_shared(
         };
         let run_rule = |rule: &DatalogRule| -> BTreeSet<Vec<Term>> {
             let q = ConjunctiveQuery::new(rule.head.args.clone(), rule.body.clone());
-            let plan = plan_cq_cost_with(
-                &q,
-                |pred| {
-                    let (db, _) = src.resolve(pred);
-                    (
-                        db.table_len(pred),
-                        (0..pred.arity)
-                            .map(|j| db.distinct(pred, j).max(1))
-                            .collect(),
-                    )
-                },
-                1.0,
-            );
-            execute_cq_ordered(&src, &q, &plan.order, Some(&plan.ops), &tally, 1)
+            run_planned(&src, &q, 1.0, &tally, 1)
         };
         type Derived = Vec<(Predicate, BTreeSet<Vec<Term>>)>;
         let (results, workers) = fan_out(&rules, threads, |results: &mut Derived, part| {
@@ -236,7 +225,7 @@ pub fn execute_program_shared(
         overlay_cache: &overlay_cache,
         intensional: &intensional,
     };
-    let answers = execute_cq_ordered(&src, &goal_q, &[0], None, &tally, 1);
+    let answers = execute_cq_ordered(&src, &goal_q, &[0], &[StepOp::Scan], &tally, 1);
     metrics.rows = answers.len();
     metrics.build_cache_hits = tally.hits.load(Ordering::Relaxed);
     metrics.build_cache_misses = tally.misses.load(Ordering::Relaxed);

@@ -7,10 +7,7 @@ use std::time::Instant;
 use nyaya_core::{ConjunctiveQuery, Predicate, SelectOptions, Symbol, Term, UnionQuery};
 
 use crate::build_cache::BuildCache;
-use crate::exec::{
-    execute_cq_ordered, execute_ucq_intra, fan_out, CacheTally, DataSource, ExecMetrics,
-};
-use crate::plan::plan_cq_cost_corrected;
+use crate::exec::{execute_ucq_intra, fan_out, run_planned, CacheTally, DataSource, ExecMetrics};
 use crate::table::Database;
 
 /// Head-to-column mapping for a single-atom disjunct whose atom arguments
@@ -68,7 +65,9 @@ fn direct_access(q: &ConjunctiveQuery) -> Option<DirectAccess> {
 /// Anything else executes normally and applies the filters as a *planned*
 /// row-by-row post-filter, reported in
 /// [`ExecMetrics::filter_fallback_scans`] — the stat that closes the old
-/// silent-fallback gap. Errors on out-of-range column indices.
+/// silent-fallback gap. Errors on column indices out of range for the
+/// union's head; an empty union has no head to check against and answers
+/// what `apply_select` returns on the empty set.
 /// `threads`, `cache` and `correction` are as for [`execute_ucq_intra`].
 pub fn execute_ucq_select(
     db: &Database,
@@ -81,8 +80,9 @@ pub fn execute_ucq_select(
     use nyaya_core::select::{apply_select, sort_rows, AggFunc, FilterOp};
     use nyaya_core::term::canonical_cmp_rows;
 
-    let head_arity = u.cqs.first().map(|q| q.head.len()).unwrap_or(0);
-    sel.validate(head_arity)?;
+    if let Some(q) = u.cqs.first() {
+        sel.validate(q.head.len())?;
+    }
     let start = Instant::now();
     if sel.is_plain() {
         let (set, mut metrics) = execute_ucq_intra(db, u, threads, 1, cache, correction);
@@ -253,7 +253,7 @@ pub fn execute_ucq_select(
     // row-by-row otherwise. The row-by-row case is a *planned* post-filter
     // and is counted in `filter_fallback_scans`.
     let tally = CacheTally::default();
-    let estimated = AtomicU64::new(0);
+    let src = DataSource::Single { db, cache };
     let fallback_scans = AtomicU64::new(0);
     let run_cq = |q: &ConjunctiveQuery| -> BTreeSet<Vec<Term>> {
         let mut dynamic: Vec<&nyaya_core::select::ColumnFilter> = Vec::new();
@@ -271,16 +271,7 @@ pub fn execute_ucq_select(
         if !dynamic.is_empty() {
             fallback_scans.fetch_add(1, Ordering::Relaxed);
         }
-        let plan = plan_cq_cost_corrected(db, q, correction);
-        estimated.fetch_add(plan.result_estimate().round() as u64, Ordering::Relaxed);
-        let answers = execute_cq_ordered(
-            &DataSource::Single { db, cache },
-            q,
-            &plan.order,
-            Some(&plan.ops),
-            &tally,
-            1,
-        );
+        let answers = run_planned(&src, q, correction, &tally, 1);
         if dynamic.is_empty() {
             answers
         } else {
@@ -304,14 +295,9 @@ pub fn execute_ucq_select(
         disjuncts: u.cqs.len(),
         threads: threads_used,
         rows: out.len(),
-        build_cache_hits: tally.hits.load(Ordering::Relaxed),
-        build_cache_misses: tally.misses.load(Ordering::Relaxed),
-        merge_joins: tally.merges.load(Ordering::Relaxed),
-        morsel_tasks: tally.morsels.load(Ordering::Relaxed),
-        estimated_rows: estimated.load(Ordering::Relaxed),
         filter_fallback_scans: fallback_scans.load(Ordering::Relaxed),
         elapsed: start.elapsed(),
-        ..ExecMetrics::default()
+        ..tally.exec_metrics()
     };
     Ok((out, metrics))
 }

@@ -1,6 +1,8 @@
 //! Fixtures shared by the unit tests of the engine modules.
 
-use nyaya_core::{Atom, ConjunctiveQuery, Predicate, Term};
+use std::collections::BTreeSet;
+
+use nyaya_core::{Atom, ConjunctiveQuery, Predicate, Term, UnionQuery};
 
 use crate::table::Database;
 
@@ -42,4 +44,9 @@ pub(crate) fn sample_db() -> Database {
         Atom::make("stock_portf", ["fund2", "sap_s", "q20"]),
         Atom::make("has_stock", ["ibm_s", "fund3"]),
     ])
+}
+
+/// One CQ through the engine's UCQ entry point.
+pub(crate) fn execute_one(db: &Database, q: &ConjunctiveQuery) -> BTreeSet<Vec<Term>> {
+    crate::execute_ucq(db, &UnionQuery::new(vec![q.clone()]))
 }

@@ -93,7 +93,7 @@ pub const PARALLEL_THRESHOLD: usize = 32;
 /// had nothing to do with threads) — and won on `lubm_rw`'s invalidated
 /// read (`alt_ms` 125 against 150 ms, 10 of 10). It stays until something
 /// the code can observe separates the two; the tables and what was tried
-/// are in docs/ARCHITECTURE.md, "Morsel-driven join kernels". Tiny
+/// are in docs/ARCHITECTURE.md, "One join step and who drives it". Tiny
 /// intermediates never spawn (the engine's 2-morsel floor), so point
 /// queries stay sequential.
 pub(super) fn thread_budgets(width: usize) -> (usize, usize) {

@@ -346,8 +346,7 @@ pub struct KbStats {
     pub ivm_micros: u64,
     /// Join steps the in-memory engine ran as the planner's `merge`
     /// operator — an index nested-loop join over a column's posting index,
-    /// with no build side and no sort (only cost-based plans pick it; the
-    /// preserved greedy planner is hash-only).
+    /// with no build side and no sort.
     pub merge_joins: u64,
     /// Probe morsels (fixed-size probe batches) the engine's join
     /// kernels drove across all executions. Counts logical batches,
@@ -414,7 +413,7 @@ impl KbStats {
                     "{{\"predicate\":\"{}\",\"arity\":{},\"rows\":{},\
                      \"fact_bytes\":{},\"index_bytes\":{},\
                      \"delta_rows\":{},\"dead_rows\":{}}}",
-                    t.predicate.replace('\\', "\\\\").replace('"', "\\\""),
+                    json_escape(&t.predicate),
                     t.arity,
                     t.rows,
                     t.fact_bytes,
@@ -503,6 +502,25 @@ impl KbStats {
             tables,
         )
     }
+}
+
+/// `s` as the body of a JSON string literal: `"` and `\` are escaped, and
+/// every control character below U+0020 is spelled as an escape. The one
+/// escaper behind [`KbStats::to_json`] and the CLI's JSON output.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[derive(Default)]
@@ -1943,13 +1961,13 @@ impl KnowledgeBase {
         self.counters.executions.fetch_add(1, Ordering::Relaxed);
         let snapshot = self.snapshot();
         let invalid = |detail| NyayaError::InvalidSelect { detail };
+        // Modifier columns are positions of the query head, which both
+        // compiled forms preserve — even a rewriting with no disjuncts.
+        sel.validate(query.query.head.len()).map_err(invalid)?;
         match self.target(query)? {
-            // Modifier columns are goal-head positions, which rewriting
-            // into a program preserves: shape the materialized goal
-            // answers by the reference semantics.
+            // Shape the materialized goal answers by the reference
+            // semantics.
             Target::Program(program) => {
-                sel.validate(program.program.goal.args.len())
-                    .map_err(invalid)?;
                 let (threads, _) = thread_budgets(program.program.num_rules());
                 let (answers, mut metrics) = execute_program_shared(
                     snapshot.database(),

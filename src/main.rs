@@ -28,6 +28,7 @@ use std::process::ExitCode;
 
 use nyaya::chase::ChaseConfig;
 use nyaya::core::{AggFunc, Aggregate, Atom, ColumnFilter, FilterOp, SelectOptions, SortDir, Term};
+use nyaya::kb::json_escape;
 use nyaya::rewrite::ProgramStrategy;
 use nyaya::sql::{program_to_sql, program_to_sql_views};
 use nyaya::{
@@ -909,23 +910,12 @@ fn cmd_client(request: &str, options: &Options) -> Result<(), String> {
         query => {
             let answer = client.query(query, options.at).map_err(|e| e.to_string())?;
             if options.json {
-                let rows: Vec<String> = answer
-                    .tuples
-                    .iter()
-                    .map(|tuple| {
-                        let terms: Vec<String> = tuple
-                            .iter()
-                            .map(|t| format!("\"{}\"", json_escape(t)))
-                            .collect();
-                        format!("[{}]", terms.join(","))
-                    })
-                    .collect();
                 println!(
-                    "{{\"epoch\":{},\"backend\":\"{}\",\"complete\":{},\"tuples\":[{}]}}",
+                    "{{\"epoch\":{},\"backend\":\"{}\",\"complete\":{},\"tuples\":{}}}",
                     answer.epoch,
                     json_escape(&answer.backend),
                     answer.complete,
-                    rows.join(",")
+                    tuples_json(&answer.tuples)
                 );
             } else {
                 println!(
@@ -947,25 +937,12 @@ fn cmd_client(request: &str, options: &Options) -> Result<(), String> {
 fn print_diff(query: &PreparedQuery, diff: &AnswerDiff, json: bool) {
     let head = query.query().head_pred;
     if json {
-        let tuples = |set: &[Vec<Term>]| {
-            let rows: Vec<String> = set
-                .iter()
-                .map(|tuple| {
-                    let terms: Vec<String> = tuple
-                        .iter()
-                        .map(|t| format!("\"{}\"", json_escape(&t.to_string())))
-                        .collect();
-                    format!("[{}]", terms.join(","))
-                })
-                .collect();
-            rows.join(",")
-        };
         println!(
-            "{{\"epoch\":{},\"query\":\"{}\",\"added\":[{}],\"removed\":[{}]}}",
+            "{{\"epoch\":{},\"query\":\"{}\",\"added\":{},\"removed\":{}}}",
             diff.epoch,
             json_escape(&head.to_string()),
-            tuples(&diff.added),
-            tuples(&diff.removed)
+            tuples_json(&diff.added),
+            tuples_json(&diff.removed)
         );
         return;
     }
@@ -993,20 +970,20 @@ fn print_diff(query: &PreparedQuery, diff: &AnswerDiff, json: bool) {
 
 // ---- JSON emission (hand-rolled: the build environment has no serde) ----
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// Tuples as a JSON array of string arrays.
+fn tuples_json<T: std::fmt::Display>(tuples: impl IntoIterator<Item = impl AsRef<[T]>>) -> String {
+    let rows: Vec<String> = tuples
+        .into_iter()
+        .map(|tuple| {
+            let terms: Vec<String> = tuple
+                .as_ref()
+                .iter()
+                .map(|t| format!("\"{}\"", json_escape(&t.to_string())))
+                .collect();
+            format!("[{}]", terms.join(","))
+        })
+        .collect();
+    format!("[{}]", rows.join(","))
 }
 
 /// The `--json` document: per-query answers plus the knowledge base's
@@ -1055,21 +1032,7 @@ fn answers_to_json(kb: &KnowledgeBase, results: &[(PreparedQuery, Answers)]) -> 
                 None => out.push_str("\"rewriting\":null,\"program\":null,"),
             }
         }
-        out.push_str("\"answers\":[");
-        for (j, tuple) in answers.tuples.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (k, term) in tuple.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\"", json_escape(&term.to_string())));
-            }
-            out.push(']');
-        }
-        out.push_str("]}");
+        out.push_str(&format!("\"answers\":{}}}", tuples_json(&answers.tuples)));
     }
     out.push_str(&format!("],\"stats\":{}}}", stats_json(&stats)));
     out
@@ -1086,23 +1049,10 @@ fn rows_to_json(kb: &KnowledgeBase, results: &[(PreparedQuery, Vec<Vec<Term>>)])
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"query\":\"{}\",\"rows\":[",
-            json_escape(&prepared.query().to_string())
+            "{{\"query\":\"{}\",\"rows\":{}}}",
+            json_escape(&prepared.query().to_string()),
+            tuples_json(rows)
         ));
-        for (j, row) in rows.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (k, term) in row.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\"", json_escape(&term.to_string())));
-            }
-            out.push(']');
-        }
-        out.push_str("]}");
     }
     out.push_str(&format!("],\"stats\":{}}}", stats_json(&stats)));
     out

@@ -6,9 +6,9 @@
 //! morsel-batched kernels with optional intra-query parallelism. None of
 //! that may be observable in any answer. Four suites pin it:
 //!
-//! 1. **Fuzz**: 300 seeded random databases × UCQs — the columnar engine,
-//!    the greedy planner, and every intra-query worker split agree with
-//!    the preserved `reference` row engine bit for bit.
+//! 1. **Fuzz**: 300 seeded random databases × UCQs — the columnar engine
+//!    and every intra-query worker split agree with the preserved
+//!    `reference` row engine bit for bit.
 //! 2. **Benchmark suites**: the Table 1 ontologies' queries over
 //!    generated ABoxes agree the same way, per suite.
 //! 3. **SelectOptions fuzz**: random filter/order/limit/aggregate
@@ -25,8 +25,8 @@ use nyaya_ontologies::{
     generate_abox, lubm_abox, random_database, random_ucq, AboxConfig, FuzzConfig, LubmConfig,
 };
 use nyaya_sql::{
-    decode_database, encode_database, execute_ucq, execute_ucq_greedy, execute_ucq_intra,
-    execute_ucq_select, plan_cq_cost, reference, BuildCache, Database, StepOp,
+    decode_database, encode_database, execute_ucq, execute_ucq_intra, execute_ucq_select,
+    plan_cq_cost, reference, BuildCache, Database, StepOp,
 };
 
 const SEEDS: u64 = 300;
@@ -45,11 +45,6 @@ fn columnar_engine_matches_row_oracle_across_fuzz_seeds_and_worker_splits() {
             execute_ucq(&db, &ucq),
             oracle,
             "seed {seed}: columnar cost-planned engine vs row oracle on {ucq}"
-        );
-        assert_eq!(
-            execute_ucq_greedy(&db, &ucq),
-            oracle,
-            "seed {seed}: columnar greedy engine vs row oracle on {ucq}"
         );
         for intra in [2, 5] {
             let (answers, _) = execute_ucq_intra(&db, &ucq, 1, intra, &BuildCache::new(), 1.0);

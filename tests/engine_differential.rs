@@ -172,9 +172,9 @@ fn wide_union_over_multi_morsel_probe_sides_keeps_answers_and_metrics() {
         .unwrap();
     assert!(smallest > 2 * 1024, "probe sides must exceed two morsels");
 
-    // The greedy hash-only engine is the oracle here: the seed engine's
-    // textual atom order turns some of these disjuncts into cross products.
-    let oracle = nyaya_sql::execute_ucq_greedy(&db, &ucq);
+    // Sequential execution is the baseline here: the seed engine's textual
+    // atom order turns some of these disjuncts into cross products.
+    let oracle = nyaya_sql::execute_ucq(&db, &ucq);
     assert_eq!(oracle.len(), 4504);
     // 72 disjuncts over 10 requested workers chunk by 8, which leaves 9.
     for (threads, used) in [(1, 1), (3, 3), (10, 9)] {

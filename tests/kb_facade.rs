@@ -652,3 +652,67 @@ fn result_modifiers_do_not_teach_the_planner_a_correction() {
     }
     assert_eq!(kb.stats().plan_replans, 0);
 }
+
+/// A rewriting with no disjuncts still has the query's head: modifiers are
+/// checked against it, and the empty union answers what the reference
+/// semantics give on the empty set.
+#[test]
+fn modifiers_on_an_empty_rewriting_are_checked_against_the_query_head() {
+    use nyaya::core::{apply_select, AggFunc, Aggregate, SelectOptions, SortDir};
+
+    let kb = KnowledgeBase::builder()
+        .program_text("n1: p(X) -> false.")
+        .unwrap()
+        .strategy(Strategy::Ucq)
+        .build()
+        .unwrap();
+    let q = kb.prepare_text("q(A) :- p(A).").unwrap();
+    assert_eq!(kb.rewriting(&q).unwrap().ucq.size(), 0);
+    assert!(kb.execute(&q).unwrap().tuples.is_empty());
+    let top = SelectOptions {
+        order_by: vec![(0, SortDir::Asc)],
+        limit: Some(3),
+        ..SelectOptions::default()
+    };
+    let count = SelectOptions {
+        aggregate: Some(Aggregate {
+            group_by: vec![],
+            func: AggFunc::Count,
+        }),
+        ..SelectOptions::default()
+    };
+    for sel in [top, count] {
+        assert_eq!(
+            kb.execute_select(&q, &sel).unwrap(),
+            apply_select(std::collections::BTreeSet::new(), &sel),
+            "{sel:?}"
+        );
+    }
+    let out_of_range = SelectOptions {
+        order_by: vec![(1, SortDir::Asc)],
+        ..SelectOptions::default()
+    };
+    assert!(
+        matches!(
+            kb.execute_select(&q, &out_of_range),
+            Err(NyayaError::InvalidSelect { .. })
+        ),
+        "column 1 is out of range for a unary head"
+    );
+}
+
+/// Table names reach the stats JSON (CLI `--json`, the wire `STATS` verb)
+/// with control characters escaped, so the document stays valid JSON.
+#[test]
+fn stats_json_escapes_control_characters_in_table_names() {
+    let kb = KnowledgeBase::builder()
+        .facts(vec![Atom::make("we\u{1}ird\nname", ["a"])])
+        .build()
+        .unwrap();
+    let json = kb.stats().to_json();
+    assert!(!json.chars().any(char::is_control), "{json:?}");
+    assert!(
+        json.contains(r#""predicate":"we\u0001ird\nname""#),
+        "{json}"
+    );
+}
