@@ -25,10 +25,18 @@
 //! compiled into the shared join step of `join.rs` once per pass, in a
 //! static bound-first order, and probed once per changed tuple; this
 //! module only chooses the order, the side (old or new) each atom reads
-//! and the signs. Base-atom steps reuse the snapshots' persistent
-//! [`BuildCache`]s; intensional steps use per-propagation caches over
-//! the view overlay (lower strata are final before higher strata read
-//! them, so those builds stay valid within a pass).
+//! and the signs. A step whose shape has a single key column and no
+//! filter probes its table's posting index, which every table keeps
+//! current under writes (the base shadowed by the delta's touched cells,
+//! dead rows excluded) on the snapshots and the view overlay alike, so
+//! nothing is built for it. Only the other shapes (constants, repeats,
+//! several key columns, Cartesian) fetch a build side: base-atom steps
+//! from the snapshots' persistent [`BuildCache`]s, intensional steps
+//! from per-propagation caches over the view overlay (lower strata are
+//! final before higher strata read them, so those builds stay valid
+//! within a pass). A rule with a step over a predicate that has no table
+//! derives nothing and is not evaluated further — in a seed, every
+//! delta rule that reads the empty "old" state.
 //!
 //! The delta-rule *compiler* lives in `nyaya-rewrite` (next to the
 //! program optimizer), and the [`DeltaProgram`] it emits in `nyaya-core`,
@@ -146,29 +154,18 @@ impl MaterializedView {
     /// Propagate one update's signed base deltas through the delta rules,
     /// level by level, and return the answer diff. `old` and `new` are
     /// the database states (with their persistent build caches) before
-    /// and after the update.
+    /// and after the update. `base_deltas` is only read: entries of
+    /// predicates the program does not read, and zero signs, are skipped.
     pub fn propagate(
         &mut self,
         old: (&Database, &BuildCache),
         new: (&Database, &BuildCache),
         base_deltas: &BaseDeltas,
     ) -> AnswerDelta {
-        // Set-level deltas visible to rule bodies this pass: base-fact
-        // deltas plus, as levels commit, intensional transitions.
-        let mut deltas: HashMap<Predicate, HashMap<Vec<Term>, i64>> = HashMap::new();
-        for (pred, facts) in base_deltas {
-            if !self.program.base.contains(pred) {
-                continue;
-            }
-            let live: HashMap<Vec<Term>, i64> = facts
-                .iter()
-                .filter(|(_, sign)| **sign != 0)
-                .map(|(t, sign)| (t.clone(), *sign))
-                .collect();
-            if !live.is_empty() {
-                deltas.insert(*pred, live);
-            }
-        }
+        // Set-level deltas visible to rule bodies this pass: the borrowed
+        // base-fact deltas, plus the intensional transitions committed so
+        // far (a predicate is base or intensional, never both).
+        let mut derived: HashMap<Predicate, HashMap<Vec<Term>, i64>> = HashMap::new();
 
         // OLD view = the state before this pass; committed level by
         // level, `self.view` becomes NEW. Cloning is O(#predicates)
@@ -204,12 +201,14 @@ impl MaterializedView {
             };
             for rule in self.program.rules.iter().filter(|r| r.level == level) {
                 let dpred = rule.body[rule.delta_idx].pred;
-                let Some(dmap) = deltas.get(&dpred) else {
+                let dmap = if self.program.intensional.contains(&dpred) {
+                    derived.get(&dpred)
+                } else {
+                    base_deltas.get(&dpred)
+                };
+                let Some(dmap) = dmap.filter(|m| m.values().any(|s| *s != 0)) else {
                     continue;
                 };
-                if dmap.is_empty() {
-                    continue;
-                }
                 let acc = head_acc.entry(rule.head.pred).or_default();
                 self.metrics.rules_fired += 1;
                 self.metrics.derivations += eval_delta_rule(rule, dmap, &old_src, &new_src, acc);
@@ -271,7 +270,7 @@ impl MaterializedView {
                             diff.removed.push(tuple.clone());
                         }
                     }
-                    *deltas.entry(pred).or_default().entry(tuple).or_insert(0) += sign;
+                    *derived.entry(pred).or_default().entry(tuple).or_insert(0) += sign;
                 }
                 self.view.insert_all(entering);
             }
@@ -337,20 +336,23 @@ fn eval_delta_rule(
         remaining.remove(pos);
     }
 
-    // Compile every step once per pass; each is probed per delta tuple.
-    // Every step fetches a build side: which shapes should probe the
-    // posting index here (`true`) is ROADMAP's first open item.
-    let steps: Vec<Step<'_>> = order
-        .iter()
-        .map(|&j| {
-            let atom = &rule.body[j];
-            let src = if j < rule.delta_idx { new } else { old };
-            let (db, cache) = src.resolve(atom.pred);
-            let shape = AtomShape::of(atom, |v| var_index.get(&v).copied());
-            shape.bind_fresh(atom, &mut var_index);
-            Step::compile(db, cache, atom, shape, false).0
-        })
-        .collect();
+    // Compile every step once per pass (posting access where the shape
+    // allows); each is probed per delta tuple. A step over a predicate
+    // with no table joins nothing, and neither does the rule: stop before
+    // touching the delta tuples.
+    let mut steps: Vec<Step<'_>> = Vec::with_capacity(order.len());
+    for &j in &order {
+        let atom = &rule.body[j];
+        let src = if j < rule.delta_idx { new } else { old };
+        let (db, cache) = src.resolve(atom.pred);
+        let shape = AtomShape::of(atom, |v| var_index.get(&v).copied());
+        shape.bind_fresh(atom, &mut var_index);
+        let step = Step::compile(db, cache, atom, shape, true).0;
+        if step.is_empty() {
+            return 0;
+        }
+        steps.push(step);
+    }
     let head = Projection::new(&rule.head.args, &var_index);
 
     // Drive every changed tuple of the delta relation through the steps,
@@ -484,6 +486,53 @@ mod tests {
         assert!(diff.added.is_empty());
         assert_eq!(diff.removed, vec![tup(&["a", "b"]), tup(&["b", "a"])]);
         assert!(view.answers().is_empty());
+    }
+
+    #[test]
+    fn maintenance_builds_only_what_it_cannot_probe() {
+        let db = facts(&[
+            ("c1", &["a"]),
+            ("c2", &["b"]),
+            ("edge", &["a", "b"]),
+            ("edge", &["b", "a"]),
+        ]);
+        let mut db2 = db.clone();
+        db2.insert(Atom::make("c1", ["b"]));
+        let mut db3 = db2.clone();
+        db3.remove(&Atom::make("c2", ["b"]));
+
+        // Every non-delta step of `program()` has one key column and no
+        // filter: seed and both passes probe posting indexes only.
+        let seed_cache = BuildCache::new();
+        let mut view = MaterializedView::new(program());
+        view.seed(&db, &seed_cache);
+        let (old, new) = (BuildCache::new(), BuildCache::new());
+        let diff = view.propagate((&db, &old), (&db2, &new), &delta("c1", &["b"], 1));
+        assert!(diff.is_empty());
+        assert_eq!((seed_cache.len(), old.len(), new.len()), (0, 0, 0));
+        let (old, new) = (BuildCache::new(), BuildCache::new());
+        let diff = view.propagate((&db2, &old), (&db3, &new), &delta("c2", &["b"], -1));
+        assert!(diff.is_empty());
+        assert_eq!((old.len(), new.len()), (0, 0));
+        let answers: BTreeSet<Vec<Term>> = [tup(&["a", "b"]), tup(&["b", "a"])].into();
+        assert_eq!(view.answers(), &answers);
+
+        // `edge(X, b)` carries a constant: once `top(c)` enters, its steps
+        // fetch a build side, from the old state right of the `top` delta
+        // and the new state left of it.
+        let mut p = program();
+        for atom in p.rules.iter_mut().flat_map(|r| r.body.iter_mut()) {
+            if atom.pred == Predicate::new("edge", 2) {
+                atom.args[1] = Term::constant("b");
+            }
+        }
+        let mut view = MaterializedView::new(p);
+        view.seed(&db, &BuildCache::new());
+        let mut db2 = db.clone();
+        db2.insert(Atom::make("c1", ["c"]));
+        let (old, new) = (BuildCache::new(), BuildCache::new());
+        view.propagate((&db, &old), (&db2, &new), &delta("c1", &["c"], 1));
+        assert_eq!((old.len(), new.len()), (1, 1));
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //! far ([`AtomShape`]), compile it into a probe over a table
 //! ([`Step`]), and join intermediate tuples to rows ([`Step::probe`]).
 //!
-//! Every driver runs this kernel and differs only in *when* it compiles
-//! and *what* it feeds in: the (U)CQ executor
-//! ([`execute_cq_ordered`](crate::exec::execute_cq_ordered), which
-//! program evaluation and shaped execution also call) compiles lazily,
-//! step by step, in the planner's order, and probes in morsels; view
-//! maintenance ([`crate::ivm`]) compiles a delta rule's steps once per
-//! pass and probes once per changed tuple. Intermediate tuples are
+//! Every driver runs this kernel and differs only in *when* it compiles,
+//! *what* it feeds in and *when* it asks for the posting index: the (U)CQ
+//! executor ([`execute_cq_ordered`](crate::exec::execute_cq_ordered),
+//! which program evaluation and shaped execution also call) compiles
+//! lazily, step by step, in the planner's order, probes in morsels, and
+//! probes postings where the plan says `merge`; view maintenance
+//! ([`crate::ivm`]) compiles a delta rule's steps once per pass, probes
+//! once per changed tuple, and probes postings wherever the shape has a
+//! [`posting_col`](AtomShape::posting_col). Intermediate tuples are
 //! `Vec<Term>` valuations; cells are decoded to terms here, where a row
 //! extends a tuple, and nowhere else.
 
