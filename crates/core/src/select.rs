@@ -7,11 +7,11 @@
 //! changes head positions, so the same decoration applies unchanged to the
 //! rewritten union.
 //!
-//! [`apply_select`] is the *reference semantics*: a pure, index-free
-//! function from an answer set to the shaped result. The executor's sorted
-//! index fast paths (range scans, top-k early exit, aggregate pushdown) must
-//! be bit-identical to it — `tests/planner_differential.rs` enforces that
-//! over 300 seeded runs.
+//! [`apply_select`] is the *semantics* and the one implementation: a pure,
+//! index-free function from an answer set to the shaped result. The
+//! knowledge base's `execute_select` runs the query unshaped and hands the
+//! answer set to it; `tests/planner_differential.rs` checks that path
+//! against the reference engine over 300 seeded runs.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;

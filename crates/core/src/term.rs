@@ -111,9 +111,9 @@ impl Term {
     /// The derived `Ord` compares interner indices and therefore depends on
     /// intern order, which changes between process runs. This order compares
     /// by name instead (numerically for integer-named constants, see
-    /// [`symbols::cmp_values`]), so sorted index postings rebuilt after a
-    /// restart — or decoded from a ledger segment — land in the same order,
-    /// and ORDER BY results are stable across processes. Variant rank matches
+    /// [`symbols::cmp_values`]), so ledger segment dictionaries encode the
+    /// same bytes after a restart, and ORDER BY results are stable across
+    /// processes. Variant rank matches
     /// the derived order: `Const < Var < Null < Func`. `Equal` implies the
     /// terms are equal.
     pub fn canonical_cmp(&self, other: &Term) -> std::cmp::Ordering {

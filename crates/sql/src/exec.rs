@@ -8,14 +8,13 @@
 //!
 //! - **Indexed columnar tables** ([`Database`]): a table is an immutable
 //!   shared base (flat cell columns and, per column, a posting index from
-//!   cell to row ids plus the sorted distinct cells) under a small
-//!   per-snapshot delta whose touched posting lists shadow the base's.
-//!   A posting lookup returns the live rows of a cell as one slice, and
-//!   the planner reads row and distinct counts in O(1).
+//!   cell to row ids) under a small per-snapshot delta whose touched
+//!   posting lists shadow the base's. A posting lookup returns the live
+//!   rows of a cell as one slice, and the planner reads row and distinct
+//!   counts in O(1).
 //! - **One planner, one per-disjunct driver** (`run_planned`): every
-//!   CQ the engine runs — a disjunct of [`execute_ucq_intra`], a disjunct
-//!   of [`execute_ucq_select`](crate::execute_ucq_select)'s general path, a
-//!   rule body in [`crate::program`] — is planned by the cost planner
+//!   CQ the engine runs — a disjunct of [`execute_ucq_intra`], a rule body
+//!   in [`crate::program`] — is planned by the cost planner
 //!   ([`crate::plan`]) against the tables its `DataSource` resolves,
 //!   counted, and run. Body atoms are ordered by priced operator work, and
 //!   each join step is given the cheaper of two access paths — a hashed
@@ -299,8 +298,8 @@ pub(crate) fn execute_cq_ordered(
 }
 
 /// Plan `q` against `src`, add the plan's rounded result estimate to
-/// `tally`, and run it: the one per-CQ driver behind UCQ execution,
-/// shaped execution's general path and program rule bodies.
+/// `tally`, and run it: the one per-CQ driver behind UCQ execution and
+/// program rule bodies.
 pub(crate) fn run_planned(
     src: &DataSource<'_>,
     q: &ConjunctiveQuery,
@@ -340,15 +339,6 @@ pub struct ExecMetrics {
     /// disjuncts (rounded) — compared against `rows` by the knowledge
     /// base's cardinality-feedback loop.
     pub estimated_rows: u64,
-    /// Range filters answered by a sorted-index scan.
-    pub range_index_scans: u64,
-    /// ORDER BY / LIMIT queries answered by a top-k early-exit walk.
-    pub topk_early_exits: u64,
-    /// Aggregates answered in O(1) off the index (COUNT / MIN / MAX).
-    pub aggregate_pushdowns: u64,
-    /// Disjuncts whose filters could not use an index and were applied
-    /// as a planned row-by-row post-filter over the disjunct's answers.
-    pub filter_fallback_scans: u64,
     /// Wall-clock execution time.
     pub elapsed: Duration,
 }

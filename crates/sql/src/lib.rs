@@ -21,7 +21,6 @@ pub mod plan;
 pub mod program;
 pub mod reference;
 pub mod segment;
-pub mod select;
 pub mod table;
 #[cfg(test)]
 mod test_support;
@@ -38,6 +37,5 @@ pub use program::{
     ProgramMetrics,
 };
 pub use segment::{decode_batch, decode_database, encode_batch, encode_database, CodecError};
-pub use select::execute_ucq_select;
 pub use table::{Database, DbMemory, TableMemory};
 pub use translate::{cq_to_sql, sql_ident, sql_literal, ucq_to_sql};

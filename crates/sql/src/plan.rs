@@ -4,8 +4,7 @@
 //! "is evaluated and optimized in the usual way" by the DBMS. Our
 //! in-memory engine joins body atoms left to right, so atom order *is* the
 //! physical plan, and one planner chooses it for every CQ the engine runs:
-//! a UCQ disjunct, a shaped (`SelectOptions`) disjunct, and a program rule
-//! body.
+//! a UCQ disjunct and a program rule body.
 //!
 //! The planner is greedy: at every step it takes the connected atom whose
 //! step is cheapest, priced per physical operator — a hash join pays for
@@ -145,9 +144,9 @@ impl CostPlan {
 /// Price one candidate step: estimated output cardinality, the chosen
 /// operator, and the operator's work. A hash join pays for scanning the
 /// table into a build side plus one probe per intermediate tuple; a merge
-/// join pays for its probes, plus a `min(distinct, card)` term for a walk
-/// of the sorted index that the executor no longer makes; a scan pays for
-/// the rows it reads.
+/// join pays for its probes, plus a `min(distinct, card)` term left from
+/// a walk of per-column sorted value lists that tables no longer keep; a
+/// scan pays for the rows it reads.
 fn price_step(
     atom: &nyaya_core::Atom,
     stats: &TableStats,
@@ -182,9 +181,9 @@ fn price_step(
     // asked with the planner's bound set (the valuation index is unused).
     match AtomShape::of(atom, |v| bound.contains(&v).then_some(0)).posting_col() {
         Some(key_col) => {
-            // The `min(distinct, card)` term priced the merge step's walk
-            // of the sorted distinct-value list, which is gone: the step
-            // is `card` posting-index probes and nothing else, so this
+            // The `min(distinct, card)` term priced a walk of the column's
+            // sorted distinct values, a list no table keeps any more: the
+            // step is `card` posting-index probes and nothing else, so this
             // over-prices it by at most `0.5 * card`. Kept as is so that no
             // plan moves with the kernel; re-pricing belongs to the
             // planner's per-step-feedback change (ROADMAP item 1(a)).

@@ -25,8 +25,8 @@
 //! ```
 //!
 //! Version 3 (current) dictionary-encodes each table: every column's
-//! distinct values are written once, in canonical value order (which is
-//! exactly the columnar engine's sorted posting order), and rows become
+//! distinct values are written once, in canonical value order (sorted at
+//! encode time, by value, never by interner index), and rows become
 //! fixed-width `u32` dictionary-index tuples sorted lexicographically —
 //! the same canonical row order version 2 wrote, reachable here by a pure
 //! integer sort with no interner locks. The same logical database always
@@ -89,12 +89,12 @@ pub fn encode_database(db: &Database) -> Vec<u8> {
         push_u32(&mut out, pred.arity as u32);
         let table = db.table(pred).expect("predicates() lists stored tables");
         push_u64(&mut out, table.len() as u64);
-        // Per-column dictionaries: the sorted distinct cell lists decoded
-        // to terms. A cell's dictionary index is its rank in canonical
-        // value order, so the dictionaries themselves are process-stable.
+        // Per-column dictionaries: the live distinct cells in canonical
+        // value order, decoded to terms. A cell's dictionary index is its
+        // rank in that order, so the dictionaries are process-stable.
         let mut ranks: Vec<HashMap<u32, u32>> = Vec::with_capacity(pred.arity);
         for col in 0..pred.arity {
-            let sorted = table.sorted_cells(col);
+            let sorted = table.canonical_cells(col);
             push_u32(&mut out, sorted.len() as u32);
             let mut rank = HashMap::with_capacity(sorted.len());
             for (i, &cell) in sorted.iter().enumerate() {

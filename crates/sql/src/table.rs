@@ -8,10 +8,9 @@
 //!
 //! - the base (built by the bulk-load path and by a fold, never mutated
 //!   afterwards) holds the flat cell columns and, per column, one hash map
-//!   from cell to a `(start, len)` span of one flat row-id array, plus the
-//!   column's distinct cells in canonical order. No `Vec` per cell, no
-//!   per-row dedup map: whether a row is present is answered by scanning
-//!   the shortest posting list among its cells;
+//!   from cell to a `(start, len)` span of one flat row-id array. No `Vec`
+//!   per cell, no per-row dedup map: whether a row is present is answered
+//!   by scanning the shortest posting list among its cells;
 //! - the delta holds the rows appended since the base was built, the set
 //!   of dead row ids, and — for every cell a write *touched* — that cell's
 //!   complete live posting list, copied from the base on first touch. A
@@ -30,7 +29,7 @@
 use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use nyaya_core::{Atom, Predicate, Symbol, Term};
 
@@ -81,9 +80,9 @@ fn const_cell(sym: Symbol) -> u32 {
 /// (lock-free, [`Symbol::as_str`]) instead of comparing `a` with `b`.
 /// What integer order on constant cells *does* equal is the derived `Ord`
 /// of `Term::Const`, the order a `BTreeSet<Vec<Term>>` of answers sorts
-/// by. Only the sorted index and its readers (`select.rs`, `segment.rs`)
-/// need canonical order; the join kernels compare cells for equality
-/// alone.
+/// by. Only [`Table::canonical_cells`] and its readers (the segment codec,
+/// [`Database::sorted_values`]) need canonical order; the join kernels
+/// compare cells for equality alone.
 #[inline]
 fn cmp_cells(exotic: &[Term], a: u32, b: u32) -> std::cmp::Ordering {
     use std::cmp::Ordering;
@@ -116,24 +115,6 @@ fn sort_cells(exotic: &[Term], cells: Vec<u32>) -> Vec<u32> {
         .map(Symbol::index)
         .chain(exotics)
         .collect()
-}
-
-/// Merge two disjoint canonically sorted cell lists into one.
-fn merge_cells(exotic: &[Term], a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if cmp_cells(exotic, a[i], b[j]).is_lt() {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 /// Heap bytes of a hash map's bucket array: one `(K, V)` slot plus one
@@ -191,17 +172,13 @@ struct ColumnIndex {
     spans: HashMap<u32, (u32, u32)>,
     /// Row ids grouped by cell, ascending within a group.
     rows: Vec<u32>,
-    /// The distinct cells in canonical term order ([`cmp_cells`] —
-    /// name-based, so the order is identical across process runs and
-    /// segment reloads).
-    sorted: Vec<u32>,
 }
 
 impl ColumnIndex {
     /// Group a column's row ids by cell: one counting pass, offsets by a
-    /// running sum in first-seen order, one fill pass. Returns the index
-    /// with `sorted` still empty, and the distinct cells as first seen.
-    fn group(col: &[u32]) -> (ColumnIndex, Vec<u32>) {
+    /// running sum in first-seen order (so a column of mostly distinct
+    /// cells fills `rows` front to back), one fill pass.
+    fn group(col: &[u32]) -> ColumnIndex {
         let mut spans: HashMap<u32, (u32, u32)> = HashMap::new();
         let mut first_seen: Vec<u32> = Vec::new();
         for &c in col {
@@ -229,14 +206,7 @@ impl ColumnIndex {
             rows[(span.0 + span.1) as usize] = id as u32;
             span.1 += 1;
         }
-        (
-            ColumnIndex {
-                spans,
-                rows,
-                sorted: Vec::new(),
-            },
-            first_seen,
-        )
+        ColumnIndex { spans, rows }
     }
 
     #[inline]
@@ -255,46 +225,18 @@ struct Base {
     cols: Vec<Vec<u32>>,
     /// Row count (also covers zero-arity tables, which have no columns).
     n_rows: u32,
-    /// `index[j]` = column `j`'s posting index and sorted distinct cells.
+    /// `index[j]` = column `j`'s posting index.
     index: Vec<ColumnIndex>,
 }
 
 impl Base {
-    /// Index `cols`. `prior` is the table the rows came from, if any: its
-    /// sorted lists are merged with the newly seen cells, so a fold never
-    /// re-sorts what was sorted.
-    fn build(cols: Vec<Vec<u32>>, n_rows: u32, exotic: &[Term], prior: Option<&Table>) -> Base {
-        let index = cols
-            .iter()
-            .enumerate()
-            .map(|(j, col)| {
-                let (mut ix, first_seen) = ColumnIndex::group(col);
-                let fresh: Vec<u32> = first_seen
-                    .into_iter()
-                    .filter(|&c| prior.is_none_or(|t| t.posting_cells(j, c).is_empty()))
-                    .collect();
-                let known = prior.map_or(&[][..], |t| t.sorted_cells(j));
-                ix.sorted = merge_cells(exotic, known, &sort_cells(exotic, fresh));
-                ix
-            })
-            .collect();
+    fn build(cols: Vec<Vec<u32>>, n_rows: u32) -> Base {
+        let index = cols.iter().map(|col| ColumnIndex::group(col)).collect();
         Base {
             cols,
             n_rows,
             index,
         }
-    }
-}
-
-/// A column's merged sorted list, materialised on first read. A clone
-/// starts empty: clones happen on the write path, which must stay
-/// O(delta), and the write they precede usually invalidates the list.
-#[derive(Default)]
-struct LazySorted(OnceLock<Vec<u32>>);
-
-impl Clone for LazySorted {
-    fn clone(&self) -> Self {
-        LazySorted::default()
     }
 }
 
@@ -313,9 +255,6 @@ struct Delta {
     touched: Vec<HashMap<u32, Vec<u32>>>,
     /// Exact distinct-cell count per column.
     distinct: Vec<usize>,
-    /// `Some` once column `j`'s distinct-cell *set* differs from the
-    /// base's; the merged list is built on first read, never on a write.
-    sorted: Vec<Option<LazySorted>>,
 }
 
 impl Delta {
@@ -327,7 +266,6 @@ impl Delta {
             dead: HashSet::new(),
             touched: vec![HashMap::new(); arity],
             distinct: base.index.iter().map(|ix| ix.spans.len()).collect(),
-            sorted: vec![None; arity],
         }
     }
 }
@@ -417,7 +355,7 @@ impl Staged {
 
 impl Table {
     fn with_arity(arity: usize) -> Self {
-        let base = Base::build(vec![Vec::new(); arity], 0, &[], None);
+        let base = Base::build(vec![Vec::new(); arity], 0);
         Table {
             delta: Delta::empty(&base),
             base: Arc::new(base),
@@ -510,35 +448,26 @@ impl Table {
         index.posting(cell)
     }
 
-    /// The distinct cells of a column in canonical term order: the base's
-    /// list while no write added or emptied a distinct cell of the column,
-    /// otherwise a merged list materialised by the first reader. Together
-    /// with the postings this is the sorted index that answers range
-    /// filters, ORDER BY / top-k and MIN/MAX, and that segments are
-    /// written through. No join reads it.
-    pub(crate) fn sorted_cells(&self, col: usize) -> &[u32] {
+    /// The live distinct cells of a column in canonical term order
+    /// ([`cmp_cells`] — name-based, so the order is identical across
+    /// process runs and segment reloads), computed per call: the base's
+    /// cells the delta did not empty, plus the cells the delta added. The
+    /// segment codec's dictionaries and [`Database::sorted_values`] read
+    /// it; no join does.
+    pub(crate) fn canonical_cells(&self, col: usize) -> Vec<u32> {
         let Some(index) = self.base.index.get(col) else {
-            return &[];
+            return Vec::new();
         };
-        let Some(lazy) = &self.delta.sorted[col] else {
-            return &index.sorted;
-        };
-        lazy.0.get_or_init(|| {
-            let touched = &self.delta.touched[col];
-            let kept: Vec<u32> = index
-                .sorted
-                .iter()
-                .copied()
-                .filter(|c| touched.get(c).is_none_or(|p| !p.is_empty()))
-                .collect();
-            let added: Vec<u32> = touched
-                .iter()
-                .filter(|(c, p)| !p.is_empty() && !index.spans.contains_key(c))
-                .map(|(&c, _)| c)
-                .collect();
-            let exotic = &self.exotic.terms;
-            merge_cells(exotic, &kept, &sort_cells(exotic, added))
-        })
+        let touched = &self.delta.touched[col];
+        let kept = index
+            .spans
+            .keys()
+            .filter(|c| touched.get(c).is_none_or(|p| !p.is_empty()));
+        let added = touched
+            .iter()
+            .filter(|(c, p)| !p.is_empty() && !index.spans.contains_key(c))
+            .map(|(c, _)| c);
+        sort_cells(&self.exotic.terms, kept.chain(added).copied().collect())
     }
 
     fn cells_eq(&self, id: u32, cells: &[u32]) -> bool {
@@ -583,17 +512,6 @@ impl Table {
             .or_insert_with(|| base.posting(cell).to_vec())
     }
 
-    /// Column `col` gained or lost a distinct cell: its merged sorted
-    /// list, if any reader built one, is stale.
-    fn distinct_changed(&mut self, col: usize, gained: bool) {
-        if gained {
-            self.delta.distinct[col] += 1;
-        } else {
-            self.delta.distinct[col] -= 1;
-        }
-        self.delta.sorted[col] = Some(LazySorted::default());
-    }
-
     /// Append a row the caller knows to be absent.
     fn append(&mut self, cells: &[u32]) {
         let id = self.base.n_rows + self.delta.n_rows;
@@ -603,7 +521,7 @@ impl Table {
             let first = posting.is_empty();
             posting.push(id);
             if first {
-                self.distinct_changed(j, true);
+                self.delta.distinct[j] += 1;
             }
             self.delta.cols[j].push(c);
         }
@@ -623,7 +541,7 @@ impl Table {
     /// Remove live row `id`, whose cells are `cells`, keeping every index
     /// exact: its id joins the dead set and leaves the posting list of
     /// each of its cells, so no probe sees it again. A cell whose last
-    /// row died leaves the distinct count and the sorted list.
+    /// row died leaves the distinct count.
     fn remove_row(&mut self, id: u32, cells: &[u32]) {
         self.delta.dead.insert(id);
         for (j, &c) in cells.iter().enumerate() {
@@ -638,7 +556,7 @@ impl Table {
                 if !self.base.index[j].spans.contains_key(&c) {
                     self.delta.touched[j].remove(&c);
                 }
-                self.distinct_changed(j, false);
+                self.delta.distinct[j] -= 1;
             }
         }
     }
@@ -686,7 +604,7 @@ impl Table {
                 }
             })
             .collect();
-        let base = Base::build(cols, n_rows, &staged.exotic.terms, prior);
+        let base = Base::build(cols, n_rows);
         Table {
             delta: Delta::empty(&base),
             base: Arc::new(base),
@@ -715,19 +633,15 @@ impl Table {
     }
 
     /// Approximate heap bytes of the indexes, every allocation at its
-    /// capacity: per column the base's span map, flat row-id array and
-    /// sorted list; in the delta the dead set, every touched posting and
-    /// a merged sorted list where one was materialised; the exotic
+    /// capacity: per column the base's span map and flat row-id array; in
+    /// the delta the dead set and every touched posting; the exotic
     /// term-to-cell map. Analytic (see [`hash_bytes`]).
     fn index_bytes(&self) -> u64 {
         let base: usize = self
             .base
             .index
             .iter()
-            .map(|ix| {
-                hash_bytes::<u32, (u32, u32)>(ix.spans.capacity())
-                    + (ix.rows.capacity() + ix.sorted.capacity()) * 4
-            })
+            .map(|ix| hash_bytes::<u32, (u32, u32)>(ix.spans.capacity()) + ix.rows.capacity() * 4)
             .sum();
         let touched: usize = self
             .delta
@@ -738,16 +652,9 @@ impl Table {
                     + m.values().map(|p| p.capacity() * 4).sum::<usize>()
             })
             .sum();
-        let merged: usize = self
-            .delta
-            .sorted
-            .iter()
-            .filter_map(|lazy| lazy.as_ref()?.0.get())
-            .map(|s| s.capacity() * 4)
-            .sum();
         let dead = hash_bytes::<u32, ()>(self.delta.dead.capacity());
         let exotic = hash_bytes::<Term, u32>(self.exotic.ids.capacity());
-        (base + touched + merged + dead + exotic) as u64
+        (base + touched + dead + exotic) as u64
     }
 }
 
@@ -783,12 +690,12 @@ impl Database {
     }
 
     /// Bulk-insert many facts, returning how many were new. The end
-    /// state holds the same facts, postings and sorted lists as inserting
-    /// one at a time, but rows are staged as cells and each touched table
-    /// is indexed once: a new table, or one the batch would make outgrow
-    /// its base anyway, gets a base built directly (counting sort per
-    /// column — no per-row index upkeep); a batch small against its table
-    /// goes through the delta like single inserts.
+    /// state holds the same facts, postings and distinct counts as
+    /// inserting one at a time, but rows are staged as cells and each
+    /// touched table is indexed once: a new table, or one the batch would
+    /// make outgrow its base anyway, gets a base built directly (counting
+    /// sort per column — no per-row index upkeep); a batch small against
+    /// its table goes through the delta like single inserts.
     pub fn insert_all(&mut self, facts: impl IntoIterator<Item = Atom>) -> usize {
         let mut staged: HashMap<Predicate, Staged> = HashMap::new();
         for fact in facts {
@@ -950,14 +857,19 @@ impl Database {
             .unwrap_or(&[])
     }
 
-    /// The distinct values of a column in canonical order, materialized
-    /// from the sorted cell index. Each value has a non-empty posting
-    /// list reachable through [`posting`](Self::posting). Empty for
-    /// unknown predicates/columns.
+    /// The distinct values of a column in canonical order, collected and
+    /// sorted per call. Each value has a non-empty posting list reachable
+    /// through [`posting`](Self::posting). Empty for unknown
+    /// predicates/columns.
     pub fn sorted_values(&self, pred: Predicate, col: usize) -> Vec<Term> {
         self.tables
             .get(&pred)
-            .map(|t| t.sorted_cells(col).iter().map(|&c| t.term_of(c)).collect())
+            .map(|t| {
+                t.canonical_cells(col)
+                    .into_iter()
+                    .map(|c| t.term_of(c))
+                    .collect()
+            })
             .unwrap_or_default()
     }
 
@@ -1032,8 +944,7 @@ impl Database {
 
     /// Analytic heap-byte accounting for the whole database, split into
     /// fact payload (flat columns + exotic side-tables) and index
-    /// structures (postings, sorted lists, the deltas' dead sets and
-    /// touched postings). Each table's base is counted once, however many
+    /// structures (postings, the deltas' dead sets and touched postings). Each table's base is counted once, however many
     /// other snapshots share it. Tables are reported sorted by name for
     /// stable output.
     pub fn memory_stats(&self) -> DbMemory {
@@ -1351,8 +1262,8 @@ mod tests {
         assert_eq!(db.distinct(p2(), 1), 2, "z came and went");
         assert!(db.posting(p2(), 1, &Term::constant("z")).is_empty());
         assert_equals_rebuild(&db);
-        // Emptying a base cell, reading the merged sorted list, and
-        // re-adding the cell.
+        // Emptying a base cell, reading the sorted values, and re-adding
+        // the cell.
         assert!(db.remove(&fact("c", "y")));
         assert_eq!(db.sorted_values(p2(), 1), vec![Term::constant("x")]);
         assert_eq!(db.distinct(p2(), 1), 1);

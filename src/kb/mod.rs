@@ -79,13 +79,13 @@ use nyaya_rewrite::{
     ProgramOptStats, ProgramStrategy, RewriteOptions, RewriteStats,
 };
 use nyaya_sql::{
-    execute_program_shared, execute_ucq_select, BaseDeltas, BuildCache, Catalog, Database,
-    ExecMetrics, MaterializedView, ProgramMetrics,
+    execute_program_shared, BaseDeltas, BuildCache, Catalog, Database, ExecMetrics,
+    MaterializedView, ProgramMetrics,
 };
 
 use cache::QueryEntry;
 use durability::Durability;
-use executor::{thread_budgets, Target};
+use executor::Target;
 use subscribe::SubscriptionInner;
 use update::replay;
 
@@ -353,18 +353,6 @@ pub struct KbStats {
     /// independent of the intra-query worker split, so the value is
     /// host-stable.
     pub morsel_tasks: u64,
-    /// Range/comparison filters answered by a sorted-index scan instead
-    /// of a row-by-row post-filter.
-    pub range_index_scans: u64,
-    /// ORDER BY + LIMIT executions answered by a top-k early exit over a
-    /// sorted index (no full materialization).
-    pub topk_early_exits: u64,
-    /// COUNT/MIN/MAX aggregates answered O(1) from index metadata.
-    pub aggregate_pushdowns: u64,
-    /// Filtered disjuncts that fell back to a planned row-by-row scan
-    /// because no sorted index applied — the counted (never silent)
-    /// fallback path.
-    pub filter_fallback_scans: u64,
     /// Optimizer row estimates summed across executed cost-based plans.
     pub plan_estimated_rows: u64,
     /// Actual answer rows those same executions returned.
@@ -386,8 +374,7 @@ pub struct KbStats {
     /// payload (flat columns plus exotic side-tables).
     pub fact_bytes: u64,
     /// Approximate resident heap bytes of the current snapshot's index
-    /// structures (postings, sorted lists, the deltas' dead sets and
-    /// touched postings).
+    /// structures (postings, the deltas' dead sets and touched postings).
     pub index_bytes: u64,
     /// Times a write folded a table's delta into a new base, over the
     /// lifetime of the current snapshot's database — the one O(table)
@@ -426,7 +413,8 @@ impl KbStats {
             .join(",");
         format!(
             "{{\"prepared\":{},\"cache_hits\":{},\"cache_misses\":{},\"executions\":{},\
-             \"exec_micros\":{},\"rows_returned\":{},\"parallel_executions\":{},\
+             \"cached_rewritings\":{},\"exec_micros\":{},\"rows_returned\":{},\
+             \"parallel_executions\":{},\
              \"build_cache_hits\":{},\"build_cache_misses\":{},\
              \"epoch\":{},\"batches_applied\":{},\"facts_inserted\":{},\"facts_retracted\":{},\
              \"build_cache_invalidations\":{},\"snapshot_facts\":{},\
@@ -439,9 +427,7 @@ impl KbStats {
              \"recovery_replayed\":{},\
              \"subscriptions_active\":{},\"subscription_diffs\":{},\"ivm_added_tuples\":{},\
              \"ivm_removed_tuples\":{},\"ivm_micros\":{},\
-             \"merge_joins\":{},\"morsel_tasks\":{},\"range_index_scans\":{},\
-             \"topk_early_exits\":{},\
-             \"aggregate_pushdowns\":{},\"filter_fallback_scans\":{},\
+             \"merge_joins\":{},\"morsel_tasks\":{},\
              \"plan_estimated_rows\":{},\"plan_actual_rows\":{},\"plan_replans\":{},\
              \"cache_answer_hits\":{},\"cache_answer_misses\":{},\
              \"net_requests\":{},\
@@ -450,6 +436,7 @@ impl KbStats {
             self.cache_hits,
             self.cache_misses,
             self.executions,
+            self.cached_rewritings,
             self.exec_micros,
             self.rows_returned,
             self.parallel_executions,
@@ -486,10 +473,6 @@ impl KbStats {
             self.ivm_micros,
             self.merge_joins,
             self.morsel_tasks,
-            self.range_index_scans,
-            self.topk_early_exits,
-            self.aggregate_pushdowns,
-            self.filter_fallback_scans,
             self.plan_estimated_rows,
             self.plan_actual_rows,
             self.plan_replans,
@@ -554,10 +537,6 @@ struct Counters {
     ivm_micros: AtomicU64,
     merge_joins: AtomicU64,
     morsel_tasks: AtomicU64,
-    range_index_scans: AtomicU64,
-    topk_early_exits: AtomicU64,
-    aggregate_pushdowns: AtomicU64,
-    filter_fallback_scans: AtomicU64,
     plan_estimated_rows: AtomicU64,
     plan_actual_rows: AtomicU64,
     plan_replans: AtomicU64,
@@ -1868,14 +1847,6 @@ impl KnowledgeBase {
             metrics.merge_joins,
             metrics.morsel_tasks,
         );
-        c.range_index_scans
-            .fetch_add(metrics.range_index_scans, Ordering::Relaxed);
-        c.topk_early_exits
-            .fetch_add(metrics.topk_early_exits, Ordering::Relaxed);
-        c.aggregate_pushdowns
-            .fetch_add(metrics.aggregate_pushdowns, Ordering::Relaxed);
-        c.filter_fallback_scans
-            .fetch_add(metrics.filter_fallback_scans, Ordering::Relaxed);
         c.plan_estimated_rows
             .fetch_add(metrics.estimated_rows, Ordering::Relaxed);
         c.plan_actual_rows
@@ -1945,68 +1916,33 @@ impl KnowledgeBase {
     }
 
     /// Execute with result modifiers — comparison filters, ORDER BY /
-    /// LIMIT, COUNT/MIN/MAX/GROUP BY aggregates — applied inside the
-    /// engine, which routes them through sorted-index fast paths
-    /// (aggregate pushdown, top-k early exit, range scans) when one
-    /// applies. Returns rows in modifier order: a `Vec`, unlike
+    /// LIMIT, COUNT/MIN/MAX/GROUP BY aggregates. The query runs exactly
+    /// as [`execute_on`](Self::execute_on) with
+    /// [`ExecutorKind::InMemory`] runs it (answer cache, planner feedback
+    /// from the unshaped answers), and [`apply_select`], the modifiers'
+    /// reference semantics, shapes the answer set. Returns rows in
+    /// modifier order: a `Vec`, unlike
     /// [`execute`](Self::execute)'s set — ORDER BY would be meaningless
     /// on a `BTreeSet`. Modifier column indices out of range for the
-    /// query head are a [`NyayaError::InvalidSelect`].
+    /// query head are a [`NyayaError::InvalidSelect`], raised before
+    /// anything runs.
     pub fn execute_select(
         &self,
         query: &PreparedQuery,
         sel: &SelectOptions,
     ) -> Result<Vec<Vec<Term>>, NyayaError> {
-        // Counted here, not in `run`: ordered rows are not an `Answers`.
-        self.counters.executions.fetch_add(1, Ordering::Relaxed);
-        let snapshot = self.snapshot();
-        let invalid = |detail| NyayaError::InvalidSelect { detail };
         // Modifier columns are positions of the query head, which both
         // compiled forms preserve — even a rewriting with no disjuncts.
-        sel.validate(query.query.head.len()).map_err(invalid)?;
-        match self.target(query)? {
-            // Shape the materialized goal answers by the reference
-            // semantics.
-            Target::Program(program) => {
-                let (threads, _) = thread_budgets(program.program.num_rules());
-                let (answers, mut metrics) = execute_program_shared(
-                    snapshot.database(),
-                    &program.program,
-                    threads,
-                    snapshot.build_cache(),
-                )?;
-                let rows = apply_select(answers, sel);
-                metrics.rows = rows.len();
-                self.record_program_execution(&metrics);
-                Ok(rows)
-            }
-            Target::Ucq(compiled) => {
-                let (threads, _) = thread_budgets(compiled.ucq.cqs.len());
-                let (rows, metrics) = execute_ucq_select(
-                    snapshot.database(),
-                    &compiled.ucq,
-                    sel,
-                    threads,
-                    snapshot.build_cache(),
-                    self.plan_correction(query),
-                )
-                .map_err(invalid)?;
-                self.record_execution(&metrics);
-                // Shaped rows (after COUNT, LIMIT, filters, or off an
-                // index fast path with no estimate) say nothing about the
-                // join's cardinality: only a plain run teaches the planner.
-                if sel.is_plain() {
-                    self.record_feedback(query, &metrics);
-                }
-                Ok(rows)
-            }
-        }
+        sel.validate(query.query.head.len())
+            .map_err(|detail| NyayaError::InvalidSelect { detail })?;
+        let answers = self.run(query, &self.snapshot(), ExecutorKind::InMemory)?;
+        Ok(apply_select(answers.tuples, sel))
     }
 
     /// Human-readable execution plan — the CLI's `--explain` surface:
     /// the chosen strategy, the cost-based operator mix across all
-    /// disjuncts, the per-step plan of the first disjunct, and how the
-    /// result modifiers (if any) will be applied.
+    /// disjuncts, the per-step plan of the first disjunct, and the result
+    /// modifiers (if any), which are applied to the answer set afterwards.
     pub fn explain(
         &self,
         query: &PreparedQuery,
@@ -2115,10 +2051,6 @@ impl KnowledgeBase {
             ivm_micros: self.counters.ivm_micros.load(Ordering::Relaxed),
             merge_joins: self.counters.merge_joins.load(Ordering::Relaxed),
             morsel_tasks: self.counters.morsel_tasks.load(Ordering::Relaxed),
-            range_index_scans: self.counters.range_index_scans.load(Ordering::Relaxed),
-            topk_early_exits: self.counters.topk_early_exits.load(Ordering::Relaxed),
-            aggregate_pushdowns: self.counters.aggregate_pushdowns.load(Ordering::Relaxed),
-            filter_fallback_scans: self.counters.filter_fallback_scans.load(Ordering::Relaxed),
             plan_estimated_rows: self.counters.plan_estimated_rows.load(Ordering::Relaxed),
             plan_actual_rows: self.counters.plan_actual_rows.load(Ordering::Relaxed),
             plan_replans: self.counters.plan_replans.load(Ordering::Relaxed),

@@ -87,7 +87,7 @@ result modifiers (answer; columns are 1-based head positions):
   --where C<OP>V  keep rows whose column C compares to value V with
                   OP in < <= > >= != (repeatable; numeric-aware order)
   --order-by KEYS sort by `1:desc,2` style key list (default asc)
-  --limit N       return at most N rows (with --order-by: top-k)
+  --limit N       return at most N rows (after --order-by)
   --count         aggregate: number of (distinct) answer rows
   --min C         aggregate: minimum value of column C
   --max C         aggregate: maximum value of column C

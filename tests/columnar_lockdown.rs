@@ -4,29 +4,25 @@
 //! The ground-fact store is column-major (flat `u32` cell vectors per
 //! column, exotic terms in a tagged side-table) and joins run in
 //! morsel-batched kernels with optional intra-query parallelism. None of
-//! that may be observable in any answer. Four suites pin it:
+//! that may be observable in any answer. Three suites pin it:
 //!
 //! 1. **Fuzz**: 300 seeded random databases × UCQs — the columnar engine
 //!    and every intra-query worker split agree with the preserved
 //!    `reference` row engine bit for bit.
 //! 2. **Benchmark suites**: the Table 1 ontologies' queries over
 //!    generated ABoxes agree the same way, per suite.
-//! 3. **SelectOptions fuzz**: random filter/order/limit/aggregate
-//!    combinations through the engine's index fast paths equal the pure
-//!    `apply_select` reference over the oracle's answer set.
-//! 4. **Segment v3 kill-and-reopen**: encode → decode → re-encode is bit
+//! 3. **Segment v3 kill-and-reopen**: encode → decode → re-encode is bit
 //!    stable, and a decoded database is indistinguishable (bytes and
 //!    answers) from a from-scratch rebuild of the same facts.
 
-use nyaya_core::select::{AggFunc, Aggregate, ColumnFilter, FilterOp, SelectOptions, SortDir};
 use nyaya_core::{Atom, Term, UnionQuery};
 use nyaya_ontologies::rng::Prng;
 use nyaya_ontologies::{
     generate_abox, lubm_abox, random_database, random_ucq, AboxConfig, FuzzConfig, LubmConfig,
 };
 use nyaya_sql::{
-    decode_database, encode_database, execute_ucq, execute_ucq_intra, execute_ucq_select,
-    plan_cq_cost, reference, BuildCache, Database, StepOp,
+    decode_database, encode_database, execute_ucq, execute_ucq_intra, plan_cq_cost, reference,
+    BuildCache, Database, StepOp,
 };
 
 const SEEDS: u64 = 300;
@@ -197,82 +193,6 @@ fn benchmark_suite_queries_agree_with_the_row_oracle() {
                 intra, oracle,
                 "{}/{name}: intra-parallel engine vs row oracle",
                 bench.id
-            );
-        }
-    }
-}
-
-fn random_select(rng: &mut Prng, head_arity: usize, constants: usize) -> SelectOptions {
-    let mut sel = SelectOptions::default();
-    if head_arity == 0 {
-        return sel;
-    }
-    let rand_value = |rng: &mut Prng| Term::constant(&format!("c{}", rng.gen_range(0..constants)));
-    for _ in 0..rng.gen_range(0..3) {
-        sel.filters.push(ColumnFilter {
-            column: rng.gen_range(0..head_arity),
-            op: match rng.gen_range(0..5) {
-                0 => FilterOp::Lt,
-                1 => FilterOp::Le,
-                2 => FilterOp::Gt,
-                3 => FilterOp::Ge,
-                _ => FilterOp::Ne,
-            },
-            value: rand_value(rng),
-        });
-    }
-    if rng.gen_bool(0.4) {
-        sel.aggregate = Some(Aggregate {
-            group_by: if rng.gen_bool(0.5) {
-                vec![rng.gen_range(0..head_arity)]
-            } else {
-                Vec::new()
-            },
-            func: match rng.gen_range(0..3) {
-                0 => AggFunc::Count,
-                1 => AggFunc::Min(rng.gen_range(0..head_arity)),
-                _ => AggFunc::Max(rng.gen_range(0..head_arity)),
-            },
-        });
-    }
-    let out_arity = sel.output_arity(head_arity);
-    for _ in 0..rng.gen_range(0..2) {
-        sel.order_by.push((
-            rng.gen_range(0..out_arity),
-            if rng.gen_bool(0.5) {
-                SortDir::Asc
-            } else {
-                SortDir::Desc
-            },
-        ));
-    }
-    if rng.gen_bool(0.5) {
-        sel.limit = Some(rng.gen_range(0..8));
-    }
-    sel
-}
-
-#[test]
-fn select_shaping_matches_the_pure_reference_semantics() {
-    let config = FuzzConfig::default();
-    for seed in 0..150u64 {
-        let mut rng = Prng::seed_from_u64(0x5E1E_C700 ^ seed);
-        let facts = random_database(&mut rng, &config);
-        let db = Database::from_facts(facts.iter().cloned());
-        let ucq = random_ucq(&mut rng, &config);
-        let head_arity = ucq.cqs.first().map(|q| q.head.len()).unwrap_or(0);
-        let sel = random_select(&mut rng, head_arity, config.constants);
-        sel.validate(head_arity).expect("generated select is valid");
-
-        let oracle_rows =
-            nyaya_core::select::apply_select(reference::execute_ucq_reference(&db, &ucq), &sel);
-        for threads in [1, 3] {
-            let (rows, _) = execute_ucq_select(&db, &ucq, &sel, threads, &BuildCache::new(), 1.0)
-                .expect("valid select executes");
-            assert_eq!(
-                rows, oracle_rows,
-                "seed {seed} threads {threads}: shaped execution vs apply_select \
-                 reference on {ucq} with {sel:?}"
             );
         }
     }

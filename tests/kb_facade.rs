@@ -545,6 +545,8 @@ const DECOMPOSABLE: &str = "
 
 #[test]
 fn every_entry_point_counts_one_execution_on_its_backend() {
+    use nyaya::core::{apply_select, SelectOptions, SortDir};
+
     for (strategy, in_memory) in [(Strategy::Ucq, "in-memory"), (Strategy::Program, "program")] {
         let kb = KnowledgeBase::builder()
             .program_text(DECOMPOSABLE)
@@ -590,6 +592,30 @@ fn every_entry_point_counts_one_execution_on_its_backend() {
         ran("execute_at", a.backend, in_memory, (1, 0), rewrites);
         let a = kb.execute_at_epoch(&q, kb.epoch()).unwrap();
         ran("execute_at_epoch", a.backend, in_memory, (1, 0), rewrites);
+        // Shaped rows come out of the same run: `execute_select` names no
+        // backend, so the in-memory one stands in for it.
+        let top = SelectOptions {
+            order_by: vec![(0, SortDir::Asc)],
+            limit: Some(1),
+            ..SelectOptions::default()
+        };
+        let rows = kb.execute_select(&q, &top).unwrap();
+        ran("execute_select", in_memory, in_memory, (1, 0), rewrites);
+        assert_eq!(rows, apply_select(first.tuples.clone(), &top));
+        let out_of_range = SelectOptions {
+            order_by: vec![(1, SortDir::Asc)],
+            ..SelectOptions::default()
+        };
+        let executions = kb.stats().executions;
+        assert!(matches!(
+            kb.execute_select(&q, &out_of_range),
+            Err(NyayaError::InvalidSelect { .. })
+        ));
+        assert_eq!(
+            kb.stats().executions,
+            executions,
+            "{strategy:?}: an invalid modifier runs nothing"
+        );
         let sql = kb.sql(&q).unwrap();
         ran("sql", "sql", "sql", (0, 0), rewrites);
         let a = kb.execute_on(&q, ExecutorKind::Sql).unwrap();
@@ -715,4 +741,43 @@ fn stats_json_escapes_control_characters_in_table_names() {
         json.contains(r#""predicate":"we\u0001ird\nname""#),
         "{json}"
     );
+}
+
+/// Every field of `KbStats` is a key of its JSON document (the CLI's
+/// `--json`, the wire `STATS` verb): the field names are read off the
+/// `Debug` output, so a field added without its key fails here.
+#[test]
+fn stats_json_has_a_key_for_every_stats_field() {
+    let kb = KnowledgeBase::from_program_text(LINEAR_PROGRAM).unwrap();
+    kb.answer_text("q(A, B) :- stock_portf(B, A, D).").unwrap();
+    let stats = kb.stats();
+    let debug = format!("{stats:?}");
+    let body = debug
+        .strip_prefix("KbStats { ")
+        .and_then(|s| s.strip_suffix(" }"))
+        .unwrap_or_else(|| panic!("{debug}"));
+    // Split at the top-level commas only: `tables` nests.
+    let mut fields = Vec::new();
+    let (mut depth, mut start) = (0usize, 0usize);
+    for (i, c) in body.char_indices() {
+        match c {
+            '{' | '[' | '(' => depth += 1,
+            '}' | ']' | ')' => depth -= 1,
+            ',' if depth == 0 => {
+                fields.push(&body[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    fields.push(&body[start..]);
+    assert!(fields.len() > 40, "{fields:?}");
+    let json = stats.to_json();
+    for field in fields {
+        let name = field.trim().split(':').next().unwrap();
+        assert!(
+            json.contains(&format!("\"{name}\":")),
+            "no {name:?} in {json}"
+        );
+    }
 }

@@ -1,5 +1,5 @@
-//! Randomized differential testing of the cost-based planner and the
-//! result-modifier (`SelectOptions`) execution paths.
+//! Randomized differential testing of the cost-based planner and of
+//! result-modifier (`SelectOptions`) execution through the facade.
 //!
 //! For hundreds of seeded random databases, unions and modifier
 //! combinations, two independent evaluations must agree:
@@ -11,17 +11,15 @@
 //!
 //! Modifier queries additionally must match the reference semantics
 //! `apply_select` (filter → group/aggregate → sort → limit) applied to
-//! the reference engine's answer set — whichever fast path (aggregate
-//! pushdown, top-k walk, range index scan) the engine picked. Every
-//! assertion prints the failing seed so a mismatch reproduces exactly.
+//! the reference engine's answer set. Every assertion prints the failing
+//! seed so a mismatch reproduces exactly.
 
-use nyaya_core::select::{apply_select, ColumnFilter, FilterOp, SelectOptions};
+use nyaya::{KnowledgeBase, Strategy};
+use nyaya_core::select::apply_select;
 use nyaya_ontologies::fuzz::{random_select_ucq, random_ucq};
 use nyaya_ontologies::rng::Prng;
 use nyaya_ontologies::{random_database, FuzzConfig};
-use nyaya_sql::{
-    execute_ucq, execute_ucq_intra, execute_ucq_select, reference, BuildCache, Database,
-};
+use nyaya_sql::{execute_ucq, execute_ucq_intra, reference, BuildCache, Database};
 
 /// Seeds each harness sweeps. The acceptance criterion for the planner
 /// rework is zero mismatches across at least 300 random seeds.
@@ -69,43 +67,40 @@ fn corrected_plans_stay_answer_identical_across_the_feedback_range() {
     }
 }
 
+/// `execute_select` on a knowledge base with no Σ: each disjunct of the
+/// fuzzed union, prepared as its own query, must answer what
+/// `apply_select` gives over the reference engine's answers to it.
 #[test]
 fn modifier_execution_matches_reference_semantics() {
     let config = FuzzConfig::default();
-    let mut fast_paths = 0u64;
-    let mut fallbacks = 0u64;
     for seed in 0..SEEDS {
         let mut rng = Prng::seed_from_u64(0x5E1EC7 ^ (seed << 1));
         let facts = random_database(&mut rng, &config);
         let db = Database::from_facts(facts.iter().cloned());
         let (ucq, sel) = random_select_ucq(&mut rng, &config);
-
-        let cache = BuildCache::new();
-        let (got, metrics) = execute_ucq_select(&db, &ucq, &sel, 1, &cache, 1.0)
-            .unwrap_or_else(|e| panic!("seed {seed}: fuzzer made invalid options: {e}"));
-        let expected = apply_select(reference::execute_ucq_reference(&db, &ucq), &sel);
-        assert_eq!(
-            got, expected,
-            "seed {seed}: modifier execution disagrees with apply_select over \
-             the reference answers on {ucq} with {sel:?}"
-        );
-        fast_paths +=
-            metrics.aggregate_pushdowns + metrics.topk_early_exits + metrics.range_index_scans;
-        fallbacks += metrics.filter_fallback_scans;
+        let kb = KnowledgeBase::builder()
+            .facts(facts)
+            .strategy(Strategy::Ucq)
+            .build()
+            .unwrap();
+        for cq in ucq.iter() {
+            let prepared = kb.prepare(cq).unwrap();
+            let got = kb
+                .execute_select(&prepared, &sel)
+                .unwrap_or_else(|e| panic!("seed {seed}: {cq} with {sel:?}: {e}"));
+            let expected = apply_select(reference::execute_cq_reference(&db, cq), &sel);
+            assert_eq!(
+                got, expected,
+                "seed {seed}: execute_select disagrees with apply_select over \
+                 the reference answers on {cq} with {sel:?}"
+            );
+        }
     }
-    // The sweep must have exercised both the index fast paths and the
-    // counted fallback — otherwise the differential proves nothing about
-    // one of them.
-    assert!(
-        fast_paths > 0,
-        "no fast path ever fired across {SEEDS} seeds"
-    );
-    assert!(fallbacks > 0, "no counted fallback across {SEEDS} seeds");
 }
 
 #[test]
 fn cardinality_feedback_repicks_the_plan_when_the_estimate_misses() {
-    use nyaya::{KnowledgeBase, UpdateBatch, REPLAN_RATIO};
+    use nyaya::{UpdateBatch, REPLAN_RATIO};
 
     // A skewed join the uniform-distinct estimate gets badly wrong:
     // p = {hub}, and r has 100 rows over 51 distinct keys — but 50 of
@@ -163,42 +158,4 @@ fn cardinality_feedback_repicks_the_plan_when_the_estimate_misses() {
     let stats = kb.stats();
     assert!(stats.plan_estimated_rows > 0, "{stats:?}");
     assert!(stats.plan_actual_rows >= 100, "{stats:?}");
-}
-
-#[test]
-fn unindexed_filter_fallback_is_planned_and_counted() {
-    // Regression for the silent-fallback gap: a filter over the head of a
-    // *join* (no single-table direct access, so no range index applies)
-    // must still answer correctly AND be visible in the metrics as a
-    // planned, counted scan — not an invisible degradation.
-    let db = Database::from_facts(
-        (0..50)
-            .flat_map(|i| {
-                [
-                    nyaya_core::Atom::make("e", [format!("a{i}").as_str(), "hub"]),
-                    nyaya_core::Atom::make("f", ["hub", format!("b{i}").as_str()]),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    let cq = nyaya_parser::parse_query("q(X, Z) :- e(X, Y), f(Y, Z).").unwrap();
-    let ucq = nyaya_core::UnionQuery::new(vec![cq]);
-    let sel = SelectOptions {
-        filters: vec![ColumnFilter {
-            column: 0,
-            op: FilterOp::Le,
-            value: nyaya_core::Term::constant("a3"),
-        }],
-        ..SelectOptions::default()
-    };
-    let cache = BuildCache::new();
-    let (rows, metrics) = execute_ucq_select(&db, &ucq, &sel, 1, &cache, 1.0).unwrap();
-    let expected = apply_select(reference::execute_ucq_reference(&db, &ucq), &sel);
-    assert_eq!(rows, expected);
-    assert!(!rows.is_empty(), "filter must keep a1/a2/a3 rows");
-    assert_eq!(
-        metrics.filter_fallback_scans, 1,
-        "row-by-row post-filter must be counted, not silent: {metrics:?}"
-    );
-    assert_eq!(metrics.range_index_scans, 0, "{metrics:?}");
 }
