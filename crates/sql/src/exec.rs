@@ -14,11 +14,13 @@
 //!   counts in O(1).
 //! - **One planner, one per-disjunct driver** (`run_planned`): every
 //!   CQ the engine runs — a disjunct of [`execute_ucq_intra`], a rule body
-//!   in [`crate::program`] — is planned by the cost planner
-//!   ([`crate::plan`]) against the tables its `DataSource` resolves,
-//!   counted, and run. Body atoms are ordered by priced operator work, and
-//!   each join step is given the cheaper of two access paths — a hashed
-//!   build side, or the key column's posting index ([`StepOp::Merge`]).
+//!   in [`crate::program`], and so a rule body of a view's seed — is
+//!   planned by the cost planner ([`crate::plan`]) against the tables its
+//!   `DataSource` resolves, counted, and run. Body atoms are ordered by
+//!   priced operator work, and each join step is given the cheaper of two
+//!   access paths — a hashed build side, or the key column's posting index
+//!   ([`StepOp::Merge`]). The driver projects every valuation into a
+//!   head sink: a set of answers, or a seed's support counts.
 //! - **One join step** (`join.rs`): every step of every pipeline — a
 //!   disjunct here, a rule body in [`crate::program`], a delta rule in
 //!   [`crate::ivm`] — is the same compiled step: an atom classified
@@ -228,8 +230,24 @@ impl<'a> DataSource<'a> {
     }
 }
 
+/// The support sink of a head projection: every valuation is one
+/// derivation of its head tuple (a valuation fixes the row each body atom
+/// matched), so a tuple's count is its support — what a view's seed
+/// needs. The other sink is a set of answers.
+#[derive(Default)]
+pub(crate) struct Support(pub(crate) HashMap<Vec<Term>, i64>);
+
+impl Extend<Vec<Term>> for Support {
+    fn extend<I: IntoIterator<Item = Vec<Term>>>(&mut self, tuples: I) {
+        for tuple in tuples {
+            *self.0.entry(tuple).or_insert(0) += 1;
+        }
+    }
+}
+
 /// Execute one CQ with atoms in `order`, resolving each atom's table and
-/// build cache through `src` (single database or layered program view).
+/// build cache through `src` (single database or layered program view),
+/// and project every valuation into `sink`.
 ///
 /// `ops` is the planner's per-step operator choice, parallel to `order`: a
 /// [`StepOp::Merge`] step probes the key column's posting index instead of
@@ -240,16 +258,17 @@ impl<'a> DataSource<'a> {
 /// Each join step's probe side is split into contiguous spans across up
 /// to `intra` worker threads (only once it holds at least two
 /// [`MORSEL`]s — smaller intermediates stay sequential, where spawn
-/// overhead would dominate). The answer set is identical for every
+/// overhead would dominate). What reaches the sink is identical for every
 /// `intra`.
-pub(crate) fn execute_cq_ordered(
+fn execute_cq_ordered(
     src: &DataSource<'_>,
     q: &ConjunctiveQuery,
     order: &[usize],
     ops: &[StepOp],
     tally: &CacheTally,
     intra: usize,
-) -> BTreeSet<Vec<Term>> {
+    sink: &mut impl Extend<Vec<Term>>,
+) {
     debug_assert_eq!(order.len(), q.body.len());
     let mut var_index: HashMap<Symbol, usize> = HashMap::new();
     let mut current: Vec<Vec<Term>> = vec![Vec::new()];
@@ -258,7 +277,7 @@ pub(crate) fn execute_cq_ordered(
         let atom = &q.body[atom_idx];
         let (db, cache) = src.resolve(atom.pred);
         if current.is_empty() {
-            return BTreeSet::new();
+            return;
         }
         let shape = AtomShape::of(atom, |v| var_index.get(&v).copied());
         shape.bind_fresh(atom, &mut var_index);
@@ -287,31 +306,28 @@ pub(crate) fn execute_cq_ordered(
 
     // Project the head (an unsafe head only fails on an actual answer).
     if current.is_empty() {
-        return BTreeSet::new();
+        return;
     }
     let head = Projection::new(&q.head, &var_index);
-    let mut out = BTreeSet::new();
-    for tuple in current {
-        out.insert(head.of(&tuple));
-    }
-    out
+    sink.extend(current.into_iter().map(|tuple| head.of(&tuple)));
 }
 
 /// Plan `q` against `src`, add the plan's rounded result estimate to
-/// `tally`, and run it: the one per-CQ driver behind UCQ execution and
-/// program rule bodies.
+/// `tally`, and run it into `sink`: the one per-CQ driver behind UCQ
+/// execution, program rule bodies and a view's seed.
 pub(crate) fn run_planned(
     src: &DataSource<'_>,
     q: &ConjunctiveQuery,
     correction: f64,
     tally: &CacheTally,
     intra: usize,
-) -> BTreeSet<Vec<Term>> {
+    sink: &mut impl Extend<Vec<Term>>,
+) {
     let plan = plan_over(src, q, correction);
     tally
         .estimated
         .fetch_add(plan.result_estimate().round() as u64, Ordering::Relaxed);
-    execute_cq_ordered(src, q, &plan.order, &plan.ops, tally, intra)
+    execute_cq_ordered(src, q, &plan.order, &plan.ops, tally, intra, sink);
 }
 
 /// Counters from one (U)CQ execution.
@@ -384,7 +400,13 @@ pub fn execute_ucq_intra(
     let src = DataSource::Single { db, cache };
     let (out, threads) = fan_out(&u.cqs, threads, |out: &mut BTreeSet<Vec<Term>>, chunk| {
         for q in chunk {
-            out.extend(run_planned(&src, q, correction, &tally, intra));
+            // Each disjunct fills a set of its own, merged into the union
+            // after. Filling the union directly read LUBM faster on the
+            // 2-core bench host but made every other `lubm_rw` apply about
+            // 25 % slower (ROADMAP, "Fill the union set directly").
+            let mut disjunct = BTreeSet::new();
+            run_planned(&src, q, correction, &tally, intra, &mut disjunct);
+            out.extend(disjunct);
         }
     });
     let metrics = ExecMetrics {

@@ -5,9 +5,19 @@
 //! delta program, a map from tuple to *support* — the number of (rule,
 //! valuation) derivations producing it — plus an indexed [`Database`] of
 //! the tuples whose support is positive (the set-level view higher strata
-//! join against). [`MaterializedView::propagate`] consumes an update's
-//! signed base-fact deltas and runs the program's delta rules level by
-//! level:
+//! join against).
+//!
+//! [`MaterializedView::seed`] materializes the program over a snapshot
+//! with the program evaluator of [`crate::program`]: against an empty old
+//! state only each rule's last-position delta rule would fire, joining the
+//! whole body over the snapshot and the lower strata, so a seed is a bag
+//! evaluation of every source rule, counting valuations per head tuple.
+//! The evaluator runs each rule body through the executor's cost planner
+//! into a support sink instead of a set, and commits each stratum with one
+//! bulk insert.
+//!
+//! [`MaterializedView::propagate`] consumes an update's signed base-fact
+//! deltas and runs the program's delta rules level by level:
 //!
 //! - each delta rule joins its delta atom's changed tuples with the
 //!   *new* state to its left and the *old* state to its right
@@ -18,37 +28,37 @@
 //! - transitions of the goal predicate's tuples that match the goal atom
 //!   (its constants and repeated variables) are the answer diff.
 //!
-//! The initial materialization is the same code path run against an
-//! empty "old" state with every base fact as a +1 delta
-//! ([`MaterializedView::seed`]), so seeding and maintenance cannot
-//! disagree. A delta rule's joins are the executor's: each body atom is
-//! compiled into the shared join step of `join.rs` once per pass, in a
-//! static bound-first order, and probed once per changed tuple; this
-//! module only chooses the order, the side (old or new) each atom reads
-//! and the signs. A step whose shape has a single key column and no
-//! filter probes its table's posting index, which every table keeps
-//! current under writes (the base shadowed by the delta's touched cells,
-//! dead rows excluded) on the snapshots and the view overlay alike, so
-//! nothing is built for it. Only the other shapes (constants, repeats,
-//! several key columns, Cartesian) fetch a build side: base-atom steps
-//! from the snapshots' persistent [`BuildCache`]s, intensional steps
-//! from per-propagation caches over the view overlay (lower strata are
-//! final before higher strata read them, so those builds stay valid
-//! within a pass). A rule with a step over a predicate that has no table
-//! derives nothing and is not evaluated further — in a seed, every
-//! delta rule that reads the empty "old" state.
+//! A delta rule's joins are the executor's: each body atom is compiled
+//! into the shared join step of `join.rs` once per pass, in a static
+//! bound-first order, and probed once per changed tuple; this module only
+//! chooses the order, the side (old or new) each atom reads and the
+//! signs. A step whose shape has a single key column and no filter probes
+//! its table's posting index, which every table keeps current under
+//! writes (the base shadowed by the delta's touched cells, dead rows
+//! excluded) on the snapshots and the view overlay alike, so nothing is
+//! built for it. Only the other shapes (constants, repeats, several key
+//! columns, Cartesian) fetch a build side: base-atom steps from the
+//! snapshots' persistent [`BuildCache`]s, intensional steps from
+//! per-propagation caches over the view overlay (lower strata are final
+//! before higher strata read them, so those builds stay valid within a
+//! pass). A rule with a step over a predicate that has no table derives
+//! nothing and is not evaluated further.
 //!
 //! The delta-rule *compiler* lives in `nyaya-rewrite` (next to the
 //! program optimizer), and the [`DeltaProgram`] it emits in `nyaya-core`,
 //! which both crates depend on; this module only evaluates.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use nyaya_core::{Atom, DeltaProgram, DeltaRule, Predicate, Symbol, Term};
+use nyaya_core::{
+    Atom, DatalogProgram, DatalogRule, DeltaProgram, DeltaRule, Predicate, Symbol, Term,
+};
 
 use crate::build_cache::BuildCache;
-use crate::exec::DataSource;
+use crate::exec::{CacheTally, DataSource, Support};
 use crate::join::{AtomShape, Projection, Step};
+use crate::program::materialize;
 use crate::table::Database;
 
 /// Signed set-level deltas of base facts, per predicate: `+1` for a fact
@@ -74,15 +84,6 @@ impl AnswerDelta {
     }
 }
 
-/// Counters from one propagation pass.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct IvmMetrics {
-    /// Signed derivation events summed into support counts.
-    pub derivations: u64,
-    /// Delta rules whose delta relation actually changed.
-    pub rules_fired: usize,
-}
-
 /// A support-counted materialization of one delta program.
 pub struct MaterializedView {
     program: DeltaProgram,
@@ -92,26 +93,51 @@ pub struct MaterializedView {
     view: Database,
     /// Current answers: goal-relation tuples matching the goal atom.
     answers: BTreeSet<Vec<Term>>,
-    /// Metrics accumulated over the view's lifetime.
-    metrics: IvmMetrics,
 }
 
 impl MaterializedView {
-    /// An empty view of `program`; call [`seed`](Self::seed) to
-    /// materialize it against a database.
-    pub fn new(program: DeltaProgram) -> Self {
-        MaterializedView {
+    /// Materialize `program` over `db` (with `db`'s persistent build
+    /// cache), running each stratum's rules across up to `threads`
+    /// workers. Returns the view and its first diff: every answer added.
+    ///
+    /// The source rules are the delta rules at `delta_idx == 0`, one per
+    /// rule of the source program. They run through the program
+    /// evaluator with a support sink, so each derived tuple's count is
+    /// its number of valuations — exactly what propagating every base
+    /// fact as a +1 delta from the empty state would sum.
+    pub fn seed(
+        program: DeltaProgram,
+        db: &Database,
+        cache: &BuildCache,
+        threads: usize,
+    ) -> (MaterializedView, AnswerDelta) {
+        let rules = program.rules.iter().filter(|r| r.delta_idx == 0);
+        let rules = rules.map(|r| DatalogRule::new(r.head.clone(), r.body.clone()));
+        let source = DatalogProgram::new(program.goal.clone(), rules.collect());
+        let strata = source.strata().expect("a delta program is stratified");
+        let mut counts: HashMap<Predicate, HashMap<Vec<Term>, i64>> = HashMap::new();
+        let tally = CacheTally::default();
+        let commit = |pred, derived: Support, entering: &mut Vec<Atom>| {
+            // Rules sharing a head add their supports (the bulk insert
+            // drops a tuple already in the view).
+            let support = counts.entry(pred).or_default();
+            for (tuple, n) in derived.0 {
+                entering.push(Atom::new(pred, tuple.clone()));
+                *support.entry(tuple).or_insert(0) += n;
+            }
+        };
+        let (view, answers, _) = materialize(db, cache, &source, &strata, threads, &tally, commit);
+        let diff = AnswerDelta {
+            added: answers.iter().cloned().collect(),
+            removed: Vec::new(),
+        };
+        let view = MaterializedView {
             program,
-            counts: HashMap::new(),
-            view: Database::new(),
-            answers: BTreeSet::new(),
-            metrics: IvmMetrics::default(),
-        }
-    }
-
-    /// The compiled program this view maintains.
-    pub fn program(&self) -> &DeltaProgram {
-        &self.program
+            counts,
+            view,
+            answers,
+        };
+        (view, diff)
     }
 
     /// Current answer set (tuples of the goal atom's arity).
@@ -122,33 +148,6 @@ impl MaterializedView {
     /// Total supported tuples across all intensional relations.
     pub fn support_size(&self) -> usize {
         self.counts.values().map(HashMap::len).sum()
-    }
-
-    /// Lifetime propagation counters.
-    pub fn metrics(&self) -> &IvmMetrics {
-        &self.metrics
-    }
-
-    /// Initial materialization: propagate from the empty state with every
-    /// base fact of `db` (restricted to predicates the program reads) as
-    /// a +1 delta. Exactly the maintenance code path, so the seed and all
-    /// later deltas agree by construction.
-    pub fn seed(&mut self, db: &Database, cache: &BuildCache) -> AnswerDelta {
-        debug_assert!(self.counts.is_empty(), "seed called on a non-empty view");
-        let mut deltas: BaseDeltas = HashMap::new();
-        for pred in &self.program.base {
-            let mut rows = db.iter_rows(*pred).peekable();
-            if rows.peek().is_none() {
-                continue;
-            }
-            let entry = deltas.entry(*pred).or_default();
-            for row in rows {
-                entry.insert(row, 1);
-            }
-        }
-        let empty_db = Database::new();
-        let empty_cache = BuildCache::new();
-        self.propagate((&empty_db, &empty_cache), (db, cache), &deltas)
     }
 
     /// Propagate one update's signed base deltas through the delta rules,
@@ -184,7 +183,7 @@ impl MaterializedView {
         for level in 0..self.program.levels {
             // Evaluate every delta rule of this level against the deltas
             // accumulated so far (base + strata below this one).
-            let mut head_acc: HashMap<Predicate, HashMap<Vec<Term>, i64>> = HashMap::new();
+            let mut head_acc: BTreeMap<Predicate, HashMap<Vec<Term>, i64>> = BTreeMap::new();
             let old_src = DataSource::Layered {
                 base: old.0,
                 base_cache: old.1,
@@ -210,47 +209,33 @@ impl MaterializedView {
                     continue;
                 };
                 let acc = head_acc.entry(rule.head.pred).or_default();
-                self.metrics.rules_fired += 1;
-                self.metrics.derivations += eval_delta_rule(rule, dmap, &old_src, &new_src, acc);
+                eval_delta_rule(rule, dmap, &old_src, &new_src, acc);
             }
 
             // Commit this level's support changes (sorted for
             // determinism) and record set-level transitions for the
             // strata above.
-            let mut preds: Vec<Predicate> = head_acc.keys().copied().collect();
-            preds.sort();
-            for pred in preds {
-                let mut changes: Vec<(Vec<Term>, i64)> = head_acc
-                    .remove(&pred)
-                    .expect("predicate key vanished")
-                    .into_iter()
-                    .filter(|(_, d)| *d != 0)
-                    .collect();
+            for (pred, acc) in head_acc {
+                let mut changes: Vec<(Vec<Term>, i64)> =
+                    acc.into_iter().filter(|(_, d)| *d != 0).collect();
                 changes.sort();
                 if changes.is_empty() {
                     continue;
                 }
                 let support = self.counts.entry(pred).or_default();
                 // Tuples entering the view are written in one bulk insert
-                // after the loop: a seed's whole relation then builds its
-                // table's base directly, a maintenance pass's handful goes
-                // through the delta. (A pass changes each tuple at most
-                // once, so the order against the removals is immaterial.)
+                // after the loop. (A pass changes each tuple at most once,
+                // so the order against the removals is immaterial.)
                 let mut entering: Vec<Atom> = Vec::new();
                 for (tuple, d) in changes {
-                    let old_support = support.get(&tuple).copied().unwrap_or(0);
-                    let new_support = old_support + d;
-                    debug_assert!(
-                        new_support >= 0,
-                        "negative support for {pred:?} tuple {tuple:?}"
-                    );
-                    if new_support <= 0 {
+                    let count = support.entry(tuple.clone()).or_insert(0);
+                    let was_in = *count > 0;
+                    *count += d;
+                    debug_assert!(*count >= 0, "negative support for {pred:?} tuple {tuple:?}");
+                    let is_in = *count > 0;
+                    if !is_in {
                         support.remove(&tuple);
-                    } else {
-                        support.insert(tuple.clone(), new_support);
                     }
-                    let was_in = old_support > 0;
-                    let is_in = new_support > 0;
                     if was_in == is_in {
                         continue;
                     }
@@ -285,14 +270,14 @@ impl MaterializedView {
 /// Evaluate one delta rule over its delta relation's changed tuples,
 /// adding each valuation's signed contribution to `acc` (keyed by head
 /// tuple). Atoms left of the delta atom read `new`, atoms right of it
-/// `old`. Returns the number of derivation events.
+/// `old`.
 fn eval_delta_rule(
     rule: &DeltaRule,
     dmap: &HashMap<Vec<Term>, i64>,
     old: &DataSource<'_>,
     new: &DataSource<'_>,
     acc: &mut HashMap<Vec<Term>, i64>,
-) -> u64 {
+) {
     let datom = &rule.body[rule.delta_idx];
 
     // Bind the delta atom: with nothing bound before it, its fresh
@@ -305,35 +290,21 @@ fn eval_delta_rule(
     // Order the remaining atoms greedily by bound-argument count — the
     // same "bound first" heuristic as the CQ planner, reduced to what is
     // known statically (which variables the prefix binds).
+    // Ties go to the atom first in the body.
     let mut bound_vars: HashSet<Symbol> = var_index.keys().copied().collect();
     let mut remaining: Vec<usize> = (0..rule.body.len())
         .filter(|&j| j != rule.delta_idx)
         .collect();
     let mut order: Vec<usize> = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
-        let (pos, &best) = remaining
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &j)| {
-                let atom = &rule.body[j];
-                let bound = atom
-                    .args
-                    .iter()
-                    .filter(|t| match t {
-                        Term::Var(v) => bound_vars.contains(v),
-                        _ => true,
-                    })
-                    .count();
-                // Prefer more bound positions; tie-break toward original
-                // order (stable via reverse index).
-                (bound, usize::MAX - j)
-            })
+        let is_bound = |t: &&Term| t.as_var().is_none_or(|v| bound_vars.contains(&v));
+        let bound = |j: usize| rule.body[j].args.iter().filter(is_bound).count();
+        let pos = (0..remaining.len())
+            .max_by_key(|&p| (bound(remaining[p]), Reverse(p)))
             .expect("remaining is non-empty");
+        let best = remaining.remove(pos);
+        bound_vars.extend(rule.body[best].variables());
         order.push(best);
-        for v in rule.body[best].variables() {
-            bound_vars.insert(v);
-        }
-        remaining.remove(pos);
     }
 
     // Compile every step once per pass (posting access where the shape
@@ -349,7 +320,7 @@ fn eval_delta_rule(
         shape.bind_fresh(atom, &mut var_index);
         let step = Step::compile(db, cache, atom, shape, true).0;
         if step.is_empty() {
-            return 0;
+            return;
         }
         steps.push(step);
     }
@@ -357,10 +328,7 @@ fn eval_delta_rule(
 
     // Drive every changed tuple of the delta relation through the steps,
     // counting valuations (no dedup — multiplicity is the point).
-    let mut events = 0u64;
-    let mut dtuples: Vec<(&Vec<Term>, i64)> = dmap.iter().map(|(t, s)| (t, *s)).collect();
-    dtuples.sort();
-    for (tuple, sign) in dtuples {
+    for (tuple, &sign) in dmap {
         if sign == 0 || !dshape.admits(tuple) {
             continue;
         }
@@ -375,15 +343,46 @@ fn eval_delta_rule(
         }
         for val in &current {
             *acc.entry(head.of(val)).or_insert(0) += sign;
-            events += 1;
         }
     }
-    events
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A delta program with every delta rule of `rules` (head, body,
+    /// level): intensional are the heads, base the other body predicates.
+    fn delta_program(
+        goal: Atom,
+        levels: usize,
+        rules: Vec<(Atom, Vec<Atom>, usize)>,
+    ) -> DeltaProgram {
+        let intensional: HashSet<Predicate> = rules.iter().map(|(h, _, _)| h.pred).collect();
+        let base: HashSet<Predicate> = rules
+            .iter()
+            .flat_map(|(_, body, _)| body.iter().map(|a| a.pred))
+            .filter(|p| !intensional.contains(p))
+            .collect();
+        let rules = rules
+            .into_iter()
+            .flat_map(|(head, body, level)| {
+                (0..body.len()).map(move |delta_idx| DeltaRule {
+                    head: head.clone(),
+                    body: body.clone(),
+                    delta_idx,
+                    level,
+                })
+            })
+            .collect();
+        DeltaProgram {
+            goal,
+            levels,
+            rules,
+            intensional,
+            base,
+        }
+    }
 
     fn program() -> DeltaProgram {
         // goal: q(X,Y).
@@ -400,32 +399,25 @@ mod tests {
         );
         let t1 = (Atom::make("top", ["X"]), vec![Atom::make("c1", ["X"])], 0);
         let t2 = (Atom::make("top", ["X"]), vec![Atom::make("c2", ["X"])], 0);
-        let mut rules = Vec::new();
-        for (head, body, level) in [q_rule, t1, t2] {
-            for delta_idx in 0..body.len() {
-                rules.push(DeltaRule {
-                    head: head.clone(),
-                    body: body.clone(),
-                    delta_idx,
-                    level,
-                });
+        delta_program(Atom::make("q", ["X", "Y"]), 2, vec![q_rule, t1, t2])
+    }
+
+    /// `program()` with `edge(X, b)` for every `edge` atom.
+    fn program_with_edge_constant() -> DeltaProgram {
+        let mut p = program();
+        for atom in p.rules.iter_mut().flat_map(|r| r.body.iter_mut()) {
+            if atom.pred == Predicate::new("edge", 2) {
+                atom.args[1] = Term::constant("b");
             }
         }
-        let intensional: HashSet<Predicate> =
-            [Predicate::new("q", 2), Predicate::new("top", 1)].into();
-        let base: HashSet<Predicate> = [
-            Predicate::new("c1", 1),
-            Predicate::new("c2", 1),
-            Predicate::new("edge", 2),
-        ]
-        .into();
-        DeltaProgram {
-            goal: Atom::make("q", ["X", "Y"]),
-            levels: 2,
-            rules,
-            intensional,
-            base,
-        }
+        p
+    }
+
+    /// `program()` answering `q(X, X)`: only self-loops.
+    fn program_with_repeated_goal() -> DeltaProgram {
+        let mut p = program();
+        p.goal = Atom::make("q", ["X", "X"]);
+        p
     }
 
     fn facts(names: &[(&str, &[&str])]) -> Database {
@@ -449,6 +441,65 @@ mod tests {
         args.iter().map(|a| Term::constant(a)).collect()
     }
 
+    fn seed(program: DeltaProgram, db: &Database) -> (MaterializedView, AnswerDelta) {
+        MaterializedView::seed(program, db, &BuildCache::new(), 1)
+    }
+
+    /// The oracle for seeding: propagate from the empty state with every
+    /// base fact the program reads as a +1 delta.
+    fn seed_by_propagation(
+        program: DeltaProgram,
+        db: &Database,
+    ) -> (MaterializedView, AnswerDelta) {
+        let mut deltas = BaseDeltas::new();
+        for pred in &program.base {
+            for row in db.iter_rows(*pred) {
+                deltas.entry(*pred).or_default().insert(row, 1);
+            }
+        }
+        let mut view = MaterializedView {
+            program,
+            counts: HashMap::new(),
+            view: Database::new(),
+            answers: BTreeSet::new(),
+        };
+        let empty = Database::new();
+        let diff = view.propagate(
+            (&empty, &BuildCache::new()),
+            (db, &BuildCache::new()),
+            &deltas,
+        );
+        (view, diff)
+    }
+
+    /// The evaluator's seed (sequential and across three workers) must
+    /// equal the oracle's: counts per predicate and tuple, the view's
+    /// facts, the answers and the first diff.
+    fn assert_seeds_agree(program: &DeltaProgram, db: &Database, context: &str) {
+        let (oracle, oracle_diff) = seed_by_propagation(program.clone(), db);
+        let oracle_facts: BTreeSet<Atom> = oracle.view.facts().collect();
+        for threads in [1, 3] {
+            let (seeded, diff) =
+                MaterializedView::seed(program.clone(), db, &BuildCache::new(), threads);
+            let at = format!("{context}, threads {threads}");
+            // The oracle records a predicate only once it has a tuple.
+            let counts: HashMap<_, _> = seeded
+                .counts
+                .iter()
+                .filter(|(_, c)| !c.is_empty())
+                .map(|(p, c)| (*p, c.clone()))
+                .collect();
+            assert_eq!(counts, oracle.counts, "{at}: counts");
+            assert_eq!(
+                seeded.view.facts().collect::<BTreeSet<Atom>>(),
+                oracle_facts,
+                "{at}: view"
+            );
+            assert_eq!(seeded.answers, oracle.answers, "{at}: answers");
+            assert_eq!(diff, oracle_diff, "{at}: diff");
+        }
+    }
+
     #[test]
     fn seed_then_insert_then_retract() {
         let db = facts(&[
@@ -457,9 +508,7 @@ mod tests {
             ("edge", &["a", "b"]),
             ("edge", &["b", "a"]),
         ]);
-        let cache = BuildCache::new();
-        let mut view = MaterializedView::new(program());
-        let diff = view.seed(&db, &cache);
+        let (mut view, diff) = seed(program(), &db);
         assert_eq!(diff.added, vec![tup(&["a", "b"]), tup(&["b", "a"])]);
         assert!(diff.removed.is_empty());
 
@@ -468,7 +517,11 @@ mod tests {
         let mut db2 = db.clone();
         db2.insert(Atom::make("c1", ["b"]));
         let cache2 = BuildCache::new();
-        let diff = view.propagate((&db, &cache), (&db2, &cache2), &delta("c1", &["b"], 1));
+        let diff = view.propagate(
+            (&db, &BuildCache::new()),
+            (&db2, &cache2),
+            &delta("c1", &["b"], 1),
+        );
         assert!(diff.is_empty(), "support-only change must not diff");
 
         // Retract c2(b): still supported via c1(b) — no change.
@@ -502,14 +555,13 @@ mod tests {
         db3.remove(&Atom::make("c2", ["b"]));
 
         // Every non-delta step of `program()` has one key column and no
-        // filter: seed and both passes probe posting indexes only.
-        let seed_cache = BuildCache::new();
-        let mut view = MaterializedView::new(program());
-        view.seed(&db, &seed_cache);
+        // filter: both passes probe posting indexes only. (The seed is a
+        // planned program run, which builds where its plan says so.)
+        let (mut view, _) = seed(program(), &db);
         let (old, new) = (BuildCache::new(), BuildCache::new());
         let diff = view.propagate((&db, &old), (&db2, &new), &delta("c1", &["b"], 1));
         assert!(diff.is_empty());
-        assert_eq!((seed_cache.len(), old.len(), new.len()), (0, 0, 0));
+        assert_eq!((old.len(), new.len()), (0, 0));
         let (old, new) = (BuildCache::new(), BuildCache::new());
         let diff = view.propagate((&db2, &old), (&db3, &new), &delta("c2", &["b"], -1));
         assert!(diff.is_empty());
@@ -520,14 +572,7 @@ mod tests {
         // `edge(X, b)` carries a constant: once `top(c)` enters, its steps
         // fetch a build side, from the old state right of the `top` delta
         // and the new state left of it.
-        let mut p = program();
-        for atom in p.rules.iter_mut().flat_map(|r| r.body.iter_mut()) {
-            if atom.pred == Predicate::new("edge", 2) {
-                atom.args[1] = Term::constant("b");
-            }
-        }
-        let mut view = MaterializedView::new(p);
-        view.seed(&db, &BuildCache::new());
+        let (mut view, _) = seed(program_with_edge_constant(), &db);
         let mut db2 = db.clone();
         db2.insert(Atom::make("c1", ["c"]));
         let (old, new) = (BuildCache::new(), BuildCache::new());
@@ -537,18 +582,13 @@ mod tests {
 
     #[test]
     fn goal_constants_and_repeats_filter_answers() {
-        // goal q(X, X): only self-loops are answers.
-        let mut p = program();
-        p.goal = Atom::make("q", ["X", "X"]);
         let db = facts(&[
             ("c1", &["a"]),
             ("c1", &["b"]),
             ("edge", &["a", "a"]),
             ("edge", &["a", "b"]),
         ]);
-        let cache = BuildCache::new();
-        let mut view = MaterializedView::new(p);
-        let diff = view.seed(&db, &cache);
+        let (_, diff) = seed(program_with_repeated_goal(), &db);
         assert_eq!(diff.added, vec![tup(&["a", "a"])]);
     }
 
@@ -569,13 +609,10 @@ mod tests {
                 args.iter().map(|a| Term::constant(a)).collect(),
             )
         }));
-        let cache = BuildCache::new();
-        let mut seeded = MaterializedView::new(program());
-        seeded.seed(&full_db, &cache);
+        let (seeded, _) = seed(program(), &full_db);
 
-        let mut incremental = MaterializedView::new(program());
         let mut db = Database::new();
-        incremental.seed(&db, &BuildCache::new());
+        let (mut incremental, _) = seed(program(), &db);
         for (p, args) in &all {
             let atom = Atom::new(
                 Predicate::new(p, args.len()),
@@ -590,5 +627,181 @@ mod tests {
         }
         assert_eq!(seeded.answers(), incremental.answers());
         assert_eq!(seeded.support_size(), incremental.support_size());
+    }
+
+    #[test]
+    fn seeded_counts_equal_propagation_from_empty() {
+        // `top(b)` has two derivations, one per class rule, and the
+        // projection `_p(X) :- edge(X, Y)` counts one per `Y`.
+        let db = facts(&[
+            ("c1", &["a"]),
+            ("c1", &["b"]),
+            ("c2", &["b"]),
+            ("edge", &["a", "a"]),
+            ("edge", &["a", "b"]),
+            ("edge", &["b", "a"]),
+            ("edge", &["c", "b"]),
+        ]);
+        let mut projecting = program();
+        let extra = delta_program(
+            Atom::make("q", ["X", "Y"]),
+            2,
+            vec![(
+                Atom::make("top", ["X"]),
+                vec![Atom::make("edge", ["X", "Y"])],
+                0,
+            )],
+        );
+        projecting.rules.extend(extra.rules);
+        for (program, name) in [
+            (program(), "program()"),
+            (program_with_edge_constant(), "edge constant"),
+            (program_with_repeated_goal(), "repeated goal"),
+            (projecting, "projecting rule"),
+        ] {
+            assert_seeds_agree(&program, &db, name);
+        }
+    }
+
+    /// xorshift64, as in `join.rs`: the crate has no dependency to draw a
+    /// generator from.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// One of four constants (`k0..k3`), the facts' whole domain.
+    fn constant(rng: &mut Rng) -> Term {
+        Term::constant(&format!("k{}", rng.below(4)))
+    }
+
+    /// An atom over `pred` whose arguments are variables from a pool of
+    /// four (so atoms repeat variables and join) or, one in six,
+    /// constants.
+    fn random_atom(rng: &mut Rng, pred: Predicate) -> Atom {
+        let args = (0..pred.arity)
+            .map(|_| match rng.below(6) {
+                0 => constant(rng),
+                _ => Term::var(&format!("V{}", rng.below(4))),
+            })
+            .collect();
+        Atom::new(pred, args)
+    }
+
+    /// A random stratified program over `b1/1`, `b2/2`, `b3/2` and the
+    /// database it runs on. One to three levels define one or two
+    /// predicates each; a predicate has one or two rules (the second
+    /// sometimes a copy of the first, so every tuple has support two);
+    /// a rule has one to three body atoms over base predicates and lower
+    /// levels, and a head over its body variables or a constant. The
+    /// database holds one stray fact under a defined predicate, which
+    /// both seeds must ignore.
+    fn random_case(rng: &mut Rng) -> (DeltaProgram, Database) {
+        let mut readable: Vec<Predicate> = vec![
+            Predicate::new("b1", 1),
+            Predicate::new("b2", 2),
+            Predicate::new("b3", 2),
+        ];
+        let levels = 1 + rng.below(3);
+        let mut rules: Vec<(Atom, Vec<Atom>, usize)> = Vec::new();
+        let mut defined: Vec<Predicate> = Vec::new();
+        for level in 0..levels {
+            let mut this_level = Vec::new();
+            for i in 0..1 + rng.below(2) {
+                let pred = Predicate::new(&format!("d{level}_{i}"), 1 + rng.below(2));
+                for r in 0..1 + rng.below(2) {
+                    if r == 1 && rng.below(4) == 0 {
+                        let copy = rules.last().expect("a first rule").clone();
+                        rules.push(copy);
+                        continue;
+                    }
+                    let body: Vec<Atom> = (0..1 + rng.below(3))
+                        .map(|_| {
+                            let read = readable[rng.below(readable.len())];
+                            random_atom(rng, read)
+                        })
+                        .collect();
+                    let vars: Vec<Term> = body
+                        .iter()
+                        .flat_map(|a| a.args.iter())
+                        .filter(|t| t.is_var())
+                        .cloned()
+                        .collect();
+                    let head_args = (0..pred.arity)
+                        .map(|_| {
+                            if vars.is_empty() || rng.below(8) == 0 {
+                                constant(rng)
+                            } else {
+                                vars[rng.below(vars.len())].clone()
+                            }
+                        })
+                        .collect();
+                    rules.push((Atom::new(pred, head_args), body, level));
+                }
+                this_level.push(pred);
+            }
+            readable.extend(&this_level);
+            defined.extend(this_level);
+        }
+        let top = *defined.last().expect("one defined predicate per level");
+        let goal_args = match (top.arity, rng.below(3)) {
+            (2, 0) => vec![Term::var("G"), Term::var("G")],
+            (_, 1) => {
+                let mut args = vec![constant(rng)];
+                args.extend((1..top.arity).map(|i| Term::var(&format!("G{i}"))));
+                args
+            }
+            _ => (0..top.arity)
+                .map(|i| Term::var(&format!("G{i}")))
+                .collect(),
+        };
+        let program = delta_program(Atom::new(top, goal_args), levels, rules);
+
+        let mut db = Database::new();
+        for (pred, n) in [("b1", 3), ("b2", 8), ("b3", 8)] {
+            for _ in 0..n {
+                let pred = Predicate::new(pred, if pred == "b1" { 1 } else { 2 });
+                db.insert(Atom::new(
+                    pred,
+                    (0..pred.arity).map(|_| constant(rng)).collect(),
+                ));
+            }
+        }
+        let stray = defined[rng.below(defined.len())];
+        db.insert(Atom::new(
+            stray,
+            (0..stray.arity).map(|_| constant(rng)).collect(),
+        ));
+        (program, db)
+    }
+
+    #[test]
+    fn random_programs_seed_the_counts_propagation_would() {
+        let (mut supported_twice, mut answered) = (0, 0);
+        for seed in 1..=150u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let (program, db) = random_case(&mut rng);
+            assert_seeds_agree(&program, &db, &format!("seed {seed}"));
+            let (seeded, _) = MaterializedView::seed(program, &db, &BuildCache::new(), 1);
+            supported_twice += seeded
+                .counts
+                .values()
+                .flat_map(HashMap::values)
+                .filter(|&&n| n > 1)
+                .count();
+            answered += usize::from(!seeded.answers.is_empty());
+        }
+        // The generator must reach what the comparison is about.
+        assert!(supported_twice > 0, "no tuple with two derivations");
+        assert!(
+            answered > 50,
+            "only {answered} of 150 programs have answers"
+        );
     }
 }

@@ -4,10 +4,10 @@
 //!
 //! Every driver runs this kernel and differs only in *when* it compiles,
 //! *what* it feeds in and *when* it asks for the posting index: the (U)CQ
-//! executor ([`execute_cq_ordered`](crate::exec::execute_cq_ordered),
-//! which program evaluation and shaped execution also call) compiles
-//! lazily, step by step, in the planner's order, probes in morsels, and
-//! probes postings where the plan says `merge`; view maintenance
+//! executor (`exec::execute_cq_ordered`, which program evaluation and a
+//! view's seed also reach) compiles lazily, step by step, in the
+//! planner's order, probes in morsels, and probes postings where the plan
+//! says `merge`; view maintenance
 //! ([`crate::ivm`]) compiles a delta rule's steps once per pass, probes
 //! once per changed tuple, and probes postings wherever the shape has a
 //! [`posting_col`](AtomShape::posting_col). Intermediate tuples are

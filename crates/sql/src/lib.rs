@@ -30,7 +30,7 @@ pub use build_cache::BuildCache;
 pub use catalog::{Catalog, TableSchema};
 pub use ddl::{create_tables, export_database, insert_statements};
 pub use exec::{execute_ucq, execute_ucq_intra, ExecMetrics};
-pub use ivm::{AnswerDelta, BaseDeltas, IvmMetrics, MaterializedView};
+pub use ivm::{AnswerDelta, BaseDeltas, MaterializedView};
 pub use plan::{explain_cq, plan_cq_cost, plan_cq_cost_corrected, CostPlan, StepOp};
 pub use program::{
     execute_program, execute_program_shared, program_to_sql, program_to_sql_views, ProgramError,

@@ -7,10 +7,16 @@
 //! the same indexed machinery as UCQ execution:
 //!
 //! - intensional predicates are materialized **stratum by stratum**
-//!   ([`DatalogProgram::strata`]), the rules of one stratum across worker
-//!   threads, each rule body planned and run by the executor's one per-CQ
-//!   driver (`exec::run_planned`) — the same cost planner as a UCQ
-//!   disjunct, reading an intensional atom's statistics off the overlay;
+//!   ([`DatalogProgram::strata`]) by the one stratum loop, `materialize`:
+//!   the rules of one stratum run across worker threads, each rule body
+//!   planned and run by the executor's one per-CQ driver
+//!   (`exec::run_planned`) — the same cost planner as a UCQ disjunct,
+//!   reading an intensional atom's statistics off the overlay — into a
+//!   head sink, and each stratum is committed with one bulk insert;
+//! - the sink is the one difference between the two callers: a set for
+//!   [`execute_program_shared`], support counts (one per valuation) for
+//!   a standing query's seed
+//!   ([`MaterializedView::seed`](crate::MaterializedView::seed));
 //! - derived tuples live in an **overlay database layered over the base**
 //!   (the engine's layered `DataSource`) — the pinned snapshot is never
 //!   cloned or written, and base-atom build sides are served from (and
@@ -32,8 +38,8 @@ use nyaya_core::{Atom, ConjunctiveQuery, DatalogProgram, DatalogRule, Predicate,
 
 use crate::build_cache::BuildCache;
 use crate::catalog::Catalog;
-use crate::exec::{execute_cq_ordered, fan_out, run_planned, CacheTally, DataSource};
-use crate::plan::StepOp;
+use crate::exec::{fan_out, run_planned, CacheTally, DataSource};
+use crate::join::AtomShape;
 use crate::table::Database;
 use crate::translate::{cq_to_sql, sql_ident};
 
@@ -104,7 +110,7 @@ pub struct ProgramMetrics {
     pub build_cache_hits: u64,
     /// Build sides constructed.
     pub build_cache_misses: u64,
-    /// [`StepOp::Merge`] steps executed — probes of a
+    /// [`StepOp::Merge`](crate::StepOp::Merge) steps executed — probes of a
     /// column's posting index (base tables and overlay tables both
     /// maintain one).
     pub merge_joins: u64,
@@ -145,13 +151,14 @@ pub fn execute_program(
 /// never cloned or written, so program evaluation shares the pinned
 /// snapshot like any other reader.
 ///
-/// Strata are materialized in dependency order; within one stratum the
-/// rules are independent (a stratification never puts a predicate in the
-/// same level as one it reads) and run across up to `threads` workers.
-/// Base-atom build sides are served from the caller's `base_cache` —
-/// typically a snapshot's persistent cache, shared with UCQ executions —
-/// while overlay atoms use a private per-run cache (derived tables exist
-/// only for the duration of this call).
+/// Strata are materialized in dependency order by `materialize` with a
+/// set sink; within one stratum the rules are independent (a
+/// stratification never puts a predicate in the same level as one it
+/// reads) and run across up to `threads` workers. Base-atom build sides
+/// are served from the caller's `base_cache` — typically a snapshot's
+/// persistent cache, shared with UCQ executions — while overlay atoms use
+/// a private per-run cache (derived tables exist only for the duration of
+/// this call).
 pub fn execute_program_shared(
     base: &Database,
     program: &DatalogProgram,
@@ -160,28 +167,64 @@ pub fn execute_program_shared(
 ) -> Result<(BTreeSet<Vec<Term>>, ProgramMetrics), ProgramError> {
     let start = Instant::now();
     let strata = validated_strata(program)?;
-    let intensional = program.defined_predicates();
     let mut metrics = ProgramMetrics {
         rules: program.rules.len(),
         strata: strata.len(),
         threads: 1,
         ..ProgramMetrics::default()
     };
-    if !intensional.contains(&program.goal.pred) {
+    if !program.defined_predicates().contains(&program.goal.pred) {
         // Unsatisfiable program: no rule ever derives the goal.
         metrics.elapsed = start.elapsed();
         return Ok((BTreeSet::new(), metrics));
     }
 
-    let overlay_cache = BuildCache::new();
     let tally = CacheTally::default();
-    let mut overlay = Database::new();
+    let commit = |pred, rows: BTreeSet<Vec<Term>>, entering: &mut Vec<Atom>| {
+        entering.extend(rows.into_iter().map(|row| Atom::new(pred, row)))
+    };
+    let (overlay, answers, workers) =
+        materialize(base, base_cache, program, &strata, threads, &tally, commit);
+    metrics.threads = workers;
+    metrics.materialized_tuples = overlay.len();
+    metrics.rows = answers.len();
+    metrics.build_cache_hits = tally.hits.load(Ordering::Relaxed);
+    metrics.build_cache_misses = tally.misses.load(Ordering::Relaxed);
+    metrics.merge_joins = tally.merges.load(Ordering::Relaxed);
+    metrics.morsel_tasks = tally.morsels.load(Ordering::Relaxed);
+    metrics.elapsed = start.elapsed();
+    Ok((answers, metrics))
+}
 
-    for level in &strata {
-        // The overlay is frozen for the duration of one stratum: rules of
-        // this level only read strictly lower levels (and the base), so
-        // evaluating them concurrently against the same view is sound and
-        // deterministic.
+/// The one stratum loop: materialize `program`'s rules over `base`,
+/// stratum by stratum in the order of `strata` (the program's
+/// [`DatalogProgram::strata`]), into an overlay of its defined predicates,
+/// and return the overlay, the answers (the goal relation's tuples that
+/// match the goal atom's constants and repeated variables) and the most
+/// workers a stratum used.
+///
+/// Each rule body is planned and run by `exec::run_planned` into a fresh
+/// head sink `S` — a set for program evaluation, support counts for a
+/// view's seed. Once a stratum's rules have run (across up to `threads`
+/// workers), `commit` receives each rule's sink in rule order and pushes
+/// the facts entering the overlay, and the stratum is written with one
+/// [`Database::insert_all`]. Rules of a stratum read only the base and
+/// strictly lower strata, so the overlay (and every build over it) is
+/// final before anything reads it.
+pub(crate) fn materialize<S: Default + Extend<Vec<Term>> + Send>(
+    base: &Database,
+    base_cache: &BuildCache,
+    program: &DatalogProgram,
+    strata: &[Vec<Predicate>],
+    threads: usize,
+    tally: &CacheTally,
+    mut commit: impl FnMut(Predicate, S, &mut Vec<Atom>),
+) -> (Database, BTreeSet<Vec<Term>>, usize) {
+    let intensional = program.defined_predicates();
+    let mut overlay = Database::new();
+    let overlay_cache = BuildCache::new();
+    let mut workers = 1;
+    for level in strata {
         let rules: Vec<&DatalogRule> = program
             .rules
             .iter()
@@ -194,45 +237,30 @@ pub fn execute_program_shared(
             overlay_cache: &overlay_cache,
             intensional: &intensional,
         };
-        let run_rule = |rule: &DatalogRule| -> BTreeSet<Vec<Term>> {
-            let q = ConjunctiveQuery::new(rule.head.args.clone(), rule.body.clone());
-            run_planned(&src, &q, 1.0, &tally, 1)
-        };
-        type Derived = Vec<(Predicate, BTreeSet<Vec<Term>>)>;
-        let (results, workers) = fan_out(&rules, threads, |results: &mut Derived, part| {
-            results.extend(part.iter().map(|rule| (rule.head.pred, run_rule(rule))));
+        let (derived, used) = fan_out(&rules, threads, |out: &mut Vec<(Predicate, S)>, part| {
+            for rule in part {
+                let q = ConjunctiveQuery::new(rule.head.args.clone(), rule.body.clone());
+                let mut sink = S::default();
+                run_planned(&src, &q, 1.0, tally, 1, &mut sink);
+                out.push((rule.head.pred, sink));
+            }
         });
-        metrics.threads = metrics.threads.max(workers);
-        // Merge in rule order (the fan-out preserves it), so the
+        workers = workers.max(used);
+        // Commit in rule order (the fan-out preserves it), so the
         // overlay's row numbering — and therefore every downstream join —
         // is identical whether one worker materialized the stratum or many.
-        for (pred, rows) in results {
-            for row in rows {
-                if overlay.insert(Atom::new(pred, row)) {
-                    metrics.materialized_tuples += 1;
-                }
-            }
+        let mut entering = Vec::new();
+        for (pred, sink) in derived {
+            commit(pred, sink, &mut entering);
         }
+        overlay.insert_all(entering);
     }
-
-    // The goal answers are the goal predicate's derived table, projected
-    // through the goal atom (which may repeat variables or hold constants).
-    let goal_q = ConjunctiveQuery::new(program.goal.args.clone(), vec![program.goal.clone()]);
-    let src = DataSource::Layered {
-        base,
-        base_cache,
-        overlay: &overlay,
-        overlay_cache: &overlay_cache,
-        intensional: &intensional,
-    };
-    let answers = execute_cq_ordered(&src, &goal_q, &[0], &[StepOp::Scan], &tally, 1);
-    metrics.rows = answers.len();
-    metrics.build_cache_hits = tally.hits.load(Ordering::Relaxed);
-    metrics.build_cache_misses = tally.misses.load(Ordering::Relaxed);
-    metrics.merge_joins = tally.merges.load(Ordering::Relaxed);
-    metrics.morsel_tasks = tally.morsels.load(Ordering::Relaxed);
-    metrics.elapsed = start.elapsed();
-    Ok((answers, metrics))
+    // With nothing bound, the goal atom's shape is the filter its
+    // relation's tuples must pass to be answers.
+    let goal = AtomShape::of(&program.goal, |_| None);
+    let answers = overlay.iter_rows(program.goal.pred);
+    let answers = answers.filter(|tuple| goal.admits(tuple)).collect();
+    (overlay, answers, workers)
 }
 
 /// Pre-flight for SQL emission: reject rules with terms SQL cannot

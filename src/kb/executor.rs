@@ -96,7 +96,7 @@ pub const PARALLEL_THRESHOLD: usize = 32;
 /// are in docs/ARCHITECTURE.md, "One join step and who drives it". Tiny
 /// intermediates never spawn (the engine's 2-morsel floor), so point
 /// queries stay sequential.
-fn thread_budgets(width: usize) -> (usize, usize) {
+pub(super) fn thread_budgets(width: usize) -> (usize, usize) {
     let avail = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
     if width >= PARALLEL_THRESHOLD {
         (avail, 1)

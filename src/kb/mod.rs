@@ -85,7 +85,7 @@ use nyaya_sql::{
 
 use cache::QueryEntry;
 use durability::Durability;
-use executor::Target;
+use executor::{thread_budgets, Target};
 use subscribe::SubscriptionInner;
 use update::replay;
 
@@ -1344,8 +1344,11 @@ impl KnowledgeBase {
         let current = self.snapshot();
         let seed_epoch = from.unwrap_or_else(|| current.epoch());
         let base = self.snapshot_at(seed_epoch)?;
-        let mut view = MaterializedView::new(program);
-        let seeded = view.seed(base.database(), base.build_cache());
+        // The seed is a program run: the facade's program budget applies.
+        let rules = program.rules.iter().filter(|r| r.delta_idx == 0).count();
+        let (threads, _) = thread_budgets(rules);
+        let (mut view, seeded) =
+            MaterializedView::seed(program, base.database(), base.build_cache(), threads);
         let mut pending = VecDeque::new();
         pending.push_back(AnswerDiff {
             epoch: seed_epoch,

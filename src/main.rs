@@ -27,7 +27,7 @@ use std::io::BufRead;
 use std::process::ExitCode;
 
 use nyaya::chase::ChaseConfig;
-use nyaya::core::{AggFunc, Aggregate, Atom, ColumnFilter, FilterOp, SelectOptions, SortDir, Term};
+use nyaya::core::{AggFunc, Aggregate, ColumnFilter, FilterOp, SelectOptions, SortDir, Term};
 use nyaya::kb::json_escape;
 use nyaya::rewrite::ProgramStrategy;
 use nyaya::sql::{program_to_sql, program_to_sql_views};
@@ -791,18 +791,13 @@ fn cmd_watch(kb: &KnowledgeBase, options: &Options) -> Result<(), String> {
                 continue;
             }
         };
-        match parse_fact(text) {
+        match nyaya::serving::parse_fact(text) {
             Ok(fact) if sign => batch = batch.insert(fact),
             Ok(fact) => batch = batch.retract(fact),
             Err(e) => eprintln!("% ignored: {e}"),
         }
     }
     Ok(())
-}
-
-/// Parse one ground fact from a `watch` stdin line (trailing `.` optional).
-fn parse_fact(text: &str) -> Result<Atom, String> {
-    nyaya::serving::parse_fact(text)
 }
 
 /// SIGINT/SIGTERM latch for graceful `serve` shutdown. The handler only

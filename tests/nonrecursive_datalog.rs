@@ -167,3 +167,92 @@ fn x_variant_programs_stay_sound() {
         );
     }
 }
+
+/// The public-API guard on a seeded view's support counts. Every V/S/U/A/P5
+/// query under the size cap is subscribed over its generated ABox, then the
+/// ABox is retracted in four batches. At every epoch the replayed diffs
+/// equal re-execution, and at the end the view is empty: a count too high
+/// leaves a tuple behind, a count too low drops one early (a removal of an
+/// absent tuple, or a replayed set short of re-execution).
+#[test]
+fn seeded_views_drain_to_empty_on_every_suite_cell() {
+    use std::collections::BTreeSet;
+
+    use nyaya::core::Term;
+    use nyaya::{AnswerDiff, KnowledgeBase, UpdateBatch};
+
+    fn replay(replayed: &mut BTreeSet<Vec<Term>>, diff: &AnswerDiff, at: &str) {
+        for tuple in &diff.added {
+            assert!(
+                replayed.insert(tuple.clone()),
+                "{at}: added twice {tuple:?}"
+            );
+        }
+        for tuple in &diff.removed {
+            assert!(replayed.remove(tuple), "{at}: removed absent {tuple:?}");
+        }
+    }
+
+    // Rewriting these cells takes 1–30 s each in debug (A-q4 only to find
+    // it over the cap); the release run covers them.
+    const HEAVY_IN_DEBUG: [&str; 4] = ["A q3", "A q4", "A q5", "P5 q5"];
+    // Dense enough that most cells have answers to drain.
+    let config = AboxConfig {
+        individuals: 50,
+        facts: 2_000,
+        seed: 20260610,
+    };
+    for id in [
+        BenchmarkId::V,
+        BenchmarkId::S,
+        BenchmarkId::U,
+        BenchmarkId::A,
+        BenchmarkId::P5,
+    ] {
+        let bench = load(id);
+        let facts = generate_abox(&bench, &config);
+        let kb = KnowledgeBase::builder()
+            .ontology(bench.raw.clone())
+            .facts(facts.iter().cloned())
+            .build()
+            .expect("suite ontology builds");
+        let mut cells = Vec::new();
+        for (name, q) in &bench.queries {
+            let cell = format!("{id} {name}");
+            if cfg!(debug_assertions) && HEAVY_IN_DEBUG.contains(&cell.as_str()) {
+                continue;
+            }
+            let query = kb.prepare(q).expect("suite query prepares");
+            if kb.rewriting(&query).expect("rewrites").ucq.size() > 500 {
+                continue;
+            }
+            let sub = kb.subscribe(&query).expect("suite program subscribes");
+            cells.push((cell, query, sub, BTreeSet::new()));
+        }
+        let batches = facts.chunks(facts.len().div_ceil(4));
+        for (i, batch) in std::iter::once(&[][..]).chain(batches).enumerate() {
+            if i > 0 {
+                kb.apply(UpdateBatch::new().retract_all(batch.iter().cloned()))
+                    .expect("retraction applies");
+            }
+            for (cell, query, sub, replayed) in &mut cells {
+                let at = format!("{cell}, batch {i}");
+                for diff in sub.poll() {
+                    replay(replayed, &diff, &at);
+                }
+                assert_eq!(
+                    *replayed,
+                    kb.execute(query).expect("executes").tuples,
+                    "{at}"
+                );
+            }
+        }
+        for (cell, _, sub, replayed) in &cells {
+            assert!(
+                replayed.is_empty(),
+                "{cell}: the drained view kept {replayed:?}"
+            );
+            assert!(sub.current().is_empty(), "{cell}");
+        }
+    }
+}
