@@ -21,7 +21,9 @@
 //! - the syntactic Datalog± language [`classes`] (linear, guarded,
 //!   weakly-acyclic, sticky, sticky-join);
 //! - [`normalize()`]: the Lemma 1/2 transformation to single-head,
-//!   single-existential TGDs.
+//!   single-existential TGDs;
+//! - [`par`]: the one fork-join every parallel path of the workspace
+//!   splits work through, and the host's core count it defaults to.
 
 pub mod affected;
 pub mod atom;
@@ -32,6 +34,7 @@ pub mod datalog;
 pub mod homomorphism;
 pub mod minimize;
 pub mod normalize;
+pub mod par;
 pub mod query;
 pub mod select;
 pub mod signature;

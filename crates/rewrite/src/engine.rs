@@ -22,6 +22,7 @@
 
 use std::collections::HashSet;
 
+use nyaya_core::par::cores;
 use nyaya_core::{
     exists_homomorphism, ConjunctiveQuery, NegativeConstraint, Predicate, Tgd, UnionQuery,
 };
@@ -51,9 +52,11 @@ pub struct RewriteOptions {
     /// a CQ mentioning a predicate the database can never store is
     /// unsatisfiable and can be dropped from the output.
     pub hidden_predicates: HashSet<Predicate>,
-    /// Exploration workers (1 = sequential). Results are bit-identical to
-    /// the sequential path for every run that completes within budget —
-    /// see the [`worklist`] determinism notes.
+    /// The most workers a frontier round is split across (1 = always
+    /// sequential; default [`cores`]). Only rounds of at least
+    /// [`worklist::SPLIT_FRONTIER`] queries split. Results are
+    /// bit-identical to the sequential path for every run that completes
+    /// within budget — see the [`worklist`] determinism notes.
     pub parallel_workers: usize,
     /// Post-process the final union with signature-indexed subsumption
     /// ([`crate::minimize_union`]), recording the check counters in
@@ -69,7 +72,7 @@ impl Default for RewriteOptions {
             nc_pruning: false,
             max_queries: 500_000,
             hidden_predicates: HashSet::new(),
-            parallel_workers: 1,
+            parallel_workers: cores(),
             minimize: false,
         }
     }
@@ -93,10 +96,10 @@ impl RewriteOptions {
 /// Counters describing a rewriting run.
 ///
 /// For any run that completes within budget every field except
-/// [`rewrite_micros`](Self::rewrite_micros) and the
-/// [`workers`](Self::workers) configuration echo is independent of the
-/// exploration order, so sequential and parallel runs of the same input
-/// report identical counters once those two fields are set aside.
+/// [`rewrite_micros`](Self::rewrite_micros) and
+/// [`workers`](Self::workers) is independent of the exploration order, so
+/// sequential and parallel runs of the same input report identical
+/// counters once those two fields are set aside.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RewriteStats {
     /// Distinct queries explored (processed through both steps).
@@ -115,7 +118,8 @@ pub struct RewriteStats {
     pub dedup_hits: usize,
     /// Breadth-first frontier rounds until the fixpoint.
     pub frontier_rounds: usize,
-    /// Exploration workers the run was configured with.
+    /// The most workers any frontier round actually ran on (1 when no
+    /// round split).
     pub workers: usize,
     /// Wall-clock of the whole compile, in microseconds.
     pub rewrite_micros: u64,
@@ -179,6 +183,19 @@ pub fn tgd_rewrite_with(
     options: &RewriteOptions,
     elim_ctx: Option<&EliminationContext>,
 ) -> Result<Rewriting, RewriteError> {
+    tgd_rewrite_split(q, tgds, ncs, options, elim_ctx, worklist::SPLIT_FRONTIER)
+}
+
+/// [`tgd_rewrite_with`], splitting frontier rounds of at least `split_at`
+/// queries (see [`worklist::run_split`]).
+pub(crate) fn tgd_rewrite_split(
+    q: &ConjunctiveQuery,
+    tgds: &[Tgd],
+    ncs: &[NegativeConstraint],
+    options: &RewriteOptions,
+    elim_ctx: Option<&EliminationContext>,
+    split_at: usize,
+) -> Result<Rewriting, RewriteError> {
     let owned_ctx;
     let owned_sigma;
     let (sigma, elim_ctx) = match elim_ctx {
@@ -202,7 +219,7 @@ pub fn tgd_rewrite_with(
         nc_pruning: options.nc_pruning,
         elim_ctx,
     };
-    worklist::run(q.clone(), &expander, options)
+    worklist::run_split(q.clone(), &expander, options, split_at)
 }
 
 /// The Algorithm 1 expansion relation: restricted factorization (label 0)
@@ -573,16 +590,12 @@ mod tests {
         ];
         let q = cq(&["A"], &[("t", &["A", "B", "C"]), ("r", &["B", "C"])]);
         let seq = tgd_rewrite(&q, &tgds, &[], &RewriteOptions::nyaya()).unwrap();
-        let par = tgd_rewrite(
-            &q,
-            &tgds,
-            &[],
-            &RewriteOptions {
-                parallel_workers: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let options = RewriteOptions {
+            parallel_workers: 4,
+            ..Default::default()
+        };
+        let par = tgd_rewrite_split(&q, &tgds, &[], &options, None, 2).unwrap();
+        assert!(par.stats.workers > 1, "no round split: {:?}", par.stats);
         assert_eq!(seq.ucq.to_string(), par.ucq.to_string());
         let mut seq_stats = seq.stats.clone();
         let mut par_stats = par.stats.clone();

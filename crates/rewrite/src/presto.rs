@@ -40,9 +40,10 @@ use nyaya_core::{
 };
 
 use crate::elimination::{DependencyGraph, EliminationContext};
-use crate::engine::{tgd_rewrite_with, RewriteOptions, RewriteStats, Rewriting};
+use crate::engine::{tgd_rewrite_split, RewriteOptions, RewriteStats};
 use crate::error::RewriteError;
 use crate::program_opt::{optimize_program, ProgramOptStats};
+use crate::worklist::SPLIT_FRONTIER;
 
 /// How [`nr_datalog_rewrite`] built the program.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -94,14 +95,28 @@ pub fn nr_datalog_rewrite(
 }
 
 /// [`nr_datalog_rewrite`] with a caller-supplied [`EliminationContext`]
-/// (same contract as [`tgd_rewrite_with`]: the context must come from the
-/// same `tgds`, and is only consulted when `options.elimination` is set).
+/// (same contract as [`tgd_rewrite_with`](crate::tgd_rewrite_with): the
+/// context must come from the same `tgds`, and is only consulted when
+/// `options.elimination` is set).
 pub fn nr_datalog_rewrite_with(
     q: &ConjunctiveQuery,
     tgds: &[Tgd],
     ncs: &[NegativeConstraint],
     options: &RewriteOptions,
     elim_ctx: Option<&EliminationContext>,
+) -> Result<ProgramRewriting, RewriteError> {
+    nr_datalog_rewrite_split(q, tgds, ncs, options, elim_ctx, SPLIT_FRONTIER)
+}
+
+/// [`nr_datalog_rewrite_with`], splitting frontier rounds of at least
+/// `split_at` queries (see [`worklist::run_split`](crate::worklist::run_split)).
+pub(crate) fn nr_datalog_rewrite_split(
+    q: &ConjunctiveQuery,
+    tgds: &[Tgd],
+    ncs: &[NegativeConstraint],
+    options: &RewriteOptions,
+    elim_ctx: Option<&EliminationContext>,
+    split_at: usize,
 ) -> Result<ProgramRewriting, RewriteError> {
     // Query elimination must see the *whole* body — an atom can only be
     // covered by another atom of the same query (Definition 5), so it is
@@ -135,7 +150,7 @@ pub fn nr_datalog_rewrite_with(
         // program starts as the monolithic UCQ, one rule per CQ, and the
         // optimizer's factoring pass re-hides whatever nested products the
         // DNF unfolded.
-        let rewriting = tgd_rewrite_with(q, tgds, ncs, options, elim_ctx)?;
+        let rewriting = tgd_rewrite_split(q, tgds, ncs, options, elim_ctx, split_at)?;
         let estimated_dnf = rewriting.ucq.size();
         let rules = rewriting
             .ucq
@@ -150,77 +165,22 @@ pub fn nr_datalog_rewrite_with(
         ));
     }
 
-    // Rewrite the clusters through the shared worklist core — concurrently
-    // when the caller configured exploration workers. Each cluster's run
-    // inherits the full options (signature-sharded table, budget,
-    // elimination, inner workers); results are consumed in cluster order
-    // and the fresh definition predicates are minted *after* the parallel
-    // section, so a parallel compile produces the identical program
-    // (modulo the globally-fresh names, which
-    // `DatalogProgram::canonical_text` erases) and identical stats.
-    let inputs: Vec<(ConjunctiveQuery, Vec<Term>)> = clusters
-        .iter()
-        .map(|cluster| {
-            let atoms: Vec<Atom> = cluster.iter().map(|&i| q.body[i].clone()).collect();
-            let exported = exported_vars(q, cluster);
-            let head_terms: Vec<Term> = exported.iter().map(|&v| Term::Var(v)).collect();
-            (ConjunctiveQuery::new(head_terms.clone(), atoms), head_terms)
-        })
-        .collect();
-    let workers = options.parallel_workers.max(1).min(inputs.len());
-    let rewritings: Vec<Result<Rewriting, RewriteError>> = if workers <= 1 {
-        // Lazy in cluster order: stop at the first error or provably-dead
-        // cluster (its empty rewriting already decides the whole program —
-        // one dead conjunct kills every disjunct of the product), so a
-        // blowup cell later in the body is never explored. The consumption
-        // loop below stops at the same element in the parallel path, so
-        // the accumulated stats stay bit-identical either way.
-        let mut out = Vec::with_capacity(inputs.len());
-        for (def_q, _) in &inputs {
-            let r = tgd_rewrite_with(def_q, tgds, ncs, options, elim_ctx);
-            let stop = match &r {
-                Err(_) => true,
-                Ok(rewriting) => rewriting.ucq.is_empty(),
-            };
-            out.push(r);
-            if stop {
-                break;
-            }
-        }
-        out
-    } else {
-        let chunk = inputs.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = inputs
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        part.iter()
-                            .map(|(def_q, _)| tgd_rewrite_with(def_q, tgds, ncs, options, elim_ctx))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("cluster rewriting worker panicked"))
-                .collect()
-        })
-    };
-
-    let mut rules = Vec::new();
-    let mut goal_body = Vec::new();
-    let mut stats = RewriteStats {
-        workers: options.parallel_workers.max(1),
-        ..RewriteStats::default()
-    };
-    let mut estimated_dnf = 1usize;
+    // Rewrite the clusters in order through the shared worklist core, each
+    // run splitting its own large frontier rounds. Stop at the first
+    // provably-dead cluster: its empty rewriting already decides the whole
+    // program — one dead conjunct kills every disjunct of the product — so
+    // a blowup cell later in the body is never explored.
     let n_clusters = clusters.len();
-    for (rewriting, (_, head_terms)) in rewritings.into_iter().zip(inputs) {
-        let rewriting = rewriting?;
+    let mut stats = RewriteStats::default();
+    let mut parts = Vec::with_capacity(n_clusters);
+    for cluster in &clusters {
+        let atoms: Vec<Atom> = cluster.iter().map(|&i| q.body[i].clone()).collect();
+        let exported = exported_vars(q, cluster);
+        let head_terms: Vec<Term> = exported.iter().map(|&v| Term::Var(v)).collect();
+        let def_q = ConjunctiveQuery::new(head_terms.clone(), atoms);
+        let rewriting = tgd_rewrite_split(&def_q, tgds, ncs, options, elim_ctx, split_at)?;
         accumulate(&mut stats, &rewriting.stats);
         if rewriting.ucq.is_empty() {
-            // One dead cluster kills every disjunct of the product.
             return Ok(finish(
                 DatalogProgram::unsatisfiable(goal),
                 ProgramStrategy::Clustered {
@@ -230,12 +190,22 @@ pub fn nr_datalog_rewrite_with(
                 stats,
             ));
         }
-        estimated_dnf = estimated_dnf.saturating_mul(rewriting.ucq.size());
+        parts.push((rewriting.ucq, head_terms));
+    }
+
+    // The definition predicates are interned only once every cluster is
+    // rewritten, which interns names of its own: symbol indices follow
+    // interning order, and the golden files spell them out.
+    let mut rules = Vec::new();
+    let mut goal_body = Vec::new();
+    let mut estimated_dnf = 1usize;
+    for (ucq, head_terms) in parts {
+        estimated_dnf = estimated_dnf.saturating_mul(ucq.size());
         let def_pred = Predicate {
             sym: nyaya_core::symbols::fresh("def"),
             arity: head_terms.len(),
         };
-        for cq in rewriting.ucq.iter() {
+        for cq in ucq.iter() {
             rules.push(DatalogRule::new(
                 Atom::new(def_pred, cq.head.clone()),
                 cq.body.clone(),
@@ -701,5 +671,64 @@ mod tests {
         let pr = nr_datalog_rewrite(&q, &tgds, &[], &RewriteOptions::nyaya()).unwrap();
         let expanded = pr.program.expand();
         assert_eq!(expanded.size(), 2); // q(A) and s(A)
+    }
+
+    /// A program compile that splits every frontier round of two or more
+    /// queries across four workers is bit-identical to the sequential
+    /// compile on seeded random ontologies: rule content and order (the
+    /// fresh predicate names erased), strategy, estimated DNF, optimizer
+    /// counters and engine stats (wall-clock and worker count aside).
+    #[test]
+    fn parallel_program_compiles_are_bit_identical_on_fuzz_ontologies() {
+        use nyaya_ontologies::rng::Prng;
+        use nyaya_ontologies::{random_cq, random_linear_tgds, FuzzConfig};
+
+        let config = FuzzConfig {
+            max_atoms: 4,
+            ..Default::default()
+        };
+        let options = |workers| RewriteOptions {
+            max_queries: 30_000,
+            parallel_workers: workers,
+            ..Default::default()
+        };
+        let (mut clustered, mut split) = (0usize, 0usize);
+        for seed in 0..150u64 {
+            let mut rng = Prng::seed_from_u64(0xC1A5 ^ seed);
+            let tgds = random_linear_tgds(&mut rng, 1 + (seed as usize % 6));
+            let head_arity = rng.gen_range(0..3);
+            let q = random_cq(&mut rng, &config, head_arity);
+            let compile =
+                |workers| nr_datalog_rewrite_split(&q, &tgds, &[], &options(workers), None, 2);
+            let seq = match compile(1) {
+                Ok(pr) if !pr.stats.budget_exhausted => pr,
+                _ => continue,
+            };
+            let par = compile(4).unwrap();
+            assert_eq!(
+                seq.program.canonical_text(),
+                par.program.canonical_text(),
+                "seed {seed}: parallel program differs from sequential"
+            );
+            assert_eq!(seq.strategy, par.strategy, "seed {seed}");
+            assert_eq!(seq.estimated_dnf, par.estimated_dnf, "seed {seed}");
+            assert_eq!(seq.opt, par.opt, "seed {seed}: optimizer counters differ");
+            let comparable = |stats: &RewriteStats| RewriteStats {
+                rewrite_micros: 0,
+                workers: 0,
+                ..stats.clone()
+            };
+            assert_eq!(
+                comparable(&seq.stats),
+                comparable(&par.stats),
+                "seed {seed}: engine stats differ"
+            );
+            clustered += usize::from(matches!(seq.strategy, ProgramStrategy::Clustered { .. }));
+            split += usize::from(par.stats.workers > 1);
+        }
+        // Multi-atom fuzz queries decompose often (100 of the 150), and 18
+        // compiles reach a round of two or more queries.
+        assert!(clustered >= 30, "too few clustered programs: {clustered}");
+        assert!(split >= 10, "only {split} compiles split a round");
     }
 }

@@ -36,8 +36,19 @@ pub fn quonto_rewrite(
     tgds: &[Tgd],
     options: &RewriteOptions,
 ) -> Result<Rewriting, RewriteError> {
+    quonto_rewrite_split(q, tgds, options, worklist::SPLIT_FRONTIER)
+}
+
+/// [`quonto_rewrite`], splitting frontier rounds of at least `split_at`
+/// queries (see [`worklist::run_split`]).
+pub(crate) fn quonto_rewrite_split(
+    q: &ConjunctiveQuery,
+    tgds: &[Tgd],
+    options: &RewriteOptions,
+    split_at: usize,
+) -> Result<Rewriting, RewriteError> {
     let sigma = CompiledSigma::new("quonto_rewrite", tgds)?;
-    worklist::run(q.clone(), &QuontoExpander { sigma }, options)
+    worklist::run_split(q.clone(), &QuontoExpander { sigma }, options, split_at)
 }
 
 /// The PerfectRef expansion: atom-at-a-time rewriting plus the exhaustive
@@ -197,18 +208,16 @@ mod tests {
         let tgds = vec![
             tgd(&[("s", &["X"])], &[("t", &["X", "X", "Z"])]),
             tgd(&[("t", &["X", "Y", "Z"])], &[("r", &["Y", "Z"])]),
+            tgd(&[("p", &["X"])], &[("t", &["X", "X", "Y"])]),
         ];
         let q = cq(&[], &[("t", &["A", "B", "C"]), ("r", &["B", "C"])]);
         let seq = quonto_rewrite(&q, &tgds, &opts(100_000)).unwrap();
-        let par = quonto_rewrite(
-            &q,
-            &tgds,
-            &RewriteOptions {
-                parallel_workers: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let options = RewriteOptions {
+            parallel_workers: 4,
+            ..Default::default()
+        };
+        let par = quonto_rewrite_split(&q, &tgds, &options, 2).unwrap();
+        assert!(par.stats.workers > 1, "no round split: {:?}", par.stats);
         assert_eq!(seq.ucq.to_string(), par.ucq.to_string());
     }
 }

@@ -97,6 +97,17 @@ pub fn requiem_rewrite(
     tgds: &[Tgd],
     options: &RewriteOptions,
 ) -> Result<Rewriting, RewriteError> {
+    requiem_rewrite_split(q, tgds, options, worklist::SPLIT_FRONTIER)
+}
+
+/// [`requiem_rewrite`], splitting frontier rounds of at least `split_at`
+/// queries (see [`worklist::run_split`]).
+pub(crate) fn requiem_rewrite_split(
+    q: &ConjunctiveQuery,
+    tgds: &[Tgd],
+    options: &RewriteOptions,
+    split_at: usize,
+) -> Result<Rewriting, RewriteError> {
     ensure_normalized("requiem_rewrite", tgds)?;
     let rules = skolemize(tgds);
     // Requiem bounds Skolem nesting: for DL-Lite-shaped (normalized linear)
@@ -108,7 +119,7 @@ pub fn requiem_rewrite(
         rules,
         max_depth: 2,
     };
-    worklist::run(q.clone(), &expander, options)
+    worklist::run_split(q.clone(), &expander, options, split_at)
 }
 
 /// Binary resolution of one body atom against one Skolemized rule head;
@@ -299,15 +310,12 @@ mod tests {
         ];
         let q = cq(&[], &[("t", &["A", "B"]), ("s", &["B"])]);
         let seq = requiem_rewrite(&q, &tgds, &opts(100_000)).unwrap();
-        let par = requiem_rewrite(
-            &q,
-            &tgds,
-            &RewriteOptions {
-                parallel_workers: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let options = RewriteOptions {
+            parallel_workers: 4,
+            ..Default::default()
+        };
+        let par = requiem_rewrite_split(&q, &tgds, &options, 2).unwrap();
+        assert!(par.stats.workers > 1, "no round split: {:?}", par.stats);
         assert_eq!(seq.ucq.to_string(), par.ucq.to_string());
     }
 }

@@ -38,14 +38,16 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use nyaya_core::par::cores;
+
 use crate::protocol::{write_frame, Request, Response};
 use crate::Backend;
 
 /// How the server listens and schedules.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads popping the connection queue. Defaults to the
-    /// available parallelism (thread-per-core).
+    /// Worker threads popping the connection queue. Defaults to
+    /// [`cores`] (thread-per-core, at least 2).
     pub workers: usize,
     /// Per-frame payload bound; see `protocol::DEFAULT_MAX_FRAME`.
     pub max_frame: usize,
@@ -57,7 +59,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            workers: cores(),
             max_frame: crate::protocol::DEFAULT_MAX_FRAME,
             poll: Duration::from_millis(5),
         }

@@ -50,6 +50,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use nyaya_core::par::fan_out;
 use nyaya_core::{ConjunctiveQuery, Predicate, Symbol, Term, UnionQuery};
 
 use crate::build_cache::BuildCache;
@@ -95,54 +96,6 @@ impl CacheTally {
 /// side bucket walks, output run) cache-resident, and the batch is the
 /// unit the intra-query parallel path hands to worker threads.
 pub(crate) const MORSEL: usize = 1024;
-
-/// The engine's one worker fan-out: fold contiguous chunks of `items` into
-/// per-worker accumulators on up to `workers` scoped threads, then
-/// concatenate the accumulators in item order. Returns the merged
-/// accumulator and the number of workers that actually ran.
-///
-/// The budget is clamped to the item count and then to the chunks
-/// ceil-division really produces (72 items over 10 workers chunk by 8,
-/// which leaves 9), so callers report the workers used, not requested.
-/// With one worker `fold` streams all of `items` into the single
-/// accumulator on the caller's thread — no spawn, no per-chunk result.
-/// A worker's panic is re-raised here with its original payload.
-pub(crate) fn fan_out<T, A, F>(items: &[T], workers: usize, fold: F) -> (A, usize)
-where
-    T: Sync,
-    A: Default + Extend<<A as IntoIterator>::Item> + IntoIterator + Send,
-    F: Fn(&mut A, &[T]) + Sync,
-{
-    let requested = workers.clamp(1, items.len().max(1));
-    let mut out = A::default();
-    if requested <= 1 {
-        fold(&mut out, items);
-        return (out, 1);
-    }
-    let chunk_size = items.len().div_ceil(requested);
-    let used = std::thread::scope(|scope| {
-        let fold = &fold;
-        let handles: Vec<_> = items
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut local = A::default();
-                    fold(&mut local, chunk);
-                    local
-                })
-            })
-            .collect();
-        let used = handles.len();
-        for handle in handles {
-            match handle.join() {
-                Ok(local) => out.extend(local),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        used
-    });
-    (out, used)
-}
 
 /// Drive one join step's probe loop in [`MORSEL`]-row batches, optionally
 /// splitting the probe side across `intra` worker threads.
@@ -425,33 +378,6 @@ mod tests {
     use crate::reference;
     use crate::test_support::{cq, execute_one, sample_db};
     use nyaya_core::Atom;
-
-    #[test]
-    fn fan_out_chunks_contiguously_and_reports_workers_used() {
-        let items: Vec<u32> = (0..72).collect();
-        let collect = |out: &mut Vec<u32>, chunk: &[u32]| out.extend(chunk);
-        for (workers, used) in [(0, 1), (1, 1), (3, 3), (10, 9), (500, 72)] {
-            let (out, ran): (Vec<u32>, usize) = fan_out(&items, workers, collect);
-            assert_eq!((out, ran), (items.clone(), used), "workers={workers}");
-        }
-        let (out, ran): (Vec<u32>, usize) = fan_out(&[], 4, collect);
-        assert_eq!((out, ran), (Vec::new(), 1));
-    }
-
-    /// A worker's panic reaches the caller with its original payload, not
-    /// a message made up at the join site.
-    #[test]
-    fn fan_out_re_raises_a_worker_panic_with_its_payload() {
-        let caught = std::panic::catch_unwind(|| {
-            fan_out(&[1, 2], 2, |_: &mut Vec<u32>, chunk: &[u32]| {
-                if chunk == [2] {
-                    panic!("boom");
-                }
-            })
-        })
-        .expect_err("the worker's panic must propagate");
-        assert_eq!(caught.downcast_ref::<&str>(), Some(&"boom"));
-    }
 
     #[test]
     fn single_table_scan() {

@@ -34,11 +34,12 @@ use std::fmt;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
+use nyaya_core::par::fan_out;
 use nyaya_core::{Atom, ConjunctiveQuery, DatalogProgram, DatalogRule, Predicate, Term};
 
 use crate::build_cache::BuildCache;
 use crate::catalog::Catalog;
-use crate::exec::{fan_out, run_planned, CacheTally, DataSource};
+use crate::exec::{run_planned, CacheTally, DataSource};
 use crate::join::AtomShape;
 use crate::table::Database;
 use crate::translate::{cq_to_sql, sql_ident};

@@ -20,6 +20,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use nyaya_chase::certain_answers;
+use nyaya_core::par::cores;
 use nyaya_core::{Classification, Predicate, Term};
 use nyaya_sql::{execute_program_shared, execute_ucq_intra, program_to_sql, ucq_to_sql};
 
@@ -78,30 +79,27 @@ pub const PARALLEL_THRESHOLD: usize = 32;
 /// budgets for a union of `width` disjuncts (or a program of `width`
 /// rules, which has no use for `intra`).
 ///
-/// Wide unions always get at least two workers so the routing decision
-/// (and the `KbStats` counter built on it) is deterministic across hosts.
-/// On a single core the chunked workers cost a few percent over
-/// sequential; on multi-core hosts — the deployment target for
-/// hundred-disjunct rewritings — they win.
+/// Wide unions always get at least two workers ([`cores`] is floored at
+/// 2) so the routing decision, and the `KbStats` counter built on it, is
+/// the same on every host. On a single core the chunked workers cost a
+/// few percent over sequential; on multi-core hosts — the deployment
+/// target for hundred-disjunct rewritings — they win.
 ///
 /// Narrow unions get the cores the other way: intra-query morsel
 /// parallelism splits each join step's probe side across workers once it
-/// holds at least two morsels. On the 2-core bench host that split has
-/// lost to `(1, 1)` on warm re-executed joins in every measurement made —
-/// `lubm_join` `ops_per_s` 30.3 routed against 35.6 forced sequential, 10
-/// of 10 alternating pairs after PR 17 (3× before it, for a reason that
-/// had nothing to do with threads) — and won on `lubm_rw`'s invalidated
-/// read (`alt_ms` 125 against 150 ms, 10 of 10). It stays until something
-/// the code can observe separates the two; the tables and what was tried
-/// are in docs/ARCHITECTURE.md, "One join step and who drives it". Tiny
-/// intermediates never spawn (the engine's 2-morsel floor), so point
-/// queries stay sequential.
+/// holds at least two morsels. On the 2-core bench host that split wins
+/// on both workloads that reach it: a variant that split a step only when
+/// it built its build side (so `lubm_join`'s warm rounds, all cache hits
+/// and merges, ran sequentially) read `lubm_join` `ops_per_s` 49.0
+/// against 52.8 and `lubm_rw` `alt_ms` 54.2 against 52.8 ms, better in 0
+/// of 6 alternating pairs on each (docs/ARCHITECTURE.md, "One join step
+/// and who drives it"). Tiny intermediates never spawn (the engine's
+/// 2-morsel floor), so point queries stay sequential.
 pub(super) fn thread_budgets(width: usize) -> (usize, usize) {
-    let avail = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
     if width >= PARALLEL_THRESHOLD {
-        (avail, 1)
+        (cores(), 1)
     } else {
-        (1, avail)
+        (1, cores())
     }
 }
 

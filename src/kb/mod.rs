@@ -292,7 +292,10 @@ pub struct KbStats {
     pub rewrite_micros: u64,
     /// Queries explored across all rewriting compiles.
     pub rewrite_explored: u64,
-    /// Compiles that ran with more than one exploration worker.
+    /// Compiles that split at least one frontier round across workers
+    /// (rounds of at least [`SPLIT_FRONTIER`] queries).
+    ///
+    /// [`SPLIT_FRONTIER`]: crate::rewrite::worklist::SPLIT_FRONTIER
     pub rewrites_parallel: u64,
     /// Subsumption candidate pairs the predicate-signature index rejected
     /// without a homomorphism check (non-zero only with
@@ -558,7 +561,6 @@ pub struct KnowledgeBaseBuilder {
     show_aux: bool,
     nc_pruning: Option<bool>,
     max_queries: usize,
-    rewrite_workers: usize,
     minimize_rewritings: bool,
     strategy: Strategy,
     program_threshold: usize,
@@ -580,7 +582,6 @@ impl Default for KnowledgeBaseBuilder {
             show_aux: false,
             nc_pruning: None,
             max_queries: 500_000,
-            rewrite_workers: 1,
             minimize_rewritings: false,
             strategy: Strategy::Auto,
             program_threshold: DEFAULT_PROGRAM_THRESHOLD,
@@ -691,14 +692,6 @@ impl KnowledgeBaseBuilder {
     /// Rewriting budget: maximum distinct queries explored per compile.
     pub fn max_queries(mut self, max_queries: usize) -> Self {
         self.max_queries = max_queries;
-        self
-    }
-
-    /// Exploration workers per rewriting compile (default 1 = sequential).
-    /// Parallel compiles are bit-identical to sequential ones for every
-    /// run that completes within budget; `0` is treated as 1.
-    pub fn rewrite_workers(mut self, workers: usize) -> Self {
-        self.rewrite_workers = workers.max(1);
         self
     }
 
@@ -871,7 +864,6 @@ impl KnowledgeBaseBuilder {
             chase_config: self.chase_config,
             nc_pruning,
             max_queries: self.max_queries,
-            rewrite_workers: self.rewrite_workers,
             minimize_rewritings: self.minimize_rewritings,
             strategy: self.strategy,
             program_threshold: self.program_threshold,
@@ -914,7 +906,6 @@ pub struct KnowledgeBase {
     chase_config: ChaseConfig,
     nc_pruning: bool,
     max_queries: usize,
-    rewrite_workers: usize,
     minimize_rewritings: bool,
     strategy: Strategy,
     program_threshold: usize,
@@ -1498,16 +1489,17 @@ impl KnowledgeBase {
     }
 
     /// The [`RewriteOptions`] this knowledge base compiles with: shared
-    /// budget, hidden predicates, worker count and minimization across all
-    /// engines; elimination only for NY⋆ (the baselines ignore it).
+    /// budget, hidden predicates and minimization across all engines, and
+    /// the default worker cap; elimination only for NY⋆ (the baselines
+    /// ignore it).
     fn rewrite_options(&self, algorithm: Algorithm) -> RewriteOptions {
         RewriteOptions {
             elimination: algorithm == Algorithm::NyayaStar,
             nc_pruning: self.nc_pruning,
             max_queries: self.max_queries,
             hidden_predicates: self.hidden.clone(),
-            parallel_workers: self.rewrite_workers,
             minimize: self.minimize_rewritings,
+            ..RewriteOptions::default()
         }
     }
 

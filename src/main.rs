@@ -67,7 +67,6 @@ options:
                   Datalog program (auto picks per query by estimated
                   DNF size)
   --show-aux      keep auxiliary normalization predicates in the output
-  --workers N     parallel rewriting workers (default 1; bit-identical)
   --minimize      drop subsumed CQs from every rewriting (indexed)
   --rounds N      chase round budget (default 32)
   --views         (program) also print the SQL CREATE VIEW translation
@@ -112,7 +111,6 @@ struct Options {
     algorithm: String,
     strategy: Strategy,
     show_aux: bool,
-    workers: usize,
     minimize: bool,
     rounds: usize,
     views: bool,
@@ -146,7 +144,6 @@ fn parse_options(rest: &[String]) -> Result<Options, String> {
         algorithm: "ny".to_owned(),
         strategy: Strategy::Auto,
         show_aux: false,
-        workers: 1,
         minimize: false,
         rounds: 32,
         views: false,
@@ -211,13 +208,6 @@ fn parse_options(rest: &[String]) -> Result<Options, String> {
             "--views" => options.views = true,
             "--json" => options.json = true,
             "--minimize" => options.minimize = true,
-            "--workers" => {
-                options.workers = it
-                    .next()
-                    .ok_or_else(|| "--workers needs a value".to_owned())?
-                    .parse()
-                    .map_err(|_| "--workers needs an integer".to_owned())?;
-            }
             "--strategy" => {
                 let value = it
                     .next()
@@ -362,7 +352,6 @@ fn load_kb(path: &str, options: &Options) -> Result<KnowledgeBase, String> {
         .algorithm(options.algorithm())
         .strategy(options.strategy)
         .show_aux(options.show_aux)
-        .rewrite_workers(options.workers)
         .minimize_rewritings(options.minimize)
         .chase_config(ChaseConfig {
             max_rounds: options.rounds,

@@ -9,9 +9,12 @@
 //! 2. **Parallel determinism** — the shared worklist core guarantees that
 //!    parallel exploration is bit-identical to sequential exploration for
 //!    every run that completes within budget: same UCQ text, same stats
-//!    (wall-clock aside). Checked across 200 fuzz seeds for all three
-//!    engines and across the full 8-ontology benchmark suite (q1–q3 per
-//!    suite in debug, every cell in release).
+//!    (wall-clock aside). Checked across the full 8-ontology benchmark
+//!    suite (q1–q3 per suite and A/AX q1–q2 in debug, every cell in
+//!    release), where the heavy cells must split their large rounds and
+//!    the light ones must not. The 200-seed fuzz of all three engines
+//!    runs in `nyaya-rewrite`'s unit tests, where every round of two or
+//!    more queries can be made to split.
 //! 3. **Indexed subsumption** — the signature-indexed `minimize_union`
 //!    prints exactly what the unindexed reference pass prints, on the
 //!    large redundant QuOnto unions of the suite (release only).
@@ -23,7 +26,7 @@ use nyaya::ontologies::{
 };
 use nyaya::rewrite::{
     fully_minimize_union, minimize_union_reference, minimize_union_with_stats, quonto_rewrite,
-    requiem_rewrite, tgd_rewrite, RewriteOptions, RewriteStats, Rewriting,
+    requiem_rewrite, tgd_rewrite, RewriteOptions, RewriteStats,
 };
 
 const BUDGET: usize = 30_000;
@@ -54,8 +57,8 @@ fn answer_equivalent(a: &UnionQuery, b: &UnionQuery) -> bool {
     union_contains(a, b) && union_contains(b, a)
 }
 
-/// Stats with the order-dependent fields (wall-clock) and configuration
-/// fields (worker count) blanked, for sequential-vs-parallel comparison.
+/// Stats with wall-clock and the worker count blanked, for
+/// sequential-vs-parallel comparison.
 fn comparable(stats: &RewriteStats) -> RewriteStats {
     RewriteStats {
         rewrite_micros: 0,
@@ -113,53 +116,6 @@ fn engines_agree_after_full_minimization_on_fuzz_ontologies() {
     );
 }
 
-#[test]
-fn parallel_rewriting_is_bit_identical_across_200_fuzz_seeds() {
-    let config = FuzzConfig {
-        max_atoms: 3,
-        ..Default::default()
-    };
-    let assert_equal = |label: &str, seed: u64, seq: &Rewriting, par: &Rewriting| {
-        assert_eq!(
-            seq.ucq.to_string(),
-            par.ucq.to_string(),
-            "seed {seed}: {label} parallel UCQ differs from sequential"
-        );
-        assert_eq!(
-            comparable(&seq.stats),
-            comparable(&par.stats),
-            "seed {seed}: {label} parallel stats differ from sequential"
-        );
-    };
-    for seed in 0..200u64 {
-        let mut rng = Prng::seed_from_u64(0x9E37 ^ seed);
-        let tgds = random_linear_tgds(&mut rng, 1 + (seed as usize % 6));
-        let head_arity = rng.gen_range(0..3);
-        let q = random_cq(&mut rng, &config, head_arity);
-
-        let seq = tgd_rewrite(&q, &tgds, &[], &opts(false, 1)).unwrap();
-        let par = tgd_rewrite(&q, &tgds, &[], &opts(false, 3)).unwrap();
-        if seq.stats.budget_exhausted {
-            continue;
-        }
-        assert_equal("NY", seed, &seq, &par);
-
-        // Exercise the baselines' parallel paths on a rotating subset.
-        if seed % 4 == 0 {
-            let seq = quonto_rewrite(&q, &tgds, &opts(false, 1)).unwrap();
-            let par = quonto_rewrite(&q, &tgds, &opts(false, 3)).unwrap();
-            if !seq.stats.budget_exhausted {
-                assert_equal("QO", seed, &seq, &par);
-            }
-            let seq = requiem_rewrite(&q, &tgds, &opts(false, 1)).unwrap();
-            let par = requiem_rewrite(&q, &tgds, &opts(false, 3)).unwrap();
-            if !seq.stats.budget_exhausted {
-                assert_equal("RQ", seed, &seq, &par);
-            }
-        }
-    }
-}
-
 /// Options for NY⋆ (`star`) or a baseline engine over one suite cell: the
 /// normalization auxiliaries hidden, and the Table 1 harness's budget, which
 /// no suite cell exhausts under NY⋆ (AX-q5 comes closest: 103 944 CQs).
@@ -206,6 +162,20 @@ fn parallel_rewriting_is_bit_identical_on_the_benchmark_suites() {
                 comparable(&par.stats),
                 "{} {name}: parallel stats differ from sequential",
                 bench.id
+            );
+            // The worklist splits only rounds of `SPLIT_FRONTIER` queries or
+            // more, which only these cells reach (A-q2 runs in debug too).
+            let heavy = match bench.id {
+                BenchmarkId::A | BenchmarkId::AX => idx >= 1,
+                BenchmarkId::P5 | BenchmarkId::P5X => idx >= 3,
+                _ => false,
+            };
+            assert_eq!(
+                par.stats.workers > 1,
+                heavy,
+                "{} {name}: a round split iff the cell is heavy ({} workers)",
+                bench.id,
+                par.stats.workers
             );
             if idx == 4 {
                 ran(format_args!(
