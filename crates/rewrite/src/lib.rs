@@ -52,6 +52,6 @@ pub use quonto::quonto_rewrite;
 pub use requiem::requiem_rewrite;
 pub use subsumption::{
     fully_minimize_union, minimize_union, minimize_union_reference, minimize_union_with_stats,
-    redundant_count, SubsumptionStats,
+    SubsumptionStats,
 };
 pub use worklist::{Expand, Products};

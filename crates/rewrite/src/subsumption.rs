@@ -106,12 +106,6 @@ pub fn minimize_union_reference(u: &UnionQuery) -> UnionQuery {
     apply_mask(u, &keep)
 }
 
-/// Count how many CQs subsumption would remove (for reporting). Computes
-/// only the survivor mask — no clone of the surviving union.
-pub fn redundant_count(u: &UnionQuery) -> usize {
-    survivors(u, true).1.dropped
-}
-
 /// Full Σ-free minimization of a UCQ: first compute the core of every
 /// member ([`nyaya_core::minimize_cq`], Chandra–Merlin \[21\]), then drop
 /// subsumed members. The result is the canonical minimal form of the
@@ -166,7 +160,9 @@ mod tests {
             cq(&["A"], &[("p", &["A", "B"])]),
         ]);
         assert_eq!(minimize_union(&u).size(), 1);
-        assert_eq!(redundant_count(&u), 1);
+        let (m, stats) = minimize_union_with_stats(&u);
+        assert_eq!(stats.dropped, 1);
+        assert_eq!(m.cqs, vec![u.cqs[1].clone()]);
     }
 
     #[test]

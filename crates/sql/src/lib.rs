@@ -13,7 +13,6 @@
 
 pub mod build_cache;
 pub mod catalog;
-pub mod ddl;
 pub mod exec;
 pub mod ivm;
 mod join;
@@ -28,7 +27,6 @@ pub mod translate;
 
 pub use build_cache::BuildCache;
 pub use catalog::{Catalog, TableSchema};
-pub use ddl::{create_tables, export_database, insert_statements};
 pub use exec::{execute_ucq, execute_ucq_intra, ExecMetrics};
 pub use ivm::{AnswerDelta, BaseDeltas, MaterializedView};
 pub use plan::{explain_cq, plan_cq_cost, plan_cq_cost_corrected, CostPlan, StepOp};

@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -35,6 +35,7 @@ use nyaya_sql::segment::{decode_batch, decode_database, encode_batch, encode_dat
 use nyaya_sql::{BuildCache, Catalog, Database};
 
 use super::error::NyayaError;
+use super::stats::Counters;
 use super::update::{replay, Snapshot, UpdateBatch};
 
 /// How many materialized historical snapshots to keep around.
@@ -42,18 +43,6 @@ const MATERIALIZED_CACHE_CAP: usize = 16;
 
 /// One decoded WAL batch: `(epoch, retracts, inserts)`.
 pub(crate) type LoggedBatch = (u64, Vec<Atom>, Vec<Atom>);
-
-/// Lifetime counters of the durability layer, shared with the compactor.
-#[derive(Default)]
-pub(crate) struct LedgerCounters {
-    pub(crate) wal_records: AtomicU64,
-    pub(crate) wal_bytes: AtomicU64,
-    pub(crate) segments_flushed: AtomicU64,
-    pub(crate) segment_bytes: AtomicU64,
-    pub(crate) last_segment_epoch: AtomicU64,
-    pub(crate) epochs_materialized: AtomicU64,
-    pub(crate) recovery_replayed: AtomicU64,
-}
 
 /// What [`Durability::open`] reconstructed from a non-empty data
 /// directory.
@@ -75,7 +64,7 @@ pub(crate) struct Durability {
     root: PathBuf,
     ledger: Arc<Mutex<Ledger>>,
     flush_interval: u64,
-    pub(crate) counters: Arc<LedgerCounters>,
+    counters: Arc<Counters>,
     materialized: Mutex<BTreeMap<u64, Arc<Snapshot>>>,
     sender: Option<SyncSender<CompactorMsg>>,
     worker: Option<JoinHandle<()>>,
@@ -94,13 +83,15 @@ impl Durability {
         })
     }
 
-    /// Open the ledger at `root`, recovering whatever it holds.
+    /// Open the ledger at `root`, recovering whatever it holds. The
+    /// ledger and its compactor thread bump the knowledge base's
+    /// `counters`.
     pub(crate) fn open(
         root: &Path,
         flush_interval: u64,
+        counters: Arc<Counters>,
     ) -> Result<(Durability, Option<RecoveredData>), NyayaError> {
         let (ledger, recovered) = Ledger::open(root)?;
-        let counters = Arc::new(LedgerCounters::default());
         let recovered = match recovered {
             None => None,
             Some(state) => Some(Self::rebuild(state, &counters)?),
@@ -134,10 +125,7 @@ impl Durability {
     }
 
     /// Decode the recovered segment and replay the WAL tail over it.
-    fn rebuild(
-        state: RecoveredState,
-        counters: &LedgerCounters,
-    ) -> Result<RecoveredData, NyayaError> {
+    fn rebuild(state: RecoveredState, counters: &Counters) -> Result<RecoveredData, NyayaError> {
         let (seg_epoch, mut database) = match state.segment {
             Some((epoch, payload)) => (epoch, decode_database(&payload)?),
             None => {
@@ -329,7 +317,7 @@ impl Drop for Durability {
     }
 }
 
-fn record_flush_counters(counters: &LedgerCounters, flush: &SegmentFlush) {
+fn record_flush_counters(counters: &Counters, flush: &SegmentFlush) {
     counters.segments_flushed.fetch_add(1, Ordering::Relaxed);
     counters
         .segment_bytes
@@ -342,7 +330,7 @@ fn record_flush_counters(counters: &LedgerCounters, flush: &SegmentFlush) {
 fn run_compactor(
     receiver: Receiver<CompactorMsg>,
     ledger: Arc<Mutex<Ledger>>,
-    counters: Arc<LedgerCounters>,
+    counters: Arc<Counters>,
 ) {
     while let Ok(CompactorMsg::Flush(snapshot)) = receiver.recv() {
         let payload = encode_database(snapshot.database());

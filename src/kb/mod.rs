@@ -58,6 +58,7 @@ mod cache;
 mod durability;
 mod error;
 mod executor;
+mod stats;
 mod subscribe;
 mod update;
 
@@ -86,12 +87,14 @@ use nyaya_sql::{
 use cache::QueryEntry;
 use durability::Durability;
 use executor::{thread_budgets, Target};
+use stats::Counters;
 use subscribe::SubscriptionInner;
 use update::replay;
 
 pub use error::NyayaError;
 pub use executor::{Answers, ExecutorKind};
 pub use nyaya_ledger::{LedgerHistory, SealedWalInfo, SegmentFlush, SegmentInfo};
+pub use stats::{json_escape, KbStats};
 pub use subscribe::{AnswerDiff, Subscription};
 pub use update::{ApplyOutcome, Snapshot, UpdateBatch};
 
@@ -245,307 +248,6 @@ pub struct CompiledProgram {
     /// never defined by a rule head), sorted — the program path's answer
     /// dependency set, mirroring [`CompiledRewriting::touched`].
     pub touched: Vec<Predicate>,
-}
-
-/// Snapshot of a knowledge base's lifetime counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct KbStats {
-    /// Queries passed through [`KnowledgeBase::prepare`]/`prepare_text`.
-    pub prepared: u64,
-    /// Rewriting-cache hits (a compile was skipped entirely).
-    pub cache_hits: u64,
-    /// Rewriting-cache misses (a rewriting was computed).
-    pub cache_misses: u64,
-    /// Executions across all backends.
-    pub executions: u64,
-    /// Distinct rewritings currently memoized.
-    pub cached_rewritings: usize,
-    /// Wall-clock microseconds spent in the in-memory engine.
-    pub exec_micros: u64,
-    /// Answer tuples returned by the in-memory engine.
-    pub rows_returned: u64,
-    /// In-memory executions routed through the parallel union path.
-    pub parallel_executions: u64,
-    /// Build sides served from the engine's shared cache.
-    pub build_cache_hits: u64,
-    /// Build sides the engine had to construct.
-    pub build_cache_misses: u64,
-    /// The currently published data epoch (0 = the build-time state;
-    /// each applied [`UpdateBatch`] increments it).
-    pub epoch: u64,
-    /// Update batches applied over the lifetime of this knowledge base.
-    pub batches_applied: u64,
-    /// Facts actually inserted by [`KnowledgeBase::apply`] (duplicates
-    /// of already-present facts are not counted).
-    pub facts_inserted: u64,
-    /// Facts actually retracted by [`KnowledgeBase::apply`] (retractions
-    /// of absent facts are not counted).
-    pub facts_retracted: u64,
-    /// Build-cache entries evicted by writes — each one a pattern keyed
-    /// on a predicate some batch touched. Entries over untouched
-    /// predicates are carried across epochs instead.
-    pub build_cache_invalidations: u64,
-    /// Facts in the current snapshot.
-    pub snapshot_facts: usize,
-    /// Wall-clock microseconds spent compiling rewritings (cache misses
-    /// and `program` calls; cache hits cost none).
-    pub rewrite_micros: u64,
-    /// Queries explored across all rewriting compiles.
-    pub rewrite_explored: u64,
-    /// Compiles that split at least one frontier round across workers
-    /// (rounds of at least [`SPLIT_FRONTIER`] queries).
-    ///
-    /// [`SPLIT_FRONTIER`]: crate::rewrite::worklist::SPLIT_FRONTIER
-    pub rewrites_parallel: u64,
-    /// Subsumption candidate pairs the predicate-signature index rejected
-    /// without a homomorphism check (non-zero only with
-    /// [`KnowledgeBaseBuilder::minimize_rewritings`]).
-    pub subsumption_checks_avoided: u64,
-    /// Non-recursive Datalog programs compiled (program-cache misses;
-    /// cached programs cost nothing, like cached rewritings).
-    pub program_compiles: u64,
-    /// Executions routed to the program target (bottom-up materialization
-    /// instead of flat-UCQ evaluation).
-    pub program_executions: u64,
-    /// Wall-clock microseconds spent executing programs bottom-up.
-    pub program_micros: u64,
-    /// Rules across all compiled programs (post-optimizer).
-    pub program_rules: u64,
-    /// Stratum levels across all compiled programs.
-    pub program_strata: u64,
-    /// Intensional tuples materialized across all program executions.
-    pub program_tuples_materialized: u64,
-    /// Is this knowledge base backed by a durable ledger?
-    pub durable: bool,
-    /// Batches appended to the write-ahead log this run.
-    pub wal_records: u64,
-    /// Bytes appended to the write-ahead log this run.
-    pub wal_bytes: u64,
-    /// Index segments flushed this run (background + explicit compacts,
-    /// including the epoch-0 seed of a fresh ledger).
-    pub segments_flushed: u64,
-    /// Total bytes across the segments flushed this run.
-    pub segment_bytes: u64,
-    /// The newest epoch any flushed segment snapshots.
-    pub last_segment_epoch: u64,
-    /// Historical epochs materialized on demand by
-    /// [`KnowledgeBase::snapshot_at`] (cache hits not counted).
-    pub epochs_materialized: u64,
-    /// WAL records replayed by crash recovery when this knowledge base
-    /// was built over an existing ledger.
-    pub recovery_replayed: u64,
-    /// Standing queries currently registered (live [`Subscription`]
-    /// handles; dropped subscriptions stop counting).
-    pub subscriptions_active: usize,
-    /// Per-epoch [`AnswerDiff`]s published across all subscriptions
-    /// (empty diffs included — one per subscription per applied batch).
-    pub subscription_diffs: u64,
-    /// Answer tuples added across all published diffs.
-    pub ivm_added_tuples: u64,
-    /// Answer tuples removed across all published diffs.
-    pub ivm_removed_tuples: u64,
-    /// Wall-clock microseconds spent propagating deltas through standing
-    /// queries inside [`KnowledgeBase::apply`].
-    pub ivm_micros: u64,
-    /// Join steps the in-memory engine ran as the planner's `merge`
-    /// operator — an index nested-loop join over a column's posting index,
-    /// with no build side and no sort.
-    pub merge_joins: u64,
-    /// Probe morsels (fixed-size probe batches) the engine's join
-    /// kernels drove across all executions. Counts logical batches,
-    /// independent of the intra-query worker split, so the value is
-    /// host-stable.
-    pub morsel_tasks: u64,
-    /// Optimizer row estimates summed across executed cost-based plans.
-    pub plan_estimated_rows: u64,
-    /// Actual answer rows those same executions returned.
-    pub plan_actual_rows: u64,
-    /// Corrections stored by the cardinality-feedback loop: an execution
-    /// missed its estimate by ≥ the replan ratio, so the next execution
-    /// of that query re-plans with the learned factor.
-    pub plan_replans: u64,
-    /// Executions answered from the exact answer cache — the snapshot's
-    /// per-predicate write epochs matched a stored entry, so the cached
-    /// answer is provably identical to re-execution (never stale).
-    pub cache_answer_hits: u64,
-    /// Answer-cache lookups that had to execute (no entry with a
-    /// matching predicate-epoch fingerprint).
-    pub cache_answer_misses: u64,
-    /// Requests served through the network serving layer (`nyaya serve`).
-    pub net_requests: u64,
-    /// Approximate resident heap bytes of the current snapshot's fact
-    /// payload (flat columns plus exotic side-tables).
-    pub fact_bytes: u64,
-    /// Approximate resident heap bytes of the current snapshot's index
-    /// structures (postings, the deltas' dead sets and touched postings).
-    pub index_bytes: u64,
-    /// Times a write folded a table's delta into a new base, over the
-    /// lifetime of the current snapshot's database — the one O(table)
-    /// write left; an `apply` that folds is the slow one. Per table,
-    /// [`tables`](Self::tables) says how far each delta has grown
-    /// (`delta_rows`, `dead_rows`).
-    pub table_folds: u64,
-    /// Per-table memory breakdown of the current snapshot, sorted by
-    /// predicate name then arity.
-    pub tables: Vec<nyaya_sql::TableMemory>,
-}
-
-impl KbStats {
-    /// The stats as one flat JSON object — the document behind both the
-    /// CLI's `stats --json`/`answer --json` output and the serving
-    /// layer's `stats` endpoint, so the two can never drift apart.
-    pub fn to_json(&self) -> String {
-        let tables: String = self
-            .tables
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"predicate\":\"{}\",\"arity\":{},\"rows\":{},\
-                     \"fact_bytes\":{},\"index_bytes\":{},\
-                     \"delta_rows\":{},\"dead_rows\":{}}}",
-                    json_escape(&t.predicate),
-                    t.arity,
-                    t.rows,
-                    t.fact_bytes,
-                    t.index_bytes,
-                    t.delta_rows,
-                    t.dead_rows,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"prepared\":{},\"cache_hits\":{},\"cache_misses\":{},\"executions\":{},\
-             \"cached_rewritings\":{},\"exec_micros\":{},\"rows_returned\":{},\
-             \"parallel_executions\":{},\
-             \"build_cache_hits\":{},\"build_cache_misses\":{},\
-             \"epoch\":{},\"batches_applied\":{},\"facts_inserted\":{},\"facts_retracted\":{},\
-             \"build_cache_invalidations\":{},\"snapshot_facts\":{},\
-             \"rewrite_micros\":{},\"rewrite_explored\":{},\"rewrites_parallel\":{},\
-             \"subsumption_checks_avoided\":{},\
-             \"program_compiles\":{},\"program_executions\":{},\"program_micros\":{},\
-             \"program_rules\":{},\"program_strata\":{},\"program_tuples_materialized\":{},\
-             \"durable\":{},\"wal_records\":{},\"wal_bytes\":{},\"segments_flushed\":{},\
-             \"segment_bytes\":{},\"last_segment_epoch\":{},\"epochs_materialized\":{},\
-             \"recovery_replayed\":{},\
-             \"subscriptions_active\":{},\"subscription_diffs\":{},\"ivm_added_tuples\":{},\
-             \"ivm_removed_tuples\":{},\"ivm_micros\":{},\
-             \"merge_joins\":{},\"morsel_tasks\":{},\
-             \"plan_estimated_rows\":{},\"plan_actual_rows\":{},\"plan_replans\":{},\
-             \"cache_answer_hits\":{},\"cache_answer_misses\":{},\
-             \"net_requests\":{},\
-             \"fact_bytes\":{},\"index_bytes\":{},\"table_folds\":{},\"tables\":[{}]}}",
-            self.prepared,
-            self.cache_hits,
-            self.cache_misses,
-            self.executions,
-            self.cached_rewritings,
-            self.exec_micros,
-            self.rows_returned,
-            self.parallel_executions,
-            self.build_cache_hits,
-            self.build_cache_misses,
-            self.epoch,
-            self.batches_applied,
-            self.facts_inserted,
-            self.facts_retracted,
-            self.build_cache_invalidations,
-            self.snapshot_facts,
-            self.rewrite_micros,
-            self.rewrite_explored,
-            self.rewrites_parallel,
-            self.subsumption_checks_avoided,
-            self.program_compiles,
-            self.program_executions,
-            self.program_micros,
-            self.program_rules,
-            self.program_strata,
-            self.program_tuples_materialized,
-            self.durable,
-            self.wal_records,
-            self.wal_bytes,
-            self.segments_flushed,
-            self.segment_bytes,
-            self.last_segment_epoch,
-            self.epochs_materialized,
-            self.recovery_replayed,
-            self.subscriptions_active,
-            self.subscription_diffs,
-            self.ivm_added_tuples,
-            self.ivm_removed_tuples,
-            self.ivm_micros,
-            self.merge_joins,
-            self.morsel_tasks,
-            self.plan_estimated_rows,
-            self.plan_actual_rows,
-            self.plan_replans,
-            self.cache_answer_hits,
-            self.cache_answer_misses,
-            self.net_requests,
-            self.fact_bytes,
-            self.index_bytes,
-            self.table_folds,
-            tables,
-        )
-    }
-}
-
-/// `s` as the body of a JSON string literal: `"` and `\` are escaped, and
-/// every control character below U+0020 is spelled as an escape. The one
-/// escaper behind [`KbStats::to_json`] and the CLI's JSON output.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-#[derive(Default)]
-struct Counters {
-    prepared: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    executions: AtomicU64,
-    exec_micros: AtomicU64,
-    rows_returned: AtomicU64,
-    parallel_executions: AtomicU64,
-    build_cache_hits: AtomicU64,
-    build_cache_misses: AtomicU64,
-    batches_applied: AtomicU64,
-    facts_inserted: AtomicU64,
-    facts_retracted: AtomicU64,
-    build_cache_invalidations: AtomicU64,
-    rewrite_micros: AtomicU64,
-    rewrite_explored: AtomicU64,
-    rewrites_parallel: AtomicU64,
-    subsumption_avoided: AtomicU64,
-    program_compiles: AtomicU64,
-    program_executions: AtomicU64,
-    program_micros: AtomicU64,
-    program_rules: AtomicU64,
-    program_strata: AtomicU64,
-    program_tuples: AtomicU64,
-    subscription_diffs: AtomicU64,
-    ivm_added: AtomicU64,
-    ivm_removed: AtomicU64,
-    ivm_micros: AtomicU64,
-    merge_joins: AtomicU64,
-    morsel_tasks: AtomicU64,
-    plan_estimated_rows: AtomicU64,
-    plan_actual_rows: AtomicU64,
-    plan_replans: AtomicU64,
-    cache_answer_hits: AtomicU64,
-    cache_answer_misses: AtomicU64,
-    net_requests: AtomicU64,
 }
 
 /// Process-unique knowledge-base identities (see [`PreparedQuery::kb_id`]).
@@ -819,10 +521,12 @@ impl KnowledgeBaseBuilder {
         let nc_pruning = self.nc_pruning.unwrap_or(!self.ontology.ncs.is_empty());
         let mut database = Database::from_facts(self.facts.iter().cloned());
         let mut epoch = 0u64;
+        let counters = Arc::new(Counters::default());
         let durability = match &self.durable_path {
             None => None,
             Some(path) => {
-                let (durability, recovered) = Durability::open(path, self.flush_interval)?;
+                let (durability, recovered) =
+                    Durability::open(path, self.flush_interval, Arc::clone(&counters))?;
                 match recovered {
                     // Fresh directory: the builder's facts become epoch 0,
                     // sealed immediately as the base segment so recovery
@@ -870,7 +574,7 @@ impl KnowledgeBaseBuilder {
             default_algorithm: algorithm,
             executor,
             entries: RwLock::new(HashMap::new()),
-            counters: Counters::default(),
+            counters,
             durability,
             subscriptions: Mutex::new(Vec::new()),
             answer_cache_enabled: self.answer_cache,
@@ -915,7 +619,7 @@ pub struct KnowledgeBase {
     /// everything compiled or learned for it (see [`PreparedQuery`]).
     /// Reached only through [`entry`](Self::entry).
     entries: RwLock<HashMap<(CanonicalKey, Algorithm), Arc<QueryEntry>>>,
-    counters: Counters,
+    counters: Arc<Counters>,
     /// The durable-ledger layer, present iff the builder set
     /// [`durable`](KnowledgeBaseBuilder::durable).
     durability: Option<Durability>,
@@ -1165,8 +869,8 @@ impl KnowledgeBase {
             let c = &self.counters;
             c.subscription_diffs
                 .fetch_add(standing.len() as u64, Ordering::Relaxed);
-            c.ivm_added.fetch_add(added, Ordering::Relaxed);
-            c.ivm_removed.fetch_add(removed, Ordering::Relaxed);
+            c.ivm_added_tuples.fetch_add(added, Ordering::Relaxed);
+            c.ivm_removed_tuples.fetch_add(removed, Ordering::Relaxed);
             c.ivm_micros.fetch_add(
                 u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
                 Ordering::Relaxed,
@@ -1510,7 +1214,7 @@ impl KnowledgeBase {
             .fetch_add(stats.rewrite_micros, Ordering::Relaxed);
         c.rewrite_explored
             .fetch_add(stats.explored as u64, Ordering::Relaxed);
-        c.subsumption_avoided
+        c.subsumption_checks_avoided
             .fetch_add(stats.subsumption_avoided as u64, Ordering::Relaxed);
         if stats.workers > 1 {
             c.rewrites_parallel.fetch_add(1, Ordering::Relaxed);
@@ -1766,7 +1470,7 @@ impl KnowledgeBase {
             u64::try_from(metrics.elapsed.as_micros()).unwrap_or(u64::MAX),
             Ordering::Relaxed,
         );
-        c.program_tuples
+        c.program_tuples_materialized
             .fetch_add(metrics.materialized_tuples as u64, Ordering::Relaxed);
         self.record_join_work(
             metrics.rows,
@@ -1996,11 +1700,7 @@ impl KnowledgeBase {
     pub fn stats(&self) -> KbStats {
         let snapshot = self.snapshot();
         let memory = snapshot.database().memory_stats();
-        let mut stats = KbStats {
-            prepared: self.counters.prepared.load(Ordering::Relaxed),
-            cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.counters.cache_misses.load(Ordering::Relaxed),
-            executions: self.counters.executions.load(Ordering::Relaxed),
+        KbStats {
             cached_rewritings: self
                 .entries
                 .read()
@@ -2008,30 +1708,9 @@ impl KnowledgeBase {
                 .values()
                 .filter(|entry| entry.rewriting.get().is_some())
                 .count(),
-            exec_micros: self.counters.exec_micros.load(Ordering::Relaxed),
-            rows_returned: self.counters.rows_returned.load(Ordering::Relaxed),
-            parallel_executions: self.counters.parallel_executions.load(Ordering::Relaxed),
-            build_cache_hits: self.counters.build_cache_hits.load(Ordering::Relaxed),
-            build_cache_misses: self.counters.build_cache_misses.load(Ordering::Relaxed),
             epoch: snapshot.epoch(),
-            batches_applied: self.counters.batches_applied.load(Ordering::Relaxed),
-            facts_inserted: self.counters.facts_inserted.load(Ordering::Relaxed),
-            facts_retracted: self.counters.facts_retracted.load(Ordering::Relaxed),
-            build_cache_invalidations: self
-                .counters
-                .build_cache_invalidations
-                .load(Ordering::Relaxed),
             snapshot_facts: snapshot.len(),
-            rewrite_micros: self.counters.rewrite_micros.load(Ordering::Relaxed),
-            rewrite_explored: self.counters.rewrite_explored.load(Ordering::Relaxed),
-            rewrites_parallel: self.counters.rewrites_parallel.load(Ordering::Relaxed),
-            subsumption_checks_avoided: self.counters.subsumption_avoided.load(Ordering::Relaxed),
-            program_compiles: self.counters.program_compiles.load(Ordering::Relaxed),
-            program_executions: self.counters.program_executions.load(Ordering::Relaxed),
-            program_micros: self.counters.program_micros.load(Ordering::Relaxed),
-            program_rules: self.counters.program_rules.load(Ordering::Relaxed),
-            program_strata: self.counters.program_strata.load(Ordering::Relaxed),
-            program_tuples_materialized: self.counters.program_tuples.load(Ordering::Relaxed),
+            durable: self.durability.is_some(),
             subscriptions_active: {
                 let mut subs = self
                     .subscriptions
@@ -2040,36 +1719,12 @@ impl KnowledgeBase {
                 subs.retain(|weak| weak.strong_count() > 0);
                 subs.len()
             },
-            subscription_diffs: self.counters.subscription_diffs.load(Ordering::Relaxed),
-            ivm_added_tuples: self.counters.ivm_added.load(Ordering::Relaxed),
-            ivm_removed_tuples: self.counters.ivm_removed.load(Ordering::Relaxed),
-            ivm_micros: self.counters.ivm_micros.load(Ordering::Relaxed),
-            merge_joins: self.counters.merge_joins.load(Ordering::Relaxed),
-            morsel_tasks: self.counters.morsel_tasks.load(Ordering::Relaxed),
-            plan_estimated_rows: self.counters.plan_estimated_rows.load(Ordering::Relaxed),
-            plan_actual_rows: self.counters.plan_actual_rows.load(Ordering::Relaxed),
-            plan_replans: self.counters.plan_replans.load(Ordering::Relaxed),
-            cache_answer_hits: self.counters.cache_answer_hits.load(Ordering::Relaxed),
-            cache_answer_misses: self.counters.cache_answer_misses.load(Ordering::Relaxed),
-            net_requests: self.counters.net_requests.load(Ordering::Relaxed),
             fact_bytes: memory.fact_bytes,
             index_bytes: memory.index_bytes,
             table_folds: snapshot.database().table_folds(),
             tables: memory.tables,
-            ..KbStats::default()
-        };
-        if let Some(durability) = &self.durability {
-            let c = &durability.counters;
-            stats.durable = true;
-            stats.wal_records = c.wal_records.load(Ordering::Relaxed);
-            stats.wal_bytes = c.wal_bytes.load(Ordering::Relaxed);
-            stats.segments_flushed = c.segments_flushed.load(Ordering::Relaxed);
-            stats.segment_bytes = c.segment_bytes.load(Ordering::Relaxed);
-            stats.last_segment_epoch = c.last_segment_epoch.load(Ordering::Relaxed);
-            stats.epochs_materialized = c.epochs_materialized.load(Ordering::Relaxed);
-            stats.recovery_replayed = c.recovery_replayed.load(Ordering::Relaxed);
+            ..self.counters.load()
         }
-        stats
     }
 }
 

@@ -1018,7 +1018,7 @@ fn answers_to_json(kb: &KnowledgeBase, results: &[(PreparedQuery, Answers)]) -> 
         }
         out.push_str(&format!("\"answers\":{}}}", tuples_json(&answers.tuples)));
     }
-    out.push_str(&format!("],\"stats\":{}}}", stats_json(&stats)));
+    out.push_str(&format!("],\"stats\":{}}}", stats.to_json()));
     out
 }
 
@@ -1038,12 +1038,6 @@ fn rows_to_json(kb: &KnowledgeBase, results: &[(PreparedQuery, Vec<Vec<Term>>)])
             tuples_json(rows)
         ));
     }
-    out.push_str(&format!("],\"stats\":{}}}", stats_json(&stats)));
+    out.push_str(&format!("],\"stats\":{}}}", stats.to_json()));
     out
-}
-
-/// The shared `"stats"` object of both JSON documents (one source of
-/// truth with the serving layer's `stats` endpoint).
-fn stats_json(stats: &nyaya::KbStats) -> String {
-    stats.to_json()
 }

@@ -397,9 +397,19 @@ fn compaction_seals_history_and_bounds_replay() {
             kb.apply(UpdateBatch::new().insert(person(&format!("p{i}"))))
                 .expect("apply");
         }
+        let seeded = kb.stats();
+        assert_eq!(seeded.last_segment_epoch, 0, "the epoch-0 seed segment");
         let flush = kb.compact().expect("compact");
         assert_eq!(flush.epoch, 10);
         assert_eq!(flush.sealed_records, 10);
+        let stats = kb.stats();
+        assert_eq!(stats.segments_flushed, 2);
+        assert_eq!(stats.last_segment_epoch, 10);
+        assert_eq!(
+            stats.segment_bytes,
+            seeded.segment_bytes + flush.segment_bytes
+        );
+        assert!(seeded.segment_bytes > 0 && flush.segment_bytes > 0);
     }
     {
         // Straight after a compaction the segment is the whole state.
@@ -426,6 +436,16 @@ fn compaction_seals_history_and_bounds_replay() {
     let at3 = kb.execute_at_epoch(&q, 3).expect("as-of 3");
     assert!(at3.tuples.contains(&vec![Term::constant("p2")]));
     assert!(!at3.tuples.contains(&vec![Term::constant("p3")]));
+
+    // Two flushes in one run: `last_segment_epoch` is the newest, not a sum.
+    kb.compact().expect("compact at 14");
+    kb.apply(UpdateBatch::new().insert(person("p14")))
+        .expect("apply");
+    let newest = kb.compact().expect("compact at 15");
+    let stats = kb.stats();
+    assert_eq!(stats.segments_flushed, 2);
+    assert_eq!(stats.last_segment_epoch, newest.epoch);
+    assert_eq!(newest.epoch, 15);
 }
 
 /// Memory-only knowledge bases are entirely unaffected by the ledger

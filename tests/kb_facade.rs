@@ -799,3 +799,93 @@ fn stats_json_has_a_key_for_every_stats_field() {
         );
     }
 }
+
+/// The stats document byte for byte: every key, its position and its
+/// rendering, over the default value and over a durable knowledge base
+/// that has prepared, executed (twice, so the answer cache hits),
+/// compiled a program, subscribed, applied, time-travelled, served one
+/// request and compacted. Wall-clock `*_micros` values are masked.
+#[test]
+fn stats_json_is_byte_stable() {
+    assert_eq!(
+        KbStats::default().to_json(),
+        concat!(
+            r#"{"prepared":0,"cache_hits":0,"cache_misses":0,"executions":0,"#,
+            r#""cached_rewritings":0,"exec_micros":0,"rows_returned":0,"#,
+            r#""parallel_executions":0,"build_cache_hits":0,"build_cache_misses":0,"#,
+            r#""epoch":0,"batches_applied":0,"facts_inserted":0,"facts_retracted":0,"#,
+            r#""build_cache_invalidations":0,"snapshot_facts":0,"rewrite_micros":0,"#,
+            r#""rewrite_explored":0,"rewrites_parallel":0,"subsumption_checks_avoided":0,"#,
+            r#""program_compiles":0,"program_executions":0,"program_micros":0,"#,
+            r#""program_rules":0,"program_strata":0,"program_tuples_materialized":0,"#,
+            r#""durable":false,"wal_records":0,"wal_bytes":0,"segments_flushed":0,"#,
+            r#""segment_bytes":0,"last_segment_epoch":0,"epochs_materialized":0,"#,
+            r#""recovery_replayed":0,"subscriptions_active":0,"subscription_diffs":0,"#,
+            r#""ivm_added_tuples":0,"ivm_removed_tuples":0,"ivm_micros":0,"merge_joins":0,"#,
+            r#""morsel_tasks":0,"plan_estimated_rows":0,"plan_actual_rows":0,"#,
+            r#""plan_replans":0,"cache_answer_hits":0,"cache_answer_misses":0,"#,
+            r#""net_requests":0,"fact_bytes":0,"index_bytes":0,"table_folds":0,"tables":[]}"#,
+        )
+    );
+
+    let dir = std::env::temp_dir().join(format!("nyaya-stats-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let kb = KnowledgeBase::builder()
+        .program_text(LINEAR_PROGRAM)
+        .unwrap()
+        .durable(&dir)
+        .build()
+        .unwrap();
+    let q = kb.prepare_text("q(A, B) :- stock_portf(B, A, D).").unwrap();
+    kb.execute(&q).unwrap();
+    kb.execute(&q).unwrap();
+    kb.execute_program(&kb.program(&q).unwrap().program)
+        .unwrap();
+    let sub = kb.subscribe(&q).unwrap();
+    kb.apply(
+        UpdateBatch::new()
+            .insert(Atom::make("has_stock", ["sap_s", "fund3"]))
+            .retract(Atom::make("has_stock", ["ibm_s", "fund1"])),
+    )
+    .unwrap();
+    kb.snapshot_at(0).unwrap();
+    kb.record_net_request();
+    kb.compact().unwrap();
+    let json = kb.stats().to_json();
+    drop(sub);
+    drop(kb);
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut masked = String::new();
+    let mut rest = json.as_str();
+    while let Some(at) = rest.find("_micros\":") {
+        let (head, tail) = rest.split_at(at + "_micros\":".len());
+        masked.push_str(head);
+        masked.push('#');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    masked.push_str(rest);
+    assert_eq!(
+        masked,
+        concat!(
+            r#"{"prepared":1,"cache_hits":1,"cache_misses":1,"executions":2,"#,
+            r#""cached_rewritings":1,"exec_micros":#,"rows_returned":4,"#,
+            r#""parallel_executions":0,"build_cache_hits":2,"build_cache_misses":2,"#,
+            r#""epoch":1,"batches_applied":1,"facts_inserted":1,"facts_retracted":1,"#,
+            r#""build_cache_invalidations":1,"snapshot_facts":2,"rewrite_micros":#,"#,
+            r#""rewrite_explored":4,"rewrites_parallel":0,"subsumption_checks_avoided":0,"#,
+            r#""program_compiles":1,"program_executions":1,"program_micros":#,"#,
+            r#""program_rules":2,"program_strata":1,"program_tuples_materialized":2,"#,
+            r#""durable":true,"wal_records":1,"wal_bytes":110,"segments_flushed":2,"#,
+            r#""segment_bytes":352,"last_segment_epoch":1,"epochs_materialized":1,"#,
+            r#""recovery_replayed":0,"subscriptions_active":1,"subscription_diffs":1,"#,
+            r#""ivm_added_tuples":1,"ivm_removed_tuples":1,"ivm_micros":#,"merge_joins":0,"#,
+            r#""morsel_tasks":4,"plan_estimated_rows":2,"plan_actual_rows":2,"#,
+            r#""plan_replans":0,"cache_answer_hits":1,"cache_answer_misses":1,"#,
+            r#""net_requests":1,"fact_bytes":44,"index_bytes":464,"table_folds":0,"#,
+            r#""tables":[{"predicate":"has_stock","arity":2,"rows":1,"fact_bytes":32,"#,
+            r#""index_bytes":296,"delta_rows":1,"dead_rows":0},{"predicate":"stock_portf","#,
+            r#""arity":3,"rows":1,"fact_bytes":12,"index_bytes":168,"delta_rows":0,"#,
+            r#""dead_rows":0}]}"#,
+        )
+    );
+}
