@@ -382,7 +382,8 @@ pub struct DeltaRule {
     pub level: usize,
 }
 
-/// A delta program: every rule of a [`DatalogProgram`] expanded into one
+/// A delta program: every rule of a [`DatalogProgram`] (after
+/// `compile_delta_program` inlines its renaming rules) expanded into one
 /// [`DeltaRule`] per body atom, plus the stratification metadata a
 /// propagation pass needs.
 #[derive(Clone, Debug)]
@@ -394,7 +395,10 @@ pub struct DeltaProgram {
     pub levels: usize,
     /// All delta rules, in source-rule order then body-position order.
     pub rules: Vec<DeltaRule>,
-    /// Predicates defined by the source program (head predicates).
+    /// Predicates the view materializes: the head predicates of the
+    /// program the delta rules come from. `compile_delta_program` inlines
+    /// renaming rules first, so a predicate that only renames a relation
+    /// is not among them; its uses read that relation.
     pub intensional: HashSet<Predicate>,
     /// Base (extensional) predicates read by some rule body — the only
     /// predicates whose external deltas can move the view.

@@ -101,7 +101,9 @@ impl MaterializedView {
     /// workers. Returns the view and its first diff: every answer added.
     ///
     /// The source rules are the delta rules at `delta_idx == 0`, one per
-    /// rule of the source program. They run through the program
+    /// rule of the *inlined* program (`compile_delta_program` inlines
+    /// renaming rules, so no relation is copied into the view just to
+    /// rename it). They run through the program
     /// evaluator with a support sink, so each derived tuple's count is
     /// its number of valuations — exactly what propagating every base
     /// fact as a +1 delta from the empty state would sum.

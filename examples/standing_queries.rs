@@ -11,9 +11,12 @@ use nyaya::prelude::*;
 use nyaya::UpdateBatch;
 
 fn main() {
-    // A tiny taxonomy: two subclasses under `top`, queried through a
-    // binary join. `top` is intensional, so answers flow through the
-    // compiled delta program's strata, not just base-fact matches.
+    // A tiny taxonomy: two subclasses under `employee`, queried through
+    // a binary join. `employee` is intensional, so answers flow through
+    // the compiled delta program's strata, not just base-fact matches.
+    // No TGD defines `reports`: the program gives its atom a predicate
+    // that only renames the relation, which the delta compiler inlines
+    // instead of copying `reports` into the view.
     let kb = KnowledgeBase::from_program_text(
         "
         t0: analyst(X) -> employee(X).
@@ -36,9 +39,13 @@ fn main() {
     let seed = sub.poll().pop().expect("seed diff");
     assert_eq!((seed.epoch, seed.added.len()), (0, 1));
     println!("epoch 0: +{} (seed)", seed.added.len());
+    // Seeded: `employee` at both join sides ({ann, bob} twice) and the
+    // answer. A materialized `reports` renaming would add a sixth entry.
+    assert_eq!(kb.stats().ivm_seeded_tuples, 5);
 
     // An insertion batch. Only the batch's deltas are propagated — the
-    // query is never re-executed.
+    // query is never re-executed. The new `reports` fact reaches the goal
+    // rule directly, through the inlined renaming.
     kb.apply(
         UpdateBatch::new()
             .insert(Atom::make("reports", ["bob", "ann"]))
@@ -50,6 +57,8 @@ fn main() {
         (diff.epoch, diff.added.len(), diff.removed.len()),
         (1, 1, 0)
     );
+    let pair = |a: &str, b: &str| vec![Term::constant(a), Term::constant(b)];
+    assert_eq!(diff.added, vec![pair("bob", "ann")]);
     println!("epoch 1: +{} -{}", diff.added.len(), diff.removed.len());
 
     // Retracting ann's only class membership removes employee(ann)'s
@@ -61,6 +70,7 @@ fn main() {
         (diff.epoch, diff.added.len(), diff.removed.len()),
         (2, 0, 2)
     );
+    assert_eq!(diff.removed, vec![pair("ann", "bob"), pair("bob", "ann")]);
     println!("epoch 2: +{} -{}", diff.added.len(), diff.removed.len());
 
     // A same-fact retract+insert nets to zero: the snapshot changes
@@ -83,11 +93,14 @@ fn main() {
 
     let stats = kb.stats();
     println!(
-        "\nstats: {} subscription(s), {} diff(s) streamed, +{}/-{} view tuples, {} µs maintaining",
+        "\nstats: {} subscription(s), {} diff(s) streamed, +{}/-{} view tuples, {} µs maintaining, \
+         {} support entries seeded in {} µs",
         stats.subscriptions_active,
         stats.subscription_diffs,
         stats.ivm_added_tuples,
         stats.ivm_removed_tuples,
-        stats.ivm_micros
+        stats.ivm_micros,
+        stats.ivm_seeded_tuples,
+        stats.ivm_seed_micros
     );
 }

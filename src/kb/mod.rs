@@ -1042,8 +1042,10 @@ impl KnowledgeBase {
         // The seed is a program run: the facade's program budget applies.
         let rules = program.rules.iter().filter(|r| r.delta_idx == 0).count();
         let (threads, _) = thread_budgets(rules);
+        let started = std::time::Instant::now();
         let (mut view, seeded) =
             MaterializedView::seed(program, base.database(), base.build_cache(), threads);
+        let seeded_tuples = view.support_size() as u64;
         let mut pending = VecDeque::new();
         pending.push_back(AnswerDiff {
             epoch: seed_epoch,
@@ -1077,6 +1079,13 @@ impl KnowledgeBase {
                 });
             }
         }
+        let c = &self.counters;
+        c.ivm_seed_micros.fetch_add(
+            u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
+            Ordering::Relaxed,
+        );
+        c.ivm_seeded_tuples
+            .fetch_add(seeded_tuples, Ordering::Relaxed);
         let inner = Arc::new(SubscriptionInner::new(view, pending, current.epoch()));
         self.subscriptions
             .lock()

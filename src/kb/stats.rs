@@ -173,6 +173,14 @@ kb_stats! {
     /// Wall-clock microseconds spent propagating deltas through standing
     /// queries inside [`KnowledgeBase::apply`](super::KnowledgeBase::apply).
     count ivm_micros: u64,
+    /// Wall-clock microseconds spent seeding standing queries' views and
+    /// catching them up to the present epoch, inside
+    /// [`KnowledgeBase::subscribe`](super::KnowledgeBase::subscribe) and
+    /// [`subscribe_from`](super::KnowledgeBase::subscribe_from).
+    count ivm_seed_micros: u64,
+    /// Support entries (intensional tuples with their derivation counts)
+    /// materialized by those seeds, summed over subscriptions.
+    count ivm_seeded_tuples: u64,
     /// Join steps the in-memory engine ran as the planner's `merge`
     /// operator — an index nested-loop join over a column's posting index,
     /// with no build side and no sort.

@@ -4,15 +4,19 @@
 //! bit-equal per-epoch full re-execution of the same prepared query,
 //! including retraction-heavy and same-fact insert+retract batches. A
 //! durable variant kills the process state mid-stream and resumes a
-//! subscriber from a historical epoch via the ledger.
+//! subscriber from a historical epoch via the ledger. Below the facade,
+//! delta programs whose renaming rules were inlined must maintain the
+//! same views as the plain one-delta-rule-per-position programs.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use nyaya::core::{Atom, Term};
+use nyaya::core::{Atom, DatalogProgram, DatalogRule, DeltaProgram, DeltaRule, Predicate, Term};
 use nyaya::prelude::*;
+use nyaya::rewrite::compile_delta_program;
+use nyaya::sql::{BaseDeltas, BuildCache, MaterializedView};
 use nyaya::{AnswerDiff, Subscription};
 use nyaya_ontologies::rng::Prng;
 
@@ -337,4 +341,220 @@ fn constants_repeats_wide_keys_and_cartesian_steps_replay_to_full_reexecution() 
         changed_tuples > 300,
         "the fixture must move answers, not replay empty diffs: {changed_tuples}"
     );
+}
+
+/// One of four constants, the whole domain of the inlining fixtures.
+fn constant(rng: &mut Prng) -> Term {
+    Term::constant(&format!("k{}", rng.gen_range(0..4)))
+}
+
+/// An atom over `pred` with variables from a pool of four (so atoms
+/// repeat variables and join) or, one in six, constants.
+fn random_atom(rng: &mut Prng, pred: Predicate) -> Atom {
+    let args = (0..pred.arity)
+        .map(|_| match rng.gen_range(0..6) {
+            0 => constant(rng),
+            _ => Term::var(&format!("V{}", rng.gen_range(0..4))),
+        })
+        .collect();
+    Atom::new(pred, args)
+}
+
+/// `pred(H0, …)` renaming `read` with its columns shuffled: the shape
+/// the delta compiler inlines.
+fn renaming_rule(rng: &mut Prng, pred: Predicate, read: Predicate) -> DatalogRule {
+    let head: Vec<Term> = (0..pred.arity)
+        .map(|i| Term::var(&format!("H{i}")))
+        .collect();
+    let mut body = head.clone();
+    for i in (1..body.len()).rev() {
+        body.swap(i, rng.gen_range(0..i + 1));
+    }
+    DatalogRule::new(Atom::new(pred, head), vec![Atom::new(read, body)])
+}
+
+/// A rule with one to three body atoms over `readable` and a head over
+/// its body variables or, one in eight, a constant.
+fn random_rule(rng: &mut Prng, pred: Predicate, readable: &[Predicate]) -> DatalogRule {
+    let body: Vec<Atom> = (0..rng.gen_range(1..4))
+        .map(|_| {
+            let read = readable[rng.gen_range(0..readable.len())];
+            random_atom(rng, read)
+        })
+        .collect();
+    let vars: Vec<Term> = body
+        .iter()
+        .flat_map(|a| a.args.iter())
+        .filter(|t| t.is_var())
+        .cloned()
+        .collect();
+    let head = (0..pred.arity)
+        .map(|_| {
+            if vars.is_empty() || rng.gen_range(0..8) == 0 {
+                constant(rng)
+            } else {
+                vars[rng.gen_range(0..vars.len())].clone()
+            }
+        })
+        .collect();
+    DatalogRule::new(Atom::new(pred, head), body)
+}
+
+const BASE: [(&str, usize); 3] = [("b1", 1), ("b2", 2), ("b3", 2)];
+
+/// A random stratified program over `b1/1`, `b2/2` and `b3/2` with
+/// renaming rules injected. One to four levels define one or two
+/// predicates each; a predicate is a renaming of a base or lower
+/// predicate (so renamings chain), a renaming beside a second rule (a
+/// union, which stays), or one or two random rules, which use the lower
+/// predicates with constants and repeated variables. The goal is the last
+/// predicate defined, under distinct variables, a repeat or a constant.
+fn random_renaming_program(rng: &mut Prng) -> DatalogProgram {
+    let mut readable: Vec<Predicate> = BASE.iter().map(|(p, a)| Predicate::new(p, *a)).collect();
+    let mut rules = Vec::new();
+    for level in 0..rng.gen_range(1..5) {
+        let mut defined = Vec::new();
+        for i in 0..rng.gen_range(1..3) {
+            let read = readable[rng.gen_range(0..readable.len())];
+            let pred = Predicate::new(&format!("d{level}_{i}"), read.arity);
+            match rng.gen_range(0..6) {
+                0..=2 => rules.push(renaming_rule(rng, pred, read)),
+                3 => {
+                    rules.push(renaming_rule(rng, pred, read));
+                    rules.push(random_rule(rng, pred, &readable));
+                }
+                _ => {
+                    for _ in 0..rng.gen_range(1..3) {
+                        rules.push(random_rule(rng, pred, &readable));
+                    }
+                }
+            }
+            defined.push(pred);
+        }
+        readable.extend(defined);
+    }
+    let top = *readable.last().expect("one defined predicate per level");
+    let goal = match (top.arity, rng.gen_range(0..3)) {
+        (2, 0) => vec![Term::var("G"), Term::var("G")],
+        (_, 1) => {
+            let mut args = vec![constant(rng)];
+            args.extend((1..top.arity).map(|i| Term::var(&format!("G{i}"))));
+            args
+        }
+        _ => (0..top.arity)
+            .map(|i| Term::var(&format!("G{i}")))
+            .collect(),
+    };
+    DatalogProgram::new(Atom::new(top, goal), rules)
+}
+
+/// `program`'s delta rules without any pass: one per (rule, body
+/// position), every head predicate materialized.
+fn plain_delta_program(program: &DatalogProgram) -> DeltaProgram {
+    let strata = program.strata().expect("the generator stratifies");
+    let level_of = |pred| strata.iter().position(|l| l.contains(&pred)).unwrap();
+    let rules = program
+        .rules
+        .iter()
+        .flat_map(|rule| {
+            (0..rule.body.len()).map(|delta_idx| DeltaRule {
+                head: rule.head.clone(),
+                body: rule.body.clone(),
+                delta_idx,
+                level: level_of(rule.head.pred),
+            })
+        })
+        .collect();
+    DeltaProgram {
+        goal: program.goal.clone(),
+        levels: strata.len(),
+        rules,
+        intensional: program.defined_predicates(),
+        base: program.base_predicates(),
+    }
+}
+
+/// A random fact over a base predicate or, one in ten, over `stray` (a
+/// defined predicate, whose facts no view may read).
+fn random_base_fact(rng: &mut Prng, stray: Predicate) -> Atom {
+    let pred = match rng.gen_range(0..10) {
+        0 => stray,
+        n => {
+            let (name, arity) = BASE[n % BASE.len()];
+            Predicate::new(name, arity)
+        }
+    };
+    Atom::new(pred, (0..pred.arity).map(|_| constant(rng)).collect())
+}
+
+#[test]
+fn inlined_renamings_maintain_the_views_plain_delta_rules_do() {
+    const SEEDS: u64 = 300;
+    let (mut inlined_some, mut moved) = (0, 0);
+    for seed in 0..SEEDS {
+        let mut rng = Prng::seed_from_u64(seed ^ 0x1_41_1E);
+        let program = random_renaming_program(&mut rng);
+        let inlined = compile_delta_program(&program).expect("compiles");
+        let plain = plain_delta_program(&program);
+        inlined_some += usize::from(inlined.intensional.len() < plain.intensional.len());
+        let mut defined: Vec<Predicate> = program.defined_predicates().into_iter().collect();
+        defined.sort();
+        let stray = defined[rng.gen_range(0..defined.len())];
+
+        let mut db = Database::new();
+        for _ in 0..16 {
+            db.insert(random_base_fact(&mut rng, stray));
+        }
+        let (mut inlined, inlined_diff) =
+            MaterializedView::seed(inlined, &db, &BuildCache::new(), 1);
+        let (mut plain, plain_diff) = MaterializedView::seed(plain, &db, &BuildCache::new(), 1);
+        let context = format!("seed {seed}, program\n{program}");
+        assert_eq!(inlined_diff, plain_diff, "{context}: seed diff");
+        let from_scratch = execute_program(&db, &program).expect("executes");
+        assert_eq!(inlined.answers(), &from_scratch, "{context}: seed answers");
+        assert!(
+            inlined.support_size() <= plain.support_size(),
+            "{context}: seed support"
+        );
+
+        for batch_no in 0..8 {
+            let old = db.clone();
+            let mut touched = Vec::new();
+            for _ in 0..rng.gen_range(1..6) {
+                let fact = random_base_fact(&mut rng, stray);
+                if rng.gen_bool(if batch_no % 3 == 2 { 0.3 } else { 0.6 }) {
+                    db.insert(&fact);
+                } else {
+                    db.remove(&fact);
+                }
+                touched.push(fact);
+            }
+            let mut net = BaseDeltas::new();
+            for fact in touched {
+                let sign = i64::from(db.contains(&fact)) - i64::from(old.contains(&fact));
+                if sign != 0 {
+                    net.entry(fact.pred).or_default().insert(fact.args, sign);
+                }
+            }
+            let (cold, hot) = (BuildCache::new(), BuildCache::new());
+            let inlined_diff = inlined.propagate((&old, &cold), (&db, &hot), &net);
+            let plain_diff = plain.propagate((&old, &cold), (&db, &hot), &net);
+            let context = format!("{context}batch {batch_no}");
+            assert_eq!(inlined_diff, plain_diff, "{context}: diff");
+            assert_eq!(inlined.answers(), plain.answers(), "{context}: answers");
+            let from_scratch = execute_program(&db, &program).expect("executes");
+            assert_eq!(inlined.answers(), &from_scratch, "{context}: answers");
+            assert!(
+                inlined.support_size() <= plain.support_size(),
+                "{context}: support"
+            );
+            moved += usize::from(!inlined_diff.is_empty());
+        }
+    }
+    // The generator must reach what the comparison is about.
+    assert!(
+        inlined_some > 150,
+        "only {inlined_some} programs inline a renaming"
+    );
+    assert!(moved > 300, "only {moved} batches moved an answer");
 }

@@ -821,7 +821,8 @@ fn stats_json_is_byte_stable() {
             r#""durable":false,"wal_records":0,"wal_bytes":0,"segments_flushed":0,"#,
             r#""segment_bytes":0,"last_segment_epoch":0,"epochs_materialized":0,"#,
             r#""recovery_replayed":0,"subscriptions_active":0,"subscription_diffs":0,"#,
-            r#""ivm_added_tuples":0,"ivm_removed_tuples":0,"ivm_micros":0,"merge_joins":0,"#,
+            r#""ivm_added_tuples":0,"ivm_removed_tuples":0,"ivm_micros":0,"#,
+            r#""ivm_seed_micros":0,"ivm_seeded_tuples":0,"merge_joins":0,"#,
             r#""morsel_tasks":0,"plan_estimated_rows":0,"plan_actual_rows":0,"#,
             r#""plan_replans":0,"cache_answer_hits":0,"cache_answer_misses":0,"#,
             r#""net_requests":0,"fact_bytes":0,"index_bytes":0,"table_folds":0,"tables":[]}"#,
@@ -878,7 +879,8 @@ fn stats_json_is_byte_stable() {
             r#""durable":true,"wal_records":1,"wal_bytes":110,"segments_flushed":2,"#,
             r#""segment_bytes":352,"last_segment_epoch":1,"epochs_materialized":1,"#,
             r#""recovery_replayed":0,"subscriptions_active":1,"subscription_diffs":1,"#,
-            r#""ivm_added_tuples":1,"ivm_removed_tuples":1,"ivm_micros":#,"merge_joins":0,"#,
+            r#""ivm_added_tuples":1,"ivm_removed_tuples":1,"ivm_micros":#,"#,
+            r#""ivm_seed_micros":#,"ivm_seeded_tuples":2,"merge_joins":0,"#,
             r#""morsel_tasks":4,"plan_estimated_rows":2,"plan_actual_rows":2,"#,
             r#""plan_replans":0,"cache_answer_hits":1,"cache_answer_misses":1,"#,
             r#""net_requests":1,"fact_bytes":44,"index_bytes":464,"table_folds":0,"#,
@@ -887,5 +889,42 @@ fn stats_json_is_byte_stable() {
             r#""arity":3,"rows":1,"fact_bytes":12,"index_bytes":168,"delta_rows":0,"#,
             r#""dead_rows":0}]}"#,
         )
+    );
+}
+
+/// `grad-courses` compiles to a program whose `takesCourse` and
+/// `GraduateCourse` atoms each get a predicate that only renames the
+/// relation. The delta compiler inlines those, so a subscription seeds
+/// the graduate-student union and the answers, not a copy of every
+/// `takesCourse` fact.
+#[test]
+fn subscribing_does_not_copy_a_renamed_base_relation() {
+    use nyaya::ontologies::lubm::{lubm_abox, LubmConfig};
+    use nyaya::ontologies::{load, BenchmarkId};
+
+    let facts = lubm_abox(&LubmConfig {
+        universities: 1,
+        departments_per_university: 1,
+        seed: 7,
+    });
+    let takes_course = Predicate::new("takesCourse", 2);
+    let takes = facts.iter().filter(|f| f.pred == takes_course).count();
+    let kb = KnowledgeBase::builder()
+        .ontology(load(BenchmarkId::U).raw)
+        .facts(facts)
+        .build()
+        .unwrap();
+    let q = kb
+        .prepare_text("q(X, Y) :- GraduateStudent(X), takesCourse(X, Y), GraduateCourse(Y).")
+        .unwrap();
+    let sub = kb.subscribe(&q).unwrap();
+    let answers = kb.execute(&q).unwrap().tuples;
+    assert!(!answers.is_empty());
+    assert_eq!(sub.current(), answers);
+    let seeded = kb.stats().ivm_seeded_tuples as usize;
+    assert!(
+        answers.len() < seeded && seeded < takes,
+        "seeded {seeded} support entries for {} answers over {takes} takesCourse facts",
+        answers.len()
     );
 }
