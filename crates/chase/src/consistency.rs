@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use nyaya_core::{
-    Atom, ConjunctiveQuery, KeyDependency, NegativeConstraint, Ontology, Predicate, Term, Tgd,
+    Atom, ConjunctiveQuery, KeyDependency, NegativeConstraint, Ontology, Predicate, Term,
 };
 
 use crate::answer::entails_bcq;
@@ -108,15 +108,10 @@ pub fn kds_as_ncs(kds: &[KeyDependency]) -> Vec<NegativeConstraint> {
         .collect()
 }
 
-/// TGDs of an ontology whose KDs passed the preliminary check can be used
-/// alone (separability): convenience accessor making call sites explicit.
-pub fn separable_tgds(ontology: &Ontology) -> &[Tgd] {
-    &ontology.tgds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nyaya_core::Tgd;
 
     #[test]
     fn kd_violation_detected_directly() {

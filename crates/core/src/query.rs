@@ -60,32 +60,6 @@ impl ConjunctiveQuery {
         self.head.len()
     }
 
-    /// Number of occurrences of each variable across the whole query
-    /// (head and body), counting repeated occurrences within one atom.
-    pub fn occurrence_counts(&self) -> HashMap<Symbol, usize> {
-        let mut counts: HashMap<Symbol, usize> = HashMap::new();
-        let mut occ = Vec::new();
-        for t in &self.head {
-            t.collect_vars(&mut occ);
-        }
-        for a in &self.body {
-            a.collect_vars(&mut occ);
-        }
-        for v in occ {
-            *counts.entry(v).or_insert(0) += 1;
-        }
-        counts
-    }
-
-    /// Shared variables: those occurring more than once in the query
-    /// (Section 5 — for non-Boolean CQs the head occurrences count).
-    pub fn shared_vars(&self) -> HashMap<Symbol, usize> {
-        self.occurrence_counts()
-            .into_iter()
-            .filter(|(_, n)| *n > 1)
-            .collect()
-    }
-
     /// Is `v` shared in this query?
     pub fn is_shared(&self, v: Symbol) -> bool {
         let mut count = 0usize;

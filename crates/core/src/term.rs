@@ -68,12 +68,6 @@ impl Term {
         }
     }
 
-    /// True if the term is a constant or a null (a "ground value").
-    #[inline]
-    pub fn is_ground_value(&self) -> bool {
-        matches!(self, Term::Const(_) | Term::Null(_))
-    }
-
     /// True if no variable occurs anywhere in the term.
     pub fn is_ground(&self) -> bool {
         match self {

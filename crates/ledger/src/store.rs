@@ -8,7 +8,6 @@ use std::path::{Path, PathBuf};
 
 use crate::segment::{
     parse_segment_name, read_segment, segment_file_name, write_file_atomic, write_segment_atomic,
-    SegmentMeta,
 };
 use crate::wal::{self, encode_wal, TailStatus, WalRecord, WalWriter};
 use crate::LedgerError;
@@ -393,13 +392,6 @@ impl Ledger {
     /// The directory the ledger is rooted at.
     pub fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// Metadata for the segment at exactly `epoch`, if present and valid.
-    pub fn segment_meta(&self, epoch: u64) -> Option<SegmentMeta> {
-        let path = self.segments_dir.join(segment_file_name(epoch));
-        let bytes = fs::metadata(&path).ok()?.len();
-        Some(SegmentMeta { epoch, bytes, path })
     }
 }
 

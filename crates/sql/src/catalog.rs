@@ -57,15 +57,6 @@ impl Catalog {
         }
     }
 
-    /// Register default schemas for every predicate that holds data in an
-    /// in-memory [`Database`](crate::Database) — keeps SQL emission
-    /// possible for rewritings over data-only predicates no TGD mentions.
-    pub fn register_from_database(&mut self, db: &crate::Database) {
-        let mut preds: Vec<Predicate> = db.predicates().collect();
-        preds.sort_by_key(|p| (p.sym.index(), p.arity));
-        self.register_defaults(preds);
-    }
-
     /// Look up a table schema; `None` for unregistered predicates.
     pub fn table(&self, pred: Predicate) -> Option<&TableSchema> {
         self.tables.get(&pred)

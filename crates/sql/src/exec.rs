@@ -48,7 +48,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use nyaya_core::par::fan_out;
 use nyaya_core::{ConjunctiveQuery, Predicate, Symbol, Term, UnionQuery};
@@ -56,6 +56,7 @@ use nyaya_core::{ConjunctiveQuery, Predicate, Symbol, Term, UnionQuery};
 use crate::build_cache::BuildCache;
 use crate::join::{AtomShape, Projection, Step};
 use crate::plan::{plan_over, StepOp};
+use crate::program::evaluate;
 use crate::table::Database;
 
 /// Per-call counters for one (U)CQ execution. Distinct from the
@@ -131,54 +132,34 @@ where
     .0
 }
 
-/// Per-atom table resolution for the join pipeline.
+/// Per-atom table resolution for the join pipeline: derived intensional
+/// tables (with their own per-run cache) layered over a read-only base.
 ///
-/// Ordinary (U)CQ execution reads one database with one build cache.
-/// Program evaluation ([`crate::execute_program`]) instead *layers* the
-/// derived intensional tables (with their own per-run cache) over the
-/// pinned snapshot: atoms over intensional predicates resolve to the
-/// overlay — exclusively, matching [`DatalogProgram::expand`] semantics,
-/// where a defined predicate is exactly its rules — and every other atom
-/// reads the base. The base is never cloned or written. View maintenance
-/// ([`crate::ivm`]) holds two layered sources, the state before an update
-/// and the state after it, each a snapshot under its view.
+/// Atoms over `intensional` predicates resolve to the overlay —
+/// exclusively, matching [`DatalogProgram::expand`] semantics, where a
+/// defined predicate is exactly its rules — and every other atom reads
+/// the base, which is never cloned or written. A flat UCQ's source has
+/// an empty overlay and no intensional predicates. View maintenance
+/// ([`crate::ivm`]) holds two sources, the state before an update and the
+/// state after it, each a snapshot under its view.
 ///
 /// [`DatalogProgram::expand`]: nyaya_core::DatalogProgram::expand
-pub(crate) enum DataSource<'a> {
-    /// One database, one cache: plain (U)CQ execution.
-    Single {
-        db: &'a Database,
-        cache: &'a BuildCache,
-    },
-    /// Derived intensional tables stacked over a read-only base.
-    Layered {
-        base: &'a Database,
-        base_cache: &'a BuildCache,
-        overlay: &'a Database,
-        overlay_cache: &'a BuildCache,
-        /// Predicates that resolve to the overlay (the program's defined
-        /// predicates — even when their derived table is still empty).
-        intensional: &'a HashSet<Predicate>,
-    },
+pub(crate) struct DataSource<'a> {
+    pub(crate) base: &'a Database,
+    pub(crate) base_cache: &'a BuildCache,
+    pub(crate) overlay: &'a Database,
+    pub(crate) overlay_cache: &'a BuildCache,
+    /// Predicates that resolve to the overlay (the program's defined
+    /// predicates — even when their derived table is still empty).
+    pub(crate) intensional: &'a HashSet<Predicate>,
 }
 
 impl<'a> DataSource<'a> {
     pub(crate) fn resolve(&self, pred: Predicate) -> (&'a Database, &'a BuildCache) {
-        match self {
-            DataSource::Single { db, cache } => (db, cache),
-            DataSource::Layered {
-                base,
-                base_cache,
-                overlay,
-                overlay_cache,
-                intensional,
-            } => {
-                if intensional.contains(&pred) {
-                    (overlay, overlay_cache)
-                } else {
-                    (base, base_cache)
-                }
-            }
+        if self.intensional.contains(&pred) {
+            (self.overlay, self.overlay_cache)
+        } else {
+            (self.base, self.base_cache)
         }
     }
 }
@@ -199,8 +180,7 @@ impl Extend<Vec<Term>> for Support {
 }
 
 /// Execute one CQ with atoms in `order`, resolving each atom's table and
-/// build cache through `src` (single database or layered program view),
-/// and project every valuation into `sink`.
+/// build cache through `src`, and project every valuation into `sink`.
 ///
 /// `ops` is the planner's per-step operator choice, parallel to `order`: a
 /// [`StepOp::Merge`] step probes the key column's posting index instead of
@@ -283,6 +263,35 @@ pub(crate) fn run_planned(
     execute_cq_ordered(src, q, &plan.order, &plan.ops, tally, intra, sink);
 }
 
+/// The one union fan-out: run every rule body of `rules` through
+/// [`run_planned`] into a fresh sink `S` of its own, across up to
+/// `threads` workers (contiguous chunks), and `merge` each sink into its
+/// worker's accumulator in rule order. Returns the accumulators
+/// concatenated in rule order and the workers used. A program's stratum
+/// keeps one sink per rule; a goal stratum — a UCQ's disjuncts —
+/// merges each rule's set into the answers.
+pub(crate) fn run_union<S, A>(
+    src: &DataSource<'_>,
+    rules: &[ConjunctiveQuery],
+    threads: usize,
+    intra: usize,
+    correction: f64,
+    tally: &CacheTally,
+    merge: impl Fn(&mut A, S) + Sync,
+) -> (A, usize)
+where
+    S: Default + Extend<Vec<Term>>,
+    A: Default + Extend<<A as IntoIterator>::Item> + IntoIterator + Send,
+{
+    fan_out(rules, threads, |out: &mut A, chunk| {
+        for q in chunk {
+            let mut sink = S::default();
+            run_planned(src, q, correction, tally, intra, &mut sink);
+            merge(out, sink);
+        }
+    })
+}
+
 /// Counters from one (U)CQ execution.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecMetrics {
@@ -318,7 +327,9 @@ pub fn execute_ucq(db: &Database, u: &UnionQuery) -> BTreeSet<Vec<Term>> {
     execute_ucq_intra(db, u, 1, 1, &BuildCache::new(), 1.0).0
 }
 
-/// Execute a union of CQs — the engine's one UCQ entry point.
+/// Execute a union of CQs — the engine's one UCQ entry point, a thin
+/// wrapper over the engine's one evaluator (a flat rewriting is a goal
+/// stratum with nothing beneath it; see [`crate::program`]).
 ///
 /// `threads` is the *inter*-CQ budget. Section 2 observes that the CQs of
 /// a UCQ rewriting "are independent from each other, and thus they can be
@@ -348,28 +359,8 @@ pub fn execute_ucq_intra(
     cache: &BuildCache,
     correction: f64,
 ) -> (BTreeSet<Vec<Term>>, ExecMetrics) {
-    let start = Instant::now();
-    let tally = CacheTally::default();
-    let src = DataSource::Single { db, cache };
-    let (out, threads) = fan_out(&u.cqs, threads, |out: &mut BTreeSet<Vec<Term>>, chunk| {
-        for q in chunk {
-            // Each disjunct fills a set of its own, merged into the union
-            // after. Filling the union directly read LUBM faster on the
-            // 2-core bench host but made every other `lubm_rw` apply about
-            // 25 % slower (ROADMAP, "Fill the union set directly").
-            let mut disjunct = BTreeSet::new();
-            run_planned(&src, q, correction, &tally, intra, &mut disjunct);
-            out.extend(disjunct);
-        }
-    });
-    let metrics = ExecMetrics {
-        disjuncts: u.cqs.len(),
-        threads,
-        rows: out.len(),
-        elapsed: start.elapsed(),
-        ..tally.exec_metrics()
-    };
-    (out, metrics)
+    let (answers, metrics, _) = evaluate(db, cache, None, &u.cqs, threads, intra, correction);
+    (answers, metrics)
 }
 
 #[cfg(test)]

@@ -128,7 +128,15 @@ impl MaterializedView {
                 *support.entry(tuple).or_insert(0) += n;
             }
         };
-        let (view, answers, _) = materialize(db, cache, &source, &strata, threads, &tally, commit);
+        let (view, _, _) = materialize(db, cache, &source, &strata, threads, &tally, commit);
+        // The seed is the one caller that materializes the goal relation
+        // (its counts are maintained like any other); with nothing bound,
+        // the goal atom's shape is the filter its tuples pass as answers.
+        let goal = AtomShape::of(&source.goal, |_| None);
+        let answers: BTreeSet<Vec<Term>> = view
+            .iter_rows(source.goal.pred)
+            .filter(|tuple| goal.admits(tuple))
+            .collect();
         let diff = AnswerDelta {
             added: answers.iter().cloned().collect(),
             removed: Vec::new(),
@@ -186,14 +194,14 @@ impl MaterializedView {
             // Evaluate every delta rule of this level against the deltas
             // accumulated so far (base + strata below this one).
             let mut head_acc: BTreeMap<Predicate, HashMap<Vec<Term>, i64>> = BTreeMap::new();
-            let old_src = DataSource::Layered {
+            let old_src = DataSource {
                 base: old.0,
                 base_cache: old.1,
                 overlay: &old_view,
                 overlay_cache: &old_view_cache,
                 intensional: &self.program.intensional,
             };
-            let new_src = DataSource::Layered {
+            let new_src = DataSource {
                 base: new.0,
                 base_cache: new.1,
                 overlay: &self.view,

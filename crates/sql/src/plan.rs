@@ -209,14 +209,15 @@ pub fn plan_cq_cost(db: &Database, q: &ConjunctiveQuery) -> CostPlan {
 /// estimated-vs-actual row counts of earlier executions), which can flip
 /// operator choices and join order on re-planning.
 pub fn plan_cq_cost_corrected(db: &Database, q: &ConjunctiveQuery, correction: f64) -> CostPlan {
-    plan_over(
-        &DataSource::Single {
-            db,
-            cache: &BuildCache::new(),
-        },
-        q,
-        correction,
-    )
+    let (overlay, cache, intensional) = (Database::new(), BuildCache::new(), HashSet::new());
+    let src = DataSource {
+        base: db,
+        base_cache: &cache,
+        overlay: &overlay,
+        overlay_cache: &cache,
+        intensional: &intensional,
+    };
+    plan_over(&src, q, correction)
 }
 
 /// Plan a CQ against the tables `src` resolves its atoms to, with join
@@ -417,7 +418,7 @@ mod tests {
         assert_eq!(plan_cq_cost(&base, &q).order, vec![0, 1]);
         let (base_cache, overlay_cache) = (BuildCache::new(), BuildCache::new());
         let intensional = HashSet::from([Predicate::new("d", 1)]);
-        let src = DataSource::Layered {
+        let src = DataSource {
             base: &base,
             base_cache: &base_cache,
             overlay: &overlay,

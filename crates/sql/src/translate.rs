@@ -7,6 +7,7 @@ use std::collections::HashMap;
 use nyaya_core::{ConjunctiveQuery, Symbol, Term, UnionQuery};
 
 use crate::catalog::Catalog;
+use crate::program::ProgramError;
 
 /// Render a constant as a SQL string literal, doubling embedded single
 /// quotes (`o'brien` → `'o''brien'`). Constants come from user programs
@@ -183,13 +184,26 @@ pub fn cq_to_sql(q: &ConjunctiveQuery, catalog: &Catalog) -> Option<String> {
 }
 
 /// Translate a UCQ into a `UNION` of SELECT blocks (set semantics — the
-/// answer to a UCQ is a set of tuples, Section 3.1).
-pub fn ucq_to_sql(u: &UnionQuery, catalog: &Catalog) -> Option<String> {
+/// answer to a UCQ is a set of tuples, Section 3.1): the one union
+/// printer, behind a flat rewriting's text and every `UNION` of
+/// [`program_to_sql`](crate::program_to_sql). The empty union selects
+/// nothing. A body predicate with no table in `catalog` is named in a
+/// [`ProgramError::UnregisteredPredicate`].
+pub fn ucq_to_sql(u: &UnionQuery, catalog: &Catalog) -> Result<String, ProgramError> {
     if u.is_empty() {
-        return Some("SELECT NULL WHERE 1 = 0".to_owned());
+        return Ok("SELECT NULL WHERE 1 = 0".to_owned());
     }
-    let blocks: Option<Vec<String>> = u.iter().map(|q| cq_to_sql(q, catalog)).collect();
-    Some(blocks?.join("\nUNION\n"))
+    let blocks = u.iter().map(|q| {
+        if let Some(atom) = q.body.iter().find(|a| catalog.table(a.pred).is_none()) {
+            return Err(ProgramError::UnregisteredPredicate {
+                predicate: atom.pred.to_string(),
+            });
+        }
+        cq_to_sql(q, catalog).ok_or_else(|| ProgramError::Untranslatable {
+            rule: q.to_string(),
+        })
+    });
+    Ok(blocks.collect::<Result<Vec<_>, _>>()?.join("\nUNION\n"))
 }
 
 #[cfg(test)]
@@ -287,6 +301,13 @@ mod tests {
         let catalog = Catalog::stock_exchange();
         let q = cq(&["A"], &[("unknown_pred", &["A"])]);
         assert!(cq_to_sql(&q, &catalog).is_none());
+        let u = UnionQuery::new(vec![cq(&["A"], &[("fin_ins", &["A"])]), q]);
+        assert_eq!(
+            ucq_to_sql(&u, &catalog),
+            Err(ProgramError::UnregisteredPredicate {
+                predicate: "unknown_pred".to_owned()
+            })
+        );
     }
 
     #[test]

@@ -21,8 +21,11 @@ use std::sync::Arc;
 
 use nyaya_chase::certain_answers;
 use nyaya_core::par::cores;
-use nyaya_core::{Classification, Predicate, Term};
-use nyaya_sql::{execute_program_shared, execute_ucq_intra, program_to_sql, ucq_to_sql};
+use nyaya_core::{Classification, DatalogProgram, Predicate, Term};
+use nyaya_sql::{
+    execute_program_shared, execute_ucq_intra, program_to_sql, ucq_to_sql, ExecMetrics,
+    ProgramMetrics,
+};
 
 use super::error::NyayaError;
 use super::update::Snapshot;
@@ -34,7 +37,9 @@ pub enum ExecutorKind {
     /// Pick from the ontology's classification: FO-rewritable ⇒
     /// [`InMemory`](Self::InMemory), otherwise [`Chase`](Self::Chase).
     Auto,
-    /// Evaluate the UCQ rewriting on the in-process relational engine.
+    /// Evaluate the compiled form — the UCQ rewriting or the
+    /// non-recursive Datalog program — on the in-process relational
+    /// engine.
     InMemory,
     /// Emit SQL text for an external DBMS; does not produce tuples.
     Sql,
@@ -120,6 +125,15 @@ impl Target {
             Target::Program(program) => &program.touched,
         }
     }
+
+    /// What [`thread_budgets`] routes on: a union's disjuncts, or a
+    /// program's rules.
+    fn width(&self) -> usize {
+        match self {
+            Target::Ucq(compiled) => compiled.ucq.cqs.len(),
+            Target::Program(program) => program.program.num_rules(),
+        }
+    }
 }
 
 impl KnowledgeBase {
@@ -131,6 +145,43 @@ impl KnowledgeBase {
             Some(program) => Target::Program(program),
             None => Target::Ucq(self.rewriting(query)?),
         })
+    }
+
+    /// Evaluate `program` over `snapshot` on up to `threads` workers and
+    /// record the run: the program target of [`run`](Self::run), and
+    /// [`KnowledgeBase::execute_program`].
+    pub(super) fn run_program(
+        &self,
+        snapshot: &Snapshot,
+        program: &DatalogProgram,
+        threads: usize,
+    ) -> Result<BTreeSet<Vec<Term>>, NyayaError> {
+        let db = snapshot.database();
+        let (tuples, metrics) =
+            execute_program_shared(db, program, threads, snapshot.build_cache())?;
+        let ProgramMetrics {
+            materialized_tuples,
+            rows,
+            threads,
+            build_cache_hits,
+            build_cache_misses,
+            merge_joins,
+            morsel_tasks,
+            elapsed,
+            ..
+        } = metrics;
+        let join_work = ExecMetrics {
+            rows,
+            threads,
+            build_cache_hits,
+            build_cache_misses,
+            merge_joins,
+            morsel_tasks,
+            elapsed,
+            ..ExecMetrics::default()
+        };
+        self.record_execution(&join_work, Some(materialized_tuples));
+        Ok(tuples)
     }
 
     /// Execute `query` over `snapshot` on backend `kind`: the one
@@ -167,21 +218,7 @@ impl KnowledgeBase {
                 let catalog = snapshot.catalog();
                 let sql = match self.target(query)? {
                     Target::Program(program) => program_to_sql(&program.program, catalog)?,
-                    Target::Ucq(compiled) => {
-                        ucq_to_sql(&compiled.ucq, catalog).ok_or_else(|| {
-                            // Name the first predicate the catalog is
-                            // missing — the error is actionable only if
-                            // it says which table to register.
-                            let predicate = compiled
-                                .ucq
-                                .iter()
-                                .flat_map(|cq| cq.body.iter())
-                                .find(|a| catalog.table(a.pred).is_none())
-                                .map(|a| a.pred.to_string())
-                                .unwrap_or_else(|| "<unknown>".to_owned());
-                            NyayaError::UnregisteredPredicate { predicate }
-                        })?
-                    }
+                    Target::Ucq(compiled) => ucq_to_sql(&compiled.ucq, catalog)?,
                 };
                 Ok(Answers {
                     backend: "sql",
@@ -198,26 +235,18 @@ impl KnowledgeBase {
                 if let Some(hit) = self.cached_answer(query, snapshot, target.touched()) {
                     return Ok(hit);
                 }
+                let (threads, intra) = thread_budgets(target.width());
                 let (backend, tuples) = match &target {
-                    // Materialize each intensional predicate once (strata
-                    // in parallel past the threshold) instead of
-                    // evaluating the DNF's disjuncts.
-                    Target::Program(program) => {
-                        let (threads, _) = thread_budgets(program.program.num_rules());
-                        let (tuples, metrics) = execute_program_shared(
-                            snapshot.database(),
-                            &program.program,
-                            threads,
-                            snapshot.build_cache(),
-                        )?;
-                        self.record_program_execution(&metrics);
-                        ("program", tuples)
-                    }
+                    // Materialize each intensional predicate below the
+                    // goal once instead of evaluating the DNF's disjuncts.
+                    Target::Program(program) => (
+                        "program",
+                        self.run_program(snapshot, &program.program, threads)?,
+                    ),
                     // Cost-based planning with the shape's learned
                     // cardinality correction; the run's estimated-vs-actual
                     // counts feed the next correction.
                     Target::Ucq(compiled) => {
-                        let (threads, intra) = thread_budgets(compiled.ucq.cqs.len());
                         let (tuples, metrics) = execute_ucq_intra(
                             snapshot.database(),
                             &compiled.ucq,
@@ -226,7 +255,7 @@ impl KnowledgeBase {
                             snapshot.build_cache(),
                             self.plan_correction(query),
                         );
-                        self.record_execution(&metrics);
+                        self.record_execution(&metrics, None);
                         self.record_feedback(query, &metrics);
                         ("in-memory", tuples)
                     }

@@ -79,10 +79,7 @@ use nyaya_rewrite::{
     quonto_rewrite, requiem_rewrite, tgd_rewrite_with, DeltaError, EliminationContext,
     ProgramOptStats, ProgramStrategy, RewriteOptions, RewriteStats,
 };
-use nyaya_sql::{
-    execute_program_shared, BaseDeltas, BuildCache, Catalog, Database, ExecMetrics,
-    MaterializedView, ProgramMetrics,
-};
+use nyaya_sql::{BaseDeltas, BuildCache, Catalog, Database, ExecMetrics, MaterializedView};
 
 use cache::QueryEntry;
 use durability::Durability;
@@ -1461,58 +1458,7 @@ impl KnowledgeBase {
         &self,
         program: &DatalogProgram,
     ) -> Result<std::collections::BTreeSet<Vec<Term>>, NyayaError> {
-        let snapshot = self.snapshot();
-        let (tuples, metrics) =
-            execute_program_shared(snapshot.database(), program, 1, snapshot.build_cache())?;
-        self.record_program_execution(&metrics);
-        Ok(tuples)
-    }
-
-    /// Record one bottom-up program run — an
-    /// [`execute_program`](Self::execute_program) call, or an execution
-    /// [`Strategy`] routed to the program target — in the lifetime
-    /// counters.
-    fn record_program_execution(&self, metrics: &ProgramMetrics) {
-        let c = &self.counters;
-        c.program_executions.fetch_add(1, Ordering::Relaxed);
-        c.program_micros.fetch_add(
-            u64::try_from(metrics.elapsed.as_micros()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-        c.program_tuples_materialized
-            .fetch_add(metrics.materialized_tuples as u64, Ordering::Relaxed);
-        self.record_join_work(
-            metrics.rows,
-            metrics.threads,
-            metrics.build_cache_hits,
-            metrics.build_cache_misses,
-            metrics.merge_joins,
-            metrics.morsel_tasks,
-        );
-    }
-
-    /// The counters every in-memory run reports alike, whether it
-    /// evaluated a UCQ or a program: rows, the parallel route, build
-    /// sides served and built, merge joins and probe morsels.
-    fn record_join_work(
-        &self,
-        rows: usize,
-        threads: usize,
-        build_hits: u64,
-        build_misses: u64,
-        merges: u64,
-        morsels: u64,
-    ) {
-        let c = &self.counters;
-        c.rows_returned.fetch_add(rows as u64, Ordering::Relaxed);
-        if threads > 1 {
-            c.parallel_executions.fetch_add(1, Ordering::Relaxed);
-        }
-        c.build_cache_hits.fetch_add(build_hits, Ordering::Relaxed);
-        c.build_cache_misses
-            .fetch_add(build_misses, Ordering::Relaxed);
-        c.merge_joins.fetch_add(merges, Ordering::Relaxed);
-        c.morsel_tasks.fetch_add(morsels, Ordering::Relaxed);
+        self.run_program(&self.snapshot(), program, 1)
     }
 
     /// Materialize `chase(D, Σ)` over the *raw* (as-authored) TGDs with
@@ -1540,25 +1486,42 @@ impl KnowledgeBase {
         }
     }
 
-    /// Record one in-memory UCQ run in the lifetime counters.
-    fn record_execution(&self, metrics: &ExecMetrics) {
+    /// Record one in-memory run in the lifetime counters: its join work
+    /// (rows, the parallel route, build sides served and built, merge
+    /// joins, probe morsels), then a program's materialization when
+    /// `materialized` holds its tuple count, else a UCQ's planner
+    /// estimate.
+    fn record_execution(&self, metrics: &ExecMetrics, materialized: Option<usize>) {
         let c = &self.counters;
-        c.exec_micros.fetch_add(
-            u64::try_from(metrics.elapsed.as_micros()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-        self.record_join_work(
-            metrics.rows,
-            metrics.threads,
-            metrics.build_cache_hits,
-            metrics.build_cache_misses,
-            metrics.merge_joins,
-            metrics.morsel_tasks,
-        );
-        c.plan_estimated_rows
-            .fetch_add(metrics.estimated_rows, Ordering::Relaxed);
-        c.plan_actual_rows
+        let micros = u64::try_from(metrics.elapsed.as_micros()).unwrap_or(u64::MAX);
+        c.rows_returned
             .fetch_add(metrics.rows as u64, Ordering::Relaxed);
+        if metrics.threads > 1 {
+            c.parallel_executions.fetch_add(1, Ordering::Relaxed);
+        }
+        c.build_cache_hits
+            .fetch_add(metrics.build_cache_hits, Ordering::Relaxed);
+        c.build_cache_misses
+            .fetch_add(metrics.build_cache_misses, Ordering::Relaxed);
+        c.merge_joins
+            .fetch_add(metrics.merge_joins, Ordering::Relaxed);
+        c.morsel_tasks
+            .fetch_add(metrics.morsel_tasks, Ordering::Relaxed);
+        match materialized {
+            Some(tuples) => {
+                c.program_executions.fetch_add(1, Ordering::Relaxed);
+                c.program_micros.fetch_add(micros, Ordering::Relaxed);
+                c.program_tuples_materialized
+                    .fetch_add(tuples as u64, Ordering::Relaxed);
+            }
+            None => {
+                c.exec_micros.fetch_add(micros, Ordering::Relaxed);
+                c.plan_estimated_rows
+                    .fetch_add(metrics.estimated_rows, Ordering::Relaxed);
+                c.plan_actual_rows
+                    .fetch_add(metrics.rows as u64, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Count one request served through the network serving layer.

@@ -139,7 +139,8 @@ kb_stats! {
     count program_rules: u64,
     /// Stratum levels across all compiled programs.
     count program_strata: u64,
-    /// Intensional tuples materialized across all program executions.
+    /// Intensional tuples materialized below the goal across all program
+    /// executions (a program's answers are not materialized).
     count program_tuples_materialized: u64,
     /// Is this knowledge base backed by a durable ledger?
     read durable: bool,

@@ -875,7 +875,7 @@ fn stats_json_is_byte_stable() {
             r#""build_cache_invalidations":1,"snapshot_facts":2,"rewrite_micros":#,"#,
             r#""rewrite_explored":4,"rewrites_parallel":0,"subsumption_checks_avoided":0,"#,
             r#""program_compiles":1,"program_executions":1,"program_micros":#,"#,
-            r#""program_rules":2,"program_strata":1,"program_tuples_materialized":2,"#,
+            r#""program_rules":2,"program_strata":1,"program_tuples_materialized":0,"#,
             r#""durable":true,"wal_records":1,"wal_bytes":110,"segments_flushed":2,"#,
             r#""segment_bytes":352,"last_segment_epoch":1,"epochs_materialized":1,"#,
             r#""recovery_replayed":0,"subscriptions_active":1,"subscription_diffs":1,"#,

@@ -21,10 +21,16 @@
 //!    `nyaya-rewrite`'s unit tests, where small rounds can be made to split.
 //! 3. **Auto routing** — a default knowledge base sends the clustered
 //!    blow-up to the program target and monolithic chains to the flat UCQ.
+//! 4. **A UCQ is the goal stratum of a program** — on the fuzz and suite
+//!    inputs of 1 and 2, every UCQ runs through `execute_ucq_intra` and
+//!    as the one-stratum program `goal :- cq_i` through
+//!    `execute_program_shared`: equal answers and equal join counters,
+//!    and `program_to_sql` of that program prints `ucq_to_sql`'s bytes.
 //!
 //! [`DatalogProgram::canonical_text`]: nyaya::core::DatalogProgram::canonical_text
 
 use nyaya::chase::{certain_answers, ChaseConfig, Instance};
+use nyaya::core::{Atom, DatalogProgram, DatalogRule, Predicate, Term, UnionQuery};
 use nyaya::ontologies::rng::Prng;
 use nyaya::ontologies::{
     generate_abox, load, load_all, random_cq, random_database, random_linear_tgds, AboxConfig,
@@ -34,7 +40,10 @@ use nyaya::rewrite::{
     nr_datalog_rewrite, tgd_rewrite, ProgramRewriting, ProgramStrategy, RewriteOptions,
     RewriteStats,
 };
-use nyaya::sql::{execute_program, execute_ucq, Database};
+use nyaya::sql::{
+    execute_program, execute_program_shared, execute_ucq, execute_ucq_intra, program_to_sql,
+    ucq_to_sql, BuildCache, Catalog, Database,
+};
 use nyaya::{Algorithm, KnowledgeBase, Strategy};
 
 const BUDGET: usize = 30_000;
@@ -81,6 +90,48 @@ fn assert_parallel_deterministic(label: &str, seq: &ProgramRewriting, par: &Prog
     );
 }
 
+/// Run `ucq` flat and as the one-stratum program `goal :- cq_i` (one rule
+/// per disjunct, in order): the answers, build sides served and built,
+/// merge joins and probe morsels must be equal, and so must the SQL text.
+fn assert_ucq_is_a_goal_stratum(label: &str, db: &Database, ucq: &UnionQuery) {
+    let arity = ucq.cqs.first().map_or(0, |q| q.head.len());
+    let pred = Predicate::new("goal", arity);
+    let goal = (0..arity).map(|i| Term::var(&format!("V{i}"))).collect();
+    let rules = ucq
+        .cqs
+        .iter()
+        .map(|q| DatalogRule::new(Atom::new(pred, q.head.clone()), q.body.clone()));
+    let program = DatalogProgram::new(Atom::new(pred, goal), rules.collect());
+
+    let (flat, m) = execute_ucq_intra(db, ucq, 1, 1, &BuildCache::new(), 1.0);
+    let (stratum, p) = execute_program_shared(db, &program, 1, &BuildCache::new())
+        .unwrap_or_else(|e| panic!("{label}: one-stratum program failed: {e}"));
+    assert_eq!(flat, stratum, "{label}: goal-stratum answers differ");
+    assert_eq!(
+        (
+            m.build_cache_hits,
+            m.build_cache_misses,
+            m.merge_joins,
+            m.morsel_tasks
+        ),
+        (
+            p.build_cache_hits,
+            p.build_cache_misses,
+            p.merge_joins,
+            p.morsel_tasks
+        ),
+        "{label}: goal-stratum join counters differ"
+    );
+
+    let mut catalog = Catalog::new();
+    catalog.register_defaults(ucq.cqs.iter().flat_map(|q| q.body.iter().map(|a| a.pred)));
+    assert_eq!(
+        program_to_sql(&program, &catalog).expect("one-stratum program prints"),
+        ucq_to_sql(ucq, &catalog).expect("UCQ prints"),
+        "{label}: goal-stratum SQL differs"
+    );
+}
+
 #[test]
 fn program_equals_ucq_equals_chase_on_fuzz_ontologies() {
     let config = FuzzConfig {
@@ -109,6 +160,7 @@ fn program_equals_ucq_equals_chase_on_fuzz_ontologies() {
         compared += 1;
 
         let db = Database::from_facts(facts.iter().cloned());
+        assert_ucq_is_a_goal_stratum(&format!("seed {seed}"), &db, &ucq.ucq);
         let via_ucq = execute_ucq(&db, &ucq.ucq);
         let via_program = execute_program(&db, &pr.program).unwrap_or_else(|e| {
             panic!(
@@ -184,6 +236,8 @@ fn suite_programs_match_ucq_answers_and_parallel_compiles() {
             if matches!(seq.strategy, ProgramStrategy::Clustered { .. }) {
                 decomposed += 1;
             }
+            let label = format!("{} {name}", bench.id);
+            assert_ucq_is_a_goal_stratum(&label, &db, &ucq.ucq);
             assert_eq!(
                 execute_ucq(&db, &ucq.ucq),
                 execute_program(&db, &seq.program).expect("suite program evaluates"),
