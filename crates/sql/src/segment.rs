@@ -35,12 +35,22 @@
 //! version 1 wrote them in insertion order; the decoder accepts all
 //! three, so pre-existing ledgers keep replaying.
 //!
+//! A version-3 table decodes straight into columns: each dictionary
+//! entry becomes a cell once, rows copy cells by dictionary index, and
+//! postings are grouped by dictionary index — no fact is materialized
+//! and nothing is deduplicated per row. What deduplication would have
+//! guaranteed is checked instead: index tuples strictly increasing, every
+//! dictionary entry a distinct cell that some row uses, every predicate
+//! listed once. Every version-3 encoder writes exactly that. Versions 1
+//! and 2 go through [`Database::insert_all`].
+//!
 //! Decoding is defensive — it is fed bytes that already passed a CRC
 //! check, but it must never panic on arbitrary input (corruption tests
 //! hand it garbage directly): every read is bounds-checked and structural
 //! nonsense surfaces as a typed [`CodecError`].
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -92,31 +102,36 @@ pub fn encode_database(db: &Database) -> Vec<u8> {
         // Per-column dictionaries: the live distinct cells in canonical
         // value order, decoded to terms. A cell's dictionary index is its
         // rank in that order, so the dictionaries are process-stable.
-        let mut ranks: Vec<HashMap<u32, u32>> = Vec::with_capacity(pred.arity);
+        // Walking each cell's posting list in that order ranks every row
+        // of the column: `ranks[j][id]` is row `id`'s index in column `j`.
+        let end = table.live_ids().last().map_or(0, |id| id as usize + 1);
+        let mut ranks: Vec<Vec<u32>> = Vec::with_capacity(pred.arity);
         for col in 0..pred.arity {
             let sorted = table.canonical_cells(col);
             push_u32(&mut out, sorted.len() as u32);
-            let mut rank = HashMap::with_capacity(sorted.len());
+            let mut rank = vec![0u32; end];
             for (i, &cell) in sorted.iter().enumerate() {
                 push_term(&mut out, &table.term_of(cell));
-                rank.insert(cell, i as u32);
+                for &id in table.posting_cells(col, cell) {
+                    rank[id as usize] = i as u32;
+                }
             }
             ranks.push(rank);
         }
-        // Rows as dictionary-index tuples, sorted lexicographically —
-        // identical to canonical row order (per-column rank order *is*
-        // canonical value order), but a pure u32 sort.
-        let mut rows: Vec<Vec<u32>> = table
+        // Rows as dictionary-index tuples in one flat buffer, emitted
+        // sorted lexicographically — identical to canonical row order
+        // (per-column rank order *is* canonical value order), but a pure
+        // u32 sort.
+        let width = pred.arity;
+        let rows: Vec<u32> = table
             .live_ids()
-            .map(|id| {
-                (0..pred.arity)
-                    .map(|col| ranks[col][&table.cell_at(id, col)])
-                    .collect()
-            })
+            .flat_map(|id| ranks.iter().map(move |rank| rank[id as usize]))
             .collect();
-        rows.sort_unstable();
-        for row in rows {
-            for ix in row {
+        let row = |r: u32| &rows[r as usize * width..][..width];
+        let mut order: Vec<u32> = (0..table.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+        for r in order {
+            for &ix in row(r) {
                 push_u32(&mut out, ix);
             }
         }
@@ -124,7 +139,9 @@ pub fn encode_database(db: &Database) -> Vec<u8> {
     out
 }
 
-/// Decode a segment payload back into a database (indexes are rebuilt).
+/// Decode a segment payload back into a database. A version-3 table is
+/// decoded straight into columns (see the module docs); older versions
+/// go through the bulk-load path.
 pub fn decode_database(bytes: &[u8]) -> Result<Database, CodecError> {
     let mut cur = Cursor::new(bytes);
     let version = cur.u32()?;
@@ -132,6 +149,8 @@ pub fn decode_database(bytes: &[u8]) -> Result<Database, CodecError> {
         return Err(cur.fail(format!("unsupported segment payload version {version}")));
     }
     let n_tables = cur.u32()?;
+    let mut db = Database::new();
+    let mut listed: HashSet<Predicate> = HashSet::new();
     let mut atoms: Vec<Atom> = Vec::new();
     for _ in 0..n_tables {
         let name = cur.str()?;
@@ -139,57 +158,19 @@ pub fn decode_database(bytes: &[u8]) -> Result<Database, CodecError> {
         if arity > MAX_ARITY {
             return Err(cur.fail(format!("implausible arity {arity}")));
         }
-        let pred = Predicate::new(&name, arity as usize);
+        let pred = Predicate::new(name, arity as usize);
         let n_rows = cur.u64()?;
+        // Every row occupies at least one byte per argument; an arity-0
+        // table can hold at most its single empty row.
+        if arity == 0 && n_rows > 1 {
+            return Err(cur.fail(format!("arity-0 table claims {n_rows} rows")));
+        }
         if version >= 3 {
-            // Dictionary-encoded table: per-column dictionaries first,
-            // then fixed-width index tuples.
-            if arity == 0 && n_rows > 1 {
-                return Err(cur.fail(format!("arity-0 table claims {n_rows} rows")));
+            if !listed.insert(pred) {
+                return Err(cur.fail(format!("table {name}/{arity} listed twice")));
             }
-            let mut dicts: Vec<Vec<Term>> = Vec::with_capacity(arity as usize);
-            for _ in 0..arity {
-                let n_distinct = cur.u32()?;
-                // Every dictionary term occupies at least one byte.
-                if n_distinct as usize > cur.remaining() {
-                    return Err(cur.fail(format!("implausible dictionary size {n_distinct}")));
-                }
-                let mut terms = Vec::with_capacity(n_distinct as usize);
-                for _ in 0..n_distinct {
-                    terms.push(cur.term(0)?);
-                }
-                dicts.push(terms);
-            }
-            // Row data is exactly n_rows × arity u32s — check before the
-            // loop so a corrupt count cannot spin through gigabytes.
-            let need = n_rows
-                .checked_mul(arity as u64)
-                .and_then(|cells| cells.checked_mul(4));
-            match need {
-                Some(bytes) if bytes <= cur.remaining() as u64 => {}
-                _ => return Err(cur.fail(format!("implausible row count {n_rows}"))),
-            }
-            for _ in 0..n_rows {
-                let mut args = Vec::with_capacity(arity as usize);
-                for dict in &dicts {
-                    let ix = cur.u32()? as usize;
-                    let term = dict
-                        .get(ix)
-                        .ok_or_else(|| cur.fail(format!("dictionary index {ix} out of range")))?;
-                    args.push(term.clone());
-                }
-                let atom = Atom::new(pred, args);
-                if !atom.is_ground() {
-                    return Err(cur.fail(format!("non-ground fact {atom} in segment")));
-                }
-                atoms.push(atom);
-            }
+            decode_columns(&mut cur, &mut db, pred, n_rows)?;
         } else {
-            // Every row occupies at least one byte per argument; an
-            // arity-0 table can hold at most its single empty row.
-            if arity == 0 && n_rows > 1 {
-                return Err(cur.fail(format!("arity-0 table claims {n_rows} rows")));
-            }
             if arity > 0 && n_rows > cur.remaining() as u64 {
                 return Err(cur.fail(format!("implausible row count {n_rows}")));
             }
@@ -207,9 +188,103 @@ pub fn decode_database(bytes: &[u8]) -> Result<Database, CodecError> {
         }
     }
     cur.finish()?;
-    let mut db = Database::new();
     db.insert_all(atoms);
     Ok(db)
+}
+
+/// Decode one version-3 table (per-column dictionaries, then fixed-width
+/// index tuples) into `db` without materializing a row: each dictionary
+/// entry is read and checked ground once, and the tuples are checked and
+/// handed over as they are. The set semantics the bulk-load path would
+/// get from deduplicating are checked instead, each a typed error: tuples
+/// strictly increasing, no dictionary entry repeating a term of its
+/// column or used by no row. Every encoder of version 3 writes exactly
+/// that. A table of zero rows decodes to no table.
+fn decode_columns(
+    cur: &mut Cursor<'_>,
+    db: &mut Database,
+    pred: Predicate,
+    n_rows: u64,
+) -> Result<(), CodecError> {
+    let width = pred.arity;
+    let mut dicts: Vec<Vec<Term>> = Vec::with_capacity(width);
+    let mut dict_at: Vec<usize> = Vec::with_capacity(width);
+    for _ in 0..width {
+        dict_at.push(cur.pos);
+        let n_distinct = cur.u32()?;
+        // Every dictionary term occupies at least one byte.
+        if n_distinct as usize > cur.remaining() {
+            return Err(cur.fail(format!("implausible dictionary size {n_distinct}")));
+        }
+        let mut terms = Vec::with_capacity(n_distinct as usize);
+        for _ in 0..n_distinct {
+            let at = cur.pos;
+            let term = cur.term(0)?;
+            if !term.is_ground() {
+                return Err(CodecError {
+                    offset: at,
+                    detail: format!("non-ground term {term} in a segment dictionary"),
+                });
+            }
+            terms.push(term);
+        }
+        dicts.push(terms);
+    }
+    // Row data is exactly n_rows × arity u32s — check before reading so a
+    // corrupt count cannot spin through gigabytes.
+    let need = n_rows
+        .checked_mul(width as u64)
+        .and_then(|cells| cells.checked_mul(4))
+        .filter(|&bytes| bytes <= cur.remaining() as u64);
+    let n = u32::try_from(n_rows).ok().filter(|&n| n != u32::MAX);
+    let (Some(need), Some(n)) = (need, n) else {
+        return Err(cur.fail(format!("implausible row count {n_rows}")));
+    };
+    let rows_at = cur.pos;
+    let rows: Vec<u32> = cur
+        .take(need as usize)?
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        .collect();
+    let fail_at = |cell: usize, detail: String| CodecError {
+        offset: rows_at + 4 * cell,
+        detail,
+    };
+    // An arity-0 table has no tuple to check: its one row is empty.
+    if width > 0 {
+        let mut prev: Option<&[u32]> = None;
+        for (i, row) in rows.chunks_exact(width).enumerate() {
+            if let Some(j) = (0..width).find(|&j| row[j] as usize >= dicts[j].len()) {
+                let detail = format!("dictionary index {} out of range", row[j]);
+                return Err(fail_at(i * width + j, detail));
+            }
+            match prev.map(|p| p.cmp(row)) {
+                Some(Ordering::Equal) => {
+                    return Err(fail_at(
+                        i * width,
+                        format!("row {i} repeats the row before it"),
+                    ))
+                }
+                Some(Ordering::Greater) => {
+                    return Err(fail_at(
+                        i * width,
+                        format!("row {i} is out of canonical order"),
+                    ))
+                }
+                _ => prev = Some(row),
+            }
+        }
+    }
+    if n == 0 {
+        return Ok(());
+    }
+    db.insert_decoded(pred, &dicts, &rows, n)
+        .map_err(|(j, k)| CodecError {
+            offset: dict_at[j],
+            detail: format!(
+                "dictionary entry {k} of column {j} duplicates an earlier entry or is used by no row"
+            ),
+        })
 }
 
 /// Encode an update batch (retracts first, then inserts) into a WAL
@@ -329,13 +404,13 @@ impl<'a> Cursor<'a> {
         ))
     }
 
-    fn str(&mut self) -> Result<String, CodecError> {
+    fn str(&mut self) -> Result<&'a str, CodecError> {
         let len = self.u32()?;
         if len > MAX_STR {
             return Err(self.fail(format!("implausible string length {len}")));
         }
         let bytes = self.take(len as usize)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.fail("invalid UTF-8".to_string()))
+        std::str::from_utf8(bytes).map_err(|_| self.fail("invalid UTF-8".to_string()))
     }
 
     fn term(&mut self, depth: usize) -> Result<Term, CodecError> {
@@ -344,9 +419,9 @@ impl<'a> Cursor<'a> {
         }
         let tag = self.take(1)?[0];
         match tag {
-            0 => Ok(Term::constant(&self.str()?)),
+            0 => Ok(Term::constant(self.str()?)),
             1 => Ok(Term::Null(self.u64()?)),
-            2 => Ok(Term::var(&self.str()?)),
+            2 => Ok(Term::var(self.str()?)),
             3 => {
                 let name = self.str()?;
                 let argc = self.u32()?;
@@ -358,7 +433,7 @@ impl<'a> Cursor<'a> {
                     args.push(self.term(depth + 1)?);
                 }
                 Ok(Term::Func(
-                    nyaya_core::symbols::intern(&name),
+                    nyaya_core::symbols::intern(name),
                     args.into_boxed_slice(),
                 ))
             }
@@ -379,7 +454,7 @@ impl<'a> Cursor<'a> {
             if arity > MAX_ARITY {
                 return Err(self.fail(format!("implausible arity {arity}")));
             }
-            let pred = Predicate::new(&name, arity as usize);
+            let pred = Predicate::new(name, arity as usize);
             let mut args = Vec::with_capacity(arity as usize);
             for _ in 0..arity {
                 args.push(self.term(0)?);
@@ -557,5 +632,168 @@ mod tests {
         let bytes = encode_batch(&[], std::slice::from_ref(&f));
         let (_, inserts) = decode_batch(&bytes).expect("decode");
         assert_eq!(inserts, vec![f]);
+    }
+
+    /// One hand-made v3 table: its name, dictionaries and index tuples.
+    type RawTable<'a> = (&'a str, Vec<Vec<Term>>, Vec<Vec<u32>>);
+
+    /// Hand-encode a v3 payload, every table written as given (no
+    /// sorting, no checks).
+    fn v3_payload(tables: &[RawTable<'_>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        push_u32(&mut out, VERSION);
+        push_u32(&mut out, tables.len() as u32);
+        for (name, dicts, rows) in tables {
+            push_str(&mut out, name);
+            push_u32(&mut out, dicts.len() as u32);
+            push_u64(&mut out, rows.len() as u64);
+            for dict in dicts {
+                push_u32(&mut out, dict.len() as u32);
+                for term in dict {
+                    push_term(&mut out, term);
+                }
+            }
+            for row in rows {
+                for &ix in row {
+                    push_u32(&mut out, ix);
+                }
+            }
+        }
+        out
+    }
+
+    fn consts(names: &[&str]) -> Vec<Term> {
+        names.iter().map(|n| Term::constant(n)).collect()
+    }
+
+    /// The typed error of a payload that must not decode.
+    fn rejection(payload: &[u8]) -> CodecError {
+        match decode_database(payload) {
+            Ok(db) => panic!("decoded {} facts from a defective payload", db.len()),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn a_well_formed_hand_encoded_v3_payload_decodes() {
+        let payload = v3_payload(&[(
+            "p",
+            vec![consts(&["a", "b"]), consts(&["c", "d"])],
+            vec![vec![0, 1], vec![1, 0], vec![1, 1]],
+        )]);
+        let db = decode_database(&payload).expect("well-formed payload");
+        let expected = Database::from_facts(vec![
+            fact("p", &["a", "d"]),
+            fact("p", &["b", "c"]),
+            fact("p", &["b", "d"]),
+        ]);
+        assert_eq!(encode_database(&db), encode_database(&expected));
+        assert_eq!(encode_database(&db), payload);
+    }
+
+    #[test]
+    fn v3_set_violations_are_typed_errors() {
+        let ab = || vec![consts(&["a", "b"])];
+        let repeated = rejection(&v3_payload(&[(
+            "p",
+            vec![consts(&["a"])],
+            vec![vec![0], vec![0]],
+        )]));
+        assert!(
+            repeated.detail.contains("repeats the row before"),
+            "{repeated}"
+        );
+        let unordered = rejection(&v3_payload(&[("p", ab(), vec![vec![1], vec![0]])]));
+        assert!(
+            unordered.detail.contains("out of canonical order"),
+            "{unordered}"
+        );
+        // Ordered on the first column, out of order on the second.
+        let wide = rejection(&v3_payload(&[(
+            "p",
+            vec![consts(&["a"]), consts(&["c", "d"])],
+            vec![vec![0, 1], vec![0, 0]],
+        )]));
+        assert!(wide.detail.contains("out of canonical order"), "{wide}");
+        let twice = rejection(&v3_payload(&[(
+            "p",
+            vec![consts(&["a", "a"])],
+            vec![vec![0], vec![1]],
+        )]));
+        assert!(twice.detail.contains("duplicates"), "{twice}");
+        // Two nulls naming the same term are one cell twice too.
+        let nulls = rejection(&v3_payload(&[(
+            "p",
+            vec![vec![Term::Null(4), Term::Null(4)]],
+            vec![vec![0], vec![1]],
+        )]));
+        assert!(nulls.detail.contains("duplicates"), "{nulls}");
+        let unused = rejection(&v3_payload(&[("p", ab(), vec![vec![0]])]));
+        assert!(unused.detail.contains("used by no row"), "{unused}");
+        let listed_twice = rejection(&v3_payload(&[
+            ("p", vec![consts(&["a"])], vec![vec![0]]),
+            ("p", vec![consts(&["b"])], vec![vec![0]]),
+        ]));
+        assert!(
+            listed_twice.detail.contains("listed twice"),
+            "{listed_twice}"
+        );
+        let non_ground = rejection(&v3_payload(&[(
+            "p",
+            vec![vec![Term::Func(
+                nyaya_core::symbols::intern("f"),
+                vec![Term::var("X")].into_boxed_slice(),
+            )]],
+            vec![vec![0]],
+        )]));
+        assert!(non_ground.detail.contains("non-ground"), "{non_ground}");
+        let out_of_range = rejection(&v3_payload(&[("p", ab(), vec![vec![0], vec![2]])]));
+        assert!(
+            out_of_range.detail.contains("out of range"),
+            "{out_of_range}"
+        );
+    }
+
+    #[test]
+    fn a_zero_row_v3_table_decodes_to_no_table() {
+        let payload = v3_payload(&[("p", vec![consts(&["a"])], vec![])]);
+        let db = decode_database(&payload).expect("zero-row table");
+        assert!(db.is_empty());
+        assert_eq!(db.predicates().count(), 0);
+    }
+
+    #[test]
+    fn flipping_any_byte_of_a_v3_payload_never_panics() {
+        let mut db = Database::from_facts(vec![
+            fact("knows", &["alice", "bob"]),
+            fact("knows", &["bob", "alice"]),
+            fact("knows", &["bob", "carol"]),
+            fact("person", &["alice"]),
+            fact("person", &["bob"]),
+            fact("nullary", &[]),
+        ]);
+        db.insert(Atom::new(
+            Predicate::new("tagged", 2),
+            vec![
+                Term::Func(
+                    nyaya_core::symbols::intern("sk"),
+                    vec![Term::constant("alice"), Term::Null(9)].into_boxed_slice(),
+                ),
+                Term::Null(2),
+            ],
+        ));
+        let bytes = encode_database(&db);
+        for at in 0..bytes.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= mask;
+                // `Ok` or `Err`, never a panic; whatever decodes is a
+                // database the encoder can write back.
+                if let Ok(decoded) = decode_database(&flipped) {
+                    let again = decode_database(&encode_database(&decoded)).expect("re-decode");
+                    assert_eq!(again.len(), decoded.len(), "byte {at} ^ {mask:#x}");
+                }
+            }
+        }
     }
 }

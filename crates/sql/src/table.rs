@@ -6,8 +6,8 @@
 //! A table is an immutable, [`Arc`]-shared **base** plus a small
 //! **delta** owned by the one snapshot that wrote it:
 //!
-//! - the base (built by the bulk-load path and by a fold, never mutated
-//!   afterwards) holds the flat cell columns and, per column, one hash map
+//! - the base (built by the bulk-load path, by a fold or by the segment
+//!   decoder, never mutated afterwards) holds the flat cell columns and, per column, one hash map
 //!   from cell to a `(start, len)` span of one flat row-id array. No `Vec`
 //!   per cell, no per-row dedup map: whether a row is present is answered
 //!   by scanning the shortest posting list among its cells;
@@ -27,7 +27,6 @@
 //! not the batch.
 
 use std::borrow::Borrow;
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -175,38 +174,36 @@ struct ColumnIndex {
 }
 
 impl ColumnIndex {
-    /// Group a column's row ids by cell: one counting pass, offsets by a
-    /// running sum in first-seen order (so a column of mostly distinct
-    /// cells fills `rows` front to back), one fill pass.
-    fn group(col: &[u32]) -> ColumnIndex {
-        let mut spans: HashMap<u32, (u32, u32)> = HashMap::new();
-        let mut first_seen: Vec<u32> = Vec::new();
-        for &c in col {
-            match spans.entry(c) {
-                Entry::Occupied(e) => e.into_mut().1 += 1,
-                Entry::Vacant(e) => {
-                    e.insert((0, 1));
-                    first_seen.push(c);
-                }
-            }
+    /// Group a column's row ids by cell, given every row's dense key:
+    /// `keys[id]` is row `id`'s key in `0..cells.len()` and `cells[k]` the
+    /// cell key `k` stands for. One counting pass over the keys, offsets
+    /// by a running sum in key order, one `spans` insert per key, one fill
+    /// pass — no hashing per row. Each key must be used by some row and
+    /// name a cell no earlier key named; `Err(k)` names the first key that
+    /// is not (only a decoded segment can get that wrong).
+    fn group(keys: &[u32], cells: &[u32]) -> Result<ColumnIndex, usize> {
+        let mut next = vec![0u32; cells.len()];
+        for &k in keys {
+            next[k as usize] += 1;
         }
-        spans.shrink_to_fit();
+        let mut spans = HashMap::with_capacity(cells.len());
         let mut start = 0u32;
-        for c in &first_seen {
-            let span = spans.get_mut(c).expect("counted above");
-            // `len` restarts at zero: the fill pass below uses it as its
-            // cursor and so counts it back up.
-            let count = span.1;
-            *span = (start, 0);
+        for (k, (slot, &cell)) in next.iter_mut().zip(cells).enumerate() {
+            let count = *slot;
+            if count == 0 || spans.insert(cell, (start, count)).is_some() {
+                return Err(k);
+            }
+            // From here on the slot is key `k`'s fill cursor.
+            *slot = start;
             start += count;
         }
-        let mut rows = vec![0u32; col.len()];
-        for (id, c) in col.iter().enumerate() {
-            let span = spans.get_mut(c).expect("counted above");
-            rows[(span.0 + span.1) as usize] = id as u32;
-            span.1 += 1;
+        let mut rows = vec![0u32; keys.len()];
+        for (id, &k) in keys.iter().enumerate() {
+            let slot = &mut next[k as usize];
+            rows[*slot as usize] = id as u32;
+            *slot += 1;
         }
-        ColumnIndex { spans, rows }
+        Ok(ColumnIndex { spans, rows })
     }
 
     #[inline]
@@ -230,8 +227,27 @@ struct Base {
 }
 
 impl Base {
+    /// Index bulk-loaded columns: each cell's key is the order in which
+    /// the column first shows it (so a column of mostly distinct cells
+    /// fills its posting array front to back), one hash probe per cell.
     fn build(cols: Vec<Vec<u32>>, n_rows: u32) -> Base {
-        let index = cols.iter().map(|col| ColumnIndex::group(col)).collect();
+        let index = cols
+            .iter()
+            .map(|col| {
+                let mut key_of: HashMap<u32, u32> = HashMap::new();
+                let mut cells: Vec<u32> = Vec::new();
+                let keys: Vec<u32> = col
+                    .iter()
+                    .map(|&c| {
+                        *key_of.entry(c).or_insert_with(|| {
+                            cells.push(c);
+                            cells.len() as u32 - 1
+                        })
+                    })
+                    .collect();
+                ColumnIndex::group(&keys, &cells).expect("first-seen keys are used and distinct")
+            })
+            .collect();
         Base {
             cols,
             n_rows,
@@ -354,13 +370,17 @@ impl Staged {
 }
 
 impl Table {
-    fn with_arity(arity: usize) -> Self {
-        let base = Base::build(vec![Vec::new(); arity], 0);
+    /// A table of `base` with an empty delta.
+    fn with_base(base: Base, exotic: Arc<Exotics>) -> Self {
         Table {
             delta: Delta::empty(&base),
             base: Arc::new(base),
-            exotic: Arc::default(),
+            exotic,
         }
+    }
+
+    fn with_arity(arity: usize) -> Self {
+        Table::with_base(Base::build(vec![Vec::new(); arity], 0), Arc::default())
     }
 
     pub(crate) fn arity(&self) -> usize {
@@ -604,12 +624,7 @@ impl Table {
                 }
             })
             .collect();
-        let base = Base::build(cols, n_rows);
-        Table {
-            delta: Delta::empty(&base),
-            base: Arc::new(base),
-            exotic: staged.exotic,
-        }
+        Table::with_base(Base::build(cols, n_rows), staged.exotic)
     }
 
     /// This table with its delta folded into a new base.
@@ -737,6 +752,45 @@ impl Database {
             }
         }
         added
+    }
+
+    /// Add `pred`'s table straight from a decoded segment, in place of
+    /// the bulk-load path: `dicts[j]` is column `j`'s dictionary (ground
+    /// terms) and `rows` holds `n_rows` row-major dictionary-index tuples,
+    /// every index in range. Each entry is encoded to a cell once; a row
+    /// copies its cells by index, and the postings are grouped with the
+    /// indices as keys. Nothing is re-encoded or deduplicated per row: the
+    /// caller has checked the tuples strictly increasing, so the rows are
+    /// distinct. `Err((j, k))` names entry `k` of column `j` when it
+    /// encodes a cell an earlier entry of that dictionary did, or no row
+    /// uses it.
+    pub(crate) fn insert_decoded(
+        &mut self,
+        pred: Predicate,
+        dicts: &[Vec<Term>],
+        rows: &[u32],
+        n_rows: u32,
+    ) -> Result<(), (usize, usize)> {
+        let mut exotic = Arc::default();
+        let mut cols = Vec::with_capacity(dicts.len());
+        let mut index = Vec::with_capacity(dicts.len());
+        for (j, dict) in dicts.iter().enumerate() {
+            let cells: Vec<u32> = dict
+                .iter()
+                .map(|t| Exotics::cell_for_insert(&mut exotic, t))
+                .collect();
+            let keys: Vec<u32> = rows.iter().skip(j).step_by(dicts.len()).copied().collect();
+            cols.push(keys.iter().map(|&k| cells[k as usize]).collect());
+            index.push(ColumnIndex::group(&keys, &cells).map_err(|k| (j, k))?);
+        }
+        let base = Base {
+            cols,
+            n_rows,
+            index,
+        };
+        self.tables
+            .insert(pred, Arc::new(Table::with_base(base, exotic)));
+        Ok(())
     }
 
     /// The table behind `pred`, private to this database and ready for
