@@ -8,27 +8,43 @@
 //! coerced to the exact `fn` type the benchmark calls it with, and each
 //! counter it reads is read here with the type it does arithmetic on — so
 //! an API change that would break the benchmark's build fails here first.
+//! Every other path `bench/src` imports is named once in
+//! `paths_the_benchmark_imports_resolve`, so a module or item that stops
+//! being public fails here too.
 
 use std::collections::{BTreeSet, HashSet};
 
 use nyaya::core::{
-    canonical_key, classify, normalize, CanonicalKey, Classification, ConjunctiveQuery,
-    DatalogProgram, NegativeConstraint, Normalization, Predicate, Term, Tgd, UnionQuery,
+    canonical_key, classify, normalize, Atom, CanonicalKey, Classification, ConjunctiveQuery,
+    DatalogProgram, DatalogRule, NegativeConstraint, Normalization, Predicate, Symbol, Term, Tgd,
+    UnionQuery,
 };
+use nyaya::ledger::Ledger;
+use nyaya::ontologies::lubm::{lubm_abox, LubmConfig};
+use nyaya::ontologies::rng::Prng;
+use nyaya::ontologies::{
+    adolena, generate_abox, load, path5, stockexchange, university, vicodi, AboxConfig, Benchmark,
+    BenchmarkId,
+};
+use nyaya::parser::parse_query;
 use nyaya::rewrite::{
     estimate_dnf_bound, interaction_clusters, minimize_union_with_stats, nr_datalog_rewrite_with,
     tgd_rewrite_with, EliminationContext, ProgramRewriting, RewriteError, RewriteOptions,
     RewriteStats, Rewriting, SubsumptionStats,
 };
+use nyaya::serve::{
+    serve, write_frame, AnswerSet, Backend, Client, Request, Response, Server, ServerConfig,
+};
 use nyaya::sql::reference::execute_ucq_reference;
 use nyaya::sql::{
-    execute_program, execute_program_shared, execute_ucq, execute_ucq_intra, plan_cq_cost,
-    plan_cq_cost_corrected, BuildCache, CostPlan, Database, DbMemory, ExecMetrics, ProgramError,
-    ProgramMetrics,
+    decode_database, encode_batch, encode_database, execute_program, execute_program_shared,
+    execute_ucq, execute_ucq_intra, plan_cq_cost, plan_cq_cost_corrected, BuildCache, CodecError,
+    CostPlan, Database, DbMemory, ExecMetrics, ProgramError, ProgramMetrics,
 };
 use nyaya::{
-    CompiledProgram, CompiledRewriting, KbStats, KnowledgeBase, KnowledgeBaseBuilder, NyayaError,
-    PreparedQuery, Strategy,
+    CompiledProgram, CompiledRewriting, ExecutorKind, KbBackend, KbStats, KnowledgeBase,
+    KnowledgeBaseBuilder, NyayaError, PreparedQuery, Strategy, Subscription, UpdateBatch,
+    DEFAULT_PROGRAM_THRESHOLD,
 };
 
 type Tuples = BTreeSet<Vec<Term>>;
@@ -235,4 +251,51 @@ fn counters_the_benchmark_reads_keep_their_names_and_types() {
     } = db.memory_stats();
     let _: [u64; 2] = [fact_bytes, index_bytes];
     assert_eq!(tables.iter().map(|t| t.rows).sum::<usize>(), 2);
+}
+
+#[allow(clippy::type_complexity)]
+#[test]
+fn paths_the_benchmark_imports_resolve() {
+    use std::net::SocketAddr;
+    // `inputs.rs`: the suite queries and the two ABox generators.
+    let suites: [&[(&str, &str); 5]; 5] = [
+        &adolena::ADOLENA_QUERIES,
+        &path5::PATH5_QUERIES,
+        &stockexchange::STOCKEXCHANGE_QUERIES,
+        &university::UNIVERSITY_QUERIES,
+        &vicodi::VICODI_QUERIES,
+    ];
+    assert!(suites.iter().all(|queries| !queries.is_empty()));
+    let _: fn(BenchmarkId) -> Benchmark = load;
+    let _: fn(&Benchmark, &AboxConfig) -> Vec<Atom> = generate_abox;
+    let _: fn(&LubmConfig) -> Vec<Atom> = lubm_abox;
+    let _: fn(usize, u64) -> LubmConfig = LubmConfig::with_at_least;
+    let _: fn(u64) -> Prng = Prng::seed_from_u64;
+    let _: fn(&str) -> Result<ConjunctiveQuery, nyaya::parser::ParseError> = parse_query;
+
+    // `lubm_rw.rs`: the segment codec and the ledger it reopens.
+    let _: fn(&Database) -> Vec<u8> = encode_database;
+    let _: fn(&[u8]) -> Result<Database, CodecError> = decode_database;
+    let _: fn(&[Atom], &[Atom]) -> Vec<u8> = encode_batch;
+    let _ = Ledger::open;
+    let _ = UpdateBatch::new;
+    let _ = std::any::type_name::<Subscription>();
+
+    // `lubm_serve.rs`: the wire server, client and frames.
+    let _ = |addr: SocketAddr, backend, config| serve(addr, backend, config);
+    let _ = |out: &mut Vec<u8>, payload: &[u8]| write_frame(out, payload);
+    let _ = |addr: SocketAddr| Client::connect(addr);
+    let _ = Request::parse;
+    let _ = Response::parse;
+    let _ = std::any::type_name::<(AnswerSet, Server, ServerConfig)>();
+    let _: fn(std::sync::Arc<KnowledgeBase>) -> KbBackend = KbBackend::new;
+    let _: &dyn Backend = &KbBackend::new(std::sync::Arc::new(
+        KnowledgeBase::from_program_text("sigma1: manager(X) -> employee(X).").unwrap(),
+    ));
+
+    // `check.rs`, `common.rs`, `verify.rs`.
+    let _: fn(Atom, Vec<Atom>) -> DatalogRule = DatalogRule::new;
+    let _ = Symbol::as_str;
+    let _: usize = DEFAULT_PROGRAM_THRESHOLD;
+    let _ = ExecutorKind::Chase;
 }
