@@ -58,20 +58,6 @@ impl ChaseConfig {
             ..Default::default()
         }
     }
-
-    pub fn oblivious() -> Self {
-        ChaseConfig {
-            kind: ChaseKind::Oblivious,
-            ..Default::default()
-        }
-    }
-
-    pub fn skolem() -> Self {
-        ChaseConfig {
-            kind: ChaseKind::Skolem,
-            ..Default::default()
-        }
-    }
 }
 
 /// The result of a chase run.
@@ -248,15 +234,22 @@ fn apply_trigger(instance: &mut Instance, trigger: Trigger) -> bool {
     grew
 }
 
-/// Does the instance satisfy every TGD (no applicable trigger remains)?
-pub fn satisfies_tgds(instance: &Instance, tgds: &[Tgd]) -> bool {
-    chase_round(instance, tgds, ChaseKind::Restricted, &mut HashSet::new()).is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nyaya_core::{Atom, Predicate, Term};
+
+    /// Does the instance satisfy every TGD (no applicable trigger remains)?
+    fn satisfies_tgds(instance: &Instance, tgds: &[Tgd]) -> bool {
+        chase_round(instance, tgds, ChaseKind::Restricted, &mut HashSet::new()).is_empty()
+    }
+
+    fn of_kind(kind: ChaseKind) -> ChaseConfig {
+        ChaseConfig {
+            kind,
+            ..Default::default()
+        }
+    }
 
     fn tgd(body: &[(&str, &[&str])], head: &[(&str, &[&str])]) -> Tgd {
         let mk = |spec: &[(&str, &[&str])]| {
@@ -367,7 +360,7 @@ mod tests {
         let restricted = chase(&db, &tgds, ChaseConfig::default());
         assert!(restricted.saturated);
         assert_eq!(restricted.instance.len(), 2);
-        let oblivious = chase(&db, &tgds, ChaseConfig::oblivious());
+        let oblivious = chase(&db, &tgds, of_kind(ChaseKind::Oblivious));
         assert!(oblivious.saturated);
         assert_eq!(oblivious.instance.len(), 3);
     }
@@ -405,7 +398,7 @@ mod tests {
         ];
         let db = Instance::from_atoms([Atom::make("p", ["a"]), Atom::make("t", ["a", "b"])]);
         let r = chase(&db, &tgds, ChaseConfig::default());
-        let o = chase(&db, &tgds, ChaseConfig::oblivious());
+        let o = chase(&db, &tgds, of_kind(ChaseKind::Oblivious));
         assert!(r.saturated && o.saturated);
         assert!(o.instance.len() >= r.instance.len());
         for src in [
@@ -431,7 +424,7 @@ mod tests {
             tgd(&[("t", &["X", "Y"])], &[("s", &["Y"])]),
         ];
         let db = Instance::from_atoms([Atom::make("p", ["a"])]);
-        let out = chase(&db, &tgds, ChaseConfig::skolem());
+        let out = chase(&db, &tgds, of_kind(ChaseKind::Skolem));
         assert!(out.saturated);
         assert_eq!(out.instance.len(), 3);
         assert!(
@@ -459,7 +452,7 @@ mod tests {
         // ever — the invented atom t(a, sk(a)) is stable across rounds.
         let tgds = vec![tgd(&[("p", &["X"])], &[("t", &["X", "Y"])])];
         let db = Instance::from_atoms([Atom::make("p", ["a"]), Atom::make("t", ["a", "b"])]);
-        let out = chase(&db, &tgds, ChaseConfig::skolem());
+        let out = chase(&db, &tgds, of_kind(ChaseKind::Skolem));
         assert!(out.saturated);
         assert_eq!(out.instance.len(), 3); // p(a), t(a,b), t(a,sk(a))
     }
@@ -473,7 +466,7 @@ mod tests {
         ];
         let db = Instance::from_atoms([Atom::make("p", ["a"]), Atom::make("t", ["a", "b"])]);
         let r = chase(&db, &tgds, ChaseConfig::default());
-        let k = chase(&db, &tgds, ChaseConfig::skolem());
+        let k = chase(&db, &tgds, of_kind(ChaseKind::Skolem));
         assert!(r.saturated && k.saturated);
         for src in [
             vec![Atom::make("u", ["B", "B"])],
@@ -510,11 +503,17 @@ mod tests {
 
     #[test]
     fn satisfies_tgds_checks_fixpoint() {
-        let tgds = vec![tgd(&[("p", &["X"])], &[("q", &["X"])])];
-        let incomplete = Instance::from_atoms([Atom::make("p", ["a"])]);
-        assert!(!satisfies_tgds(&incomplete, &tgds));
-        let complete = Instance::from_atoms([Atom::make("p", ["a"]), Atom::make("q", ["a"])]);
-        assert!(satisfies_tgds(&complete, &tgds));
+        // A saturated restricted chase is a model of Σ (Section 3.3): the
+        // database leaves a trigger, the chase leaves none.
+        let tgds = vec![
+            tgd(&[("p", &["X"])], &[("t", &["X", "Y"])]),
+            tgd(&[("t", &["X", "Y"])], &[("s", &["Y"])]),
+        ];
+        let db = Instance::from_atoms([Atom::make("p", ["a"])]);
+        assert!(!satisfies_tgds(&db, &tgds));
+        let out = chase(&db, &tgds, ChaseConfig::default());
+        assert!(out.saturated);
+        assert!(satisfies_tgds(&out.instance, &tgds));
     }
 
     #[test]

@@ -3,21 +3,18 @@
 //! Checking an NC `φ(X) → ⊥` is tantamount to answering the BCQ
 //! `q() ← φ(X)`; a theory `D ∪ Σ ∪ Σ⊥` is consistent iff no NC body is
 //! entailed by `chase(D, Σ)`. Non-conflicting KDs are handled by a
-//! preliminary direct check on the database (separability), optionally via
-//! the `neq` encoding.
+//! preliminary direct check on the database (separability).
 
 use std::collections::HashMap;
 
-use nyaya_core::{
-    Atom, ConjunctiveQuery, KeyDependency, NegativeConstraint, Ontology, Predicate, Term,
-};
+use nyaya_core::{Atom, ConjunctiveQuery, KeyDependency, NegativeConstraint, Ontology, Term};
 
 use crate::answer::entails_bcq;
 use crate::chase::{chase, ChaseConfig};
 use crate::instance::Instance;
 
 /// Does the instance (already chased, or plain) violate some NC?
-pub fn violates_ncs(instance: &Instance, ncs: &[NegativeConstraint]) -> Option<usize> {
+pub(crate) fn violates_ncs(instance: &Instance, ncs: &[NegativeConstraint]) -> Option<usize> {
     ncs.iter().position(|nc| {
         let q = ConjunctiveQuery::boolean(nc.body.clone());
         entails_bcq(instance, &q)
@@ -26,7 +23,7 @@ pub fn violates_ncs(instance: &Instance, ncs: &[NegativeConstraint]) -> Option<u
 
 /// Direct key-dependency check on a database: no two atoms of `kd.pred` may
 /// agree on all key positions and differ elsewhere.
-pub fn violates_kd(db: &Instance, kd: &KeyDependency) -> bool {
+pub(crate) fn violates_kd(db: &Instance, kd: &KeyDependency) -> bool {
     let mut groups: HashMap<Vec<&Term>, &Atom> = HashMap::new();
     for atom in db.by_predicate(kd.pred) {
         let key: Vec<&Term> = kd.key.iter().map(|&i| &atom.args[i]).collect();
@@ -42,25 +39,6 @@ pub fn violates_kd(db: &Instance, kd: &KeyDependency) -> bool {
         }
     }
     false
-}
-
-/// The `neq` auxiliary predicate used by the KD→NC encoding.
-pub fn neq_predicate() -> Predicate {
-    Predicate::new("neq", 2)
-}
-
-/// Materialize `neq(a, b)` for all distinct pairs of constants in `db`
-/// (the `D≠` construction of Section 4.2).
-pub fn add_neq_facts(db: &mut Instance) {
-    let consts: Vec<Term> = db.constants().into_iter().collect();
-    let neq = neq_predicate();
-    for a in &consts {
-        for b in &consts {
-            if a != b {
-                db.insert(Atom::new(neq, vec![a.clone(), b.clone()]));
-            }
-        }
-    }
 }
 
 /// Outcome of a full consistency check.
@@ -99,19 +77,10 @@ pub fn check_consistency(db: &Instance, ontology: &Ontology, config: ChaseConfig
     }
 }
 
-/// The KD→NC translation applied to a whole ontology: each KD becomes
-/// negative constraints over the `neq` predicate (Section 4.2). The caller
-/// is responsible for materializing `neq` facts with [`add_neq_facts`].
-pub fn kds_as_ncs(kds: &[KeyDependency]) -> Vec<NegativeConstraint> {
-    kds.iter()
-        .flat_map(|kd| kd.to_negative_constraints(neq_predicate()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nyaya_core::Tgd;
+    use nyaya_core::{Predicate, Tgd};
 
     #[test]
     fn kd_violation_detected_directly() {
@@ -128,26 +97,6 @@ mod tests {
             Atom::make("list_comp", ["ibm", "dax"]),
         ]);
         assert!(violates_kd(&bad, &kd));
-    }
-
-    #[test]
-    fn kd_as_nc_with_neq_detects_same_violation() {
-        let pred = Predicate::new("list_comp", 2);
-        let kd = KeyDependency::new(pred, vec![0]);
-        let ncs = kds_as_ncs(std::slice::from_ref(&kd));
-        assert_eq!(ncs.len(), 1);
-        let mut bad = Instance::from_atoms([
-            Atom::make("list_comp", ["ibm", "nasdaq"]),
-            Atom::make("list_comp", ["ibm", "dax"]),
-        ]);
-        add_neq_facts(&mut bad);
-        assert!(violates_ncs(&bad, &ncs).is_some());
-        let mut ok = Instance::from_atoms([
-            Atom::make("list_comp", ["ibm", "nasdaq"]),
-            Atom::make("list_comp", ["sap", "dax"]),
-        ]);
-        add_neq_facts(&mut ok);
-        assert!(violates_ncs(&ok, &ncs).is_none());
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl Instance {
     }
 
     /// Insert an atom; returns `true` if it was new. Tracks the highest null
-    /// id seen so that [`Instance::fresh_null`] never collides.
+    /// id seen so that `fresh_null` never collides.
     pub fn insert(&mut self, atom: Atom) -> bool {
         assert!(
             atom.is_ground(),
@@ -54,7 +54,7 @@ impl Instance {
     }
 
     /// A fresh labeled null, never used in this instance before.
-    pub fn fresh_null(&mut self) -> Term {
+    pub(crate) fn fresh_null(&mut self) -> Term {
         let n = self.next_null;
         self.next_null += 1;
         Term::Null(n)
@@ -78,7 +78,7 @@ impl Instance {
     }
 
     /// Atoms of a given predicate.
-    pub fn by_predicate(&self, pred: Predicate) -> impl Iterator<Item = &Atom> {
+    pub(crate) fn by_predicate(&self, pred: Predicate) -> impl Iterator<Item = &Atom> {
         self.index
             .get(&pred)
             .into_iter()
@@ -103,11 +103,6 @@ impl Instance {
         }
         out
     }
-
-    /// Does the instance contain any labeled null?
-    pub fn has_nulls(&self) -> bool {
-        self.atoms.iter().any(|a| a.args.iter().any(Term::is_null))
-    }
 }
 
 impl fmt::Debug for Instance {
@@ -115,6 +110,14 @@ impl fmt::Debug for Instance {
         let mut strs: Vec<String> = self.atoms.iter().map(|a| a.to_string()).collect();
         strs.sort();
         write!(f, "{{{}}}", strs.join(", "))
+    }
+}
+
+#[cfg(test)]
+impl Instance {
+    /// Does the instance contain any labeled null?
+    pub(crate) fn has_nulls(&self) -> bool {
+        self.atoms.iter().any(|a| a.args.iter().any(Term::is_null))
     }
 }
 

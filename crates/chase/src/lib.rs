@@ -11,18 +11,12 @@
 //! 2. the engine of the chase & back-chase baseline (Section 2);
 //! 3. the consistency checker for NC/KD handling (Sections 4.2, 5.1).
 
-pub mod answer;
-pub mod chase;
-pub mod consistency;
-pub mod instance;
+mod answer;
+mod chase;
+mod consistency;
+mod instance;
 
-pub use answer::{
-    answers, answers_union, certain_answers, certain_bcq, entails_bcq, entails_union_bcq,
-    CertainAnswers,
-};
-pub use chase::{chase, satisfies_tgds, ChaseConfig, ChaseKind, ChaseOutcome};
-pub use consistency::{
-    add_neq_facts, check_consistency, kds_as_ncs, neq_predicate, violates_kd, violates_ncs,
-    Consistency,
-};
+pub use answer::{answers, answers_union, certain_answers, entails_bcq, CertainAnswers};
+pub use chase::{chase, ChaseConfig, ChaseKind, ChaseOutcome};
+pub use consistency::{check_consistency, Consistency};
 pub use instance::Instance;

@@ -14,7 +14,7 @@ use crate::symbols::Symbol;
 use crate::tgd::Tgd;
 
 /// Compute the set of affected positions of a TGD set (least fixpoint).
-pub fn affected_positions(tgds: &[Tgd]) -> HashSet<Position> {
+pub(crate) fn affected_positions(tgds: &[Tgd]) -> HashSet<Position> {
     let mut affected: HashSet<Position> = HashSet::new();
 
     // Base: positions of existential variables in heads.
@@ -90,7 +90,7 @@ fn occurs_only_at_affected(tgd: &Tgd, v: Symbol, affected: &HashSet<Position>) -
 /// all universally quantified variables that occur only at affected
 /// positions. Query answering under weakly-guarded sets is
 /// EXPTIME-complete in data complexity — decidable but not FO-rewritable.
-pub fn is_weakly_guarded(tgds: &[Tgd]) -> bool {
+pub(crate) fn is_weakly_guarded(tgds: &[Tgd]) -> bool {
     let affected = affected_positions(tgds);
     tgds.iter().all(|tgd| {
         let dangerous: Vec<Symbol> = tgd

@@ -142,7 +142,7 @@ impl Atom {
     }
 
     /// True if some argument is a function term.
-    pub fn has_function_term(&self) -> bool {
+    pub(crate) fn has_function_term(&self) -> bool {
         self.args.iter().any(|t| matches!(t, Term::Func(..)))
     }
 }

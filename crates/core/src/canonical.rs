@@ -323,9 +323,9 @@ fn same_partition(a: &[u64], b: &[u64]) -> bool {
 }
 
 /// The minimum-encoding body order of `q` and its canonical key — the
-/// shared core of [`canonical_key`] and [`canonicalize`]. Using the *same*
-/// winning order in both guarantees that any two isomorphic queries not
-/// only get equal keys but canonicalize to the *identical* query,
+/// shared core of [`canonical_key`] and [`canonical_form`]. Using the
+/// *same* winning order in both guarantees that any two isomorphic queries
+/// not only get equal keys but canonicalize to the *identical* query,
 /// independent of which representative was at hand (the property the
 /// parallel rewriting worklist's bit-identity claim rests on).
 ///
@@ -391,21 +391,6 @@ pub fn canonical_order(q: &ConjunctiveQuery) -> (Vec<usize>, CanonicalKey) {
 /// Compute the canonical key of a query.
 pub fn canonical_key(q: &ConjunctiveQuery) -> CanonicalKey {
     canonical_order(q).1
-}
-
-/// Rename the variables of `q` to canonical names `V0, V1, …` following the
-/// canonical (minimum-encoding) ordering. Isomorphic queries canonicalize
-/// to the identical query. Useful for stable display in tests and reports.
-pub fn canonicalize(q: &ConjunctiveQuery) -> ConjunctiveQuery {
-    canonicalize_keyed(q).0
-}
-
-/// [`canonicalize`] and [`canonical_key`] in one ordering search — the key
-/// is renaming-invariant, so it is shared by `q` and the canonicalized
-/// query.
-pub fn canonicalize_keyed(q: &ConjunctiveQuery) -> (ConjunctiveQuery, CanonicalKey) {
-    let (order, key) = canonical_order(q);
-    (canonical_form(q, &order), key)
 }
 
 /// The canonical form of `q` for a body `order` obtained from
@@ -813,6 +798,20 @@ mod oracle {
 mod tests {
     use super::*;
     use crate::atom::Predicate;
+
+    /// Rename the variables of `q` to canonical names `V0, V1, …` following
+    /// the canonical (minimum-encoding) ordering: isomorphic queries
+    /// canonicalize to the identical query.
+    fn canonicalize(q: &ConjunctiveQuery) -> ConjunctiveQuery {
+        canonicalize_keyed(q).0
+    }
+
+    /// `canonicalize` and [`canonical_key`] in one ordering search — the
+    /// key is renaming-invariant, so `q` and its canonical form share it.
+    fn canonicalize_keyed(q: &ConjunctiveQuery) -> (ConjunctiveQuery, CanonicalKey) {
+        let (order, key) = canonical_order(q);
+        (canonical_form(q, &order), key)
+    }
 
     fn q(head: &[&str], body: &[(&str, &[&str])]) -> ConjunctiveQuery {
         let head_terms = head

@@ -20,7 +20,7 @@ pub fn is_guarded(tgds: &[Tgd]) -> bool {
 /// Weak acyclicity (Fagin et al., referenced as \[29\]): build the position
 /// graph with regular and special edges; the set is weakly acyclic iff no
 /// cycle passes through a special edge. Guarantees chase termination.
-pub fn is_weakly_acyclic(tgds: &[Tgd]) -> bool {
+pub(crate) fn is_weakly_acyclic(tgds: &[Tgd]) -> bool {
     let mut regular: HashMap<Position, HashSet<Position>> = HashMap::new();
     let mut special: Vec<(Position, Position)> = Vec::new();
 
@@ -111,7 +111,7 @@ fn reaches(edges: &HashMap<Position, HashSet<Position>>, from: Position, to: Pos
 ///
 /// Returns, for each TGD, the set of marked body variables. A set of TGDs is
 /// sticky iff no marked variable occurs more than once in its body.
-pub fn sticky_marking(tgds: &[Tgd]) -> Vec<HashSet<Symbol>> {
+pub(crate) fn sticky_marking(tgds: &[Tgd]) -> Vec<HashSet<Symbol>> {
     let mut marked: Vec<HashSet<Symbol>> = vec![HashSet::new(); tgds.len()];
 
     // Initial step: mark body variables that do not occur in the head.
@@ -190,7 +190,7 @@ pub fn is_sticky(tgds: &[Tgd]) -> bool {
 /// sufficient condition `linear(Σ) ∨ sticky(Σ)` — exactly the fragments the
 /// paper's rewriting experiments exercise. A `true` answer guarantees
 /// FO-rewritability; `false` is inconclusive.
-pub fn is_sticky_join_sufficient(tgds: &[Tgd]) -> bool {
+pub(crate) fn is_sticky_join_sufficient(tgds: &[Tgd]) -> bool {
     is_linear(tgds) || is_sticky(tgds)
 }
 

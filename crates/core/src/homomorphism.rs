@@ -152,11 +152,6 @@ pub fn exists_homomorphism(from: &[Atom], to: &[Atom]) -> bool {
     HomSearch::new(to).exists(from, &Substitution::new())
 }
 
-/// One-shot convenience: find a homomorphism `from → to`.
-pub fn find_homomorphism(from: &[Atom], to: &[Atom]) -> Option<Substitution> {
-    HomSearch::new(to).find(from, &Substitution::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,7 +178,9 @@ mod tests {
     fn maps_variables_to_constants() {
         let from = atoms(&[("p", &["X", "Y"])]);
         let to = atoms(&[("p", &["a", "b"])]);
-        let h = find_homomorphism(&from, &to).unwrap();
+        let h = HomSearch::new(&to)
+            .find(&from, &Substitution::new())
+            .unwrap();
         assert_eq!(h.apply_atom(&from[0]).to_string(), "p(a,b)");
     }
 
@@ -248,7 +245,9 @@ mod tests {
         let f_a = Term::Func(intern("f"), vec![Term::constant("a")].into_boxed_slice());
         let from = vec![Atom::new(Predicate::new("p", 1), vec![f_x])];
         let to = vec![Atom::new(Predicate::new("p", 1), vec![f_a])];
-        let h = find_homomorphism(&from, &to).unwrap();
+        let h = HomSearch::new(&to)
+            .find(&from, &Substitution::new())
+            .unwrap();
         assert_eq!(h.apply_term(&Term::var("X")), Term::constant("a"));
     }
 }

@@ -7,17 +7,17 @@
 //!
 //! This crate provides:
 //!
-//! - interned [`symbols`], [`term::Term`]s, [`atom::Atom`]s;
-//! - [`substitution::Substitution`]s, first-order [`unify`]cation with MGUs
-//!   of atom sets, and [`homomorphism`] search;
-//! - [`query::ConjunctiveQuery`] / [`query::UnionQuery`] with the paper's
-//!   evaluation metrics (size / length / width) and CQ containment;
-//! - exact [`canonical`] forms modulo bijective variable renaming (the
-//!   dedup relation used by Algorithm 1);
-//! - cheap predicate [`signature`]s for containment pruning and frontier
-//!   sharding in the rewriting compiler;
-//! - [`tgd::Tgd`]s, negative constraints, key dependencies and
-//!   [`tgd::Ontology`];
+//! - interned [`symbols`], [`term::Term`]s, [`Atom`]s;
+//! - [`Substitution`]s, first-order unification with MGUs of atom sets
+//!   ([`mgu_set`]), and homomorphism search ([`HomSearch`]);
+//! - [`ConjunctiveQuery`] / [`UnionQuery`] with the paper's evaluation
+//!   metrics (size / length / width) and CQ containment;
+//! - exact canonical forms modulo bijective variable renaming
+//!   ([`canonical_key`], [`canonical_form`]: the dedup relation used by
+//!   Algorithm 1);
+//! - cheap predicate [`QuerySignature`]s for containment pruning and
+//!   frontier sharding in the rewriting compiler;
+//! - [`Tgd`]s, negative constraints, key dependencies and [`Ontology`];
 //! - the syntactic Datalog± language [`classes`] (linear, guarded,
 //!   weakly-acyclic, sticky, sticky-join);
 //! - [`normalize()`]: the Lemma 1/2 transformation to single-head,
@@ -25,35 +25,31 @@
 //! - [`par`]: the one fork-join every parallel path of the workspace
 //!   splits work through, and the host's core count it defaults to.
 
-pub mod affected;
-pub mod atom;
-pub mod canonical;
+mod affected;
+mod atom;
+mod canonical;
 pub mod classes;
-pub mod components;
-pub mod datalog;
-pub mod homomorphism;
-pub mod minimize;
-pub mod normalize;
+mod datalog;
+mod homomorphism;
+mod minimize;
+mod normalize;
 pub mod par;
-pub mod query;
+mod query;
 pub mod select;
-pub mod signature;
-pub mod substitution;
+mod signature;
+mod substitution;
 pub mod symbols;
 pub mod term;
-pub mod tgd;
-pub mod unify;
+mod tgd;
+mod unify;
 
-pub use affected::{affected_positions, is_weakly_guarded};
 pub use atom::{Atom, Position, Predicate};
-pub use canonical::{
-    canonical_form, canonical_key, canonical_order, canonicalize, canonicalize_keyed, CanonicalKey,
-};
+pub use canonical::{canonical_form, canonical_key, canonical_order, CanonicalKey};
 pub use classes::{classify, Classification};
-pub use components::{connected_components, split_boolean_query};
+
 pub use datalog::{DatalogProgram, DatalogRule, DeltaProgram, DeltaRule};
-pub use homomorphism::{exists_homomorphism, find_homomorphism, HomSearch};
-pub use minimize::{is_minimal, minimize_cq, minimize_union_bodies};
+pub use homomorphism::{exists_homomorphism, HomSearch};
+pub use minimize::{minimize_cq, minimize_union_bodies};
 pub use normalize::{normalize, Normalization};
 pub use query::{ConjunctiveQuery, UnionQuery};
 pub use select::{
@@ -64,4 +60,4 @@ pub use substitution::Substitution;
 pub use symbols::Symbol;
 pub use term::Term;
 pub use tgd::{KeyDependency, NegativeConstraint, Ontology, Tgd};
-pub use unify::{mgu_pair, mgu_set, unifiable, unify_terms};
+pub use unify::{mgu_pair, mgu_set};

@@ -23,13 +23,6 @@ pub struct Normalization {
     pub aux_predicates: HashSet<Predicate>,
 }
 
-impl Normalization {
-    /// Is `pred` one of the introduced auxiliary predicates?
-    pub fn is_aux(&self, pred: Predicate) -> bool {
-        self.aux_predicates.contains(&pred)
-    }
-}
-
 /// Normalize a set of TGDs (Lemmas 1 and 2). TGDs already in normal form
 /// are passed through untouched, so normalization is idempotent.
 pub fn normalize(tgds: &[Tgd]) -> Normalization {
@@ -181,7 +174,7 @@ mod tests {
         }
         // First TGD introduces the aux predicate with both head variables.
         let first = &n.tgds[0];
-        assert!(n.is_aux(first.head[0].pred));
+        assert!(n.aux_predicates.contains(&first.head[0].pred));
         assert_eq!(first.head[0].pred.arity, 2);
     }
 

@@ -183,7 +183,7 @@ impl SelectOptions {
 /// Sort `rows` by the ORDER BY keys (canonical term order per key), breaking
 /// ties by whole-row canonical order so the result is deterministic across
 /// processes.
-pub fn sort_rows(rows: &mut [Vec<Term>], order_by: &[(usize, SortDir)]) {
+pub(crate) fn sort_rows(rows: &mut [Vec<Term>], order_by: &[(usize, SortDir)]) {
     rows.sort_by(|a, b| {
         for &(col, dir) in order_by {
             let ord = a[col].canonical_cmp(&b[col]);

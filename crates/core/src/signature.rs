@@ -70,11 +70,6 @@ impl QuerySignature {
         self.fingerprint
     }
 
-    /// Number of distinct body predicates.
-    pub fn distinct_predicates(&self) -> usize {
-        self.preds.len()
-    }
-
     /// Number of body atoms.
     pub fn atoms(&self) -> usize {
         self.atoms
@@ -187,7 +182,7 @@ mod tests {
         let twice = q(&[], &[("p", &["A", "B"]), ("p", &["B", "C"])]);
         let once = q(&[], &[("p", &["A", "A"])]);
         assert!(QuerySignature::of(&twice).may_contain(&QuerySignature::of(&once)));
-        assert_eq!(QuerySignature::of(&twice).distinct_predicates(), 1);
+        assert_eq!(QuerySignature::of(&twice).preds.len(), 1);
         assert_eq!(QuerySignature::of(&twice).atoms(), 2);
     }
 

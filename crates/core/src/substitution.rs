@@ -56,7 +56,7 @@ impl Substitution {
 
     /// Follow variable-to-variable chains: the representative term of `t`
     /// (one step at a time, without descending into function terms).
-    pub fn walk<'a>(&'a self, t: &'a Term) -> &'a Term {
+    pub(crate) fn walk<'a>(&'a self, t: &'a Term) -> &'a Term {
         let mut cur = t;
         let mut steps = 0usize;
         while let Term::Var(v) = cur {
@@ -127,16 +127,6 @@ impl Substitution {
         }
         out
     }
-
-    /// Is the substitution idempotent after full application (no bound
-    /// variable occurs in any fully-applied right-hand side)?
-    pub fn is_idempotent(&self) -> bool {
-        self.map.keys().all(|v| {
-            self.map
-                .values()
-                .all(|t| !self.apply_term(t).contains_var(*v))
-        })
-    }
 }
 
 impl fmt::Debug for Substitution {
@@ -148,6 +138,19 @@ impl fmt::Debug for Substitution {
             .collect();
         entries.sort();
         write!(f, "{{{}}}", entries.join(", "))
+    }
+}
+
+#[cfg(test)]
+impl Substitution {
+    /// Is the substitution idempotent after full application (no bound
+    /// variable occurs in any fully-applied right-hand side)?
+    pub(crate) fn is_idempotent(&self) -> bool {
+        self.map.keys().all(|v| {
+            self.map
+                .values()
+                .all(|t| !self.apply_term(t).contains_var(*v))
+        })
     }
 }
 
@@ -202,7 +205,13 @@ mod tests {
         let mut s = Substitution::new();
         s.bind(intern("X"), Term::var("Y"));
         s.bind(intern("Y"), Term::constant("a"));
-        // After full application X→a, Y→a: idempotent.
+        // After full application X→a, Y→a: idempotent, so applying the
+        // substitution to its own images changes nothing.
         assert!(s.is_idempotent());
+        for v in ["X", "Y"] {
+            let once = s.apply_term(&Term::var(v));
+            assert_eq!(once, Term::constant("a"));
+            assert_eq!(s.apply_term(&once), once);
+        }
     }
 }

@@ -160,7 +160,7 @@ pub fn resolve(sym: Symbol) -> String {
 /// runs. Anything that must order identically across restarts (sorted
 /// index postings serialized into ledger segments, canonical answer
 /// ordering) goes through this name order instead.
-pub fn cmp_names(a: Symbol, b: Symbol) -> std::cmp::Ordering {
+pub(crate) fn cmp_names(a: Symbol, b: Symbol) -> std::cmp::Ordering {
     if a == b {
         return std::cmp::Ordering::Equal;
     }

@@ -258,45 +258,6 @@ impl KeyDependency {
         assert!(!key.is_empty(), "empty key");
         KeyDependency { pred, key }
     }
-
-    /// The `neq` encoding of Section 4.2: one negative constraint per
-    /// non-key position `j`, of the form
-    /// `r(..X..Yj..), r(..X..Y'j..), neq(Yj, Y'j) → ⊥`
-    /// where the key positions carry the same variables in both atoms.
-    pub fn to_negative_constraints(&self, neq: Predicate) -> Vec<NegativeConstraint> {
-        assert_eq!(neq.arity, 2, "neq predicate must be binary");
-        let mut out = Vec::new();
-        for j in 0..self.pred.arity {
-            if self.key.contains(&j) {
-                continue;
-            }
-            let mut a1 = Vec::with_capacity(self.pred.arity);
-            let mut a2 = Vec::with_capacity(self.pred.arity);
-            for i in 0..self.pred.arity {
-                if self.key.contains(&i) {
-                    let v = Term::var(&format!("K{i}"));
-                    a1.push(v.clone());
-                    a2.push(v);
-                } else if i == j {
-                    a1.push(Term::var(&format!("Y{i}")));
-                    a2.push(Term::var(&format!("Yp{i}")));
-                } else {
-                    a1.push(Term::var(&format!("U{i}")));
-                    a2.push(Term::var(&format!("Up{i}")));
-                }
-            }
-            let neq_atom = Atom::new(
-                neq,
-                vec![Term::var(&format!("Y{j}")), Term::var(&format!("Yp{j}"))],
-            );
-            out.push(NegativeConstraint::new(vec![
-                Atom::new(self.pred, a1),
-                Atom::new(self.pred, a2),
-                neq_atom,
-            ]));
-        }
-        out
-    }
 }
 
 impl fmt::Debug for KeyDependency {
@@ -423,21 +384,6 @@ mod tests {
         assert_ne!(r.body[0].args[0], s.body[0].args[0]);
         // and the frontier link X is preserved
         assert_eq!(r.body[0].args[0], r.head[0].args[0]);
-    }
-
-    #[test]
-    fn kd_to_ncs_produces_one_nc_per_nonkey_position() {
-        let r = Predicate::new("r", 3);
-        let kd = KeyDependency::new(r, vec![0]);
-        let neq = Predicate::new("neq", 2);
-        let ncs = kd.to_negative_constraints(neq);
-        assert_eq!(ncs.len(), 2);
-        for nc in &ncs {
-            assert_eq!(nc.body.len(), 3);
-            assert_eq!(nc.body[2].pred, neq);
-            // key position carries the same variable in both r-atoms
-            assert_eq!(nc.body[0].args[0], nc.body[1].args[0]);
-        }
     }
 
     #[test]

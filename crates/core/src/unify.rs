@@ -12,7 +12,7 @@ use crate::term::Term;
 ///
 /// Returns `false` (leaving `subst` in a partially-extended state — callers
 /// discard it on failure) if the terms are not unifiable.
-pub fn unify_terms(a: &Term, b: &Term, subst: &mut Substitution) -> bool {
+pub(crate) fn unify_terms(a: &Term, b: &Term, subst: &mut Substitution) -> bool {
     let ra = subst.walk(a).clone();
     let rb = subst.walk(b).clone();
     match (ra, rb) {
@@ -55,7 +55,7 @@ fn occurs(v: crate::symbols::Symbol, t: &Term, subst: &Substitution) -> bool {
 }
 
 /// Unify two atoms, extending `subst`. Fails fast on predicate mismatch.
-pub fn unify_atoms_into(a: &Atom, b: &Atom, subst: &mut Substitution) -> bool {
+pub(crate) fn unify_atoms_into(a: &Atom, b: &Atom, subst: &mut Substitution) -> bool {
     if a.pred != b.pred {
         return false;
     }
@@ -87,11 +87,6 @@ pub fn mgu_set(atoms: &[&Atom]) -> Option<Substitution> {
         }
     }
     Some(s)
-}
-
-/// Do the atoms in the set unify (paper: "a set of atoms A unifies")?
-pub fn unifiable(atoms: &[&Atom]) -> bool {
-    mgu_set(atoms).is_some()
 }
 
 #[cfg(test)]

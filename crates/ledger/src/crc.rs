@@ -39,7 +39,7 @@ const fn build_tables() -> [[u32; 256]; 8] {
 static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// The CRC-32 of `bytes` (IEEE variant, as used by zip/png/ethernet).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let t = &TABLES;
     let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = bytes.chunks_exact(8);

@@ -52,10 +52,8 @@ mod segment;
 mod store;
 mod wal;
 
-pub use crc::crc32;
-pub use segment::{read_segment, segment_file_name, SegmentMeta};
 pub use store::{Ledger, LedgerHistory, RecoveredState, SealedWalInfo, SegmentFlush, SegmentInfo};
-pub use wal::{TailStatus, WalRecord};
+pub use wal::WalRecord;
 
 /// A failure in the ledger's file formats or I/O.
 #[derive(Clone, Debug, PartialEq, Eq)]

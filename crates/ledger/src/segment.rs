@@ -24,7 +24,7 @@ const HEADER_LEN: usize = 8 + 8 + 8 + 4;
 
 /// Metadata of a segment file on disk.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SegmentMeta {
+pub(crate) struct SegmentMeta {
     /// The epoch whose database the segment snapshots.
     pub epoch: u64,
     /// Total file size in bytes (header + payload).
@@ -35,7 +35,7 @@ pub struct SegmentMeta {
 
 /// The file name used for the segment at `epoch` (zero-padded so that
 /// lexicographic order equals epoch order).
-pub fn segment_file_name(epoch: u64) -> String {
+pub(crate) fn segment_file_name(epoch: u64) -> String {
     format!("seg-{epoch:020}.seg")
 }
 
@@ -74,7 +74,7 @@ pub(crate) fn write_segment_atomic(
 
 /// Read and fully validate the segment at `path`, returning its epoch and
 /// payload.
-pub fn read_segment(path: &Path) -> Result<(u64, Vec<u8>), LedgerError> {
+pub(crate) fn read_segment(path: &Path) -> Result<(u64, Vec<u8>), LedgerError> {
     let mut file = File::open(path).map_err(|e| LedgerError::io(path, e))?;
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)

@@ -37,7 +37,7 @@ pub struct WalRecord {
 
 /// Whether a WAL file ended cleanly or with a torn final record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TailStatus {
+pub(crate) enum TailStatus {
     /// The file ends exactly at a record boundary.
     Clean,
     /// The file ends with an incomplete or checksum-failing final record

@@ -12,7 +12,7 @@
 //! be dropped.
 
 /// DL-Lite_R axioms of the A ontology.
-pub const ADOLENA_DL: &str = "
+pub(crate) const ADOLENA_DL: &str = "
 % ---- ability taxonomy ----
 PhysicalAbility [= Ability
 CognitiveAbility [= Ability

@@ -47,7 +47,7 @@ pub fn generate_abox(bench: &Benchmark, config: &AboxConfig) -> Vec<Atom> {
 }
 
 /// Generate a random database over an explicit predicate list.
-pub fn generate_for_predicates(preds: &[Predicate], config: &AboxConfig) -> Vec<Atom> {
+pub(crate) fn generate_for_predicates(preds: &[Predicate], config: &AboxConfig) -> Vec<Atom> {
     assert!(!preds.is_empty(), "no predicates to populate");
     let mut rng = Prng::seed_from_u64(config.seed);
     let domain: Vec<Term> = (0..config.individuals.max(1))

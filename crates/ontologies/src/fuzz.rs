@@ -44,7 +44,7 @@ impl Default for FuzzConfig {
 /// The fixed relational schema the generator populates and queries:
 /// small arities 1–3 so repeated variables and constant filters all get
 /// exercised.
-pub fn fuzz_schema() -> Vec<Predicate> {
+pub(crate) fn fuzz_schema() -> Vec<Predicate> {
     vec![
         Predicate::new("f0", 1),
         Predicate::new("f1", 2),
@@ -58,7 +58,7 @@ fn random_constant(rng: &mut Prng, config: &FuzzConfig) -> Term {
     Term::constant(&format!("c{}", rng.gen_range(0..config.constants)))
 }
 
-/// A random ground database over [`fuzz_schema`].
+/// A random ground database over `fuzz_schema()`.
 pub fn random_database(rng: &mut Prng, config: &FuzzConfig) -> Vec<Atom> {
     let schema = fuzz_schema();
     let facts = rng.gen_range(1..config.max_facts.max(2));
@@ -73,7 +73,7 @@ pub fn random_database(rng: &mut Prng, config: &FuzzConfig) -> Vec<Atom> {
         .collect()
 }
 
-/// A random *normalized linear* TGD set over [`fuzz_schema`]: one body
+/// A random *normalized linear* TGD set over `fuzz_schema()`: one body
 /// atom, one head atom, at most one existential variable occurring once —
 /// exactly the Lemma 1/2 shape the rewriting engines require, and linear,
 /// so every engine (including TGD-rewrite⋆'s elimination) is applicable
@@ -126,7 +126,7 @@ pub fn random_linear_tgds(rng: &mut Prng, count: usize) -> Vec<Tgd> {
         .collect()
 }
 
-/// A random CQ over [`fuzz_schema`] with `head_arity` head terms.
+/// A random CQ over `fuzz_schema()` with `head_arity` head terms.
 ///
 /// Head terms are drawn from the body's variables when possible (safe
 /// queries), falling back to constants for variable-free bodies.
@@ -186,7 +186,11 @@ pub fn random_ucq(rng: &mut Prng, config: &FuzzConfig) -> UnionQuery {
 /// draws are plain (no modifiers), so differential harnesses keep
 /// exercising the unmodified path too. Always valid for `head_arity`
 /// (`SelectOptions::validate` passes by construction).
-pub fn random_select(rng: &mut Prng, config: &FuzzConfig, head_arity: usize) -> SelectOptions {
+pub(crate) fn random_select(
+    rng: &mut Prng,
+    config: &FuzzConfig,
+    head_arity: usize,
+) -> SelectOptions {
     let mut sel = SelectOptions::default();
     if head_arity == 0 || rng.gen_bool(0.3) {
         return sel;

@@ -13,20 +13,18 @@
 //! published rewriting sizes — see DESIGN.md for the substitution notes.
 
 pub mod adolena;
-pub mod data;
+mod data;
 pub mod fuzz;
 pub mod lubm;
 pub mod path5;
 pub mod rng;
 pub mod running_example;
 pub mod stockexchange;
-pub mod suite;
+mod suite;
 pub mod university;
 pub mod vicodi;
 
-pub use data::{generate_abox, generate_for_predicates, AboxConfig};
-pub use fuzz::{
-    fuzz_schema, random_cq, random_database, random_linear_tgds, random_ucq, FuzzConfig,
-};
+pub use data::{generate_abox, AboxConfig};
+pub use fuzz::{random_cq, random_database, random_linear_tgds, random_ucq, FuzzConfig};
 pub use lubm::{fact_count as lubm_fact_count, lubm_abox, LubmConfig};
 pub use suite::{load, load_all, Benchmark, BenchmarkId};

@@ -6,7 +6,7 @@ use nyaya_core::{ConjunctiveQuery, Ontology};
 use nyaya_parser::{parse_program, parse_query};
 
 /// Datalog± source: σ1–σ9 and δ1, verbatim from Section 1.
-pub const RUNNING_EXAMPLE: &str = "
+pub(crate) const RUNNING_EXAMPLE: &str = "
 % Relational schema:
 %   stock(id, name, unit_price)
 %   company(name, country, segment)
@@ -28,13 +28,13 @@ delta1: legal_person(X), fin_ins(X) -> false.
 
 /// The example query of Section 1: triples ⟨a, b, c⟩ where `a` is a
 /// financial instrument owned by company `b` and listed on `c`.
-pub const RUNNING_QUERY: &str = "q(A, B, C) :- fin_ins(A), stock_portf(B, A, D), \
+pub(crate) const RUNNING_QUERY: &str = "q(A, B, C) :- fin_ins(A), stock_portf(B, A, D), \
     company(B, E, F), list_comp(A, C), fin_idx(C, G, H).";
 
 /// A small consistent database for the running example (the ABox flavour
 /// of Section 1: `company(ibm)`, `list_comp(ibm, nasdaq)` extended to the
 /// relational arities).
-pub const RUNNING_DATABASE: &str = "
+pub(crate) const RUNNING_DATABASE: &str = "
 stock(ibm_s, ibm_stock, p101).
 stock(sap_s, sap_stock, p204).
 company(ibm, us, tech).

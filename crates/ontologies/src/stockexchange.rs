@@ -13,7 +13,7 @@
 //! construction: q2 = 2, q3 = 2×2 = 4, q4 = 2×2 = 4, q5 = 2×2×2 = 8.
 
 /// DL-Lite_R axioms of the S ontology.
-pub const STOCKEXCHANGE_DL: &str = "
+pub(crate) const STOCKEXCHANGE_DL: &str = "
 % ---- market participants ----
 Investor [= Person
 Trader [= Person

@@ -14,7 +14,7 @@
 //! domain axiom covers it) giving 4 CQs with 5 joins each.
 
 /// DL-Lite_R axioms of the U ontology.
-pub const UNIVERSITY_DL: &str = "
+pub(crate) const UNIVERSITY_DL: &str = "
 % ---- person taxonomy ----
 Employee [= Person
 FacultyStaff [= Employee

@@ -17,7 +17,7 @@
 //! never fire: NY = NY⋆ for every query, exactly as in Table 1.
 
 /// DL-Lite_R axioms of the V ontology.
-pub const VICODI_DL: &str = "
+pub(crate) const VICODI_DL: &str = "
 % ---- Location subtree (15 concepts incl. root) ----
 Settlement [= Location
 Country [= Location

@@ -4,14 +4,14 @@ use std::fmt;
 
 /// A token with its source location (1-based line/column).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     pub kind: TokenKind,
     pub line: usize,
     pub col: usize,
 }
 
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier: `stock_portf`, `X`, `nasdaq42`. Also bare integers
     /// (used as constants).
     Ident(String),
@@ -68,7 +68,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Tokenize a source string. Comments run from `%` or `#` to end of line.
-pub fn tokenize(src: &str) -> Result<Vec<Token>, ParseError> {
+pub(crate) fn tokenize(src: &str) -> Result<Vec<Token>, ParseError> {
     let mut out = Vec::new();
     let mut line = 1usize;
     let mut col = 1usize;

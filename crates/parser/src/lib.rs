@@ -12,22 +12,20 @@
 //! q(A, B) :- fin_ins(A), stock_portf(B, A, D).       % conjunctive query
 //! ```
 //!
-//! The DL-Lite front end ([`dl_lite::parse_dl_lite`]) embeds description
+//! The DL-Lite front end ([`parse_dl_lite`]) embeds description
 //! logic axioms into Datalog± exactly as Section 1 describes (inverse roles
 //! as full TGDs, existential restrictions as partial TGDs, disjointness as
 //! NCs, functionality as KDs). The OWL 2 QL front end
-//! ([`owl_ql::parse_owl_ql`]) accepts the functional-style syntax of the
+//! ([`parse_owl_ql`]) accepts the functional-style syntax of the
 //! W3C profile that DL-Lite underlies (Section 2) and emits the same
 //! Datalog± representation.
 
-pub mod dl_lite;
-pub mod lexer;
-pub mod owl_ql;
-pub mod parser;
-pub mod printer;
+mod dl_lite;
+mod lexer;
+mod owl_ql;
+mod parser;
 
 pub use dl_lite::parse_dl_lite;
-pub use lexer::{tokenize, ParseError, Token, TokenKind};
+pub use lexer::ParseError;
 pub use owl_ql::{parse_owl_ql, render_owl_ql};
 pub use parser::{parse_program, parse_query, parse_tgds, Program};
-pub use printer::{print_program, print_query, print_union};

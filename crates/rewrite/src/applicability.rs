@@ -149,36 +149,12 @@ pub(crate) fn blocks_existential(atom: &Atom, pi: Option<usize>, shared: &[Symbo
     }
 }
 
-/// Check Definition 1 for the atom set `A` (indices into `body(q)`).
-///
-/// `tgd` must be normal (single head atom, at most one existential variable
-/// occurring once) and is assumed to be renamed apart from `q`.
-pub fn is_applicable(tgd: &Tgd, a_set: &[usize], q: &ConjunctiveQuery) -> bool {
-    debug_assert!(tgd.is_normal(), "rewriting requires normalized TGDs");
-    debug_assert!(!a_set.is_empty());
-    let head = tgd.head_atom();
-
-    // All atoms must share the head predicate, otherwise (i) fails trivially.
-    if a_set.iter().any(|&i| q.body[i].pred != head.pred) {
-        return false;
-    }
-
-    // Condition (ii): constants / shared variables may not sit at π_σ.
-    let pi = tgd.existential_position();
-    let shared = shared_variables(q);
-    if a_set
-        .iter()
-        .any(|&i| blocks_existential(&q.body[i], pi, &shared))
-    {
-        return false;
-    }
-
-    // Condition (i): A ∪ {head(σ)} unifies.
-    rewrite_mgu(tgd, a_set, q).is_some()
-}
-
 /// The MGU `γ_{A ∪ {head(σ)}}` used by the rewriting step.
-pub fn rewrite_mgu(tgd: &Tgd, a_set: &[usize], q: &ConjunctiveQuery) -> Option<Substitution> {
+pub(crate) fn rewrite_mgu(
+    tgd: &Tgd,
+    a_set: &[usize],
+    q: &ConjunctiveQuery,
+) -> Option<Substitution> {
     let mut atoms: Vec<&Atom> = a_set.iter().map(|&i| &q.body[i]).collect();
     atoms.push(tgd.head_atom());
     mgu_set(&atoms)
@@ -192,7 +168,7 @@ pub fn rewrite_mgu(tgd: &Tgd, a_set: &[usize], q: &ConjunctiveQuery) -> Option<S
 /// Replaces the atoms of `A` by `body(σ)` and applies the MGU to the whole
 /// query (head included — non-Boolean CQs propagate bindings into the
 /// answer tuple).
-pub fn apply_rewrite_step(
+pub(crate) fn apply_rewrite_step(
     tgd: &Tgd,
     a_set: &[usize],
     q: &ConjunctiveQuery,
@@ -221,6 +197,19 @@ pub fn apply_rewrite_step(
 mod tests {
     use super::*;
     use nyaya_core::Predicate;
+
+    /// Definition 1 as the engine checks it for the atom set `A` (indices
+    /// into `body(q)`): no atom of `A` blocks σ's existential position
+    /// (condition (ii)), then the rewriting step unifies `A ∪ {head(σ)}`
+    /// (condition (i)).
+    fn is_applicable(tgd: &Tgd, a_set: &[usize], q: &ConjunctiveQuery) -> bool {
+        let pi = tgd.existential_position();
+        let shared = shared_variables(q);
+        !a_set
+            .iter()
+            .any(|&i| blocks_existential(&q.body[i], pi, &shared))
+            && apply_rewrite_step(tgd, a_set, q).is_some()
+    }
 
     fn tgd(body: &[(&str, &[&str])], head: &[(&str, &[&str])]) -> Tgd {
         let mk = |spec: &[(&str, &[&str])]| {

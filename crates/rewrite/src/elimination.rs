@@ -26,12 +26,12 @@ use crate::applicability::{is_shared_in, shared_variables, CompiledSigma};
 use crate::error::RewriteError;
 
 /// Maximum predicate arity supported by the bitset chain search.
-pub const MAX_ARITY: usize = 8;
+pub(crate) const MAX_ARITY: usize = 8;
 
 /// The equality type of an atom (Definition 4): variable-equality pairs and
 /// constant bindings, by 0-based position.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct EqType {
+pub(crate) struct EqType {
     /// `(i, j)` with `i < j`: positions holding the same non-constant term.
     pub pairs: BTreeSet<(usize, usize)>,
     /// `(i, c)`: position `i` holds the constant `c`.
@@ -40,7 +40,7 @@ pub struct EqType {
 
 impl EqType {
     /// Compute `eq(a)`.
-    pub fn of(atom: &Atom) -> EqType {
+    pub(crate) fn of(atom: &Atom) -> EqType {
         let mut pairs = BTreeSet::new();
         let mut consts = BTreeSet::new();
         for (i, t) in atom.args.iter().enumerate() {
@@ -72,7 +72,7 @@ impl EqType {
     /// Is `self ⊆ other` (every equality required by `self` holds in
     /// `other`)? `eq(body(σ')) ⊆ eq(head(σ))` guarantees a substitution μ
     /// with `μ(body(σ')) = head(σ)`.
-    pub fn subset_of(&self, other: &EqType) -> bool {
+    pub(crate) fn subset_of(&self, other: &EqType) -> bool {
         self.pairs.is_subset(&other.pairs) && self.consts.is_subset(&other.consts)
     }
 }
@@ -80,13 +80,13 @@ impl EqType {
 /// The dependency graph of a set of TGDs (Definition 3): a labeled directed
 /// multigraph over positions, one edge `(π_b, π_h)` per TGD and variable
 /// occurring at `π_b` in the body and `π_h` in the head.
-pub struct DependencyGraph {
+pub(crate) struct DependencyGraph {
     /// Edges grouped by TGD index: `(from, to)` position pairs.
     pub edges: Vec<Vec<(Position, Position)>>,
 }
 
 impl DependencyGraph {
-    pub fn new(tgds: &[Tgd]) -> Self {
+    pub(crate) fn new(tgds: &[Tgd]) -> Self {
         let edges = tgds
             .iter()
             .map(|tgd| {
@@ -116,11 +116,6 @@ impl DependencyGraph {
             })
             .collect();
         DependencyGraph { edges }
-    }
-
-    /// Total number of edges (for tests against the paper's Figure 2).
-    pub fn edge_count(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
     }
 }
 
@@ -202,7 +197,7 @@ pub struct EliminationContext {
 
 impl EliminationContext {
     /// Build the context. Panics if some TGD is non-linear or an arity
-    /// exceeds [`MAX_ARITY`] (the paper's optimization is defined for
+    /// exceeds `MAX_ARITY` = 8 (the paper's optimization is defined for
     /// linear TGDs only — Theorem 10).
     pub fn new(tgds: &[Tgd]) -> Self {
         let mut infos = Vec::with_capacity(tgds.len());
@@ -400,21 +395,6 @@ impl EliminationContext {
         false
     }
 
-    /// The cover set `cover(a, q, Σ)` as indices into `body(q)`.
-    pub fn cover_set(&self, target: usize, q: &ConjunctiveQuery) -> Vec<usize> {
-        let view = self.prepare(q);
-        (0..view.len())
-            .filter(|&i| i != target && self.covers_prepared(&view[i], &view[target]))
-            .collect()
-    }
-
-    /// The `eliminate(q, S, Σ)` procedure for an explicit strategy `S`
-    /// (a permutation of body-atom indices). Returns the indices eliminated.
-    pub fn eliminate_indices(&self, q: &ConjunctiveQuery, strategy: &[usize]) -> Vec<usize> {
-        debug_assert_eq!(strategy.len(), q.body.len());
-        self.eliminated(q, strategy.iter().copied())
-    }
-
     /// An atom is eliminated when its turn comes iff an atom still standing
     /// covers it: the cover sets are those of the *original* query, minus
     /// the atoms eliminated so far.
@@ -443,8 +423,7 @@ impl EliminationContext {
     /// This is the paper's single-pass procedure: cover sets are computed
     /// once against the *original* query's shared variables. It is not
     /// idempotent — dropping an atom can turn a shared variable into an
-    /// unshared one and enable further coverage; see
-    /// [`eliminate_fixpoint`](Self::eliminate_fixpoint).
+    /// unshared one and enable further coverage.
     pub fn eliminate(&self, q: &ConjunctiveQuery) -> ConjunctiveQuery {
         let mut out = q.clone();
         self.eliminate_in_place(&mut out);
@@ -467,21 +446,6 @@ impl EliminationContext {
             debug_assert!(!q.body.is_empty(), "elimination emptied a query body");
         }
         eliminated.len()
-    }
-
-    /// Iterate [`eliminate`](Self::eliminate) to a fixpoint.
-    ///
-    /// An extension beyond the paper: each pass is sound on its own input
-    /// (Lemma 8), so the composition is sound, and a pass can unlock new
-    /// coverage by unsharing variables (e.g. `Σ = {eb(Y) → ∃X er(Y,X),
-    /// er(Y,X) → eb(X)}`, `q() ← eb(X), er(W,X), eb(W)`: the first pass
-    /// drops `eb(X)`, which unshares `X` and lets `eb(W)` cover
-    /// `er(W,X)` in the second pass). Terminates: the body shrinks strictly
-    /// every round.
-    pub fn eliminate_fixpoint(&self, q: &ConjunctiveQuery) -> ConjunctiveQuery {
-        let mut current = q.clone();
-        while self.eliminate_in_place(&mut current) > 0 {}
-        current
     }
 }
 
@@ -601,7 +565,7 @@ mod tests {
         assert_eq!(g.edges[0].len(), 2);
         assert_eq!(g.edges[1].len(), 3);
         assert_eq!(g.edges[2].len(), 3);
-        assert_eq!(g.edge_count(), 8);
+        assert_eq!(g.edges.iter().map(Vec::len).sum::<usize>(), 8);
     }
 
     #[test]
@@ -616,9 +580,15 @@ mod tests {
                 ("s", &["A", "A", "D"]),
             ],
         );
-        assert_eq!(ctx.cover_set(0, &q), Vec::<usize>::new()); // cover(a) = ∅
-        assert_eq!(ctx.cover_set(1, &q), vec![0]); // cover(b) = {a}
-        assert_eq!(ctx.cover_set(2, &q), Vec::<usize>::new()); // cover(c) = ∅
+        // The cover set `cover(x, q, Σ)` as indices into `body(q)`.
+        let cover_set = |x: usize| -> Vec<usize> {
+            (0..q.body.len())
+                .filter(|&i| i != x && ctx.covers(&q.body[i], &q.body[x], &q))
+                .collect()
+        };
+        assert_eq!(cover_set(0), Vec::<usize>::new()); // cover(a) = ∅
+        assert_eq!(cover_set(1), vec![0]); // cover(b) = {a}
+        assert_eq!(cover_set(2), Vec::<usize>::new()); // cover(c) = ∅
         let e = ctx.eliminate(&q);
         assert_eq!(e.body.len(), 2);
         assert_eq!(e.body[0].pred, Predicate::new("p", 2));
@@ -705,7 +675,7 @@ mod tests {
         ];
         let counts: Vec<usize> = strategies
             .iter()
-            .map(|s| ctx.eliminate_indices(&q, s).len())
+            .map(|s| ctx.eliminated(&q, s.iter().copied()).len())
             .collect();
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
         assert!(counts[0] < n);

@@ -53,13 +53,13 @@ pub struct RewriteOptions {
     /// unsatisfiable and can be dropped from the output.
     pub hidden_predicates: HashSet<Predicate>,
     /// The most workers a frontier round is split across (1 = always
-    /// sequential; default [`cores`]). Only rounds of at least
-    /// [`worklist::SPLIT_FRONTIER`] queries split. Results are
-    /// bit-identical to the sequential path for every run that completes
-    /// within budget — see the [`worklist`] determinism notes.
+    /// sequential; default [`cores`]). Only rounds of at least 256 queries
+    /// (`SPLIT_FRONTIER`) split. Results are bit-identical to the
+    /// sequential path for every run that completes within budget.
     pub parallel_workers: usize,
     /// Post-process the final union with signature-indexed subsumption
-    /// ([`crate::minimize_union`]), recording the check counters in
+    /// ([`minimize_union_with_stats`](crate::minimize_union_with_stats)),
+    /// recording the check counters in
     /// [`RewriteStats`]. The result is answer-equivalent but may be
     /// smaller; off by default to keep the raw Algorithm 1 output.
     pub minimize: bool,
@@ -148,7 +148,7 @@ pub struct Rewriting {
 /// is computationally infeasible (and the subset mask would overflow), so
 /// the engine reports [`RewriteError::AtomGroupTooLarge`] instead of
 /// hanging or silently skipping subsets.
-pub const MAX_SUBSET_ATOMS: usize = 30;
+pub(crate) const MAX_SUBSET_ATOMS: usize = 30;
 
 /// Compute the perfect rewriting of `q` w.r.t. `tgds` (TGD-rewrite /
 /// TGD-rewrite⋆ depending on `options`).
@@ -187,7 +187,7 @@ pub fn tgd_rewrite_with(
 }
 
 /// [`tgd_rewrite_with`], splitting frontier rounds of at least `split_at`
-/// queries (see [`worklist::run_split`]).
+/// queries (see [`worklist::run`]).
 pub(crate) fn tgd_rewrite_split(
     q: &ConjunctiveQuery,
     tgds: &[Tgd],
@@ -219,7 +219,7 @@ pub(crate) fn tgd_rewrite_split(
         nc_pruning: options.nc_pruning,
         elim_ctx,
     };
-    worklist::run_split(q.clone(), &expander, options, split_at)
+    worklist::run(q.clone(), &expander, options, split_at)
 }
 
 /// The Algorithm 1 expansion relation: restricted factorization (label 0)

@@ -22,7 +22,7 @@ pub enum RewriteError {
     },
     /// A query reached the rewriting step with more same-predicate body
     /// atoms than the subset enumeration can handle
-    /// ([`crate::engine::MAX_SUBSET_ATOMS`]): Algorithm 1 ranges over every
+    /// (`limit`, 30): Algorithm 1 ranges over every
     /// non-empty subset of the group, and 2ⁿ subsets are infeasible beyond
     /// the limit (the mask arithmetic would overflow first).
     AtomGroupTooLarge {

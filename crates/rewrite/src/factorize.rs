@@ -1,5 +1,5 @@
 //! Restricted factorization (Definition 2 and the `factorize` function of
-//! Algorithm 1).
+//! Algorithm 1), run by the engine through [`factorize_group`].
 //!
 //! A set `S ⊆ body(q)` (|S| ≥ 2, unifiable) is *factorizable* w.r.t. a TGD
 //! `σ` with an existential variable iff some variable `V` occurs in every
@@ -9,31 +9,14 @@
 //! the exhaustive factorization of QuOnto-style rewriters, queries produced
 //! here are *excluded* from the final rewriting (label 0 in Algorithm 1).
 
-use nyaya_core::{mgu_set, Atom, ConjunctiveQuery, Symbol, Tgd};
+use nyaya_core::{mgu_set, Atom, ConjunctiveQuery, Symbol};
 
-use crate::applicability::{is_shared_in, shared_variables};
-
-/// All factorizations of `q` w.r.t. `tgd` (one candidate per eligible
-/// variable `V`). Queries are returned fully factorized (`γ_S` applied).
-pub fn factorize_all(q: &ConjunctiveQuery, tgd: &Tgd) -> Vec<ConjunctiveQuery> {
-    debug_assert!(tgd.is_normal());
-    let Some(pi) = tgd.existential_position() else {
-        return Vec::new(); // factorization needs an existential variable
-    };
-    let head_pred = tgd.head_atom().pred;
-    let group: Vec<usize> = (0..q.body.len())
-        .filter(|&i| q.body[i].pred == head_pred)
-        .collect();
-    let mut out = Vec::new();
-    factorize_group(q, &group, pi, &shared_variables(q), |product| {
-        out.push(product)
-    });
-    out
-}
+use crate::applicability::is_shared_in;
 
 /// The factorizations of `q` w.r.t. a TGD with existential position `pi`
 /// whose head predicate is that of the body atoms `group` (all of them, in
-/// body order); `shared` is [`shared_variables`]`(q)`.
+/// body order); `shared` is
+/// [`shared_variables`](crate::applicability::shared_variables)`(q)`.
 ///
 /// An eligible `V` sits at `π_σ` of at least two atoms of the group, so
 /// only the (shared) variables found there are tried — in the order the
@@ -110,26 +93,11 @@ fn factorizable_set(
     (s_set.len() >= 2).then_some(s_set)
 }
 
-/// The single-result `factorize(q, σ)` of Algorithm 1: the first available
-/// factorization, or the query itself when none exists. [`factorize_all`]
-/// is what the engine uses (the fixpoint loop then covers chains of
-/// factorizations, cf. Claim 5).
-pub fn factorize(q: &ConjunctiveQuery, tgd: &Tgd) -> ConjunctiveQuery {
-    factorize_all(q, tgd)
-        .into_iter()
-        .next()
-        .unwrap_or_else(|| q.clone())
-}
-
-/// Is any subset of `body(q)` factorizable w.r.t. `tgd`?
-pub fn is_factorizable(q: &ConjunctiveQuery, tgd: &Tgd) -> bool {
-    !factorize_all(q, tgd).is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nyaya_core::{Predicate, Term};
+    use crate::applicability::shared_variables;
+    use nyaya_core::{Predicate, Term, Tgd};
 
     fn tgd(body: &[(&str, &[&str])], head: &[(&str, &[&str])]) -> Tgd {
         let mk = |spec: &[(&str, &[&str])]| {
@@ -173,6 +141,21 @@ mod tests {
         ConjunctiveQuery::new(head_terms, atoms)
     }
 
+    /// Every factorization of `q` w.r.t. `tgd`, as the engine finds them:
+    /// [`factorize_group`] over all body atoms with the head predicate.
+    fn factorizations(q: &ConjunctiveQuery, tgd: &Tgd) -> Vec<ConjunctiveQuery> {
+        let Some(pi) = tgd.existential_position() else {
+            return Vec::new(); // factorization needs an existential variable
+        };
+        let head_pred = tgd.head_atom().pred;
+        let group: Vec<usize> = (0..q.body.len())
+            .filter(|&i| q.body[i].pred == head_pred)
+            .collect();
+        let mut out = Vec::new();
+        factorize_group(q, &group, pi, &shared_variables(q), |p| out.push(p));
+        out
+    }
+
     // Example 1 of the paper: σ: s(X), r(X,Y) → ∃Z t(X,Y,Z), π_σ = t[3].
     fn sigma() -> Tgd {
         tgd(
@@ -186,7 +169,7 @@ mod tests {
         // q1: q() ← t(A,B,C), t(A,E,C): C occurs in both atoms only at t[3]
         // and nowhere else → factorizable; result q() ← t(A,B,C).
         let q1 = cq(&[], &[("t", &["A", "B", "C"]), ("t", &["A", "E", "C"])]);
-        let results = factorize_all(&q1, &sigma());
+        let results = factorizations(&q1, &sigma());
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].body.len(), 1);
         assert_eq!(results[0].body[0].pred, Predicate::new("t", 3));
@@ -204,28 +187,28 @@ mod tests {
                 ("t", &["A", "E", "C"]),
             ],
         );
-        assert!(!is_factorizable(&q2, &sigma()));
+        assert!(factorizations(&q2, &sigma()).is_empty());
     }
 
     #[test]
     fn example1_q3_not_factorizable() {
         // q3: q() ← t(A,B,C), t(A,C,C): C appears at t[2] too → no.
         let q3 = cq(&[], &[("t", &["A", "B", "C"]), ("t", &["A", "C", "C"])]);
-        assert!(!is_factorizable(&q3, &sigma()));
+        assert!(factorizations(&q3, &sigma()).is_empty());
     }
 
     #[test]
     fn full_tgds_never_factorize() {
         let full = tgd(&[("t", &["X", "Y", "Z"])], &[("r", &["Y", "Z"])]);
         let q1 = cq(&[], &[("r", &["A", "C"]), ("r", &["B", "C"])]);
-        assert!(!is_factorizable(&q1, &full));
+        assert!(factorizations(&q1, &full).is_empty());
     }
 
     #[test]
     fn head_occurrence_blocks_factorization() {
         // q(C) ← t(A,B,C), t(A,E,C): C is an answer variable.
         let q = cq(&["C"], &[("t", &["A", "B", "C"]), ("t", &["A", "E", "C"])]);
-        assert!(!is_factorizable(&q, &sigma()));
+        assert!(factorizations(&q, &sigma()).is_empty());
     }
 
     #[test]
@@ -238,7 +221,7 @@ mod tests {
                 ("t", &["F", "G", "C"]),
             ],
         );
-        let results = factorize_all(&q, &sigma());
+        let results = factorizations(&q, &sigma());
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].body.len(), 1);
     }
@@ -247,7 +230,7 @@ mod tests {
     fn non_unifiable_set_is_skipped() {
         // Same V pattern but constants clash: t(a,B,C), t(b,E,C).
         let q = cq(&[], &[("t", &["a", "B", "C"]), ("t", &["b", "E", "C"])]);
-        assert!(factorize_all(&q, &sigma()).is_empty());
+        assert!(factorizations(&q, &sigma()).is_empty());
     }
 
     #[test]
@@ -255,18 +238,11 @@ mod tests {
         // σ1: p(X) → ∃Y t(X,Y); q': q() ← t(A,B), t(V1,B).
         let s1 = tgd(&[("p", &["X"])], &[("t", &["X", "Y"])]);
         let qp = cq(&[], &[("t", &["A", "B"]), ("t", &["V1", "B"])]);
-        let results = factorize_all(&qp, &s1);
+        let results = factorizations(&qp, &s1);
         assert_eq!(results.len(), 1);
         let fq = &results[0];
         assert_eq!(fq.body.len(), 1);
         // B is no longer shared → σ1 now applicable (checked elsewhere).
         assert!(!fq.is_shared(nyaya_core::symbols::intern("B")));
-    }
-
-    #[test]
-    fn fallback_factorize_returns_query_unchanged() {
-        let q = cq(&[], &[("r", &["A", "B"])]);
-        let same = factorize(&q, &sigma());
-        assert_eq!(same, q);
     }
 }

@@ -109,7 +109,7 @@ pub fn nr_datalog_rewrite_with(
 }
 
 /// [`nr_datalog_rewrite_with`], splitting frontier rounds of at least
-/// `split_at` queries (see [`worklist::run_split`](crate::worklist::run_split)).
+/// `split_at` queries (see [`worklist::run`](crate::worklist::run)).
 pub(crate) fn nr_datalog_rewrite_split(
     q: &ConjunctiveQuery,
     tgds: &[Tgd],

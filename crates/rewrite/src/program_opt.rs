@@ -28,7 +28,7 @@
 //! [`nr_datalog_rewrite`]: crate::nr_datalog_rewrite
 //! [`DatalogProgram::expand`]: nyaya_core::DatalogProgram::expand
 //! [`QuerySignature`]: nyaya_core::QuerySignature
-//! [`minimize_union`]: crate::minimize_union
+//! [`minimize_union`]: crate::subsumption::minimize_union
 
 use std::collections::{HashMap, HashSet};
 
@@ -39,7 +39,8 @@ use nyaya_core::{
 
 use crate::subsumption::minimize_union;
 
-/// Counters describing one [`optimize_program`] run.
+/// Counters describing one run of the program optimizer that
+/// [`nr_datalog_rewrite`](crate::nr_datalog_rewrite) applies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProgramOptStats {
     /// Rules removed as unreachable or unsatisfiable.
@@ -59,7 +60,7 @@ pub struct ProgramOptStats {
 /// Run the optimizer pipeline in place. The result expands to the same
 /// UCQ (modulo α-renaming and subsumed members) and evaluates to the same
 /// answers on every database.
-pub fn optimize_program(program: &mut DatalogProgram) -> ProgramOptStats {
+pub(crate) fn optimize_program(program: &mut DatalogProgram) -> ProgramOptStats {
     let mut stats = ProgramOptStats {
         atoms_before: program.total_atoms(),
         ..ProgramOptStats::default()

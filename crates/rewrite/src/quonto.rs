@@ -40,7 +40,7 @@ pub fn quonto_rewrite(
 }
 
 /// [`quonto_rewrite`], splitting frontier rounds of at least `split_at`
-/// queries (see [`worklist::run_split`]).
+/// queries (see [`worklist::run`]).
 pub(crate) fn quonto_rewrite_split(
     q: &ConjunctiveQuery,
     tgds: &[Tgd],
@@ -48,7 +48,7 @@ pub(crate) fn quonto_rewrite_split(
     split_at: usize,
 ) -> Result<Rewriting, RewriteError> {
     let sigma = CompiledSigma::new("quonto_rewrite", tgds)?;
-    worklist::run_split(q.clone(), &QuontoExpander { sigma }, options, split_at)
+    worklist::run(q.clone(), &QuontoExpander { sigma }, options, split_at)
 }
 
 /// The PerfectRef expansion: atom-at-a-time rewriting plus the exhaustive

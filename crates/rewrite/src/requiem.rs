@@ -101,7 +101,7 @@ pub fn requiem_rewrite(
 }
 
 /// [`requiem_rewrite`], splitting frontier rounds of at least `split_at`
-/// queries (see [`worklist::run_split`]).
+/// queries (see [`worklist::run`]).
 pub(crate) fn requiem_rewrite_split(
     q: &ConjunctiveQuery,
     tgds: &[Tgd],
@@ -119,7 +119,7 @@ pub(crate) fn requiem_rewrite_split(
         rules,
         max_depth: 2,
     };
-    worklist::run_split(q.clone(), &expander, options, split_at)
+    worklist::run(q.clone(), &expander, options, split_at)
 }
 
 /// Binary resolution of one body atom against one Skolemized rule head;

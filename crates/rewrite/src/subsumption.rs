@@ -86,13 +86,14 @@ fn apply_mask(u: &UnionQuery, keep: &[bool]) -> UnionQuery {
     )
 }
 
-/// Remove subsumed CQs from a union, using the predicate-signature index
-/// to avoid incompatible containment checks.
-pub fn minimize_union(u: &UnionQuery) -> UnionQuery {
+/// [`minimize_union_with_stats`] without the counters.
+pub(crate) fn minimize_union(u: &UnionQuery) -> UnionQuery {
     minimize_union_with_stats(u).0
 }
 
-/// [`minimize_union`] with the pass's counters.
+/// Remove subsumed CQs from a union, using the predicate-signature index
+/// to avoid incompatible containment checks; also returns the pass's
+/// counters.
 pub fn minimize_union_with_stats(u: &UnionQuery) -> (UnionQuery, SubsumptionStats) {
     let (keep, stats) = survivors(u, true);
     (apply_mask(u, &keep), stats)

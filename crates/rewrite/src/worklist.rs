@@ -59,14 +59,14 @@ use crate::subsumption;
 /// with whether it belongs in the final union (`true` — the ⟨q,1⟩ label of
 /// Algorithm 1) or is exploration-only (`false` — ⟨q,0⟩, factorization
 /// products).
-pub struct Products {
+pub(crate) struct Products {
     items: Vec<(ConjunctiveQuery, bool)>,
 }
 
 impl Products {
     /// Queue `query` for admission with the given output label.
     #[inline]
-    pub fn push(&mut self, query: ConjunctiveQuery, in_output: bool) {
+    pub(crate) fn push(&mut self, query: ConjunctiveQuery, in_output: bool) {
         self.items.push((query, in_output));
     }
 }
@@ -75,7 +75,7 @@ impl Products {
 ///
 /// Implementations must be [`Sync`]: in parallel mode one shared instance
 /// is read by every worker.
-pub trait Expand: Sync {
+pub(crate) trait Expand: Sync {
     /// Pre-process a query before it is admitted to the table (and before
     /// deduplication — counters recorded here fire once per *generated*
     /// product, duplicates included, exactly as the pre-PR 4 engines did).
@@ -228,25 +228,17 @@ fn merge(total: &mut RewriteStats, part: RewriteStats) {
 /// 91–100 % of their explored queries in rounds of this size or more.
 /// Splitting the light rounds made them slower on a 2-core host; splitting
 /// the heavy ones made those compiles 1.25–1.64× faster.
-pub const SPLIT_FRONTIER: usize = 256;
+pub(crate) const SPLIT_FRONTIER: usize = 256;
 
 /// Run an engine's fixpoint: explore the closure of `seed` under
-/// `expander`, then assemble the deterministic final union.
+/// `expander`, splitting every frontier round of at least `split_at`
+/// queries ([`SPLIT_FRONTIER`] outside this crate's tests) across
+/// workers, then assemble the deterministic final union.
 ///
 /// Reads `options.max_queries`, `options.parallel_workers`,
 /// `options.hidden_predicates` and `options.minimize`; the engine-specific
 /// flags (`elimination`, `nc_pruning`) are the expander's business.
-pub fn run<E: Expand>(
-    seed: ConjunctiveQuery,
-    expander: &E,
-    options: &RewriteOptions,
-) -> Result<Rewriting, RewriteError> {
-    run_split(seed, expander, options, SPLIT_FRONTIER)
-}
-
-/// [`run`], splitting every frontier round of at least `split_at` queries
-/// ([`SPLIT_FRONTIER`] outside this crate's tests).
-pub(crate) fn run_split<E: Expand>(
+pub(crate) fn run<E: Expand>(
     seed: ConjunctiveQuery,
     expander: &E,
     options: &RewriteOptions,
@@ -385,7 +377,7 @@ mod tests {
             parallel_workers: 2,
             ..RewriteOptions::default()
         };
-        run(seed, &Fan { width, boom }, &options)
+        run(seed, &Fan { width, boom }, &options, SPLIT_FRONTIER)
     }
 
     /// A round under [`SPLIT_FRONTIER`] queries runs on the caller; a round

@@ -22,14 +22,12 @@
 //! the worker-pool connection scheduler and graceful shutdown, `client`
 //! for the blocking client.
 
-pub mod client;
-pub mod protocol;
-pub mod server;
+mod client;
+mod protocol;
+mod server;
 
 pub use client::{Client, ClientError};
-pub use protocol::{
-    read_frame, write_frame, Request, Response, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
-};
+pub use protocol::{read_frame, write_frame, Request, Response, DEFAULT_MAX_FRAME};
 pub use server::{serve, Server, ServerConfig};
 
 /// One answer set as shipped over the wire: the epoch it was computed

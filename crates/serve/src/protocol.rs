@@ -42,10 +42,6 @@ use std::io::{self, Read, Write};
 
 use crate::{AnswerSet, ApplySummary};
 
-/// Bumped on incompatible grammar changes; exchanged nowhere yet (the
-/// protocol is young), but clients may surface it in diagnostics.
-pub const PROTOCOL_VERSION: u32 = 1;
-
 /// Default upper bound on one frame's payload (16 MiB) — large enough
 /// for wide answer sets, small enough that a garbage length prefix
 /// cannot drive an allocation.

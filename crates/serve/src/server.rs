@@ -33,7 +33,7 @@
 use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -113,9 +113,6 @@ struct Shared {
     queue: Mutex<VecDeque<Conn>>,
     wake: Condvar,
     shutdown: AtomicBool,
-    /// Connections currently held by a worker — the drain barrier knows
-    /// the queue length, this covers the in-flight ones.
-    in_flight: AtomicU64,
 }
 
 impl Shared {
@@ -143,7 +140,6 @@ impl Shared {
         let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(conn) = queue.pop_front() {
-                self.in_flight.fetch_add(1, Ordering::SeqCst);
                 return Some(conn);
             }
             if self.shutdown.load(Ordering::SeqCst) {
@@ -229,7 +225,6 @@ pub fn serve(
         queue: Mutex::new(VecDeque::new()),
         wake: Condvar::new(),
         shutdown: AtomicBool::new(false),
-        in_flight: AtomicU64::new(0),
     });
     let handle = ServerHandle {
         shared: Arc::clone(&shared),
@@ -288,7 +283,6 @@ fn worker_loop(shared: &Shared, backend: &dyn Backend, config: &ServerConfig) {
             // serve_some (read until quiet); close it now.
             After::Requeue | After::Close => drop(conn),
         }
-        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 

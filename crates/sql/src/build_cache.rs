@@ -13,7 +13,7 @@ use crate::table::Database;
 /// constant/equality filters restrict the rows. Two atoms from different
 /// disjuncts with the same pattern can share one hashed build side.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct PatternKey {
+pub(crate) struct PatternKey {
     pred: Predicate,
     /// Columns hashed as the join key, ascending.
     key_cols: Vec<usize>,
@@ -46,7 +46,7 @@ impl PatternKey {
 /// there is a single group under the empty key — a cached filtered scan.
 /// The single-column case (the overwhelmingly common join shape) keys
 /// the map by a bare `u32`, so probing is one integer hash.
-pub struct Build {
+pub(crate) struct Build {
     groups: BuildGroups,
 }
 
@@ -143,13 +143,13 @@ impl Build {
 /// constant) would otherwise grow a long-lived snapshot's cache without
 /// limit; past the cap, builds are still constructed and used but not
 /// retained.
-pub const MAX_CACHED_BUILDS: usize = 4096;
+pub(crate) const MAX_CACHED_BUILDS: usize = 4096;
 
-/// A concurrent cache of hashed build sides, keyed by [`PatternKey`].
+/// A concurrent cache of hashed build sides, keyed by access pattern.
 /// One cache is shared across all disjuncts of a UCQ execution (and all
 /// worker threads of the parallel path); since PR 3 a cache also
 /// persists on each published snapshot, shared by every execution over
-/// that epoch. Bounded by [`MAX_CACHED_BUILDS`].
+/// that epoch. Bounded by `MAX_CACHED_BUILDS` (4096) builds.
 #[derive(Default)]
 pub struct BuildCache {
     builds: RwLock<HashMap<PatternKey, Arc<Build>>>,

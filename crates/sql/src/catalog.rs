@@ -24,7 +24,7 @@ impl Catalog {
     }
 
     /// Register a table with explicit column names.
-    pub fn register(&mut self, pred: Predicate, name: &str, columns: Vec<String>) {
+    pub(crate) fn register(&mut self, pred: Predicate, name: &str, columns: Vec<String>) {
         assert_eq!(
             columns.len(),
             pred.arity,

@@ -329,7 +329,8 @@ pub fn execute_ucq(db: &Database, u: &UnionQuery) -> BTreeSet<Vec<Term>> {
 
 /// Execute a union of CQs — the engine's one UCQ entry point, a thin
 /// wrapper over the engine's one evaluator (a flat rewriting is a goal
-/// stratum with nothing beneath it; see [`crate::program`]).
+/// stratum with nothing beneath it; see
+/// [`execute_program_shared`](crate::execute_program_shared)).
 ///
 /// `threads` is the *inter*-CQ budget. Section 2 observes that the CQs of
 /// a UCQ rewriting "are independent from each other, and thus they can be

@@ -4,26 +4,26 @@
 //! over the relational schema, it is "submitted as a standard SQL query to
 //! the DBMS holding D". This crate provides both halves of that story:
 //!
-//! - [`translate`]: UCQ → SQL text (`SELECT`/`WHERE`/`UNION`) against a
-//!   [`catalog::Catalog`] of table schemas;
-//! - [`exec`]: an indexed in-memory relational engine (persistent
+//! - [`ucq_to_sql`]: UCQ → SQL text (`SELECT`/`WHERE`/`UNION`) against a
+//!   [`Catalog`] of table schemas;
+//! - [`execute_ucq_intra`]: an indexed in-memory relational engine (persistent
 //!   per-column hash indexes, planned join orders, a cross-disjunct
 //!   build-side cache and a parallel union path) so the whole OBDA stack
 //!   runs end-to-end without an external database.
 
-pub mod build_cache;
-pub mod catalog;
-pub mod exec;
-pub mod ivm;
+mod build_cache;
+mod catalog;
+mod exec;
+mod ivm;
 mod join;
-pub mod plan;
-pub mod program;
+mod plan;
+mod program;
 pub mod reference;
 pub mod segment;
-pub mod table;
+mod table;
 #[cfg(test)]
 mod test_support;
-pub mod translate;
+mod translate;
 
 pub use build_cache::BuildCache;
 pub use catalog::{Catalog, TableSchema};
@@ -36,4 +36,4 @@ pub use program::{
 };
 pub use segment::{decode_batch, decode_database, encode_batch, encode_database, CodecError};
 pub use table::{Database, DbMemory, TableMemory};
-pub use translate::{cq_to_sql, sql_ident, sql_literal, ucq_to_sql};
+pub use translate::ucq_to_sql;

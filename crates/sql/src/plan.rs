@@ -136,7 +136,7 @@ pub struct CostPlan {
 
 impl CostPlan {
     /// The planner's estimate of the final result cardinality.
-    pub fn result_estimate(&self) -> f64 {
+    pub(crate) fn result_estimate(&self) -> f64 {
         self.estimates.last().copied().unwrap_or(0.0)
     }
 }

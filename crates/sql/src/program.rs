@@ -363,7 +363,7 @@ fn check_translatable(program: &DatalogProgram) -> Result<(), ProgramError> {
 
 /// A scratch catalog extending `catalog` with one table schema per
 /// intensional predicate (columns `a1..an`, matching the `SELECT … AS a{i}`
-/// aliases [`cq_to_sql`](crate::cq_to_sql) emits), so rules over
+/// aliases [`cq_to_sql`](crate::translate::cq_to_sql) emits), so rules over
 /// intensional predicates translate like any other.
 fn extended_catalog(catalog: &Catalog, order: &[Predicate]) -> Catalog {
     let mut cat = catalog.clone();

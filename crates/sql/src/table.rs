@@ -679,8 +679,8 @@ impl Table {
 /// cloning is O(#predicates) and shares every table with the original;
 /// the first [`insert`](Self::insert) or [`remove`](Self::remove) into a
 /// shared table gives the writer a private copy of that table's *delta*
-/// — the base, which is nearly all of the table, stays shared (see the
-/// [module docs](self)). This is the snapshot primitive of the
+/// — the base, which is nearly all of the table, stays shared. This is
+/// the snapshot primitive of the
 /// incremental knowledge base — a writer clones the current database,
 /// applies a batch, and publishes the clone while readers keep the old
 /// value.
@@ -890,7 +890,7 @@ impl Database {
 
     /// Iterate a table's rows in row-id order, each materialized as
     /// terms from the flat columns.
-    pub fn iter_rows(&self, pred: Predicate) -> impl Iterator<Item = Vec<Term>> + '_ {
+    pub(crate) fn iter_rows(&self, pred: Predicate) -> impl Iterator<Item = Vec<Term>> + '_ {
         self.tables
             .get(&pred)
             .into_iter()

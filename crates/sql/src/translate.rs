@@ -13,7 +13,7 @@ use crate::program::ProgramError;
 /// quotes (`o'brien` → `'o''brien'`). Constants come from user programs
 /// and ad-hoc queries, so interpolating them unescaped would let a value
 /// terminate the literal and inject trailing SQL.
-pub fn sql_literal(value: &str) -> String {
+pub(crate) fn sql_literal(value: &str) -> String {
     let mut out = String::with_capacity(value.len() + 2);
     out.push('\'');
     for c in value.chars() {
@@ -86,7 +86,7 @@ const SQL_KEYWORDS: &[&str] = &[
 /// `[A-Za-z0-9_]*`, and not a reserved keyword). Quoted identifiers use
 /// double quotes with embedded double quotes doubled, so catalog-supplied
 /// table/column names can never escape their position in the statement.
-pub fn sql_ident(name: &str) -> String {
+pub(crate) fn sql_ident(name: &str) -> String {
     let mut chars = name.chars();
     let bare_safe = match chars.next() {
         Some(c) if c.is_ascii_alphabetic() || c == '_' => {
@@ -115,7 +115,7 @@ pub fn sql_ident(name: &str) -> String {
 /// Each body atom becomes a `FROM` entry aliased `r0, r1, …`; repeated
 /// variables become equality predicates; constants become literal filters.
 /// Returns `None` if some predicate is not registered in the catalog.
-pub fn cq_to_sql(q: &ConjunctiveQuery, catalog: &Catalog) -> Option<String> {
+pub(crate) fn cq_to_sql(q: &ConjunctiveQuery, catalog: &Catalog) -> Option<String> {
     let mut first_occurrence: HashMap<Symbol, String> = HashMap::new();
     let mut conditions: Vec<String> = Vec::new();
 

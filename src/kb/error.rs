@@ -49,7 +49,7 @@ pub enum NyayaError {
     },
     /// A query reached the rewriting step with more same-predicate body
     /// atoms than the 2ⁿ subset enumeration of Algorithm 1 can handle
-    /// ([`nyaya_rewrite::MAX_SUBSET_ATOMS`]).
+    /// (`limit`).
     AtomGroupTooLarge {
         /// The predicate whose body-atom group overflowed.
         predicate: String,

@@ -78,7 +78,7 @@ pub struct Answers {
 /// Unions with at least this many disjuncts (and programs with at least
 /// this many rules) run on the engine's parallel path; smaller ones stay
 /// sequential, where thread spawn overhead would dominate.
-pub const PARALLEL_THRESHOLD: usize = 32;
+pub(crate) const PARALLEL_THRESHOLD: usize = 32;
 
 /// The facade's one thread-routing policy: the engine's `(threads, intra)`
 /// budgets for a union of `width` disjuncts (or a program of `width`

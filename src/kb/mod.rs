@@ -148,7 +148,7 @@ pub const DEFAULT_PROGRAM_THRESHOLD: usize = 256;
 /// base writes an index segment every this many applied batches. Smaller
 /// intervals bound recovery replay tighter at the cost of more segment
 /// I/O; the WAL keeps every batch either way.
-pub const DEFAULT_FLUSH_INTERVAL: u64 = 64;
+pub(crate) const DEFAULT_FLUSH_INTERVAL: u64 = 64;
 
 /// Cardinality-feedback trigger: when an execution's actual row count
 /// differs from the cost plan's estimate by at least this factor (either
@@ -250,7 +250,7 @@ pub struct CompiledProgram {
 /// Process-unique knowledge-base identities (see [`PreparedQuery::kb_id`]).
 static NEXT_KB_ID: AtomicU64 = AtomicU64::new(0);
 
-/// Builder for [`KnowledgeBase`] — see the [module docs](self).
+/// Builder for [`KnowledgeBase`] — see the [crate docs](crate).
 pub struct KnowledgeBaseBuilder {
     ontology: Ontology,
     facts: Vec<Atom>,
@@ -454,7 +454,7 @@ impl KnowledgeBaseBuilder {
     }
 
     /// How many applied batches between background index-segment flushes
-    /// (default [`DEFAULT_FLUSH_INTERVAL`]; `0` is treated as 1). Only
+    /// (default 64; `0` is treated as 1). Only
     /// meaningful together with [`durable`](Self::durable).
     pub fn flush_interval(mut self, interval: u64) -> Self {
         self.flush_interval = interval.max(1);
@@ -580,7 +580,7 @@ impl KnowledgeBaseBuilder {
 }
 
 /// A compiled ontological database: ontology, evolving data, and a
-/// rewriting cache. See the [module docs](self) for the lifecycle.
+/// rewriting cache. See the [crate docs](crate) for the lifecycle.
 ///
 /// The TBox-derived state (normalization, classification, elimination
 /// context, compiled rewritings) is immutable for the lifetime of the

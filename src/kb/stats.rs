@@ -119,9 +119,7 @@ kb_stats! {
     /// Queries explored across all rewriting compiles.
     count rewrite_explored: u64,
     /// Compiles that split at least one frontier round across workers
-    /// (rounds of at least [`SPLIT_FRONTIER`] queries).
-    ///
-    /// [`SPLIT_FRONTIER`]: crate::rewrite::worklist::SPLIT_FRONTIER
+    /// (rounds of at least 256 queries, the rewriter's `SPLIT_FRONTIER`).
     count rewrites_parallel: u64,
     /// Subsumption candidate pairs the predicate-signature index rejected
     /// without a homomorphism check (non-zero only with

@@ -248,7 +248,7 @@ impl Snapshot {
     /// content for `pred` equals its content at exactly that epoch.
     /// Predicates never written since the snapshot's base state report
     /// the base epoch.
-    pub fn pred_epoch(&self, pred: Predicate) -> u64 {
+    pub(crate) fn pred_epoch(&self, pred: Predicate) -> u64 {
         self.pred_epochs
             .get(&pred)
             .copied()

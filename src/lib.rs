@@ -70,19 +70,19 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`kb`] | **the facade**: [`KnowledgeBase`], builders, prepared queries with a rewriting cache, one execution path over the backend an [`ExecutorKind`] names, batched [`UpdateBatch`] writes with epoch-stamped [`Snapshot`]s, [`NyayaError`] |
+//! | `kb` (private, re-exported here) | **the facade**: [`KnowledgeBase`], builders, prepared queries with a rewriting cache, one execution path over the backend an [`ExecutorKind`] names, batched [`UpdateBatch`] writes with epoch-stamped [`Snapshot`]s, [`NyayaError`] |
 //! | [`core`] | terms, atoms, queries, TGDs, unification, canonical forms, containment & core minimization, non-recursive Datalog programs, Datalog± classes, normalization |
 //! | [`chase`] | the TGD chase (restricted / oblivious / Skolem), certain answers, consistency (NCs/KDs) |
 //! | [`rewrite`] | TGD-rewrite / TGD-rewrite⋆, non-recursive Datalog rewriting, QuOnto & Requiem baselines, chase & back-chase |
 //! | [`parser`] | Datalog± text syntax + DL-Lite_R and OWL 2 QL front ends |
 //! | [`ontologies`] | the benchmark suite (V, S, U, A, P5 + X-variants) |
 //! | [`sql`] | UCQ → SQL, an in-memory executor with a cost-based join planner, and bottom-up Datalog program evaluation |
-//! | [`serving`] | the network backend: [`KbBackend`] implements `nyaya-serve`'s `Backend` trait over a shared [`KnowledgeBase`] (prepared handles, pinned-epoch answers, batch applies) |
+//! | `serving` (private, re-exported here) | the network backend: [`KbBackend`] implements `nyaya-serve`'s `Backend` trait over a shared [`KnowledgeBase`] (prepared handles, pinned-epoch answers, batch applies) |
 
 #![warn(missing_docs)]
 
-pub mod kb;
-pub mod serving;
+mod kb;
+mod serving;
 
 pub use nyaya_chase as chase;
 pub use nyaya_core as core;
@@ -93,13 +93,14 @@ pub use nyaya_rewrite as rewrite;
 pub use nyaya_serve as serve;
 pub use nyaya_sql as sql;
 
+pub use kb::json_escape;
 pub use kb::{
     Algorithm, AnswerDiff, Answers, ApplyOutcome, CompiledProgram, CompiledRewriting, ExecutorKind,
     KbStats, KnowledgeBase, KnowledgeBaseBuilder, LedgerHistory, NyayaError, PreparedQuery,
     SealedWalInfo, SegmentFlush, SegmentInfo, Snapshot, Strategy, Subscription, UpdateBatch,
-    DEFAULT_FLUSH_INTERVAL, DEFAULT_PROGRAM_THRESHOLD, REPLAN_RATIO,
+    DEFAULT_PROGRAM_THRESHOLD, REPLAN_RATIO,
 };
-pub use serving::KbBackend;
+pub use serving::{parse_fact, KbBackend};
 
 /// The most commonly used items in one import.
 pub mod prelude {

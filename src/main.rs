@@ -28,12 +28,11 @@ use std::process::ExitCode;
 
 use nyaya::chase::ChaseConfig;
 use nyaya::core::{AggFunc, Aggregate, ColumnFilter, FilterOp, SelectOptions, SortDir, Term};
-use nyaya::kb::json_escape;
 use nyaya::rewrite::ProgramStrategy;
 use nyaya::sql::{program_to_sql, program_to_sql_views};
 use nyaya::{
-    Algorithm, AnswerDiff, Answers, ExecutorKind, KnowledgeBase, PreparedQuery, Strategy,
-    UpdateBatch,
+    json_escape, Algorithm, AnswerDiff, Answers, ExecutorKind, KnowledgeBase, PreparedQuery,
+    Strategy, UpdateBatch,
 };
 
 const USAGE: &str = "usage: nyaya <command> <program-file> [options]
@@ -780,7 +779,7 @@ fn cmd_watch(kb: &KnowledgeBase, options: &Options) -> Result<(), String> {
                 continue;
             }
         };
-        match nyaya::serving::parse_fact(text) {
+        match nyaya::parse_fact(text) {
             Ok(fact) if sign => batch = batch.insert(fact),
             Ok(fact) => batch = batch.retract(fact),
             Err(e) => eprintln!("% ignored: {e}"),
