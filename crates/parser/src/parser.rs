@@ -418,6 +418,38 @@ mod tests {
     }
 
     #[test]
+    fn displayed_items_reparse() {
+        // The CLI prints TGDs, NCs, facts and queries with `Display`; that
+        // text parses back to the same program, and printing is a fixpoint.
+        let print = |p: &Program| -> String {
+            let tgds = p.ontology.tgds.iter().map(ToString::to_string);
+            let ncs = p.ontology.ncs.iter().map(ToString::to_string);
+            let facts = p.facts.iter().map(ToString::to_string);
+            let queries = p.queries.iter().map(ToString::to_string);
+            tgds.chain(ncs)
+                .chain(facts)
+                .chain(queries)
+                .map(|item| item + ".\n")
+                .collect()
+        };
+        let p1 = parse_program(
+            "sigma6: has_stock(X, Y) -> stock_portf(Y, X, Z).
+             delta1: legal_person(X), fin_ins(X) -> false.
+             stock(s1, apple, p10).
+             q(A) :- fin_ins(A).
+             q(A) :- p(A, B), r(B).",
+        )
+        .unwrap();
+        let text = print(&p1);
+        let p2 = parse_program(&text).unwrap();
+        assert_eq!(p2.ontology.tgds.len(), 1);
+        assert_eq!(p2.ontology.ncs.len(), 1);
+        assert_eq!(p2.facts, p1.facts);
+        assert_eq!(p2.queries.len(), 2);
+        assert_eq!(print(&p2), text);
+    }
+
+    #[test]
     fn error_positions_are_useful() {
         let err = parse_program("p(X) -> ").unwrap_err();
         assert_eq!(err.line, 1);
