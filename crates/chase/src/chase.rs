@@ -5,30 +5,9 @@
 //! a budget (rounds and atoms); the outcome records whether a fixpoint was
 //! actually reached.
 
-use std::collections::HashSet;
-
-use nyaya_core::{HomSearch, Substitution, Term, Tgd};
+use nyaya_core::{Atom, HomSearch, Substitution, Tgd};
 
 use crate::instance::Instance;
-
-/// Which chase rule to apply.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum ChaseKind {
-    /// The restricted (standard) chase of Section 3.3: a trigger fires only
-    /// if no extension of the homomorphism already satisfies the head.
-    #[default]
-    Restricted,
-    /// The oblivious chase: every trigger fires exactly once, regardless of
-    /// satisfaction. Produces a larger (often infinite) but simpler-to-
-    /// reason-about universal model; terminates for weakly-acyclic sets.
-    Oblivious,
-    /// The Skolem (semi-oblivious) chase: existential variables become
-    /// function terms over the frontier, so re-firing a trigger is a no-op
-    /// by construction — the firing history the oblivious chase has to
-    /// keep is encoded in the terms themselves. This is the chase the
-    /// Requiem-style baseline reasons against (Skolemized TGD heads).
-    Skolem,
-}
 
 /// Budget for a chase run.
 #[derive(Copy, Clone, Debug)]
@@ -37,8 +16,6 @@ pub struct ChaseConfig {
     pub max_rounds: usize,
     /// Hard cap on the number of atoms in the chase instance.
     pub max_atoms: usize,
-    /// Restricted (default) or oblivious firing.
-    pub kind: ChaseKind,
 }
 
 impl Default for ChaseConfig {
@@ -46,7 +23,6 @@ impl Default for ChaseConfig {
         ChaseConfig {
             max_rounds: 32,
             max_atoms: 100_000,
-            kind: ChaseKind::Restricted,
         }
     }
 }
@@ -79,10 +55,8 @@ pub struct ChaseOutcome {
 pub fn chase(db: &Instance, tgds: &[Tgd], config: ChaseConfig) -> ChaseOutcome {
     let mut instance = db.clone();
     let mut rounds = 0usize;
-    // Oblivious firing history: (TGD index, body image) pairs already used.
-    let mut fired: HashSet<(usize, Vec<Term>)> = HashSet::new();
     while rounds < config.max_rounds {
-        let additions = chase_round(&instance, tgds, config.kind, &mut fired);
+        let additions = chase_round(&instance, tgds);
         if additions.is_empty() {
             return ChaseOutcome {
                 instance,
@@ -93,7 +67,7 @@ pub fn chase(db: &Instance, tgds: &[Tgd], config: ChaseConfig) -> ChaseOutcome {
         rounds += 1;
         let mut grew = false;
         for head in additions {
-            grew |= apply_trigger(&mut instance, head);
+            grew |= apply_trigger(&mut instance, &head);
             if instance.len() >= config.max_atoms {
                 return ChaseOutcome {
                     instance,
@@ -111,7 +85,7 @@ pub fn chase(db: &Instance, tgds: &[Tgd], config: ChaseConfig) -> ChaseOutcome {
         }
     }
     // Budget exhausted: check whether we were, by luck, already saturated.
-    let saturated = chase_round(&instance, tgds, config.kind, &mut fired).is_empty();
+    let saturated = chase_round(&instance, tgds).is_empty();
     ChaseOutcome {
         instance,
         saturated,
@@ -119,77 +93,18 @@ pub fn chase(db: &Instance, tgds: &[Tgd], config: ChaseConfig) -> ChaseOutcome {
     }
 }
 
-/// A pending trigger: the head atoms under `h` with existential variables
-/// still unbound (they get fresh nulls at application time), plus the part
-/// of the head pattern needed to re-check satisfaction.
-struct Trigger {
-    /// Head atoms with frontier variables substituted, existential
-    /// variables left as variables.
-    head_pattern: Vec<nyaya_core::Atom>,
-    /// Oblivious triggers skip the pre-fire satisfaction re-check.
-    oblivious: bool,
-}
-
-fn chase_round(
-    instance: &Instance,
-    tgds: &[Tgd],
-    kind: ChaseKind,
-    fired: &mut HashSet<(usize, Vec<Term>)>,
-) -> Vec<Trigger> {
+/// The round's pending triggers, each as its head atoms with the frontier
+/// variables substituted and the existential ones left as variables (they
+/// get fresh nulls when it fires): every `(σ, h)` with `h(body(σ)) ⊆ I`
+/// whose head no extension of `h` satisfies.
+fn chase_round(instance: &Instance, tgds: &[Tgd]) -> Vec<Vec<Atom>> {
     let search = HomSearch::new(instance.atoms());
     let mut triggers = Vec::new();
-    for (ti, tgd) in tgds.iter().enumerate() {
-        let body_vars = tgd.body_vars();
+    for tgd in tgds {
         search.search(&tgd.body, &Substitution::new(), &mut |h| {
-            match kind {
-                ChaseKind::Restricted => {
-                    // Skip if some extension of h satisfies the head.
-                    let head_pattern: Vec<nyaya_core::Atom> =
-                        tgd.head.iter().map(|a| partial_apply(h, a, tgd)).collect();
-                    if !search.exists(&head_pattern, &Substitution::new()) {
-                        triggers.push(Trigger {
-                            head_pattern,
-                            oblivious: false,
-                        });
-                    }
-                }
-                ChaseKind::Oblivious => {
-                    // Fire every (σ, h) exactly once.
-                    let image: Vec<Term> = body_vars
-                        .iter()
-                        .map(|v| h.apply_term(&Term::Var(*v)))
-                        .collect();
-                    if fired.insert((ti, image)) {
-                        let head_pattern: Vec<nyaya_core::Atom> =
-                            tgd.head.iter().map(|a| partial_apply(h, a, tgd)).collect();
-                        triggers.push(Trigger {
-                            head_pattern,
-                            oblivious: true,
-                        });
-                    }
-                }
-                ChaseKind::Skolem => {
-                    // Existentials become f_{σ,Z}(frontier): the resulting
-                    // atoms are ground, so set insertion dedups re-firings.
-                    let mut s = h.clone();
-                    let frontier: Vec<Term> = tgd
-                        .frontier()
-                        .iter()
-                        .map(|v| h.apply_term(&Term::Var(*v)))
-                        .collect();
-                    for (k, z) in tgd.existential_vars().into_iter().enumerate() {
-                        let sym = nyaya_core::symbols::intern(&format!("sk{ti}_{k}"));
-                        s.bind(z, Term::Func(sym, frontier.clone().into_boxed_slice()));
-                    }
-                    let head_pattern: Vec<nyaya_core::Atom> =
-                        tgd.head.iter().map(|a| s.apply_atom(a)).collect();
-                    if head_pattern.iter().any(|a| !instance.contains(a)) {
-                        triggers.push(Trigger {
-                            head_pattern,
-                            oblivious: true,
-                        });
-                    }
-                }
+            let head: Vec<Atom> = tgd.head.iter().map(|a| partial_apply(h, a, tgd)).collect();
+            if !search.exists(&head, &Substitution::new()) {
+                triggers.push(head);
             }
             true
         });
@@ -199,7 +114,7 @@ fn chase_round(
 
 /// Apply `h` to the head atom, substituting only universally quantified
 /// (body) variables; existential variables stay as variables.
-fn partial_apply(h: &Substitution, atom: &nyaya_core::Atom, tgd: &Tgd) -> nyaya_core::Atom {
+fn partial_apply(h: &Substitution, atom: &Atom, tgd: &Tgd) -> Atom {
     let existential: Vec<_> = tgd.existential_vars();
     let restricted = h.restrict(|v| !existential.contains(&v));
     restricted.apply_atom(atom)
@@ -207,18 +122,16 @@ fn partial_apply(h: &Substitution, atom: &nyaya_core::Atom, tgd: &Tgd) -> nyaya_
 
 /// Fire a trigger against the current instance, re-checking satisfaction
 /// first (another firing in the same round may have satisfied it).
-fn apply_trigger(instance: &mut Instance, trigger: Trigger) -> bool {
-    if !trigger.oblivious {
-        let search = HomSearch::new(instance.atoms());
-        if search.exists(&trigger.head_pattern, &Substitution::new()) {
-            return false;
-        }
+fn apply_trigger(instance: &mut Instance, head: &[Atom]) -> bool {
+    let search = HomSearch::new(instance.atoms());
+    if search.exists(head, &Substitution::new()) {
+        return false;
     }
     // Bind remaining variables (the existential ones) to fresh nulls.
     let mut s = Substitution::new();
     let mut grew = false;
     let mut vars = Vec::new();
-    for a in &trigger.head_pattern {
+    for a in head {
         a.collect_vars(&mut vars);
     }
     vars.dedup();
@@ -228,7 +141,7 @@ fn apply_trigger(instance: &mut Instance, trigger: Trigger) -> bool {
             s.bind(v, n);
         }
     }
-    for a in &trigger.head_pattern {
+    for a in head {
         grew |= instance.insert(s.apply_atom(a));
     }
     grew
@@ -237,18 +150,11 @@ fn apply_trigger(instance: &mut Instance, trigger: Trigger) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nyaya_core::{Atom, Predicate, Term};
+    use nyaya_core::{Predicate, Term};
 
     /// Does the instance satisfy every TGD (no applicable trigger remains)?
     fn satisfies_tgds(instance: &Instance, tgds: &[Tgd]) -> bool {
-        chase_round(instance, tgds, ChaseKind::Restricted, &mut HashSet::new()).is_empty()
-    }
-
-    fn of_kind(kind: ChaseKind) -> ChaseConfig {
-        ChaseConfig {
-            kind,
-            ..Default::default()
-        }
+        chase_round(instance, tgds).is_empty()
     }
 
     fn tgd(body: &[(&str, &[&str])], head: &[(&str, &[&str])]) -> Tgd {
@@ -349,156 +255,6 @@ mod tests {
             .unwrap()
             .clone();
         assert_eq!(r_atom.args[1], d_atom.args[0]);
-    }
-
-    #[test]
-    fn oblivious_chase_fires_satisfied_triggers() {
-        // p(X) → ∃Y t(X,Y) with t(a,b) present: the restricted chase adds
-        // nothing; the oblivious chase invents a fresh null anyway.
-        let tgds = vec![tgd(&[("p", &["X"])], &[("t", &["X", "Y"])])];
-        let db = Instance::from_atoms([Atom::make("p", ["a"]), Atom::make("t", ["a", "b"])]);
-        let restricted = chase(&db, &tgds, ChaseConfig::default());
-        assert!(restricted.saturated);
-        assert_eq!(restricted.instance.len(), 2);
-        let oblivious = chase(&db, &tgds, of_kind(ChaseKind::Oblivious));
-        assert!(oblivious.saturated);
-        assert_eq!(oblivious.instance.len(), 3);
-    }
-
-    #[test]
-    fn oblivious_chase_diverges_where_restricted_terminates() {
-        // p(X) → ∃Y p(Y): the restricted chase adds nothing at all — p(a)
-        // itself witnesses ∃Y p(Y); the oblivious chase fires on every new
-        // null forever.
-        let tgds = vec![tgd(&[("p", &["X"])], &[("p", &["Y"])])];
-        let db = Instance::from_atoms([Atom::make("p", ["a"])]);
-        let restricted = chase(&db, &tgds, ChaseConfig::default());
-        assert!(restricted.saturated);
-        assert_eq!(restricted.instance.len(), 1);
-        let oblivious = chase(
-            &db,
-            &tgds,
-            ChaseConfig {
-                max_rounds: 6,
-                kind: ChaseKind::Oblivious,
-                ..Default::default()
-            },
-        );
-        assert!(!oblivious.saturated);
-        assert_eq!(oblivious.instance.len(), 7); // one new null per round
-    }
-
-    #[test]
-    fn oblivious_and_restricted_agree_on_bcq_entailment() {
-        // Both chases are universal models, so they entail the same BCQs
-        // (when both saturate). Weakly-acyclic example.
-        let tgds = vec![
-            tgd(&[("p", &["X"])], &[("t", &["X", "Y"])]),
-            tgd(&[("t", &["X", "Y"])], &[("s", &["Y"])]),
-        ];
-        let db = Instance::from_atoms([Atom::make("p", ["a"]), Atom::make("t", ["a", "b"])]);
-        let r = chase(&db, &tgds, ChaseConfig::default());
-        let o = chase(&db, &tgds, of_kind(ChaseKind::Oblivious));
-        assert!(r.saturated && o.saturated);
-        assert!(o.instance.len() >= r.instance.len());
-        for src in [
-            vec![Atom::make("s", ["B"])],
-            vec![Atom::make("t", ["A", "B"]), Atom::make("s", ["B"])],
-            vec![Atom::make("s", ["b"])],
-        ] {
-            let q = nyaya_core::ConjunctiveQuery::boolean(src);
-            assert_eq!(
-                crate::answer::entails_bcq(&r.instance, &q),
-                crate::answer::entails_bcq(&o.instance, &q),
-                "disagreement on {q}"
-            );
-        }
-    }
-
-    #[test]
-    fn skolem_chase_invents_function_terms() {
-        // Example 4: p(X) → ∃Y t(X,Y); t(X,Y) → s(Y) over {p(a)} gives
-        // {p(a), t(a, sk(a)), s(sk(a))}.
-        let tgds = vec![
-            tgd(&[("p", &["X"])], &[("t", &["X", "Y"])]),
-            tgd(&[("t", &["X", "Y"])], &[("s", &["Y"])]),
-        ];
-        let db = Instance::from_atoms([Atom::make("p", ["a"])]);
-        let out = chase(&db, &tgds, of_kind(ChaseKind::Skolem));
-        assert!(out.saturated);
-        assert_eq!(out.instance.len(), 3);
-        assert!(
-            !out.instance.has_nulls(),
-            "Skolem chase uses terms, not nulls"
-        );
-        let t_atom = out
-            .instance
-            .by_predicate(Predicate::new("t", 2))
-            .next()
-            .unwrap();
-        assert!(t_atom.args[1].is_func());
-        let s_atom = out
-            .instance
-            .by_predicate(Predicate::new("s", 1))
-            .next()
-            .unwrap();
-        assert_eq!(t_atom.args[1], s_atom.args[0], "terms share structure");
-    }
-
-    #[test]
-    fn skolem_refiring_is_a_noop() {
-        // Unlike the oblivious chase, the Skolem chase is idempotent per
-        // trigger: with t(a,b) present, p(a) still fires, but only once
-        // ever — the invented atom t(a, sk(a)) is stable across rounds.
-        let tgds = vec![tgd(&[("p", &["X"])], &[("t", &["X", "Y"])])];
-        let db = Instance::from_atoms([Atom::make("p", ["a"]), Atom::make("t", ["a", "b"])]);
-        let out = chase(&db, &tgds, of_kind(ChaseKind::Skolem));
-        assert!(out.saturated);
-        assert_eq!(out.instance.len(), 3); // p(a), t(a,b), t(a,sk(a))
-    }
-
-    #[test]
-    fn skolem_and_restricted_agree_on_bcq_entailment() {
-        let tgds = vec![
-            tgd(&[("p", &["X"])], &[("t", &["X", "Y"])]),
-            tgd(&[("t", &["X", "Y"])], &[("s", &["Y"])]),
-            tgd(&[("s", &["X"])], &[("u", &["X", "X"])]),
-        ];
-        let db = Instance::from_atoms([Atom::make("p", ["a"]), Atom::make("t", ["a", "b"])]);
-        let r = chase(&db, &tgds, ChaseConfig::default());
-        let k = chase(&db, &tgds, of_kind(ChaseKind::Skolem));
-        assert!(r.saturated && k.saturated);
-        for src in [
-            vec![Atom::make("u", ["B", "B"])],
-            vec![Atom::make("t", ["A", "B"])],
-            vec![Atom::make("s", ["b"])],
-            vec![Atom::make("u", ["a", "a"])],
-        ] {
-            let q = nyaya_core::ConjunctiveQuery::boolean(src);
-            assert_eq!(
-                crate::answer::entails_bcq(&r.instance, &q),
-                crate::answer::entails_bcq(&k.instance, &q),
-                "disagreement on {q}"
-            );
-        }
-    }
-
-    #[test]
-    fn skolem_diverges_on_non_terminating_sets() {
-        // r(X,Y) → ∃Z r(Y,Z): sk-terms nest unboundedly.
-        let tgds = vec![tgd(&[("r", &["X", "Y"])], &[("r", &["Y", "Z"])])];
-        let db = Instance::from_atoms([Atom::make("r", ["a", "b"])]);
-        let out = chase(
-            &db,
-            &tgds,
-            ChaseConfig {
-                max_rounds: 4,
-                kind: ChaseKind::Skolem,
-                ..Default::default()
-            },
-        );
-        assert!(!out.saturated);
-        assert_eq!(out.instance.len(), 5);
     }
 
     #[test]

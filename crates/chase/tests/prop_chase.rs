@@ -41,7 +41,6 @@ fn fact_strategy() -> impl Strategy<Value = Atom> {
 const CONFIG: ChaseConfig = ChaseConfig {
     max_rounds: 10,
     max_atoms: 20_000,
-    kind: nyaya_chase::ChaseKind::Restricted,
 };
 
 proptest! {

@@ -2,8 +2,8 @@
 //!
 //! Constants and variables follow the paper's Section 3.1 (`Δ_c` and query
 //! variables); labeled nulls (`Δ_z`) are introduced by the chase; function
-//! terms only appear in the Requiem-style baseline (Skolemized existentials)
-//! and in the Skolem chase.
+//! terms only appear in the Requiem-style baseline (Skolemized existentials).
+//! A database holds constants only.
 
 use std::fmt;
 

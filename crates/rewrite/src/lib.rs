@@ -10,9 +10,7 @@
 //! - [`quonto_rewrite`]: a QuOnto/PerfectRef-style baseline with exhaustive
 //!   factorization (the QO column of Table 1);
 //! - [`requiem_rewrite`]: a Requiem-style resolution baseline with
-//!   Skolemized existentials (the RQ column of Table 1);
-//! - [`chase_and_backchase`]: the chase & back-chase minimizer (Section 2
-//!   related work, Example 8).
+//!   Skolemized existentials (the RQ column of Table 1).
 //!
 //! All three engines run on one shared fixpoint core (canonical-key dedup,
 //! budget, hidden-predicate filtering, optional parallel exploration with
@@ -20,7 +18,6 @@
 //! indexed by [`nyaya_core::QuerySignature`].
 
 mod applicability;
-mod cnb;
 mod delta;
 mod elimination;
 mod engine;
@@ -33,7 +30,6 @@ mod requiem;
 mod subsumption;
 mod worklist;
 
-pub use cnb::{chase_and_backchase, CnbConfig};
 pub use delta::{compile_delta_program, DeltaError};
 pub use elimination::EliminationContext;
 pub use engine::{

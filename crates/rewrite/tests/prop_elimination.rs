@@ -92,7 +92,7 @@ proptest! {
         // Lemma 8 speaks about instances satisfying Σ: chase the random
         // database into a model first.
         let db = Instance::from_atoms(facts);
-        let out = chase(&db, &tgds, ChaseConfig { max_rounds: 10, max_atoms: 20_000, ..Default::default() });
+        let out = chase(&db, &tgds, ChaseConfig { max_rounds: 10, max_atoms: 20_000 });
         prop_assume!(out.saturated);
         prop_assert_eq!(
             entails_bcq(&out.instance, &q),
@@ -135,7 +135,7 @@ proptest! {
         let reduced = ctx.eliminate_fixpoint(&q);
         prop_assume!(reduced.body.len() < q.body.len());
         let db = Instance::from_atoms(facts);
-        let out = chase(&db, &tgds, ChaseConfig { max_rounds: 10, max_atoms: 20_000, ..Default::default() });
+        let out = chase(&db, &tgds, ChaseConfig { max_rounds: 10, max_atoms: 20_000 });
         prop_assume!(out.saturated);
         prop_assert_eq!(
             entails_bcq(&out.instance, &q),

@@ -125,7 +125,7 @@ proptest! {
 
         // And both must agree with the chase oracle (Theorem 10 analogue).
         let instance = Instance::from_atoms(facts);
-        let config = ChaseConfig { max_rounds: 12, max_atoms: 20_000, ..Default::default() };
+        let config = ChaseConfig { max_rounds: 12, max_atoms: 20_000 };
         let oracle = certain_answers(&instance, &tgds, &q, config);
         prop_assume!(oracle.saturated);
         let oracle_set: std::collections::BTreeSet<Vec<Term>> =

@@ -28,7 +28,7 @@ mod server;
 
 pub use client::{Client, ClientError};
 pub use protocol::{read_frame, write_frame, Request, Response, DEFAULT_MAX_FRAME};
-pub use server::{serve, Server, ServerConfig};
+pub use server::{serve, Server, ServerConfig, ServerHandle};
 
 /// One answer set as shipped over the wire: the epoch it was computed
 /// at, the backend that produced it, and the tuples as rendered term

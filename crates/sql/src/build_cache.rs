@@ -6,7 +6,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 
 use nyaya_core::{Predicate, Term};
 
-use crate::table::Database;
+use crate::table::{cell_of, Database};
 
 /// The database-wide identity of an atom's access pattern: which
 /// predicate is read, which columns form the hash-join key, and which
@@ -83,12 +83,12 @@ impl Build {
         let Some(table) = db.table(key.pred) else {
             return Build::empty(key.key_cols.len());
         };
-        // Constant filters as cells: a non-constant the table has never
-        // stored matches nothing.
+        // Constant filters as cells: a non-constant matches nothing (no
+        // row holds one).
         let Some(consts) = key
             .consts
             .iter()
-            .map(|(col, term)| table.cell_of(term).map(|c| (*col, c)))
+            .map(|(col, term)| cell_of(term).map(|c| (*col, c)))
             .collect::<Option<Vec<(usize, u32)>>>()
         else {
             return Build::empty(key.key_cols.len());

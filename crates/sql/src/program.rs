@@ -69,8 +69,9 @@ pub enum ProgramError {
         /// The predicate with no registered table.
         predicate: String,
     },
-    /// A rule contains terms SQL cannot express (labeled nulls or function
-    /// terms).
+    /// A rule contains a labelled null or a function term: SQL cannot
+    /// express one, and a database — the tables a program derives
+    /// included — holds constants only.
     Untranslatable {
         /// The offending rule, rendered in Datalog syntax.
         rule: String,
@@ -130,13 +131,20 @@ pub struct ProgramMetrics {
     pub elapsed: Duration,
 }
 
-/// Validate a program for bottom-up evaluation: a stratification must
-/// exist and every rule must be safe.
+/// Validate a program for bottom-up evaluation and SQL emission: a
+/// stratification must exist, and every rule must be safe and hold
+/// constants and variables only (so a derived tuple is constants only).
 fn validated_strata(program: &DatalogProgram) -> Result<Vec<Vec<Predicate>>, ProgramError> {
     let strata = program.strata().ok_or(ProgramError::Recursive)?;
     for rule in &program.rules {
         if !rule.is_safe() {
             return Err(ProgramError::UnsafeRule {
+                rule: rule.to_string(),
+            });
+        }
+        let mut terms = rule.body.iter().chain([&rule.head]).flat_map(|a| &a.args);
+        if terms.any(|t| matches!(t, Term::Null(_) | Term::Func(..))) {
+            return Err(ProgramError::Untranslatable {
                 rule: rule.to_string(),
             });
         }
@@ -342,25 +350,6 @@ pub(crate) fn materialize<S: Default + Extend<Vec<Term>> + Send>(
     (overlay, overlay_cache, workers)
 }
 
-/// Pre-flight for SQL emission: reject rules with terms SQL cannot
-/// express (the union printer names a missing table itself).
-fn check_translatable(program: &DatalogProgram) -> Result<(), ProgramError> {
-    for rule in &program.rules {
-        let has_bad_term = rule
-            .body
-            .iter()
-            .chain(std::iter::once(&rule.head))
-            .flat_map(|a| a.args.iter())
-            .any(|t| matches!(t, Term::Null(_) | Term::Func(..)));
-        if has_bad_term {
-            return Err(ProgramError::Untranslatable {
-                rule: rule.to_string(),
-            });
-        }
-    }
-    Ok(())
-}
-
 /// A scratch catalog extending `catalog` with one table schema per
 /// intensional predicate (columns `a1..an`, matching the `SELECT … AS a{i}`
 /// aliases [`cq_to_sql`](crate::translate::cq_to_sql) emits), so rules over
@@ -400,7 +389,6 @@ pub fn program_to_sql(program: &DatalogProgram, catalog: &Catalog) -> Result<Str
     if !program.defined_predicates().contains(&program.goal.pred) {
         return Ok("SELECT NULL WHERE 1 = 0".to_owned());
     }
-    check_translatable(program)?;
     let cat = extended_catalog(catalog, &order);
     let mut ctes: Vec<String> = Vec::new();
     for p in order.iter().filter(|p| **p != program.goal.pred) {
@@ -432,7 +420,6 @@ pub fn program_to_sql_views(
     if !intensional.contains(&program.goal.pred) {
         return Ok("SELECT NULL WHERE 1 = 0; -- unsatisfiable".to_owned());
     }
-    check_translatable(program)?;
     let cat = extended_catalog(catalog, &order);
     let mut out = String::new();
     for p in order {
@@ -603,6 +590,24 @@ mod tests {
         catalog.register_defaults([Predicate::new("t", 1)]);
         match program_to_sql(&program, &catalog) {
             Err(ProgramError::Untranslatable { rule }) => assert!(rule.contains("t("), "{rule}"),
+            other => panic!("expected Untranslatable, got {other:?}"),
+        }
+        // Evaluation refuses them too: a function term in the head of a
+        // rule beneath the goal would derive a tuple that is not
+        // constants into the overlay.
+        let f_of_x = Term::Func(nyaya_core::symbols::intern("f"), [Term::var("X")].into());
+        let skolem = DatalogProgram::new(
+            atom("ans", &["X"]),
+            vec![
+                DatalogRule::new(atom("ans", &["X"]), vec![atom("d2", &["X"])]),
+                DatalogRule::new(
+                    Atom::new(Predicate::new("d2", 1), vec![f_of_x]),
+                    vec![atom("t", &["X"])],
+                ),
+            ],
+        );
+        match execute_program(&sample_db(), &skolem) {
+            Err(ProgramError::Untranslatable { rule }) => assert!(rule.contains("f("), "{rule}"),
             other => panic!("expected Untranslatable, got {other:?}"),
         }
     }

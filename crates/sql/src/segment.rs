@@ -2,9 +2,8 @@
 //! [`Database`] snapshot (segment payloads) and of insert/retract atom
 //! lists (WAL record payloads).
 //!
-//! Interned [`Symbol`](nyaya_core::Symbol) indices are process-run
-//! specific, so everything on disk is encoded by *name*: constants,
-//! variables, predicates, and function symbols are written as
+//! Interned [`Symbol`] indices are process-run specific, so everything on
+//! disk is encoded by *name*: constants and predicates are written as
 //! length-prefixed UTF-8 strings and re-interned on decode. All integers
 //! are little-endian.
 //!
@@ -18,11 +17,13 @@
 //! atoms            := [n u64] atom*
 //! atom             := [name str][arity u32] term{arity}
 //! term             := 0x00 [str]                    constant
-//!                   | 0x01 [u64]                    labeled null
-//!                   | 0x02 [str]                    variable
-//!                   | 0x03 [str][argc u32] term*    function term
 //! str              := [len u32][utf8 bytes]
 //! ```
+//!
+//! A database holds constants only, so a term is a constant. The tags
+//! `0x01`–`0x03` once stood for a labelled null, a variable and a
+//! function term; no fact can hold one, so the decoder rejects each as a
+//! [`CodecError`] and a replayed batch never carries one.
 //!
 //! Version 3 (current) dictionary-encodes each table: every column's
 //! distinct values are written once, in canonical value order (sorted at
@@ -40,9 +41,9 @@
 //! postings are grouped by dictionary index — no fact is materialized
 //! and nothing is deduplicated per row. What deduplication would have
 //! guaranteed is checked instead: index tuples strictly increasing, every
-//! dictionary entry a distinct cell that some row uses, every predicate
-//! listed once. Every version-3 encoder writes exactly that. Versions 1
-//! and 2 go through [`Database::insert_all`].
+//! dictionary entry a distinct constant that some row uses, every
+//! predicate listed once. Every version-3 encoder writes exactly that.
+//! Versions 1 and 2 go through [`Database::insert_all`].
 //!
 //! Decoding is defensive — it is fed bytes that already passed a CRC
 //! check, but it must never panic on arbitrary input (corruption tests
@@ -54,7 +55,7 @@ use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
-use nyaya_core::{Atom, Predicate, Term};
+use nyaya_core::{Atom, Predicate, Symbol, Term};
 
 use crate::table::Database;
 
@@ -111,7 +112,7 @@ pub fn encode_database(db: &Database) -> Vec<u8> {
             push_u32(&mut out, sorted.len() as u32);
             let mut rank = vec![0u32; end];
             for (i, &cell) in sorted.iter().enumerate() {
-                push_term(&mut out, &table.term_of(cell));
+                push_term(&mut out, &Term::Const(Symbol::from_index(cell)));
                 for &id in table.posting_cells(col, cell) {
                     rank[id as usize] = i as u32;
                 }
@@ -175,15 +176,7 @@ pub fn decode_database(bytes: &[u8]) -> Result<Database, CodecError> {
                 return Err(cur.fail(format!("implausible row count {n_rows}")));
             }
             for _ in 0..n_rows {
-                let mut args = Vec::with_capacity(arity as usize);
-                for _ in 0..arity {
-                    args.push(cur.term(0)?);
-                }
-                let atom = Atom::new(pred, args);
-                if !atom.is_ground() {
-                    return Err(cur.fail(format!("non-ground fact {atom} in segment")));
-                }
-                atoms.push(atom);
+                atoms.push(cur.atom(pred)?);
             }
         }
     }
@@ -194,8 +187,8 @@ pub fn decode_database(bytes: &[u8]) -> Result<Database, CodecError> {
 
 /// Decode one version-3 table (per-column dictionaries, then fixed-width
 /// index tuples) into `db` without materializing a row: each dictionary
-/// entry is read and checked ground once, and the tuples are checked and
-/// handed over as they are. The set semantics the bulk-load path would
+/// entry is read as a constant's cell once, and the tuples are checked
+/// and handed over as they are. The set semantics the bulk-load path would
 /// get from deduplicating are checked instead, each a typed error: tuples
 /// strictly increasing, no dictionary entry repeating a term of its
 /// column or used by no row. Every encoder of version 3 writes exactly
@@ -207,7 +200,7 @@ fn decode_columns(
     n_rows: u64,
 ) -> Result<(), CodecError> {
     let width = pred.arity;
-    let mut dicts: Vec<Vec<Term>> = Vec::with_capacity(width);
+    let mut dicts: Vec<Vec<u32>> = Vec::with_capacity(width);
     let mut dict_at: Vec<usize> = Vec::with_capacity(width);
     for _ in 0..width {
         dict_at.push(cur.pos);
@@ -216,19 +209,11 @@ fn decode_columns(
         if n_distinct as usize > cur.remaining() {
             return Err(cur.fail(format!("implausible dictionary size {n_distinct}")));
         }
-        let mut terms = Vec::with_capacity(n_distinct as usize);
+        let mut cells = Vec::with_capacity(n_distinct as usize);
         for _ in 0..n_distinct {
-            let at = cur.pos;
-            let term = cur.term(0)?;
-            if !term.is_ground() {
-                return Err(CodecError {
-                    offset: at,
-                    detail: format!("non-ground term {term} in a segment dictionary"),
-                });
-            }
-            terms.push(term);
+            cells.push(cur.constant()?.index());
         }
-        dicts.push(terms);
+        dicts.push(cells);
     }
     // Row data is exactly n_rows × arity u32s — check before reading so a
     // corrupt count cannot spin through gigabytes.
@@ -323,29 +308,14 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Write a constant: tag `0x00` and its name. The knowledge base refuses
+/// every other term before a fact reaches the ledger.
 fn push_term(out: &mut Vec<u8>, term: &Term) {
-    match term {
-        Term::Const(sym) => {
-            out.push(0);
-            push_str(out, &sym.name());
-        }
-        Term::Null(id) => {
-            out.push(1);
-            push_u64(out, *id);
-        }
-        Term::Var(sym) => {
-            out.push(2);
-            push_str(out, &sym.name());
-        }
-        Term::Func(sym, args) => {
-            out.push(3);
-            push_str(out, &sym.name());
-            push_u32(out, args.len() as u32);
-            for arg in args.iter() {
-                push_term(out, arg);
-            }
-        }
-    }
+    let Term::Const(sym) = term else {
+        panic!("the ledger stores constants only, got {term}");
+    };
+    out.push(0);
+    push_str(out, &sym.name());
 }
 
 fn push_atoms(out: &mut Vec<u8>, atoms: &[Atom]) {
@@ -413,32 +383,25 @@ impl<'a> Cursor<'a> {
         std::str::from_utf8(bytes).map_err(|_| self.fail("invalid UTF-8".to_string()))
     }
 
-    fn term(&mut self, depth: usize) -> Result<Term, CodecError> {
-        if depth > 64 {
-            return Err(self.fail("function term nesting too deep".to_string()));
+    /// A term, which must be a constant (tag `0x00`): any other tag is a
+    /// typed error, the database holds constants only.
+    fn constant(&mut self) -> Result<Symbol, CodecError> {
+        let at = self.pos;
+        match self.take(1)?[0] {
+            0 => Ok(nyaya_core::symbols::intern(self.str()?)),
+            tag => Err(CodecError {
+                offset: at,
+                detail: format!("term tag {tag} is not a constant"),
+            }),
         }
-        let tag = self.take(1)?[0];
-        match tag {
-            0 => Ok(Term::constant(self.str()?)),
-            1 => Ok(Term::Null(self.u64()?)),
-            2 => Ok(Term::var(self.str()?)),
-            3 => {
-                let name = self.str()?;
-                let argc = self.u32()?;
-                if argc > MAX_ARITY {
-                    return Err(self.fail(format!("implausible function arity {argc}")));
-                }
-                let mut args = Vec::with_capacity(argc as usize);
-                for _ in 0..argc {
-                    args.push(self.term(depth + 1)?);
-                }
-                Ok(Term::Func(
-                    nyaya_core::symbols::intern(name),
-                    args.into_boxed_slice(),
-                ))
-            }
-            other => Err(self.fail(format!("unknown term tag {other}"))),
-        }
+    }
+
+    /// `pred`'s arguments, as constants.
+    fn atom(&mut self, pred: Predicate) -> Result<Atom, CodecError> {
+        let args = (0..pred.arity)
+            .map(|_| self.constant().map(Term::Const))
+            .collect::<Result<_, _>>()?;
+        Ok(Atom::new(pred, args))
     }
 
     fn atoms(&mut self) -> Result<Vec<Atom>, CodecError> {
@@ -454,12 +417,7 @@ impl<'a> Cursor<'a> {
             if arity > MAX_ARITY {
                 return Err(self.fail(format!("implausible arity {arity}")));
             }
-            let pred = Predicate::new(name, arity as usize);
-            let mut args = Vec::with_capacity(arity as usize);
-            for _ in 0..arity {
-                args.push(self.term(0)?);
-            }
-            atoms.push(Atom::new(pred, args));
+            atoms.push(self.atom(Predicate::new(name, arity as usize))?);
         }
         Ok(atoms)
     }
@@ -496,11 +454,7 @@ mod tests {
             fact("person", &["bob"]),
             fact("knows", &["alice", "bob"]),
         ];
-        let mut db = Database::from_facts(facts.clone());
-        db.insert(Atom::new(
-            Predicate::new("tagged", 2),
-            vec![Term::constant("alice"), Term::Null(17)],
-        ));
+        let db = Database::from_facts(facts.clone());
         let bytes = encode_database(&db);
         let decoded = decode_database(&bytes).expect("decode");
         assert_eq!(decoded.len(), db.len());
@@ -591,7 +545,7 @@ mod tests {
     #[test]
     fn version_2_payloads_still_decode() {
         // Hand-encode a v2 segment: rows as full terms in canonical row
-        // order — one table p/2 with two rows, one holding a null.
+        // order — one table p/2 with two rows.
         let mut seg = Vec::new();
         push_u32(&mut seg, 2);
         push_u32(&mut seg, 1);
@@ -601,14 +555,11 @@ mod tests {
         push_term(&mut seg, &Term::constant("a"));
         push_term(&mut seg, &Term::constant("b"));
         push_term(&mut seg, &Term::constant("c"));
-        push_term(&mut seg, &Term::Null(7));
+        push_term(&mut seg, &Term::constant("d"));
         let db = decode_database(&seg).expect("v2 segment decodes");
         assert_eq!(db.len(), 2);
         assert!(db.contains(&fact("p", &["a", "b"])));
-        assert!(db.contains(&Atom::new(
-            Predicate::new("p", 2),
-            vec![Term::constant("c"), Term::Null(7)],
-        )));
+        assert!(db.contains(&fact("p", &["c", "d"])));
         // Re-encoding produces a v3 payload with identical contents.
         let rebuilt = decode_database(&encode_database(&db)).expect("v3 re-decode");
         assert_eq!(rebuilt.len(), db.len());
@@ -617,21 +568,41 @@ mod tests {
         }
     }
 
+    /// The bytes of a term with one of the tags earlier formats gave a
+    /// labelled null (1), a variable (2) and a function term (3).
+    fn non_constant_term(tag: u8) -> Vec<u8> {
+        let mut out = vec![tag];
+        match tag {
+            1 => push_u64(&mut out, 3),
+            2 => push_str(&mut out, "X"),
+            _ => {
+                push_str(&mut out, "sk0");
+                push_u32(&mut out, 1);
+                push_term(&mut out, &Term::constant("x"));
+            }
+        }
+        out
+    }
+
+    /// A batch decodes to constants only, so replaying one cannot hand
+    /// the database a fact it refuses: every other tag is a typed error
+    /// at the tag's byte.
     #[test]
-    fn function_terms_and_nulls_survive_the_trip() {
-        let f = Atom::new(
-            Predicate::new("holds", 2),
-            vec![
-                Term::Func(
-                    nyaya_core::symbols::intern("sk0"),
-                    vec![Term::constant("x"), Term::Null(3)].into_boxed_slice(),
-                ),
-                Term::constant("y"),
-            ],
-        );
-        let bytes = encode_batch(&[], std::slice::from_ref(&f));
-        let (_, inserts) = decode_batch(&bytes).expect("decode");
-        assert_eq!(inserts, vec![f]);
+    fn a_batch_holding_a_non_constant_is_a_typed_error() {
+        for tag in 1..=3u8 {
+            let mut batch = Vec::new();
+            push_u32(&mut batch, VERSION);
+            push_atoms(&mut batch, &[]);
+            push_u64(&mut batch, 1);
+            push_str(&mut batch, "holds");
+            push_u32(&mut batch, 2);
+            push_term(&mut batch, &Term::constant("y"));
+            let at = batch.len();
+            batch.extend(non_constant_term(tag));
+            let err = decode_batch(&batch).expect_err("a non-constant term");
+            assert_eq!(err.offset, at, "tag {tag}: {err}");
+            assert!(err.detail.contains("not a constant"), "tag {tag}: {err}");
+        }
     }
 
     /// One hand-made v3 table: its name, dictionaries and index tuples.
@@ -721,13 +692,6 @@ mod tests {
             vec![vec![0], vec![1]],
         )]));
         assert!(twice.detail.contains("duplicates"), "{twice}");
-        // Two nulls naming the same term are one cell twice too.
-        let nulls = rejection(&v3_payload(&[(
-            "p",
-            vec![vec![Term::Null(4), Term::Null(4)]],
-            vec![vec![0], vec![1]],
-        )]));
-        assert!(nulls.detail.contains("duplicates"), "{nulls}");
         let unused = rejection(&v3_payload(&[("p", ab(), vec![vec![0]])]));
         assert!(unused.detail.contains("used by no row"), "{unused}");
         let listed_twice = rejection(&v3_payload(&[
@@ -738,20 +702,41 @@ mod tests {
             listed_twice.detail.contains("listed twice"),
             "{listed_twice}"
         );
-        let non_ground = rejection(&v3_payload(&[(
-            "p",
-            vec![vec![Term::Func(
-                nyaya_core::symbols::intern("f"),
-                vec![Term::var("X")].into_boxed_slice(),
-            )]],
-            vec![vec![0]],
-        )]));
-        assert!(non_ground.detail.contains("non-ground"), "{non_ground}");
         let out_of_range = rejection(&v3_payload(&[("p", ab(), vec![vec![0], vec![2]])]));
         assert!(
             out_of_range.detail.contains("out of range"),
             "{out_of_range}"
         );
+    }
+
+    /// A segment holds constants only: a labelled null, a variable or a
+    /// function term in a version-3 dictionary, or in a row of the
+    /// row-wise version 2, is a typed error at the term's byte.
+    #[test]
+    fn a_segment_holding_a_non_constant_is_a_typed_error() {
+        for version in [2, VERSION] {
+            for tag in 1..=3u8 {
+                // One table p/1 of one row; version 3 adds a dictionary
+                // of one entry and the row's index.
+                let mut seg = Vec::new();
+                push_u32(&mut seg, version);
+                push_u32(&mut seg, 1);
+                push_str(&mut seg, "p");
+                push_u32(&mut seg, 1);
+                push_u64(&mut seg, 1);
+                if version == VERSION {
+                    push_u32(&mut seg, 1);
+                }
+                let at = seg.len();
+                seg.extend(non_constant_term(tag));
+                if version == VERSION {
+                    push_u32(&mut seg, 0);
+                }
+                let err = rejection(&seg);
+                assert_eq!(err.offset, at, "v{version} tag {tag}: {err}");
+                assert!(err.detail.contains("not a constant"), "{err}");
+            }
+        }
     }
 
     #[test]
@@ -764,24 +749,15 @@ mod tests {
 
     #[test]
     fn flipping_any_byte_of_a_v3_payload_never_panics() {
-        let mut db = Database::from_facts(vec![
+        let db = Database::from_facts(vec![
             fact("knows", &["alice", "bob"]),
             fact("knows", &["bob", "alice"]),
             fact("knows", &["bob", "carol"]),
             fact("person", &["alice"]),
             fact("person", &["bob"]),
             fact("nullary", &[]),
+            fact("tagged", &["alice", "sk"]),
         ]);
-        db.insert(Atom::new(
-            Predicate::new("tagged", 2),
-            vec![
-                Term::Func(
-                    nyaya_core::symbols::intern("sk"),
-                    vec![Term::constant("alice"), Term::Null(9)].into_boxed_slice(),
-                ),
-                Term::Null(2),
-            ],
-        ));
         let bytes = encode_database(&db);
         for at in 0..bytes.len() {
             for mask in [0x01u8, 0x80, 0xFF] {

@@ -1,6 +1,12 @@
 //! Columnar fact storage: per-table cell columns with their per-column
 //! indexes, and the copy-on-write [`Database`] of tables.
 //!
+//! A database holds constants only (in the paper, D is a finite set of
+//! atoms over constants; labelled nulls and function terms exist only
+//! inside the chase and the RQ baseline), so a *cell* is exactly a
+//! constant's [`Symbol`] index: cell equality is term equality across
+//! tables, and a join probe is a `u32` compare.
+//!
 //! # Table layout: base + delta
 //!
 //! A table is an immutable, [`Arc`]-shared **base** plus a small
@@ -32,10 +38,6 @@ use std::sync::Arc;
 
 use nyaya_core::{Atom, Predicate, Symbol, Term};
 
-/// Tag bit marking a cell as an index into its table's exotic
-/// side-table rather than a global [`Symbol`] interner index.
-pub(crate) const EXOTIC_BIT: u32 = 1 << 31;
-
 /// A delta is folded into a new base once it holds more rows (appended
 /// plus dead) than `1 / FOLD_DIVISOR` of the base — checked where a write
 /// is about to *copy* the delta because an older snapshot still shares the
@@ -56,64 +58,42 @@ pub(crate) const EXOTIC_BIT: u32 = 1 << 31;
 /// table carries.
 const FOLD_DIVISOR: usize = 64;
 
-/// The cell encoding of a constant: its global interner index. The top
-/// bit is reserved for [`EXOTIC_BIT`], capping the symbol space at 2^31
-/// names — hit that and we want a loud failure, not silent aliasing.
+/// The cell of a term: a constant's interner index. `None` for any other
+/// term — no row holds one.
 #[inline]
-fn const_cell(sym: Symbol) -> u32 {
-    let ix = sym.index();
-    assert!(ix & EXOTIC_BIT == 0, "symbol interner exceeded 2^31 names");
-    ix
+pub(crate) fn cell_of(t: &Term) -> Option<u32> {
+    match t {
+        Term::Const(s) => Some(s.index()),
+        _ => None,
+    }
 }
 
-/// Compare two cells in canonical term order ([`Term::canonical_cmp`]):
-/// constants by [`nyaya_core::symbols::cmp_values`], and every ground
-/// non-constant (null or function term — there is no third kind in a
-/// ground row) strictly after every constant. Distinct cells never
-/// compare `Equal`, so any sort under this order is deterministic.
+/// The cells of a row of terms; `None` if one is not a constant.
+fn cells_of(args: &[Term]) -> Option<Vec<u32>> {
+    args.iter().map(cell_of).collect()
+}
+
+/// The cell of an argument of `fact`, which must be a constant.
+fn fact_cell(fact: &Atom, t: &Term) -> u32 {
+    cell_of(t).unwrap_or_else(|| panic!("facts hold constants only, got {fact}"))
+}
+
+/// Sort distinct cells into canonical order
+/// ([`nyaya_core::symbols::cmp_values`]), each key computed once
+/// ([`nyaya_core::symbols::sort_by_value`]).
 ///
-/// **Cell order is not canonical order.** A constant's cell is its
-/// interner index, so comparing two cells as integers gives
-/// first-intern order: it differs between process runs and says nothing
-/// about names or values — which is why this function reads both names
-/// (lock-free, [`Symbol::as_str`]) instead of comparing `a` with `b`.
-/// What integer order on constant cells *does* equal is the derived `Ord`
-/// of `Term::Const`, the order a `BTreeSet<Vec<Term>>` of answers sorts
-/// by. Only [`Table::canonical_cells`] and its readers (the segment codec,
+/// **Cell order is not canonical order.** A cell is an interner index,
+/// so comparing two cells as integers gives first-intern order: it
+/// differs between process runs and says nothing about names or values.
+/// What integer order on cells *does* equal is the derived `Ord` of
+/// `Term::Const`, the order a `BTreeSet<Vec<Term>>` of answers sorts by.
+/// Only [`Table::canonical_cells`] and its readers (the segment codec,
 /// [`Database::sorted_values`]) need canonical order; the join kernels
 /// compare cells for equality alone.
-#[inline]
-fn cmp_cells(exotic: &[Term], a: u32, b: u32) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    if a == b {
-        return Ordering::Equal;
-    }
-    match (a & EXOTIC_BIT == 0, b & EXOTIC_BIT == 0) {
-        (true, true) => {
-            nyaya_core::symbols::cmp_values(Symbol::from_index(a), Symbol::from_index(b))
-        }
-        (true, false) => Ordering::Less,
-        (false, true) => Ordering::Greater,
-        (false, false) => {
-            exotic[(a & !EXOTIC_BIT) as usize].canonical_cmp(&exotic[(b & !EXOTIC_BIT) as usize])
-        }
-    }
-}
-
-/// Sort distinct cells into canonical order. Constants sort by value with
-/// each key computed once ([`nyaya_core::symbols::sort_by_value`]),
-/// exotics by canonical term order after them.
-fn sort_cells(exotic: &[Term], cells: Vec<u32>) -> Vec<u32> {
-    let (consts, mut exotics): (Vec<u32>, Vec<u32>) =
-        cells.into_iter().partition(|c| c & EXOTIC_BIT == 0);
-    let mut consts: Vec<Symbol> = consts.into_iter().map(Symbol::from_index).collect();
-    nyaya_core::symbols::sort_by_value(&mut consts);
-    exotics.sort_unstable_by(|&a, &b| cmp_cells(exotic, a, b));
-    consts
-        .into_iter()
-        .map(Symbol::index)
-        .chain(exotics)
-        .collect()
+fn sort_cells(cells: Vec<u32>) -> Vec<u32> {
+    let mut syms: Vec<Symbol> = cells.into_iter().map(Symbol::from_index).collect();
+    nyaya_core::symbols::sort_by_value(&mut syms);
+    syms.into_iter().map(Symbol::index).collect()
 }
 
 /// Heap bytes of a hash map's bucket array: one `(K, V)` slot plus one
@@ -124,44 +104,6 @@ fn hash_bytes<K, V>(capacity: usize) -> usize {
         return 0;
     }
     (capacity * 8 / 7).next_power_of_two() * (std::mem::size_of::<(K, V)>() + 1)
-}
-
-/// Rare non-constant ground terms (labeled nulls and function terms from
-/// chase instances), interned per table. Entries are append-only: a
-/// retracted exotic term keeps its slot (bounded by the distinct exotic
-/// terms ever inserted, which chase instances keep small by
-/// construction). Shared between snapshots behind an [`Arc`]; interning a
-/// *new* term into a shared side-table copies it — the one write cost
-/// that is O(exotic terms of the table) rather than O(batch).
-#[derive(Clone, Default)]
-struct Exotics {
-    terms: Vec<Term>,
-    /// Term → tagged cell.
-    ids: HashMap<Term, u32>,
-}
-
-impl Exotics {
-    /// The cell encoding a term for insertion, interning non-constants.
-    fn cell_for_insert(this: &mut Arc<Exotics>, t: &Term) -> u32 {
-        match t {
-            Term::Const(s) => const_cell(*s),
-            other => {
-                if let Some(&cell) = this.ids.get(other) {
-                    return cell;
-                }
-                let k = u32::try_from(this.terms.len()).expect("exotic side-table overflow");
-                assert!(
-                    k & EXOTIC_BIT == 0,
-                    "exotic side-table exceeded 2^31 entries"
-                );
-                let cell = k | EXOTIC_BIT;
-                let own = Arc::make_mut(this);
-                own.terms.push(other.clone());
-                own.ids.insert(other.clone(), cell);
-                cell
-            }
-        }
-    }
 }
 
 /// One column's posting index in the base: every row id of the column,
@@ -287,19 +229,12 @@ impl Delta {
 }
 
 /// One relation, stored **columnar** as base + delta (see the module
-/// docs).
-///
-/// A *cell* packs one ground term into 32 bits. The ground-fact common
-/// case — ABox rows are all constants — stores the constant's global
-/// [`Symbol`] index directly, so cell equality is term equality across
-/// tables and a join probe is a `u32` compare. The rare non-constant
-/// ground terms (labeled nulls and function terms from chase instances)
-/// set [`EXOTIC_BIT`] and index the table's [`Exotics`] side-table.
+/// docs). A cell is a symbol index: the constant's global [`Symbol`]
+/// index, nothing else.
 #[derive(Clone)]
 pub(crate) struct Table {
     base: Arc<Base>,
     delta: Delta,
-    exotic: Arc<Exotics>,
 }
 
 /// Load-time-only exact duplicate guard over staged rows. Rows of up to
@@ -332,7 +267,6 @@ impl RowSet {
 /// Rows staged by the bulk-load path for one predicate: encoded to cells
 /// and deduplicated as they stream in, indexed once at the end.
 struct Staged {
-    exotic: Arc<Exotics>,
     cols: Vec<Vec<u32>>,
     n_rows: usize,
     /// Dropped with the stage: what must not persist per snapshot is a
@@ -343,9 +277,8 @@ struct Staged {
 }
 
 impl Staged {
-    fn new(arity: usize, prior: Option<&Table>) -> Staged {
+    fn new(arity: usize) -> Staged {
         Staged {
-            exotic: prior.map_or_else(Arc::default, |t| Arc::clone(&t.exotic)),
             cols: vec![Vec::new(); arity],
             n_rows: 0,
             seen: RowSet::new(arity),
@@ -353,12 +286,11 @@ impl Staged {
         }
     }
 
-    /// Stage a row unless `prior` or the stage already holds it.
-    fn push(&mut self, args: &[Term], prior: Option<&Table>) {
+    /// Stage a fact unless `prior` or the stage already holds it.
+    fn push(&mut self, fact: &Atom, prior: Option<&Table>) {
         self.row.clear();
-        for t in args {
-            self.row.push(Exotics::cell_for_insert(&mut self.exotic, t));
-        }
+        self.row
+            .extend(fact.args.iter().map(|t| fact_cell(fact, t)));
         if prior.is_some_and(|t| t.find(&self.row).is_some()) || !self.seen.insert(&self.row) {
             return;
         }
@@ -371,16 +303,15 @@ impl Staged {
 
 impl Table {
     /// A table of `base` with an empty delta.
-    fn with_base(base: Base, exotic: Arc<Exotics>) -> Self {
+    fn with_base(base: Base) -> Self {
         Table {
             delta: Delta::empty(&base),
             base: Arc::new(base),
-            exotic,
         }
     }
 
     fn with_arity(arity: usize) -> Self {
-        Table::with_base(Base::build(vec![Vec::new(); arity], 0), Arc::default())
+        Table::with_base(Base::build(vec![Vec::new(); arity], 0))
     }
 
     pub(crate) fn arity(&self) -> usize {
@@ -407,32 +338,9 @@ impl Table {
         })
     }
 
-    /// The term a cell encodes. Free for constants (`Term::Const` wraps
-    /// the `Copy` symbol); exotic cells clone their side-table entry.
-    // `#[inline]` here and on the accessors below: the join kernels call
-    // them once per probed tuple from another module (another codegen
-    // unit), and `lubm_join` slows by a few percent when they stay calls.
-    #[inline]
-    pub(crate) fn term_of(&self, cell: u32) -> Term {
-        if cell & EXOTIC_BIT == 0 {
-            Term::Const(Symbol::from_index(cell))
-        } else {
-            self.exotic.terms[(cell & !EXOTIC_BIT) as usize].clone()
-        }
-    }
-
-    /// The cell encoding a term, read-only: `None` means the term is a
-    /// non-constant this table has never stored — no row can match it.
-    /// Constants always encode (possibly to a cell absent from every
-    /// column, which probes as empty).
-    #[inline]
-    pub(crate) fn cell_of(&self, t: &Term) -> Option<u32> {
-        match t {
-            Term::Const(s) => Some(const_cell(*s)),
-            other => self.exotic.ids.get(other).copied(),
-        }
-    }
-
+    // `#[inline]` on the accessors below: the join kernels call them once
+    // per probed tuple from another module (another codegen unit), and
+    // `lubm_join` slows by a few percent when they stay calls.
     #[inline]
     pub(crate) fn cell_at(&self, id: u32, col: usize) -> u32 {
         match id.checked_sub(self.base.n_rows) {
@@ -443,7 +351,7 @@ impl Table {
 
     #[inline]
     pub(crate) fn term_at(&self, id: u32, col: usize) -> Term {
-        self.term_of(self.cell_at(id, col))
+        Term::Const(Symbol::from_index(self.cell_at(id, col)))
     }
 
     /// Materialize one row as terms.
@@ -469,7 +377,7 @@ impl Table {
     }
 
     /// The live distinct cells of a column in canonical term order
-    /// ([`cmp_cells`] — name-based, so the order is identical across
+    /// ([`sort_cells`] — name-based, so the order is identical across
     /// process runs and segment reloads), computed per call: the base's
     /// cells the delta did not empty, plus the cells the delta added. The
     /// segment codec's dictionaries and [`Database::sorted_values`] read
@@ -487,7 +395,7 @@ impl Table {
             .iter()
             .filter(|(c, p)| !p.is_empty() && !index.spans.contains_key(c))
             .map(|(c, _)| c);
-        sort_cells(&self.exotic.terms, kept.chain(added).copied().collect())
+        sort_cells(kept.chain(added).copied().collect())
     }
 
     fn cells_eq(&self, id: u32, cells: &[u32]) -> bool {
@@ -515,12 +423,8 @@ impl Table {
             .find(|&id| self.cells_eq(id, cells))
     }
 
-    fn cells_of(&self, args: &[Term]) -> Option<Vec<u32>> {
-        args.iter().map(|t| self.cell_of(t)).collect()
-    }
-
     fn contains(&self, args: &[Term]) -> bool {
-        self.cells_of(args).is_some_and(|c| self.find(&c).is_some())
+        cells_of(args).is_some_and(|c| self.find(&c).is_some())
     }
 
     /// The delta's posting list for `cell`, copied from the base on first
@@ -546,16 +450,6 @@ impl Table {
             self.delta.cols[j].push(c);
         }
         self.delta.n_rows += 1;
-    }
-
-    /// Encode and append a row the caller knows to be absent, interning
-    /// the non-constants this table has not stored before.
-    fn insert(&mut self, args: &[Term]) {
-        let cells: Vec<u32> = args
-            .iter()
-            .map(|t| Exotics::cell_for_insert(&mut self.exotic, t))
-            .collect();
-        self.append(&cells);
     }
 
     /// Remove live row `id`, whose cells are `cells`, keeping every index
@@ -624,17 +518,16 @@ impl Table {
                 }
             })
             .collect();
-        Table::with_base(Base::build(cols, n_rows), staged.exotic)
+        Table::with_base(Base::build(cols, n_rows))
     }
 
     /// This table with its delta folded into a new base.
     fn folded(&self) -> Table {
-        Table::rebuilt(Some(self), Staged::new(self.arity(), Some(self)))
+        Table::rebuilt(Some(self), Staged::new(self.arity()))
     }
 
     /// Approximate heap bytes of the fact payload: the flat columns of
-    /// base and delta plus the exotic side-table. Analytic
-    /// (capacity-based), not measured.
+    /// base and delta. Analytic (capacity-based), not measured.
     fn fact_bytes(&self) -> u64 {
         let cols: usize = self
             .base
@@ -643,14 +536,13 @@ impl Table {
             .chain(&self.delta.cols)
             .map(|c| c.capacity() * 4)
             .sum();
-        let exotic = self.exotic.terms.capacity() * std::mem::size_of::<Term>();
-        (cols + exotic) as u64
+        cols as u64
     }
 
     /// Approximate heap bytes of the indexes, every allocation at its
     /// capacity: per column the base's span map and flat row-id array; in
-    /// the delta the dead set and every touched posting; the exotic
-    /// term-to-cell map. Analytic (see [`hash_bytes`]).
+    /// the delta the dead set and every touched posting. Analytic (see
+    /// [`hash_bytes`]).
     fn index_bytes(&self) -> u64 {
         let base: usize = self
             .base
@@ -668,8 +560,7 @@ impl Table {
             })
             .sum();
         let dead = hash_bytes::<u32, ()>(self.delta.dead.capacity());
-        let exotic = hash_bytes::<Term, u32>(self.exotic.ids.capacity());
-        (base + touched + dead + exotic) as u64
+        (base + touched + dead) as u64
     }
 }
 
@@ -714,12 +605,11 @@ impl Database {
     pub fn insert_all(&mut self, facts: impl IntoIterator<Item = Atom>) -> usize {
         let mut staged: HashMap<Predicate, Staged> = HashMap::new();
         for fact in facts {
-            assert!(fact.is_ground(), "facts must be ground, got {fact}");
             let prior = self.tables.get(&fact.pred).map(Arc::as_ref);
             staged
                 .entry(fact.pred)
-                .or_insert_with(|| Staged::new(fact.pred.arity, prior))
-                .push(&fact.args, prior);
+                .or_insert_with(|| Staged::new(fact.pred.arity))
+                .push(&fact, prior);
         }
         let mut added = 0usize;
         for (pred, stage) in staged {
@@ -735,7 +625,6 @@ impl Database {
                 .is_some_and(|t| !t.outgrown(stage.n_rows, Arc::strong_count(t) > 1));
             if small {
                 let (table, _) = self.table_mut(pred);
-                table.exotic = stage.exotic;
                 let mut cells = vec![0u32; pred.arity];
                 for k in 0..stage.n_rows {
                     for (cell, col) in cells.iter_mut().zip(&stage.cols) {
@@ -755,41 +644,34 @@ impl Database {
     }
 
     /// Add `pred`'s table straight from a decoded segment, in place of
-    /// the bulk-load path: `dicts[j]` is column `j`'s dictionary (ground
-    /// terms) and `rows` holds `n_rows` row-major dictionary-index tuples,
-    /// every index in range. Each entry is encoded to a cell once; a row
-    /// copies its cells by index, and the postings are grouped with the
-    /// indices as keys. Nothing is re-encoded or deduplicated per row: the
-    /// caller has checked the tuples strictly increasing, so the rows are
-    /// distinct. `Err((j, k))` names entry `k` of column `j` when it
-    /// encodes a cell an earlier entry of that dictionary did, or no row
-    /// uses it.
+    /// the bulk-load path: `dicts[j]` is column `j`'s dictionary (the
+    /// cells of its constants) and `rows` holds `n_rows` row-major
+    /// dictionary-index tuples, every index in range. A row copies its
+    /// cells by index, and the postings are grouped with the indices as
+    /// keys. Nothing is re-encoded or deduplicated per row: the caller
+    /// has checked the tuples strictly increasing, so the rows are
+    /// distinct. `Err((j, k))` names entry `k` of column `j` when it is a
+    /// cell an earlier entry of that dictionary is, or no row uses it.
     pub(crate) fn insert_decoded(
         &mut self,
         pred: Predicate,
-        dicts: &[Vec<Term>],
+        dicts: &[Vec<u32>],
         rows: &[u32],
         n_rows: u32,
     ) -> Result<(), (usize, usize)> {
-        let mut exotic = Arc::default();
         let mut cols = Vec::with_capacity(dicts.len());
         let mut index = Vec::with_capacity(dicts.len());
-        for (j, dict) in dicts.iter().enumerate() {
-            let cells: Vec<u32> = dict
-                .iter()
-                .map(|t| Exotics::cell_for_insert(&mut exotic, t))
-                .collect();
+        for (j, cells) in dicts.iter().enumerate() {
             let keys: Vec<u32> = rows.iter().skip(j).step_by(dicts.len()).copied().collect();
             cols.push(keys.iter().map(|&k| cells[k as usize]).collect());
-            index.push(ColumnIndex::group(&keys, &cells).map_err(|k| (j, k))?);
+            index.push(ColumnIndex::group(&keys, cells).map_err(|k| (j, k))?);
         }
         let base = Base {
             cols,
             n_rows,
             index,
         };
-        self.tables
-            .insert(pred, Arc::new(Table::with_base(base, exotic)));
+        self.tables.insert(pred, Arc::new(Table::with_base(base)));
         Ok(())
     }
 
@@ -816,29 +698,21 @@ impl Database {
     }
 
     /// Insert a fact, maintaining the per-column indexes incrementally.
-    /// Returns `true` if the fact was new. Panics on non-ground atoms.
-    /// The row is encoded from the fact, so a borrowed one is never
-    /// cloned.
+    /// Returns `true` if the fact was new. Panics unless every argument
+    /// is a constant. The row is encoded from the fact, so a borrowed one
+    /// is never cloned.
     pub fn insert(&mut self, fact: impl Borrow<Atom>) -> bool {
         let fact = fact.borrow();
-        assert!(fact.is_ground(), "facts must be ground, got {fact}");
-        // Encode once, read-only. `None`: there is no table yet, or an
-        // argument is a non-constant it has never stored — the row is new
-        // either way and the write interns what it must.
-        let mut cells = None;
+        let cells: Vec<u32> = fact.args.iter().map(|t| fact_cell(fact, t)).collect();
+        // Duplicate probe first: a no-op insert must not copy a table that
+        // is COW-shared with other snapshots.
         if let Some(table) = self.tables.get(&fact.pred) {
-            cells = table.cells_of(&fact.args);
-            // Duplicate probe first: a no-op insert must not copy a table
-            // that is COW-shared with other snapshots.
-            if cells.as_ref().is_some_and(|c| table.find(c).is_some()) {
+            if table.find(&cells).is_some() {
                 return false;
             }
         }
         let (table, _) = self.table_mut(fact.pred);
-        match cells {
-            Some(cells) => table.append(&cells),
-            None => table.insert(&fact.args),
-        }
+        table.append(&cells);
         true
     }
 
@@ -853,7 +727,7 @@ impl Database {
         let Some(table) = self.tables.get(&fact.pred) else {
             return false;
         };
-        let Some(cells) = table.cells_of(&fact.args) else {
+        let Some(cells) = cells_of(&fact.args) else {
             return false;
         };
         let Some(id) = table.find(&cells) else {
@@ -907,7 +781,7 @@ impl Database {
     pub fn posting(&self, pred: Predicate, col: usize, term: &Term) -> &[u32] {
         self.tables
             .get(&pred)
-            .and_then(|t| t.cell_of(term).map(|c| t.posting_cells(col, c)))
+            .and_then(|t| cell_of(term).map(|c| t.posting_cells(col, c)))
             .unwrap_or(&[])
     }
 
@@ -921,7 +795,7 @@ impl Database {
             .map(|t| {
                 t.canonical_cells(col)
                     .into_iter()
-                    .map(|c| t.term_of(c))
+                    .map(|c| Term::Const(Symbol::from_index(c)))
                     .collect()
             })
             .unwrap_or_default()
@@ -997,9 +871,9 @@ impl Database {
     }
 
     /// Analytic heap-byte accounting for the whole database, split into
-    /// fact payload (flat columns + exotic side-tables) and index
-    /// structures (postings, the deltas' dead sets and touched postings). Each table's base is counted once, however many
-    /// other snapshots share it. Tables are reported sorted by name for
+    /// fact payload (flat columns) and index structures (postings, the
+    /// deltas' dead sets and touched postings). Each table's base is
+    /// counted once, however many other snapshots share it. Tables are reported sorted by name for
     /// stable output.
     pub fn memory_stats(&self) -> DbMemory {
         let mut tables: Vec<TableMemory> = self
@@ -1328,10 +1202,30 @@ mod tests {
         );
         assert_eq!(db.distinct(p2(), 1), 2);
         assert_equals_rebuild(&db);
-        // Exotic terms order after every constant, in base and delta.
-        assert!(db.insert(Atom::new(p2(), vec![Term::Null(7), Term::constant("x")])));
-        assert_eq!(db.sorted_values(p2(), 0).last(), Some(&Term::Null(7)));
-        assert_equals_rebuild(&db);
+    }
+
+    /// A database holds constants: a lookup of a labelled null finds
+    /// nothing, and both write paths refuse a fact that holds one (the
+    /// knowledge base checks every fact before it writes).
+    #[test]
+    fn lookups_of_a_non_constant_find_nothing() {
+        let mut db = Database::from_facts([fact("a", "x")]);
+        let null_fact = Atom::new(p2(), vec![Term::Null(7), Term::constant("x")]);
+        assert!(!db.contains(&null_fact));
+        assert!(!db.remove(&null_fact));
+        assert!(db.posting(p2(), 0, &Term::Null(7)).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "facts hold constants only")]
+    fn insert_refuses_a_labelled_null() {
+        Database::new().insert(Atom::new(p2(), vec![Term::Null(7), Term::constant("x")]));
+    }
+
+    #[test]
+    #[should_panic(expected = "facts hold constants only")]
+    fn bulk_insert_refuses_a_variable() {
+        Database::from_facts([Atom::new(p2(), vec![Term::constant("a"), Term::var("X")])]);
     }
 
     /// Whatever state the delta is in, folding it yields exactly the
@@ -1347,7 +1241,6 @@ mod tests {
         for i in 40..50 {
             assert!(db.insert(fact(&format!("s{i}"), "c9")));
         }
-        assert!(db.insert(Atom::new(p2(), vec![Term::Null(1), Term::constant("c9")])));
         assert_equals_rebuild(&db);
         let unfolded = encode_database(&db);
         force_fold(&mut db, p2());

@@ -37,7 +37,6 @@ fn main() {
             .chase_config(ChaseConfig {
                 max_rounds: 16,
                 max_atoms: 5_000_000,
-                ..Default::default()
             })
             .build()
             .expect("U builds");

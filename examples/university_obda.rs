@@ -27,7 +27,6 @@ fn main() {
         .chase_config(ChaseConfig {
             max_rounds: 12,
             max_atoms: 2_000_000,
-            ..Default::default()
         })
         .build()
         .expect("U builds");

@@ -98,9 +98,12 @@ pub enum NyayaError {
     /// The query's body is empty — it has no canonical form and nothing to
     /// rewrite.
     EmptyQuery,
-    /// An [`UpdateBatch`](crate::UpdateBatch) queued an atom containing a
-    /// variable; only ground facts can be inserted or retracted. The
-    /// whole batch is rejected and no snapshot is published.
+    /// A fact holds a variable, labelled null or function term; the
+    /// database holds constants only. From
+    /// [`apply`](crate::KnowledgeBase::apply), the whole
+    /// [`UpdateBatch`](crate::UpdateBatch) is rejected and no snapshot is
+    /// published; from [`build`](crate::KnowledgeBaseBuilder::build), no
+    /// knowledge base is built.
     NonGroundFact {
         /// The offending atom, rendered in Datalog± syntax.
         fact: String,
@@ -235,7 +238,7 @@ impl fmt::Display for NyayaError {
             }
             NyayaError::EmptyQuery => write!(f, "query body is empty"),
             NyayaError::NonGroundFact { fact } => {
-                write!(f, "update batches hold ground facts only, got {fact}")
+                write!(f, "facts hold constants only, got {fact}")
             }
             NyayaError::ForeignSnapshot { epoch } => {
                 write!(

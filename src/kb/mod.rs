@@ -481,7 +481,11 @@ impl KnowledgeBaseBuilder {
     /// Normalize, classify and index the ontology — the compile-once half
     /// of the pipeline. Everything done here is done exactly once per
     /// knowledge base, never per query.
+    ///
+    /// Fails with [`NyayaError::NonGroundFact`] if a fact holds anything
+    /// but constants: the database holds constants only.
     pub fn build(self) -> Result<KnowledgeBase, NyayaError> {
+        check_constants(&self.facts)?;
         let classification = classify(&self.ontology.tgds);
         let normalization = normalize(&self.ontology.tgds);
         let algorithm = self.algorithm.unwrap_or(if classification.linear {
@@ -735,16 +739,10 @@ impl KnowledgeBase {
     ///
     /// Returns an [`ApplyOutcome`] describing what changed, or
     /// [`NyayaError::NonGroundFact`] (publishing nothing) if any queued
-    /// atom contains a variable. Writers are serialized with each other;
-    /// they never block readers.
+    /// atom holds anything but constants. Writers are serialized with
+    /// each other; they never block readers.
     pub fn apply(&self, batch: UpdateBatch) -> Result<ApplyOutcome, NyayaError> {
-        for fact in batch.retracts.iter().chain(&batch.inserts) {
-            if !fact.is_ground() {
-                return Err(NyayaError::NonGroundFact {
-                    fact: fact.to_string(),
-                });
-            }
-        }
+        check_constants(batch.retracts.iter().chain(&batch.inserts))?;
         // A poisoned apply lock means a writer panicked mid-batch —
         // possibly between the WAL append and the snapshot swap, leaving
         // disk ahead of memory. Applying more batches on top could fork
@@ -1700,6 +1698,20 @@ impl KnowledgeBase {
     }
 }
 
+/// The database holds constants only: the first fact with a variable, a
+/// labelled null or a function term is a [`NyayaError::NonGroundFact`].
+fn check_constants<'a>(facts: impl IntoIterator<Item = &'a Atom>) -> Result<(), NyayaError> {
+    match facts
+        .into_iter()
+        .find(|fact| !fact.args.iter().all(Term::is_const))
+    {
+        Some(fact) => Err(NyayaError::NonGroundFact {
+            fact: fact.to_string(),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Count one effective write into a view-maintenance delta.
 fn add_net(net: &mut BaseDeltas, fact: &Atom, sign: i64) {
     *net.entry(fact.pred)
@@ -1809,6 +1821,31 @@ mod tests {
         }
         assert_eq!(kb.epoch(), 0, "rejected batches publish nothing");
         assert_eq!(kb.snapshot().len(), 1, "…not even their ground prefix");
+    }
+
+    /// The database holds constants: a builder fact with a labelled null,
+    /// a function term or a variable is a typed error, not a panic in the
+    /// bulk loader.
+    #[test]
+    fn builder_facts_must_be_constants() {
+        let pred = Predicate::new("has_stock", 2);
+        let skolem = Term::Func(
+            nyaya_core::symbols::intern("sk0"),
+            [Term::constant("ibm_s")].into(),
+        );
+        for bad in [Term::Null(3), skolem, Term::var("X")] {
+            let fact = Atom::new(pred, vec![Term::constant("ibm_s"), bad]);
+            let built = KnowledgeBase::builder()
+                .program_text(PROGRAM)
+                .unwrap()
+                .facts([fact])
+                .build();
+            match built {
+                Err(NyayaError::NonGroundFact { fact }) => assert!(fact.contains("has_stock")),
+                Err(other) => panic!("expected NonGroundFact, got {other:?}"),
+                Ok(_) => panic!("built a knowledge base over a non-constant fact"),
+            }
+        }
     }
 
     #[test]

@@ -207,7 +207,7 @@ kb_stats! {
     /// Requests served through the network serving layer (`nyaya serve`).
     count net_requests: u64,
     /// Approximate resident heap bytes of the current snapshot's fact
-    /// payload (flat columns plus exotic side-tables).
+    /// payload (flat cell columns).
     read fact_bytes: u64,
     /// Approximate resident heap bytes of the current snapshot's index
     /// structures (postings, the deltas' dead sets and touched postings).

@@ -5,7 +5,7 @@
 //! compiled once, while facts arrive and retire continuously. This module
 //! is that split made concrete:
 //!
-//! - an [`UpdateBatch`] collects ground-fact insertions and retractions
+//! - an [`UpdateBatch`] collects fact insertions and retractions
 //!   and is applied atomically by
 //!   [`KnowledgeBase::apply`](crate::KnowledgeBase::apply);
 //! - every apply publishes a new [`Snapshot`] — an immutable,
@@ -43,10 +43,10 @@ use nyaya_sql::{BuildCache, Catalog, Database};
 /// snapshot and propagates **no** delta to subscriptions, even though
 /// both operations are counted in the [`ApplyOutcome`].
 ///
-/// Facts must be ground;
+/// Facts must hold constants only;
 /// [`KnowledgeBase::apply`](crate::KnowledgeBase::apply) rejects the
-/// whole batch (without publishing anything) if any atom contains a
-/// variable.
+/// whole batch (without publishing anything) if any atom holds a
+/// variable, a labelled null or a function term.
 ///
 /// ```
 /// use nyaya::prelude::*;

@@ -72,7 +72,7 @@
 //! |---|---|
 //! | `kb` (private, re-exported here) | **the facade**: [`KnowledgeBase`], builders, prepared queries with a rewriting cache, one execution path over the backend an [`ExecutorKind`] names, batched [`UpdateBatch`] writes with epoch-stamped [`Snapshot`]s, [`NyayaError`] |
 //! | [`core`] | terms, atoms, queries, TGDs, unification, canonical forms, containment & core minimization, non-recursive Datalog programs, Datalog± classes, normalization |
-//! | [`chase`] | the TGD chase (restricted / oblivious / Skolem), certain answers, consistency (NCs/KDs) |
+//! | [`chase`] | the restricted TGD chase, certain answers, consistency (NCs/KDs) |
 //! | [`rewrite`] | TGD-rewrite / TGD-rewrite⋆, non-recursive Datalog rewriting, QuOnto & Requiem baselines, chase & back-chase |
 //! | [`parser`] | Datalog± text syntax + DL-Lite_R and OWL 2 QL front ends |
 //! | [`ontologies`] | the benchmark suite (V, S, U, A, P5 + X-variants) |

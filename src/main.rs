@@ -23,7 +23,7 @@
 //! Files ending in `.dl` are parsed as DL-Lite_R axiom lists, `.owl`/`.ofn`
 //! as OWL 2 QL documents.
 
-use std::io::BufRead;
+use std::io::{self, BufRead, Write};
 use std::process::ExitCode;
 
 use nyaya::chase::ChaseConfig;
@@ -95,13 +95,43 @@ result modifiers (answer; columns are 1-based head positions):
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    // Every command writes through this one handle; a failed write ends
+    // the command with `Failure::Output`.
+    let mut out = io::stdout().lock();
+    match run(&args, &mut out).and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        // The reader closed the pipe (`nyaya answer … | head`): it wants
+        // no more output, so there is nothing to report.
+        Err(Failure::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Output(e)) => {
+            eprintln!("error: writing output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(msg)) => {
             eprintln!("error: {msg}");
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Why a command stopped early.
+enum Failure {
+    /// An error to report, followed by the usage text.
+    Message(String),
+    /// Standard output refused a write.
+    Output(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Message(msg)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(err: io::Error) -> Self {
+        Failure::Output(err)
     }
 }
 
@@ -368,35 +398,35 @@ fn load_kb(path: &str, options: &Options) -> Result<KnowledgeBase, String> {
         .map_err(|e| e.to_string())
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let (command, path, rest) = match args {
         [c, p, rest @ ..] => (c.as_str(), p.as_str(), rest),
-        _ => return Err("missing command or program file".to_owned()),
+        _ => return Err("missing command or program file".to_owned().into()),
     };
     let options = parse_options(rest)?;
     if matches!(command, "save" | "compact" | "history") && options.data_dir.is_none() {
-        return Err(format!("`{command}` needs --data-dir"));
+        return Err(format!("`{command}` needs --data-dir").into());
     }
     if command == "client" {
         // The client talks to a running server; there is no local
         // knowledge base to load, and `path` is the request instead.
-        return cmd_client(path, &options);
+        return cmd_client(path, &options, out);
     }
     let kb = load_kb(path, &options)?;
 
     match command {
         "serve" => cmd_serve(kb, &options),
-        "classify" => cmd_classify(&kb),
-        "rewrite" => cmd_rewrite(&kb),
-        "sql" => cmd_sql(&kb),
-        "answer" => cmd_answer(&kb, &options),
-        "chase" => cmd_chase(&kb),
-        "program" => cmd_program(&kb, &options),
-        "save" => cmd_save(&kb, path),
-        "compact" => cmd_compact(&kb),
-        "history" => cmd_history(&kb),
-        "watch" => cmd_watch(&kb, &options),
-        other => Err(format!("unknown command `{other}`")),
+        "classify" => cmd_classify(&kb, out),
+        "rewrite" => cmd_rewrite(&kb, out),
+        "sql" => cmd_sql(&kb, out),
+        "answer" => cmd_answer(&kb, &options, out),
+        "chase" => cmd_chase(&kb, out),
+        "program" => cmd_program(&kb, &options, out),
+        "save" => cmd_save(&kb, path, out),
+        "compact" => cmd_compact(&kb, out),
+        "history" => cmd_history(&kb, out),
+        "watch" => cmd_watch(&kb, &options, out),
+        other => Err(format!("unknown command `{other}`").into()),
     }
 }
 
@@ -411,67 +441,72 @@ fn prepare_all(kb: &KnowledgeBase) -> Result<Vec<PreparedQuery>, String> {
         .collect()
 }
 
-fn cmd_classify(kb: &KnowledgeBase) -> Result<(), String> {
+fn cmd_classify(kb: &KnowledgeBase, out: &mut dyn Write) -> Result<(), Failure> {
     let c = kb.classification();
-    println!("TGDs:                {}", kb.ontology().tgds.len());
-    println!("negative constraints: {}", kb.ontology().ncs.len());
-    println!("key dependencies:     {}", kb.ontology().kds.len());
-    println!();
-    println!("linear:               {}", c.linear);
-    println!("guarded:              {}", c.guarded);
-    println!("weakly guarded:       {}", c.weakly_guarded);
-    println!("weakly acyclic:       {}", c.weakly_acyclic);
-    println!("sticky:               {}", c.sticky);
-    println!("sticky-join (suff.):  {}", c.sticky_join_sufficient);
-    println!("FO-rewritable:        {}", c.fo_rewritable());
-    println!(
+    writeln!(out, "TGDs:                {}", kb.ontology().tgds.len())?;
+    writeln!(out, "negative constraints: {}", kb.ontology().ncs.len())?;
+    writeln!(out, "key dependencies:     {}", kb.ontology().kds.len())?;
+    writeln!(out)?;
+    writeln!(out, "linear:               {}", c.linear)?;
+    writeln!(out, "guarded:              {}", c.guarded)?;
+    writeln!(out, "weakly guarded:       {}", c.weakly_guarded)?;
+    writeln!(out, "weakly acyclic:       {}", c.weakly_acyclic)?;
+    writeln!(out, "sticky:               {}", c.sticky)?;
+    writeln!(out, "sticky-join (suff.):  {}", c.sticky_join_sufficient)?;
+    writeln!(out, "FO-rewritable:        {}", c.fo_rewritable())?;
+    writeln!(
+        out,
         "\nnormal form: {} TGDs, {} auxiliary predicates",
         kb.normalized_tgds().len(),
         kb.aux_predicates().len()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_rewrite(kb: &KnowledgeBase) -> Result<(), String> {
+fn cmd_rewrite(kb: &KnowledgeBase, out: &mut dyn Write) -> Result<(), Failure> {
     for prepared in prepare_all(kb)? {
         let rewriting = kb.rewriting(&prepared).map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            out,
             "% {} CQs, {} atoms, {} joins ({} queries explored)",
             rewriting.ucq.size(),
             rewriting.ucq.length(),
             rewriting.ucq.width(),
             rewriting.stats.explored
-        );
+        )?;
         for cq in rewriting.ucq.iter() {
-            println!("{cq}.");
+            writeln!(out, "{cq}.")?;
         }
     }
     Ok(())
 }
 
-fn cmd_sql(kb: &KnowledgeBase) -> Result<(), String> {
+fn cmd_sql(kb: &KnowledgeBase, out: &mut dyn Write) -> Result<(), Failure> {
     for prepared in prepare_all(kb)? {
         let sql = kb.sql(&prepared).map_err(|e| e.to_string())?;
-        println!("{sql};");
+        writeln!(out, "{sql};")?;
     }
     Ok(())
 }
 
-fn cmd_answer(kb: &KnowledgeBase, options: &Options) -> Result<(), String> {
+fn cmd_answer(kb: &KnowledgeBase, options: &Options, out: &mut dyn Write) -> Result<(), Failure> {
     kb.check_consistency().map_err(|e| e.to_string())?;
     let prepared = prepare_all(kb)?;
     if options.explain {
         for p in &prepared {
-            print!(
+            write!(
+                out,
                 "{}",
                 kb.explain(p, &options.select).map_err(|e| e.to_string())?
-            );
+            )?;
         }
         return Ok(());
     }
     if !options.select.is_plain() {
         if options.at.is_some() {
-            return Err("--at cannot be combined with result modifiers".to_owned());
+            return Err("--at cannot be combined with result modifiers"
+                .to_owned()
+                .into());
         }
         let mut results: Vec<(PreparedQuery, Vec<Vec<Term>>)> = Vec::with_capacity(prepared.len());
         for p in prepared {
@@ -481,20 +516,21 @@ fn cmd_answer(kb: &KnowledgeBase, options: &Options) -> Result<(), String> {
             results.push((p, rows));
         }
         if options.json {
-            println!("{}", rows_to_json(kb, &results));
+            writeln!(out, "{}", rows_to_json(kb, &results))?;
             return Ok(());
         }
         for (p, rows) in &results {
-            println!("% {} row(s)", rows.len());
+            writeln!(out, "% {} row(s)", rows.len())?;
             for row in rows {
-                println!(
+                writeln!(
+                    out,
                     "{}({})",
                     p.query().head_pred,
                     row.iter()
                         .map(Term::to_string)
                         .collect::<Vec<_>>()
                         .join(", ")
-                );
+                )?;
             }
         }
         return Ok(());
@@ -508,14 +544,15 @@ fn cmd_answer(kb: &KnowledgeBase, options: &Options) -> Result<(), String> {
         results.push((p, answers));
     }
     if options.json {
-        println!("{}", answers_to_json(kb, &results));
+        writeln!(out, "{}", answers_to_json(kb, &results))?;
         return Ok(());
     }
     if let Some(epoch) = options.at {
-        println!(
+        writeln!(
+            out,
             "% answering as of epoch {epoch} (current epoch {})",
             kb.epoch()
-        );
+        )?;
     }
     for (prepared, answers) in &results {
         // Only consult the caches a backend actually filled: under the
@@ -524,36 +561,41 @@ fn cmd_answer(kb: &KnowledgeBase, options: &Options) -> Result<(), String> {
         // pay exactly the DNF price the program avoided.
         if answers.backend == "program" {
             match kb.program(prepared) {
-                Ok(program) => println!(
+                Ok(program) => writeln!(
+                    out,
                     "% {} answer(s) via a {}-rule program (hides a {}-CQ DNF)",
                     answers.tuples.len(),
                     program.program.num_rules(),
                     program.estimated_dnf
-                ),
-                Err(_) => println!(
+                )?,
+                Err(_) => writeln!(
+                    out,
                     "% {} answer(s) via the program backend",
                     answers.tuples.len()
-                ),
+                )?,
             }
         } else {
             let rewriting = (kb.executor_kind() != ExecutorKind::Chase)
                 .then(|| kb.rewriting(prepared))
                 .and_then(Result::ok);
             match rewriting {
-                Some(rewriting) => println!(
+                Some(rewriting) => writeln!(
+                    out,
                     "% {} answer(s) via a {}-CQ rewriting",
                     answers.tuples.len(),
                     rewriting.ucq.size()
-                ),
-                None => println!(
+                )?,
+                None => writeln!(
+                    out,
                     "% {} answer(s) via the {} backend",
                     answers.tuples.len(),
                     answers.backend
-                ),
+                )?,
             }
         }
         for tuple in &answers.tuples {
-            println!(
+            writeln!(
+                out,
                 "{}({})",
                 prepared.query().head_pred,
                 tuple
@@ -561,20 +603,21 @@ fn cmd_answer(kb: &KnowledgeBase, options: &Options) -> Result<(), String> {
                     .map(Term::to_string)
                     .collect::<Vec<_>>()
                     .join(", ")
-            );
+            )?;
         }
     }
     Ok(())
 }
 
-fn cmd_chase(kb: &KnowledgeBase) -> Result<(), String> {
+fn cmd_chase(kb: &KnowledgeBase, out: &mut dyn Write) -> Result<(), Failure> {
     let outcome = kb.materialize();
-    println!(
+    writeln!(
+        out,
         "% chase: {} atoms after {} rounds (saturated: {})",
         outcome.instance.len(),
         outcome.rounds,
         outcome.saturated
-    );
+    )?;
     let mut atoms: Vec<String> = outcome
         .instance
         .atoms()
@@ -583,7 +626,7 @@ fn cmd_chase(kb: &KnowledgeBase) -> Result<(), String> {
         .collect();
     atoms.sort();
     for atom in atoms {
-        println!("{atom}");
+        writeln!(out, "{atom}")?;
     }
     // Also answer queries over the chase, if any (certain answers).
     for query in kb.queries() {
@@ -591,7 +634,8 @@ fn cmd_chase(kb: &KnowledgeBase) -> Result<(), String> {
         let res = kb
             .execute_on(&prepared, ExecutorKind::Chase)
             .map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            out,
             "% certain answers for {}: {}{}",
             query,
             res.tuples.len(),
@@ -600,44 +644,46 @@ fn cmd_chase(kb: &KnowledgeBase) -> Result<(), String> {
             } else {
                 " (chase truncated — lower bound)"
             }
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_program(kb: &KnowledgeBase, options: &Options) -> Result<(), String> {
+fn cmd_program(kb: &KnowledgeBase, options: &Options, out: &mut dyn Write) -> Result<(), Failure> {
     for prepared in prepare_all(kb)? {
-        let out = kb.program(&prepared).map_err(|e| e.to_string())?;
-        let strategy = match out.strategy {
+        let compiled = kb.program(&prepared).map_err(|e| e.to_string())?;
+        let strategy = match compiled.strategy {
             ProgramStrategy::Clustered { clusters } => format!("{clusters} clusters"),
             ProgramStrategy::Monolithic => "monolithic".to_owned(),
         };
-        println!(
+        writeln!(
+            out,
             "% {} rules, {} body atoms, {} strata ({strategy}; hides a {}-CQ DNF)",
-            out.program.num_rules(),
-            out.program.total_atoms(),
-            out.stats.program_strata,
-            out.estimated_dnf,
-        );
-        println!(
+            compiled.program.num_rules(),
+            compiled.program.total_atoms(),
+            compiled.stats.program_strata,
+            compiled.estimated_dnf,
+        )?;
+        writeln!(
+            out,
             "% optimizer: {} dead, {} subsumed, {} factored into {} shared predicate(s); \
              {} -> {} atoms",
-            out.opt.dead_rules_removed,
-            out.opt.rules_subsumed,
-            out.opt.rules_factored,
-            out.opt.shared_predicates_added,
-            out.opt.atoms_before,
-            out.opt.atoms_after,
-        );
-        print!("{}", out.program);
+            compiled.opt.dead_rules_removed,
+            compiled.opt.rules_subsumed,
+            compiled.opt.rules_factored,
+            compiled.opt.shared_predicates_added,
+            compiled.opt.atoms_before,
+            compiled.opt.atoms_after,
+        )?;
+        write!(out, "{}", compiled.program)?;
         if options.views {
             let snapshot = kb.snapshot();
-            let views = program_to_sql_views(&out.program, snapshot.catalog())
+            let views = program_to_sql_views(&compiled.program, snapshot.catalog())
                 .map_err(|e| e.to_string())?;
             let cte =
-                program_to_sql(&out.program, snapshot.catalog()).map_err(|e| e.to_string())?;
-            println!("\n{views}");
-            println!("-- single-statement form --\n{cte}");
+                program_to_sql(&compiled.program, snapshot.catalog()).map_err(|e| e.to_string())?;
+            writeln!(out, "\n{views}")?;
+            writeln!(out, "-- single-statement form --\n{cte}")?;
         }
     }
     Ok(())
@@ -646,7 +692,7 @@ fn cmd_program(kb: &KnowledgeBase, options: &Options) -> Result<(), String> {
 /// Apply the program file's facts to the durable store as one batch —
 /// facts the recovered snapshot already holds are skipped, and an
 /// all-duplicates file publishes no new epoch at all.
-fn cmd_save(kb: &KnowledgeBase, path: &str) -> Result<(), String> {
+fn cmd_save(kb: &KnowledgeBase, path: &str, out: &mut dyn Write) -> Result<(), Failure> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let program = nyaya::parser::parse_program(&text)
         .map_err(|e| format!("datalog± parse error: {e} (save needs a Datalog± program file)"))?;
@@ -657,59 +703,65 @@ fn cmd_save(kb: &KnowledgeBase, path: &str) -> Result<(), String> {
         .filter(|fact| !snapshot.database().contains(fact))
         .collect();
     if fresh.is_empty() {
-        println!(
+        writeln!(
+            out,
             "% nothing to save: every fact is already durable at epoch {}",
             snapshot.epoch()
-        );
+        )?;
         return Ok(());
     }
     let count = fresh.len();
     let outcome = kb
         .apply(nyaya::UpdateBatch::new().insert_all(fresh))
         .map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "% saved {count} fact(s) as epoch {} ({} inserted)",
         outcome.epoch, outcome.inserted
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_compact(kb: &KnowledgeBase) -> Result<(), String> {
+fn cmd_compact(kb: &KnowledgeBase, out: &mut dyn Write) -> Result<(), Failure> {
     let flush = kb.compact().map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "% segment flushed at epoch {}: {} bytes; {} WAL record(s) sealed into history, \
          {} remain active",
         flush.epoch, flush.segment_bytes, flush.sealed_records, flush.remaining_records
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_history(kb: &KnowledgeBase) -> Result<(), String> {
+fn cmd_history(kb: &KnowledgeBase, out: &mut dyn Write) -> Result<(), Failure> {
     let history = kb.ledger_history().map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "% ledger at {} — latest epoch {}",
         kb.data_dir()
             .map(|p| p.display().to_string())
             .unwrap_or_default(),
         history.latest_epoch
-    );
-    println!("% {} segment(s):", history.segments.len());
+    )?;
+    writeln!(out, "% {} segment(s):", history.segments.len())?;
     for seg in &history.segments {
-        println!("%   epoch {:>8}  {:>10} bytes", seg.epoch, seg.bytes);
+        writeln!(out, "%   epoch {:>8}  {:>10} bytes", seg.epoch, seg.bytes)?;
     }
-    println!("% {} sealed WAL range(s):", history.sealed.len());
+    writeln!(out, "% {} sealed WAL range(s):", history.sealed.len())?;
     for sealed in &history.sealed {
-        println!(
+        writeln!(
+            out,
             "%   epochs {:>8} ..= {:<8} {:>10} bytes",
             sealed.from, sealed.to, sealed.bytes
-        );
+        )?;
     }
     match history.active_from {
-        Some(from) => println!(
+        Some(from) => writeln!(
+            out,
             "% active WAL: {} record(s) from epoch {from}, {} bytes",
             history.active_records, history.active_bytes
-        ),
-        None => println!("% active WAL: empty ({} bytes)", history.active_bytes),
+        )?,
+        None => writeln!(out, "% active WAL: empty ({} bytes)", history.active_bytes)?,
     }
     Ok(())
 }
@@ -720,7 +772,7 @@ fn cmd_history(kb: &KnowledgeBase) -> Result<(), String> {
 /// applies the queued batch atomically and prints each subscription's
 /// diff for the new epoch. EOF (or `quit`) exits. With `--json`, each
 /// diff is one machine-readable line instead.
-fn cmd_watch(kb: &KnowledgeBase, options: &Options) -> Result<(), String> {
+fn cmd_watch(kb: &KnowledgeBase, options: &Options, out: &mut dyn Write) -> Result<(), Failure> {
     kb.check_consistency().map_err(|e| e.to_string())?;
     let prepared = prepare_all(kb)?;
     let mut subs = Vec::with_capacity(prepared.len());
@@ -731,14 +783,15 @@ fn cmd_watch(kb: &KnowledgeBase, options: &Options) -> Result<(), String> {
     // The seed diff: the full answer set at the subscription's epoch.
     for (p, sub) in &subs {
         for diff in sub.poll() {
-            print_diff(p, &diff, options.json);
+            print_diff(out, p, &diff, options.json)?;
         }
     }
     if !options.json {
-        println!(
+        writeln!(
+            out,
             "% watching {} quer(ies); +fact(..)/-fact(..), blank line commits",
             subs.len()
-        );
+        )?;
     }
 
     let stdin = std::io::stdin();
@@ -756,14 +809,15 @@ fn cmd_watch(kb: &KnowledgeBase, options: &Options) -> Result<(), String> {
             match kb.apply(std::mem::take(&mut batch)) {
                 Ok(outcome) => {
                     if !options.json {
-                        println!(
+                        writeln!(
+                            out,
                             "% epoch {}: {} inserted, {} retracted",
                             outcome.epoch, outcome.inserted, outcome.retracted
-                        );
+                        )?;
                     }
                     for (p, sub) in &subs {
                         for diff in sub.poll() {
-                            print_diff(p, &diff, options.json);
+                            print_diff(out, p, &diff, options.json)?;
                         }
                     }
                 }
@@ -819,7 +873,7 @@ fn install_shutdown_signals() {}
 /// Serves the loaded knowledge base until SIGINT/SIGTERM or a client
 /// `SHUTDOWN`, then drains in-flight connections and flushes the
 /// durable ledger before exiting.
-fn cmd_serve(kb: KnowledgeBase, options: &Options) -> Result<(), String> {
+fn cmd_serve(kb: KnowledgeBase, options: &Options) -> Result<(), Failure> {
     use nyaya::serve::ServerConfig;
 
     let backend = std::sync::Arc::new(nyaya::KbBackend::new(std::sync::Arc::new(kb)));
@@ -853,7 +907,7 @@ fn cmd_serve(kb: KnowledgeBase, options: &Options) -> Result<(), String> {
 /// `nyaya client <request> [--listen ADDR] [--at E] [--json]` — one
 /// request against a running server: `ping`, `stats`, `shutdown`,
 /// `apply` (reads `+fact`/`-fact` lines from stdin), or a query.
-fn cmd_client(request: &str, options: &Options) -> Result<(), String> {
+fn cmd_client(request: &str, options: &Options, out: &mut dyn Write) -> Result<(), Failure> {
     use nyaya::serve::Client;
 
     let mut client = Client::connect(options.listen.as_str())
@@ -861,12 +915,12 @@ fn cmd_client(request: &str, options: &Options) -> Result<(), String> {
     match request {
         "ping" => {
             client.ping().map_err(|e| e.to_string())?;
-            println!("PONG");
+            writeln!(out, "PONG")?;
         }
-        "stats" => println!("{}", client.stats().map_err(|e| e.to_string())?),
+        "stats" => writeln!(out, "{}", client.stats().map_err(|e| e.to_string())?)?,
         "shutdown" => {
             client.shutdown_server().map_err(|e| e.to_string())?;
-            println!("% server is shutting down");
+            writeln!(out, "% server is shutting down")?;
         }
         "apply" => {
             let stdin = std::io::stdin();
@@ -885,30 +939,33 @@ fn cmd_client(request: &str, options: &Options) -> Result<(), String> {
             let outcome = client
                 .apply(&retracts, &inserts)
                 .map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                out,
                 "% epoch {}: {} inserted, {} retracted",
                 outcome.epoch, outcome.inserted, outcome.retracted
-            );
+            )?;
         }
         query => {
             let answer = client.query(query, options.at).map_err(|e| e.to_string())?;
             if options.json {
-                println!(
+                writeln!(
+                    out,
                     "{{\"epoch\":{},\"backend\":\"{}\",\"complete\":{},\"tuples\":{}}}",
                     answer.epoch,
                     json_escape(&answer.backend),
                     answer.complete,
                     tuples_json(&answer.tuples)
-                );
+                )?;
             } else {
-                println!(
+                writeln!(
+                    out,
                     "% epoch {}, backend {}, {} answer(s)",
                     answer.epoch,
                     answer.backend,
                     answer.tuples.len()
-                );
+                )?;
                 for tuple in &answer.tuples {
-                    println!("{}", tuple.join(", "));
+                    writeln!(out, "{}", tuple.join(", "))?;
                 }
             }
         }
@@ -917,25 +974,32 @@ fn cmd_client(request: &str, options: &Options) -> Result<(), String> {
 }
 
 /// One subscription diff, as text (`+`/`-` lines) or one JSON line.
-fn print_diff(query: &PreparedQuery, diff: &AnswerDiff, json: bool) {
+fn print_diff(
+    out: &mut dyn Write,
+    query: &PreparedQuery,
+    diff: &AnswerDiff,
+    json: bool,
+) -> io::Result<()> {
     let head = query.query().head_pred;
     if json {
-        println!(
+        writeln!(
+            out,
             "{{\"epoch\":{},\"query\":\"{}\",\"added\":{},\"removed\":{}}}",
             diff.epoch,
             json_escape(&head.to_string()),
             tuples_json(&diff.added),
             tuples_json(&diff.removed)
-        );
-        return;
+        )?;
+        return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "% epoch {}: {} +{} -{}",
         diff.epoch,
         head,
         diff.added.len(),
         diff.removed.len()
-    );
+    )?;
     let row = |tuple: &[Term]| {
         tuple
             .iter()
@@ -944,11 +1008,12 @@ fn print_diff(query: &PreparedQuery, diff: &AnswerDiff, json: bool) {
             .join(", ")
     };
     for tuple in &diff.added {
-        println!("+ {head}({})", row(tuple));
+        writeln!(out, "+ {head}({})", row(tuple))?;
     }
     for tuple in &diff.removed {
-        println!("- {head}({})", row(tuple));
+        writeln!(out, "- {head}({})", row(tuple))?;
     }
+    Ok(())
 }
 
 // ---- JSON emission (hand-rolled: the build environment has no serde) ----

@@ -547,3 +547,38 @@ fn answer_rejects_malformed_modifiers() {
     assert!(!ok);
     assert!(stderr.contains("--at cannot be combined"), "{stderr}");
 }
+
+/// A reader that stops early (`nyaya answer f.dlp --json | head -c 100`)
+/// closes the pipe while the binary still writes: it exits quietly, with
+/// no panic and no backtrace. The answers are far more than any pipe
+/// buffer holds, so the write cannot finish before the pipe closes.
+#[test]
+fn answer_exits_quietly_when_stdout_closes_early() {
+    use std::io::Read as _;
+    use std::process::Stdio;
+    let mut src = String::from("q(A, B) :- holds(A, B).\n");
+    for i in 0..60_000 {
+        src.push_str(&format!(
+            "holds(company_number_{i}, portfolio_{}).\n",
+            i % 97
+        ));
+    }
+    let path = write_program("broken_pipe", &src);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_nyaya"))
+        .args(["answer", path.to_str().unwrap(), "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    let mut head = [0u8; 100];
+    stdout.read_exact(&mut head).expect("the first 100 bytes");
+    drop(stdout);
+    let out = child.wait_with_output().expect("binary runs");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(head.starts_with(b"{\"queries\":["), "{head:?}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("Broken pipe"), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+}

@@ -467,3 +467,75 @@ fn memory_only_kbs_report_not_durable() {
         Err(NyayaError::NotDurable { .. })
     ));
 }
+
+/// The database holds constants: a batch with a labelled null is refused
+/// before the WAL sees it, so the epoch stays put, no record is written
+/// and a reopen replays nothing.
+#[test]
+fn a_labelled_null_is_refused_before_the_wal() {
+    let dir = DataDir::new("null-fact");
+    let kb = durable_builder(&dir)
+        .facts([person("alice")])
+        .build()
+        .expect("build fresh");
+    let wal_bytes = || fs::metadata(dir.wal()).map_or(0, |m| m.len());
+    let before = wal_bytes();
+    let null = Atom::new(
+        nyaya::core::Predicate::new("person", 1),
+        vec![Term::Null(1)],
+    );
+    match kb.apply(UpdateBatch::new().insert(person("bob")).insert(null)) {
+        Err(NyayaError::NonGroundFact { fact }) => assert!(fact.contains("person"), "{fact}"),
+        other => panic!("expected NonGroundFact, got {other:?}"),
+    }
+    assert_eq!(kb.epoch(), 0, "nothing published");
+    assert_eq!(kb.stats().wal_records, 0);
+    assert_eq!(wal_bytes(), before, "no WAL record");
+    drop(kb);
+    let kb = durable_builder(&dir).build().expect("reopen");
+    assert_eq!((kb.epoch(), kb.stats().recovery_replayed), (0, 0));
+}
+
+/// A CRC-valid WAL record whose batch holds a term that is not a
+/// constant — the tags earlier formats gave a labelled null (1), a
+/// variable (2) and a function term (3) — is a typed corruption error on
+/// reopen, never a panic in replay.
+#[test]
+fn a_wal_record_holding_a_non_constant_is_a_typed_error_on_reopen() {
+    let text = |s: &str| [&(s.len() as u32).to_le_bytes()[..], s.as_bytes()].concat();
+    let terms = [
+        (1u8, 9u64.to_le_bytes().to_vec()),
+        (2, text("X")),
+        (3, [text("sk0"), 0u32.to_le_bytes().to_vec()].concat()),
+    ];
+    for (tag, term) in terms {
+        let dir = DataDir::new("non-constant-record");
+        drop(
+            durable_builder(&dir)
+                .facts([person("alice")])
+                .build()
+                .expect("seed epoch 0"),
+        );
+        // Batch payload v3: no retracts, one insert `person(<term>)`.
+        let mut payload = 3u32.to_le_bytes().to_vec();
+        payload.extend(0u64.to_le_bytes());
+        payload.extend(1u64.to_le_bytes());
+        payload.extend(text("person"));
+        payload.extend(1u32.to_le_bytes());
+        payload.push(tag);
+        payload.extend(term);
+        {
+            let (mut ledger, _) = nyaya::ledger::Ledger::open(&dir.0).expect("open ledger");
+            ledger.append(1, &payload).expect("append epoch 1");
+        }
+        match durable_builder(&dir).build() {
+            Err(NyayaError::LedgerCorrupt { detail, .. }) => {
+                assert!(detail.contains("not a constant"), "tag {tag}: {detail}")
+            }
+            other => panic!(
+                "tag {tag}: expected LedgerCorrupt, got {:?}",
+                other.map(|kb| kb.epoch())
+            ),
+        }
+    }
+}

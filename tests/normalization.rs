@@ -11,7 +11,6 @@ fn config() -> ChaseConfig {
     ChaseConfig {
         max_rounds: 10,
         max_atoms: 100_000,
-        ..Default::default()
     }
 }
 

@@ -141,7 +141,6 @@ fn program_equals_ucq_equals_chase_on_fuzz_ontologies() {
     let chase_config = ChaseConfig {
         max_rounds: 16,
         max_atoms: 12_000,
-        ..Default::default()
     };
     let mut compared = 0usize;
     let mut chased = 0usize;

@@ -46,7 +46,6 @@ fn rewrite_then_execute_equals_chase_certain_answers() {
             .chase_config(ChaseConfig {
                 max_rounds: 8,
                 max_atoms: 20_000,
-                ..ChaseConfig::default()
             })
             .build()
             .unwrap();

@@ -104,27 +104,47 @@ fn direct_decode_matches_the_bulk_loader_on_a_small_lubm_abox() {
     check(&Database::from_facts(facts), "LUBM 2x3");
 }
 
+/// A database holds constants, so a segment whose dictionary holds a
+/// labelled null or a function term decodes to no table: it is a typed
+/// `CodecError` at the term's byte.
 #[test]
-fn direct_decode_matches_the_bulk_loader_on_nulls_and_function_terms() {
-    let sk = |args: Vec<Term>| Term::Func(nyaya_core::symbols::intern("sk0"), args.into());
-    let pred = Predicate::new("holds", 3);
-    let mut facts = Vec::new();
-    for i in 0..60u64 {
-        let c = Term::constant(&format!("c{}", i % 7));
-        let exotic = match i % 3 {
-            0 => Term::Null(i % 11),
-            1 => sk(vec![c.clone(), Term::Null(i % 5)]),
-            _ => sk(vec![sk(vec![Term::constant("x")]), c.clone()]),
+fn a_segment_dictionary_holding_a_null_or_a_function_term_is_a_codec_error() {
+    let text = |s: &str| [&(s.len() as u32).to_le_bytes()[..], s.as_bytes()].concat();
+    // Version 3, one table `holds/1` of one row: a dictionary of one
+    // entry, `term`, then the row's index into it.
+    let payload = |term: &[u8]| {
+        let mut out = 3u32.to_le_bytes().to_vec();
+        out.extend(1u32.to_le_bytes());
+        out.extend(text("holds"));
+        out.extend(1u32.to_le_bytes());
+        out.extend(1u64.to_le_bytes());
+        out.extend(1u32.to_le_bytes());
+        let at = out.len();
+        out.extend(term);
+        out.extend(0u32.to_le_bytes());
+        (out, at)
+    };
+    let constant = [vec![0u8], text("c")].concat();
+    let (valid, _) = payload(&constant);
+    let db = decode_database(&valid).expect("the constant's payload decodes");
+    assert!(db.contains(&Atom::make("holds", ["c"])));
+    // A labelled null (tag 1) and the function term `sk0(c)` (tag 3).
+    let null = [vec![1u8], 4u64.to_le_bytes().to_vec()].concat();
+    let skolem = [
+        vec![3u8],
+        text("sk0"),
+        1u32.to_le_bytes().to_vec(),
+        constant,
+    ]
+    .concat();
+    for term in [null, skolem] {
+        let (bytes, at) = payload(&term);
+        let Err(err) = decode_database(&bytes) else {
+            panic!("a dictionary holding tag {} decoded", term[0]);
         };
-        // Exotic terms in two columns, so one term is a cell of each.
-        facts.push(Atom::new(
-            pred,
-            vec![c.clone(), exotic.clone(), Term::Null(i % 4)],
-        ));
-        facts.push(Atom::new(Predicate::new("tag", 1), vec![exotic]));
+        assert_eq!(err.offset, at, "{err}");
+        assert!(err.detail.contains("not a constant"), "{err}");
     }
-    facts.push(Atom::new(Predicate::new("flag", 0), vec![]));
-    check(&Database::from_facts(facts), "nulls and function terms");
 }
 
 #[test]
@@ -150,7 +170,7 @@ fn direct_decode_matches_the_bulk_loader_after_retracts_and_folds() {
         }
         db.insert(Atom::new(
             Predicate::new("marked", 1),
-            vec![Term::Null(u64::from(round))],
+            vec![Term::constant(&format!("m{round}"))],
         ));
     }
     assert!(db.table_folds() > 0, "the writes folded a table");

@@ -67,7 +67,6 @@ fn bcq_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
 const CHASE: ChaseConfig = ChaseConfig {
     max_rounds: 12,
     max_atoms: 60_000,
-    kind: nyaya::chase::ChaseKind::Restricted,
 };
 
 proptest! {
