@@ -8,13 +8,11 @@
 //! future work. This module provides the shared *representation*: rules,
 //! programs, stratification, size metrics, and the unfolding back into a
 //! [`UnionQuery`] used to prove a program equivalent to a UCQ rewriting.
-//! It also holds the [`DeltaProgram`] a program becomes for incremental
-//! view maintenance.
 //!
 //! The construction of programs from a query and a TGD set lives in
-//! `nyaya-rewrite` (`nr_datalog_rewrite`, and `compile_delta_program` for
-//! delta programs); evaluation over a database lives in `nyaya-sql`
-//! (`execute_program` bottom-up, `MaterializedView` for delta programs).
+//! `nyaya-rewrite` (`nr_datalog_rewrite` and its optimizer); evaluation
+//! over a database lives in `nyaya-sql` (`execute_program` bottom-up,
+//! `MaterializedView` for a standing query's support-counted view).
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -361,61 +359,6 @@ impl fmt::Display for DatalogProgram {
             writeln!(f, "{r}")?;
         }
         Ok(())
-    }
-}
-
-/// One seminaive delta rule: the original rule `head :- body` specialized
-/// to react to changes of `body[delta_idx]`'s relation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeltaRule {
-    /// The head atom of the originating rule.
-    pub head: Atom,
-    /// The full body of the originating rule, in its original order.
-    pub body: Vec<Atom>,
-    /// Which body atom is the delta atom. Atoms at positions `< delta_idx`
-    /// are evaluated against the post-update state, atoms at positions
-    /// `> delta_idx` against the pre-update state.
-    pub delta_idx: usize,
-    /// Stratum level of the head predicate (see
-    /// [`DatalogProgram::strata`]); delta rules must be propagated in
-    /// ascending level order.
-    pub level: usize,
-}
-
-/// A delta program: every rule of a [`DatalogProgram`] (after
-/// `compile_delta_program` inlines its renaming rules) expanded into one
-/// [`DeltaRule`] per body atom, plus the stratification metadata a
-/// propagation pass needs.
-#[derive(Clone, Debug)]
-pub struct DeltaProgram {
-    /// The source program's goal atom (may contain constants or repeated
-    /// variables; answers are goal-relation tuples matching it).
-    pub goal: Atom,
-    /// Number of stratum levels; every rule's `level` is `< levels`.
-    pub levels: usize,
-    /// All delta rules, in source-rule order then body-position order.
-    pub rules: Vec<DeltaRule>,
-    /// Predicates the view materializes: the head predicates of the
-    /// program the delta rules come from. `compile_delta_program` inlines
-    /// renaming rules first, so a predicate that only renames a relation
-    /// is not among them; its uses read that relation.
-    pub intensional: HashSet<Predicate>,
-    /// Base (extensional) predicates read by some rule body — the only
-    /// predicates whose external deltas can move the view.
-    pub base: HashSet<Predicate>,
-}
-
-impl DeltaProgram {
-    /// Number of delta rules.
-    pub fn num_rules(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Does an update touching exactly `preds` affect this view at all?
-    /// (Mirrors the TBox-only invalidation rule for prepared rewritings:
-    /// subscriptions survive updates to unrelated predicates untouched.)
-    pub fn reads_any(&self, preds: &HashSet<Predicate>) -> bool {
-        preds.iter().any(|p| self.base.contains(p))
     }
 }
 

@@ -47,7 +47,7 @@ pub use atom::{Atom, Position, Predicate};
 pub use canonical::{canonical_form, canonical_key, canonical_order, CanonicalKey};
 pub use classes::{classify, Classification};
 
-pub use datalog::{DatalogProgram, DatalogRule, DeltaProgram, DeltaRule};
+pub use datalog::{DatalogProgram, DatalogRule};
 pub use homomorphism::{exists_homomorphism, HomSearch};
 pub use minimize::{minimize_cq, minimize_union_bodies};
 pub use normalize::{normalize, Normalization};

@@ -18,7 +18,6 @@
 //! indexed by [`nyaya_core::QuerySignature`].
 
 mod applicability;
-mod delta;
 mod elimination;
 mod engine;
 mod error;
@@ -30,7 +29,6 @@ mod requiem;
 mod subsumption;
 mod worklist;
 
-pub use delta::{compile_delta_program, DeltaError};
 pub use elimination::EliminationContext;
 pub use engine::{
     tgd_rewrite, tgd_rewrite_star, tgd_rewrite_with, RewriteOptions, RewriteStats, Rewriting,
@@ -41,9 +39,7 @@ pub use presto::{
     estimate_dnf_bound, interaction_clusters, nr_datalog_rewrite, nr_datalog_rewrite_with,
     ProgramRewriting, ProgramStrategy,
 };
-pub use program_opt::ProgramOptStats;
+pub use program_opt::{inline_renamings, ProgramOptStats};
 pub use quonto::quonto_rewrite;
 pub use requiem::requiem_rewrite;
-pub use subsumption::{
-    fully_minimize_union, minimize_union_reference, minimize_union_with_stats, SubsumptionStats,
-};
+pub use subsumption::{fully_minimize_union, minimize_union_with_stats, SubsumptionStats};

@@ -2,7 +2,7 @@
 //!
 //! The clustered construction of [`nr_datalog_rewrite`] already keeps the
 //! program at the *sum* of its cluster rewritings, but the rules it emits
-//! are still the raw worklist output. Three source-to-source passes — all
+//! are still the raw worklist output. Four source-to-source passes — all
 //! answer-preserving, pinned by [`DatalogProgram::expand`]-equivalence and
 //! the differential suites — clean them up:
 //!
@@ -24,6 +24,12 @@
 //!    `v̄` are the variables the alternatives share with `R` and `h`.
 //!    Iterated to a fixpoint, this re-hides nested products the monolithic
 //!    rewriting unfolded (the Path5/P5X chains compress dramatically).
+//! 4. **Renaming inlining** ([`inline_renamings`]), last. The program
+//!    compiler gives every body atom a definition predicate of its own;
+//!    for an atom with no alternative rewriting that predicate only
+//!    renames a relation (`p(X, Y) :- r(Y, X)`), and evaluating it would
+//!    copy the relation. Inlined, its uses read the relation itself —
+//!    in a program execution, its SQL and a standing query's view alike.
 //!
 //! [`nr_datalog_rewrite`]: crate::nr_datalog_rewrite
 //! [`DatalogProgram::expand`]: nyaya_core::DatalogProgram::expand
@@ -73,8 +79,67 @@ pub(crate) fn optimize_program(program: &mut DatalogProgram) -> ProgramOptStats 
     // Subsumption can orphan an intensional predicate (its last caller
     // dropped); sweep once more so the program ships no dead weight.
     stats.dead_rules_removed += eliminate_dead_rules(program);
+    inline_renamings(program);
     stats.atoms_after = program.total_atoms();
     stats
+}
+
+/// Inline every *renaming rule* of `program`: the only rule of a non-goal
+/// predicate, whose body is one atom over exactly the head's variables,
+/// each used once (`p(X, Y) :- r(X, Y)` and `p(X, Y) :- r(Y, X)` are
+/// two). Every use `p(s, t)` becomes the body atom under the head's
+/// substitution (`r(t, s)` for the second), repeated until no renamed
+/// predicate is left, so a chain `a → b → base` collapses onto `base`;
+/// the renaming rules themselves go. A renamed tuple has exactly one
+/// derivation, so every predicate the program keeps derives the same
+/// tuples with the same support. A rule keeps its shape under the pass (a
+/// use is replaced by an atom of the same terms), so which rules are
+/// renamings is read off the input once.
+pub fn inline_renamings(program: &mut DatalogProgram) {
+    let mut rules_of: HashMap<Predicate, usize> = HashMap::new();
+    for rule in &program.rules {
+        *rules_of.entry(rule.head.pred).or_default() += 1;
+    }
+    let renamings: HashMap<Predicate, DatalogRule> = program
+        .rules
+        .iter()
+        .filter(|r| r.head.pred != program.goal.pred && rules_of[&r.head.pred] == 1)
+        .filter(|r| is_renaming(r))
+        .map(|r| (r.head.pred, r.clone()))
+        .collect();
+    program
+        .rules
+        .retain(|r| !renamings.contains_key(&r.head.pred));
+    for atom in program.rules.iter_mut().flat_map(|r| &mut r.body) {
+        while let Some(renaming) = renamings.get(&atom.pred) {
+            // Head argument `i` is a variable; the body atom reads it
+            // where the use passes its `i`-th term.
+            let body = &renaming.body[0];
+            let args = body.args.iter().map(|t| {
+                let i = renaming.head.args.iter().position(|h| h == t);
+                atom.args[i.expect("a renaming reads only head variables")].clone()
+            });
+            *atom = Atom::new(body.pred, args.collect());
+        }
+    }
+}
+
+/// Is `rule` `p(X̄) :- r(Ȳ)` with `X̄` distinct variables and `Ȳ` a
+/// permutation of them?
+fn is_renaming(rule: &DatalogRule) -> bool {
+    let [atom] = rule.body.as_slice() else {
+        return false;
+    };
+    let distinct_vars = |args: &[Term]| {
+        let mut seen = HashSet::new();
+        args.iter()
+            .all(|t| t.as_var().is_some_and(|v| seen.insert(v)))
+    };
+    let (head, body) = (&rule.head.args, &atom.args);
+    head.len() == body.len()
+        && distinct_vars(head)
+        && distinct_vars(body)
+        && body.iter().all(|t| head.contains(t))
 }
 
 /// Remove rules unreachable from the goal or depending on an intensional
@@ -400,6 +465,178 @@ mod tests {
                 "gained answers: {cq} not in original\n{before}"
             );
         }
+    }
+
+    /// Run the renaming pass on `program`, check the result equivalent,
+    /// and return it.
+    fn inlined(program: &DatalogProgram) -> DatalogProgram {
+        let mut p = program.clone();
+        inline_renamings(&mut p);
+        assert_equivalent(program, &p);
+        p
+    }
+
+    fn preds(names: &[(&str, usize)]) -> HashSet<Predicate> {
+        names.iter().map(|(n, a)| Predicate::new(n, *a)).collect()
+    }
+
+    #[test]
+    fn renaming_chains_collapse_onto_the_base_relation() {
+        // q(X) :- a(X, Y), s(Y).  a(X, Y) :- b(X, Y).  b(U, V) :- r(V, U).
+        let program = DatalogProgram::new(
+            atom("q", &["X"]),
+            vec![
+                rule(
+                    atom("q", &["X"]),
+                    vec![atom("a", &["X", "Y"]), atom("s", &["Y"])],
+                ),
+                rule(atom("a", &["X", "Y"]), vec![atom("b", &["X", "Y"])]),
+                rule(atom("b", &["U", "V"]), vec![atom("r", &["V", "U"])]),
+            ],
+        );
+        let p = inlined(&program);
+        assert_eq!(
+            p.rules,
+            vec![rule(
+                atom("q", &["X"]),
+                vec![atom("r", &["Y", "X"]), atom("s", &["Y"])],
+            )]
+        );
+        assert_eq!(p.strata().map(|s| s.len()), Some(1));
+        assert_eq!(p.defined_predicates(), preds(&[("q", 1)]));
+        assert_eq!(p.base_predicates(), preds(&[("r", 2), ("s", 1)]));
+    }
+
+    #[test]
+    fn a_permuted_renaming_carries_constants_and_repeats_of_its_uses() {
+        // p(X, Y) :- r(Y, X), used as p(A, k) and p(B, B).
+        let program = DatalogProgram::new(
+            atom("q", &["A", "B"]),
+            vec![
+                rule(
+                    atom("q", &["A", "B"]),
+                    vec![atom("p", &["A", "k"]), atom("p", &["B", "B"])],
+                ),
+                rule(atom("p", &["X", "Y"]), vec![atom("r", &["Y", "X"])]),
+            ],
+        );
+        let p = inlined(&program);
+        assert_eq!(
+            p.rules,
+            vec![rule(
+                atom("q", &["A", "B"]),
+                vec![atom("r", &["k", "A"]), atom("r", &["B", "B"])],
+            )]
+        );
+        assert_eq!(p.defined_predicates(), preds(&[("q", 2)]));
+    }
+
+    #[test]
+    fn a_renaming_of_a_union_reads_the_union() {
+        // q(X) :- p(X), e(X, Y).  p(Z) :- u(Z).  u(X) :- c1(X).  u(X) :- c2(X).
+        let program = DatalogProgram::new(
+            atom("q", &["X"]),
+            vec![
+                rule(
+                    atom("q", &["X"]),
+                    vec![atom("p", &["X"]), atom("e", &["X", "Y"])],
+                ),
+                rule(atom("p", &["Z"]), vec![atom("u", &["Z"])]),
+                rule(atom("u", &["X"]), vec![atom("c1", &["X"])]),
+                rule(atom("u", &["X"]), vec![atom("c2", &["X"])]),
+            ],
+        );
+        let p = inlined(&program);
+        assert_eq!(
+            p.rules,
+            vec![
+                rule(
+                    atom("q", &["X"]),
+                    vec![atom("u", &["X"]), atom("e", &["X", "Y"])],
+                ),
+                rule(atom("u", &["X"]), vec![atom("c1", &["X"])]),
+                rule(atom("u", &["X"]), vec![atom("c2", &["X"])]),
+            ]
+        );
+        assert_eq!(p.strata().map(|s| s.len()), Some(2));
+        assert_eq!(p.defined_predicates(), preds(&[("q", 1), ("u", 1)]));
+    }
+
+    #[test]
+    fn rules_that_are_not_renamings_stay() {
+        let q_rule = || {
+            rule(
+                atom("q", &["X"]),
+                vec![atom("p", &["X"]), atom("s", &["X"])],
+            )
+        };
+        let cases = [
+            (
+                "projection",
+                vec![rule(atom("p", &["X"]), vec![atom("r", &["X", "Y"])])],
+            ),
+            (
+                "repeated variable",
+                vec![rule(atom("p", &["X"]), vec![atom("r", &["X", "X"])])],
+            ),
+            (
+                "constant",
+                vec![rule(atom("p", &["X"]), vec![atom("r", &["X", "a"])])],
+            ),
+            (
+                "two-rule union",
+                vec![
+                    rule(atom("p", &["X"]), vec![atom("r", &["X"])]),
+                    rule(atom("p", &["X"]), vec![atom("t", &["X"])]),
+                ],
+            ),
+        ];
+        for (name, p_rules) in cases {
+            let mut rules = vec![q_rule()];
+            rules.extend(p_rules);
+            let program = DatalogProgram::new(atom("q", &["X"]), rules.clone());
+            let p = inlined(&program);
+            assert_eq!(p.rules, rules, "{name}");
+            assert_eq!(
+                p.defined_predicates(),
+                preds(&[("q", 1), ("p", 1)]),
+                "{name}"
+            );
+        }
+
+        // The goal predicate is a renaming's shape, but it is the
+        // program's answer relation and stays.
+        let program = DatalogProgram::new(
+            atom("q", &["X", "Y"]),
+            vec![rule(atom("q", &["X", "Y"]), vec![atom("r", &["Y", "X"])])],
+        );
+        assert_eq!(inlined(&program).rules, program.rules);
+    }
+
+    #[test]
+    fn renaming_inlining_is_the_last_pass() {
+        // The goal reads `e` through the renaming `d`, which the earlier
+        // passes keep; the optimized program reads `e` itself.
+        let mut p = DatalogProgram::new(
+            atom("q", &["X"]),
+            vec![
+                rule(
+                    atom("q", &["X"]),
+                    vec![atom("d", &["X", "Y"]), atom("a1", &["Y"])],
+                ),
+                rule(atom("d", &["X", "Y"]), vec![atom("e", &["Y", "X"])]),
+            ],
+        );
+        let before = p.clone();
+        optimize_program(&mut p);
+        assert_eq!(
+            p.rules,
+            vec![rule(
+                atom("q", &["X"]),
+                vec![atom("e", &["Y", "X"]), atom("a1", &["Y"])],
+            )]
+        );
+        assert_equivalent(&before, &p);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! predicate set + Bloom fingerprint) rejects most candidate pairs in O(1)
 //! — `q_j` can only contain `q_i` if every body predicate of `q_j` occurs
 //! in `q_i` — so the homomorphism search runs only on compatible pairs.
-//! [`minimize_union_reference`] preserves the unindexed pass as the oracle
-//! and benchmark baseline.
+//! `tests/rewrite_differential.rs` holds the unindexed pass as its oracle.
 
 use nyaya_core::{QuerySignature, UnionQuery};
 
@@ -30,17 +29,20 @@ pub struct SubsumptionStats {
     pub dropped: usize,
 }
 
-/// Compute the survivor mask: `keep[i]` is false iff some surviving `q_j`
-/// contains `q_i` (ties — mutual containment — keep the earlier member).
-fn survivors(u: &UnionQuery, use_index: bool) -> (Vec<bool>, SubsumptionStats) {
+/// [`minimize_union_with_stats`] without the counters.
+pub(crate) fn minimize_union(u: &UnionQuery) -> UnionQuery {
+    minimize_union_with_stats(u).0
+}
+
+/// Remove subsumed CQs from a union, using the predicate-signature index
+/// to avoid incompatible containment checks; also returns the pass's
+/// counters. `q_i` is dropped iff some surviving `q_j` contains it (ties —
+/// mutual containment — keep the earlier member).
+pub fn minimize_union_with_stats(u: &UnionQuery) -> (UnionQuery, SubsumptionStats) {
     let n = u.cqs.len();
     let mut keep = vec![true; n];
     let mut stats = SubsumptionStats::default();
-    let sigs: Vec<QuerySignature> = if use_index {
-        u.cqs.iter().map(QuerySignature::of).collect()
-    } else {
-        Vec::new()
-    };
+    let sigs: Vec<QuerySignature> = u.cqs.iter().map(QuerySignature::of).collect();
     for i in 0..n {
         for j in 0..n {
             if i == j || !keep[j] {
@@ -49,7 +51,7 @@ fn survivors(u: &UnionQuery, use_index: bool) -> (Vec<bool>, SubsumptionStats) {
             stats.pairs += 1;
             // Can q_j contain q_i at all? The signature test is a necessary
             // condition for a containment mapping, so skipping is sound.
-            if use_index && !sigs[j].may_contain(&sigs[i]) {
+            if !sigs[j].may_contain(&sigs[i]) {
                 stats.skipped_by_signature += 1;
                 continue;
             }
@@ -72,39 +74,9 @@ fn survivors(u: &UnionQuery, use_index: bool) -> (Vec<bool>, SubsumptionStats) {
             }
         }
     }
-    (keep, stats)
-}
-
-fn apply_mask(u: &UnionQuery, keep: &[bool]) -> UnionQuery {
-    UnionQuery::new(
-        u.cqs
-            .iter()
-            .zip(keep.iter())
-            .filter(|(_, k)| **k)
-            .map(|(q, _)| q.clone())
-            .collect(),
-    )
-}
-
-/// [`minimize_union_with_stats`] without the counters.
-pub(crate) fn minimize_union(u: &UnionQuery) -> UnionQuery {
-    minimize_union_with_stats(u).0
-}
-
-/// Remove subsumed CQs from a union, using the predicate-signature index
-/// to avoid incompatible containment checks; also returns the pass's
-/// counters.
-pub fn minimize_union_with_stats(u: &UnionQuery) -> (UnionQuery, SubsumptionStats) {
-    let (keep, stats) = survivors(u, true);
-    (apply_mask(u, &keep), stats)
-}
-
-/// The pre-index subsumption pass: every ordered pair pays a homomorphism
-/// check. Kept as the differential oracle for the indexed pass — not for
-/// production use.
-pub fn minimize_union_reference(u: &UnionQuery) -> UnionQuery {
-    let (keep, _) = survivors(u, false);
-    apply_mask(u, &keep)
+    let survivors = u.cqs.iter().zip(&keep).filter(|(_, k)| **k);
+    let survivors = UnionQuery::new(survivors.map(|(q, _)| q.clone()).collect());
+    (survivors, stats)
 }
 
 /// Full Σ-free minimization of a UCQ: first compute the core of every
@@ -193,37 +165,6 @@ mod tests {
     #[test]
     fn empty_union_is_stable() {
         assert_eq!(minimize_union(&UnionQuery::default()).size(), 0);
-    }
-
-    #[test]
-    fn indexed_pass_matches_the_reference_pass() {
-        // The index is a pure pruning: survivors must be identical to the
-        // check-every-pair reference on a union mixing duplicates, strict
-        // containments, mutual containments and incomparable members.
-        let u = UnionQuery::new(vec![
-            cq(&["A"], &[("p", &["A", "B"]), ("p", &["A", "C"])]),
-            cq(&["A"], &[("p", &["A", "B"])]),
-            cq(&["A"], &[("p", &["A", "A"])]),
-            cq(&["A"], &[("r", &["A"])]),
-            cq(&["X"], &[("p", &["X", "Y"]), ("r", &["Y"])]),
-            cq(&["X"], &[("r", &["X"]), ("p", &["X", "X"])]),
-        ]);
-        let indexed = minimize_union(&u);
-        let reference = minimize_union_reference(&u);
-        assert_eq!(indexed.to_string(), reference.to_string());
-    }
-
-    #[test]
-    fn mutual_containment_keeps_the_earlier_member() {
-        // q0 ≡ q1 (α-renamed): exactly the first survives, in both passes.
-        let u = UnionQuery::new(vec![
-            cq(&["A"], &[("p", &["A", "B"]), ("p", &["A", "C"])]),
-            cq(&["X"], &[("p", &["X", "Y"])]),
-        ]);
-        for m in [minimize_union(&u), minimize_union_reference(&u)] {
-            assert_eq!(m.size(), 1);
-            assert_eq!(m.cqs[0].body.len(), 2, "kept the later member: {m}");
-        }
     }
 
     #[test]

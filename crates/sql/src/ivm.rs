@@ -1,32 +1,44 @@
 //! Incremental view maintenance: support-counted materialization and
 //! counting delta joins for nonrecursive Datalog programs.
 //!
-//! A [`MaterializedView`] holds, for every intensional predicate of a
-//! delta program, a map from tuple to *support* — the number of (rule,
-//! valuation) derivations producing it — plus an indexed [`Database`] of
-//! the tuples whose support is positive (the set-level view higher strata
-//! join against).
+//! A [`MaterializedView`] holds a nonrecursive Datalog program — the one
+//! the program compiler emits, renaming rules already inlined by its
+//! optimizer — and, for every intensional predicate, a map from tuple to
+//! *support* — the number of (rule, valuation) derivations producing it —
+//! plus an indexed [`Database`] of the tuples whose support is positive
+//! (the set-level view higher strata join against).
 //!
-//! [`MaterializedView::seed`] materializes the program over a snapshot
-//! with the program evaluator of [`crate::program`]: against an empty old
-//! state only each rule's last-position delta rule would fire, joining the
-//! whole body over the snapshot and the lower strata, so a seed is a bag
-//! evaluation of every source rule, counting valuations per head tuple.
-//! The evaluator runs each rule body through the executor's cost planner
-//! into a support sink instead of a set, and commits each stratum with one
-//! bulk insert.
+//! [`MaterializedView::seed`] validates the program as every evaluation
+//! does (a stratification, safe rules, constants and variables only) and
+//! materializes it over a snapshot with the program evaluator of
+//! [`crate::program`]: against an empty old state only each rule's
+//! last-position delta rule would fire, joining the whole body over the
+//! snapshot and the lower strata, so a seed is a bag evaluation of every
+//! rule, counting valuations per head tuple. The evaluator runs each rule
+//! body through the executor's cost planner into a support sink instead
+//! of a set, and commits each stratum with one bulk insert.
 //!
 //! [`MaterializedView::propagate`] consumes an update's signed base-fact
-//! deltas and runs the program's delta rules level by level:
+//! deltas and runs the program's *delta rules* stratum by stratum. For a
+//! rule `h :- b_1, …, b_n`, delta rule `i` fires when `b_i`'s relation
+//! changes; positions left of it read the *new* state and positions right
+//! of it the *old* state, so the delta rules enumerate exactly the
+//! derivations an update gains or loses:
 //!
-//! - each delta rule joins its delta atom's changed tuples with the
-//!   *new* state to its left and the *old* state to its right
-//!   (seminaive), counting every valuation with the delta tuple's sign;
+//! ```text
+//! Δ(B_1 ⋈ … ⋈ B_n) = Σ_i  new(B_1) ⋈ … ⋈ new(B_{i-1}) ⋈ ΔB_i ⋈ old(B_{i+1}) ⋈ … ⋈ old(B_n)
+//! ```
+//!
+//! - each valuation counts with its delta tuple's sign;
 //! - summed signed derivations adjust per-tuple support; support
 //!   transitions (0 → positive, positive → 0) become the set-level ±1
-//!   deltas fed to the next stratum;
+//!   deltas fed to the next stratum, so retractions are exact without
+//!   recomputation (counting-based maintenance);
 //! - transitions of the goal predicate's tuples that match the goal atom
 //!   (its constants and repeated variables) are the answer diff.
+//!
+//! A rule with an empty body asserts its head once at the seed and has no
+//! delta rule, so no update moves it.
 //!
 //! A delta rule's joins are the executor's: each body atom is compiled
 //! into the shared join step of `join.rs` once per pass, in a static
@@ -43,22 +55,16 @@
 //! before higher strata read them, so those builds stay valid within a
 //! pass). A rule with a step over a predicate that has no table derives
 //! nothing and is not evaluated further.
-//!
-//! The delta-rule *compiler* lives in `nyaya-rewrite` (next to the
-//! program optimizer), and the [`DeltaProgram`] it emits in `nyaya-core`,
-//! which both crates depend on; this module only evaluates.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use nyaya_core::{
-    Atom, DatalogProgram, DatalogRule, DeltaProgram, DeltaRule, Predicate, Symbol, Term,
-};
+use nyaya_core::{Atom, DatalogProgram, DatalogRule, Predicate, Symbol, Term};
 
 use crate::build_cache::BuildCache;
 use crate::exec::{CacheTally, DataSource, Support};
 use crate::join::{AtomShape, Projection, Step};
-use crate::program::materialize;
+use crate::program::{materialize, validated_strata, ProgramError};
 use crate::table::Database;
 
 /// Signed set-level deltas of base facts, per predicate: `+1` for a fact
@@ -84,9 +90,13 @@ impl AnswerDelta {
     }
 }
 
-/// A support-counted materialization of one delta program.
+/// A support-counted materialization of one nonrecursive Datalog program.
 pub struct MaterializedView {
-    program: DeltaProgram,
+    program: DatalogProgram,
+    /// The program's strata, lowest first (as [`DatalogProgram::strata`]).
+    strata: Vec<Vec<Predicate>>,
+    /// The program's defined predicates: the relations the view holds.
+    intensional: HashSet<Predicate>,
     /// Per-tuple derivation counts for every intensional predicate.
     counts: HashMap<Predicate, HashMap<Vec<Term>, i64>>,
     /// Indexed set-level view: exactly the tuples with positive support.
@@ -100,23 +110,18 @@ impl MaterializedView {
     /// cache), running each stratum's rules across up to `threads`
     /// workers. Returns the view and its first diff: every answer added.
     ///
-    /// The source rules are the delta rules at `delta_idx == 0`, one per
-    /// rule of the *inlined* program (`compile_delta_program` inlines
-    /// renaming rules, so no relation is copied into the view just to
-    /// rename it). They run through the program
-    /// evaluator with a support sink, so each derived tuple's count is
-    /// its number of valuations — exactly what propagating every base
-    /// fact as a +1 delta from the empty state would sum.
+    /// The rules run through the program evaluator with a support sink,
+    /// so each derived tuple's count is its number of valuations —
+    /// exactly what propagating every base fact as a +1 delta from the
+    /// empty state would sum. A program the evaluator refuses (recursive,
+    /// an unsafe rule, a null or a function term) is a [`ProgramError`].
     pub fn seed(
-        program: DeltaProgram,
+        program: DatalogProgram,
         db: &Database,
         cache: &BuildCache,
         threads: usize,
-    ) -> (MaterializedView, AnswerDelta) {
-        let rules = program.rules.iter().filter(|r| r.delta_idx == 0);
-        let rules = rules.map(|r| DatalogRule::new(r.head.clone(), r.body.clone()));
-        let source = DatalogProgram::new(program.goal.clone(), rules.collect());
-        let strata = source.strata().expect("a delta program is stratified");
+    ) -> Result<(MaterializedView, AnswerDelta), ProgramError> {
+        let strata = validated_strata(&program)?;
         let mut counts: HashMap<Predicate, HashMap<Vec<Term>, i64>> = HashMap::new();
         let tally = CacheTally::default();
         let commit = |pred, derived: Support, entering: &mut Vec<Atom>| {
@@ -128,13 +133,13 @@ impl MaterializedView {
                 *support.entry(tuple).or_insert(0) += n;
             }
         };
-        let (view, _, _) = materialize(db, cache, &source, &strata, threads, &tally, commit);
+        let (view, _, _) = materialize(db, cache, &program, &strata, threads, &tally, commit);
         // The seed is the one caller that materializes the goal relation
         // (its counts are maintained like any other); with nothing bound,
         // the goal atom's shape is the filter its tuples pass as answers.
-        let goal = AtomShape::of(&source.goal, |_| None);
+        let goal = AtomShape::of(&program.goal, |_| None);
         let answers: BTreeSet<Vec<Term>> = view
-            .iter_rows(source.goal.pred)
+            .iter_rows(program.goal.pred)
             .filter(|tuple| goal.admits(tuple))
             .collect();
         let diff = AnswerDelta {
@@ -142,12 +147,14 @@ impl MaterializedView {
             removed: Vec::new(),
         };
         let view = MaterializedView {
+            intensional: program.defined_predicates(),
             program,
+            strata,
             counts,
             view,
             answers,
         };
-        (view, diff)
+        Ok((view, diff))
     }
 
     /// Current answer set (tuples of the goal atom's arity).
@@ -190,36 +197,39 @@ impl MaterializedView {
         // relation's tuples must pass to be answers.
         let goal_shape = AtomShape::of(&self.program.goal, |_| None);
 
-        for level in 0..self.program.levels {
+        for level in &self.strata {
             // Evaluate every delta rule of this level against the deltas
-            // accumulated so far (base + strata below this one).
+            // accumulated so far (base + strata below this one), in rule
+            // order, then body-position order.
             let mut head_acc: BTreeMap<Predicate, HashMap<Vec<Term>, i64>> = BTreeMap::new();
             let old_src = DataSource {
                 base: old.0,
                 base_cache: old.1,
                 overlay: &old_view,
                 overlay_cache: &old_view_cache,
-                intensional: &self.program.intensional,
+                intensional: &self.intensional,
             };
             let new_src = DataSource {
                 base: new.0,
                 base_cache: new.1,
                 overlay: &self.view,
                 overlay_cache: &new_view_cache,
-                intensional: &self.program.intensional,
+                intensional: &self.intensional,
             };
-            for rule in self.program.rules.iter().filter(|r| r.level == level) {
-                let dpred = rule.body[rule.delta_idx].pred;
-                let dmap = if self.program.intensional.contains(&dpred) {
-                    derived.get(&dpred)
-                } else {
-                    base_deltas.get(&dpred)
-                };
-                let Some(dmap) = dmap.filter(|m| m.values().any(|s| *s != 0)) else {
-                    continue;
-                };
-                let acc = head_acc.entry(rule.head.pred).or_default();
-                eval_delta_rule(rule, dmap, &old_src, &new_src, acc);
+            let rules = self.program.rules.iter();
+            for rule in rules.filter(|r| level.binary_search(&r.head.pred).is_ok()) {
+                for (delta_idx, datom) in rule.body.iter().enumerate() {
+                    let dmap = if self.intensional.contains(&datom.pred) {
+                        derived.get(&datom.pred)
+                    } else {
+                        base_deltas.get(&datom.pred)
+                    };
+                    let Some(dmap) = dmap.filter(|m| m.values().any(|s| *s != 0)) else {
+                        continue;
+                    };
+                    let acc = head_acc.entry(rule.head.pred).or_default();
+                    eval_delta_rule(rule, delta_idx, dmap, &old_src, &new_src, acc);
+                }
             }
 
             // Commit this level's support changes (sorted for
@@ -277,18 +287,19 @@ impl MaterializedView {
     }
 }
 
-/// Evaluate one delta rule over its delta relation's changed tuples,
-/// adding each valuation's signed contribution to `acc` (keyed by head
-/// tuple). Atoms left of the delta atom read `new`, atoms right of it
-/// `old`.
+/// Evaluate `rule`'s delta rule at body position `delta_idx` over that
+/// atom's changed tuples, adding each valuation's signed contribution to
+/// `acc` (keyed by head tuple). Atoms left of the delta atom read `new`,
+/// atoms right of it `old`.
 fn eval_delta_rule(
-    rule: &DeltaRule,
+    rule: &DatalogRule,
+    delta_idx: usize,
     dmap: &HashMap<Vec<Term>, i64>,
     old: &DataSource<'_>,
     new: &DataSource<'_>,
     acc: &mut HashMap<Vec<Term>, i64>,
 ) {
-    let datom = &rule.body[rule.delta_idx];
+    let datom = &rule.body[delta_idx];
 
     // Bind the delta atom: with nothing bound before it, its fresh
     // columns become the valuation and its constants and repeats are
@@ -302,9 +313,7 @@ fn eval_delta_rule(
     // known statically (which variables the prefix binds).
     // Ties go to the atom first in the body.
     let mut bound_vars: HashSet<Symbol> = var_index.keys().copied().collect();
-    let mut remaining: Vec<usize> = (0..rule.body.len())
-        .filter(|&j| j != rule.delta_idx)
-        .collect();
+    let mut remaining: Vec<usize> = (0..rule.body.len()).filter(|&j| j != delta_idx).collect();
     let mut order: Vec<usize> = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
         let is_bound = |t: &&Term| t.as_var().is_none_or(|v| bound_vars.contains(&v));
@@ -324,7 +333,7 @@ fn eval_delta_rule(
     let mut steps: Vec<Step<'_>> = Vec::with_capacity(order.len());
     for &j in &order {
         let atom = &rule.body[j];
-        let src = if j < rule.delta_idx { new } else { old };
+        let src = if j < delta_idx { new } else { old };
         let (db, cache) = src.resolve(atom.pred);
         let shape = AtomShape::of(atom, |v| var_index.get(&v).copied());
         shape.bind_fresh(atom, &mut var_index);
@@ -361,59 +370,25 @@ fn eval_delta_rule(
 mod tests {
     use super::*;
 
-    /// A delta program with every delta rule of `rules` (head, body,
-    /// level): intensional are the heads, base the other body predicates.
-    fn delta_program(
-        goal: Atom,
-        levels: usize,
-        rules: Vec<(Atom, Vec<Atom>, usize)>,
-    ) -> DeltaProgram {
-        let intensional: HashSet<Predicate> = rules.iter().map(|(h, _, _)| h.pred).collect();
-        let base: HashSet<Predicate> = rules
-            .iter()
-            .flat_map(|(_, body, _)| body.iter().map(|a| a.pred))
-            .filter(|p| !intensional.contains(p))
-            .collect();
-        let rules = rules
-            .into_iter()
-            .flat_map(|(head, body, level)| {
-                (0..body.len()).map(move |delta_idx| DeltaRule {
-                    head: head.clone(),
-                    body: body.clone(),
-                    delta_idx,
-                    level,
-                })
-            })
-            .collect();
-        DeltaProgram {
-            goal,
-            levels,
-            rules,
-            intensional,
-            base,
-        }
-    }
-
-    fn program() -> DeltaProgram {
+    fn program() -> DatalogProgram {
         // goal: q(X,Y).
         //   q(X,Y) :- top(X), edge(X,Y), top(Y).   (level 1)
         //   top(X) :- c1(X).  top(X) :- c2(X).     (level 0)
-        let q_rule = (
+        let q_rule = DatalogRule::new(
             Atom::make("q", ["X", "Y"]),
             vec![
                 Atom::make("top", ["X"]),
                 Atom::make("edge", ["X", "Y"]),
                 Atom::make("top", ["Y"]),
             ],
-            1,
         );
-        let t1 = (Atom::make("top", ["X"]), vec![Atom::make("c1", ["X"])], 0);
-        let t2 = (Atom::make("top", ["X"]), vec![Atom::make("c2", ["X"])], 0);
-        delta_program(Atom::make("q", ["X", "Y"]), 2, vec![q_rule, t1, t2])
+        let t1 = DatalogRule::new(Atom::make("top", ["X"]), vec![Atom::make("c1", ["X"])]);
+        let t2 = DatalogRule::new(Atom::make("top", ["X"]), vec![Atom::make("c2", ["X"])]);
+        DatalogProgram::new(Atom::make("q", ["X", "Y"]), vec![q_rule, t1, t2])
     }
 
     /// `program()` with `edge(X, b)` for every `edge` atom.
-    fn program_with_edge_constant() -> DeltaProgram {
+    fn program_with_edge_constant() -> DatalogProgram {
         let mut p = program();
         for atom in p.rules.iter_mut().flat_map(|r| r.body.iter_mut()) {
             if atom.pred == Predicate::new("edge", 2) {
@@ -424,7 +399,7 @@ mod tests {
     }
 
     /// `program()` answering `q(X, X)`: only self-loops.
-    fn program_with_repeated_goal() -> DeltaProgram {
+    fn program_with_repeated_goal() -> DatalogProgram {
         let mut p = program();
         p.goal = Atom::make("q", ["X", "X"]);
         p
@@ -451,23 +426,25 @@ mod tests {
         args.iter().map(|a| Term::constant(a)).collect()
     }
 
-    fn seed(program: DeltaProgram, db: &Database) -> (MaterializedView, AnswerDelta) {
-        MaterializedView::seed(program, db, &BuildCache::new(), 1)
+    fn seed(program: DatalogProgram, db: &Database) -> (MaterializedView, AnswerDelta) {
+        MaterializedView::seed(program, db, &BuildCache::new(), 1).expect("seeds")
     }
 
     /// The oracle for seeding: propagate from the empty state with every
     /// base fact the program reads as a +1 delta.
     fn seed_by_propagation(
-        program: DeltaProgram,
+        program: DatalogProgram,
         db: &Database,
     ) -> (MaterializedView, AnswerDelta) {
         let mut deltas = BaseDeltas::new();
-        for pred in &program.base {
-            for row in db.iter_rows(*pred) {
-                deltas.entry(*pred).or_default().insert(row, 1);
+        for pred in program.base_predicates() {
+            for row in db.iter_rows(pred) {
+                deltas.entry(pred).or_default().insert(row, 1);
             }
         }
         let mut view = MaterializedView {
+            strata: program.strata().expect("a stratified program"),
+            intensional: program.defined_predicates(),
             program,
             counts: HashMap::new(),
             view: Database::new(),
@@ -485,12 +462,13 @@ mod tests {
     /// The evaluator's seed (sequential and across three workers) must
     /// equal the oracle's: counts per predicate and tuple, the view's
     /// facts, the answers and the first diff.
-    fn assert_seeds_agree(program: &DeltaProgram, db: &Database, context: &str) {
+    fn assert_seeds_agree(program: &DatalogProgram, db: &Database, context: &str) {
         let (oracle, oracle_diff) = seed_by_propagation(program.clone(), db);
         let oracle_facts: BTreeSet<Atom> = oracle.view.facts().collect();
         for threads in [1, 3] {
             let (seeded, diff) =
-                MaterializedView::seed(program.clone(), db, &BuildCache::new(), threads);
+                MaterializedView::seed(program.clone(), db, &BuildCache::new(), threads)
+                    .expect("seeds");
             let at = format!("{context}, threads {threads}");
             // The oracle records a predicate only once it has a tuple.
             let counts: HashMap<_, _> = seeded
@@ -653,16 +631,10 @@ mod tests {
             ("edge", &["c", "b"]),
         ]);
         let mut projecting = program();
-        let extra = delta_program(
-            Atom::make("q", ["X", "Y"]),
-            2,
-            vec![(
-                Atom::make("top", ["X"]),
-                vec![Atom::make("edge", ["X", "Y"])],
-                0,
-            )],
-        );
-        projecting.rules.extend(extra.rules);
+        projecting.rules.push(DatalogRule::new(
+            Atom::make("top", ["X"]),
+            vec![Atom::make("edge", ["X", "Y"])],
+        ));
         for (program, name) in [
             (program(), "program()"),
             (program_with_edge_constant(), "edge constant"),
@@ -712,14 +684,14 @@ mod tests {
     /// levels, and a head over its body variables or a constant. The
     /// database holds one stray fact under a defined predicate, which
     /// both seeds must ignore.
-    fn random_case(rng: &mut Rng) -> (DeltaProgram, Database) {
+    fn random_case(rng: &mut Rng) -> (DatalogProgram, Database) {
         let mut readable: Vec<Predicate> = vec![
             Predicate::new("b1", 1),
             Predicate::new("b2", 2),
             Predicate::new("b3", 2),
         ];
         let levels = 1 + rng.below(3);
-        let mut rules: Vec<(Atom, Vec<Atom>, usize)> = Vec::new();
+        let mut rules: Vec<DatalogRule> = Vec::new();
         let mut defined: Vec<Predicate> = Vec::new();
         for level in 0..levels {
             let mut this_level = Vec::new();
@@ -752,7 +724,7 @@ mod tests {
                             }
                         })
                         .collect();
-                    rules.push((Atom::new(pred, head_args), body, level));
+                    rules.push(DatalogRule::new(Atom::new(pred, head_args), body));
                 }
                 this_level.push(pred);
             }
@@ -771,7 +743,7 @@ mod tests {
                 .map(|i| Term::var(&format!("G{i}")))
                 .collect(),
         };
-        let program = delta_program(Atom::new(top, goal_args), levels, rules);
+        let program = DatalogProgram::new(Atom::new(top, goal_args), rules);
 
         let mut db = Database::new();
         for (pred, n) in [("b1", 3), ("b2", 8), ("b3", 8)] {
@@ -798,7 +770,7 @@ mod tests {
             let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let (program, db) = random_case(&mut rng);
             assert_seeds_agree(&program, &db, &format!("seed {seed}"));
-            let (seeded, _) = MaterializedView::seed(program, &db, &BuildCache::new(), 1);
+            let (seeded, _) = self::seed(program, &db);
             supported_twice += seeded
                 .counts
                 .values()
@@ -813,5 +785,101 @@ mod tests {
             answered > 50,
             "only {answered} of 150 programs have answers"
         );
+    }
+
+    /// A program the evaluator refuses is a typed error at the seed too.
+    #[test]
+    fn seeding_a_program_the_evaluator_refuses_is_a_typed_error() {
+        let db = facts(&[("c1", &["a"])]);
+        let refused = |program| MaterializedView::seed(program, &db, &BuildCache::new(), 1).err();
+        let rule = |head, body| DatalogRule::new(head, body);
+
+        let recursive = DatalogProgram::new(
+            Atom::make("p", ["X"]),
+            vec![
+                rule(Atom::make("p", ["X"]), vec![Atom::make("r", ["X"])]),
+                rule(Atom::make("r", ["X"]), vec![Atom::make("p", ["X"])]),
+            ],
+        );
+        assert_eq!(refused(recursive), Some(ProgramError::Recursive));
+
+        // A derived tuple holds constants only.
+        let skolem = Term::Func(nyaya_core::symbols::intern("f"), [Term::var("X")].into());
+        for term in [Term::Null(1), skolem] {
+            let head = Atom::new(Predicate::new("q", 2), vec![Term::var("X"), term]);
+            let program = DatalogProgram::new(
+                Atom::make("q", ["X", "Y"]),
+                vec![rule(head, vec![Atom::make("c1", ["X"])])],
+            );
+            match refused(program) {
+                Some(ProgramError::Untranslatable { rule }) => {
+                    assert!(rule.starts_with("q(X,"), "{rule}")
+                }
+                other => panic!("expected Untranslatable, got {other:?}"),
+            }
+        }
+
+        // `Y` occurs in no body atom.
+        let unsafe_rule = DatalogProgram::new(
+            Atom::make("q", ["X", "Y"]),
+            vec![rule(
+                Atom::make("q", ["X", "Y"]),
+                vec![Atom::make("c1", ["X"])],
+            )],
+        );
+        assert!(matches!(
+            refused(unsafe_rule),
+            Some(ProgramError::UnsafeRule { .. })
+        ));
+    }
+
+    /// A safe rule with an empty body holds once: the executor projects
+    /// its one empty valuation, and with no body atom it has no delta
+    /// rule, so no update moves its share of the support.
+    #[test]
+    fn an_empty_body_rule_seeds_support_one_that_no_update_moves() {
+        // q(X) :- c1(X).  q(k) :- .
+        let program = DatalogProgram::new(
+            Atom::make("q", ["X"]),
+            vec![
+                DatalogRule::new(Atom::make("q", ["X"]), vec![Atom::make("c1", ["X"])]),
+                DatalogRule {
+                    head: Atom::make("q", ["k"]),
+                    body: Vec::new(),
+                },
+            ],
+        );
+        let db = facts(&[("c1", &["a"])]);
+        let (mut view, diff) = seed(program, &db);
+        let added: BTreeSet<Vec<Term>> = diff.added.into_iter().collect();
+        assert_eq!(added, BTreeSet::from([tup(&["a"]), tup(&["k"])]));
+        let support = |view: &MaterializedView| view.counts[&Predicate::new("q", 1)][&tup(&["k"])];
+        assert_eq!(support(&view), 1);
+
+        let empty = facts(&[]);
+        let diff = view.propagate(
+            (&db, &BuildCache::new()),
+            (&empty, &BuildCache::new()),
+            &delta("c1", &["a"], -1),
+        );
+        assert_eq!((diff.added, diff.removed), (vec![], vec![tup(&["a"])]));
+        assert_eq!(support(&view), 1);
+
+        let k = facts(&[("c1", &["k"])]);
+        let diff = view.propagate(
+            (&empty, &BuildCache::new()),
+            (&k, &BuildCache::new()),
+            &delta("c1", &["k"], 1),
+        );
+        assert!(diff.is_empty());
+        assert_eq!(support(&view), 2);
+        let diff = view.propagate(
+            (&k, &BuildCache::new()),
+            (&empty, &BuildCache::new()),
+            &delta("c1", &["k"], -1),
+        );
+        assert!(diff.is_empty());
+        assert_eq!(support(&view), 1);
+        assert_eq!(view.answers(), &BTreeSet::from([tup(&["k"])]));
     }
 }

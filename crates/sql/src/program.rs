@@ -41,7 +41,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use nyaya_core::{
-    Atom, ConjunctiveQuery, DatalogProgram, DatalogRule, Predicate, Term, UnionQuery,
+    symbols, Atom, ConjunctiveQuery, DatalogProgram, DatalogRule, Predicate, Term, UnionQuery,
 };
 
 use crate::build_cache::BuildCache;
@@ -134,7 +134,9 @@ pub struct ProgramMetrics {
 /// Validate a program for bottom-up evaluation and SQL emission: a
 /// stratification must exist, and every rule must be safe and hold
 /// constants and variables only (so a derived tuple is constants only).
-fn validated_strata(program: &DatalogProgram) -> Result<Vec<Vec<Predicate>>, ProgramError> {
+pub(crate) fn validated_strata(
+    program: &DatalogProgram,
+) -> Result<Vec<Vec<Predicate>>, ProgramError> {
     let strata = program.strata().ok_or(ProgramError::Recursive)?;
     for rule in &program.rules {
         if !rule.is_safe() {
@@ -225,9 +227,17 @@ pub fn execute_program_shared(
 }
 
 /// A rule as the CQ the planner and the SQL printer take: its head's
-/// arguments over its body.
+/// arguments over its body. Unlike a rewriting's CQ, a rule's body may be
+/// empty: with no join step, the executor projects its one empty
+/// valuation, so the rule derives its (ground, since safe) head once.
 fn rule_body(rule: &DatalogRule) -> ConjunctiveQuery {
-    ConjunctiveQuery::new(rule.head.args.clone(), rule.body.clone())
+    let mut q = ConjunctiveQuery {
+        head_pred: symbols::intern("q"),
+        head: rule.head.args.clone(),
+        body: rule.body.clone(),
+    };
+    q.dedup_body();
+    q
 }
 
 /// The one evaluator behind both compiled forms: a UCQ is the goal
@@ -527,6 +537,35 @@ mod tests {
     fn unsatisfiable_program_yields_no_answers() {
         let program = DatalogProgram::unsatisfiable(atom("ans", &["X"]));
         assert!(execute_program(&sample_db(), &program).unwrap().is_empty());
+    }
+
+    /// A ground rule with an empty body holds once, beneath the goal and
+    /// as a goal rule, and its SQL selects its row from no table.
+    #[test]
+    fn an_empty_body_rule_derives_its_head() {
+        let fact = |p: &str, c: &str| DatalogRule {
+            head: atom(p, &[c]),
+            body: Vec::new(),
+        };
+        // ans(X) :- d2(X).  d2(Y) :- t(Y).  d2(b) :- .  ans(e) :- .
+        let program = DatalogProgram::new(
+            atom("ans", &["X"]),
+            vec![
+                DatalogRule::new(atom("ans", &["X"]), vec![atom("d2", &["X"])]),
+                DatalogRule::new(atom("d2", &["Y"]), vec![atom("t", &["Y"])]),
+                fact("d2", "b"),
+                fact("ans", "e"),
+            ],
+        );
+        let answers = execute_program(&sample_db(), &program).unwrap();
+        let expected = [["b"], ["e"]].map(|t| vec![Term::constant(t[0])]);
+        assert_eq!(answers, BTreeSet::from(expected));
+
+        let mut catalog = Catalog::new();
+        catalog.register_defaults([Predicate::new("t", 1)]);
+        let sql = program_to_sql(&program, &catalog).unwrap();
+        assert!(sql.contains("SELECT DISTINCT 'b' AS a1\n"), "{sql}");
+        assert!(!sql.contains("FROM \n") && !sql.ends_with("FROM "), "{sql}");
     }
 
     #[test]

@@ -171,11 +171,13 @@ pub(crate) fn cq_to_sql(q: &ConjunctiveQuery, catalog: &Catalog) -> Option<Strin
         })
         .collect();
 
-    let mut sql = format!(
-        "SELECT DISTINCT {}\nFROM {}",
-        select.join(", "),
-        from.join(", ")
-    );
+    // An empty body (a program's ground fact rule) selects its one row
+    // from no table.
+    let mut sql = format!("SELECT DISTINCT {}", select.join(", "));
+    if !from.is_empty() {
+        sql.push_str("\nFROM ");
+        sql.push_str(&from.join(", "));
+    }
     if !conditions.is_empty() {
         sql.push_str("\nWHERE ");
         sql.push_str(&conditions.join("\n  AND "));

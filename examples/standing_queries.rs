@@ -13,9 +13,9 @@ use nyaya::UpdateBatch;
 fn main() {
     // A tiny taxonomy: two subclasses under `employee`, queried through
     // a binary join. `employee` is intensional, so answers flow through
-    // the compiled delta program's strata, not just base-fact matches.
-    // No TGD defines `reports`: the program gives its atom a predicate
-    // that only renames the relation, which the delta compiler inlines
+    // the compiled program's strata, not just base-fact matches. No TGD
+    // defines `reports`: the compiler gives its atom a predicate that
+    // only renames the relation, which the program optimizer inlines
     // instead of copying `reports` into the view.
     let kb = KnowledgeBase::from_program_text(
         "

@@ -70,14 +70,13 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, Weak};
 use nyaya_chase::{check_consistency, ChaseConfig, Consistency};
 use nyaya_core::{
     apply_select, canonical_key, classify, normalize, Atom, CanonicalKey, Classification,
-    ConjunctiveQuery, DatalogProgram, DeltaProgram, Normalization, Ontology, Predicate,
-    SelectOptions, Term, Tgd,
+    ConjunctiveQuery, DatalogProgram, Normalization, Ontology, Predicate, SelectOptions, Term, Tgd,
 };
 use nyaya_parser::{parse_dl_lite, parse_owl_ql, parse_program, parse_query};
 use nyaya_rewrite::{
-    compile_delta_program, estimate_dnf_bound, interaction_clusters, nr_datalog_rewrite_with,
-    quonto_rewrite, requiem_rewrite, tgd_rewrite_with, DeltaError, EliminationContext,
-    ProgramOptStats, ProgramStrategy, RewriteOptions, RewriteStats,
+    estimate_dnf_bound, interaction_clusters, nr_datalog_rewrite_with, quonto_rewrite,
+    requiem_rewrite, tgd_rewrite_with, EliminationContext, ProgramOptStats, ProgramStrategy,
+    RewriteOptions, RewriteStats,
 };
 use nyaya_sql::{BaseDeltas, BuildCache, Catalog, Database, ExecMetrics, MaterializedView};
 
@@ -969,20 +968,20 @@ impl KnowledgeBase {
 
     // ---- standing queries (incremental view maintenance) -------------
 
-    /// Register a standing query: compile the prepared query's
-    /// non-recursive Datalog program (the same TBox-only compile
-    /// [`program`](Self::program) memoizes) into delta rules, materialize
-    /// its answer set with per-tuple support counts, and maintain it
-    /// incrementally — every [`apply`](Self::apply) propagates just that
-    /// batch's net deltas through the rules instead of re-executing.
+    /// Register a standing query: materialize the prepared query's
+    /// non-recursive Datalog program (the TBox-only compile
+    /// [`program`](Self::program) memoizes) with per-tuple support
+    /// counts, and maintain it incrementally — every
+    /// [`apply`](Self::apply) propagates just that batch's net deltas
+    /// through the program's delta rules instead of re-executing.
     ///
     /// The returned [`Subscription`] yields one [`AnswerDiff`] per epoch
     /// via [`poll`](Subscription::poll); the first diff is the current
     /// answer set at the subscription's seed epoch. Dropping the handle
     /// unregisters the view. Like prepared rewritings, the compiled
-    /// delta program is TBox-only: no data write ever invalidates it.
+    /// program is TBox-only: no data write ever invalidates it.
     pub fn subscribe(&self, query: &PreparedQuery) -> Result<Subscription, NyayaError> {
-        let program = self.ivm_program(query)?;
+        let program = self.program(query)?.program.clone();
         self.subscribe_seeded(program, None)
     }
 
@@ -1001,21 +1000,8 @@ impl KnowledgeBase {
         query: &PreparedQuery,
         epoch: u64,
     ) -> Result<Subscription, NyayaError> {
-        let program = self.ivm_program(query)?;
+        let program = self.program(query)?.program.clone();
         self.subscribe_seeded(program, Some(epoch))
-    }
-
-    /// Compile a prepared query's Datalog program into the delta program
-    /// a materialized view evaluates.
-    fn ivm_program(&self, query: &PreparedQuery) -> Result<DeltaProgram, NyayaError> {
-        let compiled = self.program(query)?;
-        compile_delta_program(&compiled.program).map_err(|e| match e {
-            DeltaError::Recursive => NyayaError::RecursiveProgram,
-            // Both are rules delta propagation cannot react to.
-            DeltaError::UnsafeRule { head } | DeltaError::EmptyBody { head } => {
-                NyayaError::UnsafeRule { rule: head }
-            }
-        })
     }
 
     /// Seed a view and register it. Compilation happened before this
@@ -1024,7 +1010,7 @@ impl KnowledgeBase {
     /// replay and the registration.
     fn subscribe_seeded(
         &self,
-        program: DeltaProgram,
+        program: DatalogProgram,
         from: Option<u64>,
     ) -> Result<Subscription, NyayaError> {
         let _writer = self
@@ -1035,11 +1021,10 @@ impl KnowledgeBase {
         let seed_epoch = from.unwrap_or_else(|| current.epoch());
         let base = self.snapshot_at(seed_epoch)?;
         // The seed is a program run: the facade's program budget applies.
-        let rules = program.rules.iter().filter(|r| r.delta_idx == 0).count();
-        let (threads, _) = thread_budgets(rules);
+        let (threads, _) = thread_budgets(program.num_rules());
         let started = std::time::Instant::now();
         let (mut view, seeded) =
-            MaterializedView::seed(program, base.database(), base.build_cache(), threads);
+            MaterializedView::seed(program, base.database(), base.build_cache(), threads)?;
         let seeded_tuples = view.support_size() as u64;
         let mut pending = VecDeque::new();
         pending.push_back(AnswerDiff {

@@ -1,11 +1,13 @@
 //! Standing queries: subscriptions maintained incrementally.
 //!
-//! [`KnowledgeBase::subscribe`](crate::KnowledgeBase::subscribe) compiles
-//! a prepared query's non-recursive Datalog program into delta rules
-//! (see [`nyaya_rewrite::compile_delta_program`]), materializes the
-//! answer set with per-tuple support counts, and registers the view so
-//! every [`apply`](crate::KnowledgeBase::apply) propagates just that
-//! batch's deltas through the rules instead of re-executing the query.
+//! [`KnowledgeBase::subscribe`](crate::KnowledgeBase::subscribe) seeds a
+//! [`MaterializedView`] with a prepared query's compiled non-recursive
+//! Datalog program — the one [`KnowledgeBase::program`](crate::KnowledgeBase::program)
+//! returns, renaming rules already inlined by the program optimizer —
+//! which materializes the answer set with per-tuple support counts, and
+//! registers the view so every [`apply`](crate::KnowledgeBase::apply)
+//! propagates just that batch's deltas through the program's delta rules
+//! instead of re-executing the query.
 //! Each epoch publishes one [`AnswerDiff`] into the subscription's queue;
 //! [`Subscription::poll`] drains it.
 //!

@@ -5,17 +5,18 @@
 //! including retraction-heavy and same-fact insert+retract batches. A
 //! durable variant kills the process state mid-stream and resumes a
 //! subscriber from a historical epoch via the ledger. Below the facade,
-//! delta programs whose renaming rules were inlined must maintain the
-//! same views as the plain one-delta-rule-per-position programs.
+//! a view over a program whose renaming rules the optimizer's last pass
+//! inlined must maintain the same answers as a view over the program as
+//! written.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use nyaya::core::{Atom, DatalogProgram, DatalogRule, DeltaProgram, DeltaRule, Predicate, Term};
+use nyaya::core::{Atom, DatalogProgram, DatalogRule, Predicate, Term};
 use nyaya::prelude::*;
-use nyaya::rewrite::compile_delta_program;
+use nyaya::rewrite::inline_renamings;
 use nyaya::sql::{BaseDeltas, BuildCache, MaterializedView};
 use nyaya::{AnswerDiff, Subscription};
 use nyaya_ontologies::rng::Prng;
@@ -361,7 +362,7 @@ fn random_atom(rng: &mut Prng, pred: Predicate) -> Atom {
 }
 
 /// `pred(H0, …)` renaming `read` with its columns shuffled: the shape
-/// the delta compiler inlines.
+/// `inline_renamings` inlines.
 fn renaming_rule(rng: &mut Prng, pred: Predicate, read: Predicate) -> DatalogRule {
     let head: Vec<Term> = (0..pred.arity)
         .map(|i| Term::var(&format!("H{i}")))
@@ -448,32 +449,6 @@ fn random_renaming_program(rng: &mut Prng) -> DatalogProgram {
     DatalogProgram::new(Atom::new(top, goal), rules)
 }
 
-/// `program`'s delta rules without any pass: one per (rule, body
-/// position), every head predicate materialized.
-fn plain_delta_program(program: &DatalogProgram) -> DeltaProgram {
-    let strata = program.strata().expect("the generator stratifies");
-    let level_of = |pred| strata.iter().position(|l| l.contains(&pred)).unwrap();
-    let rules = program
-        .rules
-        .iter()
-        .flat_map(|rule| {
-            (0..rule.body.len()).map(|delta_idx| DeltaRule {
-                head: rule.head.clone(),
-                body: rule.body.clone(),
-                delta_idx,
-                level: level_of(rule.head.pred),
-            })
-        })
-        .collect();
-    DeltaProgram {
-        goal: program.goal.clone(),
-        levels: strata.len(),
-        rules,
-        intensional: program.defined_predicates(),
-        base: program.base_predicates(),
-    }
-}
-
 /// A random fact over a base predicate or, one in ten, over `stray` (a
 /// defined predicate, whose facts no view may read).
 fn random_base_fact(rng: &mut Prng, stray: Predicate) -> Atom {
@@ -494,9 +469,11 @@ fn inlined_renamings_maintain_the_views_plain_delta_rules_do() {
     for seed in 0..SEEDS {
         let mut rng = Prng::seed_from_u64(seed ^ 0x1_41_1E);
         let program = random_renaming_program(&mut rng);
-        let inlined = compile_delta_program(&program).expect("compiles");
-        let plain = plain_delta_program(&program);
-        inlined_some += usize::from(inlined.intensional.len() < plain.intensional.len());
+        let mut inlined = program.clone();
+        inline_renamings(&mut inlined);
+        let plain = program.clone();
+        inlined_some +=
+            usize::from(inlined.defined_predicates().len() < plain.defined_predicates().len());
         let mut defined: Vec<Predicate> = program.defined_predicates().into_iter().collect();
         defined.sort();
         let stray = defined[rng.gen_range(0..defined.len())];
@@ -505,9 +482,9 @@ fn inlined_renamings_maintain_the_views_plain_delta_rules_do() {
         for _ in 0..16 {
             db.insert(random_base_fact(&mut rng, stray));
         }
-        let (mut inlined, inlined_diff) =
-            MaterializedView::seed(inlined, &db, &BuildCache::new(), 1);
-        let (mut plain, plain_diff) = MaterializedView::seed(plain, &db, &BuildCache::new(), 1);
+        let seed_view = |program| MaterializedView::seed(program, &db, &BuildCache::new(), 1);
+        let (mut inlined, inlined_diff) = seed_view(inlined).expect("seeds");
+        let (mut plain, plain_diff) = seed_view(plain).expect("seeds");
         let context = format!("seed {seed}, program\n{program}");
         assert_eq!(inlined_diff, plain_diff, "{context}: seed diff");
         let from_scratch = execute_program(&db, &program).expect("executes");

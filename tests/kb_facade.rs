@@ -894,7 +894,7 @@ fn stats_json_is_byte_stable() {
 
 /// `grad-courses` compiles to a program whose `takesCourse` and
 /// `GraduateCourse` atoms each get a predicate that only renames the
-/// relation. The delta compiler inlines those, so a subscription seeds
+/// relation. The program optimizer inlines those, so a subscription seeds
 /// the graduate-student union and the answers, not a copy of every
 /// `takesCourse` fact.
 #[test]
@@ -926,5 +926,46 @@ fn subscribing_does_not_copy_a_renamed_base_relation() {
         answers.len() < seeded && seeded < takes,
         "seeded {seeded} support entries for {} answers over {takes} takesCourse facts",
         answers.len()
+    );
+}
+
+/// The program target reads a renamed relation itself: `grad-courses`
+/// under `Strategy::Program` compiles no renaming rule, so executing it
+/// materializes the graduate-student union below the goal but no copy of
+/// `takesCourse` (which alone would be as many rows as the relation).
+#[test]
+fn the_program_target_does_not_copy_a_renamed_base_relation() {
+    use nyaya::ontologies::lubm::{lubm_abox, LubmConfig};
+    use nyaya::ontologies::{load, BenchmarkId};
+
+    let facts = lubm_abox(&LubmConfig {
+        universities: 1,
+        departments_per_university: 1,
+        seed: 7,
+    });
+    let takes_course = Predicate::new("takesCourse", 2);
+    let takes = facts.iter().filter(|f| f.pred == takes_course).count();
+    let kb = KnowledgeBase::builder()
+        .ontology(load(BenchmarkId::U).raw)
+        .facts(facts)
+        .strategy(Strategy::Program)
+        .build()
+        .unwrap();
+    let q = kb
+        .prepare_text("q(X, Y) :- GraduateStudent(X), takesCourse(X, Y), GraduateCourse(Y).")
+        .unwrap();
+    // The renaming pass finds nothing left to inline.
+    let compiled = &kb.program(&q).unwrap().program;
+    let mut again = compiled.clone();
+    nyaya::rewrite::inline_renamings(&mut again);
+    assert_eq!(again.rules, compiled.rules, "{compiled}");
+    let answers = kb.execute(&q).unwrap().tuples;
+    assert!(!answers.is_empty());
+    let stats = kb.stats();
+    assert_eq!(stats.program_executions, 1, "{stats:?}");
+    let materialized = stats.program_tuples_materialized as usize;
+    assert!(
+        0 < materialized && materialized < takes,
+        "materialized {materialized} tuples over {takes} takesCourse facts"
     );
 }

@@ -16,17 +16,18 @@
 //!    runs in `nyaya-rewrite`'s unit tests, where every round of two or
 //!    more queries can be made to split.
 //! 3. **Indexed subsumption** — the signature-indexed `minimize_union`
-//!    prints exactly what the unindexed reference pass prints, on the
-//!    large redundant QuOnto unions of the suite (release only).
+//!    prints exactly what the unindexed reference pass below prints, on
+//!    small hand-built unions and on the large redundant QuOnto unions of
+//!    the suite (release only).
 
-use nyaya::core::UnionQuery;
+use nyaya::core::{Atom, ConjunctiveQuery, Predicate, Term, UnionQuery};
 use nyaya::ontologies::rng::Prng;
 use nyaya::ontologies::{
     load, load_all, random_cq, random_linear_tgds, Benchmark, BenchmarkId, FuzzConfig,
 };
 use nyaya::rewrite::{
-    fully_minimize_union, minimize_union_reference, minimize_union_with_stats, quonto_rewrite,
-    requiem_rewrite, tgd_rewrite, RewriteOptions, RewriteStats,
+    fully_minimize_union, minimize_union_with_stats, quonto_rewrite, requiem_rewrite, tgd_rewrite,
+    RewriteOptions, RewriteStats,
 };
 
 const BUDGET: usize = 30_000;
@@ -185,6 +186,82 @@ fn parallel_rewriting_is_bit_identical_on_the_benchmark_suites() {
                 ));
             }
         }
+    }
+}
+
+/// The unindexed subsumption pass, the oracle of the signature-indexed
+/// one: every ordered pair pays a containment check, and `q_i` goes iff a
+/// surviving `q_j` contains it (mutual containment keeps the earlier
+/// member).
+fn minimize_union_reference(u: &UnionQuery) -> UnionQuery {
+    let n = u.cqs.len();
+    let mut keep = vec![true; n];
+    for i in 0..n {
+        keep[i] = !(0..n).any(|j| {
+            j != i
+                && keep[j]
+                && u.cqs[j].contains(&u.cqs[i])
+                && (j < i || !u.cqs[i].contains(&u.cqs[j]))
+        });
+    }
+    let survivors = u.cqs.iter().zip(&keep).filter(|(_, k)| **k);
+    UnionQuery::new(survivors.map(|(q, _)| q.clone()).collect())
+}
+
+/// `minimize_union_with_stats` without the counters.
+fn minimize_union(u: &UnionQuery) -> UnionQuery {
+    minimize_union_with_stats(u).0
+}
+
+/// A CQ over variables (upper-case initial) and constants.
+fn cq(head: &[&str], body: &[(&str, &[&str])]) -> ConjunctiveQuery {
+    let term = |a: &&str| {
+        if a.chars().next().unwrap().is_uppercase() {
+            Term::var(a)
+        } else {
+            Term::constant(a)
+        }
+    };
+    let atoms = body
+        .iter()
+        .map(|(p, args)| {
+            Atom::new(
+                Predicate::new(p, args.len()),
+                args.iter().map(term).collect(),
+            )
+        })
+        .collect();
+    ConjunctiveQuery::new(head.iter().map(term).collect(), atoms)
+}
+
+#[test]
+fn indexed_pass_matches_the_reference_pass() {
+    // The index is a pure pruning: survivors must be identical to the
+    // check-every-pair reference on a union mixing duplicates, strict
+    // containments, mutual containments and incomparable members.
+    let u = UnionQuery::new(vec![
+        cq(&["A"], &[("p", &["A", "B"]), ("p", &["A", "C"])]),
+        cq(&["A"], &[("p", &["A", "B"])]),
+        cq(&["A"], &[("p", &["A", "A"])]),
+        cq(&["A"], &[("r", &["A"])]),
+        cq(&["X"], &[("p", &["X", "Y"]), ("r", &["Y"])]),
+        cq(&["X"], &[("r", &["X"]), ("p", &["X", "X"])]),
+    ]);
+    let indexed = minimize_union(&u);
+    let reference = minimize_union_reference(&u);
+    assert_eq!(indexed.to_string(), reference.to_string());
+}
+
+#[test]
+fn mutual_containment_keeps_the_earlier_member() {
+    // q0 ≡ q1 (α-renamed): exactly the first survives, in both passes.
+    let u = UnionQuery::new(vec![
+        cq(&["A"], &[("p", &["A", "B"]), ("p", &["A", "C"])]),
+        cq(&["X"], &[("p", &["X", "Y"])]),
+    ]);
+    for m in [minimize_union(&u), minimize_union_reference(&u)] {
+        assert_eq!(m.size(), 1);
+        assert_eq!(m.cqs[0].body.len(), 2, "kept the later member: {m}");
     }
 }
 
