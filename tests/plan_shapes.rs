@@ -74,6 +74,14 @@ fn explain_text_is_pinned_for_the_suite() {
             let _ = write!(got, "{}", explain(&kb, &bench, qi));
         }
     }
+    // A constant-bearing cell: a point query's constant filter prices a
+    // scan by the posting list it reads, not by the whole table.
+    let bench = load(BenchmarkId::U);
+    let kb = kb_for(&bench);
+    let point = "q(P, C) :- worksFor(P, ind3), teacherOf(P, C), Professor(P).";
+    let prepared = kb.prepare_text(point).unwrap();
+    let text = kb.explain(&prepared, &SelectOptions::default()).unwrap();
+    let _ = write!(got, "== U point ==\n{text}");
     let expected = include_str!("plan_shapes.golden");
     if got != expected {
         // Drop the full actual text next to the build so regenerating the
