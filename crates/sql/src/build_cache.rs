@@ -138,11 +138,13 @@ impl Build {
     }
 }
 
-/// Upper bound on cached build sides per [`BuildCache`]. Serving
-/// workloads with unbounded ad-hoc constants (a fresh pattern per
-/// constant) would otherwise grow a long-lived snapshot's cache without
-/// limit; past the cap, builds are still constructed and used but not
-/// retained.
+/// Upper bound on cached build sides per [`BuildCache`]. A pattern names
+/// its constants, so ad-hoc constants in a pattern that still builds (a
+/// join key or a repeat beside the constant, or two constants) would
+/// otherwise grow a long-lived snapshot's cache without limit; past the
+/// cap, builds are still constructed and used but not retained. A scan
+/// filtered by one constant alone reads that constant's posting list and
+/// never reaches the cache (`join.rs`).
 pub(crate) const MAX_CACHED_BUILDS: usize = 4096;
 
 /// A concurrent cache of hashed build sides, keyed by access pattern.

@@ -19,8 +19,9 @@
 //!   `DataSource` resolves, counted, and run. Body atoms are ordered by
 //!   priced operator work, and each join step is given the cheaper of two
 //!   access paths — a hashed build side, or the key column's posting index
-//!   ([`StepOp::Merge`]). The driver projects every valuation into a
-//!   head sink: a set of answers, or a seed's support counts.
+//!   ([`StepOp::Merge`]); a scan filtered by one constant alone reads
+//!   that constant's posting list. The driver projects every valuation
+//!   into a head sink: a set of answers, or a seed's support counts.
 //! - **One join step** (`join.rs`): every step of every pipeline — a
 //!   disjunct here, a rule body in [`crate::program`], a delta rule in
 //!   [`crate::ivm`] — is the same compiled step: an atom classified
@@ -185,7 +186,8 @@ impl Extend<Vec<Term>> for Support {
 /// `ops` is the planner's per-step operator choice, parallel to `order`: a
 /// [`StepOp::Merge`] step probes the key column's posting index instead of
 /// a hashed build side, provided the step's shape confirms that column;
-/// every other step reads a build side ([`StepOp::Scan`] and
+/// a scan filtered by one constant alone reads that constant's posting
+/// list; every other step reads a build side ([`StepOp::Scan`] and
 /// [`StepOp::Hash`] differ only in the planner's pricing).
 ///
 /// Each join step's probe side is split into contiguous spans across up
@@ -222,12 +224,16 @@ fn execute_cq_ordered(
             Some(StepOp::Merge { key_col }) if shape.posting_col() == Some(*key_col)
         );
         let (compiled, was_hit) = Step::compile(db, cache, atom, shape, merge);
-        match was_hit {
-            None => &tally.merges,
-            Some(true) => &tally.hits,
-            Some(false) => &tally.misses,
+        // A scan that read one constant's posting list fetched nothing and
+        // merged nothing: it counts nowhere.
+        let counter = match was_hit {
+            Some(true) => Some(&tally.hits),
+            Some(false) => Some(&tally.misses),
+            None => merge.then_some(&tally.merges),
+        };
+        if let Some(counter) = counter {
+            counter.fetch_add(1, Ordering::Relaxed);
         }
-        .fetch_add(1, Ordering::Relaxed);
         current = if compiled.is_empty() {
             Vec::new()
         } else {
@@ -293,6 +299,11 @@ where
 }
 
 /// Counters from one (U)CQ execution.
+///
+/// Every join step bumps one of `build_cache_hits`, `build_cache_misses`
+/// and `merge_joins`, except a scan filtered by one constant alone (no
+/// key column, no repeat): it reads that constant's posting list, fetches
+/// no build side and is no planner-chosen merge, so it bumps none.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecMetrics {
     /// Disjuncts evaluated.

@@ -398,6 +398,17 @@ mod tests {
         p
     }
 
+    /// `program()` with `edge(a, b)` for every `edge` atom.
+    fn program_with_ground_edge() -> DatalogProgram {
+        let mut p = program();
+        for atom in p.rules.iter_mut().flat_map(|r| r.body.iter_mut()) {
+            if atom.pred == Predicate::new("edge", 2) {
+                atom.args = vec![Term::constant("a"), Term::constant("b")];
+            }
+        }
+        p
+    }
+
     /// `program()` answering `q(X, X)`: only self-loops.
     fn program_with_repeated_goal() -> DatalogProgram {
         let mut p = program();
@@ -557,12 +568,22 @@ mod tests {
         let answers: BTreeSet<Vec<Term>> = [tup(&["a", "b"]), tup(&["b", "a"])].into();
         assert_eq!(view.answers(), &answers);
 
-        // `edge(X, b)` carries a constant: once `top(c)` enters, its steps
-        // fetch a build side, from the old state right of the `top` delta
-        // and the new state left of it.
+        // `edge(X, b)` carries a constant. Once `top(c)` enters, the
+        // delta at `top(X)` joins it on `X` plus the constant, a build
+        // side from the old state right of the delta. The delta at
+        // `top(Y)` scans it first, filtered by the constant alone: that
+        // reads `b`'s posting list in the new state and builds nothing.
         let (mut view, _) = seed(program_with_edge_constant(), &db);
         let mut db2 = db.clone();
         db2.insert(Atom::make("c1", ["c"]));
+        let (old, new) = (BuildCache::new(), BuildCache::new());
+        view.propagate((&db, &old), (&db2, &new), &delta("c1", &["c"], 1));
+        assert_eq!((old.len(), new.len()), (1, 0));
+
+        // `edge(a, b)` carries two constants, which no one posting list
+        // answers: both deltas scan it first and fetch a build side, one
+        // from each state.
+        let (mut view, _) = seed(program_with_ground_edge(), &db);
         let (old, new) = (BuildCache::new(), BuildCache::new());
         view.propagate((&db, &old), (&db2, &new), &delta("c1", &["c"], 1));
         assert_eq!((old.len(), new.len()), (1, 1));

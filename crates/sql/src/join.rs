@@ -10,7 +10,9 @@
 //! says `merge`; view maintenance
 //! ([`crate::ivm`]) compiles a delta rule's steps once per pass, probes
 //! once per changed tuple, and probes postings wherever the shape has a
-//! [`posting_col`](AtomShape::posting_col). Intermediate tuples are
+//! [`posting_col`](AtomShape::posting_col). Both read a scan filtered by
+//! one constant alone off that constant's posting list
+//! ([`posting_const`](AtomShape::posting_const)). Intermediate tuples are
 //! `Vec<Term>` valuations; cells are decoded to terms here, where a row
 //! extends a tuple, and nowhere else.
 
@@ -91,6 +93,17 @@ impl AtomShape {
         }
     }
 
+    /// The one constant filter of a scan whose posting list is exactly
+    /// the matching rows: no key column, one constant, no repeats.
+    pub(crate) fn posting_const(&self) -> Option<(usize, &Term)> {
+        match self.consts.as_slice() {
+            [(col, term)] if self.key_cols.is_empty() && self.repeats.is_empty() => {
+                Some((*col, term))
+            }
+            _ => None,
+        }
+    }
+
     /// Does a ground tuple of the atom's relation satisfy the constant
     /// and repeat filters?
     pub(crate) fn admits(&self, tuple: &[Term]) -> bool {
@@ -105,12 +118,16 @@ impl AtomShape {
 }
 
 /// How a [`Step`] finds the rows joining one probe key.
-enum Access {
+enum Access<'a> {
     /// The key column's posting index, which every table maintains (the
     /// planner's `merge` operator): nothing is built or cached.
     /// [`Step::compile`] only makes one for a shape with a
     /// [`posting_col`](AtomShape::posting_col).
     Posting { key_col: usize },
+    /// The rows of one constant's posting list: a scan with exactly one
+    /// constant filter, no key column and no repeat reads that list as it
+    /// stands, so nothing is built, locked or cached per constant.
+    Rows(&'a [u32]),
     /// A hashed build side from a [`BuildCache`]: the atom's rows,
     /// filtered by its constants and repeats, grouped by the key columns.
     Build(Arc<Build>),
@@ -123,16 +140,17 @@ pub(crate) struct Step<'a> {
     table: Option<&'a Table>,
     probe_indices: Vec<usize>,
     fresh_cols: Vec<usize>,
-    access: Access,
+    access: Access<'a>,
 }
 
 impl<'a> Step<'a> {
     /// Compile `atom`'s step over `db`. With `posting` set, a shape whose
     /// key column's postings are exactly the joining rows
-    /// ([`AtomShape::posting_col`]) probes that index; every other step
-    /// fetches its build side from `cache`, or constructs it into it. The
-    /// second value says whether the cache served it (`None`: nothing was
-    /// fetched).
+    /// ([`AtomShape::posting_col`]) probes that index; a scan filtered by
+    /// one constant alone reads that constant's posting list; every other
+    /// step fetches its build side from `cache`, or constructs it into it.
+    /// The second value says whether the cache served it (`None`: nothing
+    /// was fetched).
     pub(crate) fn compile(
         db: &'a Database,
         cache: &BuildCache,
@@ -140,17 +158,23 @@ impl<'a> Step<'a> {
         shape: AtomShape,
         posting: bool,
     ) -> (Step<'a>, Option<bool>) {
-        let (access, was_hit) = match shape.posting_col().filter(|_| posting) {
-            Some(key_col) => (Access::Posting { key_col }, None),
-            None => {
-                let pattern =
-                    PatternKey::make(atom.pred, shape.key_cols, shape.consts, shape.repeats);
-                let (build, was_hit) = cache.get_or_build(db, &pattern);
-                (Access::Build(build), Some(was_hit))
-            }
+        let table = db.table(atom.pred);
+        let (access, was_hit) = if let Some(key_col) = shape.posting_col().filter(|_| posting) {
+            (Access::Posting { key_col }, None)
+        } else if let Some((col, term)) = shape.posting_const() {
+            // A non-constant filter matches nothing: no row holds one.
+            let rows = match (table, cell_of(term)) {
+                (Some(table), Some(cell)) => table.posting_cells(col, cell),
+                _ => &[],
+            };
+            (Access::Rows(rows), None)
+        } else {
+            let pattern = PatternKey::make(atom.pred, shape.key_cols, shape.consts, shape.repeats);
+            let (build, was_hit) = cache.get_or_build(db, &pattern);
+            (Access::Build(build), Some(was_hit))
         };
         let step = Step {
-            table: db.table(atom.pred),
+            table,
             probe_indices: shape.probe_indices,
             fresh_cols: shape.fresh_cols,
             access,
@@ -174,6 +198,7 @@ impl<'a> Step<'a> {
             Access::Posting { key_col } => self.extend(table, batch, out, |key| {
                 table.posting_cells(*key_col, key[0])
             }),
+            Access::Rows(rows) => self.extend(table, batch, out, |_| rows),
             Access::Build(build) => self.extend(table, batch, out, |key| build.group_cells(key)),
         }
     }
@@ -313,6 +338,17 @@ mod tests {
         assert_eq!(eligible(&["X", "k"], &["X"]), None, "a constant");
         assert_eq!(eligible(&["X", "A", "A"], &["X"]), None, "a repeat");
         assert_eq!(eligible(&["X", "X"], &["X"]), None, "the key twice");
+
+        // One posting list answers a scan filtered by one constant alone.
+        let scanned = |args: &[&str], bound: &[&str]| {
+            let s = shape(&atom("e", args), bound);
+            s.posting_const().map(|(col, t)| (col, t.clone()))
+        };
+        assert_eq!(scanned(&["X", "k"], &[]), Some((1, Term::constant("k"))));
+        assert_eq!(scanned(&["X", "k"], &["X"]), None, "a key column");
+        assert_eq!(scanned(&["j", "k"], &[]), None, "two constants");
+        assert_eq!(scanned(&["X", "k", "X"], &[]), None, "a repeat");
+        assert_eq!(scanned(&["X", "Y"], &[]), None, "no constant");
     }
 
     /// xorshift64: the crate has no dependency to draw a generator from.
@@ -422,5 +458,56 @@ mod tests {
             }
         }
         assert!(joined > 5_000, "the fixture must join something: {joined}");
+    }
+
+    #[test]
+    fn a_one_constant_scan_reads_its_posting_list_and_builds_nothing() {
+        let mut read = 0usize;
+        for seed in 1..=40u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut db = Database::from_facts((0..60).map(|_| random_fact(&mut rng)));
+            for _ in 0..20 {
+                let fact = random_fact(&mut rng);
+                if rng.below(3) == 0 {
+                    db.remove(&fact);
+                } else {
+                    db.insert(fact);
+                }
+            }
+            let cache = BuildCache::new();
+            for arity in 1..=4 {
+                for const_col in 0..arity {
+                    let filters = (0..9)
+                        .map(value)
+                        .chain([Term::constant("never"), Term::Null(999)]);
+                    for filter in filters {
+                        let vars: Vec<String> = (0..arity).map(|j| format!("F{j}")).collect();
+                        let mut args: Vec<Term> = vars.iter().map(|v| Term::var(v)).collect();
+                        args[const_col] = filter.clone();
+                        let a = Atom::new(Predicate::new(&format!("p{arity}"), arity), args);
+                        let (step, fetched) =
+                            Step::compile(&db, &cache, &a, AtomShape::of(&a, |_| None), false);
+                        assert!(fetched.is_none(), "{a}: no build side fetched");
+                        let mut out = Vec::new();
+                        step.probe(&[Vec::new()], &mut out);
+                        out.sort();
+                        let mut expected: Vec<Vec<Term>> = db
+                            .rows_vec(a.pred)
+                            .into_iter()
+                            .filter(|row| row[const_col] == filter)
+                            .map(|mut row| {
+                                row.remove(const_col);
+                                row
+                            })
+                            .collect();
+                        expected.sort();
+                        assert_eq!(out, expected, "seed {seed}, {a}");
+                        read += expected.len();
+                    }
+                }
+            }
+            assert!(cache.is_empty(), "seed {seed}");
+        }
+        assert!(read > 2_000, "the fixture must read something: {read}");
     }
 }

@@ -41,20 +41,27 @@ struct TableStats {
     distinct: Vec<usize>,
 }
 
+impl TableStats {
+    /// `pred`'s statistics in `db` — O(1) per column, served by the
+    /// table's indexes.
+    fn of(db: &Database, pred: Predicate) -> TableStats {
+        TableStats {
+            rows: db.table_len(pred),
+            distinct: (0..pred.arity)
+                .map(|j| db.distinct(pred, j).max(1))
+                .collect(),
+        }
+    }
+}
+
 /// Statistics for every predicate of `q`'s body, read off the table `src`
-/// resolves it to — O(1) per column, served by that table's indexes.
+/// resolves it to.
 fn collect_stats(src: &DataSource<'_>, q: &ConjunctiveQuery) -> HashMap<Predicate, TableStats> {
     let mut stats = HashMap::new();
     for pred in q.body.iter().map(|a| a.pred) {
-        stats.entry(pred).or_insert_with(|| {
-            let (db, _) = src.resolve(pred);
-            TableStats {
-                rows: db.table_len(pred),
-                distinct: (0..pred.arity)
-                    .map(|j| db.distinct(pred, j).max(1))
-                    .collect(),
-            }
-        });
+        stats
+            .entry(pred)
+            .or_insert_with(|| TableStats::of(src.resolve(pred).0, pred));
     }
     stats
 }
@@ -142,11 +149,15 @@ impl CostPlan {
 }
 
 /// Price one candidate step: estimated output cardinality, the chosen
-/// operator, and the operator's work. A hash join pays for scanning the
-/// table into a build side plus one probe per intermediate tuple; a merge
-/// join pays for its probes, plus a `min(distinct, card)` term left from
-/// a walk of per-column sorted value lists that tables no longer keep; a
-/// scan pays for the rows it reads.
+/// operator, and the operator's work. A scan pays for the rows it reads;
+/// a hash join pays for reading those rows into a build side plus one
+/// probe per intermediate tuple; a merge join pays for its probes, plus
+/// a `min(distinct, card)` term left from a walk of per-column sorted
+/// value lists that tables no longer keep. The rows read are the whole
+/// table, or — under a constant filter — the most selective constant's
+/// posting list, estimated `rows / d` for the largest distinct count `d`
+/// among the constant columns: the executor drives such a step from
+/// that list, never from the table.
 fn price_step(
     atom: &nyaya_core::Atom,
     stats: &TableStats,
@@ -156,9 +167,18 @@ fn price_step(
 ) -> (f64, StepOp, f64) {
     let raw = step_estimate(atom, stats, bound, card);
     let joins_bound = atom.variables().iter().any(|v| bound.contains(v));
-    // The feedback factor corrects *join* selectivity misestimates; the
-    // leading scan's cardinality is exact (it is read off the index).
+    // The feedback factor corrects *join* selectivity misestimates only; a
+    // leading scan's cardinality is the table's row count, divided by `d`
+    // per constant column — an estimate, but not a join's.
     let est = if joins_bound { raw * correction } else { raw };
+    let read = atom
+        .args
+        .iter()
+        .zip(&stats.distinct)
+        .filter(|(t, _)| !matches!(t, Term::Var(_)))
+        .map(|(_, &d)| d)
+        .max()
+        .map_or(stats.rows as f64, |d| stats.rows as f64 / d as f64);
     // The columnar kernels price operator *work* (rows scanned into a
     // build side, probes) at half a unit per row: builds scan flat u32
     // columns and probes hash short integer keys — about half the per-row
@@ -170,13 +190,9 @@ fn price_step(
     // expensive-work/small-output ones.
     const COLUMNAR_WORK_DISCOUNT: f64 = 0.5;
     if !joins_bound {
-        return (
-            est,
-            StepOp::Scan,
-            COLUMNAR_WORK_DISCOUNT * stats.rows as f64 + est,
-        );
+        return (est, StepOp::Scan, COLUMNAR_WORK_DISCOUNT * read + est);
     }
-    let hash_cost = COLUMNAR_WORK_DISCOUNT * (stats.rows as f64 + card) + est;
+    let hash_cost = COLUMNAR_WORK_DISCOUNT * (read + card) + est;
     // Eligible for the posting index: the executor's own classification,
     // asked with the planner's bound set (the valuation index is unused).
     match AtomShape::of(atom, |v| bound.contains(&v).then_some(0)).posting_col() {
@@ -371,6 +387,55 @@ mod tests {
         let pf = plan_cq_cost(&db, &filtered);
         let ps = plan_cq_cost(&db, &scan);
         assert!(pf.cost < ps.cost);
+    }
+
+    /// [`price_step`] over `atom`'s table in `db`, with `bound` bound into
+    /// an intermediate of `card` tuples and no feedback correction.
+    fn price(db: &Database, atom: &Atom, bound: &[&str], card: f64) -> (f64, StepOp, f64) {
+        let bound = bound.iter().filter_map(|v| Term::var(v).as_var()).collect();
+        price_step(atom, &TableStats::of(db, atom.pred), &bound, card, 1.0)
+    }
+
+    #[test]
+    fn a_constant_scan_is_priced_by_its_posting_list() {
+        let mut db = skewed_db();
+        for i in 0..300 {
+            db.insert(Atom::make("mid", [format!("v{i}").as_str()]));
+        }
+        // big(X, w1) reads w1's posting list, ~1000/10 rows, and keeps as
+        // many: 0.5 · 100 + 100 = 150, against 0.5 · 300 + 300 = 450 for
+        // scanning the 300-row mid/1. Priced by the whole table (0.5 ·
+        // 1000 + 100) it would go second.
+        let q = cq(&["X"], &[("mid", &["X"]), ("big", &["X", "w1"])]);
+        let (est, op, work) = price(&db, &q.body[1], &[], 1.0);
+        assert_eq!((est, op), (100.0, StepOp::Scan));
+        assert_eq!(work, 0.5 * (1000.0 / 10.0) + est);
+        assert_eq!(price(&db, &q.body[0], &[], 1.0).2, 0.5 * 300.0 + 300.0);
+        let plan = plan_cq_cost(&db, &q);
+        assert_eq!(plan.order, vec![1, 0], "{plan:?}");
+        assert_eq!(plan.ops[0], StepOp::Scan, "{plan:?}");
+        assert_eq!(
+            execute_one(&db, &q),
+            reference::execute_cq_reference(&db, &q)
+        );
+    }
+
+    #[test]
+    fn a_constant_cheapens_a_hash_build_to_its_posting_list() {
+        let db = skewed_db();
+        // After small(X), big(X, w1) is a hash join (a key plus a constant
+        // has no posting column): its build side reads w1's ~100 rows, not
+        // big's 1000.
+        let atom = &cq(&["X"], &[("big", &["X", "w1"])]).body[0];
+        let (est, op, work) = price(&db, atom, &["X"], 2.0);
+        assert_eq!(op, StepOp::Hash);
+        assert_eq!(work, 0.5 * (1000.0 / 10.0 + 2.0) + est);
+        assert!(work < 0.5 * (1000.0 + 2.0) + est);
+        // With no constant the same atom reads the whole table.
+        let atom = &cq(&["X"], &[("big", &["X", "X"])]).body[0];
+        let (est, op, work) = price(&db, atom, &["X"], 2.0);
+        assert_eq!(op, StepOp::Hash);
+        assert_eq!(work, 0.5 * (1000.0 + 2.0) + est);
     }
 
     #[test]

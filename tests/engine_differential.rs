@@ -120,21 +120,36 @@ fn shared_build_cache_collapses_repeated_patterns_across_disjuncts() {
     let mut rng = Prng::seed_from_u64(99);
     let facts = random_database(&mut rng, &config);
     let db = Database::from_facts(facts);
-    // 40 copies of the same single-atom disjunct: one build, 39 hits.
+    // 40 copies of one disjunct whose every step builds: two constants
+    // (`f3(c2, c7, Y)`, the cheapest scan), a key plus a constant
+    // (`f3(Y, c3, Z)`) and a repeat (`f2(W, W)`, the Cartesian step last).
+    // Seed 99's database joins all three into one answer, so the first
+    // copy builds each pattern once and the other 39 are served from the
+    // cache.
+    let cq = nyaya::parser::parse_query("q(Y, Z, W) :- f2(W, W), f3(Y, c3, Z), f3(c2, c7, Y).");
+    let ucq = nyaya_core::UnionQuery::new(vec![cq.unwrap(); 40]);
+    let cache = BuildCache::new();
+    let (answers, metrics) = execute_ucq_intra(&db, &ucq, 1, 1, &cache, 1.0);
+    assert_eq!(answers, reference::execute_ucq_reference(&db, &ucq));
+    assert_eq!(answers.len(), 1, "{metrics:?}");
+    assert_eq!(metrics.build_cache_misses, 3, "{metrics:?}");
+    assert_eq!(metrics.build_cache_hits, 39 * 3, "{metrics:?}");
+    assert_eq!(cache.len(), 3);
+
+    // Seed 99's random disjunct, `q(X2) :- f2(c7,X3), f1(c5,X2)`: two
+    // scans, each filtered by one constant alone, read their constants'
+    // posting lists. 40 copies fetch no build side and leave the cache
+    // empty.
     let cq = nyaya_ontologies::random_cq(&mut rng, &config, 1);
-    let atoms = cq.body.len() as u64;
+    assert_eq!(cq.to_string(), "q(X2) :- f2(c7,X3), f1(c5,X2)");
     let ucq = nyaya_core::UnionQuery::new(vec![cq; 40]);
-    let (_, metrics) = execute_ucq_intra(&db, &ucq, 1, 1, &BuildCache::new(), 1.0);
-    // Identical disjuncts produce identical access patterns: each pattern
-    // is built exactly once and then served from the cache for all 39
-    // remaining disjuncts (the pipeline may stop early on an empty
-    // intermediate, but it stops at the same atom in every copy).
-    assert!(metrics.build_cache_misses >= 1, "{metrics:?}");
-    assert!(metrics.build_cache_misses <= atoms, "{metrics:?}");
-    assert!(
-        metrics.build_cache_hits >= 39 * metrics.build_cache_misses,
-        "{metrics:?}"
-    );
+    let cache = BuildCache::new();
+    let (answers, metrics) = execute_ucq_intra(&db, &ucq, 1, 1, &cache, 1.0);
+    assert_eq!(answers, reference::execute_ucq_reference(&db, &ucq));
+    let fetched = (metrics.build_cache_hits, metrics.build_cache_misses);
+    assert_eq!(fetched, (0, 0), "{metrics:?}");
+    assert_eq!(metrics.merge_joins, 0, "{metrics:?}");
+    assert!(cache.is_empty());
 }
 
 /// Pins `execute_ucq_intra`'s worker fan-out (disjuncts across `threads`,

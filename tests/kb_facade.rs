@@ -969,3 +969,53 @@ fn the_program_target_does_not_copy_a_renamed_base_relation() {
         "materialized {materialized} tuples over {takes} takesCourse facts"
     );
 }
+
+/// Never-seen point queries of the three serving shapes leave a
+/// snapshot's build cache as they found it: each scans its constant's
+/// posting list instead of caching a build side keyed by that constant,
+/// and every other build it needs carries no constant and is shared.
+/// Sixty departments make a department's `worksFor` posting list cheaper
+/// to scan than the `Chair` table, as it is at serving scale.
+#[test]
+fn point_queries_leave_the_build_cache_as_they_found_it() {
+    use nyaya::ontologies::lubm::{lubm_abox, LubmConfig};
+    use nyaya::ontologies::{load, BenchmarkId};
+
+    let kb = KnowledgeBase::builder()
+        .ontology(load(BenchmarkId::U).raw)
+        .facts(lubm_abox(&LubmConfig {
+            universities: 4,
+            departments_per_university: 15,
+            seed: 7,
+        }))
+        .build()
+        .unwrap();
+    // Query `i` of shape `i % 3` names department `i / 3`: every text is
+    // new, and past the sixtieth department (university 4) its constant
+    // is absent.
+    let point = |i: usize| {
+        let j = i / 3;
+        let (u, d) = (j / 15, j % 15);
+        match i % 3 {
+            0 => format!("q(C) :- takesCourse(u{u}d{d}_gr{}, C), Course(C).", j % 50),
+            1 => format!("q(S) :- Student(S), advisor(S, u{u}d{d}_fac{}).", j % 40),
+            _ => format!("q(P, C) :- worksFor(P, u{u}d{d}_dept), teacherOf(P, C), Professor(P)."),
+        }
+    };
+    let run = |i: usize| {
+        let q = kb.prepare_text(&point(i)).unwrap();
+        let answers = kb.execute(&q).unwrap().tuples;
+        let ucq = &kb.rewriting(&q).unwrap().ucq;
+        let reference = nyaya::sql::reference::execute_ucq_reference(kb.snapshot().database(), ucq);
+        assert_eq!(answers, reference, "{}", point(i));
+        answers.len()
+    };
+    // The first query of each shape may build its constant-free scans.
+    for i in 0..3 {
+        run(i);
+    }
+    let before = kb.snapshot().build_cache().len();
+    let answered: usize = (3..203).map(run).sum();
+    assert!(answered > 200, "the point queries must answer something");
+    assert_eq!(kb.snapshot().build_cache().len(), before);
+}
