@@ -138,13 +138,11 @@ impl Build {
     }
 }
 
-/// Upper bound on cached build sides per [`BuildCache`]. A pattern names
-/// its constants, so ad-hoc constants in a pattern that still builds (a
-/// join key or a repeat beside the constant, or two constants) would
-/// otherwise grow a long-lived snapshot's cache without limit; past the
-/// cap, builds are still constructed and used but not retained. A scan
-/// filtered by one constant alone reads that constant's posting list and
-/// never reaches the cache (`join.rs`).
+/// Upper bound on cached build sides per [`BuildCache`]; past it, builds
+/// are still constructed and used but not retained. A pattern that names
+/// a constant is never retained at all (see
+/// [`get_or_build`](BuildCache::get_or_build)), so the retained patterns
+/// are those of the constant-free query shapes the cache serves.
 pub(crate) const MAX_CACHED_BUILDS: usize = 4096;
 
 /// A concurrent cache of hashed build sides, keyed by access pattern.
@@ -167,7 +165,19 @@ impl BuildCache {
     /// Returns the build side and whether it was served from the cache
     /// — the flag is what makes per-call hit/miss attribution exact
     /// even when many executions share this cache concurrently.
+    ///
+    /// A pattern that names a constant (a join key or a repeat beside a
+    /// constant, or two constants) is built for the step that asked and
+    /// not retained: point queries bring a new constant each, which would
+    /// fill a long-lived snapshot's cache with builds no later query
+    /// reads. The planner already charges every hash step its own build.
+    /// (A scan filtered by one constant alone reads that constant's
+    /// posting list and never reaches the cache, `join.rs`.)
     pub(crate) fn get_or_build(&self, db: &Database, key: &PatternKey) -> (Arc<Build>, bool) {
+        if !key.consts.is_empty() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return (Arc::new(Build::construct(db, key)), false);
+        }
         // A cache is advisory state: entries are immutable `Arc<Build>`s
         // and a panic mid-insert leaves the map valid, so a poisoned lock
         // is recovered rather than propagated — one panicking reader must

@@ -148,9 +148,10 @@ impl<'a> Step<'a> {
     /// key column's postings are exactly the joining rows
     /// ([`AtomShape::posting_col`]) probes that index; a scan filtered by
     /// one constant alone reads that constant's posting list; every other
-    /// step fetches its build side from `cache`, or constructs it into it.
-    /// The second value says whether the cache served it (`None`: nothing
-    /// was fetched).
+    /// step fetches its build side from `cache`, or constructs it into it
+    /// (retained only when its pattern names no constant,
+    /// [`BuildCache::get_or_build`]). The second value says whether the
+    /// cache served it (`None`: nothing was fetched).
     pub(crate) fn compile(
         db: &'a Database,
         cache: &BuildCache,

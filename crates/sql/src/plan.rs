@@ -157,7 +157,8 @@ impl CostPlan {
 /// table, or — under a constant filter — the most selective constant's
 /// posting list, estimated `rows / d` for the largest distinct count `d`
 /// among the constant columns: the executor drives such a step from
-/// that list, never from the table.
+/// that list, never from the table. Every hash step is charged its own
+/// build: a build whose pattern names a constant is never cached.
 fn price_step(
     atom: &nyaya_core::Atom,
     stats: &TableStats,

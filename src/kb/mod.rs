@@ -11,15 +11,19 @@
 //!   **once** at [`build`](KnowledgeBaseBuilder::build) time — including
 //!   the Section 6 [`EliminationContext`], which is derived from Σ alone
 //!   and shared by every subsequent rewriting;
-//! - [`KnowledgeBase::prepare`] turns a CQ into a [`PreparedQuery`]; its
-//!   perfect rewriting is computed on first execution and memoized in the
-//!   one cache entry of the query's shape (canonical key and engine, so
-//!   α-equivalent queries share it), beside everything else learned about
-//!   that shape: its program, the [`Strategy::Auto`] choice, the plan
-//!   correction and the last few answer sets. Repeated queries never
-//!   rewrite twice — [`KbStats`] exposes the hit/miss counters. A handle
-//!   keeps its entry inline after first use; one guard makes a handle
-//!   executed on a *different* knowledge base use that base's entry;
+//! - [`KnowledgeBase::prepare`] turns a CQ into a [`PreparedQuery`],
+//!   abstracting every constant Σ never mentions into a parameter; the
+//!   perfect rewriting of that template is computed on first execution
+//!   and memoized in the one cache entry of the query's shape (the
+//!   template's canonical key and engine, so α-equivalent queries, and
+//!   point queries that differ only in such a constant, share it), beside
+//!   everything else learned about that shape: its program, the
+//!   [`Strategy::Auto`] choice, the plan correction and the last few
+//!   answer sets. Each handle binds its own constants into the compiled
+//!   forms once (and learns its own plan correction when it binds any). Repeated queries never rewrite twice — [`KbStats`]
+//!   exposes the hit/miss counters. A handle keeps its entry inline after
+//!   first use; one guard makes a handle executed on a *different*
+//!   knowledge base use that base's entry;
 //! - every execution takes one path: the backend named by an
 //!   [`ExecutorKind`] — the in-process relational engine, SQL-text
 //!   emission for an external DBMS, or chase-based certain answers for
@@ -60,17 +64,19 @@ mod error;
 mod executor;
 mod stats;
 mod subscribe;
+mod template;
 mod update;
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::borrow::Cow;
+use std::collections::{HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, Weak};
 
 use nyaya_chase::{check_consistency, ChaseConfig, Consistency};
 use nyaya_core::{
-    apply_select, canonical_key, classify, normalize, Atom, CanonicalKey, Classification,
-    ConjunctiveQuery, DatalogProgram, Normalization, Ontology, Predicate, SelectOptions, Term, Tgd,
+    apply_select, classify, normalize, Atom, CanonicalKey, Classification, ConjunctiveQuery,
+    DatalogProgram, Normalization, Ontology, Predicate, SelectOptions, Symbol, Term, Tgd,
 };
 use nyaya_parser::{parse_dl_lite, parse_owl_ql, parse_program, parse_query};
 use nyaya_rewrite::{
@@ -80,11 +86,12 @@ use nyaya_rewrite::{
 };
 use nyaya_sql::{BaseDeltas, BuildCache, Catalog, Database, ExecMetrics, MaterializedView};
 
-use cache::QueryEntry;
+use cache::{Correction, Entries, QueryEntry, ANSWER_CACHE_PER_QUERY, ANSWER_CACHE_PER_TEMPLATE};
 use durability::Durability;
 use executor::{thread_budgets, Target};
 use stats::Counters;
 use subscribe::SubscriptionInner;
+use template::{sigma_constants, Shape};
 use update::replay;
 
 pub use error::NyayaError;
@@ -158,24 +165,39 @@ pub const REPLAN_RATIO: f64 = 8.0;
 /// A query compiled against a [`KnowledgeBase`].
 ///
 /// Holds the original CQ, the engine that will compile it, and its
-/// canonical cache key. Everything compiled or learned for it — rewriting,
+/// template: the query with every constant the ontology never mentions
+/// replaced by a parameter, beside the constants those parameters stand
+/// for. Everything compiled or learned for the template — rewriting,
 /// program, [`Strategy::Auto`] choice, plan correction, cached answers —
-/// lives in the knowledge base's one cache entry for the query's shape,
-/// produced lazily by the first executor that needs it and shared by every
-/// α-equivalent handle. The handle keeps a reference to that entry inline,
-/// so re-executing it takes no cache lock. The slot belongs to the
-/// knowledge base that prepared the handle: executing it against a
-/// *different* knowledge base goes through that base's own entry (compiled
-/// under its own ontology) and never touches the slot, instead of silently
-/// serving a rewriting from the wrong Σ.
+/// lives in the knowledge base's one cache entry for it, produced lazily
+/// by the first executor that needs it and shared by every handle with an
+/// α-equivalent template — except the plan correction of a handle that
+/// binds constants, which the handle learns itself (see
+/// [`KnowledgeBase::plan_correction`]). The handle binds its constants
+/// into the compiled forms once and keeps those, and a reference to the
+/// entry, inline, so re-executing it takes no cache lock. The slots
+/// belong to the knowledge base that prepared the handle: executing it
+/// against a *different* knowledge base re-templates the query against
+/// that base's ontology, goes through that base's own entry and never
+/// touches the slots, instead of silently serving a rewriting from the
+/// wrong Σ.
 pub struct PreparedQuery {
     query: ConjunctiveQuery,
     algorithm: Algorithm,
-    key: CanonicalKey,
+    /// `query` as the base that prepared it compiles it.
+    shape: Shape,
     /// Identity of the [`KnowledgeBase`] whose `prepare` produced this.
     kb_id: u64,
     /// That base's entry for this query's shape, filled on first use.
     entry: OnceLock<Arc<QueryEntry>>,
+    /// The entry's rewriting and program with `shape`'s constants bound,
+    /// filled on first use when there are any (otherwise the entry's own
+    /// forms are served).
+    bound_rewriting: OnceLock<Arc<CompiledRewriting>>,
+    bound_program: OnceLock<Arc<CompiledProgram>>,
+    /// The plan correction learned from this handle's executions when it
+    /// binds constants (see [`KnowledgeBase::plan_correction`]).
+    bound_correction: Correction,
 }
 
 impl std::fmt::Debug for PreparedQuery {
@@ -203,9 +225,11 @@ impl PreparedQuery {
         self.algorithm
     }
 
-    /// The canonical (α-renaming-invariant) cache key.
+    /// The canonical (α-renaming-invariant) cache key: that of the
+    /// query's template, so queries differing only in constants the
+    /// ontology never mentions share it.
     pub fn key(&self) -> &CanonicalKey {
-        &self.key
+        &self.shape.key
     }
 }
 
@@ -519,6 +543,7 @@ impl KnowledgeBaseBuilder {
                 ),
         );
         let nc_pruning = self.nc_pruning.unwrap_or(!self.ontology.ncs.is_empty());
+        let sigma_constants = sigma_constants(&self.ontology, &normalization.tgds);
         let mut database = Database::from_facts(self.facts.iter().cloned());
         let mut epoch = 0u64;
         let counters = Arc::new(Counters::default());
@@ -563,6 +588,7 @@ impl KnowledgeBaseBuilder {
             normalization,
             elimination,
             hidden,
+            sigma_constants,
             state: RwLock::new(snapshot),
             apply_lock: Mutex::new(()),
             chase_config: self.chase_config,
@@ -573,7 +599,7 @@ impl KnowledgeBaseBuilder {
             program_threshold: self.program_threshold,
             default_algorithm: algorithm,
             executor,
-            entries: RwLock::new(HashMap::new()),
+            entries: RwLock::default(),
             counters,
             durability,
             subscriptions: Mutex::new(Vec::new()),
@@ -601,6 +627,9 @@ pub struct KnowledgeBase {
     normalization: Normalization,
     elimination: Option<EliminationContext>,
     hidden: HashSet<Predicate>,
+    /// Every constant Σ mentions: a prepared query's template keeps
+    /// these and abstracts every other constant.
+    sigma_constants: HashSet<Symbol>,
     /// The currently published data epoch. Read-locked only long enough
     /// to clone the `Arc`; write-locked only for the pointer swap.
     state: RwLock<Arc<Snapshot>>,
@@ -615,10 +644,11 @@ pub struct KnowledgeBase {
     program_threshold: usize,
     default_algorithm: Algorithm,
     executor: ExecutorKind,
-    /// One entry per query shape — (canonical query, engine) — holding
+    /// One entry per query shape — (canonical template, engine) — holding
     /// everything compiled or learned for it (see [`PreparedQuery`]).
-    /// Reached only through [`entry`](Self::entry).
-    entries: RwLock<HashMap<(CanonicalKey, Algorithm), Arc<QueryEntry>>>,
+    /// Reached only through [`entry`](Self::entry); bounded by
+    /// [`Entries::get_or_insert`].
+    entries: RwLock<Entries>,
     counters: Arc<Counters>,
     /// The durable-ledger layer, present iff the builder set
     /// [`durable`](KnowledgeBaseBuilder::durable).
@@ -1122,11 +1152,14 @@ impl KnowledgeBase {
         }
         self.counters.prepared.fetch_add(1, Ordering::Relaxed);
         Ok(PreparedQuery {
-            key: canonical_key(query),
+            shape: Shape::of(query, &self.sigma_constants),
             query: query.clone(),
             algorithm,
             kb_id: self.id,
             entry: OnceLock::new(),
+            bound_rewriting: OnceLock::new(),
+            bound_program: OnceLock::new(),
+            bound_correction: Correction::default(),
         })
     }
 
@@ -1136,33 +1169,45 @@ impl KnowledgeBase {
         self.prepare(&query)
     }
 
-    /// The perfect rewriting of a prepared query — compiled on first use,
-    /// then served from the cache (keyed by canonical query and engine, so
-    /// α-equivalent queries prepared separately share one compile).
+    /// The perfect rewriting of a prepared query — compiled for its
+    /// template on first use, then served from the cache (keyed by the
+    /// template's canonical key and engine, so α-equivalent queries and
+    /// queries differing only in constants Σ never mentions share one
+    /// compile), with the query's own constants bound.
     pub fn rewriting(&self, query: &PreparedQuery) -> Result<Arc<CompiledRewriting>, NyayaError> {
-        let entry = self.entry(query);
-        if let Some(compiled) = entry.rewriting.get() {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(compiled));
-        }
-        self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = self.compile(&query.query, query.algorithm)?;
-        // Racing misses both compile; the first to store wins for both.
-        Ok(Arc::clone(
-            entry.rewriting.get_or_init(|| Arc::new(compiled)),
+        let (shape, entry) = self.entry(query);
+        let compiled = match entry.rewriting.get() {
+            Some(compiled) => {
+                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(compiled)
+            }
+            None => {
+                self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+                let compiled = self.compile(&shape.template, query.algorithm)?;
+                // Racing misses both compile; the first to store wins for both.
+                Arc::clone(entry.rewriting.get_or_init(|| Arc::new(compiled)))
+            }
+        };
+        Ok(self.bind(
+            query,
+            &shape,
+            &query.bound_rewriting,
+            compiled,
+            Shape::bind_rewriting,
         ))
     }
 
-    /// The cache entry of `query`'s shape on this knowledge base — the one
-    /// place a handle's owner is checked. A handle this base prepared
-    /// fills its inline slot on first use and reuses it after; a handle
-    /// prepared elsewhere goes through this base's map every time and
-    /// never touches the slot, which holds what another Σ compiled.
-    fn entry(&self, query: &PreparedQuery) -> Arc<QueryEntry> {
-        let shared = || {
+    /// `query`'s shape on this knowledge base and the cache entry it is
+    /// compiled in — the one place a handle's owner is checked. A handle
+    /// this base prepared brings its own shape and fills its inline slot
+    /// on first use; a handle prepared elsewhere is re-templated against
+    /// this base's Σ and goes through this base's map every time, never
+    /// touching the slot, which holds what another Σ compiled.
+    fn entry<'q>(&self, query: &'q PreparedQuery) -> (Cow<'q, Shape>, Arc<QueryEntry>) {
+        let shared = |shape: &Shape| {
             // The map only memoizes: poisoning cannot leave a torn entry
             // visible, so both sides recover.
-            let key = (query.key.clone(), query.algorithm);
+            let key = (shape.key.clone(), query.algorithm);
             if let Some(entry) = self
                 .entries
                 .read()
@@ -1171,13 +1216,44 @@ impl KnowledgeBase {
             {
                 return Arc::clone(entry);
             }
-            let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(entries.entry(key).or_default())
+            self.entries
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(key)
         };
         if query.kb_id == self.id {
-            Arc::clone(query.entry.get_or_init(shared))
+            let entry = query.entry.get_or_init(|| shared(&query.shape));
+            (Cow::Borrowed(&query.shape), Arc::clone(entry))
         } else {
-            shared()
+            let shape = Shape::of(&query.query, &self.sigma_constants);
+            let entry = shared(&shape);
+            (Cow::Owned(shape), entry)
+        }
+    }
+
+    /// `compiled`, the entry's form of `query`'s template, for `query`
+    /// itself: the entry's own `Arc` when the shape binds no constant,
+    /// else that form with the constants bound — once per handle
+    /// (memoized in `slot`) when this base prepared it.
+    fn bind<T>(
+        &self,
+        query: &PreparedQuery,
+        shape: &Shape,
+        slot: &OnceLock<Arc<T>>,
+        compiled: Arc<T>,
+        bind: fn(&Shape, &T) -> T,
+    ) -> Arc<T> {
+        if shape.bindings.is_empty() {
+            return compiled;
+        }
+        let bound = || {
+            self.counters.template_binds.fetch_add(1, Ordering::Relaxed);
+            Arc::new(bind(shape, &compiled))
+        };
+        if query.kb_id == self.id {
+            Arc::clone(slot.get_or_init(bound))
+        } else {
+            bound()
         }
     }
 
@@ -1251,17 +1327,35 @@ impl KnowledgeBase {
     }
 
     /// Rewrite a prepared query into a non-recursive Datalog program
-    /// (Sections 2 and 8) — compiled on first use, then served from the
-    /// query shape's cache entry beside its [`CompiledRewriting`]
-    /// (TBox-only, so every data write leaves it intact).
+    /// (Sections 2 and 8) — compiled for its template on first use, then
+    /// served from the query shape's cache entry beside its
+    /// [`CompiledRewriting`] (TBox-only, so every data write leaves it
+    /// intact), with the query's own constants bound.
     pub fn program(&self, query: &PreparedQuery) -> Result<Arc<CompiledProgram>, NyayaError> {
-        let entry = self.entry(query);
+        let (shape, entry) = self.entry(query);
+        let compiled = self.template_program(&shape, query.algorithm, &entry)?;
+        Ok(self.bind(
+            query,
+            &shape,
+            &query.bound_program,
+            compiled,
+            Shape::bind_program,
+        ))
+    }
+
+    /// The program of `shape`'s template, compiled once into `entry`.
+    fn template_program(
+        &self,
+        shape: &Shape,
+        algorithm: Algorithm,
+        entry: &QueryEntry,
+    ) -> Result<Arc<CompiledProgram>, NyayaError> {
         if let Some(compiled) = entry.program.get() {
             return Ok(Arc::clone(compiled));
         }
-        let options = self.rewrite_options(query.algorithm);
+        let options = self.rewrite_options(algorithm);
         let out = nr_datalog_rewrite_with(
-            &query.query,
+            &shape.template,
             &self.normalization.tgds,
             &self.ontology.ncs,
             &options,
@@ -1309,11 +1403,11 @@ impl KnowledgeBase {
             Strategy::Ucq => false,
             Strategy::Program => true,
             Strategy::Auto => {
-                let entry = self.entry(query);
+                let (shape, entry) = self.entry(query);
                 match entry.uses_program.get() {
                     Some(&choice) => choice,
                     None => {
-                        let choice = self.auto_prefers_program(query)?;
+                        let choice = self.auto_prefers_program(&shape, query.algorithm, &entry)?;
                         *entry.uses_program.get_or_init(|| choice)
                     }
                 }
@@ -1326,8 +1420,13 @@ impl KnowledgeBase {
         }
     }
 
-    /// The [`Strategy::Auto`] decision for one query, uncached.
-    fn auto_prefers_program(&self, query: &PreparedQuery) -> Result<bool, NyayaError> {
+    /// The [`Strategy::Auto`] decision for one template, uncached.
+    fn auto_prefers_program(
+        &self,
+        shape: &Shape,
+        algorithm: Algorithm,
+        entry: &QueryEntry,
+    ) -> Result<bool, NyayaError> {
         // Cluster the same body the program rewriter will see: elimination
         // (NY⋆) can merge or drop atoms, changing the decomposition. The
         // context mirrors `nr_datalog_rewrite_with` exactly — including the
@@ -1335,7 +1434,7 @@ impl KnowledgeBase {
         // not classify as linear — so this decision and the compile below
         // always cluster the same query.
         let eliminated;
-        let q = if query.algorithm == Algorithm::NyayaStar {
+        let q = if algorithm == Algorithm::NyayaStar {
             let owned;
             let ctx = match &self.elimination {
                 Some(ctx) => ctx,
@@ -1344,10 +1443,10 @@ impl KnowledgeBase {
                     &owned
                 }
             };
-            eliminated = ctx.eliminate(&query.query);
+            eliminated = ctx.eliminate(&shape.template);
             &eliminated
         } else {
-            &query.query
+            &shape.template
         };
         if interaction_clusters(q, &self.normalization.tgds).len() <= 1 {
             // Monolithic: the program is the DNF itself; compiling it costs
@@ -1365,7 +1464,7 @@ impl KnowledgeBase {
         {
             return Ok(false);
         }
-        let program = self.program(query)?;
+        let program = self.template_program(shape, algorithm, entry)?;
         // estimated_dnf == 0 is a *proof of unsatisfiability* (some cluster
         // rewrote to the empty union): serve the cached empty program
         // rather than falling back to the flat path, which would explore
@@ -1513,10 +1612,11 @@ impl KnowledgeBase {
     }
 
     /// Consult the exact answer cache: serve a stored answer iff the
-    /// snapshot's per-predicate write epochs over `touched` equal a
-    /// stored entry's — which proves (see [`Snapshot::pred_epoch`]) the
-    /// touched tables are bit-identical to when that answer was
-    /// computed, so the answer itself is too. Counts a hit or a miss;
+    /// snapshot's per-predicate write epochs over `touched` and the
+    /// query's bound constants equal a stored entry's — which proves (see
+    /// [`Snapshot::pred_epoch`]) the touched tables are bit-identical to
+    /// when that answer was computed for these constants, so the answer
+    /// itself is too. Counts a hit or a miss;
     /// `None` (without counting) when the cache is disabled.
     fn cached_answer(
         &self,
@@ -1527,7 +1627,8 @@ impl KnowledgeBase {
         if !self.answer_cache_enabled {
             return None;
         }
-        let hit = self.entry(query).answer(&snapshot.fingerprint(touched));
+        let (shape, entry) = self.entry(query);
+        let hit = entry.answer(&shape.fingerprint(snapshot, touched));
         let counter = match hit {
             Some(_) => &self.counters.cache_answer_hits,
             None => &self.counters.cache_answer_misses,
@@ -1537,8 +1638,11 @@ impl KnowledgeBase {
     }
 
     /// Store one freshly executed answer set in the exact answer cache,
-    /// tagged with the snapshot's epoch fingerprint over `touched`, in the
-    /// small ring of the query shape's entry.
+    /// tagged with the query's bound constants and the snapshot's epoch
+    /// fingerprint over `touched`, in the ring of the query shape's entry:
+    /// [`ANSWER_CACHE_PER_QUERY`] sets for a query that binds nothing,
+    /// [`ANSWER_CACHE_PER_TEMPLATE`] for a template every bound constant
+    /// shares.
     fn store_answer(
         &self,
         query: &PreparedQuery,
@@ -1547,24 +1651,48 @@ impl KnowledgeBase {
         answers: &Answers,
     ) {
         if self.answer_cache_enabled {
-            self.entry(query)
-                .store(snapshot.fingerprint(touched), answers);
+            let (shape, entry) = self.entry(query);
+            let capacity = if shape.bindings.is_empty() {
+                ANSWER_CACHE_PER_QUERY
+            } else {
+                ANSWER_CACHE_PER_TEMPLATE
+            };
+            entry.store(shape.fingerprint(snapshot, touched), answers, capacity);
         }
     }
 
     /// The learned cardinality-correction factor for this query: `1.0`
     /// until an execution misses its estimate by ≥ [`REPLAN_RATIO`], the
     /// multiplier applied to join estimates on every re-plan afterwards.
+    /// A query that binds constants into its template learns in its own
+    /// handle, not in the entry every constant shares — a miss on one
+    /// constant's rows says nothing about another's — so a held handle
+    /// re-plans and a fresh one starts at `1.0` (as does a handle executed
+    /// on a base that did not prepare it).
     pub fn plan_correction(&self, query: &PreparedQuery) -> f64 {
-        self.entry(query).correction()
+        let (shape, entry) = self.entry(query);
+        if shape.bindings.is_empty() {
+            entry.correction.get()
+        } else if query.kb_id == self.id {
+            query.bound_correction.get()
+        } else {
+            1.0
+        }
     }
 
     /// Feed one execution's estimated-vs-actual row counts back into the
     /// planner: a miss by ≥ [`REPLAN_RATIO`] updates the query's
-    /// correction and ticks `plan_replans`.
+    /// correction (see [`plan_correction`](Self::plan_correction) for
+    /// where it lives) and ticks `plan_replans`.
     fn record_feedback(&self, query: &PreparedQuery, metrics: &ExecMetrics) {
+        let (shape, entry) = self.entry(query);
         let ratio = metrics.rows.max(1) as f64 / metrics.estimated_rows.max(1) as f64;
-        if self.entry(query).learn(ratio) {
+        let learned = if shape.bindings.is_empty() {
+            entry.correction.learn(ratio)
+        } else {
+            query.kb_id == self.id && query.bound_correction.learn(ratio)
+        };
+        if learned {
             self.counters.plan_replans.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1707,6 +1835,7 @@ fn add_net(net: &mut BaseDeltas, fact: &Atom, sign: i64) {
 
 #[cfg(test)]
 mod tests {
+    use super::cache::MAX_QUERY_ENTRIES;
     use super::*;
 
     const PROGRAM: &str = "
@@ -2210,7 +2339,7 @@ mod tests {
                             panic!("poisoning the entry map");
                         }
                         "answer ring" => {
-                            let entry = kb.entry(prepared);
+                            let (_, entry) = kb.entry(prepared);
                             let _guard = entry.answers.write().unwrap();
                             panic!("poisoning the query's answer ring");
                         }
@@ -2258,5 +2387,69 @@ mod tests {
         // …while reads over the published snapshot keep working.
         assert_eq!(kb.execute(&q).unwrap().tuples.len(), 1);
         assert_eq!(kb.epoch(), 0, "the refused batch published nothing");
+    }
+
+    #[test]
+    fn the_entry_map_drops_unheld_entries_past_its_bound() {
+        let kb = KnowledgeBase::from_program_text(PROGRAM).unwrap();
+        let entries = || kb.entries.read().unwrap().values().count();
+        let held: Vec<PreparedQuery> = (0..3)
+            .map(|i| {
+                let q = kb.prepare_text(&format!("q(X) :- held{i}(X).")).unwrap();
+                kb.execute(&q).unwrap();
+                q
+            })
+            .collect();
+        // Distinct shapes, each answered through a handle dropped at once.
+        for i in 0..3 * MAX_QUERY_ENTRIES {
+            kb.answer_text(&format!("q(X) :- shape{i}(X).")).unwrap();
+            assert!(entries() <= MAX_QUERY_ENTRIES, "{} entries", entries());
+        }
+        // A held handle keeps its entry, in the map, compiled: executing it
+        // again recompiles nothing.
+        let misses = kb.stats().cache_misses;
+        for q in &held {
+            let (_, entry) = kb.entry(q);
+            assert!(entry.rewriting.get().is_some());
+            let map = kb.entries.read().unwrap();
+            assert!(map.values().any(|e| Arc::ptr_eq(e, &entry)));
+            drop(map);
+            kb.execute(q).unwrap();
+        }
+        assert_eq!(kb.stats().cache_misses, misses);
+    }
+
+    #[test]
+    fn entries_held_past_the_bound_cost_no_sweep_per_new_shape() {
+        let kb = KnowledgeBase::from_program_text(PROGRAM).unwrap();
+        let entries = || kb.entries.read().unwrap().values().count();
+        let held: Vec<PreparedQuery> = (0..MAX_QUERY_ENTRIES + 100)
+            .map(|i| {
+                let q = kb.prepare_text(&format!("q(X) :- held{i}(X).")).unwrap();
+                kb.execute(&q).unwrap();
+                q
+            })
+            .collect();
+        assert_eq!(entries(), held.len());
+        // The sweep that found every entry held is not repeated for each
+        // new shape: unheld shapes stay compiled until the map doubles.
+        let shape = |i: usize| format!("q(X) :- shape{i}(X).");
+        for i in 0..50 {
+            kb.answer_text(&shape(i)).unwrap();
+        }
+        let misses = kb.stats().cache_misses;
+        for i in 0..50 {
+            kb.answer_text(&shape(i)).unwrap();
+        }
+        assert_eq!(kb.stats().cache_misses, misses, "no entry was swept");
+        // Past twice what the last sweep kept, the unheld ones go.
+        let mut peak = 0;
+        for i in 50..2 * held.len() {
+            kb.answer_text(&shape(i)).unwrap();
+            peak = peak.max(entries());
+        }
+        assert_eq!(peak, 2 * held.len());
+        assert!(entries() < peak, "{} entries", entries());
+        assert!(held.iter().all(|q| kb.entry(q).1.rewriting.get().is_some()));
     }
 }

@@ -76,6 +76,10 @@ kb_stats! {
     count cache_hits: u64,
     /// Rewriting-cache misses (a rewriting was computed).
     count cache_misses: u64,
+    /// Compiled forms (a rewriting or a program) bound to one prepared
+    /// query's constants: its template's form with the constants the
+    /// ontology never mentions put back, once per handle and form.
+    count template_binds: u64,
     /// Executions across all backends.
     count executions: u64,
     /// Distinct rewritings currently memoized.

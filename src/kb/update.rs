@@ -255,14 +255,6 @@ impl Snapshot {
             .unwrap_or(self.base_epoch)
     }
 
-    /// The answer-cache fingerprint of this snapshot over a query's
-    /// touched predicates (parallel to `preds`, which callers keep
-    /// sorted): equal fingerprints ⇒ equal table contents for every
-    /// touched predicate ⇒ provably equal answers.
-    pub(crate) fn fingerprint(&self, preds: &[Predicate]) -> Vec<u64> {
-        preds.iter().map(|p| self.pred_epoch(*p)).collect()
-    }
-
     /// The epoch this snapshot was published under. Epoch 0 is the
     /// [`build`](crate::KnowledgeBaseBuilder::build)-time state; every
     /// applied batch increments it by one.

@@ -218,3 +218,96 @@ fn time_travel_hits_are_exact_over_a_durable_ledger() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The answer ring keys on a handle's bound constants: point queries
+/// whose constants the ontology never mentions share one template and one
+/// cache entry, yet each gets its own answers at the same epoch, live and
+/// under time travel, and the same constant asked twice is one hit.
+#[test]
+fn constants_of_one_template_never_share_a_cached_answer() {
+    let dir =
+        std::env::temp_dir().join(format!("nyaya-answer-cache-points-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let kb = KnowledgeBase::builder()
+        .program_text(ONTOLOGY)
+        .unwrap()
+        .durable(&dir)
+        .build()
+        .unwrap();
+    let member = |a: &str, b: &str| Atom::make("member", [a, b]);
+    kb.apply(
+        UpdateBatch::new()
+            .insert(member("ann", "x"))
+            .insert(member("bob", "y")),
+    )
+    .unwrap();
+    kb.apply(UpdateBatch::new().insert(member("ann", "z")))
+        .unwrap();
+    let point = |c: &str| {
+        kb.prepare_text(&format!("q(B) :- member({c}, B)."))
+            .unwrap()
+    };
+    let names = |tuples: BTreeSet<Vec<Term>>| -> Vec<String> {
+        tuples.iter().map(|t| t[0].to_string()).collect()
+    };
+    let (ann, bob) = (point("ann"), point("bob"));
+    assert_eq!(ann.key(), bob.key(), "one template");
+
+    // Epoch 2, live: each constant misses once, then hits its own answer.
+    let hits = |kb: &KnowledgeBase| kb.stats().cache_answer_hits;
+    assert_eq!(names(tuples(&kb, &ann)), ["x", "z"]);
+    assert_eq!(names(tuples(&kb, &bob)), ["y"]);
+    assert_eq!(hits(&kb), 0, "bob must not be served ann's answer");
+    let before = hits(&kb);
+    assert_eq!(names(tuples(&kb, &point("ann"))), ["x", "z"]);
+    assert_eq!(hits(&kb), before + 1, "the same constant twice is one hit");
+
+    // Epoch 1, time travel: the same, against the historical snapshot.
+    let before = kb.stats();
+    assert_eq!(names(kb.execute_at_epoch(&ann, 1).unwrap().tuples), ["x"]);
+    assert_eq!(names(kb.execute_at_epoch(&bob, 1).unwrap().tuples), ["y"]);
+    assert_eq!(names(kb.execute_at_epoch(&ann, 1).unwrap().tuples), ["x"]);
+    assert_eq!(names(kb.execute_at_epoch(&bob, 1).unwrap().tuples), ["y"]);
+    let after = kb.stats();
+    assert_eq!(after.cache_answer_misses, before.cache_answer_misses + 2);
+    assert_eq!(after.cache_answer_hits, before.cache_answer_hits + 2);
+
+    drop(kb);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Hot constants asked in rotation keep hitting: the template's ring has
+/// room for a few dozen of them, as when each constant had an entry of
+/// its own, and a fresh handle per request finds them.
+#[test]
+fn hot_constants_in_rotation_keep_hitting() {
+    let kb = KnowledgeBase::builder()
+        .program_text(ONTOLOGY)
+        .unwrap()
+        .build()
+        .unwrap();
+    let hot: Vec<String> = (0..16).map(|i| format!("p{i}")).collect();
+    let mut batch = UpdateBatch::new();
+    for c in &hot {
+        batch = batch.insert(Atom::make("member", [c.as_str(), "club"]));
+    }
+    kb.apply(batch).unwrap();
+    let ask = |c: &str| {
+        let q = kb
+            .prepare_text(&format!("q(B) :- member({c}, B)."))
+            .unwrap();
+        tuples(&kb, &q).len()
+    };
+    for c in &hot {
+        assert_eq!(ask(c), 1);
+    }
+    let before = kb.stats();
+    for _ in 0..3 {
+        for c in &hot {
+            assert_eq!(ask(c), 1);
+        }
+    }
+    let after = kb.stats();
+    assert_eq!(after.cache_answer_misses, before.cache_answer_misses);
+    assert_eq!(after.cache_answer_hits, before.cache_answer_hits + 3 * 16);
+}

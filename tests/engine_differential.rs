@@ -120,13 +120,13 @@ fn shared_build_cache_collapses_repeated_patterns_across_disjuncts() {
     let mut rng = Prng::seed_from_u64(99);
     let facts = random_database(&mut rng, &config);
     let db = Database::from_facts(facts);
-    // 40 copies of one disjunct whose every step builds: two constants
-    // (`f3(c2, c7, Y)`, the cheapest scan), a key plus a constant
-    // (`f3(Y, c3, Z)`) and a repeat (`f2(W, W)`, the Cartesian step last).
+    // 40 copies of one disjunct whose every step builds a constant-free
+    // pattern: a repeat alone (`f3(Y, Z, Y)`), a key plus a repeat
+    // (`f3(X, Y, Y)`) and a repeat as the Cartesian step (`f2(W, W)`).
     // Seed 99's database joins all three into one answer, so the first
     // copy builds each pattern once and the other 39 are served from the
     // cache.
-    let cq = nyaya::parser::parse_query("q(Y, Z, W) :- f2(W, W), f3(Y, c3, Z), f3(c2, c7, Y).");
+    let cq = nyaya::parser::parse_query("q(X, Y, Z, W) :- f3(Y, Z, Y), f3(X, Y, Y), f2(W, W).");
     let ucq = nyaya_core::UnionQuery::new(vec![cq.unwrap(); 40]);
     let cache = BuildCache::new();
     let (answers, metrics) = execute_ucq_intra(&db, &ucq, 1, 1, &cache, 1.0);
@@ -135,6 +135,21 @@ fn shared_build_cache_collapses_repeated_patterns_across_disjuncts() {
     assert_eq!(metrics.build_cache_misses, 3, "{metrics:?}");
     assert_eq!(metrics.build_cache_hits, 39 * 3, "{metrics:?}");
     assert_eq!(cache.len(), 3);
+
+    // The same steps with constants in them: two constants
+    // (`f3(c2, c7, Y)`, the cheapest scan) and a key plus a constant
+    // (`f3(Y, c3, Z)`). A pattern that names a constant is built for the
+    // step that asks and never retained, so every copy builds both; only
+    // the constant-free `f2(W, W)` is shared.
+    let cq = nyaya::parser::parse_query("q(Y, Z, W) :- f2(W, W), f3(Y, c3, Z), f3(c2, c7, Y).");
+    let ucq = nyaya_core::UnionQuery::new(vec![cq.unwrap(); 40]);
+    let cache = BuildCache::new();
+    let (answers, metrics) = execute_ucq_intra(&db, &ucq, 1, 1, &cache, 1.0);
+    assert_eq!(answers, reference::execute_ucq_reference(&db, &ucq));
+    assert_eq!(answers.len(), 1, "{metrics:?}");
+    assert_eq!(metrics.build_cache_misses, 1 + 40 * 2, "{metrics:?}");
+    assert_eq!(metrics.build_cache_hits, 39, "{metrics:?}");
+    assert_eq!(cache.len(), 1);
 
     // Seed 99's random disjunct, `q(X2) :- f2(c7,X3), f1(c5,X2)`: two
     // scans, each filtered by one constant alone, read their constants'

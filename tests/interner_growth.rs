@@ -2,7 +2,9 @@
 //! compile interns stays for the life of a `nyaya serve` process. Compiling
 //! a query may intern its own names once; it must not mint names per
 //! compile (the renamed-apart `_V{n}` copies of every TGD did: one cold
-//! P5-q5 compile left 193 622 of them behind).
+//! P5-q5 compile left 193 622 of them behind), nor per point query (a
+//! program compile mints `_def{n}` predicate names, so a point query must
+//! reuse its template's compile rather than compile again).
 //!
 //! One test only: [`symbols::len`] is global, and a second test running on
 //! another thread would intern into the same table.
@@ -40,27 +42,42 @@ fn compiling_does_not_grow_the_interner_per_compile() {
         &interned[..3]
     );
 
-    // Never-seen point queries, the `lubm_serve` request mix, through the
-    // NY⋆ compile: each may intern its constant and nothing else. (Not
-    // through `answer_text`: when `Strategy::Auto` tries the program target
-    // for a query, that compile still mints two `_def{n}` predicate names —
-    // `presto.rs`, an open item.)
+    // Never-seen point queries, the `lubm_serve` request mix, answered
+    // under `Strategy::Auto`: each may intern its constant and nothing
+    // else. The ontology never mentions those constants, so each shape
+    // compiles once, for its template, on its first query — with the
+    // program attempt and the `_def{n}` names that mints — and later
+    // queries only bind their constant: no rewriting explored, no new
+    // cache entry.
     let kb = KnowledgeBase::builder()
         .ontology(load(BenchmarkId::U).raw)
         .build()
         .unwrap();
-    let compile = |text: &str| {
-        let prepared = kb.prepare_text(text).unwrap();
-        kb.rewriting(&prepared).unwrap().ucq.size()
-    };
-    let size = compile("q(S) :- Student(S), advisor(S, fac_warm_up).");
-    for i in 0..100 {
-        let text = format!("q(S) :- Student(S), advisor(S, fac{i}).");
-        let before = symbols::len();
-        assert_eq!(compile(&text), size);
-        let names: Vec<String> = (before..symbols::len())
-            .map(|i| symbols::Symbol::from_index(i as u32).name())
-            .collect();
-        assert!(names.len() <= 1, "{text} interned {names:?}");
+    let shapes = [
+        "q(C) :- takesCourse(gr{i}, C), Course(C).",
+        "q(S) :- Student(S), advisor(S, fac{i}).",
+        "q(P, C) :- worksFor(P, dept{i}), teacherOf(P, C), Professor(P).",
+    ];
+    let text = |shape: &str, i: &str| shape.replace("{i}", i);
+    for shape in shapes {
+        kb.answer_text(&text(shape, "_warm_up")).unwrap();
     }
+    let warm = kb.stats();
+    for i in 0..100 {
+        for shape in shapes {
+            let text = text(shape, &i.to_string());
+            let before = symbols::len();
+            kb.answer_text(&text).unwrap();
+            let names: Vec<String> = (before..symbols::len())
+                .map(|i| symbols::Symbol::from_index(i as u32).name())
+                .collect();
+            assert!(names.len() <= 1, "{text} interned {names:?}");
+        }
+    }
+    let stats = kb.stats();
+    assert_eq!(stats.rewrite_explored, warm.rewrite_explored, "{stats:?}");
+    assert_eq!(stats.cache_misses, warm.cache_misses, "{stats:?}");
+    assert_eq!(stats.program_compiles, warm.program_compiles, "{stats:?}");
+    assert_eq!(stats.cached_rewritings, warm.cached_rewritings, "{stats:?}");
+    assert_eq!(stats.template_binds, warm.template_binds + 300, "{stats:?}");
 }

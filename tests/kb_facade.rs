@@ -271,6 +271,44 @@ fn prepared_query_executed_on_another_kb_uses_that_kbs_ontology() {
     assert_eq!(kb1.execute(&prepared).unwrap().tuples.len(), 2);
 }
 
+/// A handle's template belongs to the base that prepared it: another
+/// base re-templates the query against its own Σ. Here only kb1's Σ
+/// mentions `acme`, so kb2 abstracts it and kb1 must not — under kb1,
+/// `special(dan)` derives `owns(dan, acme)`, which a parameter standing
+/// for `acme` would never unify with.
+#[test]
+fn a_handle_on_another_kb_is_templated_against_that_kbs_ontology() {
+    let kb1 = KnowledgeBase::from_program_text(
+        "s1: special(X) -> owns(X, acme).
+         owns(ann, acme). owns(bob, beta). special(dan).",
+    )
+    .unwrap();
+    let kb2 = KnowledgeBase::from_program_text(
+        "s2: special(X) -> other(X).
+         owns(ann, acme). owns(bob, beta). special(dan).",
+    )
+    .unwrap();
+    let names = |answers: Answers| -> Vec<String> {
+        answers.tuples.iter().map(|t| t[0].to_string()).collect()
+    };
+    let acme = kb2.prepare_text("q(X) :- owns(X, acme).").unwrap();
+    assert_eq!(names(kb2.execute(&acme).unwrap()), ["ann"]);
+    assert_eq!(names(kb1.execute(&acme).unwrap()), ["ann", "dan"]);
+    assert_eq!(names(kb2.execute(&acme).unwrap()), ["ann"]);
+    // kb2 bound `acme` into its template's rewriting once, for the
+    // handle; kb1 kept `acme` in its template and had nothing to bind.
+    assert_eq!(kb2.stats().template_binds, 1);
+    assert_eq!(kb1.stats().template_binds, 0);
+
+    // The other way round: kb1's handle on kb2, and a constant neither Σ
+    // mentions, abstracted by both.
+    let acme = kb1.prepare_text("q(X) :- owns(X, acme).").unwrap();
+    assert_eq!(names(kb2.execute(&acme).unwrap()), ["ann"]);
+    let beta = kb1.prepare_text("q(X) :- owns(X, beta).").unwrap();
+    assert_eq!(names(kb1.execute(&beta).unwrap()), ["bob"]);
+    assert_eq!(names(kb2.execute(&beta).unwrap()), ["bob"]);
+}
+
 /// The query of the cross-base cases below. Three interaction clusters,
 /// and a join the planner's uniform estimate gets ≥ 8x wrong: 50 of r's
 /// 100 rows share the key `hub`.
@@ -362,6 +400,34 @@ fn alpha_equivalent_handles_share_correction_and_program() {
     assert_eq!(kb.stats().program_compiles, 1);
     assert!(kb.execution_plan(&second).unwrap().is_some());
     assert_eq!(kb.stats().program_compiles, 1, "the second handle compiled");
+}
+
+/// A handle that binds a constant into its template learns its plan
+/// correction in the handle: a held handle re-plans after a ≥ 8x miss,
+/// while the template's entry — shared by every constant, whose rows a
+/// miss on `hub` says nothing about — and other handles stay at 1.0.
+#[test]
+fn a_held_handle_that_binds_a_constant_learns_its_own_correction() {
+    let kb = skewed_kb(false, Strategy::Ucq, nyaya::DEFAULT_PROGRAM_THRESHOLD);
+    let point = |c: &str| {
+        kb.prepare_text(&format!("q(Y) :- p({c}), r({c}, Y), u(Y)."))
+            .unwrap()
+    };
+    let hub = point("hub");
+    let answers = kb.execute(&hub).unwrap().tuples;
+    assert_eq!(answers.len(), 50);
+    let learned = kb.plan_correction(&hub);
+    assert!(learned > 1.0, "the skewed join must teach a correction");
+    assert_eq!(kb.stats().plan_replans, 1);
+    assert_eq!(kb.plan_correction(&point("hub")), 1.0);
+    assert_eq!(kb.plan_correction(&point("x0")), 1.0);
+    let plan = kb
+        .explain(&hub, &nyaya::core::SelectOptions::default())
+        .unwrap();
+    assert!(plan.contains("feedback correction"), "{plan}");
+    // Re-planned with the correction, the held handle answers the same.
+    assert_eq!(kb.execute(&hub).unwrap().tuples, answers);
+    assert_eq!(kb.execute(&point("x0")).unwrap().tuples.len(), 0);
 }
 
 #[test]
@@ -810,7 +876,8 @@ fn stats_json_is_byte_stable() {
     assert_eq!(
         KbStats::default().to_json(),
         concat!(
-            r#"{"prepared":0,"cache_hits":0,"cache_misses":0,"executions":0,"#,
+            r#"{"prepared":0,"cache_hits":0,"cache_misses":0,"template_binds":0,"#,
+            r#""executions":0,"#,
             r#""cached_rewritings":0,"exec_micros":0,"rows_returned":0,"#,
             r#""parallel_executions":0,"build_cache_hits":0,"build_cache_misses":0,"#,
             r#""epoch":0,"batches_applied":0,"facts_inserted":0,"facts_retracted":0,"#,
@@ -868,7 +935,8 @@ fn stats_json_is_byte_stable() {
     assert_eq!(
         masked,
         concat!(
-            r#"{"prepared":1,"cache_hits":1,"cache_misses":1,"executions":2,"#,
+            r#"{"prepared":1,"cache_hits":1,"cache_misses":1,"template_binds":0,"#,
+            r#""executions":2,"#,
             r#""cached_rewritings":1,"exec_micros":#,"rows_returned":4,"#,
             r#""parallel_executions":0,"build_cache_hits":2,"build_cache_misses":2,"#,
             r#""epoch":1,"batches_applied":1,"facts_inserted":1,"facts_retracted":1,"#,
@@ -972,30 +1040,57 @@ fn the_program_target_does_not_copy_a_renamed_base_relation() {
 
 /// Never-seen point queries of the three serving shapes leave a
 /// snapshot's build cache as they found it: each scans its constant's
-/// posting list instead of caching a build side keyed by that constant,
-/// and every other build it needs carries no constant and is shared.
-/// Sixty departments make a department's `worksFor` posting list cheaper
-/// to scan than the `Chair` table, as it is at serving scale.
+/// posting list or builds what its constant filters for itself, and every
+/// build the cache keeps carries no constant and is shared. Sixty
+/// departments make a department's `worksFor` posting list cheaper to
+/// scan than the `Chair` table, as it is at serving scale.
 #[test]
 fn point_queries_leave_the_build_cache_as_they_found_it() {
+    // The first query of each shape may build its constant-free scans.
+    let answered = point_queries_keep_the_build_cache(4, 15, 3);
+    assert!(answered > 200, "the point queries must answer something");
+}
+
+/// The same on four departments, where the planner joins a department's
+/// `worksFor` rows on a key plus the constant: a build it does not keep.
+#[test]
+fn point_queries_on_four_departments_leave_the_build_cache_as_they_found_it() {
+    // Here the queries on every department of the first university may
+    // build constant-free sides: a step is compiled only once the steps
+    // before it produced rows, so a department whose earlier steps are
+    // empty builds less.
+    let answered = point_queries_keep_the_build_cache(1, 4, 3 * 4);
+    assert!(answered > 100, "the point queries must answer something");
+}
+
+/// Run `warm` point queries, then 200 more, over a LUBM base of
+/// `universities` × `departments`, checking each against the reference
+/// engine and the build cache's size after the 200 against its size
+/// before them; the 200's answer count.
+fn point_queries_keep_the_build_cache(
+    universities: usize,
+    departments: usize,
+    warm: usize,
+) -> usize {
     use nyaya::ontologies::lubm::{lubm_abox, LubmConfig};
     use nyaya::ontologies::{load, BenchmarkId};
 
     let kb = KnowledgeBase::builder()
         .ontology(load(BenchmarkId::U).raw)
         .facts(lubm_abox(&LubmConfig {
-            universities: 4,
-            departments_per_university: 15,
+            universities,
+            departments_per_university: departments,
             seed: 7,
         }))
         .build()
         .unwrap();
-    // Query `i` of shape `i % 3` names department `i / 3`: every text is
-    // new, and past the sixtieth department (university 4) its constant
-    // is absent.
+    // Query `i` of shape `i % 3` names department `i / 3`: every text of
+    // the first two shapes is new, and one university past the last its
+    // constants are absent (the count wraps after it, so a small base
+    // still answers).
     let point = |i: usize| {
         let j = i / 3;
-        let (u, d) = (j / 15, j % 15);
+        let (u, d) = ((j / departments) % (universities + 1), j % departments);
         match i % 3 {
             0 => format!("q(C) :- takesCourse(u{u}d{d}_gr{}, C), Course(C).", j % 50),
             1 => format!("q(S) :- Student(S), advisor(S, u{u}d{d}_fac{}).", j % 40),
@@ -1010,12 +1105,11 @@ fn point_queries_leave_the_build_cache_as_they_found_it() {
         assert_eq!(answers, reference, "{}", point(i));
         answers.len()
     };
-    // The first query of each shape may build its constant-free scans.
-    for i in 0..3 {
+    for i in 0..warm {
         run(i);
     }
     let before = kb.snapshot().build_cache().len();
-    let answered: usize = (3..203).map(run).sum();
-    assert!(answered > 200, "the point queries must answer something");
+    let answered = (warm..warm + 200).map(run).sum();
     assert_eq!(kb.snapshot().build_cache().len(), before);
+    answered
 }
