@@ -99,7 +99,7 @@ fn sort_cells(cells: Vec<u32>) -> Vec<u32> {
 /// Heap bytes of a hash map's bucket array: one `(K, V)` slot plus one
 /// control byte per bucket, for the power-of-two bucket count the map
 /// allocated to offer `capacity` (it fills at most 7/8 of its buckets).
-fn hash_bytes<K, V>(capacity: usize) -> usize {
+pub(crate) fn hash_bytes<K, V>(capacity: usize) -> usize {
     if capacity == 0 {
         return 0;
     }

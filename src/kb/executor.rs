@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use nyaya_chase::certain_answers;
+use nyaya_chase::{answers, chase};
 use nyaya_core::par::cores;
 use nyaya_core::{Classification, DatalogProgram, Predicate, Term};
 use nyaya_sql::{
@@ -195,20 +195,20 @@ impl KnowledgeBase {
         self.counters.executions.fetch_add(1, Ordering::Relaxed);
         match kind {
             // Certain answers via the chase (Section 3.3) over the
-            // snapshot's instance, skipping rewriting entirely. Incomplete
-            // (a lower bound) if the chase budget truncated the search.
+            // snapshot's instance, skipping rewriting entirely: the
+            // snapshot chases once, and each query is evaluated over that
+            // chase. Incomplete (a lower bound) if the chase budget
+            // truncated the search.
             ExecutorKind::Chase => {
-                let result = certain_answers(
-                    snapshot.instance(),
-                    self.normalized_tgds(),
-                    query.query(),
-                    self.chase_config,
-                );
+                let outcome = snapshot.chased(|instance| {
+                    self.counters.chase_runs.fetch_add(1, Ordering::Relaxed);
+                    chase(instance, self.normalized_tgds(), self.chase_config)
+                });
                 Ok(Answers {
                     backend: "chase",
-                    tuples: result.answers,
+                    tuples: answers(&outcome.instance, query.query()),
                     sql: None,
-                    complete: result.saturated,
+                    complete: outcome.saturated,
                 })
             }
             // SQL text against the snapshot's catalog (updates register

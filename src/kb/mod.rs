@@ -1804,6 +1804,7 @@ impl KnowledgeBase {
             },
             fact_bytes: memory.fact_bytes,
             index_bytes: memory.index_bytes,
+            build_cache_bytes: snapshot.build_cache().bytes(),
             table_folds: snapshot.database().table_folds(),
             tables: memory.tables,
             ..self.counters.load()

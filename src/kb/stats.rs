@@ -82,6 +82,9 @@ kb_stats! {
     count template_binds: u64,
     /// Executions across all backends.
     count executions: u64,
+    /// Chases run by the chase backend: one per snapshot it answers
+    /// over, shared by every query on that snapshot.
+    count chase_runs: u64,
     /// Distinct rewritings currently memoized.
     read cached_rewritings: usize,
     /// Wall-clock microseconds spent in the in-memory engine.
@@ -216,6 +219,9 @@ kb_stats! {
     /// Approximate resident heap bytes of the current snapshot's index
     /// structures (postings, the deltas' dead sets and touched postings).
     read index_bytes: u64,
+    /// Heap bytes held by the current snapshot's cached build sides (the
+    /// hashed join inputs its executions reuse).
+    read build_cache_bytes: u64,
     /// Times a write folded a table's delta into a new base, over the
     /// lifetime of the current snapshot's database — the one O(table)
     /// write left; an `apply` that folds is the slow one. Per table,

@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use nyaya_chase::Instance;
+use nyaya_chase::{ChaseOutcome, Instance};
 use nyaya_core::{Atom, Predicate};
 use nyaya_sql::{BuildCache, Catalog, Database};
 
@@ -196,6 +196,10 @@ pub struct Snapshot {
     /// The chase-facing view of the data, derived on first use: pure
     /// rewriting workloads never pay for it.
     chase_instance: OnceLock<Instance>,
+    /// That instance chased under the knowledge base's normalized TGDs,
+    /// run by the first chase-backend execution over this snapshot; every
+    /// later one evaluates its query over it.
+    chased: OnceLock<ChaseOutcome>,
 }
 
 impl Snapshot {
@@ -241,6 +245,7 @@ impl Snapshot {
             base_epoch,
             pred_epochs,
             chase_instance: OnceLock::new(),
+            chased: OnceLock::new(),
         }
     }
 
@@ -285,6 +290,14 @@ impl Snapshot {
     pub fn instance(&self) -> &Instance {
         self.chase_instance
             .get_or_init(|| Instance::from_atoms(self.facts()))
+    }
+
+    /// This epoch's [`instance`](Self::instance) chased by `chase` the
+    /// first time it is asked for, memoized. The caller passes the same
+    /// chase every time: the knowledge base's normalized TGDs under its
+    /// chase budget, both fixed at build time.
+    pub(crate) fn chased(&self, chase: impl FnOnce(&Instance) -> ChaseOutcome) -> &ChaseOutcome {
+        self.chased.get_or_init(|| chase(self.instance()))
     }
 
     /// The facts of this epoch, in deterministic (sorted) order.

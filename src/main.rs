@@ -35,6 +35,15 @@ use nyaya::{
     Strategy, UpdateBatch,
 };
 
+/// `eprintln!` that cannot panic: a line standard error refuses (its
+/// reader is gone) is dropped, and the exit status still tells how the
+/// command went.
+macro_rules! report {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(io::stderr(), $($arg)*);
+    }};
+}
+
 const USAGE: &str = "usage: nyaya <command> <program-file> [options]
 
 commands:
@@ -104,12 +113,16 @@ fn main() -> ExitCode {
         // no more output, so there is nothing to report.
         Err(Failure::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(Failure::Output(e)) => {
-            eprintln!("error: writing output: {e}");
+            report!("error: writing output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Usage(msg)) => {
+            report!("error: {msg}");
+            report!("{USAGE}");
             ExitCode::FAILURE
         }
         Err(Failure::Message(msg)) => {
-            eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
+            report!("error: {msg}");
             ExitCode::FAILURE
         }
     }
@@ -117,7 +130,10 @@ fn main() -> ExitCode {
 
 /// Why a command stopped early.
 enum Failure {
-    /// An error to report, followed by the usage text.
+    /// A command line this binary cannot run: reported with the usage
+    /// text.
+    Usage(String),
+    /// An error the command ran into.
     Message(String),
     /// Standard output refused a write.
     Output(io::Error),
@@ -401,11 +417,11 @@ fn load_kb(path: &str, options: &Options) -> Result<KnowledgeBase, String> {
 fn run(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let (command, path, rest) = match args {
         [c, p, rest @ ..] => (c.as_str(), p.as_str(), rest),
-        _ => return Err("missing command or program file".to_owned().into()),
+        _ => return Err(Failure::Usage("missing command or program file".to_owned())),
     };
-    let options = parse_options(rest)?;
+    let options = parse_options(rest).map_err(Failure::Usage)?;
     if matches!(command, "save" | "compact" | "history") && options.data_dir.is_none() {
-        return Err(format!("`{command}` needs --data-dir").into());
+        return Err(Failure::Usage(format!("`{command}` needs --data-dir")));
     }
     if command == "client" {
         // The client talks to a running server; there is no local
@@ -426,7 +442,7 @@ fn run(args: &[String], out: &mut dyn Write) -> Result<(), Failure> {
         "compact" => cmd_compact(&kb, out),
         "history" => cmd_history(&kb, out),
         "watch" => cmd_watch(&kb, &options, out),
-        other => Err(format!("unknown command `{other}`").into()),
+        other => Err(Failure::Usage(format!("unknown command `{other}`"))),
     }
 }
 
@@ -821,7 +837,7 @@ fn cmd_watch(kb: &KnowledgeBase, options: &Options, out: &mut dyn Write) -> Resu
                         }
                     }
                 }
-                Err(e) => eprintln!("% batch rejected: {e}"),
+                Err(e) => report!("% batch rejected: {e}"),
             }
             continue;
         }
@@ -829,14 +845,14 @@ fn cmd_watch(kb: &KnowledgeBase, options: &Options, out: &mut dyn Write) -> Resu
             ("+", rest) => (true, rest),
             ("-", rest) => (false, rest),
             _ => {
-                eprintln!("% ignored (lines must start with + or -): {line}");
+                report!("% ignored (lines must start with + or -): {line}");
                 continue;
             }
         };
         match nyaya::parse_fact(text) {
             Ok(fact) if sign => batch = batch.insert(fact),
             Ok(fact) => batch = batch.retract(fact),
-            Err(e) => eprintln!("% ignored: {e}"),
+            Err(e) => report!("% ignored: {e}"),
         }
     }
     Ok(())
@@ -884,7 +900,7 @@ fn cmd_serve(kb: KnowledgeBase, options: &Options) -> Result<(), Failure> {
     let workers = config.workers;
     let server = nyaya::serve::serve(options.listen.as_str(), backend, config)
         .map_err(|e| format!("cannot listen on {}: {e}", options.listen))?;
-    eprintln!(
+    report!(
         "% serving on {} ({workers} worker(s)); \
          SIGINT or `nyaya client shutdown` stops it",
         server.local_addr()
@@ -898,9 +914,9 @@ fn cmd_serve(kb: KnowledgeBase, options: &Options) -> Result<(), Failure> {
         }
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
-    eprintln!("% shutting down: draining connections, flushing ledger");
+    report!("% shutting down: draining connections, flushing ledger");
     server.join();
-    eprintln!("% bye");
+    report!("% bye");
     Ok(())
 }
 
@@ -933,7 +949,7 @@ fn cmd_client(request: &str, options: &Options, out: &mut dyn Write) -> Result<(
                     ("+", fact) => inserts.push(fact.trim().to_owned()),
                     ("-", fact) => retracts.push(fact.trim().to_owned()),
                     ("", _) => continue,
-                    _ => eprintln!("% ignored (lines must start with + or -): {line}"),
+                    _ => report!("% ignored (lines must start with + or -): {line}"),
                 }
             }
             let outcome = client

@@ -582,3 +582,49 @@ fn answer_exits_quietly_when_stdout_closes_early() {
     assert!(!stderr.contains("Broken pipe"), "{stderr}");
     assert!(out.status.success(), "{:?}: {stderr}", out.status);
 }
+
+/// The usage text answers a command line the binary cannot run, not an
+/// error the command ran into: an inconsistent database is reported
+/// alone.
+#[test]
+fn a_runtime_error_prints_no_usage_text() {
+    let bad = "
+        delta: a(X), b(X) -> false.
+        a(k). b(k).
+        q(X) :- a(X).
+    ";
+    let path = write_program("runtime_error", bad);
+    let (ok, _, stderr) = run(&["answer", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    assert!(!ok);
+    assert!(stderr.contains("inconsistent"), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+    let (ok, _, stderr) = run(&["answer"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("usage:"),
+        "a usage error keeps it: {stderr}"
+    );
+}
+
+/// An error reported to a standard error whose reader is gone still ends
+/// the command with status 1: the report is dropped, nothing panics.
+#[test]
+fn answer_exits_1_without_a_panic_when_stderr_is_closed() {
+    let bad = "
+        delta: a(X), b(X) -> false.
+        a(k). b(k).
+        q(X) :- a(X).
+    ";
+    let path = write_program("closed_stderr", bad);
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let status = Command::new(env!("CARGO_BIN_EXE_nyaya"))
+        .args(["answer", path.to_str().unwrap()])
+        .stdout(std::process::Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("binary runs");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(status.code(), Some(1), "{status:?}");
+}

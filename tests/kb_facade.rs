@@ -105,6 +105,54 @@ fn chase_fallback_is_auto_selected_for_non_fo_rewritable_ontologies() {
     assert_eq!(kb.stats().cached_rewritings, 0);
 }
 
+/// The chase backend chases a snapshot once and evaluates every query
+/// over that chase, with the answers and the completeness flag a chase
+/// per query gives; a write publishes a snapshot that chases afresh.
+#[test]
+fn the_chase_backend_chases_once_per_snapshot() {
+    for (rounds, saturated) in [(32, true), (1, false)] {
+        let kb = KnowledgeBase::builder()
+            .program_text(
+                "tr: e(X, Y), e(Y, Z) -> e(X, Z).
+                 e(a, b). e(b, c). e(c, d). e(d, f).",
+            )
+            .unwrap()
+            .chase_config(ChaseConfig::rounds(rounds))
+            .build()
+            .unwrap();
+        let queries = [
+            "q(A, B) :- e(A, B).",
+            "q(A) :- e(a, A).",
+            "q(A) :- e(A, f).",
+        ];
+        let expected = |kb: &KnowledgeBase, q: &PreparedQuery| {
+            certain_answers(
+                kb.snapshot().instance(),
+                kb.normalized_tgds(),
+                q.query(),
+                kb.chase_config(),
+            )
+        };
+        for (runs, epoch) in [(1, 0), (2, 1)] {
+            for text in queries {
+                let q = kb.prepare_text(text).unwrap();
+                let a = kb.execute_on(&q, ExecutorKind::Chase).unwrap();
+                let oracle = expected(&kb, &q);
+                assert_eq!(a.tuples, oracle.answers, "{text} at epoch {epoch}");
+                assert_eq!(a.complete, oracle.saturated, "{text} at epoch {epoch}");
+                assert_eq!(a.complete, saturated, "{text} at epoch {epoch}");
+            }
+            assert_eq!(
+                kb.stats().chase_runs,
+                runs,
+                "rounds {rounds}, epoch {epoch}"
+            );
+            kb.apply(UpdateBatch::new().insert(Atom::make("e", ["f", "g"])))
+                .unwrap();
+        }
+    }
+}
+
 #[test]
 fn manual_executor_override_beats_auto_selection() {
     // Force the chase backend onto an FO-rewritable ontology.
@@ -877,7 +925,7 @@ fn stats_json_is_byte_stable() {
         KbStats::default().to_json(),
         concat!(
             r#"{"prepared":0,"cache_hits":0,"cache_misses":0,"template_binds":0,"#,
-            r#""executions":0,"#,
+            r#""executions":0,"chase_runs":0,"#,
             r#""cached_rewritings":0,"exec_micros":0,"rows_returned":0,"#,
             r#""parallel_executions":0,"build_cache_hits":0,"build_cache_misses":0,"#,
             r#""epoch":0,"batches_applied":0,"facts_inserted":0,"facts_retracted":0,"#,
@@ -892,7 +940,8 @@ fn stats_json_is_byte_stable() {
             r#""ivm_seed_micros":0,"ivm_seeded_tuples":0,"merge_joins":0,"#,
             r#""morsel_tasks":0,"plan_estimated_rows":0,"plan_actual_rows":0,"#,
             r#""plan_replans":0,"cache_answer_hits":0,"cache_answer_misses":0,"#,
-            r#""net_requests":0,"fact_bytes":0,"index_bytes":0,"table_folds":0,"tables":[]}"#,
+            r#""net_requests":0,"fact_bytes":0,"index_bytes":0,"build_cache_bytes":0,"#,
+            r#""table_folds":0,"tables":[]}"#,
         )
     );
 
@@ -936,7 +985,7 @@ fn stats_json_is_byte_stable() {
         masked,
         concat!(
             r#"{"prepared":1,"cache_hits":1,"cache_misses":1,"template_binds":0,"#,
-            r#""executions":2,"#,
+            r#""executions":2,"chase_runs":0,"#,
             r#""cached_rewritings":1,"exec_micros":#,"rows_returned":4,"#,
             r#""parallel_executions":0,"build_cache_hits":2,"build_cache_misses":2,"#,
             r#""epoch":1,"batches_applied":1,"facts_inserted":1,"facts_retracted":1,"#,
@@ -951,7 +1000,8 @@ fn stats_json_is_byte_stable() {
             r#""ivm_seed_micros":#,"ivm_seeded_tuples":2,"merge_joins":0,"#,
             r#""morsel_tasks":4,"plan_estimated_rows":2,"plan_actual_rows":2,"#,
             r#""plan_replans":0,"cache_answer_hits":1,"cache_answer_misses":1,"#,
-            r#""net_requests":1,"fact_bytes":44,"index_bytes":464,"table_folds":0,"#,
+            r#""net_requests":1,"fact_bytes":44,"index_bytes":464,"build_cache_bytes":4,"#,
+            r#""table_folds":0,"#,
             r#""tables":[{"predicate":"has_stock","arity":2,"rows":1,"fact_bytes":32,"#,
             r#""index_bytes":296,"delta_rows":1,"dead_rows":0},{"predicate":"stock_portf","#,
             r#""arity":3,"rows":1,"fact_bytes":12,"index_bytes":168,"delta_rows":0,"#,
