@@ -33,6 +33,7 @@
 use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -351,7 +352,19 @@ fn serve_some(
     }
 }
 
+/// Answer one request. A backend that panics answers `ERR` naming the
+/// panic, and the worker serves on: the pool is fixed, so a worker lost
+/// per panic would leave, after `workers` panics, a server that accepts
+/// connections and answers none.
 fn dispatch(request: &Request, backend: &dyn Backend) -> Response {
+    panic::catch_unwind(AssertUnwindSafe(|| call(request, backend))).unwrap_or_else(|payload| {
+        let message = (payload.downcast_ref::<&str>().copied())
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        Response::Error(format!("backend panicked: {}", message.unwrap_or("?")))
+    })
+}
+
+fn call(request: &Request, backend: &dyn Backend) -> Response {
     let result = match request {
         Request::Ping => Ok(Response::Pong),
         Request::Prepare { query } => backend.prepare(query).map(Response::Handle),
@@ -365,4 +378,84 @@ fn dispatch(request: &Request, backend: &dyn Backend) -> Response {
         Request::Shutdown => unreachable!("handled before dispatch"),
     };
     result.unwrap_or_else(Response::Error)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{read_frame, DEFAULT_MAX_FRAME};
+    use crate::{AnswerSet, ApplySummary};
+
+    /// Answers `PING` like any backend and panics on every query.
+    struct Panicking;
+
+    impl Backend for Panicking {
+        fn prepare(&self, _: &str) -> Result<u64, String> {
+            Err("unused".to_owned())
+        }
+        fn answer(&self, _: u64, _: Option<u64>) -> Result<AnswerSet, String> {
+            Err("unused".to_owned())
+        }
+        fn query(&self, query: &str, _: Option<u64>) -> Result<AnswerSet, String> {
+            panic!("no plan for {query}")
+        }
+        fn apply(&self, _: &[String], _: &[String]) -> Result<ApplySummary, String> {
+            Err("unused".to_owned())
+        }
+        fn stats_json(&self) -> String {
+            String::new()
+        }
+        fn explain(&self, _: u64) -> Result<String, String> {
+            Err("unused".to_owned())
+        }
+    }
+
+    /// One request on `stream` and its response; a server that never
+    /// answers fails the read after the stream's timeout.
+    fn exchange(stream: &mut TcpStream, request: &Request) -> Response {
+        write_frame(stream, &request.encode()).expect("send");
+        let payload = read_frame(stream, DEFAULT_MAX_FRAME)
+            .expect("the server answers before the read timeout")
+            .expect("the server keeps the connection");
+        Response::parse(&payload).expect("a well-formed response")
+    }
+
+    fn connect(addr: std::net::SocketAddr) -> TcpStream {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        stream
+    }
+
+    #[test]
+    fn a_panicking_backend_answers_err_and_keeps_its_worker() {
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = serve("127.0.0.1:0", Arc::new(Panicking), config).expect("bind");
+        let mut first = connect(server.local_addr());
+        let query = Request::Query {
+            query: "q(X) :- p(X).".to_owned(),
+            at: None,
+        };
+        for _ in 0..2 {
+            match exchange(&mut first, &query) {
+                Response::Error(message) => assert!(
+                    message.contains("backend panicked: no plan for q(X) :- p(X)."),
+                    "{message}"
+                ),
+                other => panic!("expected ERR, got {other:?}"),
+            }
+        }
+        // The one worker still serves: the panicking connection, and a
+        // new one.
+        assert_eq!(exchange(&mut first, &Request::Ping), Response::Pong);
+        let mut second = connect(server.local_addr());
+        assert_eq!(exchange(&mut second, &Request::Ping), Response::Pong);
+        drop((first, second));
+        server.handle().shutdown();
+        server.join();
+    }
 }

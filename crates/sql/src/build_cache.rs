@@ -1,4 +1,9 @@
-//! Access patterns and the shared build-side cache.
+//! Access patterns and the shared build-side cache: the groupings of a
+//! table's rows that no index of the table holds — by a key column under
+//! a constant or a repeat filter, or by two or more key columns. A join
+//! on one key column with no other filter probes the column's posting
+//! index, and a scan reads the table in place (`join.rs`); neither
+//! reaches this cache.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -13,33 +18,16 @@ use crate::table::{cell_of, hash_bytes, Database, Table};
 /// predicate is read, which columns form the hash-join key, and which
 /// constant/equality filters restrict the rows. Two atoms from different
 /// disjuncts with the same pattern can share one hashed build side.
+/// `join.rs` compiles every step, and so names every pattern.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub(crate) struct PatternKey {
-    pred: Predicate,
+    pub(crate) pred: Predicate,
     /// Columns hashed as the join key, ascending.
-    key_cols: Vec<usize>,
+    pub(crate) key_cols: Vec<usize>,
     /// Constant filters `row[col] == term`, sorted by column.
-    consts: Vec<(usize, Term)>,
+    pub(crate) consts: Vec<(usize, Term)>,
     /// Intra-atom equalities `row[col] == row[earlier_col]`.
-    repeats: Vec<(usize, usize)>,
-}
-
-impl PatternKey {
-    /// Construct a pattern identity from an atom's classified columns
-    /// (`join.rs` compiles every step, and so names every pattern).
-    pub(crate) fn make(
-        pred: Predicate,
-        key_cols: Vec<usize>,
-        consts: Vec<(usize, Term)>,
-        repeats: Vec<(usize, usize)>,
-    ) -> Self {
-        PatternKey {
-            pred,
-            key_cols,
-            consts,
-            repeats,
-        }
-    }
+    pub(crate) repeats: Vec<(usize, usize)>,
 }
 
 /// A hashed build side: the ids of the filtered table's rows in one
@@ -61,16 +49,15 @@ pub(crate) struct Build {
 type Span = (u32, u32);
 
 /// Key → [`Span`] of its group, one map shape per key width, so the
-/// common keys hash as one integer.
+/// common keys hash as one integer. A build always has a key column: a
+/// scan with none reads the table in place (`join.rs`).
 enum Spans {
-    /// No key column: all of `rows` is the one group (a cached filtered
-    /// scan). An empty build of any key width is also `Whole`.
-    Whole,
     /// One key column: the bare cell.
     One(HashMap<u32, Span>),
     /// Two key columns: both cells packed by [`pack`].
     Two(HashMap<u64, Span>),
     /// Three or more key columns: the cell tuple (no workload has one).
+    /// An empty build of any key width is also `Many`, with no groups.
     Many(HashMap<Box<[u32]>, Span>),
 }
 
@@ -87,7 +74,6 @@ impl Build {
     #[inline]
     pub(crate) fn group_cells(&self, key: &[u32]) -> &[u32] {
         let span = match &self.spans {
-            Spans::Whole => return &self.rows,
             Spans::One(m) => m.get(&key[0]),
             Spans::Two(m) => m.get(&pack(key[0], key[1])),
             Spans::Many(m) => m.get(key),
@@ -101,7 +87,6 @@ impl Build {
     /// wide key's cells).
     pub(crate) fn bytes(&self) -> usize {
         let spans = match &self.spans {
-            Spans::Whole => 0,
             Spans::One(m) => hash_bytes::<u32, Span>(m.capacity()),
             Spans::Two(m) => hash_bytes::<u64, Span>(m.capacity()),
             Spans::Many(m) => {
@@ -117,32 +102,17 @@ impl Build {
     /// equal keys. The driver yields ids ascending, so sorting by key and
     /// then id keeps every group in driver order.
     fn construct(db: &Database, key: &PatternKey) -> Build {
-        let empty = Build {
-            rows: Box::default(),
-            spans: Spans::Whole,
-        };
         let Some(table) = db.table(key.pred) else {
-            return empty;
+            return Build {
+                rows: Box::default(),
+                spans: Spans::Many(HashMap::new()),
+            };
         };
-        // Constant filters as cells: a non-constant matches nothing (no
-        // row holds one).
-        let Some(consts) = key
-            .consts
-            .iter()
-            .map(|(col, term)| cell_of(term).map(|c| (*col, c)))
-            .collect::<Option<Vec<(usize, u32)>>>()
-        else {
-            return empty;
-        };
-        let repeats = &key.repeats;
+        let (consts, repeats) = (&key.consts, &key.repeats);
         let cell = |id: u32, col: usize| table.cell_at(id, col);
         match *key.key_cols.as_slice() {
-            [] => Build {
-                rows: matching(table, &consts, repeats, |id| id).into_boxed_slice(),
-                spans: Spans::Whole,
-            },
             [col] => {
-                let mut words = matching(table, &consts, repeats, |id| pack(cell(id, col), id));
+                let mut words = matching(table, consts, repeats, |id| pack(cell(id, col), id));
                 words.sort_unstable();
                 let (rows, spans) = grouped(
                     &words,
@@ -156,7 +126,7 @@ impl Build {
                 }
             }
             [first, second] => {
-                let mut words = matching(table, &consts, repeats, |id| {
+                let mut words = matching(table, consts, repeats, |id| {
                     u128::from(pack(cell(id, first), cell(id, second))) << 32 | u128::from(id)
                 });
                 words.sort_unstable();
@@ -173,7 +143,7 @@ impl Build {
             }
             ref cols => {
                 let key_of = |id: u32| cols.iter().map(move |&col| cell(id, col));
-                let mut ids = matching(table, &consts, repeats, |id| id);
+                let mut ids = matching(table, consts, repeats, |id| id);
                 ids.sort_unstable_by(|&a, &b| key_of(a).cmp(key_of(b)).then(a.cmp(&b)));
                 let (rows, spans) = grouped(
                     &ids,
@@ -190,17 +160,25 @@ impl Build {
     }
 }
 
-/// Every id of `table`'s live rows that pass the pattern's constant and
-/// repeat filters, through `word`, in driver order (ascending), into one
-/// array sized by the driver. The scan is driven from the most selective
+/// Every id of `table`'s live rows that pass the constant and repeat
+/// filters, through `word`, in driver order (ascending), into one array
+/// sized by the driver. The scan is driven from the most selective
 /// constant's posting list when there is one (it holds live rows only);
-/// otherwise it enumerates the live row ids.
-fn matching<T>(
+/// otherwise it enumerates the live row ids. A non-constant filter
+/// matches nothing: no row holds one.
+pub(crate) fn matching<T>(
     table: &Table,
-    consts: &[(usize, u32)],
+    consts: &[(usize, Term)],
     repeats: &[(usize, usize)],
     word: impl Fn(u32) -> T,
 ) -> Vec<T> {
+    let Some(consts) = consts
+        .iter()
+        .map(|(col, term)| cell_of(term).map(|c| (*col, c)))
+        .collect::<Option<Vec<(usize, u32)>>>()
+    else {
+        return Vec::new();
+    };
     let admits = |id: &u32| {
         consts
             .iter()
@@ -379,7 +357,7 @@ mod tests {
     use super::*;
     use crate::exec::execute_ucq_intra;
     use crate::test_support::{cq, sample_db};
-    use nyaya_core::{Atom, UnionQuery};
+    use nyaya_core::{Atom, ConjunctiveQuery, UnionQuery};
 
     /// xorshift64: the crate has no dependency to draw a generator from.
     struct Rng(u64);
@@ -451,7 +429,12 @@ mod tests {
                             },
                         }
                     }
-                    let pattern = PatternKey::make(pred, key_cols, consts, repeats);
+                    let pattern = PatternKey {
+                        pred,
+                        key_cols,
+                        consts,
+                        repeats,
+                    };
                     let build = Build::construct(&db, &pattern);
                     let context = format!("seed {seed}, {pattern:?}");
                     let Some(table) = table else {
@@ -506,15 +489,35 @@ mod tests {
         );
     }
 
+    /// `sample_db` plus `listed` and `held`, copies of `list_comp` and
+    /// `has_stock`: a table joined to its copy on both columns is the
+    /// shape that reads a build side (a scan or a one-key join reads the
+    /// table's own indexes).
+    fn copies_db() -> Database {
+        let mut db = sample_db();
+        for (copy, pred) in [("listed", "list_comp"), ("held", "has_stock")] {
+            for row in db.rows_vec(Predicate::new(pred, 2)) {
+                db.insert(Atom::new(Predicate::new(copy, 2), row));
+            }
+        }
+        db
+    }
+
+    /// `copy(a, b), pred(a, b)`: the planner scans the copy first (a tie,
+    /// broken by body order) and joins `pred` by both columns, a build.
+    fn both_columns(copy: &str, pred: &str, a: &str, b: &str) -> ConjunctiveQuery {
+        cq(&[a], &[(copy, &[a, b]), (pred, &[a, b])])
+    }
+
     #[test]
     fn build_cache_is_shared_across_disjuncts() {
-        let db = sample_db();
+        let db = copies_db();
         // Three disjuncts with the same access pattern on list_comp: one
         // build, two hits.
         let u = UnionQuery::new(vec![
-            cq(&["A"], &[("list_comp", &["A", "B"])]),
-            cq(&["C"], &[("list_comp", &["C", "D"])]),
-            cq(&["X"], &[("list_comp", &["X", "Y"])]),
+            both_columns("listed", "list_comp", "A", "B"),
+            both_columns("listed", "list_comp", "C", "D"),
+            both_columns("listed", "list_comp", "X", "Y"),
         ]);
         let (ans, metrics) = execute_ucq_intra(&db, &u, 1, 1, &BuildCache::new(), 1.0);
         assert_eq!(ans.len(), 2);
@@ -526,10 +529,10 @@ mod tests {
 
     #[test]
     fn carried_over_evicts_exactly_the_touched_predicates() {
-        let db = sample_db();
+        let db = copies_db();
         let u = UnionQuery::new(vec![
-            cq(&["A"], &[("list_comp", &["A", "B"])]),
-            cq(&["A"], &[("has_stock", &["A", "B"])]),
+            both_columns("listed", "list_comp", "A", "B"),
+            both_columns("held", "has_stock", "A", "B"),
         ]);
         let cache = BuildCache::new();
         execute_ucq_intra(&db, &u, 1, 1, &cache, 1.0);
@@ -548,8 +551,8 @@ mod tests {
 
     #[test]
     fn shared_cache_metrics_report_per_call_deltas() {
-        let db = sample_db();
-        let u = UnionQuery::new(vec![cq(&["A"], &[("list_comp", &["A", "B"])])]);
+        let db = copies_db();
+        let u = UnionQuery::new(vec![both_columns("listed", "list_comp", "A", "B")]);
         let cache = BuildCache::new();
         let (_, first) = execute_ucq_intra(&db, &u, 1, 1, &cache, 1.0);
         assert_eq!((first.build_cache_hits, first.build_cache_misses), (0, 1));
@@ -563,8 +566,8 @@ mod tests {
 
     #[test]
     fn poisoned_build_cache_recovers_instead_of_wedging() {
-        let db = sample_db();
-        let u = UnionQuery::new(vec![cq(&["A"], &[("list_comp", &["A", "B"])])]);
+        let db = copies_db();
+        let u = UnionQuery::new(vec![both_columns("listed", "list_comp", "A", "B")]);
         let cache = BuildCache::new();
         let (expected, _) = execute_ucq_intra(&db, &u, 1, 1, &cache, 1.0);
         // A reader that panics while holding the cache's write lock (the

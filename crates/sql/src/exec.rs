@@ -17,11 +17,12 @@
 //!   in [`crate::program`], and so a rule body of a view's seed — is
 //!   planned by the cost planner ([`crate::plan`]) against the tables its
 //!   `DataSource` resolves, counted, and run. Body atoms are ordered by
-//!   priced operator work, and each join step is given the cheaper of two
-//!   access paths — a hashed build side, or the key column's posting index
-//!   ([`StepOp::Merge`]); a scan filtered by one constant alone reads
-//!   that constant's posting list. The driver projects every valuation
-//!   into a head sink: a set of answers, or a seed's support counts.
+//!   priced operator work; each step's access path follows from its
+//!   atom's shape (`join.rs`): the key column's posting index for a join
+//!   on one column ([`StepOp::Merge`](crate::StepOp::Merge)), the table
+//!   read in place for a scan, a hashed build side for any other join.
+//!   The driver projects every valuation into a head sink: a set of
+//!   answers, or a seed's support counts.
 //! - **One join step** (`join.rs`): every step of every pipeline — a
 //!   disjunct here, a rule body in [`crate::program`], a delta rule in
 //!   [`crate::ivm`] — is the same compiled step: an atom classified
@@ -32,7 +33,8 @@
 //! - **A shared build-side cache** ([`BuildCache`]): the disjuncts of a
 //!   UCQ rewriting overwhelmingly share access patterns (same predicate,
 //!   same join-key positions, same constant filters). The hashed build
-//!   side for a pattern is constructed once and reused by every disjunct
+//!   side for a pattern — a grouping no table index holds — is
+//!   constructed once and reused by every disjunct
 //!   — and by every worker thread of [`execute_ucq_intra`] — the
 //!   execution-side analogue of the paper's factorization.
 //! - **Cheap snapshots** ([`Database`] is copy-on-write): cloning a
@@ -56,7 +58,7 @@ use nyaya_core::{ConjunctiveQuery, Predicate, Symbol, Term, UnionQuery};
 
 use crate::build_cache::BuildCache;
 use crate::join::{AtomShape, Projection, Step};
-use crate::plan::{plan_over, StepOp};
+use crate::plan::plan_over;
 use crate::program::evaluate;
 use crate::table::Database;
 
@@ -68,7 +70,8 @@ use crate::table::Database;
 pub(crate) struct CacheTally {
     pub(crate) hits: AtomicU64,
     pub(crate) misses: AtomicU64,
-    /// [`StepOp::Merge`] steps executed (no build side constructed).
+    /// [`StepOp::Merge`](crate::StepOp::Merge) steps executed (no build
+    /// side fetched).
     pub(crate) merges: AtomicU64,
     /// Probe morsels driven through the join step (see [`MORSEL`]).
     pub(crate) morsels: AtomicU64,
@@ -183,12 +186,9 @@ impl Extend<Vec<Term>> for Support {
 /// Execute one CQ with atoms in `order`, resolving each atom's table and
 /// build cache through `src`, and project every valuation into `sink`.
 ///
-/// `ops` is the planner's per-step operator choice, parallel to `order`: a
-/// [`StepOp::Merge`] step probes the key column's posting index instead of
-/// a hashed build side, provided the step's shape confirms that column;
-/// a scan filtered by one constant alone reads that constant's posting
-/// list; every other step reads a build side ([`StepOp::Scan`] and
-/// [`StepOp::Hash`] differ only in the planner's pricing).
+/// Each step's access path is its atom's shape alone ([`Step::compile`]):
+/// the plan's [`StepOp`](crate::StepOp) labels name the same choice, so
+/// only its order is read here.
 ///
 /// Each join step's probe side is split into contiguous spans across up
 /// to `intra` worker threads (only once it holds at least two
@@ -199,7 +199,6 @@ fn execute_cq_ordered(
     src: &DataSource<'_>,
     q: &ConjunctiveQuery,
     order: &[usize],
-    ops: &[StepOp],
     tally: &CacheTally,
     intra: usize,
     sink: &mut impl Extend<Vec<Term>>,
@@ -208,7 +207,7 @@ fn execute_cq_ordered(
     let mut var_index: HashMap<Symbol, usize> = HashMap::new();
     let mut current: Vec<Vec<Term>> = vec![Vec::new()];
 
-    for (step, &atom_idx) in order.iter().enumerate() {
+    for &atom_idx in order {
         let atom = &q.body[atom_idx];
         let (db, cache) = src.resolve(atom.pred);
         if current.is_empty() {
@@ -216,16 +215,10 @@ fn execute_cq_ordered(
         }
         let shape = AtomShape::of(atom, |v| var_index.get(&v).copied());
         shape.bind_fresh(atom, &mut var_index);
-        // A planner-chosen merge step is only honored when the shape
-        // confirms that key column's postings are exactly the joining
-        // rows — a mismatch falls back to hash.
-        let merge = matches!(
-            ops.get(step),
-            Some(StepOp::Merge { key_col }) if shape.posting_col() == Some(*key_col)
-        );
-        let (compiled, was_hit) = Step::compile(db, cache, atom, shape, merge);
-        // A scan that read one constant's posting list fetched nothing and
-        // merged nothing: it counts nowhere.
+        let merge = shape.posting_col().is_some();
+        let (compiled, was_hit) = Step::compile(db, cache, atom, shape);
+        // A step with no key column fetched nothing and merged nothing: it
+        // counts nowhere.
         let counter = match was_hit {
             Some(true) => Some(&tally.hits),
             Some(false) => Some(&tally.misses),
@@ -266,7 +259,7 @@ pub(crate) fn run_planned(
     tally
         .estimated
         .fetch_add(plan.result_estimate().round() as u64, Ordering::Relaxed);
-    execute_cq_ordered(src, q, &plan.order, &plan.ops, tally, intra, sink);
+    execute_cq_ordered(src, q, &plan.order, tally, intra, sink);
 }
 
 /// The one union fan-out: run every rule body of `rules` through
@@ -300,10 +293,9 @@ where
 
 /// Counters from one (U)CQ execution.
 ///
-/// Every join step bumps one of `build_cache_hits`, `build_cache_misses`
-/// and `merge_joins`, except a scan filtered by one constant alone (no
-/// key column, no repeat): it reads that constant's posting list, fetches
-/// no build side and is no planner-chosen merge, so it bumps none.
+/// Every step with a key column bumps exactly one of `build_cache_hits`,
+/// `build_cache_misses` and `merge_joins`; a step with no key column (a
+/// scan, which reads its table in place) bumps none.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecMetrics {
     /// Disjuncts evaluated.
@@ -316,8 +308,9 @@ pub struct ExecMetrics {
     pub build_cache_hits: u64,
     /// Build sides constructed.
     pub build_cache_misses: u64,
-    /// [`StepOp::Merge`] steps executed: joins probed through a column's
-    /// posting index, with no build side fetched or constructed.
+    /// [`StepOp::Merge`](crate::StepOp::Merge) steps executed: joins
+    /// probed through a column's posting index, with no build side fetched
+    /// or constructed.
     pub merge_joins: u64,
     /// Probe morsels (1024-row batches) the join steps drove
     /// across all join steps. Counts logical batches of each step's probe

@@ -326,8 +326,8 @@ fn eval_delta_rule(
         order.push(best);
     }
 
-    // Compile every step once per pass (posting access where the shape
-    // allows); each is probed per delta tuple. A step over a predicate
+    // Compile every step once per pass (its access path follows from its
+    // shape); each is probed per delta tuple. A step over a predicate
     // with no table joins nothing, and neither does the rule: stop before
     // touching the delta tuples.
     let mut steps: Vec<Step<'_>> = Vec::with_capacity(order.len());
@@ -337,7 +337,7 @@ fn eval_delta_rule(
         let (db, cache) = src.resolve(atom.pred);
         let shape = AtomShape::of(atom, |v| var_index.get(&v).copied());
         shape.bind_fresh(atom, &mut var_index);
-        let step = Step::compile(db, cache, atom, shape, true).0;
+        let step = Step::compile(db, cache, atom, shape).0;
         if step.is_empty() {
             return;
         }
@@ -583,12 +583,12 @@ mod tests {
         assert_eq!((old.len(), new.len()), (0, 0));
 
         // `edge(a, b)` carries two constants, which no one posting list
-        // answers: both deltas scan it first and build a side, one from
-        // each state, and neither cache keeps it.
+        // answers: both deltas scan it first, filtering its rows once per
+        // pass, and neither builds a side.
         let (mut view, _) = seed(program_with_ground_edge(), &db);
         let (old, new) = (BuildCache::new(), BuildCache::new());
         view.propagate((&db, &old), (&db2, &new), &delta("c1", &["c"], 1));
-        assert_eq!((old.misses(), new.misses()), (1, 1));
+        assert_eq!((old.misses(), new.misses()), (0, 0));
         assert_eq!((old.len(), new.len()), (0, 0));
     }
 

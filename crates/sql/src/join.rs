@@ -2,26 +2,32 @@
 //! far ([`AtomShape`]), compile it into a probe over a table
 //! ([`Step`]), and join intermediate tuples to rows ([`Step::probe`]).
 //!
-//! Every driver runs this kernel and differs only in *when* it compiles,
-//! *what* it feeds in and *when* it asks for the posting index: the (U)CQ
-//! executor (`exec::execute_cq_ordered`, which program evaluation and a
-//! view's seed also reach) compiles lazily, step by step, in the
-//! planner's order, probes in morsels, and probes postings where the plan
-//! says `merge`; view maintenance
-//! ([`crate::ivm`]) compiles a delta rule's steps once per pass, probes
-//! once per changed tuple, and probes postings wherever the shape has a
-//! [`posting_col`](AtomShape::posting_col). Both read a scan filtered by
-//! one constant alone off that constant's posting list
-//! ([`posting_const`](AtomShape::posting_const)). Intermediate tuples are
-//! `Vec<Term>` valuations; cells are decoded to terms here, where a row
-//! extends a tuple, and nowhere else.
+//! A step's access path is a function of its atom's shape alone, chosen
+//! in one place ([`Step::compile`]): a join on one key column with no
+//! other filter probes that column's posting index; a scan (no key
+//! column) reads the live ids in place, one constant's posting list, or
+//! the rows its filters pass; only a grouping no table index holds — a
+//! key column beside a constant or a repeat, or two or more key columns
+//! — reads a build side from a [`BuildCache`].
+//!
+//! Every driver runs this kernel and differs only in *when* it compiles
+//! and *what* it feeds in: the (U)CQ executor
+//! (`exec::execute_cq_ordered`, which program evaluation and a view's
+//! seed also reach) compiles lazily, step by step, in the planner's
+//! order, and probes in morsels; view maintenance ([`crate::ivm`])
+//! compiles a delta rule's steps once per pass and probes once per
+//! changed tuple. Intermediate tuples are `Vec<Term>` valuations; cells
+//! are decoded to terms here, where a row extends a tuple, and nowhere
+//! else.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use nyaya_core::{Atom, Symbol, Term};
 
-use crate::build_cache::{Build, BuildCache, PatternKey};
+use crate::build_cache::{matching, Build, BuildCache, PatternKey};
 use crate::table::{cell_of, Database, Table};
 
 /// One atom's arguments classified against a set of bound variables:
@@ -117,19 +123,24 @@ impl AtomShape {
     }
 }
 
-/// How a [`Step`] finds the rows joining one probe key.
+/// How a [`Step`] finds the rows joining one probe key — a function of
+/// the atom's shape alone (see [`Step::compile`]).
 enum Access<'a> {
     /// The key column's posting index, which every table maintains (the
-    /// planner's `merge` operator): nothing is built or cached.
-    /// [`Step::compile`] only makes one for a shape with a
-    /// [`posting_col`](AtomShape::posting_col).
+    /// planner's `merge` operator): nothing is built or cached. Only a
+    /// shape with a [`posting_col`](AtomShape::posting_col) has one.
     Posting { key_col: usize },
-    /// The rows of one constant's posting list: a scan with exactly one
-    /// constant filter, no key column and no repeat reads that list as it
-    /// stands, so nothing is built, locked or cached per constant.
-    Rows(&'a [u32]),
-    /// A hashed build side from a [`BuildCache`]: the atom's rows,
-    /// filtered by its constants and repeats, grouped by the key columns.
+    /// Every live row of the table, read in place as the ranges between
+    /// its dead ids (sorted once, at compile): a scan with no key column,
+    /// no constant and no repeat.
+    Live(Vec<Range<u32>>),
+    /// The rows of any other scan with no key column: one constant's
+    /// posting list as it stands, or the rows passing several filters,
+    /// collected once per compile and never cached.
+    Rows(Cow<'a, [u32]>),
+    /// A build side from a [`BuildCache`]: the atom's rows, filtered by
+    /// its constants and repeats, grouped by its key columns — the one
+    /// grouping no table index holds.
     Build(Arc<Build>),
 }
 
@@ -144,33 +155,35 @@ pub(crate) struct Step<'a> {
 }
 
 impl<'a> Step<'a> {
-    /// Compile `atom`'s step over `db`. With `posting` set, a shape whose
-    /// key column's postings are exactly the joining rows
-    /// ([`AtomShape::posting_col`]) probes that index; a scan filtered by
-    /// one constant alone reads that constant's posting list; every other
-    /// step fetches its build side from `cache`, or constructs it into it
-    /// (retained only when its pattern names no constant,
-    /// [`BuildCache::get_or_build`]). The second value says whether the
-    /// cache served it (`None`: nothing was fetched).
+    /// Compile `atom`'s step over `db`, choosing its access path by shape
+    /// alone: a shape whose key column's postings are exactly the joining
+    /// rows ([`AtomShape::posting_col`]) probes that index; a scan (no key
+    /// column) reads the live rows in place, one constant's posting list
+    /// ([`AtomShape::posting_const`]), or the rows its filters pass; every
+    /// other step — one key column beside a constant or a repeat, or two
+    /// or more key columns — fetches its build side from `cache`, or
+    /// constructs it into it (retained only when its pattern names no
+    /// constant, [`BuildCache::get_or_build`]). The second value says
+    /// whether the cache served it (`None`: nothing was fetched).
     pub(crate) fn compile(
         db: &'a Database,
         cache: &BuildCache,
         atom: &Atom,
         shape: AtomShape,
-        posting: bool,
     ) -> (Step<'a>, Option<bool>) {
         let table = db.table(atom.pred);
-        let (access, was_hit) = if let Some(key_col) = shape.posting_col().filter(|_| posting) {
+        let (access, was_hit) = if let Some(key_col) = shape.posting_col() {
             (Access::Posting { key_col }, None)
-        } else if let Some((col, term)) = shape.posting_const() {
-            // A non-constant filter matches nothing: no row holds one.
-            let rows = match (table, cell_of(term)) {
-                (Some(table), Some(cell)) => table.posting_cells(col, cell),
-                _ => &[],
-            };
-            (Access::Rows(rows), None)
+        } else if shape.key_cols.is_empty() {
+            let scan = table.map_or(Access::Live(Vec::new()), |t| Self::scan(t, &shape));
+            (scan, None)
         } else {
-            let pattern = PatternKey::make(atom.pred, shape.key_cols, shape.consts, shape.repeats);
+            let pattern = PatternKey {
+                pred: atom.pred,
+                key_cols: shape.key_cols,
+                consts: shape.consts,
+                repeats: shape.repeats,
+            };
             let (build, was_hit) = cache.get_or_build(db, &pattern);
             (Access::Build(build), Some(was_hit))
         };
@@ -181,6 +194,20 @@ impl<'a> Step<'a> {
             access,
         };
         (step, was_hit)
+    }
+
+    /// The access path of a scan: a step with no key column.
+    fn scan(table: &'a Table, shape: &AtomShape) -> Access<'a> {
+        if shape.consts.is_empty() && shape.repeats.is_empty() {
+            return Access::Live(table.live_ranges());
+        }
+        Access::Rows(match shape.posting_const() {
+            // A non-constant filter matches nothing: no row holds one.
+            Some((col, term)) => {
+                Cow::Borrowed(cell_of(term).map_or(&[], |c| table.posting_cells(col, c)))
+            }
+            None => Cow::Owned(matching(table, &shape.consts, &shape.repeats, |id| id)),
+        })
     }
 
     /// Does the step join nothing whatever is probed (no table)?
@@ -199,14 +226,27 @@ impl<'a> Step<'a> {
             Access::Posting { key_col } => self.extend(table, batch, out, |key| {
                 table.posting_cells(*key_col, key[0])
             }),
+            // No key: every tuple extends with every live row. Plain nested
+            // loops over the ranges: a flattening iterator here (and feeding
+            // `extend` iterators instead of slices) read a few percent
+            // slower on `lubm_join`.
+            Access::Live(ranges) => {
+                for tuple in batch {
+                    for range in ranges {
+                        for id in range.clone() {
+                            self.emit(table, tuple, id, out);
+                        }
+                    }
+                }
+            }
             Access::Rows(rows) => self.extend(table, batch, out, |_| rows),
             Access::Build(build) => self.extend(table, batch, out, |key| build.group_cells(key)),
         }
     }
 
-    /// The probe loop, monomorphised per access path: encode the tuple's
-    /// key values as cells, look the key up, decode the fresh columns of
-    /// every matching row.
+    /// The probe loop, monomorphised per access path that answers a key
+    /// with a slice of row ids: encode the tuple's key values as cells,
+    /// look the key up, decode the fresh columns of every matching row.
     #[inline(always)]
     fn extend<'r>(
         &self,
@@ -227,13 +267,19 @@ impl<'a> Step<'a> {
                 }
             }
             for &id in rows_of(&key) {
-                let mut extended = tuple.clone();
-                for &col in &self.fresh_cols {
-                    extended.push(table.term_at(id, col));
-                }
-                out.push(extended);
+                self.emit(table, tuple, id, out);
             }
         }
+    }
+
+    /// Extend `tuple` with the fresh columns of row `id` into `out`.
+    #[inline(always)]
+    fn emit(&self, table: &Table, tuple: &[Term], id: u32, out: &mut Vec<Vec<Term>>) {
+        let mut extended = tuple.to_vec();
+        for &col in &self.fresh_cols {
+            extended.push(table.term_at(id, col));
+        }
+        out.push(extended);
     }
 }
 
@@ -416,15 +462,26 @@ mod tests {
                         let names: Vec<&str> = names.iter().map(String::as_str).collect();
                         let a = atom(&format!("p{arity}"), &names);
                         // `K` is bound at valuation index 1, behind a pad.
-                        let compile = |posting: bool| {
-                            let s = AtomShape::of(&a, |v| {
-                                (Term::Var(v) == Term::var("K")).then_some(1)
-                            });
-                            assert_eq!(s.posting_col(), Some(key_col));
-                            Step::compile(db, &cache, &a, s, posting)
+                        let s =
+                            AtomShape::of(&a, |v| (Term::Var(v) == Term::var("K")).then_some(1));
+                        assert_eq!(s.posting_col(), Some(key_col));
+                        // The reference side: the same rows grouped by the
+                        // key column in a build, straight from the cache.
+                        let pattern = PatternKey {
+                            pred: a.pred,
+                            key_cols: vec![key_col],
+                            consts: vec![],
+                            repeats: vec![],
                         };
-                        let ((posting, no_fetch), (build, fetch)) = (compile(true), compile(false));
-                        assert!(no_fetch.is_none() && fetch.is_some(), "two access paths");
+                        let build = Step {
+                            table: db.table(a.pred),
+                            probe_indices: vec![1],
+                            fresh_cols: s.fresh_cols.clone(),
+                            access: Access::Build(cache.get_or_build(db, &pattern).0),
+                        };
+                        let (posting, fetched) = Step::compile(db, &cache, &a, s);
+                        assert!(fetched.is_none(), "the posting index is read in place");
+                        assert!(matches!(posting.access, Access::Posting { .. }));
                         assert_eq!(posting.is_empty(), arity == 4);
                         // Every stored value, a constant the table never
                         // stored, and a labelled null, which no row holds.
@@ -461,6 +518,108 @@ mod tests {
         assert!(joined > 5_000, "the fixture must join something: {joined}");
     }
 
+    /// The ids a scan's access path yields, in order.
+    fn scanned_ids(step: &Step<'_>) -> Vec<u32> {
+        match &step.access {
+            Access::Live(ranges) => ranges.iter().cloned().flatten().collect(),
+            Access::Rows(rows) => rows.to_vec(),
+            _ => panic!("a scan probes no index and fetches no build"),
+        }
+    }
+
+    /// Every scan shape over `p1`…`p4` (each column a fresh variable, a
+    /// constant — stored, never stored, or a labelled null — or the
+    /// variable `R`, a repeat from its second occurrence on) and over the
+    /// absent `p4`, on tables before and after retractions
+    /// and inserts: the live-id access and the filtered access both yield
+    /// exactly the live matching ids, ascending, and nothing is cached.
+    #[test]
+    fn a_scan_reads_exactly_the_live_matching_ids_in_order() {
+        let (mut live, mut filtered) = (0usize, 0usize);
+        for seed in 1..=30u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let base = Database::from_facts((0..60).map(|_| random_fact(&mut rng)));
+            let mut written = base.clone();
+            for fact in base
+                .facts()
+                .filter(|_| rng.below(3) == 0)
+                .collect::<Vec<_>>()
+            {
+                assert!(written.remove(&fact));
+            }
+            for _ in 0..20 {
+                let fact = random_fact(&mut rng);
+                if rng.below(4) == 0 {
+                    written.remove(&fact);
+                } else {
+                    written.insert(fact);
+                }
+            }
+            for (db, state) in [(&base, "base only"), (&written, "base + delta")] {
+                let cache = BuildCache::new();
+                for arity in 1..=4usize {
+                    let pred = Predicate::new(&format!("p{arity}"), arity);
+                    for code in 0..3usize.pow(arity as u32) {
+                        let args = (0..arity)
+                            .map(|col| match code / 3usize.pow(col as u32) % 3 {
+                                0 => Term::var(&format!("F{col}")),
+                                1 => match rng.below(11) {
+                                    9 => Term::constant("never"),
+                                    10 => Term::Null(999),
+                                    k => value(k),
+                                },
+                                _ => Term::var("R"),
+                            })
+                            .collect();
+                        let a = Atom::new(pred, args);
+                        let shape = AtomShape::of(&a, |_| None);
+                        let filters = !shape.consts.is_empty() || !shape.repeats.is_empty();
+                        let expected: Vec<u32> = db.table(pred).map_or(Vec::new(), |table| {
+                            table
+                                .live_ids()
+                                .filter(|&id| shape.admits(&table.row_terms(id)))
+                                .collect()
+                        });
+                        let fresh: Vec<Vec<Term>> = db.table(pred).map_or(Vec::new(), |table| {
+                            expected
+                                .iter()
+                                .map(|&id| {
+                                    shape
+                                        .fresh_cols
+                                        .iter()
+                                        .map(|&c| table.term_at(id, c))
+                                        .collect()
+                                })
+                                .collect()
+                        });
+                        let (step, fetched) = Step::compile(db, &cache, &a, shape);
+                        let context = format!("seed {seed}, {state}, {a}");
+                        assert!(fetched.is_none(), "{context}: no build side fetched");
+                        let mut out = Vec::new();
+                        step.probe(&[Vec::new()], &mut out);
+                        assert_eq!(out, fresh, "{context}: probed rows in id order");
+                        if step.is_empty() {
+                            assert_eq!(arity, 4, "{context}");
+                            continue;
+                        }
+                        assert_eq!(
+                            matches!(step.access, Access::Live(_)),
+                            !filters,
+                            "{context}"
+                        );
+                        assert_eq!(scanned_ids(&step), expected, "{context}");
+                        *if filters { &mut filtered } else { &mut live } += expected.len();
+                    }
+                }
+                assert!(cache.is_empty(), "seed {seed}, {state}");
+            }
+        }
+        assert!(
+            live > 2_000 && filtered > 1_000,
+            "the fixture must scan something: {live} live, {filtered} filtered"
+        );
+    }
+
     #[test]
     fn a_one_constant_scan_reads_its_posting_list_and_builds_nothing() {
         let mut read = 0usize;
@@ -487,7 +646,7 @@ mod tests {
                         args[const_col] = filter.clone();
                         let a = Atom::new(Predicate::new(&format!("p{arity}"), arity), args);
                         let (step, fetched) =
-                            Step::compile(&db, &cache, &a, AtomShape::of(&a, |_| None), false);
+                            Step::compile(&db, &cache, &a, AtomShape::of(&a, |_| None));
                         assert!(fetched.is_none(), "{a}: no build side fetched");
                         let mut out = Vec::new();
                         step.probe(&[Vec::new()], &mut out);

@@ -7,11 +7,14 @@
 //! a UCQ disjunct and a program rule body.
 //!
 //! The planner is greedy: at every step it takes the connected atom whose
-//! step is cheapest, priced per physical operator — a hash join pays for
-//! building the table-sized hash side, a "merge" join (an index
-//! nested-loop join over the key column's posting index, which every table
-//! already maintains) pays only for its probes — and records the cheaper
-//! operator in the plan ([`StepOp`]). A runtime cardinality-feedback factor
+//! step is cheapest, priced per physical operator, and records the
+//! operator in the plan ([`StepOp`]). The operator follows from the
+//! atom's shape, as the executor's access path does (`join.rs`): a join
+//! on one key column with no other filter is a "merge" join (an index
+//! nested-loop join over the key column's posting index, which every
+//! table already maintains) and pays only for its probes; any other join
+//! is a hash join and pays for the build side it reads. A runtime
+//! cardinality-feedback factor
 //! (learned by the `KnowledgeBase` from estimated-vs-actual row counts per
 //! prepared query) scales the join estimates, so a plan that mispredicted
 //! badly is re-priced — and possibly re-shaped — on the next execution.
@@ -101,9 +104,12 @@ pub enum StepOp {
     /// pipeline, or a Cartesian step): constant filters drive the most
     /// selective posting list, otherwise the table is enumerated.
     Scan,
-    /// Hash join: the atom's filtered rows are hashed by the join-key
-    /// columns (a [`BuildCache`]-shared build
-    /// side) and probed per intermediate tuple.
+    /// Hash join, for the groupings no table index holds — a key column
+    /// beside a constant or a repeat, or two or more key columns: the
+    /// atom's filtered rows are grouped by the join-key columns (a
+    /// [`BuildCache`]-shared build side) and probed per intermediate
+    /// tuple. A join on one key column with no other filter is always a
+    /// [`StepOp::Merge`].
     Hash,
     /// Index nested-loop join over the key column's posting index (the
     /// name is historical — nothing is sorted or merged): each
@@ -148,10 +154,10 @@ impl CostPlan {
     }
 }
 
-/// Price one candidate step: estimated output cardinality, the chosen
-/// operator, and the operator's work. A scan pays for the rows it reads;
-/// a hash join pays for reading those rows into a build side plus one
-/// probe per intermediate tuple; a merge join pays for its probes, plus
+/// Price one candidate step: estimated output cardinality, the operator
+/// its shape gets, and the operator's work. A scan pays for the rows it
+/// reads; a hash join pays for reading those rows into a build side plus
+/// one probe per intermediate tuple; a merge join pays for its probes, plus
 /// a `min(distinct, card)` term left from a walk of per-column sorted
 /// value lists that tables no longer keep. The rows read are the whole
 /// table, or — under a constant filter — the most selective constant's
@@ -186,34 +192,29 @@ fn price_step(
     // cost of the old term-materializing row engine. Output
     // materialization (`est`) still decodes cells back to terms, so it
     // stays at full price. The discount applies to every operator alike,
-    // which preserves the hash-vs-merge choice while letting
-    // cheap-work/large-output steps trade off honestly against
+    // letting cheap-work/large-output steps trade off honestly against
     // expensive-work/small-output ones.
     const COLUMNAR_WORK_DISCOUNT: f64 = 0.5;
     if !joins_bound {
         return (est, StepOp::Scan, COLUMNAR_WORK_DISCOUNT * read + est);
     }
-    let hash_cost = COLUMNAR_WORK_DISCOUNT * (read + card) + est;
-    // Eligible for the posting index: the executor's own classification,
-    // asked with the planner's bound set (the valuation index is unused).
-    match AtomShape::of(atom, |v| bound.contains(&v).then_some(0)).posting_col() {
-        Some(key_col) => {
-            // The `min(distinct, card)` term priced a walk of the column's
-            // sorted distinct values, a list no table keeps any more: the
-            // step is `card` posting-index probes and nothing else, so this
-            // over-prices it by at most `0.5 * card`. Kept as is so that no
-            // plan moves with the kernel; re-pricing belongs to the
-            // planner's per-step-feedback change (ROADMAP item 1(a)).
-            let merge_cost =
-                COLUMNAR_WORK_DISCOUNT * (card + (stats.distinct[key_col] as f64).min(card)) + est;
-            if merge_cost < hash_cost {
-                (est, StepOp::Merge { key_col }, merge_cost)
-            } else {
-                (est, StepOp::Hash, hash_cost)
-            }
-        }
-        None => (est, StepOp::Hash, hash_cost),
-    }
+    // The executor's own classification, asked with the planner's bound
+    // set (the valuation index is unused): a posting-eligible step probes
+    // the index, every other one reads a build side.
+    let (op, work) = match AtomShape::of(atom, |v| bound.contains(&v).then_some(0)).posting_col() {
+        // The `min(distinct, card)` term priced a walk of the column's
+        // sorted distinct values, a list no table keeps any more: the step
+        // is `card` posting-index probes and nothing else, so this
+        // over-prices it by at most `0.5 * card`. Kept as is so that no
+        // plan moves with the kernel; re-pricing belongs to the planner's
+        // per-step-feedback change (ROADMAP item 1(a)).
+        Some(key_col) => (
+            StepOp::Merge { key_col },
+            card + (stats.distinct[key_col] as f64).min(card),
+        ),
+        None => (StepOp::Hash, read + card),
+    };
+    (est, op, COLUMNAR_WORK_DISCOUNT * work + est)
 }
 
 /// Plan a CQ with the cost-based planner against database statistics.
@@ -224,7 +225,7 @@ pub fn plan_cq_cost(db: &Database, q: &ConjunctiveQuery) -> CostPlan {
 /// [`plan_cq_cost`] with a runtime cardinality-feedback factor: join
 /// estimates are multiplied by `correction` (learned from
 /// estimated-vs-actual row counts of earlier executions), which can flip
-/// operator choices and join order on re-planning.
+/// the join order, and with it the operators, on re-planning.
 pub fn plan_cq_cost_corrected(db: &Database, q: &ConjunctiveQuery, correction: f64) -> CostPlan {
     let (overlay, cache, intensional) = (Database::new(), BuildCache::new(), HashSet::new());
     let src = DataSource {
@@ -252,39 +253,24 @@ pub(crate) fn plan_over(src: &DataSource<'_>, q: &ConjunctiveQuery, correction: 
     while !remaining.is_empty() {
         // Connected atoms first, then the cheapest priced step, then the
         // smallest estimate, then input order.
-        let (pos, _) = remaining
+        let price = |atom| price_step(atom, &stats[&atom.pred], &bound, card, correction);
+        let disconnected = |k: usize| {
+            !bound.is_empty() && !q.body[k].variables().iter().any(|v| bound.contains(v))
+        };
+        let (pos, (est, op, work)) = remaining
             .iter()
+            .map(|&k| price(&q.body[k]))
             .enumerate()
-            .min_by(|(_, &i), (_, &j)| {
-                let disconnected = |k: usize| {
-                    !bound.is_empty() && !q.body[k].variables().iter().any(|v| bound.contains(v))
-                };
-                let price = |k: usize| {
-                    price_step(
-                        &q.body[k],
-                        &stats[&q.body[k].pred],
-                        &bound,
-                        card,
-                        correction,
-                    )
-                };
-                let ((ei, _, wi), (ej, _, wj)) = (price(i), price(j));
+            .min_by(|(a, (ea, _, wa)), (b, (eb, _, wb))| {
+                let (i, j) = (remaining[*a], remaining[*b]);
                 disconnected(i)
                     .cmp(&disconnected(j))
-                    .then(wi.total_cmp(&wj))
-                    .then(ei.total_cmp(&ej))
+                    .then(wa.total_cmp(wb))
+                    .then(ea.total_cmp(eb))
                     .then(i.cmp(&j))
             })
-            .map(|(pos, &i)| (pos, i))
             .expect("remaining is non-empty");
         let i = remaining.remove(pos);
-        let (est, op, work) = price_step(
-            &q.body[i],
-            &stats[&q.body[i].pred],
-            &bound,
-            card,
-            correction,
-        );
         card = est;
         cost += work;
         order.push(i);
@@ -303,9 +289,11 @@ pub(crate) fn plan_over(src: &DataSource<'_>, q: &ConjunctiveQuery, correction: 
 }
 
 /// Human-readable plan (an `EXPLAIN` for the in-memory engine): the
-/// cost-based join order with the physical operator chosen per step.
-pub fn explain_cq(db: &Database, q: &ConjunctiveQuery) -> String {
-    let plan = plan_cq_cost(db, q);
+/// cost-based join order with the physical operator per step, planned at
+/// the feedback `correction` the executor plans with (see
+/// [`plan_cq_cost_corrected`]).
+pub fn explain_cq(db: &Database, q: &ConjunctiveQuery, correction: f64) -> String {
+    let plan = plan_cq_cost_corrected(db, q, correction);
     let mut out = String::new();
     out.push_str(&format!("plan for {q}\n"));
     for (step, ((&i, est), op)) in plan
@@ -500,7 +488,7 @@ mod tests {
     fn explain_mentions_every_atom() {
         let db = skewed_db();
         let q = cq(&["X"], &[("big", &["X", "Y"]), ("small", &["X"])]);
-        let text = explain_cq(&db, &q);
+        let text = explain_cq(&db, &q, 1.0);
         assert!(text.contains("big("));
         assert!(text.contains("small("));
         assert!(text.contains("total estimated cost"));

@@ -519,7 +519,15 @@ mod tests {
 
     #[test]
     fn parallel_strata_match_sequential_and_share_the_base_cache() {
-        let program = sample_program();
+        // A sixth rule joins two base atoms on both columns, the shape
+        // whose build side lands in the shared base cache (it derives
+        // nothing: r and s share no row).
+        let mut rules = sample_program().rules;
+        rules.push(DatalogRule::new(
+            atom("d1", &["X", "Y"]),
+            vec![atom("r", &["X", "Y"]), atom("s", &["X", "Y"])],
+        ));
+        let program = DatalogProgram::new(atom("ans", &["X"]), rules);
         let db = sample_db();
         let cache = BuildCache::new();
         let (seq, m1) = execute_program_shared(&db, &program, 1, &cache).unwrap();
@@ -527,7 +535,7 @@ mod tests {
         assert_eq!(seq, par);
         assert!(m4.threads > 1, "{m4:?}");
         assert_eq!(m1.strata, 2);
-        assert_eq!(m1.rules, 5);
+        assert_eq!(m1.rules, 6);
         assert_eq!(m1.materialized_tuples, 4); // d1: 2, d2: 2 (not the goal)
                                                // The second run reuses the base-atom build sides left in `cache`.
         assert!(m4.build_cache_hits > 0, "{m4:?}");

@@ -22,7 +22,8 @@
 //!   complete live posting list, copied from the base on first touch. A
 //!   probe therefore still returns one contiguous `&[u32]` that never
 //!   contains a dead row, and no join kernel tests for one; only the
-//!   id-range scans (`Table::live_ids`) skip the dead set.
+//!   id-range scans (`Table::live_ids`, `Table::live_ranges`) skip the
+//!   dead set.
 //!
 //! A write through a [`Database`] clone copies the delta, never the base
 //! (`O(delta)`, not `O(table)`); a delta that outgrows its base is folded
@@ -34,6 +35,7 @@
 
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use nyaya_core::{Atom, Predicate, Symbol, Term};
@@ -325,17 +327,23 @@ impl Table {
 
     /// The ids of the live rows, ascending — what every id-range scan
     /// iterates instead of `0..len()`: ids are stable between folds, so
-    /// removed rows leave holes. The dead ids are sorted once per scan
-    /// and the live ids are the ranges between them: nothing is hashed
-    /// per row, and a table without dead rows scans as one range.
+    /// removed rows leave holes.
     pub(crate) fn live_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.live_ranges().into_iter().flatten()
+    }
+
+    /// The live ids as the ranges between the dead ones, ascending: the
+    /// dead ids are sorted once per call, nothing is hashed per row, and a
+    /// table without dead rows is one range.
+    pub(crate) fn live_ranges(&self) -> Vec<Range<u32>> {
         let mut dead: Vec<u32> = self.delta.dead.iter().copied().collect();
         dead.sort_unstable();
-        let end = self.base.n_rows + self.delta.n_rows;
-        (0..=dead.len()).flat_map(move |gap| {
-            let from = gap.checked_sub(1).map_or(0, |before| dead[before] + 1);
-            from..dead.get(gap).copied().unwrap_or(end)
-        })
+        let starts = [0].into_iter().chain(dead.iter().map(|id| id + 1));
+        let ends = dead
+            .iter()
+            .copied()
+            .chain([self.base.n_rows + self.delta.n_rows]);
+        starts.zip(ends).map(|(from, to)| from..to).collect()
     }
 
     // `#[inline]` on the accessors below: the join kernels call them once

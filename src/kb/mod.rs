@@ -1763,7 +1763,11 @@ impl KnowledgeBase {
                     "operators: scan {scans}, hash {hashes}, merge {merges}\n"
                 ));
                 if let Some(first) = compiled.ucq.iter().next() {
-                    out.push_str(&nyaya_sql::explain_cq(snapshot.database(), first));
+                    out.push_str(&nyaya_sql::explain_cq(
+                        snapshot.database(),
+                        first,
+                        correction,
+                    ));
                 }
             }
         }

@@ -217,16 +217,22 @@ fn writes_evict_only_the_touched_predicates_build_sides() {
     let kb = KnowledgeBase::builder()
         .program_text(
             "
-        p(a, b). p(c, d).
-        r(e, f). r(g, h).
+        p(a, b). p(c, d). p(e, e). p(f, f).
+        pk(a, b). pk(c, d). pk(x, y).
+        r(e, f). r(g, h). r(i, i).
+        rk(e, f). rk(g, h).
         ",
         )
         .unwrap()
         .answer_cache(false)
         .build()
         .unwrap();
-    let q_p = kb.prepare_text("qp(X) :- p(X, Y).").unwrap();
-    let q_r = kb.prepare_text("qr(X) :- r(X, Y).").unwrap();
+    // A scan reads its table in place and a one-column join its posting
+    // index: only a join on both columns builds. Each key table is the
+    // smaller, so the planner scans it first and builds `p` (and `r`) by
+    // both columns.
+    let q_p = kb.prepare_text("qp(X) :- pk(X, Y), p(X, Y).").unwrap();
+    let q_r = kb.prepare_text("qr(X) :- rk(X, Y), r(X, Y).").unwrap();
 
     // First executions hash one build side each.
     kb.execute(&q_p).unwrap();
