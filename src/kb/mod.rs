@@ -58,45 +58,44 @@
 //! assert_eq!(kb.stats().cache_misses, 1);
 //! ```
 
+mod builder;
 mod cache;
 mod durability;
 mod error;
 mod executor;
+mod query;
 mod stats;
 mod subscribe;
 mod template;
 mod update;
 
-use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, Weak};
+use std::path::Path;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex, PoisonError, RwLock, Weak};
 
 use nyaya_chase::{check_consistency, ChaseConfig, Consistency};
+#[cfg(doc)]
+use nyaya_core::classify;
 use nyaya_core::{
-    apply_select, classify, normalize, Atom, CanonicalKey, Classification, ConjunctiveQuery,
-    DatalogProgram, Normalization, Ontology, Predicate, SelectOptions, Symbol, Term, Tgd,
+    apply_select, Atom, Classification, ConjunctiveQuery, DatalogProgram, Normalization, Ontology,
+    Predicate, SelectOptions, Symbol, Term, Tgd,
 };
-use nyaya_parser::{parse_dl_lite, parse_owl_ql, parse_program, parse_query};
-use nyaya_rewrite::{
-    estimate_dnf_bound, interaction_clusters, nr_datalog_rewrite_with, quonto_rewrite,
-    requiem_rewrite, tgd_rewrite_with, EliminationContext, ProgramOptStats, ProgramStrategy,
-    RewriteOptions, RewriteStats,
-};
-use nyaya_sql::{BaseDeltas, BuildCache, Catalog, Database, ExecMetrics, MaterializedView};
+use nyaya_rewrite::{EliminationContext, ProgramOptStats, ProgramStrategy, RewriteStats};
+use nyaya_sql::{BaseDeltas, BuildCache, ExecMetrics, MaterializedView};
 
-use cache::{Correction, Entries, QueryEntry, ANSWER_CACHE_PER_QUERY, ANSWER_CACHE_PER_TEMPLATE};
+use cache::Entries;
 use durability::Durability;
 use executor::{thread_budgets, Target};
 use stats::Counters;
 use subscribe::SubscriptionInner;
-use template::{sigma_constants, Shape};
 use update::replay;
 
+pub use builder::KnowledgeBaseBuilder;
 pub use error::NyayaError;
 pub use executor::{Answers, ExecutorKind};
 pub use nyaya_ledger::{LedgerHistory, SealedWalInfo, SegmentFlush, SegmentInfo};
+pub use query::PreparedQuery;
 pub use stats::{json_escape, KbStats};
 pub use subscribe::{AnswerDiff, Subscription};
 pub use update::{ApplyOutcome, Snapshot, UpdateBatch};
@@ -162,77 +161,6 @@ pub(crate) const DEFAULT_FLUSH_INTERVAL: u64 = 64;
 /// on its next execution.
 pub const REPLAN_RATIO: f64 = 8.0;
 
-/// A query compiled against a [`KnowledgeBase`].
-///
-/// Holds the original CQ, the engine that will compile it, and its
-/// template: the query with every constant the ontology never mentions
-/// replaced by a parameter, beside the constants those parameters stand
-/// for. Everything compiled or learned for the template — rewriting,
-/// program, [`Strategy::Auto`] choice, plan correction, cached answers —
-/// lives in the knowledge base's one cache entry for it, produced lazily
-/// by the first executor that needs it and shared by every handle with an
-/// α-equivalent template — except the plan correction of a handle that
-/// binds constants, which the handle learns itself (see
-/// [`KnowledgeBase::plan_correction`]). The handle binds its constants
-/// into the compiled forms once and keeps those, and a reference to the
-/// entry, inline, so re-executing it takes no cache lock. The slots
-/// belong to the knowledge base that prepared the handle: executing it
-/// against a *different* knowledge base re-templates the query against
-/// that base's ontology, goes through that base's own entry and never
-/// touches the slots, instead of silently serving a rewriting from the
-/// wrong Σ.
-pub struct PreparedQuery {
-    query: ConjunctiveQuery,
-    algorithm: Algorithm,
-    /// `query` as the base that prepared it compiles it.
-    shape: Shape,
-    /// Identity of the [`KnowledgeBase`] whose `prepare` produced this.
-    kb_id: u64,
-    /// That base's entry for this query's shape, filled on first use.
-    entry: OnceLock<Arc<QueryEntry>>,
-    /// The entry's rewriting and program with `shape`'s constants bound,
-    /// filled on first use when there are any (otherwise the entry's own
-    /// forms are served).
-    bound_rewriting: OnceLock<Arc<CompiledRewriting>>,
-    bound_program: OnceLock<Arc<CompiledProgram>>,
-    /// The plan correction learned from this handle's executions when it
-    /// binds constants (see [`KnowledgeBase::plan_correction`]).
-    bound_correction: Correction,
-}
-
-impl std::fmt::Debug for PreparedQuery {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let compiled = self
-            .entry
-            .get()
-            .is_some_and(|e| e.rewriting.get().is_some());
-        f.debug_struct("PreparedQuery")
-            .field("query", &self.query.to_string())
-            .field("algorithm", &self.algorithm)
-            .field("compiled", &compiled)
-            .finish()
-    }
-}
-
-impl PreparedQuery {
-    /// The query as handed to [`KnowledgeBase::prepare`].
-    pub fn query(&self) -> &ConjunctiveQuery {
-        &self.query
-    }
-
-    /// The engine that compiles this query.
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// The canonical (α-renaming-invariant) cache key: that of the
-    /// query's template, so queries differing only in constants the
-    /// ontology never mentions share it.
-    pub fn key(&self) -> &CanonicalKey {
-        &self.shape.key
-    }
-}
-
 /// A compiled perfect rewriting, as cached by the knowledge base.
 #[derive(Clone)]
 pub struct CompiledRewriting {
@@ -268,344 +196,6 @@ pub struct CompiledProgram {
     /// never defined by a rule head), sorted — the program path's answer
     /// dependency set, mirroring [`CompiledRewriting::touched`].
     pub touched: Vec<Predicate>,
-}
-
-/// Process-unique knowledge-base identities (see [`PreparedQuery::kb_id`]).
-static NEXT_KB_ID: AtomicU64 = AtomicU64::new(0);
-
-/// Builder for [`KnowledgeBase`] — see the [crate docs](crate).
-pub struct KnowledgeBaseBuilder {
-    ontology: Ontology,
-    facts: Vec<Atom>,
-    queries: Vec<ConjunctiveQuery>,
-    algorithm: Option<Algorithm>,
-    executor: ExecutorKind,
-    show_aux: bool,
-    nc_pruning: Option<bool>,
-    max_queries: usize,
-    minimize_rewritings: bool,
-    strategy: Strategy,
-    program_threshold: usize,
-    chase_config: ChaseConfig,
-    catalog: Option<Catalog>,
-    durable_path: Option<PathBuf>,
-    flush_interval: u64,
-    answer_cache: bool,
-}
-
-impl Default for KnowledgeBaseBuilder {
-    fn default() -> Self {
-        KnowledgeBaseBuilder {
-            ontology: Ontology::from_tgds(Vec::new()),
-            facts: Vec::new(),
-            queries: Vec::new(),
-            algorithm: None,
-            executor: ExecutorKind::Auto,
-            show_aux: false,
-            nc_pruning: None,
-            max_queries: 500_000,
-            minimize_rewritings: false,
-            strategy: Strategy::Auto,
-            program_threshold: DEFAULT_PROGRAM_THRESHOLD,
-            chase_config: ChaseConfig::default(),
-            catalog: None,
-            durable_path: None,
-            flush_interval: DEFAULT_FLUSH_INTERVAL,
-            answer_cache: true,
-        }
-    }
-}
-
-impl KnowledgeBaseBuilder {
-    /// An empty builder (no ontology, facts or queries loaded yet).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Load a Datalog± program: TGDs, NCs, KDs, facts and queries. Facts
-    /// and queries accumulate; constraints extend the ontology.
-    pub fn program_text(mut self, source: &str) -> Result<Self, NyayaError> {
-        let program = parse_program(source).map_err(|e| NyayaError::parse("datalog\u{b1}", e))?;
-        self.merge_ontology(program.ontology);
-        self.facts.extend(program.facts);
-        self.queries.extend(program.queries);
-        Ok(self)
-    }
-
-    /// Load a DL-Lite_R axiom list (TBox only — no facts or queries).
-    pub fn dl_lite_text(mut self, source: &str) -> Result<Self, NyayaError> {
-        let ontology = parse_dl_lite(source).map_err(|e| NyayaError::parse("dl-lite", e))?;
-        self.merge_ontology(ontology);
-        Ok(self)
-    }
-
-    /// Load an OWL 2 QL document in functional-style syntax (TBox + ABox).
-    pub fn owl_ql_text(mut self, source: &str) -> Result<Self, NyayaError> {
-        let program = parse_owl_ql(source).map_err(|e| NyayaError::parse("owl2-ql", e))?;
-        self.merge_ontology(program.ontology);
-        self.facts.extend(program.facts);
-        self.queries.extend(program.queries);
-        Ok(self)
-    }
-
-    /// Load from a file, dispatching on extension: `.dl` ⇒ DL-Lite_R,
-    /// `.owl`/`.ofn` ⇒ OWL 2 QL, anything else ⇒ Datalog±.
-    pub fn file(self, path: impl AsRef<Path>) -> Result<Self, NyayaError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| NyayaError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })?;
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("dl") => self.dl_lite_text(&text),
-            Some("owl") | Some("ofn") => self.owl_ql_text(&text),
-            _ => self.program_text(&text),
-        }
-    }
-
-    /// Add a pre-built ontology (merged with anything already loaded).
-    pub fn ontology(mut self, ontology: Ontology) -> Self {
-        self.merge_ontology(ontology);
-        self
-    }
-
-    /// Add raw TGDs.
-    pub fn tgds(mut self, tgds: impl IntoIterator<Item = Tgd>) -> Self {
-        self.ontology.tgds.extend(tgds);
-        self
-    }
-
-    /// Add database facts.
-    pub fn facts(mut self, facts: impl IntoIterator<Item = Atom>) -> Self {
-        self.facts.extend(facts);
-        self
-    }
-
-    /// Force a rewriting engine. Default: TGD-rewrite⋆ for linear
-    /// ontologies, plain TGD-rewrite otherwise (elimination is only proven
-    /// complete for linear TGDs — Theorem 10).
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = Some(algorithm);
-        self
-    }
-
-    /// Force an execution backend. Default ([`ExecutorKind::Auto`]):
-    /// in-memory UCQ execution when the classification guarantees
-    /// FO-rewritability, chase-based certain answers otherwise.
-    pub fn executor(mut self, executor: ExecutorKind) -> Self {
-        self.executor = executor;
-        self
-    }
-
-    /// Keep the Lemma 1/2 auxiliary predicates in final rewritings (the
-    /// paper's UX/AX/P5X mode, where auxiliaries are part of the schema).
-    pub fn show_aux(mut self, show_aux: bool) -> Self {
-        self.show_aux = show_aux;
-        self
-    }
-
-    /// Enable/disable negative-constraint pruning (Section 5.1). Default:
-    /// enabled iff the ontology has NCs.
-    pub fn nc_pruning(mut self, nc_pruning: bool) -> Self {
-        self.nc_pruning = Some(nc_pruning);
-        self
-    }
-
-    /// Rewriting budget: maximum distinct queries explored per compile.
-    pub fn max_queries(mut self, max_queries: usize) -> Self {
-        self.max_queries = max_queries;
-        self
-    }
-
-    /// Post-process every compiled rewriting with signature-indexed
-    /// subsumption (answer-equivalent, possibly smaller UCQs; default
-    /// off, keeping the raw Algorithm 1 output). The pass's counters
-    /// surface in [`RewriteStats`] and [`KbStats`].
-    pub fn minimize_rewritings(mut self, minimize: bool) -> Self {
-        self.minimize_rewritings = minimize;
-        self
-    }
-
-    /// Force an execution form for prepared queries: the flat UCQ
-    /// rewriting, the non-recursive Datalog program, or (default) the
-    /// per-query [`Strategy::Auto`] selection based on the estimated DNF
-    /// size.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// The [`Strategy::Auto`] threshold: queries whose estimated DNF
-    /// (product of interaction-cluster rewriting sizes) reaches this many
-    /// CQs compile to the program target instead of the flat UCQ. Default
-    /// [`DEFAULT_PROGRAM_THRESHOLD`]; `0` routes every decomposable query
-    /// to the program.
-    pub fn program_threshold(mut self, threshold: usize) -> Self {
-        self.program_threshold = threshold;
-        self
-    }
-
-    /// Chase budgets for the consistency check and the chase backend.
-    pub fn chase_config(mut self, config: ChaseConfig) -> Self {
-        self.chase_config = config;
-        self
-    }
-
-    /// Use an explicit relational catalog. Predicates it does not cover are
-    /// still registered with default table/column names at build time.
-    pub fn catalog(mut self, catalog: Catalog) -> Self {
-        self.catalog = Some(catalog);
-        self
-    }
-
-    /// Persist the ABox in a durable ledger rooted at `path` (created if
-    /// absent): every applied batch is written to a checksummed,
-    /// fsynced write-ahead log *before* its snapshot is published, and
-    /// index segments bound recovery replay.
-    ///
-    /// If the directory already holds a ledger, [`build`](Self::build)
-    /// **recovers** from it — the on-disk state wins and any facts
-    /// staged on this builder are ignored (they were the epoch-0 seed of
-    /// the run that created the ledger). A fresh directory is seeded
-    /// with the builder's facts as epoch 0.
-    ///
-    /// Durable knowledge bases serve *any* historical epoch through
-    /// [`KnowledgeBase::snapshot_at`], across restarts.
-    pub fn durable(mut self, path: impl Into<PathBuf>) -> Self {
-        self.durable_path = Some(path.into());
-        self
-    }
-
-    /// How many applied batches between background index-segment flushes
-    /// (default 64; `0` is treated as 1). Only
-    /// meaningful together with [`durable`](Self::durable).
-    pub fn flush_interval(mut self, interval: u64) -> Self {
-        self.flush_interval = interval.max(1);
-        self
-    }
-
-    /// Enable/disable the exact answer cache (default **on**). A hit
-    /// requires the snapshot's per-predicate write epochs to match the
-    /// stored entry over every predicate the query reads, so a cached
-    /// answer is provably bit-identical to re-execution — disabling it
-    /// only matters for workloads that *measure* re-execution (benchmark
-    /// harnesses, planner-feedback tests).
-    pub fn answer_cache(mut self, enabled: bool) -> Self {
-        self.answer_cache = enabled;
-        self
-    }
-
-    fn merge_ontology(&mut self, other: Ontology) {
-        self.ontology.tgds.extend(other.tgds);
-        self.ontology.ncs.extend(other.ncs);
-        self.ontology.kds.extend(other.kds);
-    }
-
-    /// Normalize, classify and index the ontology — the compile-once half
-    /// of the pipeline. Everything done here is done exactly once per
-    /// knowledge base, never per query.
-    ///
-    /// Fails with [`NyayaError::NonGroundFact`] if a fact holds anything
-    /// but constants: the database holds constants only.
-    pub fn build(self) -> Result<KnowledgeBase, NyayaError> {
-        check_constants(&self.facts)?;
-        let classification = classify(&self.ontology.tgds);
-        let normalization = normalize(&self.ontology.tgds);
-        let algorithm = self.algorithm.unwrap_or(if classification.linear {
-            Algorithm::NyayaStar
-        } else {
-            Algorithm::Nyaya
-        });
-        // The elimination context (Section 6) depends on Σ alone; built
-        // here once and reused by every prepared query.
-        let elimination = classification
-            .linear
-            .then(|| EliminationContext::new(&normalization.tgds));
-        let hidden: HashSet<Predicate> = if self.show_aux {
-            HashSet::new()
-        } else {
-            normalization.aux_predicates.clone()
-        };
-        let executor = self.executor.resolve(&classification);
-        let mut catalog = self.catalog.unwrap_or_default();
-        catalog.register_defaults(
-            self.ontology
-                .predicates()
-                .into_iter()
-                .chain(normalization.tgds.iter().flat_map(|t| t.predicates()))
-                .chain(self.facts.iter().map(|f| f.pred))
-                // Bundled queries may mention database predicates that no
-                // TGD or fact touches — they still need tables for SQL.
-                .chain(
-                    self.queries
-                        .iter()
-                        .flat_map(|q| q.body.iter().map(|a| a.pred)),
-                ),
-        );
-        let nc_pruning = self.nc_pruning.unwrap_or(!self.ontology.ncs.is_empty());
-        let sigma_constants = sigma_constants(&self.ontology, &normalization.tgds);
-        let mut database = Database::from_facts(self.facts.iter().cloned());
-        let mut epoch = 0u64;
-        let counters = Arc::new(Counters::default());
-        let durability = match &self.durable_path {
-            None => None,
-            Some(path) => {
-                let (durability, recovered) =
-                    Durability::open(path, self.flush_interval, Arc::clone(&counters))?;
-                match recovered {
-                    // Fresh directory: the builder's facts become epoch 0,
-                    // sealed immediately as the base segment so recovery
-                    // always has something to replay from.
-                    None => durability.seed(&database)?,
-                    // Existing ledger: the durable state wins over any
-                    // builder-staged facts (those seeded the run that
-                    // created this ledger).
-                    Some(state) => {
-                        catalog.register_defaults(state.database.predicates());
-                        database = state.database;
-                        epoch = state.epoch;
-                    }
-                }
-                Some(durability)
-            }
-        };
-        let id = NEXT_KB_ID.fetch_add(1, Ordering::Relaxed);
-        // Epoch 0 (or the recovered epoch): the build-time data, published
-        // like any later epoch so readers and writers go through one code
-        // path from the start.
-        let snapshot = Arc::new(Snapshot::new(
-            id,
-            epoch,
-            database,
-            catalog,
-            BuildCache::new(),
-        ));
-        Ok(KnowledgeBase {
-            id,
-            ontology: self.ontology,
-            queries: self.queries,
-            classification,
-            normalization,
-            elimination,
-            hidden,
-            sigma_constants,
-            state: RwLock::new(snapshot),
-            apply_lock: Mutex::new(()),
-            chase_config: self.chase_config,
-            nc_pruning,
-            max_queries: self.max_queries,
-            minimize_rewritings: self.minimize_rewritings,
-            strategy: self.strategy,
-            program_threshold: self.program_threshold,
-            default_algorithm: algorithm,
-            executor,
-            entries: RwLock::default(),
-            counters,
-            durability,
-            subscriptions: Mutex::new(Vec::new()),
-            answer_cache_enabled: self.answer_cache,
-        })
-    }
 }
 
 /// A compiled ontological database: ontology, evolving data, and a
@@ -1134,345 +724,6 @@ impl KnowledgeBase {
         self.chase_config
     }
 
-    // ---- prepared queries --------------------------------------------
-
-    /// Prepare a CQ for repeated execution with the default engine.
-    pub fn prepare(&self, query: &ConjunctiveQuery) -> Result<PreparedQuery, NyayaError> {
-        self.prepare_with(query, self.default_algorithm)
-    }
-
-    /// Prepare a CQ with an explicit rewriting engine.
-    pub fn prepare_with(
-        &self,
-        query: &ConjunctiveQuery,
-        algorithm: Algorithm,
-    ) -> Result<PreparedQuery, NyayaError> {
-        if query.body.is_empty() {
-            return Err(NyayaError::EmptyQuery);
-        }
-        self.counters.prepared.fetch_add(1, Ordering::Relaxed);
-        Ok(PreparedQuery {
-            shape: Shape::of(query, &self.sigma_constants),
-            query: query.clone(),
-            algorithm,
-            kb_id: self.id,
-            entry: OnceLock::new(),
-            bound_rewriting: OnceLock::new(),
-            bound_program: OnceLock::new(),
-            bound_correction: Correction::default(),
-        })
-    }
-
-    /// Parse and prepare a query, e.g. `"q(A) :- person(A)."`.
-    pub fn prepare_text(&self, source: &str) -> Result<PreparedQuery, NyayaError> {
-        let query = parse_query(source).map_err(|e| NyayaError::parse("datalog\u{b1}", e))?;
-        self.prepare(&query)
-    }
-
-    /// The perfect rewriting of a prepared query — compiled for its
-    /// template on first use, then served from the cache (keyed by the
-    /// template's canonical key and engine, so α-equivalent queries and
-    /// queries differing only in constants Σ never mentions share one
-    /// compile), with the query's own constants bound.
-    pub fn rewriting(&self, query: &PreparedQuery) -> Result<Arc<CompiledRewriting>, NyayaError> {
-        let (shape, entry) = self.entry(query);
-        let compiled = match entry.rewriting.get() {
-            Some(compiled) => {
-                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(compiled)
-            }
-            None => {
-                self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                let compiled = self.compile(&shape.template, query.algorithm)?;
-                // Racing misses both compile; the first to store wins for both.
-                Arc::clone(entry.rewriting.get_or_init(|| Arc::new(compiled)))
-            }
-        };
-        Ok(self.bind(
-            query,
-            &shape,
-            &query.bound_rewriting,
-            compiled,
-            Shape::bind_rewriting,
-        ))
-    }
-
-    /// `query`'s shape on this knowledge base and the cache entry it is
-    /// compiled in — the one place a handle's owner is checked. A handle
-    /// this base prepared brings its own shape and fills its inline slot
-    /// on first use; a handle prepared elsewhere is re-templated against
-    /// this base's Σ and goes through this base's map every time, never
-    /// touching the slot, which holds what another Σ compiled.
-    fn entry<'q>(&self, query: &'q PreparedQuery) -> (Cow<'q, Shape>, Arc<QueryEntry>) {
-        let shared = |shape: &Shape| {
-            // The map only memoizes: poisoning cannot leave a torn entry
-            // visible, so both sides recover.
-            let key = (shape.key.clone(), query.algorithm);
-            if let Some(entry) = self
-                .entries
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .get(&key)
-            {
-                return Arc::clone(entry);
-            }
-            self.entries
-                .write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .get_or_insert(key)
-        };
-        if query.kb_id == self.id {
-            let entry = query.entry.get_or_init(|| shared(&query.shape));
-            (Cow::Borrowed(&query.shape), Arc::clone(entry))
-        } else {
-            let shape = Shape::of(&query.query, &self.sigma_constants);
-            let entry = shared(&shape);
-            (Cow::Owned(shape), entry)
-        }
-    }
-
-    /// `compiled`, the entry's form of `query`'s template, for `query`
-    /// itself: the entry's own `Arc` when the shape binds no constant,
-    /// else that form with the constants bound — once per handle
-    /// (memoized in `slot`) when this base prepared it.
-    fn bind<T>(
-        &self,
-        query: &PreparedQuery,
-        shape: &Shape,
-        slot: &OnceLock<Arc<T>>,
-        compiled: Arc<T>,
-        bind: fn(&Shape, &T) -> T,
-    ) -> Arc<T> {
-        if shape.bindings.is_empty() {
-            return compiled;
-        }
-        let bound = || {
-            self.counters.template_binds.fetch_add(1, Ordering::Relaxed);
-            Arc::new(bind(shape, &compiled))
-        };
-        if query.kb_id == self.id {
-            Arc::clone(slot.get_or_init(bound))
-        } else {
-            bound()
-        }
-    }
-
-    /// The [`RewriteOptions`] this knowledge base compiles with: shared
-    /// budget, hidden predicates and minimization across all engines, and
-    /// the default worker cap; elimination only for NY⋆ (the baselines
-    /// ignore it).
-    fn rewrite_options(&self, algorithm: Algorithm) -> RewriteOptions {
-        RewriteOptions {
-            elimination: algorithm == Algorithm::NyayaStar,
-            nc_pruning: self.nc_pruning,
-            max_queries: self.max_queries,
-            hidden_predicates: self.hidden.clone(),
-            minimize: self.minimize_rewritings,
-            ..RewriteOptions::default()
-        }
-    }
-
-    /// Fold one compile's counters into the lifetime stats.
-    fn record_compile(&self, stats: &RewriteStats) {
-        let c = &self.counters;
-        c.rewrite_micros
-            .fetch_add(stats.rewrite_micros, Ordering::Relaxed);
-        c.rewrite_explored
-            .fetch_add(stats.explored as u64, Ordering::Relaxed);
-        c.subsumption_checks_avoided
-            .fetch_add(stats.subsumption_avoided as u64, Ordering::Relaxed);
-        if stats.workers > 1 {
-            c.rewrites_parallel.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Run one rewriting engine, uncached. Budget exhaustion is an error:
-    /// a truncated rewriting is unsound to execute as if it were perfect.
-    fn compile(
-        &self,
-        query: &ConjunctiveQuery,
-        algorithm: Algorithm,
-    ) -> Result<CompiledRewriting, NyayaError> {
-        let options = self.rewrite_options(algorithm);
-        let rewriting = match algorithm {
-            Algorithm::Nyaya | Algorithm::NyayaStar => tgd_rewrite_with(
-                query,
-                &self.normalization.tgds,
-                &self.ontology.ncs,
-                &options,
-                self.elimination.as_ref(),
-            )?,
-            Algorithm::QuOnto => quonto_rewrite(query, &self.normalization.tgds, &options)?,
-            Algorithm::Requiem => requiem_rewrite(query, &self.normalization.tgds, &options)?,
-        };
-        self.record_compile(&rewriting.stats);
-        if rewriting.stats.budget_exhausted {
-            return Err(NyayaError::BudgetExhausted {
-                explored: rewriting.stats.explored,
-                budget: self.max_queries,
-            });
-        }
-        let mut touched: Vec<Predicate> = rewriting
-            .ucq
-            .iter()
-            .flat_map(|cq| cq.body.iter().map(|a| a.pred))
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        Ok(CompiledRewriting {
-            ucq: rewriting.ucq,
-            stats: rewriting.stats,
-            touched,
-        })
-    }
-
-    /// Rewrite a prepared query into a non-recursive Datalog program
-    /// (Sections 2 and 8) — compiled for its template on first use, then
-    /// served from the query shape's cache entry beside its
-    /// [`CompiledRewriting`] (TBox-only, so every data write leaves it
-    /// intact), with the query's own constants bound.
-    pub fn program(&self, query: &PreparedQuery) -> Result<Arc<CompiledProgram>, NyayaError> {
-        let (shape, entry) = self.entry(query);
-        let compiled = self.template_program(&shape, query.algorithm, &entry)?;
-        Ok(self.bind(
-            query,
-            &shape,
-            &query.bound_program,
-            compiled,
-            Shape::bind_program,
-        ))
-    }
-
-    /// The program of `shape`'s template, compiled once into `entry`.
-    fn template_program(
-        &self,
-        shape: &Shape,
-        algorithm: Algorithm,
-        entry: &QueryEntry,
-    ) -> Result<Arc<CompiledProgram>, NyayaError> {
-        if let Some(compiled) = entry.program.get() {
-            return Ok(Arc::clone(compiled));
-        }
-        let options = self.rewrite_options(algorithm);
-        let out = nr_datalog_rewrite_with(
-            &shape.template,
-            &self.normalization.tgds,
-            &self.ontology.ncs,
-            &options,
-            self.elimination.as_ref(),
-        )?;
-        self.record_compile(&out.stats);
-        let c = &self.counters;
-        c.program_compiles.fetch_add(1, Ordering::Relaxed);
-        c.program_rules
-            .fetch_add(out.stats.program_rules as u64, Ordering::Relaxed);
-        c.program_strata
-            .fetch_add(out.stats.program_strata as u64, Ordering::Relaxed);
-        if out.stats.budget_exhausted {
-            return Err(NyayaError::BudgetExhausted {
-                explored: out.stats.explored,
-                budget: self.max_queries,
-            });
-        }
-        let mut touched: Vec<Predicate> = out.program.base_predicates().into_iter().collect();
-        touched.sort_unstable();
-        let compiled = CompiledProgram {
-            program: out.program,
-            strategy: out.strategy,
-            estimated_dnf: out.estimated_dnf,
-            stats: out.stats,
-            opt: out.opt,
-            touched,
-        };
-        Ok(Arc::clone(entry.program.get_or_init(|| Arc::new(compiled))))
-    }
-
-    /// The execution form this query runs as under the knowledge base's
-    /// [`Strategy`]: `None` for the flat UCQ, `Some(program)` for the
-    /// program target. `Auto` decides per query — cheap syntactic
-    /// interaction-cluster analysis first (a single-cluster body has no
-    /// decomposition to exploit), then the program is compiled (its cost
-    /// is the *sum* of the cluster rewritings, never more than the UCQ
-    /// compile it replaces) and selected iff its estimated DNF reaches
-    /// the program threshold. The decision is memoized per query shape.
-    pub fn execution_plan(
-        &self,
-        query: &PreparedQuery,
-    ) -> Result<Option<Arc<CompiledProgram>>, NyayaError> {
-        let uses_program = match self.strategy {
-            Strategy::Ucq => false,
-            Strategy::Program => true,
-            Strategy::Auto => {
-                let (shape, entry) = self.entry(query);
-                match entry.uses_program.get() {
-                    Some(&choice) => choice,
-                    None => {
-                        let choice = self.auto_prefers_program(&shape, query.algorithm, &entry)?;
-                        *entry.uses_program.get_or_init(|| choice)
-                    }
-                }
-            }
-        };
-        if uses_program {
-            self.program(query).map(Some)
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// The [`Strategy::Auto`] decision for one template, uncached.
-    fn auto_prefers_program(
-        &self,
-        shape: &Shape,
-        algorithm: Algorithm,
-        entry: &QueryEntry,
-    ) -> Result<bool, NyayaError> {
-        // Cluster the same body the program rewriter will see: elimination
-        // (NY⋆) can merge or drop atoms, changing the decomposition. The
-        // context mirrors `nr_datalog_rewrite_with` exactly — including the
-        // owned fallback when NY⋆ is forced on an ontology the builder did
-        // not classify as linear — so this decision and the compile below
-        // always cluster the same query.
-        let eliminated;
-        let q = if algorithm == Algorithm::NyayaStar {
-            let owned;
-            let ctx = match &self.elimination {
-                Some(ctx) => ctx,
-                None => {
-                    owned = EliminationContext::new(&self.normalization.tgds);
-                    &owned
-                }
-            };
-            eliminated = ctx.eliminate(&shape.template);
-            &eliminated
-        } else {
-            &shape.template
-        };
-        if interaction_clusters(q, &self.normalization.tgds).len() <= 1 {
-            // Monolithic: the program is the DNF itself; compiling it costs
-            // the full UCQ exploration with no size win to justify it.
-            return Ok(false);
-        }
-        // Even with several clusters, a small ontology fan-out means the
-        // flat DNF is cheap; the static path bound over-counts, so when it
-        // is already under the threshold the true DNF certainly is — skip
-        // the program compile without running any rewriting. (With NC
-        // pruning active the compile can still pay off by *proving*
-        // unsatisfiability, so only the real `estimated_dnf` decides.)
-        if !self.nc_pruning
-            && estimate_dnf_bound(q, &self.normalization.tgds) < self.program_threshold
-        {
-            return Ok(false);
-        }
-        let program = self.template_program(shape, algorithm, entry)?;
-        // estimated_dnf == 0 is a *proof of unsatisfiability* (some cluster
-        // rewrote to the empty union): serve the cached empty program
-        // rather than falling back to the flat path, which would explore
-        // the full DNF product — including the blowup clusters the program
-        // compile deliberately never visited.
-        Ok(program.estimated_dnf == 0 || program.estimated_dnf >= self.program_threshold)
-    }
-
     // ---- execution ---------------------------------------------------
 
     /// Execute on the backend chosen at build time.
@@ -1609,92 +860,6 @@ impl KnowledgeBase {
     /// Count one request served through the network serving layer.
     pub fn record_net_request(&self) {
         self.counters.net_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Consult the exact answer cache: serve a stored answer iff the
-    /// snapshot's per-predicate write epochs over `touched` and the
-    /// query's bound constants equal a stored entry's — which proves (see
-    /// [`Snapshot::pred_epoch`]) the touched tables are bit-identical to
-    /// when that answer was computed for these constants, so the answer
-    /// itself is too. Counts a hit or a miss;
-    /// `None` (without counting) when the cache is disabled.
-    fn cached_answer(
-        &self,
-        query: &PreparedQuery,
-        snapshot: &Snapshot,
-        touched: &[Predicate],
-    ) -> Option<Answers> {
-        if !self.answer_cache_enabled {
-            return None;
-        }
-        let (shape, entry) = self.entry(query);
-        let hit = entry.answer(&shape.fingerprint(snapshot, touched));
-        let counter = match hit {
-            Some(_) => &self.counters.cache_answer_hits,
-            None => &self.counters.cache_answer_misses,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        hit
-    }
-
-    /// Store one freshly executed answer set in the exact answer cache,
-    /// tagged with the query's bound constants and the snapshot's epoch
-    /// fingerprint over `touched`, in the ring of the query shape's entry:
-    /// [`ANSWER_CACHE_PER_QUERY`] sets for a query that binds nothing,
-    /// [`ANSWER_CACHE_PER_TEMPLATE`] for a template every bound constant
-    /// shares.
-    fn store_answer(
-        &self,
-        query: &PreparedQuery,
-        snapshot: &Snapshot,
-        touched: &[Predicate],
-        answers: &Answers,
-    ) {
-        if self.answer_cache_enabled {
-            let (shape, entry) = self.entry(query);
-            let capacity = if shape.bindings.is_empty() {
-                ANSWER_CACHE_PER_QUERY
-            } else {
-                ANSWER_CACHE_PER_TEMPLATE
-            };
-            entry.store(shape.fingerprint(snapshot, touched), answers, capacity);
-        }
-    }
-
-    /// The learned cardinality-correction factor for this query: `1.0`
-    /// until an execution misses its estimate by ≥ [`REPLAN_RATIO`], the
-    /// multiplier applied to join estimates on every re-plan afterwards.
-    /// A query that binds constants into its template learns in its own
-    /// handle, not in the entry every constant shares — a miss on one
-    /// constant's rows says nothing about another's — so a held handle
-    /// re-plans and a fresh one starts at `1.0` (as does a handle executed
-    /// on a base that did not prepare it).
-    pub fn plan_correction(&self, query: &PreparedQuery) -> f64 {
-        let (shape, entry) = self.entry(query);
-        if shape.bindings.is_empty() {
-            entry.correction.get()
-        } else if query.kb_id == self.id {
-            query.bound_correction.get()
-        } else {
-            1.0
-        }
-    }
-
-    /// Feed one execution's estimated-vs-actual row counts back into the
-    /// planner: a miss by ≥ [`REPLAN_RATIO`] updates the query's
-    /// correction (see [`plan_correction`](Self::plan_correction) for
-    /// where it lives) and ticks `plan_replans`.
-    fn record_feedback(&self, query: &PreparedQuery, metrics: &ExecMetrics) {
-        let (shape, entry) = self.entry(query);
-        let ratio = metrics.rows.max(1) as f64 / metrics.estimated_rows.max(1) as f64;
-        let learned = if shape.bindings.is_empty() {
-            entry.correction.learn(ratio)
-        } else {
-            query.kb_id == self.id && query.bound_correction.learn(ratio)
-        };
-        if learned {
-            self.counters.plan_replans.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Execute with result modifiers — comparison filters, ORDER BY /
@@ -1840,10 +1005,9 @@ fn add_net(net: &mut BaseDeltas, fact: &Atom, sign: i64) {
 
 #[cfg(test)]
 mod tests {
-    use super::cache::MAX_QUERY_ENTRIES;
     use super::*;
 
-    const PROGRAM: &str = "
+    pub(super) const PROGRAM: &str = "
         sigma5: stock_portf(X, Y, Z) -> has_stock(Y, X).
         sigma6: has_stock(X, Y) -> stock_portf(Y, X, Z).
         has_stock(ibm_s, fund1).
@@ -1940,31 +1104,6 @@ mod tests {
         }
         assert_eq!(kb.epoch(), 0, "rejected batches publish nothing");
         assert_eq!(kb.snapshot().len(), 1, "…not even their ground prefix");
-    }
-
-    /// The database holds constants: a builder fact with a labelled null,
-    /// a function term or a variable is a typed error, not a panic in the
-    /// bulk loader.
-    #[test]
-    fn builder_facts_must_be_constants() {
-        let pred = Predicate::new("has_stock", 2);
-        let skolem = Term::Func(
-            nyaya_core::symbols::intern("sk0"),
-            [Term::constant("ibm_s")].into(),
-        );
-        for bad in [Term::Null(3), skolem, Term::var("X")] {
-            let fact = Atom::new(pred, vec![Term::constant("ibm_s"), bad]);
-            let built = KnowledgeBase::builder()
-                .program_text(PROGRAM)
-                .unwrap()
-                .facts([fact])
-                .build();
-            match built {
-                Err(NyayaError::NonGroundFact { fact }) => assert!(fact.contains("has_stock")),
-                Err(other) => panic!("expected NonGroundFact, got {other:?}"),
-                Ok(_) => panic!("built a knowledge base over a non-constant fact"),
-            }
-        }
     }
 
     #[test]
@@ -2392,69 +1531,5 @@ mod tests {
         // …while reads over the published snapshot keep working.
         assert_eq!(kb.execute(&q).unwrap().tuples.len(), 1);
         assert_eq!(kb.epoch(), 0, "the refused batch published nothing");
-    }
-
-    #[test]
-    fn the_entry_map_drops_unheld_entries_past_its_bound() {
-        let kb = KnowledgeBase::from_program_text(PROGRAM).unwrap();
-        let entries = || kb.entries.read().unwrap().values().count();
-        let held: Vec<PreparedQuery> = (0..3)
-            .map(|i| {
-                let q = kb.prepare_text(&format!("q(X) :- held{i}(X).")).unwrap();
-                kb.execute(&q).unwrap();
-                q
-            })
-            .collect();
-        // Distinct shapes, each answered through a handle dropped at once.
-        for i in 0..3 * MAX_QUERY_ENTRIES {
-            kb.answer_text(&format!("q(X) :- shape{i}(X).")).unwrap();
-            assert!(entries() <= MAX_QUERY_ENTRIES, "{} entries", entries());
-        }
-        // A held handle keeps its entry, in the map, compiled: executing it
-        // again recompiles nothing.
-        let misses = kb.stats().cache_misses;
-        for q in &held {
-            let (_, entry) = kb.entry(q);
-            assert!(entry.rewriting.get().is_some());
-            let map = kb.entries.read().unwrap();
-            assert!(map.values().any(|e| Arc::ptr_eq(e, &entry)));
-            drop(map);
-            kb.execute(q).unwrap();
-        }
-        assert_eq!(kb.stats().cache_misses, misses);
-    }
-
-    #[test]
-    fn entries_held_past_the_bound_cost_no_sweep_per_new_shape() {
-        let kb = KnowledgeBase::from_program_text(PROGRAM).unwrap();
-        let entries = || kb.entries.read().unwrap().values().count();
-        let held: Vec<PreparedQuery> = (0..MAX_QUERY_ENTRIES + 100)
-            .map(|i| {
-                let q = kb.prepare_text(&format!("q(X) :- held{i}(X).")).unwrap();
-                kb.execute(&q).unwrap();
-                q
-            })
-            .collect();
-        assert_eq!(entries(), held.len());
-        // The sweep that found every entry held is not repeated for each
-        // new shape: unheld shapes stay compiled until the map doubles.
-        let shape = |i: usize| format!("q(X) :- shape{i}(X).");
-        for i in 0..50 {
-            kb.answer_text(&shape(i)).unwrap();
-        }
-        let misses = kb.stats().cache_misses;
-        for i in 0..50 {
-            kb.answer_text(&shape(i)).unwrap();
-        }
-        assert_eq!(kb.stats().cache_misses, misses, "no entry was swept");
-        // Past twice what the last sweep kept, the unheld ones go.
-        let mut peak = 0;
-        for i in 50..2 * held.len() {
-            kb.answer_text(&shape(i)).unwrap();
-            peak = peak.max(entries());
-        }
-        assert_eq!(peak, 2 * held.len());
-        assert!(entries() < peak, "{} entries", entries());
-        assert!(held.iter().all(|q| kb.entry(q).1.rewriting.get().is_some()));
     }
 }
