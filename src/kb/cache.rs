@@ -176,7 +176,6 @@ impl QueryEntry {
         Some(Answers {
             backend,
             tuples: (*tuples).clone(),
-            sql: None,
             complete: true,
         })
     }
@@ -222,7 +221,6 @@ mod tests {
         Answers {
             backend: "in-memory",
             tuples: [vec![Term::constant(&format!("t{k}"))]].into(),
-            sql: None,
             complete: true,
         }
     }

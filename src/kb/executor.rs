@@ -22,10 +22,7 @@ use std::sync::Arc;
 use nyaya_chase::{answers, chase};
 use nyaya_core::par::cores;
 use nyaya_core::{Classification, DatalogProgram, Predicate, Term};
-use nyaya_sql::{
-    execute_program_shared, execute_ucq_intra, program_to_sql, ucq_to_sql, ExecMetrics,
-    ProgramMetrics,
-};
+use nyaya_sql::{execute_program_shared, execute_ucq_intra, ExecMetrics, ProgramMetrics};
 
 use super::error::NyayaError;
 use super::update::Snapshot;
@@ -41,8 +38,6 @@ pub enum ExecutorKind {
     /// non-recursive Datalog program — on the in-process relational
     /// engine.
     InMemory,
-    /// Emit SQL text for an external DBMS; does not produce tuples.
-    Sql,
     /// Certain answers via the chase — no rewriting involved. The fallback
     /// for ontologies where no finite perfect rewriting is guaranteed.
     Chase,
@@ -64,14 +59,12 @@ impl ExecutorKind {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Answers {
     /// Name of the backend that produced this result: `in-memory`,
-    /// `program`, `sql` or `chase`.
+    /// `program` or `chase`.
     pub backend: &'static str,
-    /// Answer tuples (empty for the SQL-emission backend).
+    /// Answer tuples.
     pub tuples: BTreeSet<Vec<Term>>,
-    /// The SQL a DBMS should run — populated by [`ExecutorKind::Sql`].
-    pub sql: Option<String>,
-    /// False when the backend could not guarantee completeness (chase
-    /// truncated by its budget) or delegates the actual work (SQL text).
+    /// False when the chase was truncated by its budget, so the tuples
+    /// are a subset of the certain answers.
     pub complete: bool,
 }
 
@@ -207,24 +200,7 @@ impl KnowledgeBase {
                 Ok(Answers {
                     backend: "chase",
                     tuples: answers(&outcome.instance, query.query()),
-                    sql: None,
                     complete: outcome.saturated,
-                })
-            }
-            // SQL text against the snapshot's catalog (updates register
-            // new tables): a program ships as one `WITH`-CTE per
-            // intensional predicate, a UCQ as the flat `UNION`.
-            ExecutorKind::Sql => {
-                let catalog = snapshot.catalog();
-                let sql = match self.target(query)? {
-                    Target::Program(program) => program_to_sql(&program.program, catalog)?,
-                    Target::Ucq(compiled) => ucq_to_sql(&compiled.ucq, catalog)?,
-                };
-                Ok(Answers {
-                    backend: "sql",
-                    tuples: BTreeSet::new(),
-                    sql: Some(sql),
-                    complete: false,
                 })
             }
             // The in-process engine, reading the snapshot's tables and
@@ -263,7 +239,6 @@ impl KnowledgeBase {
                 let answers = Answers {
                     backend,
                     tuples,
-                    sql: None,
                     complete: true,
                 };
                 self.store_answer(query, snapshot, target.touched(), &answers);

@@ -82,7 +82,9 @@ use nyaya_core::{
     Predicate, SelectOptions, Symbol, Term, Tgd,
 };
 use nyaya_rewrite::{EliminationContext, ProgramOptStats, ProgramStrategy, RewriteStats};
-use nyaya_sql::{BaseDeltas, BuildCache, ExecMetrics, MaterializedView};
+use nyaya_sql::{
+    program_to_sql, ucq_to_sql, BaseDeltas, BuildCache, ExecMetrics, MaterializedView,
+};
 
 use cache::Entries;
 use durability::Durability;
@@ -776,10 +778,18 @@ impl KnowledgeBase {
         self.execute(&self.prepare_text(source)?)
     }
 
-    /// The SQL an external DBMS should run for this query.
+    /// The SQL an external DBMS should run for this query: the compiled
+    /// form [`Strategy`] picks, rendered against the current snapshot's
+    /// catalog (writes register new tables) — a program as one
+    /// `WITH`-CTE per intensional predicate, a UCQ as the flat `UNION`.
+    /// Nothing is executed.
     pub fn sql(&self, query: &PreparedQuery) -> Result<String, NyayaError> {
-        self.run(query, &self.snapshot(), ExecutorKind::Sql)
-            .map(|answers| answers.sql.expect("sql backend always sets sql"))
+        let snapshot = self.snapshot();
+        let catalog = snapshot.catalog();
+        Ok(match self.target(query)? {
+            Target::Program(program) => program_to_sql(&program.program, catalog)?,
+            Target::Ucq(compiled) => ucq_to_sql(&compiled.ucq, catalog)?,
+        })
     }
 
     /// Evaluate a non-recursive Datalog program bottom-up over the
