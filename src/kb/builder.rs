@@ -16,7 +16,7 @@ use super::stats::Counters;
 use super::template::sigma_constants;
 use super::{
     check_constants, Algorithm, ExecutorKind, KnowledgeBase, NyayaError, Snapshot, Strategy,
-    DEFAULT_FLUSH_INTERVAL, DEFAULT_PROGRAM_THRESHOLD,
+    DEFAULT_FLUSH_INTERVAL,
 };
 #[cfg(doc)]
 use super::{KbStats, PreparedQuery};
@@ -30,13 +30,11 @@ pub struct KnowledgeBaseBuilder {
     facts: Vec<Atom>,
     queries: Vec<ConjunctiveQuery>,
     algorithm: Option<Algorithm>,
-    executor: ExecutorKind,
     show_aux: bool,
     nc_pruning: Option<bool>,
     max_queries: usize,
     minimize_rewritings: bool,
     strategy: Strategy,
-    program_threshold: usize,
     chase_config: ChaseConfig,
     catalog: Option<Catalog>,
     durable_path: Option<PathBuf>,
@@ -51,13 +49,11 @@ impl Default for KnowledgeBaseBuilder {
             facts: Vec::new(),
             queries: Vec::new(),
             algorithm: None,
-            executor: ExecutorKind::Auto,
             show_aux: false,
             nc_pruning: None,
             max_queries: 500_000,
             minimize_rewritings: false,
             strategy: Strategy::Auto,
-            program_threshold: DEFAULT_PROGRAM_THRESHOLD,
             chase_config: ChaseConfig::default(),
             catalog: None,
             durable_path: None,
@@ -140,14 +136,6 @@ impl KnowledgeBaseBuilder {
         self
     }
 
-    /// Force an execution backend. Default ([`ExecutorKind::Auto`]):
-    /// in-memory UCQ execution when the classification guarantees
-    /// FO-rewritability, chase-based certain answers otherwise.
-    pub fn executor(mut self, executor: ExecutorKind) -> Self {
-        self.executor = executor;
-        self
-    }
-
     /// Keep the Lemma 1/2 auxiliary predicates in final rewritings (the
     /// paper's UX/AX/P5X mode, where auxiliaries are part of the schema).
     pub fn show_aux(mut self, show_aux: bool) -> Self {
@@ -183,16 +171,6 @@ impl KnowledgeBaseBuilder {
     /// size.
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// The [`Strategy::Auto`] threshold: queries whose estimated DNF
-    /// (product of interaction-cluster rewriting sizes) reaches this many
-    /// CQs compile to the program target instead of the flat UCQ. Default
-    /// [`DEFAULT_PROGRAM_THRESHOLD`]; `0` routes every decomposable query
-    /// to the program.
-    pub fn program_threshold(mut self, threshold: usize) -> Self {
-        self.program_threshold = threshold;
         self
     }
 
@@ -277,7 +255,7 @@ impl KnowledgeBaseBuilder {
         } else {
             normalization.aux_predicates.clone()
         };
-        let executor = self.executor.resolve(&classification);
+        let executor = ExecutorKind::Auto.resolve(&classification);
         let mut catalog = self.catalog.unwrap_or_default();
         catalog.register_defaults(
             self.ontology
@@ -347,7 +325,6 @@ impl KnowledgeBaseBuilder {
             max_queries: self.max_queries,
             minimize_rewritings: self.minimize_rewritings,
             strategy: self.strategy,
-            program_threshold: self.program_threshold,
             default_algorithm: algorithm,
             executor,
             entries: RwLock::default(),

@@ -135,8 +135,7 @@ impl Algorithm {
 pub enum Strategy {
     /// Pick per query: compile the program when the query body splits into
     /// ≥ 2 interaction clusters and the estimated DNF size of the UCQ
-    /// rewriting reaches the threshold
-    /// ([`KnowledgeBaseBuilder::program_threshold`]); otherwise the UCQ.
+    /// rewriting reaches [`DEFAULT_PROGRAM_THRESHOLD`]; otherwise the UCQ.
     #[default]
     Auto,
     /// Always execute the flat UCQ rewriting.
@@ -145,10 +144,11 @@ pub enum Strategy {
     Program,
 }
 
-/// Default [`KnowledgeBaseBuilder::program_threshold`]: an estimated DNF
-/// of this many CQs routes an [`Strategy::Auto`] query to the program
-/// target. Below it, flat-UCQ execution (shared build sides, parallel
-/// disjuncts) wins; far above it, the UCQ's size dominates everything.
+/// The [`Strategy::Auto`] threshold: an estimated DNF (the product of the
+/// interaction clusters' rewriting sizes) of this many CQs routes a query
+/// to the program target. Below it, flat-UCQ execution (shared build
+/// sides, parallel disjuncts) wins; far above it, the UCQ's size
+/// dominates everything.
 pub const DEFAULT_PROGRAM_THRESHOLD: usize = 256;
 
 /// Default [`KnowledgeBaseBuilder::flush_interval`]: a durable knowledge
@@ -233,7 +233,6 @@ pub struct KnowledgeBase {
     max_queries: usize,
     minimize_rewritings: bool,
     strategy: Strategy,
-    program_threshold: usize,
     default_algorithm: Algorithm,
     executor: ExecutorKind,
     /// One entry per query shape — (canonical template, engine) — holding
@@ -714,11 +713,6 @@ impl KnowledgeBase {
     /// The configured execution-form [`Strategy`] (UCQ vs program).
     pub fn strategy(&self) -> Strategy {
         self.strategy
-    }
-
-    /// The [`Strategy::Auto`] DNF-size threshold.
-    pub fn program_threshold(&self) -> usize {
-        self.program_threshold
     }
 
     /// Chase budgets used for consistency checking and the chase backend.
@@ -1203,28 +1197,36 @@ mod tests {
         assert_eq!(program_kb.stats().program_compiles, 1);
     }
 
+    /// [`DECOMPOSABLE`] with 14 more sources for each of `p` and `u`: both
+    /// clusters have 16 alternatives, so the estimated DNF is
+    /// 16 · 16 = [`DEFAULT_PROGRAM_THRESHOLD`]. The new predicates hold no
+    /// facts: the answers stay a and c.
+    fn wide_decomposable() -> String {
+        let mut text: String = (1..=14)
+            .map(|i| format!("wp{i}: p{i}(X) -> p(X). wu{i}: u{i}(X) -> u(X).\n"))
+            .collect();
+        text.push_str(DECOMPOSABLE);
+        text
+    }
+
     #[test]
     fn auto_strategy_selects_by_estimated_dnf() {
-        // Threshold 1: any decomposable query routes to the program.
-        let kb = KnowledgeBase::builder()
-            .program_text(DECOMPOSABLE)
-            .unwrap()
-            .program_threshold(1)
-            .build()
-            .unwrap();
+        // An estimated DNF at the threshold routes to the program.
+        let kb = KnowledgeBase::from_program_text(&wide_decomposable()).unwrap();
         assert_eq!(kb.strategy(), Strategy::Auto);
         let q = kb.queries()[0].clone();
         let answers = kb.answer(&q).unwrap();
         assert_eq!(answers.backend, "program");
+        assert_eq!(answers.tuples.len(), 2);
         let prepared = kb.prepare(&q).unwrap();
         let program = kb.program(&prepared).unwrap();
-        assert_eq!(program.estimated_dnf, 4);
+        assert_eq!(program.estimated_dnf, DEFAULT_PROGRAM_THRESHOLD);
         assert!(matches!(
             program.strategy,
             nyaya_rewrite::ProgramStrategy::Clustered { clusters: 3 }
         ));
 
-        // Default threshold (256): the same 4-CQ DNF stays on the UCQ path,
+        // Below it, the 4-CQ DNF of the same shape stays on the UCQ path,
         // and the static path bound (also 4 here) proves it cheap without
         // even compiling the program to measure it.
         let kb = KnowledgeBase::from_program_text(DECOMPOSABLE).unwrap();
@@ -1236,15 +1238,21 @@ mod tests {
             "the cheap DNF bound should have skipped the program compile"
         );
 
-        // Single-cluster bodies never pay a program compile under Auto.
+        // Single-cluster bodies never pay a program compile under Auto,
+        // however large their DNF: the program would be the DNF itself.
+        let sources: String = (0..DEFAULT_PROGRAM_THRESHOLD)
+            .map(|i| format!("w{i}: w{i}(X, Y) -> has_stock(X, Y).\n"))
+            .collect();
         let kb = KnowledgeBase::builder()
             .program_text(PROGRAM)
             .unwrap()
-            .program_threshold(0)
+            .program_text(&sources)
+            .unwrap()
             .build()
             .unwrap();
-        let answers = kb.answer(&kb.queries()[0].clone()).unwrap();
-        assert_eq!(answers.backend, "in-memory");
+        let q = kb.prepare(&kb.queries()[0].clone()).unwrap();
+        assert_eq!(kb.execute(&q).unwrap().backend, "in-memory");
+        assert!(kb.rewriting(&q).unwrap().ucq.size() > DEFAULT_PROGRAM_THRESHOLD);
         assert_eq!(kb.stats().program_compiles, 0);
     }
 

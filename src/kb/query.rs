@@ -16,7 +16,7 @@ use super::template::Shape;
 use super::REPLAN_RATIO;
 use super::{
     Algorithm, Answers, CompiledProgram, CompiledRewriting, KnowledgeBase, NyayaError, Snapshot,
-    Strategy,
+    Strategy, DEFAULT_PROGRAM_THRESHOLD,
 };
 
 /// A query compiled against a [`KnowledgeBase`].
@@ -417,7 +417,7 @@ impl KnowledgeBase {
         // pruning active the compile can still pay off by *proving*
         // unsatisfiability, so only the real `estimated_dnf` decides.)
         if !self.nc_pruning
-            && estimate_dnf_bound(q, &self.normalization.tgds) < self.program_threshold
+            && estimate_dnf_bound(q, &self.normalization.tgds) < DEFAULT_PROGRAM_THRESHOLD
         {
             return Ok(false);
         }
@@ -427,7 +427,7 @@ impl KnowledgeBase {
         // rather than falling back to the flat path, which would explore
         // the full DNF product — including the blowup clusters the program
         // compile deliberately never visited.
-        Ok(program.estimated_dnf == 0 || program.estimated_dnf >= self.program_threshold)
+        Ok(program.estimated_dnf == 0 || program.estimated_dnf >= DEFAULT_PROGRAM_THRESHOLD)
     }
 
     /// Consult the exact answer cache: serve a stored answer iff the

@@ -154,23 +154,6 @@ fn the_chase_backend_chases_once_per_snapshot() {
 }
 
 #[test]
-fn manual_executor_override_beats_auto_selection() {
-    // Force the chase backend onto an FO-rewritable ontology.
-    let kb = KnowledgeBase::builder()
-        .program_text(LINEAR_PROGRAM)
-        .unwrap()
-        .executor(ExecutorKind::Chase)
-        .build()
-        .unwrap();
-    assert!(kb.classification().fo_rewritable());
-    assert_eq!(kb.executor_kind(), ExecutorKind::Chase);
-    let prepared = kb.prepare(&kb.queries()[0].clone()).unwrap();
-    let answers = kb.execute(&prepared).unwrap();
-    assert_eq!(answers.backend, "chase");
-    assert_eq!(answers.tuples.len(), 2);
-}
-
-#[test]
 fn backends_agree_on_the_round_trip() {
     let kb = KnowledgeBase::from_program_text(LINEAR_PROGRAM).unwrap();
     let prepared = kb.prepare(&kb.queries()[0].clone()).unwrap();
@@ -362,8 +345,12 @@ fn a_handle_on_another_kb_is_templated_against_that_kbs_ontology() {
 const SKEWED_QUERY: &str = "q(X, Y) :- p(X), r(X, Y), u(Y).";
 
 /// A knowledge base over the skewed data; only `with_sigma2` derives u
-/// from su, which adds the answer (x0, z0) and grows the program.
-fn skewed_kb(with_sigma2: bool, strategy: Strategy, program_threshold: usize) -> KnowledgeBase {
+/// from su, which adds the answer (x0, z0) and grows the program. It also
+/// adds 14 empty sources for each of p and u, so both clusters have 16
+/// alternatives and the estimated DNF reaches
+/// [`nyaya::DEFAULT_PROGRAM_THRESHOLD`]: `Strategy::Auto` runs the program
+/// there and the flat UCQ without `with_sigma2`.
+fn skewed_kb(with_sigma2: bool, strategy: Strategy) -> KnowledgeBase {
     let mut facts = vec![
         Atom::make("p", ["hub"]),
         Atom::make("sp", ["x0"]),
@@ -375,17 +362,18 @@ fn skewed_kb(with_sigma2: bool, strategy: Strategy, program_threshold: usize) ->
         facts.push(Atom::make("r", [x.as_str(), z.as_str()]));
         facts.push(Atom::make("u", [y.as_str()]));
     }
-    let sigma = if with_sigma2 {
-        "sigma1: sp(X) -> p(X). sigma2: su(X) -> u(X)."
-    } else {
-        "sigma1: sp(X) -> p(X)."
-    };
+    let mut sigma = "sigma1: sp(X) -> p(X).".to_owned();
+    if with_sigma2 {
+        sigma.push_str(" sigma2: su(X) -> u(X).");
+        for i in 1..=14 {
+            sigma.push_str(&format!(" wp{i}: p{i}(X) -> p(X). wu{i}: u{i}(X) -> u(X)."));
+        }
+    }
     KnowledgeBase::builder()
-        .program_text(sigma)
+        .program_text(&sigma)
         .unwrap()
         .facts(facts)
         .strategy(strategy)
-        .program_threshold(program_threshold)
         .build()
         .unwrap()
 }
@@ -393,10 +381,10 @@ fn skewed_kb(with_sigma2: bool, strategy: Strategy, program_threshold: usize) ->
 #[test]
 fn handle_on_another_kb_gets_that_kbs_program_choice_answers_and_correction() {
     for strategy in [Strategy::Program, Strategy::Auto] {
-        // kb1 always runs the program (threshold 1); under Auto, kb2's
-        // default threshold keeps the query on the flat UCQ.
-        let kb1 = skewed_kb(true, strategy, 1);
-        let kb2 = skewed_kb(false, strategy, nyaya::DEFAULT_PROGRAM_THRESHOLD);
+        // kb1 always runs the program (its DNF reaches the threshold);
+        // under Auto, kb2's 2-CQ DNF keeps the query on the flat UCQ.
+        let kb1 = skewed_kb(true, strategy);
+        let kb2 = skewed_kb(false, strategy);
         let handle = kb1.prepare_text(SKEWED_QUERY).unwrap();
         let on_kb1 = kb1.execute(&handle).unwrap();
         assert_eq!((on_kb1.backend, on_kb1.tuples.len()), ("program", 51));
@@ -432,7 +420,7 @@ fn handle_on_another_kb_gets_that_kbs_program_choice_answers_and_correction() {
 
 #[test]
 fn alpha_equivalent_handles_share_correction_and_program() {
-    let kb = skewed_kb(false, Strategy::Ucq, nyaya::DEFAULT_PROGRAM_THRESHOLD);
+    let kb = skewed_kb(false, Strategy::Ucq);
     let first = kb.prepare_text(SKEWED_QUERY).unwrap();
     let second = kb.prepare_text("q(A, B) :- p(A), r(A, B), u(B).").unwrap();
     kb.execute(&first).unwrap();
@@ -440,7 +428,7 @@ fn alpha_equivalent_handles_share_correction_and_program() {
     assert!(learned > 1.0, "the skewed join must teach a correction");
     assert_eq!(kb.plan_correction(&second), learned);
 
-    let kb = skewed_kb(true, Strategy::Auto, 1);
+    let kb = skewed_kb(true, Strategy::Auto);
     let first = kb.prepare_text(SKEWED_QUERY).unwrap();
     let second = kb.prepare_text("q(A, B) :- p(A), r(A, B), u(B).").unwrap();
     assert!(kb.execution_plan(&first).unwrap().is_some());
@@ -455,7 +443,7 @@ fn alpha_equivalent_handles_share_correction_and_program() {
 /// miss on `hub` says nothing about — and other handles stay at 1.0.
 #[test]
 fn a_held_handle_that_binds_a_constant_learns_its_own_correction() {
-    let kb = skewed_kb(false, Strategy::Ucq, nyaya::DEFAULT_PROGRAM_THRESHOLD);
+    let kb = skewed_kb(false, Strategy::Ucq);
     let point = |c: &str| {
         kb.prepare_text(&format!("q(Y) :- p({c}), r({c}, Y), u(Y)."))
             .unwrap()
