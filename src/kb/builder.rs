@@ -255,7 +255,13 @@ impl KnowledgeBaseBuilder {
         } else {
             normalization.aux_predicates.clone()
         };
-        let executor = ExecutorKind::Auto.resolve(&classification);
+        // FO-rewritable: evaluate the perfect rewriting over D; otherwise
+        // no finite rewriting is guaranteed, and the chase answers.
+        let executor = if classification.fo_rewritable() {
+            ExecutorKind::InMemory
+        } else {
+            ExecutorKind::Chase
+        };
         let mut catalog = self.catalog.unwrap_or_default();
         catalog.register_defaults(
             self.ontology

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use nyaya_chase::{answers, chase};
 use nyaya_core::par::cores;
-use nyaya_core::{Classification, DatalogProgram, Predicate, Term};
+use nyaya_core::{DatalogProgram, Predicate, Term};
 use nyaya_sql::{execute_program_shared, execute_ucq_intra, ExecMetrics, ProgramMetrics};
 
 use super::error::NyayaError;
@@ -31,9 +31,6 @@ use super::{CompiledProgram, CompiledRewriting, KnowledgeBase, PreparedQuery};
 /// Which backend a [`KnowledgeBase`] routes execution to.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ExecutorKind {
-    /// Pick from the ontology's classification: FO-rewritable ⇒
-    /// [`InMemory`](Self::InMemory), otherwise [`Chase`](Self::Chase).
-    Auto,
     /// Evaluate the compiled form — the UCQ rewriting or the
     /// non-recursive Datalog program — on the in-process relational
     /// engine.
@@ -41,18 +38,6 @@ pub enum ExecutorKind {
     /// Certain answers via the chase — no rewriting involved. The fallback
     /// for ontologies where no finite perfect rewriting is guaranteed.
     Chase,
-}
-
-impl ExecutorKind {
-    /// This kind with `Auto` made concrete for an ontology of
-    /// `classification` (the one place `Auto` is resolved).
-    pub(super) fn resolve(self, classification: &Classification) -> ExecutorKind {
-        match self {
-            ExecutorKind::Auto if classification.fo_rewritable() => ExecutorKind::InMemory,
-            ExecutorKind::Auto => ExecutorKind::Chase,
-            kind => kind,
-        }
-    }
 }
 
 /// The result of executing a prepared query on some backend.
@@ -204,9 +189,8 @@ impl KnowledgeBase {
                 })
             }
             // The in-process engine, reading the snapshot's tables and
-            // sharing its persistent build cache. `Auto` never arrives
-            // here unresolved.
-            ExecutorKind::InMemory | ExecutorKind::Auto => {
+            // sharing its persistent build cache.
+            ExecutorKind::InMemory => {
                 let target = self.target(query)?;
                 if let Some(hit) = self.cached_answer(query, snapshot, target.touched()) {
                     return Ok(hit);

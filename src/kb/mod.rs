@@ -705,7 +705,8 @@ impl KnowledgeBase {
         self.default_algorithm
     }
 
-    /// The backend used by [`execute`](Self::execute) (never `Auto`).
+    /// The backend used by [`execute`](Self::execute), picked from the
+    /// [`classification`](Self::classification) at build time.
     pub fn executor_kind(&self) -> ExecutorKind {
         self.executor
     }
@@ -727,14 +728,13 @@ impl KnowledgeBase {
         self.run(query, &self.snapshot(), self.executor)
     }
 
-    /// Execute on a specific backend (`Auto` resolved from this
-    /// knowledge base's classification).
+    /// Execute on a specific backend — [`ExecutorKind::Chase`] gives the
+    /// certain answers of any ontology, the reference for the rewriting.
     pub fn execute_on(
         &self,
         query: &PreparedQuery,
         kind: ExecutorKind,
     ) -> Result<Answers, NyayaError> {
-        let kind = kind.resolve(&self.classification);
         self.run(query, &self.snapshot(), kind)
     }
 

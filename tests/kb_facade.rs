@@ -749,10 +749,10 @@ fn every_entry_point_counts_one_execution_on_its_backend() {
         );
     }
 
-    // `Auto` resolves per call from the classification: the chase here.
+    // `execute` runs the backend the classification picks: the chase here.
     let kb = KnowledgeBase::from_program_text(TRANSITIVE_PROGRAM).unwrap();
     let q = kb.prepare(&kb.queries()[0].clone()).unwrap();
-    let a = kb.execute_on(&q, ExecutorKind::Auto).unwrap();
+    let a = kb.execute(&q).unwrap();
     assert_eq!((a.backend, a.tuples.len()), ("chase", 6));
     assert_eq!(kb.stats().executions, 1);
     assert_eq!(kb.stats().cache_misses, 0);
