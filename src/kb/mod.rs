@@ -868,9 +868,9 @@ impl KnowledgeBase {
 
     /// Execute with result modifiers — comparison filters, ORDER BY /
     /// LIMIT, COUNT/MIN/MAX/GROUP BY aggregates. The query runs exactly
-    /// as [`execute_on`](Self::execute_on) with
-    /// [`ExecutorKind::InMemory`] runs it (answer cache, planner feedback
-    /// from the unshaped answers), and [`apply_select`], the modifiers'
+    /// as [`execute`](Self::execute) runs it, on the knowledge base's
+    /// backend (answer cache, planner feedback from the unshaped answers),
+    /// and [`apply_select`], the modifiers'
     /// reference semantics, shapes the answer set. Returns rows in
     /// modifier order: a `Vec`, unlike
     /// [`execute`](Self::execute)'s set — ORDER BY would be meaningless
@@ -886,7 +886,7 @@ impl KnowledgeBase {
         // compiled forms preserve — even a rewriting with no disjuncts.
         sel.validate(query.query.head.len())
             .map_err(|detail| NyayaError::InvalidSelect { detail })?;
-        let answers = self.run(query, &self.snapshot(), ExecutorKind::InMemory)?;
+        let answers = self.run(query, &self.snapshot(), self.executor)?;
         Ok(apply_select(answers.tuples, sel))
     }
 
@@ -901,13 +901,19 @@ impl KnowledgeBase {
     ) -> Result<String, NyayaError> {
         let snapshot = self.snapshot();
         let mut out = String::new();
-        match self.target(query)? {
-            Target::Program(program) => out.push_str(&format!(
+        let target = match self.executor {
+            // Nothing is compiled: the query is evaluated over the chase.
+            ExecutorKind::Chase => None,
+            ExecutorKind::InMemory => Some(self.target(query)?),
+        };
+        match target {
+            None => out.push_str("strategy: chase\n"),
+            Some(Target::Program(program)) => out.push_str(&format!(
                 "strategy: program ({} rules, {} strata)\n",
                 program.program.num_rules(),
                 program.stats.program_strata,
             )),
-            Target::Ucq(compiled) => {
+            Some(Target::Ucq(compiled)) => {
                 let correction = self.plan_correction(query);
                 out.push_str(&format!(
                     "strategy: ucq ({} disjuncts)\n",

@@ -1289,3 +1289,45 @@ fn explain_prints_the_plan_at_the_learned_correction() {
     assert!(text.contains("feedback correction"), "{text}");
     assert_eq!(steps(&text), expected(correction), "{text}");
 }
+
+/// Result modifiers and `explain` run on the knowledge base's backend: on
+/// a chase base they compile no rewriting, which for transitivity would
+/// only end in the rewriting budget.
+#[test]
+fn modifiers_and_explain_follow_the_chase_backend() {
+    use nyaya::core::{apply_select, AggFunc, Aggregate, SelectOptions, SortDir};
+
+    let kb = KnowledgeBase::builder()
+        .program_text(TRANSITIVE_PROGRAM)
+        .unwrap()
+        .max_queries(500)
+        .build()
+        .unwrap();
+    assert_eq!(kb.executor_kind(), ExecutorKind::Chase);
+    let count = SelectOptions {
+        aggregate: Some(Aggregate {
+            group_by: vec![],
+            func: AggFunc::Count,
+        }),
+        ..SelectOptions::default()
+    };
+    let top = SelectOptions {
+        order_by: vec![(1, SortDir::Desc)],
+        limit: Some(2),
+        ..SelectOptions::default()
+    };
+    for text in ["q(A, B) :- e(A, B).", "q(B) :- e(a, B)."] {
+        let q = kb.prepare_text(text).unwrap();
+        let all = kb.execute(&q).unwrap().tuples;
+        for sel in [&count, &top] {
+            if sel.validate(q.query().head.len()).is_err() {
+                continue;
+            }
+            let rows = kb.execute_select(&q, sel).unwrap();
+            assert_eq!(rows, apply_select(all.clone(), sel), "{text}");
+        }
+        let plan = kb.explain(&q, &top).unwrap();
+        assert!(plan.starts_with("strategy: chase\n"), "{plan}");
+    }
+    assert_eq!(kb.stats().cache_misses, 0, "no rewriting was compiled");
+}
