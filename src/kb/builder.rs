@@ -7,8 +7,6 @@ use nyaya_chase::ChaseConfig;
 use nyaya_core::{classify, normalize, Atom, ConjunctiveQuery, Ontology, Predicate, Tgd};
 use nyaya_parser::{parse_dl_lite, parse_owl_ql, parse_program};
 use nyaya_rewrite::EliminationContext;
-#[cfg(doc)]
-use nyaya_rewrite::RewriteStats;
 use nyaya_sql::{BuildCache, Catalog, Database};
 
 use super::durability::Durability;
@@ -18,10 +16,8 @@ use super::{
     check_constants, Algorithm, ExecutorKind, KnowledgeBase, NyayaError, Snapshot, Strategy,
     DEFAULT_FLUSH_INTERVAL,
 };
-#[cfg(doc)]
-use super::{KbStats, PreparedQuery};
 
-/// Process-unique knowledge-base identities (see [`PreparedQuery::kb_id`]).
+/// Process-unique knowledge-base identities (a `PreparedQuery`'s `kb_id`).
 static NEXT_KB_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Builder for [`KnowledgeBase`] — see the [crate docs](crate).
@@ -159,7 +155,8 @@ impl KnowledgeBaseBuilder {
     /// Post-process every compiled rewriting with signature-indexed
     /// subsumption (answer-equivalent, possibly smaller UCQs; default
     /// off, keeping the raw Algorithm 1 output). The pass's counters
-    /// surface in [`RewriteStats`] and [`KbStats`].
+    /// surface in [`RewriteStats`](nyaya_rewrite::RewriteStats) and
+    /// [`KbStats`](super::KbStats).
     pub fn minimize_rewritings(mut self, minimize: bool) -> Self {
         self.minimize_rewritings = minimize;
         self

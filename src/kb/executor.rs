@@ -1,18 +1,18 @@
 //! Execution: one path per prepared query.
 //!
-//! The paper's pipeline ends with "submit the rewriting as a standard SQL
-//! query to the DBMS holding D" — but which engine holds D varies: the
-//! in-process relational engine, an external DBMS that only wants SQL text,
-//! or (for ontologies outside the FO-rewritable classes, where no finite
-//! UCQ rewriting exists) the chase. [`ExecutorKind`] names those backends;
-//! the knowledge base picks one from its [`Classification`] at build time,
-//! and callers can override it per call with
-//! [`KnowledgeBase::execute_on`].
+//! The paper reaches certain answers in one of two ways: it evaluates the
+//! perfect rewriting over D when Σ is FO-rewritable, and otherwise (no
+//! finite UCQ rewriting is guaranteed) it chases. [`ExecutorKind`] names
+//! those two backends; the knowledge base picks one from its
+//! classification at build time, and callers can override it per call
+//! with [`KnowledgeBase::execute_on`]. SQL text is not a backend:
+//! [`KnowledgeBase::sql`] renders the compiled form the same `target`
+//! picks.
 //!
-//! Every `execute*`, `answer*` and `sql` entry point ends in one private
-//! `run`, which matches on the backend once. The rewriting backends then
-//! match on one `Target` — the flat UCQ or the non-recursive Datalog
-//! program, chosen per query by the knowledge base's
+//! Every `execute*` and `answer*` entry point ends in one private `run`,
+//! which matches on the backend once. The in-memory backend then matches
+//! on one `Target` — the flat UCQ or the non-recursive Datalog program,
+//! chosen per query by the knowledge base's
 //! [`Strategy`](super::Strategy) in one place.
 
 use std::collections::BTreeSet;

@@ -24,13 +24,15 @@
 //!   exposes the hit/miss counters. A handle keeps its entry inline after
 //!   first use; one guard makes a handle executed on a *different*
 //!   knowledge base use that base's entry;
-//! - every execution takes one path: the backend named by an
-//!   [`ExecutorKind`] — the in-process relational engine, SQL-text
-//!   emission for an external DBMS, or chase-based certain answers for
-//!   ontologies outside the FO-rewritable classes — over the compiled
-//!   form [`Strategy`] picks (the flat UCQ or the program). The default
-//!   backend is picked from [`classify`] and can be overridden per call
-//!   with [`KnowledgeBase::execute_on`];
+//! - every execution takes one path, on one of the paper's two
+//!   semantics named by an [`ExecutorKind`]: the in-process relational
+//!   engine evaluating the compiled form [`Strategy`] picks (the flat UCQ
+//!   or the program) when Σ is FO-rewritable, or chase-based certain
+//!   answers otherwise. The backend is picked from
+//!   [`classify`](nyaya_core::classify) at build time and can be
+//!   overridden per call with [`KnowledgeBase::execute_on`]. [`KnowledgeBase::sql`] renders the
+//!   same compiled form as SQL text for an external DBMS, and executes
+//!   nothing;
 //! - the ABox evolves **without recompiling anything**:
 //!   [`KnowledgeBase::apply`] inserts/retracts facts in atomic
 //!   [`UpdateBatch`]es, maintaining the engine's per-column indexes
@@ -75,8 +77,6 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError, RwLock, Weak};
 
 use nyaya_chase::{check_consistency, ChaseConfig, Consistency};
-#[cfg(doc)]
-use nyaya_core::classify;
 use nyaya_core::{
     apply_select, Atom, Classification, ConjunctiveQuery, DatalogProgram, Normalization, Ontology,
     Predicate, SelectOptions, Symbol, Term, Tgd,

@@ -12,8 +12,6 @@ use nyaya_sql::ExecMetrics;
 
 use super::cache::{Correction, QueryEntry, ANSWER_CACHE_PER_QUERY, ANSWER_CACHE_PER_TEMPLATE};
 use super::template::Shape;
-#[cfg(doc)]
-use super::REPLAN_RATIO;
 use super::{
     Algorithm, Answers, CompiledProgram, CompiledRewriting, KnowledgeBase, NyayaError, Snapshot,
     Strategy, DEFAULT_PROGRAM_THRESHOLD,
@@ -481,8 +479,9 @@ impl KnowledgeBase {
     }
 
     /// The learned cardinality-correction factor for this query: `1.0`
-    /// until an execution misses its estimate by ≥ [`REPLAN_RATIO`], the
-    /// multiplier applied to join estimates on every re-plan afterwards.
+    /// until an execution misses its estimate by ≥
+    /// [`REPLAN_RATIO`](super::REPLAN_RATIO), the multiplier applied to
+    /// join estimates on every re-plan afterwards.
     /// A query that binds constants into its template learns in its own
     /// handle, not in the entry every constant shares — a miss on one
     /// constant's rows says nothing about another's — so a held handle
@@ -500,9 +499,9 @@ impl KnowledgeBase {
     }
 
     /// Feed one execution's estimated-vs-actual row counts back into the
-    /// planner: a miss by ≥ [`REPLAN_RATIO`] updates the query's
-    /// correction (see [`plan_correction`](Self::plan_correction) for
-    /// where it lives) and ticks `plan_replans`.
+    /// planner: a miss by ≥ [`REPLAN_RATIO`](super::REPLAN_RATIO) updates
+    /// the query's correction (see [`plan_correction`](Self::plan_correction)
+    /// for where it lives) and ticks `plan_replans`.
     pub(super) fn record_feedback(&self, query: &PreparedQuery, metrics: &ExecMetrics) {
         let (shape, entry) = self.entry(query);
         let ratio = metrics.rows.max(1) as f64 / metrics.estimated_rows.max(1) as f64;
