@@ -628,3 +628,27 @@ fn answer_exits_1_without_a_panic_when_stderr_is_closed() {
     std::fs::remove_file(&path).ok();
     assert_eq!(status.code(), Some(1), "{status:?}");
 }
+
+/// On a non-FO-rewritable ontology, result modifiers and `--explain` run
+/// through the chase like a plain `answer`, instead of rewriting toward
+/// the query budget.
+#[test]
+fn modifiers_and_explain_on_a_chase_base_answer_at_once() {
+    let path = write_program(
+        "chase_modifiers",
+        "tr: e(X, Y), e(Y, Z) -> e(X, Z).\ne(a, m). e(m, b). e(b, c).\nq(Y) :- e(a, Y).\n",
+    );
+    let file = path.to_str().unwrap();
+    let (ok, stdout, stderr) = run(&["answer", file]);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout.lines().filter(|l| l.starts_with("q(")).count(), 3);
+    let (ok, stdout, stderr) = run(&["answer", file, "--count"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("% 1 row(s)") && stdout.contains("q(3)"), "{stdout}");
+    let (ok, stdout, stderr) = run(&["answer", file, "--limit", "2"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("% 2 row(s)"), "{stdout}");
+    let (ok, stdout, stderr) = run(&["answer", file, "--explain"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.starts_with("strategy: chase\n"), "{stdout}");
+}
