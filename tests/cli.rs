@@ -644,7 +644,10 @@ fn modifiers_and_explain_on_a_chase_base_answer_at_once() {
     assert_eq!(stdout.lines().filter(|l| l.starts_with("q(")).count(), 3);
     let (ok, stdout, stderr) = run(&["answer", file, "--count"]);
     assert!(ok, "{stderr}");
-    assert!(stdout.contains("% 1 row(s)") && stdout.contains("q(3)"), "{stdout}");
+    assert!(
+        stdout.contains("% 1 row(s)") && stdout.contains("q(3)"),
+        "{stdout}"
+    );
     let (ok, stdout, stderr) = run(&["answer", file, "--limit", "2"]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("% 2 row(s)"), "{stdout}");
