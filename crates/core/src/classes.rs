@@ -183,17 +183,6 @@ pub fn is_sticky(tgds: &[Tgd]) -> bool {
     })
 }
 
-/// A *sufficient* check for sticky-join membership.
-///
-/// Sticky-join sets (\[10\]) strictly generalise both linear and sticky sets,
-/// and deciding membership is PSPACE-complete. We implement the practical
-/// sufficient condition `linear(Σ) ∨ sticky(Σ)` — exactly the fragments the
-/// paper's rewriting experiments exercise. A `true` answer guarantees
-/// FO-rewritability; `false` is inconclusive.
-pub(crate) fn is_sticky_join_sufficient(tgds: &[Tgd]) -> bool {
-    is_linear(tgds) || is_sticky(tgds)
-}
-
 /// Human-readable classification report for an ontology.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Classification {
@@ -202,14 +191,16 @@ pub struct Classification {
     pub weakly_guarded: bool,
     pub weakly_acyclic: bool,
     pub sticky: bool,
-    pub sticky_join_sufficient: bool,
 }
 
 impl Classification {
     /// Does the classification guarantee first-order rewritability
     /// (Section 1: linear, sticky and sticky-join sets are FO-rewritable)?
+    /// Sticky-join sets generalise both linear and sticky ones, but
+    /// deciding membership is PSPACE-complete, so only the two classes it
+    /// generalises are checked: `false` is inconclusive.
     pub fn fo_rewritable(&self) -> bool {
-        self.linear || self.sticky || self.sticky_join_sufficient
+        self.linear || self.sticky
     }
 }
 
@@ -221,7 +212,6 @@ pub fn classify(tgds: &[Tgd]) -> Classification {
         weakly_guarded: crate::affected::is_weakly_guarded(tgds),
         weakly_acyclic: is_weakly_acyclic(tgds),
         sticky: is_sticky(tgds),
-        sticky_join_sufficient: is_sticky_join_sufficient(tgds),
     }
 }
 

@@ -37,8 +37,9 @@
 //! three, so pre-existing ledgers keep replaying.
 //!
 //! A version-3 table decodes straight into columns: each dictionary
-//! entry becomes a cell once, rows copy cells by dictionary index, and
-//! postings are grouped by dictionary index — no fact is materialized
+//! entry becomes a cell once, each dictionary is ranked by cell, rows
+//! copy cells by dictionary index, and postings are grouped by rank (a
+//! counting pass, not a sort of the rows) — no fact is materialized
 //! and nothing is deduplicated per row. What deduplication would have
 //! guaranteed is checked instead: index tuples strictly increasing, every
 //! dictionary entry a distinct constant that some row uses, every

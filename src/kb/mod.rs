@@ -808,8 +808,13 @@ impl KnowledgeBase {
     }
 
     /// Check `D ∪ Σ` for consistency (Section 4.2 workflow: KDs first,
-    /// then NCs over the chase), against the current snapshot.
+    /// then NCs over the chase), against the current snapshot. A Σ with
+    /// neither a KD nor an NC is consistent with every D, so the snapshot's
+    /// chase-facing copy of the data is not built for it.
     pub fn check_consistency(&self) -> Result<(), NyayaError> {
+        if self.ontology.kds.is_empty() && self.ontology.ncs.is_empty() {
+            return Ok(());
+        }
         let snapshot = self.snapshot();
         match check_consistency(snapshot.instance(), &self.ontology, self.chase_config) {
             Consistency::Consistent => Ok(()),
@@ -1048,6 +1053,16 @@ mod tests {
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.cached_rewritings, 1);
         assert_eq!(stats.executions, 2);
+    }
+
+    /// Σ has no NC and no KD: the check answers without the `Atom` copy
+    /// of the snapshot, which the chase backend alone needs.
+    #[test]
+    fn a_constraint_free_consistency_check_builds_no_instance() {
+        let kb = KnowledgeBase::from_program_text(PROGRAM).unwrap();
+        assert!(kb.ontology().ncs.is_empty() && kb.ontology().kds.is_empty());
+        assert_eq!(kb.check_consistency(), Ok(()));
+        assert!(kb.snapshot().chase_instance.get().is_none());
     }
 
     #[test]

@@ -195,7 +195,7 @@ pub struct Snapshot {
     pub(crate) pred_epochs: HashMap<Predicate, u64>,
     /// The chase-facing view of the data, derived on first use: pure
     /// rewriting workloads never pay for it.
-    chase_instance: OnceLock<Instance>,
+    pub(super) chase_instance: OnceLock<Instance>,
     /// That instance chased under the knowledge base's normalized TGDs,
     /// run by the first chase-backend execution over this snapshot; every
     /// later one evaluates its query over it.

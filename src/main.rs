@@ -468,7 +468,6 @@ fn cmd_classify(kb: &KnowledgeBase, out: &mut dyn Write) -> Result<(), Failure> 
     writeln!(out, "weakly guarded:       {}", c.weakly_guarded)?;
     writeln!(out, "weakly acyclic:       {}", c.weakly_acyclic)?;
     writeln!(out, "sticky:               {}", c.sticky)?;
-    writeln!(out, "sticky-join (suff.):  {}", c.sticky_join_sufficient)?;
     writeln!(out, "FO-rewritable:        {}", c.fo_rewritable())?;
     writeln!(
         out,

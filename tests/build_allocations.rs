@@ -8,6 +8,10 @@
 //! cost is read as the difference between a cold execution (which
 //! constructs and caches it) and the same execution warm (which hits the
 //! cache), and its free as the frees of dropping the cache that holds it.
+//!
+//! The same allocator counts live bytes, which checks the storage's own
+//! byte accounting: what `Database::memory_stats` reports for a
+//! bulk-loaded table is what building it left on the heap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,40 +24,51 @@ struct Counting;
 thread_local! {
     /// `(allocations, frees)` on this thread; a reallocation is one of each.
     static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// Bytes allocated minus bytes freed on this thread, as requested.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump(allocs: u64, frees: u64) {
+fn bump(allocs: u64, frees: u64, bytes: i64) {
     // `try_with`: a thread's last frees can run after its locals are gone.
     let _ = COUNTS.try_with(|c| {
         let (a, f) = c.get();
         c.set((a + allocs, f + frees));
     });
+    let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
 }
 
 fn counts() -> (u64, u64) {
     COUNTS.with(Cell::get)
 }
 
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
+}
+
+fn size(bytes: usize) -> i64 {
+    i64::try_from(bytes).expect("an allocation fits in i64")
+}
+
 // SAFETY: every call forwards to `System` unchanged; the counters are
 // const-initialized thread locals, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(1, 0);
+        bump(1, 0, size(layout.size()));
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump(1, 0);
+        bump(1, 0, size(layout.size()));
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        bump(0, 1);
+        bump(0, 1, -size(layout.size()));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(1, 1);
+        bump(1, 1, size(new_size) - size(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -155,4 +170,42 @@ fn a_two_column_build_allocates_and_frees_a_constant_number_of_times() {
         ],
     );
     assert_constant("a two-column build", build_costs(&db, q));
+}
+
+/// Rows of the bulk-loaded table whose bytes are checked against the heap.
+const ROWS: usize = 100_000;
+
+/// Heap bytes a one-table database holds beyond its columns and indexes:
+/// its predicate map, the table's and the base's `Arc`s, and the per-column
+/// headers (a few hundred bytes at arity 3).
+const STRUCTURE_BYTES: i64 = 2_048;
+
+#[test]
+fn memory_stats_cover_the_heap_a_bulk_load_keeps() {
+    // One column unique, one of 10 000 groups of 10 rows, one of 50
+    // groups: a sorted index with and without group starts, above and
+    // below the directory threshold.
+    let facts: Vec<Atom> = (0..ROWS)
+        .map(|k| {
+            atom(
+                "t",
+                vec![cell("u", k), cell("g", k % 10_000), cell("s", k % 50)],
+            )
+        })
+        .collect();
+    // The constants are interned above; the load only clones atoms, and
+    // frees each clone once it is staged.
+    let before = live_bytes();
+    let db = Database::from_facts(facts.iter().cloned());
+    let grown = live_bytes() - before;
+    let memory = db.memory_stats();
+    assert_eq!(db.len(), ROWS);
+    let accounted = i64::try_from(memory.fact_bytes + memory.index_bytes).unwrap();
+    assert!(
+        accounted <= grown && grown <= accounted + STRUCTURE_BYTES,
+        "the load kept {grown} heap bytes; memory_stats accounts for {accounted} \
+         ({} fact, {} index), and at most {STRUCTURE_BYTES} more may be structure",
+        memory.fact_bytes,
+        memory.index_bytes
+    );
 }

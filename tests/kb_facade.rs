@@ -990,11 +990,11 @@ fn stats_json_is_byte_stable() {
             r#""ivm_seed_micros":#,"ivm_seeded_tuples":2,"merge_joins":0,"#,
             r#""morsel_tasks":4,"plan_estimated_rows":2,"plan_actual_rows":2,"#,
             r#""plan_replans":0,"cache_answer_hits":1,"cache_answer_misses":1,"#,
-            r#""net_requests":1,"fact_bytes":44,"index_bytes":464,"build_cache_bytes":0,"#,
+            r#""net_requests":1,"fact_bytes":44,"index_bytes":320,"build_cache_bytes":0,"#,
             r#""table_folds":0,"#,
             r#""tables":[{"predicate":"has_stock","arity":2,"rows":1,"fact_bytes":32,"#,
             r#""index_bytes":296,"delta_rows":1,"dead_rows":0},{"predicate":"stock_portf","#,
-            r#""arity":3,"rows":1,"fact_bytes":12,"index_bytes":168,"delta_rows":0,"#,
+            r#""arity":3,"rows":1,"fact_bytes":12,"index_bytes":24,"delta_rows":0,"#,
             r#""dead_rows":0}]}"#,
         )
     );
